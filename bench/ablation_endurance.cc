@@ -51,7 +51,9 @@ WriteVolume RunConfig(const char* label, bool dwb, uint32_t page_size,
 
   const uint64_t host0 = rig.data_dev->stats().host_written_sectors;
   const uint64_t nand0 = rig.data_dev->flash().stats().programs;
-  if (!bench.Run().ok()) abort();
+  auto result = bench.Run();
+  if (!result.ok()) abort();
+  g_json->CountFailedOps(result->failed_ops);
   const double host_bytes =
       static_cast<double>(rig.data_dev->stats().host_written_sectors - host0) *
       rig.data_dev->sector_size();
@@ -59,9 +61,10 @@ WriteVolume RunConfig(const char* label, bool dwb, uint32_t page_size,
       static_cast<double>(rig.data_dev->flash().stats().programs - nand0) *
       rig.data_dev->config().geometry.page_size;
   const SsdDevice::FaultStats fs = rig.data_dev->fault_stats();
-  if (g_json != nullptr && g_json->enabled()) {
+  if (g_json->enabled()) {
     BenchResult row(label);
-    row.Param("double_write", dwb)
+    row.FailedOps(result->failed_ops)
+        .Param("double_write", dwb)
         .Param("page_size", static_cast<uint64_t>(page_size))
         .Value("host_gib", host_bytes / kGiB)
         .Value("nand_gib", nand_bytes / kGiB)
@@ -143,5 +146,5 @@ int main(int argc, char** argv) {
   json.Config("nodes", nodes).Config("requests", requests);
   durassd::g_json = &json;
   durassd::RunComparison(nodes, requests);
-  return json.WriteFile() ? 0 : 1;
+  return json.Finish();
 }

@@ -44,10 +44,14 @@ double RunConfig(const char* label, bool barriers, SsdConfig::FlushMode mode,
   lc.requests = requests;
   LinkBench bench(db->get(), lc);
   if (!bench.Load(io).ok()) abort();
-  const double tps = (*bench.Run()).tps;
-  if (g_json != nullptr && g_json->enabled()) {
+  auto result = bench.Run();
+  if (!result.ok()) abort();
+  g_json->CountFailedOps(result->failed_ops);
+  const double tps = result->tps;
+  if (g_json->enabled()) {
     BenchResult row(label);
-    row.Param("write_barriers", barriers)
+    row.FailedOps(result->failed_ops)
+        .Param("write_barriers", barriers)
         .Param("ordered_no_drain",
                mode == SsdConfig::FlushMode::kOrderedNoDrain)
         .Throughput(tps, "txn/s")
@@ -92,5 +96,5 @@ int main(int argc, char** argv) {
   json.Config("nodes", nodes).Config("requests", requests);
   durassd::g_json = &json;
   durassd::Run(nodes, requests);
-  return json.WriteFile() ? 0 : 1;
+  return json.Finish();
 }

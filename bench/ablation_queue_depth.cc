@@ -74,6 +74,7 @@ void RunFioSweep(uint64_t ops, BenchJson* json) {
 struct CommitResult {
   double commits_per_sec = 0;
   uint64_t acked = 0;
+  uint64_t failed = 0;  ///< Transactions whose Begin, Put or Commit failed.
   Wal::Stats wal;
 };
 
@@ -96,11 +97,15 @@ CommitResult RunCommitters(bool ordered, uint32_t clients, uint64_t ops) {
   if (!opened.ok()) {
     fprintf(stderr, "Database::Open failed: %s\n",
             opened.status().ToString().c_str());
+    out.failed = ops;
     return out;
   }
   std::unique_ptr<Database> db = std::move(*opened);
   auto tree = db->CreateTree(io, "t");
-  if (!tree.ok()) return out;
+  if (!tree.ok()) {
+    out.failed = ops;
+    return out;
+  }
 
   const std::string value(120, 'v');
   std::vector<uint32_t> op_count(clients, 0);
@@ -116,6 +121,8 @@ CommitResult RunCommitters(bool ordered, uint32_t clients, uint64_t ops) {
     if (txn.ok() && db->Put(cio, *txn, *tree, key, value).ok() &&
         db->Commit(cio, *txn).ok()) {
       out.acked++;
+    } else {
+      out.failed++;
     }
     return cio.now;
   };
@@ -133,6 +140,7 @@ void RunCommitSweep(uint64_t ops, BenchJson* json) {
   for (const bool ordered : {true, false}) {
     for (const uint32_t qd : kDepths) {
       const CommitResult r = RunCommitters(ordered, qd, ops);
+      json->CountFailedOps(r.failed);
       printf("  %-10s %-4u %12.0f %12llu %12llu %10llu\n",
              ordered ? "ordered" : "unordered", qd, r.commits_per_sec,
              static_cast<unsigned long long>(r.wal.sync_groups),
@@ -141,7 +149,8 @@ void RunCommitSweep(uint64_t ops, BenchJson* json) {
       if (json->enabled()) {
         BenchResult row(std::string(ordered ? "ordered" : "unordered") +
                         "/committers=" + std::to_string(qd));
-        row.Param("workload", "wal_commit")
+        row.FailedOps(r.failed)
+            .Param("workload", "wal_commit")
             .Param("ordered_queue", ordered)
             .Param("committers", static_cast<uint64_t>(qd))
             .Throughput(r.commits_per_sec, "commits/s")
@@ -176,5 +185,5 @@ int main(int argc, char** argv) {
   json.Config("commit_ops", commit_ops);
   durassd::RunFioSweep(fio_ops, &json);
   durassd::RunCommitSweep(commit_ops, &json);
-  return json.WriteFile() ? 0 : 1;
+  return json.Finish();
 }

@@ -13,6 +13,7 @@
 //     "results": [
 //       {
 //         "name": "<row label>",
+//         "failed_ops": 0,
 //         "params": { ... per-row knobs ... },
 //         "throughput": {"value": 1234.5, "unit": "txn/s"},
 //         "latency_ns": {"count","mean","min","p25",...,"p999","max"},
@@ -165,6 +166,13 @@ class BenchResult {
     return *this;
   }
 
+  /// Workload-driver operations that failed: a non-OK status other than an
+  /// expected NotFound. scripts/bench_compare.py fails a row with any.
+  BenchResult& FailedOps(uint64_t n) {
+    failed_ops_ = bench_json_internal::Scalar(n);
+    return *this;
+  }
+
   /// Device section: Stats + FaultStats + the device's metrics registry.
   BenchResult& Device(const SsdDevice& dev) {
     JsonWriter w;
@@ -183,6 +191,10 @@ class BenchResult {
     w->BeginObject();
     w->Key("name");
     w->String(name_);
+    if (!failed_ops_.empty()) {
+      w->Key("failed_ops");
+      w->Raw(failed_ops_);
+    }
     if (!params_.empty()) {
       w->Key("params");
       bench_json_internal::AppendFields(params_, w);
@@ -212,6 +224,7 @@ class BenchResult {
 
  private:
   std::string name_;
+  std::string failed_ops_;
   bench_json_internal::Fields params_;
   std::string throughput_;
   std::string latency_;
@@ -276,6 +289,23 @@ class BenchJson {
     return w.TakeString();
   }
 
+  /// Adds a workload driver run's failed operations to the bench's total.
+  /// Counts with or without --json: any failure fails the bench.
+  void CountFailedOps(uint64_t n) { failed_ops_ += n; }
+
+  /// Writes the document (when --json was given) and returns the process
+  /// exit status: 1 when the write failed or a driver operation failed.
+  int Finish() const {
+    const bool written = WriteFile();
+    if (failed_ops_ > 0) {
+      std::fprintf(stderr, "%s: %llu workload operations failed\n",
+                   bench_.c_str(),
+                   static_cast<unsigned long long>(failed_ops_));
+      return 1;
+    }
+    return written ? 0 : 1;
+  }
+
   /// Writes the document (plus trailing newline) to the --json path.
   /// Returns true when disabled or written successfully.
   bool WriteFile() const {
@@ -299,6 +329,7 @@ class BenchJson {
   bool quick_;
   bench_json_internal::Fields config_;
   std::vector<std::string> results_;
+  uint64_t failed_ops_ = 0;
 };
 
 }  // namespace durassd

@@ -54,6 +54,7 @@ double RunConfig(const char* label, bool barriers, bool dwb,
   }
   auto result = bench.Run();
   if (!result.ok()) abort();
+  g_json->CountFailedOps(result->failed_ops);
   if (g_stats) {
     const auto& ps = rig.db->pool_stats();
     const auto& ws = rig.db->wal_stats();
@@ -77,10 +78,11 @@ double RunConfig(const char* label, bool barriers, bool dwb,
             result->latencies[LinkOp::kUpdateNode].Mean() / 1e6,
             result->latencies[LinkOp::kAddLink].Mean() / 1e6);
   }
-  if (g_json != nullptr && g_json->enabled()) {
+  if (g_json->enabled()) {
     BenchResult row(std::string(label) + "/page=" +
                     std::to_string(page_size / kKiB) + "KB");
-    row.Param("write_barriers", barriers)
+    row.FailedOps(result->failed_ops)
+        .Param("write_barriers", barriers)
         .Param("double_write", dwb)
         .Param("page_size", static_cast<uint64_t>(page_size))
         .Throughput(result->tps, "txn/s")
@@ -127,5 +129,5 @@ int main(int argc, char** argv) {
       .Config("clients", uint64_t{128});
   durassd::g_json = &json;
   durassd::RunFigure(nodes, requests);
-  return json.WriteFile() ? 0 : 1;
+  return json.Finish();
 }

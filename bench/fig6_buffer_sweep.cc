@@ -40,10 +40,12 @@ Point RunConfig(uint32_t page_size, uint64_t pool_bytes, uint64_t nodes,
   if (!bench.Load(rig.io).ok()) abort();
   auto result = bench.Run();
   if (!result.ok()) abort();
-  if (g_json != nullptr && g_json->enabled()) {
+  g_json->CountFailedOps(result->failed_ops);
+  if (g_json->enabled()) {
     BenchResult row("page=" + std::to_string(page_size / kKiB) +
                     "KB/pool_bytes=" + std::to_string(pool_bytes));
-    row.Param("page_size", static_cast<uint64_t>(page_size))
+    row.FailedOps(result->failed_ops)
+        .Param("page_size", static_cast<uint64_t>(page_size))
         .Param("pool_bytes", pool_bytes)
         .Throughput(result->tps, "txn/s")
         .Value("buffer_miss_pct", 100.0 * result->buffer_miss_ratio)
@@ -104,5 +106,5 @@ int main(int argc, char** argv) {
   json.Config("nodes", nodes).Config("requests", requests);
   durassd::g_json = &json;
   durassd::RunFigure(nodes, requests);
-  return json.WriteFile() ? 0 : 1;
+  return json.Finish();
 }

@@ -1,8 +1,11 @@
 // google-benchmark microbenchmarks for the hot paths of the library itself
 // (wall-clock cost of the simulator, not virtual-time results): device
-// read/write dispatch, FTL programs, B+-tree operations, CRC, histogram.
+// read/write dispatch, FTL programs and GC, B+-tree operations, CRC,
+// histogram, kvstore puts. scripts/bench_compare.py fails a row that takes
+// more than three times its baseline time.
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -14,8 +17,10 @@
 #include "db/btree.h"
 #include "db/buffer_pool.h"
 #include "db/wal.h"
+#include "flash/flash_array.h"
 #include "host/sim_file.h"
 #include "kv/kvstore.h"
+#include "ssd/ftl.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
 
@@ -77,6 +82,35 @@ void BM_SsdRead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SsdRead);
+
+// Single-sector FTL programs at random LPNs in GC steady state, with no
+// FLUSH: thousands of mapping entries stay unpersisted, and every GC erase
+// must force-persist the ones whose rollback target it reclaims.
+void BM_FtlGcUnpersistedMap(benchmark::State& state) {
+  FlashGeometry g = FlashGeometry::Tiny();
+  g.blocks_per_plane = 256;
+  g.pages_per_block = 32;
+  FlashArray flash(FlashArray::Options{g, /*store_data=*/false});
+  Ftl ftl(&flash, Ftl::Options{4 * kKiB, 0.25, 2, 2});
+  const uint64_t n = ftl.logical_sectors() / 2;
+  SimTime t = 0;
+  SimTime start = 0;
+  auto program = [&](Lpn lpn) {
+    const std::vector<Ftl::SectorWrite> w{{lpn, nullptr}};
+    if (!ftl.ProgramSectors(t, w, &start, &t).ok()) std::abort();
+  };
+  for (Lpn l = 0; l < n; ++l) program(l);
+  ftl.PersistMapping();
+  Random rng(10);
+  for (uint64_t i = 0; i < 2 * n; ++i) program(rng.Uniform(n));
+  state.counters["dirty_map_entries"] =
+      static_cast<double>(ftl.dirty_mapping_entries());
+  const uint64_t gc_before = ftl.stats().gc_runs;
+  for (auto _ : state) program(rng.Uniform(n));
+  state.counters["gc_runs"] =
+      static_cast<double>(ftl.stats().gc_runs - gc_before);
+}
+BENCHMARK(BM_FtlGcUnpersistedMap);
 
 class BTreeFixture : public benchmark::Fixture {
  public:

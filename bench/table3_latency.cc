@@ -32,6 +32,7 @@ void RunConfig(const char* title, const char* label, bool barriers, bool dwb,
   if (!bench.Load(rig.io).ok()) abort();
   auto result = bench.Run();
   if (!result.ok()) abort();
+  g_json->CountFailedOps(result->failed_ops);
 
   printf("%s (TPS %.0f)\n", title, result->tps);
   printf("  %-14s %8s %8s %8s %8s %8s %8s\n", "op", "mean", "p25", "p50",
@@ -41,9 +42,10 @@ void RunConfig(const char* title, const char* label, bool barriers, bool dwb,
     auto it = result->latencies.find(o);
     if (it == result->latencies.end()) continue;
     printf("  %-14s %s\n", LinkOpName(o), it->second.SummaryMillis().c_str());
-    if (g_json != nullptr && g_json->enabled()) {
+    if (g_json->enabled()) {
       BenchResult row(std::string(label) + "/" + LinkOpName(o));
-      row.Param("config", label)
+      row.FailedOps(result->failed_ops)
+          .Param("config", label)
           .Param("op", LinkOpName(o))
           .Param("write_barriers", barriers)
           .Param("double_write", dwb)
@@ -78,5 +80,5 @@ int main(int argc, char** argv) {
                      true, true, 16 * durassd::kKiB, nodes, requests);
   durassd::RunConfig(" OFF/OFF with 4KB pages (DuraSSD best)", "off_off_4k",
                      false, false, 4 * durassd::kKiB, nodes, requests);
-  return json.WriteFile() ? 0 : 1;
+  return json.Finish();
 }

@@ -33,10 +33,12 @@ double RunConfig(bool barriers, uint32_t page_size, const Tpcc::Config& tc,
   if (!bench.Load(rig.io).ok()) abort();
   auto result = bench.Run();
   if (!result.ok()) abort();
-  if (g_json != nullptr && g_json->enabled()) {
+  g_json->CountFailedOps(result->failed_ops);
+  if (g_json->enabled()) {
     BenchResult row(std::string(barriers ? "barrier_on" : "barrier_off") +
                     "/page=" + std::to_string(page_size / kKiB) + "KB");
-    row.Param("write_barriers", barriers)
+    row.FailedOps(result->failed_ops)
+        .Param("write_barriers", barriers)
         .Param("page_size", static_cast<uint64_t>(page_size))
         .Throughput(result->tpmc, "tpmC")
         .Metrics(rig.db->metrics())
@@ -91,5 +93,5 @@ int main(int argc, char** argv) {
       .Config("pool_bytes", pool);
   durassd::g_json = &json;
   durassd::RunTable(tc, pool);
-  return json.WriteFile() ? 0 : 1;
+  return json.Finish();
 }

@@ -42,11 +42,13 @@ double RunConfig(bool barriers, uint32_t batch, double update_fraction,
   if (!bench.Load(io).ok()) abort();
   auto result = bench.Run();
   if (!result.ok()) abort();
-  if (g_json != nullptr && g_json->enabled()) {
+  g_json->CountFailedOps(result->failed_ops);
+  if (g_json->enabled()) {
     BenchResult row(std::string(barriers ? "barrier_on" : "barrier_off") +
                     "/update=" + std::to_string(update_fraction) +
                     "/batch=" + std::to_string(batch));
-    row.Param("write_barriers", barriers)
+    row.FailedOps(result->failed_ops)
+        .Param("write_barriers", barriers)
         .Param("batch_size", static_cast<uint64_t>(batch))
         .Param("update_fraction", update_fraction)
         .Throughput(result->ops_per_sec, "ops/s")
@@ -97,5 +99,5 @@ int main(int argc, char** argv) {
   json.Config("records", records).Config("operations", operations);
   durassd::g_json = &json;
   durassd::RunTable(records, operations);
-  return json.WriteFile() ? 0 : 1;
+  return json.Finish();
 }

@@ -6,6 +6,7 @@
 #   --json   write per-bench JSON to bench_json/<name>.json and aggregate
 #            everything into BENCH_results.json
 #
+# Prints each bench's wall-clock seconds and the suite total at the end.
 # Exits nonzero if any bench fails.
 set -u
 
@@ -29,6 +30,12 @@ if [ "$JSON" = 1 ]; then
 fi
 
 FAILED=""
+WALL_TABLE=""
+
+now_s() { date +%s.%N; }
+elapsed_s() { awk -v a="$1" -v b="$(now_s)" 'BEGIN { printf "%.1f", b - a }'; }
+
+SUITE_START="$(now_s)"
 
 run_bench() {
   local b="$1"
@@ -46,10 +53,13 @@ run_bench() {
     rm -f "$JSON_DIR/$b.json"
     extra+=(--json "$JSON_DIR/$b.json")
   fi
+  local start
+  start="$(now_s)"
   if ! "./build/bench/$b" $QUICK "$@" "${extra[@]+"${extra[@]}"}"; then
     echo "FAILED: $b" >&2
     FAILED="$FAILED $b"
   fi
+  WALL_TABLE+="$(printf '  %-28s %8s s' "$b" "$(elapsed_s "$start")")"$'\n'
   echo
 }
 
@@ -91,6 +101,10 @@ if [ "$JSON" = 1 ]; then
   } > BENCH_results.json
   echo "Wrote BENCH_results.json ($(ls "$JSON_DIR" | wc -l) benches)"
 fi
+
+echo "===== wall-clock seconds ====="
+printf '%s' "$WALL_TABLE"
+printf '  %-28s %8s s\n' "suite total" "$(elapsed_s "$SUITE_START")"
 
 if [ -n "$FAILED" ]; then
   echo "Failed benches:$FAILED" >&2

@@ -8,6 +8,7 @@ be regenerated with `./run_benches.sh --quick --json`).
 
 Usage:
     scripts/bench_compare.py BASELINE CURRENT [--tolerance 0.10]
+    scripts/bench_compare.py BASELINE CURRENT --exact
 
 Guarded metrics: per-row throughput (higher is better), plus the
 GUARDED_VALUES scalars when a baseline row carries them — currently
@@ -16,11 +17,24 @@ better), failover_read_p99_us (lower is better),
 rebuild_foreground_floor (higher is better),
 sim_ops_per_wall_second (higher is better; full runs only),
 tier_hit_ratio (higher is better), and rewarm_seconds (lower is
-better).
+better). Every micro_ops row (google-benchmark, wall clock) fails when
+its CPU time exceeds MICRO_OPS_FACTOR times the baseline's: a band wide
+enough for different hosts, narrow enough to catch a hot path that fell
+back to a slow implementation.
+
+Every current row that reports failed_ops > 0 (workload-driver operations
+that returned an unexpected status) fails in both modes.
+
+--exact checks that virtual time did not move: every leaf of every bench
+document except micro_ops and keys containing "wall" must equal the
+baseline's. Each changed or removed leaf is listed; added leaves (a new
+row, a new counter) are allowed. A change that means to move numbers
+commits the new baseline and explains each moved row.
 
 Exit status: 0 when no guarded metric moved more than the tolerance in
-its bad direction (new rows/benches are fine, improvements are fine);
-1 when a regression or a removed row/bench was found; 2 on usage errors.
+its bad direction (new rows/benches are fine, improvements are fine), or
+with --exact when no leaf changed or disappeared; 1 when a regression, a
+failed operation, or a removed row/bench was found; 2 on usage errors.
 """
 
 import argparse
@@ -60,6 +74,84 @@ GUARDED_VALUES = {
     "tier_hit_ratio": "higher_is_better",
     "rewarm_seconds": "lower_is_better",
 }
+
+
+# micro_ops rows may take up to this many times their baseline CPU time.
+MICRO_OPS_FACTOR = 3.0
+TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def micro_rows(doc):
+    return {b["name"]: b for b in doc.get("benchmarks", [])
+            if "name" in b and b.get("run_type") != "aggregate"}
+
+
+def compare_micro_ops(base_doc, cur_doc, regressions):
+    """Wide-band wall-clock guard on google-benchmark rows.
+
+    Returns the number of rows compared.
+    """
+    cur_rows = micro_rows(cur_doc)
+    compared = 0
+    for name, base_row in micro_rows(base_doc).items():
+        cur_row = cur_rows.get(name)
+        if cur_row is None:
+            regressions.append(f"micro_ops/{name}: row missing")
+            continue
+        compared += 1
+        b = float(base_row["cpu_time"]) * TIME_UNIT_NS[base_row["time_unit"]]
+        c = float(cur_row["cpu_time"]) * TIME_UNIT_NS[cur_row["time_unit"]]
+        if c > b * MICRO_OPS_FACTOR:
+            regressions.append(
+                f"micro_ops/{name}: {c:.0f} ns > {MICRO_OPS_FACTOR:g}x "
+                f"baseline {b:.0f} ns"
+            )
+    return compared
+
+
+def failed_rows(docs, regressions):
+    """Fails every row that counted failed workload-driver operations."""
+    for bench_name, doc in sorted(docs.items()):
+        for row_name, row in rows_by_name(doc).items():
+            failed = row.get("failed_ops", 0)
+            if failed > 0:
+                regressions.append(
+                    f"{bench_name}/{row_name}: {failed} failed operations")
+
+
+def leaves(node, path, out):
+    """Flattens a bench document into {path: leaf}. Rows are keyed by their
+    name, other list items by index; keys containing "wall" are skipped."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if "wall" not in key:
+                leaves(value, f"{path}/{key}", out)
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            label = item["name"] if isinstance(item, dict) and "name" in item \
+                else str(i)
+            leaves(item, f"{path}[{label}]", out)
+    else:
+        out[path] = node
+
+
+def compare_exact(base, cur):
+    """Lists every changed or removed non-wall leaf outside micro_ops."""
+    problems = []
+    compared = 0
+    for bench_name, base_doc in sorted(base.items()):
+        if bench_name == "micro_ops":
+            continue
+        base_leaves, cur_leaves = {}, {}
+        leaves(base_doc, bench_name, base_leaves)
+        leaves(cur.get(bench_name, {}), bench_name, cur_leaves)
+        for path, b in base_leaves.items():
+            compared += 1
+            if path not in cur_leaves:
+                problems.append(f"{path}: removed (baseline {b!r})")
+            elif cur_leaves[path] != b:
+                problems.append(f"{path}: {b!r} -> {cur_leaves[path]!r}")
+    return compared, problems
 
 
 def compare_values(bench_name, row_name, base_row, cur_row, tolerance,
@@ -116,6 +208,11 @@ def main():
         default=0.10,
         help="allowed fractional throughput drop vs baseline (default 0.10)",
     )
+    ap.add_argument(
+        "--exact",
+        action="store_true",
+        help="require every non-wall leaf outside micro_ops to be unchanged",
+    )
     args = ap.parse_args()
 
     base = load(args.baseline).get("benches", {})
@@ -124,6 +221,7 @@ def main():
     regressions = []
     notes = []
     compared = 0
+    failed_rows(cur, regressions)
 
     # A document with "results" but without the terminal "complete": true
     # marker is partial output (the bench died mid-write); comparing against
@@ -136,13 +234,25 @@ def main():
                     '(missing "complete": true)'
                 )
 
+    if args.exact:
+        compared, changed = compare_exact(base, cur)
+        for c in changed:
+            print(f"CHANGED: {c}", file=sys.stderr)
+        for r in regressions:
+            print(f"REGRESSION: {r}", file=sys.stderr)
+        print(f"bench_compare --exact: {compared} leaves compared, "
+              f"{len(changed)} changed or removed, "
+              f"{len(regressions)} other failure(s)")
+        return 1 if changed or regressions else 0
+
     for bench_name, base_doc in sorted(base.items()):
-        if "results" not in base_doc:
-            # google-benchmark native output (micro_ops): wall-clock noisy,
-            # guarded by its own tooling, skip.
-            continue
         if bench_name not in cur:
             regressions.append(f"{bench_name}: bench missing from current run")
+            continue
+        if "benchmarks" in base_doc:
+            # google-benchmark native output (micro_ops): wall clock.
+            compared += compare_micro_ops(base_doc, cur[bench_name],
+                                          regressions)
             continue
         cur_rows = rows_by_name(cur[bench_name])
         for row_name, base_row in rows_by_name(base_doc).items():

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "common/coding.h"
 #include "common/crc32c.h"
@@ -94,32 +95,36 @@ StatusOr<std::unique_ptr<KvStore>> KvStore::Open(IoContext& io,
 // Chunk encoding
 // ---------------------------------------------------------------------------
 
-uint64_t KvStore::AppendChunk(uint8_t type, Slice body, uint32_t* total_len) {
-  const uint64_t off = tail_base_ + tail_.size();
-  std::string framed;
-  framed.push_back(static_cast<char>(type));
-  framed.append(body.data(), body.size());
-  PutFixed32(&tail_, static_cast<uint32_t>(framed.size()) + 8);
-  PutFixed32(&tail_, Crc32c(framed.data(), framed.size()));
-  tail_.append(framed);
-  *total_len = static_cast<uint32_t>(framed.size()) + 8;
-  append_offset_ = tail_base_ + tail_.size();
-  return off;
+size_t KvStore::BeginChunk(uint8_t type) {
+  const size_t start = tail_.size();
+  tail_.append(8, '\0');  // total_len and crc, filled in by EndChunk.
+  tail_.push_back(static_cast<char>(type));
+  return start;
 }
 
-KvStore::NodeRef KvStore::AppendNode(const Node& node) {
-  std::string body;
-  body.push_back(node.leaf ? 1 : 0);
-  PutFixed32(&body, static_cast<uint32_t>(node.entries.size()));
+uint64_t KvStore::EndChunk(size_t start, uint32_t* total_len) {
+  char* chunk = tail_.data() + start;
+  const size_t framed = tail_.size() - start - 8;  // Type byte + body.
+  *total_len = static_cast<uint32_t>(framed) + 8;
+  EncodeFixed32(chunk, *total_len);
+  EncodeFixed32(chunk + 4, Crc32c(chunk + 8, framed));
+  append_offset_ = tail_base_ + tail_.size();
+  return tail_base_ + start;
+}
+
+KvStore::NodeRef KvStore::AppendNode(Node node) {
+  const size_t start = BeginChunk(kChunkNode);
+  tail_.push_back(node.leaf ? 1 : 0);
+  PutFixed32(&tail_, static_cast<uint32_t>(node.entries.size()));
   for (const Entry& e : node.entries) {
-    PutLengthPrefixed(&body, e.key);
-    PutFixed64(&body, e.off);
-    PutFixed32(&body, e.len);
+    PutLengthPrefixed(&tail_, e.key);
+    PutFixed64(&tail_, e.off);
+    PutFixed32(&tail_, e.len);
   }
   uint32_t len = 0;
-  const uint64_t off = AppendChunk(kChunkNode, body, &len);
+  const uint64_t off = EndChunk(start, &len);
   stats_.node_appends++;
-  node_cache_[off] = node;
+  node_cache_[off] = std::move(node);
   if (node_cache_.size() > 4096) {
     // Immutable cache: evicting the oldest offsets is safe and cheap.
     node_cache_.erase(node_cache_.begin(),
@@ -129,18 +134,18 @@ KvStore::NodeRef KvStore::AppendNode(const Node& node) {
 }
 
 uint64_t KvStore::AppendDoc(Slice key, Slice value, uint32_t* len) {
-  std::string body;
-  PutLengthPrefixed(&body, key);
-  PutLengthPrefixed(&body, value);
-  const uint64_t off = AppendChunk(kChunkDoc, body, len);
+  const size_t start = BeginChunk(kChunkDoc);
+  PutLengthPrefixed(&tail_, key);
+  PutLengthPrefixed(&tail_, value);
+  const uint64_t off = EndChunk(start, len);
   stats_.doc_appends++;
   return off;
 }
 
-Status KvStore::LoadNode(IoContext& io, NodeRef ref, Node* out) {
+Status KvStore::LoadNode(IoContext& io, NodeRef ref, const Node** out) {
   auto cached = node_cache_.find(ref.off);
   if (cached != node_cache_.end()) {
-    *out = cached->second;
+    *out = &cached->second;
     return Status::OK();
   }
   std::string raw;
@@ -180,8 +185,8 @@ Status KvStore::LoadNode(IoContext& io, NodeRef ref, Node* out) {
     }
     node.entries.push_back(Entry{key.ToString(), off, len});
   }
-  node_cache_[ref.off] = node;
-  *out = std::move(node);
+  cached = node_cache_.insert_or_assign(ref.off, std::move(node)).first;
+  *out = &cached->second;
   return Status::OK();
 }
 
@@ -221,8 +226,14 @@ Status KvStore::LoadDoc(IoContext& io, uint64_t off, uint32_t len,
 Status KvStore::CowInsertRec(IoContext& io, NodeRef ref, Slice key,
                              bool is_delete, uint64_t doc_off,
                              uint32_t doc_len, bool* found, CowResult* out) {
+  const Node* cached = nullptr;
+  DURASSD_RETURN_IF_ERROR(LoadNode(io, ref, &cached));
+  // This level's one copy: the cached node stays immutable (and the
+  // recursion below may evict it). Room for the one entry a level can gain.
   Node node;
-  DURASSD_RETURN_IF_ERROR(LoadNode(io, ref, &node));
+  node.leaf = cached->leaf;
+  node.entries.reserve(cached->entries.size() + 1);
+  node.entries.assign(cached->entries.begin(), cached->entries.end());
 
   if (node.leaf) {
     auto it = std::lower_bound(
@@ -263,16 +274,11 @@ Status KvStore::CowInsertRec(IoContext& io, NodeRef ref, Slice key,
     it->off = child.left.off;
     it->len = child.left.len;
     // Keep the separator = min key of the child subtree.
-    {
-      Node left_child;
-      DURASSD_RETURN_IF_ERROR(LoadNode(io, child.left, &left_child));
-      if (!left_child.entries.empty()) {
-        it->key = left_child.entries.front().key;
-      }
-    }
+    if (child.left_min) it->key = std::move(*child.left_min);
     if (child.split) {
-      node.entries.insert(std::next(it),
-                          Entry{child.sep, child.right.off, child.right.len});
+      node.entries.insert(std::next(it), Entry{std::move(child.sep),
+                                               child.right.off,
+                                               child.right.len});
     }
   }
 
@@ -281,14 +287,17 @@ Status KvStore::CowInsertRec(IoContext& io, NodeRef ref, Slice key,
     Node right;
     right.leaf = node.leaf;
     const size_t mid = node.entries.size() / 2;
-    right.entries.assign(node.entries.begin() + mid, node.entries.end());
+    right.entries.assign(std::make_move_iterator(node.entries.begin() + mid),
+                         std::make_move_iterator(node.entries.end()));
     node.entries.resize(mid);
-    out->left = AppendNode(node);
-    out->split = true;
+    out->left_min = node.entries.front().key;
     out->sep = right.entries.front().key;
-    out->right = AppendNode(right);
+    out->left = AppendNode(std::move(node));
+    out->split = true;
+    out->right = AppendNode(std::move(right));
   } else {
-    out->left = AppendNode(node);
+    if (!node.entries.empty()) out->left_min = node.entries.front().key;
+    out->left = AppendNode(std::move(node));
     out->split = false;
   }
   return Status::OK();
@@ -305,7 +314,7 @@ StatusOr<KvStore::NodeRef> KvStore::CowUpdate(IoContext& io, NodeRef root,
     leaf.leaf = true;
     leaf.entries.push_back(Entry{key.ToString(), doc_off, doc_len});
     live_bytes_ += doc_len;
-    return AppendNode(leaf);
+    return AppendNode(std::move(leaf));
   }
   CowResult res;
   DURASSD_RETURN_IF_ERROR(CowInsertRec(io, root, key, is_delete, doc_off,
@@ -313,13 +322,11 @@ StatusOr<KvStore::NodeRef> KvStore::CowUpdate(IoContext& io, NodeRef root,
   if (!res.split) return res.left;
   Node new_root;
   new_root.leaf = false;
-  Node left_child;
-  DURASSD_RETURN_IF_ERROR(LoadNode(io, res.left, &left_child));
-  const std::string left_key =
-      left_child.entries.empty() ? "" : left_child.entries.front().key;
-  new_root.entries.push_back(Entry{left_key, res.left.off, res.left.len});
-  new_root.entries.push_back(Entry{res.sep, res.right.off, res.right.len});
-  return AppendNode(new_root);
+  new_root.entries.push_back(Entry{std::move(res.left_min).value_or(""),
+                                   res.left.off, res.left.len});
+  new_root.entries.push_back(
+      Entry{std::move(res.sep), res.right.off, res.right.len});
+  return AppendNode(std::move(new_root));
 }
 
 // ---------------------------------------------------------------------------
@@ -372,21 +379,21 @@ Status KvStore::Get(IoContext& io, Slice key, std::string* value) {
   if (root_.len == 0) return Status::NotFound();
   NodeRef ref = root_;
   for (int depth = 0; depth < 64; ++depth) {
-    Node node;
+    const Node* node = nullptr;
     DURASSD_RETURN_IF_ERROR(LoadNode(io, ref, &node));
-    if (node.leaf) {
+    if (node->leaf) {
       auto it = std::lower_bound(
-          node.entries.begin(), node.entries.end(), key,
+          node->entries.begin(), node->entries.end(), key,
           [](const Entry& e, Slice k) { return Slice(e.key).compare(k) < 0; });
-      if (it == node.entries.end() || Slice(it->key).compare(key) != 0) {
+      if (it == node->entries.end() || Slice(it->key).compare(key) != 0) {
         return Status::NotFound();
       }
       return LoadDoc(io, it->off, it->len, nullptr, value);
     }
     auto it = std::upper_bound(
-        node.entries.begin(), node.entries.end(), key,
+        node->entries.begin(), node->entries.end(), key,
         [](Slice k, const Entry& e) { return k.compare(e.key) < 0; });
-    if (it == node.entries.begin()) return Status::NotFound();
+    if (it == node->entries.begin()) return Status::NotFound();
     --it;
     ref = NodeRef{it->off, it->len};
   }
@@ -525,7 +532,7 @@ Status KvStore::Recover(IoContext& io) {
     // Validate the root.
     root_ = NodeRef{root_off, root_len};
     if (root_len != 0) {
-      Node probe;
+      const Node* probe = nullptr;
       tail_base_ = header_off + kBlockSize;  // So LoadNode reads the file.
       if (!LoadNode(io, root_, &probe).ok()) continue;
     }
@@ -576,16 +583,16 @@ Status KvStore::CompactImpl(IoContext& io) {
     while (!stack.empty()) {
       const NodeRef ref = stack.back();
       stack.pop_back();
-      Node node;
+      const Node* node = nullptr;
       DURASSD_RETURN_IF_ERROR(LoadNode(io, ref, &node));
-      if (node.leaf) {
-        for (const Entry& e : node.entries) {
+      if (node->leaf) {
+        for (const Entry& e : node->entries) {
           std::string key, value;
           DURASSD_RETURN_IF_ERROR(LoadDoc(io, e.off, e.len, &key, &value));
           docs.emplace_back(std::move(key), std::move(value));
         }
       } else {
-        for (auto it = node.entries.rbegin(); it != node.entries.rend();
+        for (auto it = node->entries.rbegin(); it != node->entries.rend();
              ++it) {
           stack.push_back(NodeRef{it->off, it->len});
         }

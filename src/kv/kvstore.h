@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -122,12 +123,19 @@ class KvStore {
           Options options);
 
   Status Recover(IoContext& io);
-  Status LoadNode(IoContext& io, NodeRef ref, Node* out);
+  /// Points `*out` at the cached node, decoding and caching it on a miss.
+  /// The pointer stays valid until the node cache next changes.
+  Status LoadNode(IoContext& io, NodeRef ref, const Node** out);
   Status LoadDoc(IoContext& io, uint64_t off, uint32_t len, std::string* key,
                  std::string* value);
-  /// Appends a chunk to the tail buffer; returns its (final) offset.
-  uint64_t AppendChunk(uint8_t type, Slice body, uint32_t* total_len);
-  NodeRef AppendNode(const Node& node);
+  /// Chunks are framed in place in the tail buffer: BeginChunk writes the
+  /// length/CRC placeholder and the type byte and returns the chunk's start
+  /// in tail_; the caller appends the body; EndChunk fills in the length
+  /// and CRC and returns the chunk's file offset.
+  size_t BeginChunk(uint8_t type);
+  uint64_t EndChunk(size_t start, uint32_t* total_len);
+  /// Appends the node and moves it into the node cache.
+  NodeRef AppendNode(Node node);
   uint64_t AppendDoc(Slice key, Slice value, uint32_t* len);
 
   /// COW upsert/delete; returns the new root.
@@ -137,6 +145,9 @@ class KvStore {
   struct CowResult {
     // One node, or two plus the separator key of the right node.
     NodeRef left;
+    /// Smallest key of `left` (the parent's separator for it); unset when
+    /// `left` is an empty leaf.
+    std::optional<std::string> left_min;
     bool split = false;
     std::string sep;
     NodeRef right;
@@ -170,7 +181,8 @@ class KvStore {
   uint64_t doc_count_ = 0;
   uint64_t live_bytes_ = 0;
 
-  /// Immutable node cache (COW nodes never change once written).
+  /// Immutable node cache (COW nodes never change once written). Above
+  /// 4096 entries, AppendNode drops the 1024 oldest offsets.
   std::map<uint64_t, Node> node_cache_;
 
   bool read_only_ = false;

@@ -128,7 +128,7 @@ Status Ftl::ReadPageChecked(SimTime now, Ppn ppn, std::string* page,
 }
 
 bool Ftl::IsRetirePending(uint32_t plane, uint32_t block) const {
-  return retire_pending_set_.count(RetireKey(plane, block)) != 0;
+  return retire_pending_set_.count(BlockKey(plane, block)) != 0;
 }
 
 void Ftl::QueueRetirement(uint32_t plane_idx, uint32_t block) {
@@ -141,7 +141,7 @@ void Ftl::QueueRetirement(uint32_t plane_idx, uint32_t block) {
   if (flash_->is_bad_block(plane_idx, block)) return;
   if (IsRetirePending(plane_idx, block)) return;
   retire_pending_.emplace_back(plane_idx, block);
-  retire_pending_set_.insert(RetireKey(plane_idx, block));
+  retire_pending_set_.insert(BlockKey(plane_idx, block));
 }
 
 void Ftl::DrainRetirements(SimTime now) {
@@ -150,13 +150,13 @@ void Ftl::DrainRetirements(SimTime now) {
   while (!retire_pending_.empty()) {
     const auto [plane, block] = retire_pending_.back();
     retire_pending_.pop_back();
-    retire_pending_set_.erase(RetireKey(plane, block));
+    retire_pending_set_.erase(BlockKey(plane, block));
     Status st = RelocateLiveSectors(now, plane, block);
     if (!st.ok()) {
       // Could not move the live data out. Leave the block pending: it is
       // excluded from allocation and GC, and its pages stay readable.
       retire_pending_.emplace_back(plane, block);
-      retire_pending_set_.insert(RetireKey(plane, block));
+      retire_pending_set_.insert(BlockKey(plane, block));
       if (st.IsOutOfSpace()) {
         // No healthy destination exists for the live data, and none will
         // appear — the device can no longer guarantee writes.
@@ -201,6 +201,12 @@ void Ftl::RecordDelta(Lpn lpn, SimTime issue, SimTime start, SimTime done) {
     auto mit = map_.find(lpn);
     const uint64_t old_packed = mit == map_.end() ? kUnmapped : mit->second;
     delta_.emplace(lpn, DeltaRec{old_packed, issue, start, done});
+    if (old_packed != kUnmapped) {
+      const FlashGeometry& g = flash_->geometry();
+      const Ppn old_ppn = PpnOf(old_packed);
+      delta_by_block_[BlockKey(g.PlaneOf(old_ppn), g.BlockOf(old_ppn))]
+          .push_back(lpn);
+    }
   } else {
     it->second.last_issue = issue;
     it->second.last_start = start;
@@ -586,29 +592,30 @@ Status Ftl::RelocateLiveSectors(SimTime now, uint32_t plane_idx,
 }
 
 void Ftl::ForcePersistDeltaIn(uint32_t plane_idx, uint32_t block) {
-  const FlashGeometry& g = flash_->geometry();
   // Rollback targets living in the block are about to be erased (or
   // retired) for good: a real controller journals the mapping before
   // erasing, so these entries are effectively persisted now and can no
   // longer roll back.
-  for (auto it = delta_.begin(); it != delta_.end();) {
-    bool drop = false;
-    if (it->second.old_packed != kUnmapped) {
-      const Ppn old_ppn = PpnOf(it->second.old_packed);
-      if (g.PlaneOf(old_ppn) == plane_idx && g.BlockOf(old_ppn) == block) {
-        drop = true;
-      }
+  auto indexed = delta_by_block_.find(BlockKey(plane_idx, block));
+  if (indexed == delta_by_block_.end()) return;
+  const FlashGeometry& g = flash_->geometry();
+  for (const Lpn lpn : indexed->second) {
+    auto it = delta_.find(lpn);
+    if (it == delta_.end() || it->second.old_packed == kUnmapped) continue;
+    const Ppn old_ppn = PpnOf(it->second.old_packed);
+    if (g.PlaneOf(old_ppn) != plane_idx || g.BlockOf(old_ppn) != block) {
+      continue;
     }
-    if (drop) {
-      stats_.forced_persists++;
-      it = delta_.erase(it);
-    } else {
-      ++it;
-    }
+    stats_.forced_persists++;
+    delta_.erase(it);
   }
+  delta_by_block_.erase(indexed);
 }
 
-void Ftl::PersistMapping() { delta_.clear(); }
+void Ftl::PersistMapping() {
+  delta_.clear();
+  delta_by_block_.clear();
+}
 
 std::vector<Lpn> Ftl::DirtyMappingLpns() const {
   std::vector<Lpn> out;
@@ -645,6 +652,7 @@ void Ftl::PowerCutRollback(SimTime t, PowerCutExposure exposure) {
     }
   }
   delta_.clear();
+  delta_by_block_.clear();
 }
 
 Ppn Ftl::DumpAreaPpn(uint32_t index) const {

@@ -304,7 +304,7 @@ class Ftl {
   uint64_t log_head_ = 0;
   /// Dump pages in program order; shrinks when a dump block goes bad.
   std::vector<Ppn> dump_ppns_;
-  static uint64_t RetireKey(uint32_t plane, uint32_t block) {
+  static uint64_t BlockKey(uint32_t plane, uint32_t block) {
     return (static_cast<uint64_t>(plane) << 32) | block;
   }
 
@@ -319,6 +319,11 @@ class Ftl {
   /// Flat-indexed as ppn * sectors_per_page_ + slot.
   std::vector<Lpn> reverse_;
   std::unordered_map<Lpn, DeltaRec> delta_;
+  /// Side index of delta_ for ForcePersistDeltaIn: BlockKey of each entry's
+  /// rollback target -> the entry's LPN. delta_ stays authoritative: after
+  /// UnmapIfPointsTo an LPN listed here may have left delta_ or been
+  /// re-recorded with another rollback target, so readers re-check it.
+  std::unordered_map<uint64_t, std::vector<Lpn>> delta_by_block_;
   std::vector<PlaneAlloc> planes_;
   uint32_t rr_plane_ = 0;
   Stats stats_;

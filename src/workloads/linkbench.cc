@@ -1,7 +1,6 @@
 #include "workloads/linkbench.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/random.h"
 #include "sim/client_scheduler.h"
@@ -273,10 +272,8 @@ SimTime LinkBench::RunOne(uint32_t client, SimTime now) {
     default:
       break;
   }
-  // Benchmark semantics: operational errors would abort the run; assert in
-  // debug, keep going in release.
-  assert(s.ok());
-  (void)s;
+  // Each Do* already maps the NotFound its operation expects to OK.
+  if (!s.ok()) result_.failed_ops++;
   result_.latencies[op].Record(io.now - now);
   return io.now;
 }

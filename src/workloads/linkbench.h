@@ -54,6 +54,9 @@ class LinkBench {
     uint64_t ops = 0;
     std::map<LinkOp, Histogram> latencies;
     double buffer_miss_ratio = 0;
+    /// Operations that returned a non-OK status other than an expected
+    /// NotFound. A correct run has none; the benches fail when any occur.
+    uint64_t failed_ops = 0;
   };
 
   LinkBench(Database* db, Config config);

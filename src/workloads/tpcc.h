@@ -35,6 +35,9 @@ class Tpcc {
     SimTime duration = 0;
     uint64_t new_orders = 0;
     Histogram new_order_latency;
+    /// Operations that returned a non-OK status other than an expected
+    /// NotFound. A correct run has none; the benches fail when any occur.
+    uint64_t failed_ops = 0;
   };
 
   Tpcc(Database* db, Config config);

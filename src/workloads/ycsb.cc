@@ -1,6 +1,5 @@
 #include "workloads/ycsb.h"
 
-#include <cassert>
 #include <string>
 
 #include "sim/client_scheduler.h"
@@ -35,15 +34,12 @@ SimTime Ycsb::RunOne(uint32_t client, SimTime now) {
   IoContext io{now};
   if (rng.NextDouble() < cfg_.update_fraction) {
     const std::string value(cfg_.value_size, 'u');
-    const Status s = store_->Put(io, UserKey(id), value);
-    assert(s.ok());
-    (void)s;
+    if (!store_->Put(io, UserKey(id), value).ok()) result_.failed_ops++;
     result_.update_latency.Record(io.now - now);
   } else {
+    // Load wrote every key, so a read must find it.
     std::string value;
-    const Status s = store_->Get(io, UserKey(id), &value);
-    assert(s.ok() || s.IsNotFound());
-    (void)s;
+    if (!store_->Get(io, UserKey(id), &value).ok()) result_.failed_ops++;
     result_.read_latency.Record(io.now - now);
   }
   return io.now;

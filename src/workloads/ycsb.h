@@ -32,6 +32,9 @@ class Ycsb {
     SimTime duration = 0;
     Histogram read_latency;
     Histogram update_latency;
+    /// Operations that returned a non-OK status other than an expected
+    /// NotFound. A correct run has none; the benches fail when any occur.
+    uint64_t failed_ops = 0;
   };
 
   Ycsb(KvStore* store, Config config);

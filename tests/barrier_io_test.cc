@@ -295,7 +295,9 @@ TEST(BarrierEquivalence, OneWriteEpochsMatchOrderedNcqBitForBit) {
     const bool ra = a.Read(0, c.lpn, c.nsec, &ga).status.ok();
     const bool rb = b.Read(0, c.lpn, c.nsec, &gb).status.ok();
     ASSERT_EQ(ra, rb) << "survivor set diverged at command " << c.version;
-    if (ra) EXPECT_EQ(ga, gb) << "survivor data diverged at " << c.version;
+    if (ra) {
+      EXPECT_EQ(ga, gb) << "survivor data diverged at " << c.version;
+    }
   }
 }
 

@@ -84,8 +84,38 @@ TEST(SliceTest, RemovePrefix) {
 // --------------------------- CRC32C ---------------------------------------
 
 TEST(Crc32cTest, KnownVector) {
-  // Standard check vector: CRC-32C("123456789") = 0xE3069283.
-  EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
+  // Standard check vector plus the RFC 3720 B.4 vectors, on both the
+  // dispatched path and the table path.
+  std::vector<std::pair<std::string, uint32_t>> vectors{
+      {"123456789", 0xE3069283u},
+      {std::string(32, '\x00'), 0x8A9136AAu},
+      {std::string(32, '\xFF'), 0x62A8AB43u},
+  };
+  std::string ascending, descending;
+  for (int i = 0; i < 32; ++i) {
+    ascending.push_back(static_cast<char>(i));
+    descending.push_back(static_cast<char>(31 - i));
+  }
+  vectors.emplace_back(ascending, 0x46DD794Eu);
+  vectors.emplace_back(descending, 0x113FDB5Cu);
+  for (const auto& [data, crc] : vectors) {
+    EXPECT_EQ(Crc32c(data.data(), data.size()), crc);
+    EXPECT_EQ(Crc32cPortable(data.data(), data.size()), crc);
+  }
+}
+
+TEST(Crc32cTest, DispatchedMatchesTableAtEveryLengthAndAlignment) {
+  Random rng(32);
+  std::string buf(1024 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 1024; ++n) {
+      const uint32_t seed = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(Crc32c(buf.data() + offset, n, seed),
+                Crc32cPortable(buf.data() + offset, n, seed))
+          << "offset " << offset << " length " << n;
+    }
+  }
 }
 
 TEST(Crc32cTest, DetectsSingleBitFlip) {
@@ -99,6 +129,17 @@ TEST(Crc32cTest, SeedChaining) {
   const uint32_t direct = Crc32c("abcdef", 6);
   const uint32_t part = Crc32c("abc", 3);
   EXPECT_EQ(direct, Crc32c("def", 3, part));
+
+  // Chaining at every split point of a page gives the whole page's CRC.
+  Random rng(4096);
+  std::string page(4096, '\0');
+  for (char& c : page) c = static_cast<char>(rng.Next());
+  const uint32_t whole = Crc32c(page.data(), page.size());
+  for (size_t split = 0; split <= page.size(); ++split) {
+    const uint32_t head = Crc32c(page.data(), split);
+    ASSERT_EQ(Crc32c(page.data() + split, page.size() - split, head), whole)
+        << "split " << split;
+  }
 }
 
 // --------------------------- Coding ---------------------------------------

@@ -213,7 +213,9 @@ TEST(ConcurrencyTest, BTreeConcurrentReadersAndWriters) {
             std::string value;
             const Status s = tree.Get(io, key, &value);
             ASSERT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
-            if (s.ok()) EXPECT_EQ(value.rfind("v-", 0), 0u);
+            if (s.ok()) {
+              EXPECT_EQ(value.rfind("v-", 0), 0u);
+            }
             gets.fetch_add(1);
             break;
           }

@@ -196,12 +196,23 @@ TEST(DatabaseTest, CheckpointAndReopenCleanly) {
 // Crash recovery: committed data must survive (durable configurations)
 // ---------------------------------------------------------------------------
 
+// gtest has no printer for this struct, so each case is named by its raw
+// bytes. `reserved` fills what would otherwise be an uninitialized padding
+// byte, which made those names differ from one process to the next.
 struct CrashParam {
+  CrashParam(bool durable, bool barriers, bool dwb, uint32_t page)
+      : durable_cache(durable),
+        write_barriers(barriers),
+        double_write(dwb),
+        page_size(page) {}
+
   bool durable_cache;
   bool write_barriers;
   bool double_write;
+  uint8_t reserved = 0;
   uint32_t page_size;
 };
+static_assert(sizeof(CrashParam) == 8, "case names print all 8 bytes");
 
 class CrashRecoveryTest : public ::testing::TestWithParam<CrashParam> {};
 

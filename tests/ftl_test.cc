@@ -3,6 +3,8 @@
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
+#include "common/random.h"
 #include "flash/flash_array.h"
 #include "ssd/ftl.h"
 
@@ -196,28 +198,105 @@ TEST_F(FtlTest, RollbackAfterOverwriteRestoresPersistedVersion) {
   EXPECT_EQ(out, SectorData('p'));
 }
 
-TEST_F(FtlTest, GcForcesPersistenceOfReclaimedRollbackTargets) {
-  // Persist a version, then churn enough to force the old physical page
-  // through GC. Rollback must NOT resurrect a mapping into an erased block.
-  SimTime done = 0;
-  ASSERT_TRUE(WriteOne(0, 0, SectorData('v'), &done).ok());
-  ftl_.PersistMapping();
-  ASSERT_TRUE(WriteOne(done, 0, SectorData('w'), &done).ok());
+// Sector contents unique per (lpn, version): the first 12 bytes carry
+// both, so a read shows which write it returns.
+std::string VersionedSector(Lpn lpn, uint32_t version) {
+  std::string s(4 * kKiB, static_cast<char>('a' + (lpn + version) % 26));
+  EncodeFixed64(s.data(), lpn);
+  EncodeFixed32(s.data() + 8, version);
+  return s;
+}
 
-  SimTime t = done;
-  for (int round = 0; round < 300; ++round) {
-    const Lpn l = 1 + (round % 20);
-    ASSERT_TRUE(WriteOne(t, l, SectorData('z'), &done).ok());
-    t = done;
+uint64_t Fnv1a(uint64_t h, const std::string& bytes) {
+  for (const char c : bytes) {
+    h = (h ^ static_cast<uint8_t>(c)) * 0x100000001B3ull;
   }
-  ASSERT_GT(ftl_.stats().gc_runs, 0u);
+  return h;
+}
+
+TEST_F(FtlTest, GcForcesPersistenceOfReclaimedRollbackTargets) {
+  // Persist version 0 of half the logical space, then overwrite at random
+  // with no flush until GC has reclaimed many blocks that hold rollback
+  // targets. Those entries must be force-persisted (rollback can no longer
+  // reach an erased page); every other entry rolls back. The pinned counts
+  // and post-rollback content hash were recorded by scanning every
+  // unpersisted entry on each erase; the per-block index must match them.
+  const uint64_t n = ftl_.logical_sectors() / 2;
+  SimTime t = 0;
+  for (Lpn l = 0; l < n; ++l) {
+    ASSERT_TRUE(WriteOne(t, l, VersionedSector(l, 0), &t).ok());
+  }
+  ftl_.PersistMapping();
+  Random rng(20240611);
+  for (uint32_t v = 1; v <= 3000; ++v) {
+    const Lpn l = rng.Uniform(n);
+    ASSERT_TRUE(WriteOne(t, l, VersionedSector(l, v), &t).ok());
+  }
+  EXPECT_EQ(ftl_.stats().gc_runs, 1419u);
+  EXPECT_EQ(ftl_.stats().forced_persists, 2699u);
 
   ftl_.PowerCutRollback(t + kSecond, Ftl::PowerCutExposure::kNone);
+  uint64_t hash = 0xCBF29CE484222325ull;
+  for (Lpn l = 0; l < ftl_.logical_sectors(); ++l) {
+    std::string out;
+    ASSERT_TRUE(ftl_.ReadSector(t, l, &out).ok());
+    if (l < n) {
+      // A persisted or force-persisted version of this sector, never
+      // another sector's data or zeros.
+      ASSERT_EQ(DecodeFixed64(out.data()), l);
+    } else {
+      ASSERT_FALSE(ftl_.IsMapped(l));
+    }
+    hash = Fnv1a(hash, out);
+  }
+  EXPECT_EQ(hash, 4557906032437595016ull);
+}
+
+TEST_F(FtlTest, GcSkipsRollbackEntriesRecordedAfterUnmap) {
+  // UnmapIfPointsTo drops a delta entry whose rollback target is still
+  // indexed under its old block. The rewrite that follows records a fresh
+  // entry for the never-persisted mapping; reclaiming the old block must
+  // not force-persist that entry, so rollback still unmaps the sector.
+  SimTime t = 0;
+  ASSERT_TRUE(WriteOne(t, 0, SectorData('p'), &t).ok());
+  ftl_.PersistMapping();
+  Ppn persisted_ppn = 0;
+  uint32_t persisted_slot = 0;
+  for (Ppn p = 0; p < flash_.geometry().total_pages(); ++p) {
+    for (uint32_t s = 0; s < ftl_.sectors_per_page(); ++s) {
+      if (ftl_.IsMappedTo(0, p, s)) {
+        persisted_ppn = p;
+        persisted_slot = s;
+      }
+    }
+  }
+  ASSERT_TRUE(ftl_.IsMappedTo(0, persisted_ppn, persisted_slot));
+  const FlashGeometry& g = flash_.geometry();
+  const uint32_t plane = g.PlaneOf(persisted_ppn);
+  const uint32_t block = g.BlockOf(persisted_ppn);
+  const uint32_t erases_before = flash_.erase_count(plane, block);
+
+  ASSERT_TRUE(WriteOne(t, 0, SectorData('q'), &t).ok());
+  bool unmapped = false;
+  for (Ppn p = 0; p < g.total_pages() && !unmapped; ++p) {
+    for (uint32_t s = 0; s < ftl_.sectors_per_page() && !unmapped; ++s) {
+      unmapped = ftl_.UnmapIfPointsTo(0, p, s);
+    }
+  }
+  ASSERT_TRUE(unmapped);
+  ASSERT_TRUE(WriteOne(t, 0, SectorData('r'), &t).ok());
+
+  for (int round = 0; round < 600; ++round) {
+    ASSERT_TRUE(WriteOne(t, 1 + (round % 20), SectorData('z'), &t).ok());
+  }
+  ASSERT_GT(flash_.erase_count(plane, block), erases_before)
+      << "the churn must reclaim the old block";
+
+  ftl_.PowerCutRollback(t + kSecond, Ftl::PowerCutExposure::kNone);
+  EXPECT_FALSE(ftl_.IsMapped(0));
   std::string out;
-  ftl_.ReadSector(0, 0, &out);
-  // Either the new value survived (force-persisted by GC) or the old one
-  // was restored — never garbage/zeros.
-  EXPECT_TRUE(out == SectorData('w') || out == SectorData('v'));
+  ASSERT_TRUE(ftl_.ReadSector(t, 0, &out).ok());
+  EXPECT_EQ(out, std::string(4 * kKiB, '\0'));
 }
 
 // --------------------------- Dump area ------------------------------------

@@ -32,9 +32,10 @@ class KvHarness {
     batch_size_ = batch_size;
   }
 
-  Status OpenStore() {
+  Status OpenStore(uint32_t node_size = 4 * kKiB) {
     KvStore::Options o;
     o.batch_size = batch_size_;
+    o.node_size = node_size;
     auto s = KvStore::Open(io_, fs_.get(), "bucket.couch", o);
     if (!s.ok()) return s.status();
     store_ = std::move(*s);
@@ -50,6 +51,7 @@ class KvHarness {
 
   KvStore* store() { return store_.get(); }
   IoContext& io() { return io_; }
+  SimFileSystem* fs() { return fs_.get(); }
 
  private:
   std::unique_ptr<SsdDevice> device_;
@@ -267,6 +269,62 @@ TEST(KvStoreTest, EachUpdateRewritesRootToLeafPath) {
   const uint64_t path_nodes = h.store()->stats().node_appends - nodes_before;
   EXPECT_GE(path_nodes, 2u);  // Root + leaf at least.
   EXPECT_LE(path_nodes, 5u);
+}
+
+TEST(KvStoreTest, SeededMixKeepsPinnedFileBytes) {
+  // Small nodes give a three-level tree with leaf and internal splits and
+  // new roots. The mix empties whole leaves, appends far more than the
+  // node cache's 4096 entries (so it evicts), and compacts once. The file
+  // bytes, node appends and final virtual time were recorded when every
+  // cache hit copied its node; handing out cached nodes must match them.
+  KvHarness h(true, true, 20);
+  ASSERT_TRUE(h.OpenStore(/*node_size=*/512).ok());
+  Random rng(777);
+  std::map<std::string, std::string> model;
+  for (int op = 0; op < 6000; ++op) {
+    const std::string key = "key" + std::to_string(rng.Uniform(1500));
+    if (op == 2500) {
+      // Empty every leaf of the key range ["key2", "key4").
+      for (int i = 0; i < 1500; ++i) {
+        const std::string k = "key" + std::to_string(i);
+        if (k[3] != '2' && k[3] != '3') continue;
+        const Status s = h.store()->Delete(h.io(), k);
+        ASSERT_EQ(s.ok(), model.erase(k) > 0) << k << " " << s.ToString();
+      }
+    }
+    if (op == 4000) {
+      ASSERT_TRUE(h.store()->Compact(h.io()).ok());
+    }
+    if (rng.Bernoulli(0.8)) {
+      const std::string value(40 + rng.Uniform(200),
+                              static_cast<char>('a' + op % 26));
+      ASSERT_TRUE(h.store()->Put(h.io(), key, value).ok());
+      model[key] = value;
+    } else {
+      const Status s = h.store()->Delete(h.io(), key);
+      ASSERT_EQ(s.ok(), model.erase(key) > 0) << key << " " << s.ToString();
+    }
+  }
+  ASSERT_TRUE(h.store()->Commit(h.io()).ok());
+  EXPECT_EQ(h.store()->stats().compactions, 1u);
+  EXPECT_EQ(h.store()->doc_count(), model.size());
+  for (const auto& [k, v] : model) {
+    std::string got;
+    ASSERT_TRUE(h.store()->Get(h.io(), k, &got).ok()) << k;
+    ASSERT_EQ(got, v) << k;
+  }
+  EXPECT_EQ(h.store()->stats().node_appends, 19527u);
+  EXPECT_EQ(h.io().now, 1577876414);
+
+  SimFile* file = h.fs()->Open("bucket.couch");
+  std::string bytes;
+  ASSERT_TRUE(file->Read(h.io().now, 0, file->size(), &bytes).status.ok());
+  ASSERT_EQ(bytes.size(), h.store()->file_bytes());
+  uint64_t hash = 0xCBF29CE484222325ull;
+  for (const char c : bytes) {
+    hash = (hash ^ static_cast<uint8_t>(c)) * 0x100000001B3ull;
+  }
+  EXPECT_EQ(hash, 13766376989402604387ull);
 }
 
 }  // namespace

@@ -162,6 +162,7 @@ TEST(LinkBenchTest, LoadsAndRunsAllOpTypes) {
   auto result = bench.Run();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->ops, 3000u);
+  EXPECT_EQ(result->failed_ops, 0u);
   EXPECT_GT(result->tps, 0);
   // All ten operation types exercised at this request count.
   EXPECT_EQ(result->latencies.size(),
@@ -217,6 +218,7 @@ TEST(YcsbTest, RunsAgainstKvStore) {
   auto result = bench.Run();
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->ops_per_sec, 0);
+  EXPECT_EQ(result->failed_ops, 0u);
   EXPECT_GT(result->read_latency.count(), 0u);
   EXPECT_GT(result->update_latency.count(), 0u);
   EXPECT_EQ(result->read_latency.count() + result->update_latency.count(),
@@ -263,6 +265,7 @@ TEST(TpccTest, LoadsAndRunsAllTransactionTypes) {
   auto result = bench.Run();
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->tpmc, 0);
+  EXPECT_EQ(result->failed_ops, 0u);
   // ~45% of 2000 transactions are NewOrders.
   EXPECT_NEAR(static_cast<double>(result->new_orders), 900.0, 150.0);
   EXPECT_GT(result->new_order_latency.count(), 0u);
@@ -283,6 +286,65 @@ TEST(TpccTest, BarrierOffBeatsBarrierOn) {
     tpmc[barriers] = (*bench.Run()).tpmc;
   }
   EXPECT_GT(tpmc[0], tpmc[1] * 2);  // Table 4's effect.
+}
+
+// --------------------------- Failed operations -----------------------------
+
+// A device cut after the load fails every write (and every read that misses
+// the engine's caches). The drivers must count those operations instead of
+// reporting them as throughput, in every build type.
+TEST(DriverFailuresTest, CountedWhenTheDeviceGoesOffline) {
+  {
+    DbFixture f(false, false);
+    LinkBench::Config lc;
+    lc.num_nodes = 2000;
+    lc.clients = 8;
+    lc.requests = 500;
+    LinkBench bench(f.db.get(), lc);
+    ASSERT_TRUE(bench.Load(f.io).ok());
+    f.device->PowerCut(f.io.now);
+    auto result = bench.Run();
+    ASSERT_TRUE(result.ok());
+    EXPECT_GT(result->failed_ops, 0u);
+    EXPECT_LE(result->failed_ops, 500u);
+  }
+  {
+    DbFixture f(false, false);
+    Tpcc::Config tc;
+    tc.warehouses = 2;
+    tc.items = 500;
+    tc.customers_per_district = 30;
+    tc.clients = 8;
+    tc.transactions = 500;
+    Tpcc bench(f.db.get(), tc);
+    ASSERT_TRUE(bench.Load(f.io).ok());
+    f.device->PowerCut(f.io.now);
+    auto result = bench.Run();
+    ASSERT_TRUE(result.ok());
+    EXPECT_GT(result->failed_ops, 0u);
+    EXPECT_LE(result->failed_ops, 500u);
+  }
+  {
+    SsdConfig dc = SsdConfig::DuraSsd();
+    dc.geometry = FlashGeometry::Tiny();
+    dc.geometry.blocks_per_plane = 256;
+    dc.geometry.pages_per_block = 32;
+    SsdDevice dev(dc);
+    SimFileSystem fs(&dev, SimFileSystem::Options{});
+    IoContext io;
+    auto store = KvStore::Open(io, &fs, "y.couch", KvStore::Options{});
+    ASSERT_TRUE(store.ok());
+    Ycsb::Config yc;
+    yc.records = 500;
+    yc.operations = 500;
+    Ycsb bench(store->get(), yc);
+    ASSERT_TRUE(bench.Load(io).ok());
+    dev.PowerCut(io.now);
+    auto result = bench.Run();
+    ASSERT_TRUE(result.ok());
+    EXPECT_GT(result->failed_ops, 0u);
+    EXPECT_LE(result->failed_ops, 500u);
+  }
 }
 
 }  // namespace
