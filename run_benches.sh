@@ -4,7 +4,8 @@
 # Usage: ./run_benches.sh [--quick] [--json]
 #   --quick  pass --quick to every bench (smaller workloads, CI-sized)
 #   --json   write per-bench JSON to bench_json/<name>.json and aggregate
-#            everything into BENCH_results.json
+#            everything into BENCH_results.json, with each bench's wall
+#            seconds and the suite total under "suite_wall"
 #
 # Prints each bench's wall-clock seconds and the suite total at the end.
 # Exits nonzero if any bench fails.
@@ -31,6 +32,7 @@ fi
 
 FAILED=""
 WALL_TABLE=""
+WALL_JSON=""
 
 now_s() { date +%s.%N; }
 elapsed_s() { awk -v a="$1" -v b="$(now_s)" 'BEGIN { printf "%.1f", b - a }'; }
@@ -59,7 +61,10 @@ run_bench() {
     echo "FAILED: $b" >&2
     FAILED="$FAILED $b"
   fi
-  WALL_TABLE+="$(printf '  %-28s %8s s' "$b" "$(elapsed_s "$start")")"$'\n'
+  local secs
+  secs="$(elapsed_s "$start")"
+  WALL_TABLE+="$(printf '  %-28s %8s s' "$b" "$secs")"$'\n'
+  WALL_JSON+="${WALL_JSON:+,}\"$b\":$secs"
   echo
 }
 
@@ -73,13 +78,18 @@ for b in table1_fsync_iops table2_page_size fig5_linkbench fig6_buffer_sweep \
   run_bench "$b"
 done
 run_bench micro_ops --benchmark_min_time=0.1
+SUITE_TOTAL="$(elapsed_s "$SUITE_START")"
 
 if [ "$JSON" = 1 ]; then
   # Aggregate the per-bench documents into one BENCH_results.json:
-  # {"schema_version":1,"benches":{"<name>":<per-bench document>,...}}.
-  # micro_ops emits google-benchmark's native format; it is included as-is.
+  # {"schema_version":1,"suite_wall":{...},"benches":{"<name>":<document>}}.
+  # "suite_wall" holds wall-clock seconds (scripts/bench_compare.py gates the
+  # quick-suite total); micro_ops emits google-benchmark's native format and
+  # is included as-is.
   {
-    printf '{"schema_version":1,"benches":{'
+    printf '{"schema_version":1,"suite_wall":{"quick":%s,"total_s":%s,' \
+      "$([ -n "$QUICK" ] && echo true || echo false)" "$SUITE_TOTAL"
+    printf '"bench_s":{%s}},"benches":{' "$WALL_JSON"
     first=1
     for f in "$JSON_DIR"/*.json; do
       [ -e "$f" ] || continue
@@ -104,7 +114,7 @@ fi
 
 echo "===== wall-clock seconds ====="
 printf '%s' "$WALL_TABLE"
-printf '  %-28s %8s s\n' "suite total" "$(elapsed_s "$SUITE_START")"
+printf '  %-28s %8s s\n' "suite total" "$SUITE_TOTAL"
 
 if [ -n "$FAILED" ]; then
   echo "Failed benches:$FAILED" >&2

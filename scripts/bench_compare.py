@@ -20,7 +20,9 @@ tier_hit_ratio (higher is better), and rewarm_seconds (lower is
 better). Every micro_ops row (google-benchmark, wall clock) fails when
 its CPU time exceeds MICRO_OPS_FACTOR times the baseline's: a band wide
 enough for different hosts, narrow enough to catch a hot path that fell
-back to a slow implementation.
+back to a slow implementation. Likewise the quick suite's total wall
+seconds ("suite_wall", written by run_benches.sh --quick --json) fails
+above SUITE_WALL_FACTOR times the baseline's.
 
 Every current row that reports failed_ops > 0 (workload-driver operations
 that returned an unexpected status) fails in both modes.
@@ -78,6 +80,8 @@ GUARDED_VALUES = {
 
 # micro_ops rows may take up to this many times their baseline CPU time.
 MICRO_OPS_FACTOR = 3.0
+# A quick suite may take up to this many times the baseline's wall seconds.
+SUITE_WALL_FACTOR = 3.0
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
@@ -107,6 +111,21 @@ def compare_micro_ops(base_doc, cur_doc, regressions):
                 f"baseline {b:.0f} ns"
             )
     return compared
+
+
+def compare_suite_wall(base_wall, cur_wall, regressions):
+    """Wide-band guard on the quick suite's total wall seconds.
+
+    Applies only when both documents come from quick runs that recorded it.
+    """
+    if not (base_wall and cur_wall and base_wall.get("quick")
+            and cur_wall.get("quick")):
+        return
+    b, c = float(base_wall["total_s"]), float(cur_wall["total_s"])
+    if c > b * SUITE_WALL_FACTOR:
+        regressions.append(
+            f"suite_wall: quick suite took {c:.1f} s > "
+            f"{SUITE_WALL_FACTOR:g}x baseline {b:.1f} s")
 
 
 def failed_rows(docs, regressions):
@@ -215,8 +234,10 @@ def main():
     )
     args = ap.parse_args()
 
-    base = load(args.baseline).get("benches", {})
-    cur = load(args.current).get("benches", {})
+    base_all = load(args.baseline)
+    cur_all = load(args.current)
+    base = base_all.get("benches", {})
+    cur = cur_all.get("benches", {})
 
     regressions = []
     notes = []
@@ -245,6 +266,8 @@ def main():
               f"{len(regressions)} other failure(s)")
         return 1 if changed or regressions else 0
 
+    compare_suite_wall(base_all.get("suite_wall"), cur_all.get("suite_wall"),
+                       regressions)
     for bench_name, base_doc in sorted(base.items()):
         if bench_name not in cur:
             regressions.append(f"{bench_name}: bench missing from current run")

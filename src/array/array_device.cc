@@ -289,7 +289,7 @@ BlockDevice::Result ArrayDevice::ExecuteStriped(SimTime t, const Command& cmd) {
   if (is_write && (cmd.data.size() == 0 || cmd.data.size() % ss != 0)) {
     return {Status::InvalidArgument("write data not sector-aligned"), t};
   }
-  if (nsec == 0 || cmd.lpn + nsec > num_sectors()) {
+  if (nsec == 0 || !SectorRangeFits(cmd.lpn, nsec, num_sectors())) {
     return {Status::InvalidArgument("striped range out of bounds"), t};
   }
 

@@ -1,6 +1,7 @@
 #include "flash/flash_array.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 namespace durassd {
@@ -15,6 +16,8 @@ FlashArray::FlashArray(Options options)
   channel_busy_.assign(g.channels, 0);
   states_.assign(g.total_pages(), PageState::kFree);
   torn_.assign(g.total_pages(), false);
+  has_data_.assign(g.total_pages(), false);
+  zero_page_.assign(g.page_size, '\0');
 }
 
 SimTime FlashArray::ReserveChannel(uint32_t channel, SimTime t) {
@@ -37,12 +40,8 @@ SimTime FlashArray::ReadPage(SimTime now, Ppn ppn, std::string* out,
   const SimTime done = ReserveChannel(g.ChannelOf(ppn), sense_done);
 
   if (out != nullptr) {
-    auto it = data_.find(ppn);
-    if (it != data_.end()) {
-      *out = it->second;
-    } else {
-      out->assign(g.page_size, '\0');
-    }
+    const Slice page = PageView(ppn);
+    out->assign(page.data(), page.size());
   }
   if (raw_bit_errors != nullptr) *raw_bit_errors = 0;
   if (faults_.enabled()) {
@@ -59,7 +58,15 @@ SimTime FlashArray::ReadPage(SimTime now, Ppn ppn, std::string* out,
   return done;
 }
 
-Status FlashArray::CheckProgrammable(Ppn ppn, Slice data) const {
+Slice FlashArray::PageView(Ppn ppn) const {
+  if (!has_data_[ppn]) return Slice(zero_page_);
+  const FlashGeometry& g = opts_.geometry;
+  return Slice(PageBytes(BlockAt(g.PlaneOf(ppn), g.BlockOf(ppn)), ppn),
+               g.page_size);
+}
+
+Status FlashArray::CheckProgrammable(Ppn ppn,
+                                     std::span<const Slice> parts) const {
   const FlashGeometry& g = opts_.geometry;
   if (ppn >= states_.size()) {
     return Status::InvalidArgument("ppn out of range");
@@ -74,14 +81,16 @@ Status FlashArray::CheckProgrammable(Ppn ppn, Slice data) const {
   if (g.PageOf(ppn) != block.next_page) {
     return Status::IoError("out-of-order program within block");
   }
-  if (data.size() > g.page_size) {
+  size_t size = 0;
+  for (const Slice& part : parts) size += part.size();
+  if (size > g.page_size) {
     return Status::InvalidArgument("data larger than page");
   }
   return Status::OK();
 }
 
-bool FlashArray::CommitProgram(Ppn ppn, Slice data, SimTime prog_start,
-                               SimTime prog_done) {
+bool FlashArray::CommitProgram(Ppn ppn, std::span<const Slice> parts,
+                               SimTime prog_start, SimTime prog_done) {
   const FlashGeometry& g = opts_.geometry;
   Block& block = BlockAt(g.PlaneOf(ppn), g.BlockOf(ppn));
   if (faults_.enabled() && faults_.OnProgram(ppn)) {
@@ -92,7 +101,7 @@ bool FlashArray::CommitProgram(Ppn ppn, Slice data, SimTime prog_start,
     states_[ppn] = PageState::kInvalid;
     torn_[ppn] = true;
     block.next_page++;
-    data_.erase(ppn);
+    has_data_[ppn] = false;
     return false;
   }
   states_[ppn] = PageState::kValid;
@@ -100,20 +109,30 @@ bool FlashArray::CommitProgram(Ppn ppn, Slice data, SimTime prog_start,
   block.next_page++;
   block.valid_count++;
   if (opts_.store_data) {
-    std::string& stored = data_[ppn];
-    stored.assign(data.data(), data.size());
-    stored.resize(g.page_size, '\0');
+    if (block.bytes == nullptr) {
+      block.bytes = std::make_unique_for_overwrite<char[]>(
+          static_cast<size_t>(g.pages_per_block) * g.page_size);
+    }
+    char* const page = PageBytes(block, ppn);
+    size_t filled = 0;
+    for (const Slice& part : parts) {
+      std::memcpy(page + filled, part.data(), part.size());
+      filled += part.size();
+    }
+    std::memset(page + filled, 0, g.page_size - filled);
+    has_data_[ppn] = true;
   }
   inflight_programs_.push_back({ppn, prog_start, prog_done});
   return true;
 }
 
-Status FlashArray::ProgramPage(SimTime now, Ppn ppn, Slice data,
-                               SimTime* done, SimTime* start) {
+Status FlashArray::ProgramPage(SimTime now, Ppn ppn,
+                               std::span<const Slice> parts, SimTime* done,
+                               SimTime* start) {
   const FlashGeometry& g = opts_.geometry;
   max_seen_time_ = std::max(max_seen_time_, now);
   PruneInFlight(now);
-  DURASSD_RETURN_IF_ERROR(CheckProgrammable(ppn, data));
+  DURASSD_RETURN_IF_ERROR(CheckProgrammable(ppn, parts));
 
   stats_.programs++;
   Plane& plane = planes_[g.PlaneOf(ppn)];
@@ -125,14 +144,15 @@ Status FlashArray::ProgramPage(SimTime now, Ppn ppn, Slice data,
   if (start != nullptr) *start = prog_start;
   *done = prog_done;
 
-  if (!CommitProgram(ppn, data, prog_start, prog_done)) {
+  if (!CommitProgram(ppn, parts, prog_start, prog_done)) {
     return Status::IoError("program failed");
   }
   return Status::OK();
 }
 
 Status FlashArray::ProgramPagesMultiPlane(SimTime now, Ppn ppn0, Ppn ppn1,
-                                          Slice data0, Slice data1,
+                                          std::span<const Slice> parts0,
+                                          std::span<const Slice> parts1,
                                           SimTime* done, SimTime* start,
                                           bool failed[2]) {
   const FlashGeometry& g = opts_.geometry;
@@ -146,8 +166,8 @@ Status FlashArray::ProgramPagesMultiPlane(SimTime now, Ppn ppn0, Ppn ppn1,
     return Status::InvalidArgument(
         "multi-plane program requires distinct sibling planes of one chip");
   }
-  DURASSD_RETURN_IF_ERROR(CheckProgrammable(ppn0, data0));
-  DURASSD_RETURN_IF_ERROR(CheckProgrammable(ppn1, data1));
+  DURASSD_RETURN_IF_ERROR(CheckProgrammable(ppn0, parts0));
+  DURASSD_RETURN_IF_ERROR(CheckProgrammable(ppn1, parts1));
 
   stats_.programs += 2;
   stats_.multi_plane_programs++;
@@ -167,8 +187,8 @@ Status FlashArray::ProgramPagesMultiPlane(SimTime now, Ppn ppn0, Ppn ppn1,
 
   // Program-status is reported (and fault-rolled) per plane, like real
   // multi-plane NAND: one plane can fail while its sibling succeeds.
-  failed[0] = !CommitProgram(ppn0, data0, prog_start, prog_done);
-  failed[1] = !CommitProgram(ppn1, data1, prog_start, prog_done);
+  failed[0] = !CommitProgram(ppn0, parts0, prog_start, prog_done);
+  failed[1] = !CommitProgram(ppn1, parts1, prog_start, prog_done);
   if (failed[0] || failed[1]) {
     return Status::IoError("multi-plane program failed");
   }
@@ -256,8 +276,8 @@ Status FlashArray::EraseBlock(SimTime now, uint32_t plane_idx,
   for (uint32_t p = 0; p < g.pages_per_block; ++p) {
     states_[first + p] = PageState::kFree;
     torn_[first + p] = false;
-    data_.erase(first + p);
   }
+  DropBlockData(plane_idx, block_idx);
   block.erase_count++;
   block.next_page = 0;
   block.valid_count = 0;
@@ -276,8 +296,15 @@ void FlashArray::MarkBad(uint32_t plane_idx, uint32_t block_idx) {
   for (uint32_t p = 0; p < g.pages_per_block; ++p) {
     states_[first + p] = PageState::kInvalid;
     torn_[first + p] = true;
-    data_.erase(first + p);
   }
+  DropBlockData(plane_idx, block_idx);
+}
+
+void FlashArray::DropBlockData(uint32_t plane_idx, uint32_t block_idx) {
+  const FlashGeometry& g = opts_.geometry;
+  const Ppn first = g.MakePpn(plane_idx, block_idx, 0);
+  for (uint32_t p = 0; p < g.pages_per_block; ++p) has_data_[first + p] = false;
+  BlockAt(plane_idx, block_idx).bytes.reset();
 }
 
 void FlashArray::RetireBlock(uint32_t plane_idx, uint32_t block_idx) {
@@ -341,7 +368,7 @@ void FlashArray::PowerCut(SimTime t) {
     if (p.start >= t) {
       // Never started: the page is still erased.
       states_[p.ppn] = PageState::kFree;
-      data_.erase(p.ppn);
+      has_data_[p.ppn] = false;
       if (block.valid_count > 0) block.valid_count--;
       // The in-order cursor stays where it is; the FTL will treat this
       // block's remaining pages as unusable until erased, which is what a
@@ -353,14 +380,9 @@ void FlashArray::PowerCut(SimTime t) {
       // torn. The rest reads as erased.
       torn_[p.ppn] = true;
       stats_.torn_pages++;
-      if (opts_.store_data) {
-        auto it = data_.find(p.ppn);
-        if (it != data_.end()) {
-          std::string& bytes = it->second;
-          for (size_t i = bytes.size() / 4; i < bytes.size(); ++i) {
-            bytes[i] = '\0';
-          }
-        }
+      if (has_data_[p.ppn]) {
+        std::memset(PageBytes(block, p.ppn) + g.page_size / 4, 0,
+                    g.page_size - g.page_size / 4);
       }
     }
   }
@@ -376,8 +398,8 @@ void FlashArray::PowerCut(SimTime t) {
     for (uint32_t p = 0; p < g.pages_per_block; ++p) {
       states_[first + p] = PageState::kInvalid;
       torn_[first + p] = true;
-      data_.erase(first + p);
     }
+    DropBlockData(e.plane, e.block);
     block.valid_count = 0;
     block.next_page = g.pages_per_block;  // Unusable until erased again.
   }

@@ -2,8 +2,9 @@
 #define DURASSD_FLASH_FLASH_ARRAY_H_
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/slice.h"
@@ -25,7 +26,9 @@ enum class PageState : uint8_t {
 /// pages. Models:
 ///   - erase-before-program and in-order programming within a block,
 ///   - per-plane and per-channel occupancy for latency/parallelism,
-///   - real byte storage (optional, for correctness tests),
+///   - real byte storage (optional, for correctness tests): one flat buffer
+///     per block, allocated by its first stored program and freed when the
+///     block is erased or goes bad, plus a per-page has-data bit,
 ///   - torn pages when power is cut mid-program (shorn writes),
 ///   - per-block wear counters.
 ///
@@ -51,9 +54,9 @@ class FlashArray {
   const FlashGeometry& geometry() const { return opts_.geometry; }
 
   /// Reads a physical page. `out` may be nullptr (timing only); otherwise it
-  /// is resized to page_size. Reading a free page yields zeros. Returns the
-  /// virtual completion time. A torn page is returned as-is (the half-old
-  /// half-new bytes); callers detect it via checksums, exactly like a host.
+  /// receives a copy of PageView(ppn). Returns the virtual completion time.
+  /// A torn page is returned as-is (the half-old half-new bytes); callers
+  /// detect it via checksums, exactly like a host.
   ///
   /// Raw NAND bit errors (from the fault injector, scaling with the block's
   /// wear) are reported two ways:
@@ -65,6 +68,13 @@ class FlashArray {
   SimTime ReadPage(SimTime now, Ppn ppn, std::string* out,
                    uint32_t* raw_bit_errors = nullptr);
 
+  /// The stored bytes of a physical page, page_size long, at no media cost
+  /// (ReadPage charges the sense and transfer). A page that holds no data —
+  /// free, failed, rolled back by a power cut, or any page when store_data
+  /// is false — reads as zeros. The view stays valid until the page's block
+  /// is erased or retired, or power is cut.
+  Slice PageView(Ppn ppn) const;
+
   /// Programs an erased page. Enforces NAND constraints: the page must be
   /// free and must be the next unwritten page of its block (in-order
   /// programming). `done` receives the completion time; `start` (optional)
@@ -75,8 +85,17 @@ class FlashArray {
   /// program latency; the page is left unusable (invalid, no data) and the
   /// in-order cursor advances past it, as on real NAND where a failed
   /// program still consumes the page.
+  ///
+  /// The page image is the concatenation of `parts` (a gather list, so
+  /// sectors are copied once, straight into the page); the rest of the page
+  /// reads as zeros.
+  Status ProgramPage(SimTime now, Ppn ppn, std::span<const Slice> parts,
+                     SimTime* done, SimTime* start = nullptr);
   Status ProgramPage(SimTime now, Ppn ppn, Slice data, SimTime* done,
-                     SimTime* start = nullptr);
+                     SimTime* start = nullptr) {
+    return ProgramPage(now, ppn, std::span<const Slice>(&data, 1), done,
+                       start);
+  }
 
   /// Two-plane program (Sec. 2.3 chip-level interleaving): programs one page
   /// on each of two sibling planes of the same chip with a single command.
@@ -85,9 +104,10 @@ class FlashArray {
   /// per page before anything is charged. Injected program failures are
   /// rolled per page (`failed[i]`); the command returns IoError when either
   /// page failed, and the caller re-drives the failed page(s) individually.
-  Status ProgramPagesMultiPlane(SimTime now, Ppn ppn0, Ppn ppn1, Slice data0,
-                                Slice data1, SimTime* done, SimTime* start,
-                                bool failed[2]);
+  Status ProgramPagesMultiPlane(SimTime now, Ppn ppn0, Ppn ppn1,
+                                std::span<const Slice> parts0,
+                                std::span<const Slice> parts1, SimTime* done,
+                                SimTime* start, bool failed[2]);
 
   /// Earliest time the plane can accept a new operation, including its
   /// channel: max(plane busy_until, channel busy_until).
@@ -179,6 +199,10 @@ class FlashArray {
     uint32_t next_page = 0;   ///< In-order programming cursor.
     uint32_t valid_count = 0;
     bool bad = false;         ///< Grown bad block; permanently out of service.
+    /// pages_per_block * page_size bytes, left uninitialized: only pages
+    /// whose has_data_ bit is set hold meaningful bytes. Null until the
+    /// block's first stored program; freed by erase and by MarkBad.
+    std::unique_ptr<char[]> bytes;
   };
   struct Plane {
     SimTime busy_until = 0;
@@ -206,12 +230,20 @@ class FlashArray {
   SimTime ReserveChannel(uint32_t channel, SimTime t);
   /// Shared validation for ProgramPage / ProgramPagesMultiPlane: NAND
   /// constraints that must hold before any time is charged.
-  Status CheckProgrammable(Ppn ppn, Slice data) const;
+  Status CheckProgrammable(Ppn ppn, std::span<const Slice> parts) const;
   /// Commits one programmed page (fault roll, state/data update, in-flight
   /// record) given its program window. Returns false on an injected
   /// program failure.
-  bool CommitProgram(Ppn ppn, Slice data, SimTime prog_start,
+  bool CommitProgram(Ppn ppn, std::span<const Slice> parts, SimTime prog_start,
                      SimTime prog_done);
+  /// Drops a block's stored bytes (erase, bad block, interrupted erase).
+  void DropBlockData(uint32_t plane, uint32_t block);
+  /// Start of `ppn`'s bytes in `block`'s buffer, which must be allocated.
+  char* PageBytes(const Block& block, Ppn ppn) const {
+    return block.bytes.get() +
+           static_cast<size_t>(opts_.geometry.PageOf(ppn)) *
+               opts_.geometry.page_size;
+  }
   void PruneInFlight(SimTime now);
   /// Shared tail of EraseBlock-failure and RetireBlock: poisons every page
   /// and takes the block out of service.
@@ -222,7 +254,10 @@ class FlashArray {
   std::vector<SimTime> channel_busy_;
   std::vector<PageState> states_;
   std::vector<bool> torn_;
-  std::unordered_map<Ppn, std::string> data_;
+  /// Per page: the block buffer holds this page's programmed bytes.
+  std::vector<bool> has_data_;
+  /// PageView of a page without data.
+  std::string zero_page_;
   std::vector<InFlightProgram> inflight_programs_;
   std::vector<InFlightErase> inflight_erases_;
   /// Round-robin tie-break cursor for NextIdlePlane.

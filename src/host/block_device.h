@@ -14,6 +14,12 @@
 
 namespace durassd {
 
+/// True when sectors [lpn, lpn + nsec) all lie below `capacity`. Written
+/// so that an LBA near 2^64 cannot wrap `lpn + nsec` back into range.
+inline bool SectorRangeFits(Lpn lpn, uint64_t nsec, uint64_t capacity) {
+  return nsec <= capacity && lpn <= capacity - nsec;
+}
+
 /// Host-visible block storage interface. Sector addressing is in logical
 /// pages of `sector_size()` bytes (4KB by default — the paper's recommended
 /// unit of I/O). All calls carry the caller's virtual issue time and report

@@ -3,8 +3,24 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <list>
+#include <new>
 
 namespace durassd {
+
+namespace {
+/// Largest sectors_per_page() (asserted in the constructor).
+constexpr size_t kMaxSectorsPerPage = 4;
+
+/// A batch's page image as a gather list of its sector payloads, in slot
+/// order (the rest of the page stays erased). Empty in timing-only mode.
+std::span<const Slice> PageParts(const std::vector<Ftl::SectorWrite>& sectors,
+                                 Slice (&parts)[kMaxSectorsPerPage]) {
+  if (sectors[0].data.empty()) return {};
+  for (size_t i = 0; i < sectors.size(); ++i) parts[i] = sectors[i].data;
+  return {parts, sectors.size()};
+}
+}  // namespace
 
 Ftl::Ftl(FlashArray* flash, Options options)
     : flash_(flash), opts_(options) {
@@ -18,7 +34,7 @@ Ftl::Ftl(FlashArray* flash, Options options)
   const FlashGeometry& g = flash_->geometry();
   assert(g.page_size % opts_.sector_size == 0);
   sectors_per_page_ = g.page_size / opts_.sector_size;
-  assert(sectors_per_page_ >= 1 && sectors_per_page_ <= 4);
+  assert(sectors_per_page_ >= 1 && sectors_per_page_ <= kMaxSectorsPerPage);
   assert(opts_.dump_blocks_per_plane + opts_.log_blocks_per_plane <
          g.blocks_per_plane);
 
@@ -45,6 +61,9 @@ Ftl::Ftl(FlashArray* flash, Options options)
   logical_sectors_ =
       usable <= 0 ? 0 : static_cast<uint64_t>(usable) / opts_.sector_size;
 
+  map_.reset(static_cast<uint64_t*>(
+      std::calloc(std::max<uint64_t>(logical_sectors_, 1), sizeof(uint64_t))));
+  if (map_ == nullptr) throw std::bad_alloc();
   reverse_.assign(g.total_pages() * sectors_per_page_, kInvalidLpn);
   planes_.resize(g.total_planes());
   for (auto& plane : planes_) {
@@ -85,14 +104,15 @@ StatusOr<Ppn> Ftl::AllocatePage(SimTime now, uint32_t plane_idx, bool for_gc) {
 }
 
 StatusOr<Ppn> Ftl::AllocateAndProgram(SimTime now, uint32_t plane_idx,
-                                      bool for_gc, Slice data, SimTime* done,
-                                      SimTime* start) {
+                                      bool for_gc,
+                                      std::span<const Slice> parts,
+                                      SimTime* done, SimTime* start) {
   const FlashGeometry& g = flash_->geometry();
   for (uint32_t attempt = 0; attempt <= opts_.program_retry_limit; ++attempt) {
     StatusOr<Ppn> ppn_or = AllocatePage(now, plane_idx, for_gc);
     if (!ppn_or.ok()) return ppn_or;
     const Ppn ppn = *ppn_or;
-    Status st = flash_->ProgramPage(now, ppn, data, done, start);
+    Status st = flash_->ProgramPage(now, ppn, parts, done, start);
     if (st.ok()) return ppn;
     if (!st.IsIoError()) return st;
     // The die reported program failure. Close the block, queue it for
@@ -104,10 +124,10 @@ StatusOr<Ppn> Ftl::AllocateAndProgram(SimTime now, uint32_t plane_idx,
   return Status::IoError("program retries exhausted");
 }
 
-Status Ftl::ReadPageChecked(SimTime now, Ppn ppn, std::string* page,
-                            SimTime* done) {
+Status Ftl::ReadPageChecked(SimTime now, Ppn ppn, Slice* page,
+                            std::string* damaged, SimTime* done) {
   uint32_t raw = 0;
-  SimTime t = flash_->ReadPage(now, ppn, page, &raw);
+  SimTime t = flash_->ReadPage(now, ppn, nullptr, &raw);
   for (uint32_t retry = 0;
        raw > opts_.ecc_correctable_bits && retry < opts_.read_retry_limit;
        ++retry) {
@@ -115,12 +135,17 @@ Status Ftl::ReadPageChecked(SimTime now, Ppn ppn, std::string* page,
     // fresh raw error count and costs a full page read.
     stats_.read_retries++;
     if (c_ecc_retries_ != nullptr) ++*c_ecc_retries_;
-    t = flash_->ReadPage(t, ppn, page, &raw);
+    t = flash_->ReadPage(t, ppn, nullptr, &raw);
   }
   if (done != nullptr) *done = t;
+  if (page != nullptr) *page = flash_->PageView(ppn);
   if (raw > opts_.ecc_correctable_bits) {
     stats_.uncorrectable_reads++;
-    if (page != nullptr) flash_->fault_injector().CorruptPage(page, raw);
+    if (page != nullptr) {
+      damaged->assign(page->data(), page->size());
+      flash_->fault_injector().CorruptPage(damaged, raw);
+      *page = Slice(*damaged);
+    }
     return Status::Corruption("uncorrectable NAND read");
   }
   stats_.ecc_corrected += raw;
@@ -198,8 +223,7 @@ void Ftl::KillSlot(uint64_t packed) {
 void Ftl::RecordDelta(Lpn lpn, SimTime issue, SimTime start, SimTime done) {
   auto it = delta_.find(lpn);
   if (it == delta_.end()) {
-    auto mit = map_.find(lpn);
-    const uint64_t old_packed = mit == map_.end() ? kUnmapped : mit->second;
+    const uint64_t old_packed = MappingOf(lpn);
     delta_.emplace(lpn, DeltaRec{old_packed, issue, start, done});
     if (old_packed != kUnmapped) {
       const FlashGeometry& g = flash_->geometry();
@@ -223,13 +247,12 @@ Status Ftl::ValidateSectors(const std::vector<SectorWrite>& sectors) {
     return Status::ResourceExhausted("device is read-only: " +
                                      degraded_reason_);
   }
-  const bool have_data = sectors[0].data != nullptr;
+  const bool have_data = !sectors[0].data.empty();
   for (const SectorWrite& s : sectors) {
     if (s.lpn >= logical_sectors_) {
       return Status::InvalidArgument("lpn beyond logical capacity");
     }
-    if (have_data &&
-        (s.data == nullptr || s.data->size() != opts_.sector_size)) {
+    if (have_data && s.data.size() != opts_.sector_size) {
       return Status::InvalidArgument("sector data size mismatch");
     }
   }
@@ -246,21 +269,12 @@ uint32_t Ftl::PickPlane(SimTime now, uint32_t group) {
   return plane_idx;
 }
 
-namespace {
-/// Concatenates a batch's sector payloads into one physical-page image
-/// (live sectors first, rest stays erased). Empty in timing-only mode.
-std::string AssemblePage(const std::vector<Ftl::SectorWrite>& sectors,
-                         uint32_t page_size) {
-  std::string page_data;
-  if (sectors[0].data != nullptr) {
-    page_data.reserve(page_size);
-    for (const Ftl::SectorWrite& s : sectors) {
-      page_data.append(*s.data);
-    }
-  }
-  return page_data;
+void Ftl::MapSector(Lpn lpn, Ppn ppn, uint32_t slot) {
+  const uint64_t old = MappingOf(lpn);
+  if (old != kUnmapped) KillSlot(old);
+  SetMapping(lpn, Pack(ppn, slot));
+  reverse_[ppn * sectors_per_page_ + slot] = lpn;
 }
-}  // namespace
 
 Status Ftl::ProgramSectors(SimTime now,
                            const std::vector<SectorWrite>& sectors,
@@ -268,14 +282,13 @@ Status Ftl::ProgramSectors(SimTime now,
   DURASSD_RETURN_IF_ERROR(ValidateSectors(sectors));
 
   const uint32_t plane_idx = PickPlane(now);
-  const std::string page_data =
-      AssemblePage(sectors, flash_->geometry().page_size);
+  Slice parts[kMaxSectorsPerPage];
 
   SimTime prog_done = 0;
   SimTime prog_start = now;
   StatusOr<Ppn> ppn_or =
-      AllocateAndProgram(now, plane_idx, /*for_gc=*/false, page_data,
-                         &prog_done, &prog_start);
+      AllocateAndProgram(now, plane_idx, /*for_gc=*/false,
+                         PageParts(sectors, parts), &prog_done, &prog_start);
   if (!ppn_or.ok()) {
     const Status& st = ppn_or.status();
     if (st.IsOutOfSpace()) {
@@ -301,10 +314,7 @@ Status Ftl::ProgramSectors(SimTime now,
   for (uint32_t slot = 0; slot < sectors.size(); ++slot) {
     const Lpn lpn = sectors[slot].lpn;
     RecordDelta(lpn, now, prog_start, prog_done);
-    auto it = map_.find(lpn);
-    if (it != map_.end()) KillSlot(it->second);
-    map_[lpn] = Pack(ppn, slot);
-    reverse_[ppn * sectors_per_page_ + slot] = lpn;
+    MapSector(lpn, ppn, slot);
   }
 
   // Blocks that failed a program during this call get their live data
@@ -329,8 +339,10 @@ Status Ftl::ProgramSectorsMultiPlane(SimTime now,
 
   const uint32_t plane0 = PickPlane(now, g.planes_per_chip);
   const uint32_t plane1 = plane0 + 1;
-  const std::string data0 = AssemblePage(a, g.page_size);
-  const std::string data1 = AssemblePage(b, g.page_size);
+  Slice parts0[kMaxSectorsPerPage];
+  Slice parts1[kMaxSectorsPerPage];
+  const std::span<const Slice> data0 = PageParts(a, parts0);
+  const std::span<const Slice> data1 = PageParts(b, parts1);
 
   // Allocate both pages up front. If the sibling allocation fails, the
   // first plane's page was reserved but never programmed — roll its
@@ -432,10 +444,7 @@ Status Ftl::ProgramSectorsMultiPlane(SimTime now,
     for (uint32_t slot = 0; slot < sectors.size(); ++slot) {
       const Lpn lpn = sectors[slot].lpn;
       RecordDelta(lpn, now, starts[i], dones[i]);
-      auto it = map_.find(lpn);
-      if (it != map_.end()) KillSlot(it->second);
-      map_[lpn] = Pack(ppns[i], slot);
-      reverse_[ppns[i] * sectors_per_page_ + slot] = lpn;
+      MapSector(lpn, ppns[i], slot);
     }
   }
 
@@ -449,23 +458,26 @@ Status Ftl::ProgramSectorsMultiPlane(SimTime now,
 Status Ftl::ReadSector(SimTime now, Lpn lpn, std::string* out, SimTime* done,
                        bool* torn) {
   if (torn != nullptr) *torn = false;
-  auto it = map_.find(lpn);
-  if (it == map_.end()) {
-    if (out != nullptr) out->assign(opts_.sector_size, '\0');
+  if (lpn >= logical_sectors_) {
+    return Status::InvalidArgument("lpn beyond logical capacity");
+  }
+  const uint64_t packed = MappingOf(lpn);
+  if (packed == kUnmapped) {
+    if (out != nullptr) out->append(opts_.sector_size, '\0');
     if (done != nullptr) *done = now;  // Map lookup only; no media access.
     return Status::OK();
   }
-  const Ppn ppn = PpnOf(it->second);
-  const uint32_t slot = SlotOf(it->second);
+  const Ppn ppn = PpnOf(packed);
 
-  std::string page;
-  const Status st = ReadPageChecked(now, ppn, out ? &page : nullptr, done);
+  Slice page;
+  std::string damaged;
+  const Status st = ReadPageChecked(now, ppn, out ? &page : nullptr, &damaged,
+                                    done);
   if (out != nullptr) {
     // Even on an uncorrectable read the (corrupted) bytes are handed back,
     // so host-level checksums observe the damage instead of a silent zero.
-    out->assign(page, static_cast<size_t>(slot) * opts_.sector_size,
+    out->append(page.data() + SlotOf(packed) * opts_.sector_size,
                 opts_.sector_size);
-    out->resize(opts_.sector_size, '\0');
   }
   if (torn != nullptr) *torn = flash_->IsTorn(ppn);
   return st;
@@ -533,11 +545,19 @@ Status Ftl::RelocateLiveSectors(SimTime now, uint32_t plane_idx,
   last_relocation_done_ = now;
   last_relocation_moved_ = 0;
 
-  // Collect live sectors, re-pairing them two per program.
-  std::vector<std::pair<Lpn, std::string>> live;
+  // Read every live sector first, then re-pair them sectors_per_page_ per
+  // program. Each sector travels as a view into the block, which stays
+  // readable until it is erased or retired after the moves; only an
+  // uncorrectable page is copied, to carry its damage.
+  struct LiveSector {
+    Lpn lpn;
+    Slice bytes;
+  };
+  std::vector<LiveSector> live;
+  std::list<std::string> damaged;
   for (uint32_t p = 0; p < g.pages_per_block; ++p) {
     const Ppn ppn = g.MakePpn(plane_idx, block, p);
-    std::string page;
+    Slice page;
     bool read_done = false;
     for (uint32_t s = 0; s < sectors_per_page_; ++s) {
       const Lpn lpn = reverse_[ppn * sectors_per_page_ + s];
@@ -545,45 +565,37 @@ Status Ftl::RelocateLiveSectors(SimTime now, uint32_t plane_idx,
       if (!read_done) {
         // An uncorrectable read here is not fatal to the move: the bytes
         // (with their damage) still travel, and host checksums catch it.
-        Status read_st = ReadPageChecked(now, ppn, &page, nullptr);
-        (void)read_st;
+        std::string copy;
+        if (!ReadPageChecked(now, ppn, &page, &copy, nullptr).ok()) {
+          page = Slice(damaged.emplace_back(std::move(copy)));
+        }
         stats_.gc_reads++;
         read_done = true;
       }
-      live.emplace_back(
-          lpn, page.empty()
-                   ? std::string()
-                   : page.substr(static_cast<size_t>(s) * opts_.sector_size,
-                                 opts_.sector_size));
+      live.push_back(
+          {lpn, Slice(page.data() + s * opts_.sector_size, opts_.sector_size)});
     }
   }
 
   for (size_t i = 0; i < live.size(); i += sectors_per_page_) {
-    std::string page_data;
     const size_t count = std::min<size_t>(sectors_per_page_, live.size() - i);
-    for (size_t j = 0; j < count; ++j) {
-      if (!live[i + j].second.empty()) {
-        page_data.append(live[i + j].second);
-      }
-    }
+    Slice parts[kMaxSectorsPerPage];
+    for (size_t j = 0; j < count; ++j) parts[j] = live[i + j].bytes;
     SimTime done = 0;
     StatusOr<Ppn> dst_or =
-        AllocateAndProgram(now, plane_idx, /*for_gc=*/true, page_data, &done);
+        AllocateAndProgram(now, plane_idx, /*for_gc=*/true,
+                           std::span<const Slice>(parts, count), &done);
     if (!dst_or.ok()) return dst_or.status();
     const Ppn dst = *dst_or;
     stats_.gc_programs++;
     last_relocation_done_ = std::max(last_relocation_done_, done);
     last_relocation_moved_ += count;
     for (size_t j = 0; j < count; ++j) {
-      const Lpn lpn = live[i + j].first;
       // Old slot dies; mapping follows the data. Delta is untouched: a GC
       // move does not change what the host wrote, only where it lives, and
       // rollback targets are handled below.
-      auto it = map_.find(lpn);
-      assert(it != map_.end());
-      KillSlot(it->second);
-      it->second = Pack(dst, static_cast<uint32_t>(j));
-      reverse_[dst * sectors_per_page_ + j] = lpn;
+      assert(IsMapped(live[i + j].lpn));
+      MapSector(live[i + j].lpn, dst, static_cast<uint32_t>(j));
     }
   }
 
@@ -635,15 +647,13 @@ void Ftl::PowerCutRollback(SimTime t, PowerCutExposure exposure) {
       continue;
     }
     // Lost write: revert to the persisted mapping.
-    auto it = map_.find(lpn);
-    if (it != map_.end()) {
-      KillSlot(it->second);
-      if (rec.old_packed == kUnmapped) {
-        map_.erase(it);
-      } else {
+    const uint64_t packed = MappingOf(lpn);
+    if (packed != kUnmapped) {
+      KillSlot(packed);
+      SetMapping(lpn, rec.old_packed);
+      if (rec.old_packed != kUnmapped) {
         const Ppn old_ppn = PpnOf(rec.old_packed);
         const uint32_t old_slot = SlotOf(rec.old_packed);
-        it->second = rec.old_packed;
         reverse_[old_ppn * sectors_per_page_ + old_slot] = lpn;
         if (flash_->page_state(old_ppn) == PageState::kInvalid) {
           flash_->RevalidatePage(old_ppn);
@@ -673,7 +683,7 @@ Status Ftl::ReadDumpPage(uint32_t index, std::string* out) {
   if (index >= dump_ppns_.size()) {
     return Status::InvalidArgument("dump page index out of range");
   }
-  return ReadPageChecked(0, dump_ppns_[index], out, nullptr);
+  return ReadPhysicalPage(0, dump_ppns_[index], out, nullptr);
 }
 
 SimTime Ftl::EraseDumpArea(SimTime now) {
@@ -769,29 +779,30 @@ StatusOr<Ppn> Ftl::AppendLogPage(SimTime now, Slice data, SimTime* start,
 void Ftl::MapLogSector(Lpn lpn, Ppn ppn, uint32_t slot, SimTime issue,
                        SimTime start, SimTime done) {
   RecordDelta(lpn, issue, start, done);
-  auto it = map_.find(lpn);
-  if (it != map_.end()) KillSlot(it->second);
-  map_[lpn] = Pack(ppn, slot);
-  reverse_[ppn * sectors_per_page_ + slot] = lpn;
+  MapSector(lpn, ppn, slot);
 }
 
 bool Ftl::IsMappedTo(Lpn lpn, Ppn ppn, uint32_t slot) const {
-  auto it = map_.find(lpn);
-  return it != map_.end() && it->second == Pack(ppn, slot);
+  const uint64_t packed = MappingOf(lpn);
+  return packed != kUnmapped && packed == Pack(ppn, slot);
 }
 
 bool Ftl::UnmapIfPointsTo(Lpn lpn, Ppn ppn, uint32_t slot) {
-  auto it = map_.find(lpn);
-  if (it == map_.end() || it->second != Pack(ppn, slot)) return false;
-  KillSlot(it->second);
-  map_.erase(it);
+  if (!IsMappedTo(lpn, ppn, slot)) return false;
+  KillSlot(Pack(ppn, slot));
+  SetMapping(lpn, kUnmapped);
   delta_.erase(lpn);
   return true;
 }
 
 Status Ftl::ReadPhysicalPage(SimTime now, Ppn ppn, std::string* out,
                              SimTime* done) {
-  return ReadPageChecked(now, ppn, out, done);
+  Slice page;
+  // An uncorrectable read leaves its damaged copy in `out` already.
+  const Status st =
+      ReadPageChecked(now, ppn, out != nullptr ? &page : nullptr, out, done);
+  if (out != nullptr && st.ok()) out->assign(page.data(), page.size());
+  return st;
 }
 
 }  // namespace durassd

@@ -1,7 +1,11 @@
 #ifndef DURASSD_SSD_FTL_H_
 #define DURASSD_SSD_FTL_H_
 
+#include <cassert>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -58,7 +62,7 @@ class Ftl {
 
   struct SectorWrite {
     Lpn lpn;
-    const std::string* data;  ///< nullptr in timing-only mode.
+    Slice data;  ///< Empty in timing-only mode.
   };
 
   struct Stats {
@@ -109,17 +113,19 @@ class Ftl {
                                   const std::vector<SectorWrite>& b,
                                   SimTime* start, SimTime* done);
 
-  /// Reads one logical sector. Unmapped sectors read as zeros with zero
-  /// media cost beyond the firmware's map lookup. `done`, if non-null,
-  /// receives the virtual completion time (including any ECC read-retries).
-  /// `torn`, if non-null, reports whether the backing physical page was
-  /// shorn by a power cut. Returns kCorruption when raw bit errors exceed
-  /// the ECC budget after all retries; `out` then holds the corrupted bytes
-  /// so the host's checksums can see the damage.
+  /// Reads one logical sector and appends its bytes to `out` (nullptr =
+  /// timing only). Unmapped sectors read as zeros with zero media cost
+  /// beyond the firmware's map lookup; an LPN beyond logical_sectors() is
+  /// InvalidArgument. `done`, if non-null, receives the virtual completion
+  /// time (including any ECC read-retries). `torn`, if non-null, reports
+  /// whether the backing physical page was shorn by a power cut. Returns
+  /// kCorruption when raw bit errors exceed the ECC budget after all
+  /// retries; `out` then holds the corrupted bytes so the host's checksums
+  /// can see the damage.
   Status ReadSector(SimTime now, Lpn lpn, std::string* out,
                     SimTime* done = nullptr, bool* torn = nullptr);
 
-  bool IsMapped(Lpn lpn) const { return map_.count(lpn) != 0; }
+  bool IsMapped(Lpn lpn) const { return MappingOf(lpn) != kUnmapped; }
 
   // --- Log region (log-structured destage, ROADMAP item 2) ---
   /// Total pages in the reserved log region (0 = no log region).
@@ -244,8 +250,8 @@ class Ftl {
   /// reports failure closes the block, queues it for retirement, and tries
   /// again on a fresh page (up to program_retry_limit times).
   StatusOr<Ppn> AllocateAndProgram(SimTime now, uint32_t plane, bool for_gc,
-                                   Slice data, SimTime* done,
-                                   SimTime* start = nullptr);
+                                   std::span<const Slice> parts,
+                                   SimTime* done, SimTime* start = nullptr);
   /// Plane chooser for host programs: idle-aware (least-busy plane with
   /// round-robin tie-break) or legacy blind round-robin per Options.
   /// `group` > 1 returns the first plane of an aligned group (multi-plane).
@@ -255,10 +261,12 @@ class Ftl {
   Status ValidateSectors(const std::vector<SectorWrite>& sectors);
   /// Reads a full physical page through the ECC model: up to
   /// read_retry_limit re-reads while the raw error count exceeds
-  /// ecc_correctable_bits, then kCorruption (with the bit flips
-  /// materialized into `page`) if still over budget.
-  Status ReadPageChecked(SimTime now, Ppn ppn, std::string* page,
-                         SimTime* done);
+  /// ecc_correctable_bits, then kCorruption if still over budget. `page`
+  /// (nullptr = timing only) receives FlashArray::PageView of the page; on
+  /// kCorruption the bytes are first copied into `damaged`, the bit flips
+  /// are applied there, and `page` views that copy instead.
+  Status ReadPageChecked(SimTime now, Ppn ppn, Slice* page,
+                         std::string* damaged, SimTime* done);
   Status RunGc(SimTime now, uint32_t plane);
   /// Moves every live sector out of the block (shared by GC and block
   /// retirement), then force-persists delta entries whose rollback target
@@ -272,6 +280,18 @@ class Ftl {
   void DrainRetirements(SimTime now);
   bool IsRetirePending(uint32_t plane, uint32_t block) const;
   void KillSlot(uint64_t packed);
+  /// Packed location of `lpn`, or kUnmapped (also for an LPN beyond
+  /// logical_sectors_, which may come from the host or from media).
+  uint64_t MappingOf(Lpn lpn) const {
+    return lpn < logical_sectors_ ? map_[lpn] - 1 : kUnmapped;
+  }
+  /// Stores `packed` (kUnmapped to unmap) for an in-range `lpn`.
+  void SetMapping(Lpn lpn, uint64_t packed) {
+    assert(lpn < logical_sectors_);
+    map_[lpn] = packed + 1;
+  }
+  /// Points `lpn` at (ppn, slot), killing the slot it held before.
+  void MapSector(Lpn lpn, Ppn ppn, uint32_t slot);
   void RecordDelta(Lpn lpn, SimTime issue, SimTime start, SimTime done);
   /// Flips the sticky degraded flag (idempotent) and emits the trace event
   /// and metrics counter for the transition.
@@ -314,7 +334,11 @@ class Ftl {
   std::vector<std::pair<uint32_t, uint32_t>> retire_pending_;
   std::unordered_set<uint64_t> retire_pending_set_;
 
-  std::unordered_map<Lpn, uint64_t> map_;
+  /// Forward map indexed by LPN, holding Pack(ppn, slot) + 1 so that 0
+  /// means unmapped: calloc'd, so entries never written cost no resident
+  /// memory. Read and written only through MappingOf / SetMapping.
+  std::unique_ptr<uint64_t[], decltype(&std::free)> map_{nullptr,
+                                                         &std::free};
   /// Reverse map: which LPN lives in each (ppn, slot); kInvalidLpn = dead.
   /// Flat-indexed as ppn * sectors_per_page_ + slot.
   std::vector<Lpn> reverse_;

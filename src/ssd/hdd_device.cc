@@ -102,7 +102,7 @@ BlockDevice::Result HddDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
     return {Status::InvalidArgument("write size not sector-aligned"), now};
   }
   const uint32_t nsec = static_cast<uint32_t>(data.size() / cfg_.sector_size);
-  if (lpn + nsec > cfg_.num_sectors) {
+  if (!SectorRangeFits(lpn, nsec, cfg_.num_sectors)) {
     return {Status::InvalidArgument("write beyond device capacity"), now};
   }
   max_time_seen_ = std::max(max_time_seen_, now);
@@ -148,7 +148,7 @@ BlockDevice::Result HddDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
 BlockDevice::Result HddDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
                                       std::string* out) {
   if (!powered_) return {Status::DeviceOffline(), now};
-  if (nsec == 0 || lpn + nsec > cfg_.num_sectors) {
+  if (nsec == 0 || !SectorRangeFits(lpn, nsec, cfg_.num_sectors)) {
     return {Status::InvalidArgument("read beyond device capacity"), now};
   }
   max_time_seen_ = std::max(max_time_seen_, now);

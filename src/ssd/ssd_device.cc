@@ -247,8 +247,10 @@ void SsdDevice::InsertCacheEntry(Lpn lpn, Slice sector, SimTime ack,
     // Coalesce: keep the displaced acknowledged version for the incomplete-
     // overwrite rollback corner (Sec. 3.2's "old copies are discarded",
     // with one-deep history for atomicity of the in-flight command).
+    // Swapped rather than move-assigned, so the rewrite below reuses the
+    // older version's buffer by contract, not by a library detail.
     e.has_prev = true;
-    e.prev_data = std::move(e.data);
+    e.prev_data.swap(e.data);
     e.prev_ack = e.ack;
     e.prev_seq = e.seq;
     e.prev_epoch = e.epoch;
@@ -303,8 +305,7 @@ Status SsdDevice::DestageGroup(SimTime t, const std::vector<Lpn>& group) {
   for (Lpn lpn : group) {
     auto it = cache_.find(lpn);
     assert(it != cache_.end());
-    writes.push_back(
-        {lpn, cfg_.store_data ? &it->second.data : nullptr});
+    writes.push_back({lpn, it->second.data});
   }
   SimTime start = 0;
   SimTime done = 0;
@@ -343,12 +344,12 @@ Status SsdDevice::DestagePagePair(SimTime t, const std::vector<Lpn>& a,
   for (Lpn lpn : a) {
     auto it = cache_.find(lpn);
     assert(it != cache_.end());
-    wa.push_back({lpn, cfg_.store_data ? &it->second.data : nullptr});
+    wa.push_back({lpn, it->second.data});
   }
   for (Lpn lpn : b) {
     auto it = cache_.find(lpn);
     assert(it != cache_.end());
-    wb.push_back({lpn, cfg_.store_data ? &it->second.data : nullptr});
+    wb.push_back({lpn, it->second.data});
   }
   SimTime start = 0;
   SimTime done = 0;
@@ -405,7 +406,7 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
     return {Status::InvalidArgument("write size not sector-aligned"), now};
   }
   const uint32_t nsec = static_cast<uint32_t>(data.size() / cfg_.sector_size);
-  if (lpn + nsec > num_sectors()) {
+  if (!SectorRangeFits(lpn, nsec, num_sectors())) {
     return {Status::InvalidArgument("write beyond device capacity"), now};
   }
   max_time_seen_ = std::max(max_time_seen_, now);
@@ -427,13 +428,9 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
     // page to the host.
     SimTime last_done = fw.done;
     std::vector<Ftl::SectorWrite> group;
-    std::vector<std::string> sectors(nsec);
     for (uint32_t i = 0; i < nsec; ++i) {
-      if (cfg_.store_data) {
-        sectors[i].assign(data.data() + static_cast<size_t>(i) * cfg_.sector_size,
-                          cfg_.sector_size);
-      }
-      group.push_back({lpn + i, cfg_.store_data ? &sectors[i] : nullptr});
+      const size_t off = static_cast<size_t>(i) * cfg_.sector_size;
+      group.push_back({lpn + i, Slice(data.data() + off, cfg_.sector_size)});
       if (group.size() == ftl_.sectors_per_page() || i + 1 == nsec) {
         SimTime start = 0;
         SimTime done = 0;
@@ -636,7 +633,7 @@ BlockDevice::Result SsdDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
                                       std::string* out) {
   if (MaybeTripScheduledCut(now)) return {Status::DeviceOffline(), now};
   if (!powered_) return {Status::DeviceOffline(), now};
-  if (nsec == 0 || lpn + nsec > num_sectors()) {
+  if (nsec == 0 || !SectorRangeFits(lpn, nsec, num_sectors())) {
     return {Status::InvalidArgument("read beyond device capacity"), now};
   }
   max_time_seen_ = std::max(max_time_seen_, now);
@@ -691,13 +688,9 @@ BlockDevice::Result SsdDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
     }
     stats_.cache_read_misses++;
     ++*c_cache_read_misses_;
-    std::string sector;
     SimTime done = fw.done;
-    const Status rs =
-        ftl_.ReadSector(fw.done, cur, out != nullptr ? &sector : nullptr,
-                        &done);
+    const Status rs = ftl_.ReadSector(fw.done, cur, out, &done);
     media_done = std::max(media_done, done);
-    if (out != nullptr) out->append(sector);
     if (!rs.ok() && read_status.ok()) read_status = rs;
   }
   if (hit_sectors == nsec) {
@@ -1135,7 +1128,7 @@ SimTime SsdDevice::ReplayDump() {
   std::vector<Ftl::SectorWrite> group;
   SimTime replay_done = t;
   for (const auto& [lpn, data] : entries) {
-    group.push_back({lpn, cfg_.store_data ? &data : nullptr});
+    group.push_back({lpn, data});
     if (group.size() == ftl_.sectors_per_page()) {
       SimTime start = 0;
       SimTime done = 0;

@@ -484,7 +484,7 @@ BlockDevice::Result TieredDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
   }
   const uint32_t nsec =
       static_cast<uint32_t>(data.size() / cfg_.flash.sector_size);
-  if (lpn + nsec > capacity_sectors_) {
+  if (!SectorRangeFits(lpn, nsec, capacity_sectors_)) {
     return {Status::InvalidArgument("write beyond device capacity"), now};
   }
   ++stats_.host_writes;
@@ -558,7 +558,7 @@ BlockDevice::Result TieredDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
 
 BlockDevice::Result TieredDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
                                          std::string* out) {
-  if (nsec == 0 || lpn + nsec > capacity_sectors_) {
+  if (nsec == 0 || !SectorRangeFits(lpn, nsec, capacity_sectors_)) {
     return {Status::InvalidArgument("read beyond device capacity"), now};
   }
   ++stats_.host_reads;

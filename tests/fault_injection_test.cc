@@ -89,7 +89,7 @@ class FaultInjectionFtlTest : public ::testing::Test {
 
   Status WriteOne(SimTime now, Lpn lpn, const std::string& data,
                   SimTime* done = nullptr) {
-    std::vector<Ftl::SectorWrite> w{{lpn, &data}};
+    std::vector<Ftl::SectorWrite> w{{lpn, data}};
     SimTime start = 0;
     SimTime d = 0;
     Status s = ftl_.ProgramSectors(now, w, &start, &d);
@@ -178,7 +178,7 @@ TEST(FaultInjectionEccTest, UncorrectableReadReportsCorruption) {
   Ftl ftl(&flash, Ftl::Options{4 * kKiB, 0.25, 2, 2, 2, 2, 3});
 
   const std::string data = SectorData('u');
-  std::vector<Ftl::SectorWrite> w{{7, &data}};
+  std::vector<Ftl::SectorWrite> w{{7, data}};
   SimTime start = 0;
   SimTime done = 0;
   ASSERT_TRUE(ftl.ProgramSectors(0, w, &start, &done).ok());

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <span>
 #include <string>
+#include <vector>
 
+#include "common/random.h"
 #include "flash/flash_array.h"
 #include "flash/geometry.h"
 
@@ -237,6 +242,262 @@ TEST(FlashArrayTest, TimingOnlyModeStoresNothing) {
   std::string out;
   flash.ReadPage(done, g.MakePpn(0, 0, 0), &out);
   EXPECT_EQ(out, std::string(g.page_size, '\0'));
+}
+
+// ----------------------- Reference model ----------------------------------
+
+// Byte-level model of the page store: a map from PPN to the page image the
+// rules say it holds. A page absent from the map reads as zeros.
+//   - A successful program stores its image, zero-padded to the page.
+//   - A failed program, and a program not yet started at a power cut, leave
+//     no data.
+//   - A program cut mid-flight keeps only the first quarter of its page.
+//   - Erase (successful or failed), retirement and an interrupted erase
+//     drop every page of the block.
+class PageStoreModel {
+ public:
+  explicit PageStoreModel(const FlashGeometry& g) : g_(g) {}
+
+  void Program(Ppn ppn, std::span<const Slice> parts) {
+    std::string image;
+    for (const Slice& part : parts) image.append(part.data(), part.size());
+    image.resize(g_.page_size, '\0');
+    pages_[ppn] = std::move(image);
+  }
+  void Drop(Ppn ppn) { pages_.erase(ppn); }
+  void DropBlock(uint32_t plane, uint32_t block) {
+    for (uint32_t p = 0; p < g_.pages_per_block; ++p) {
+      pages_.erase(g_.MakePpn(plane, block, p));
+    }
+  }
+  void Tear(Ppn ppn) {
+    auto it = pages_.find(ppn);
+    if (it == pages_.end()) return;
+    std::fill(it->second.begin() + g_.page_size / 4, it->second.end(), '\0');
+  }
+  std::string Expected(Ppn ppn) const {
+    auto it = pages_.find(ppn);
+    return it == pages_.end() ? std::string(g_.page_size, '\0') : it->second;
+  }
+
+ private:
+  FlashGeometry g_;
+  std::map<Ppn, std::string> pages_;
+};
+
+// Offset of the first byte where `a` and `b` differ, or -1 when equal.
+int64_t FirstDiff(Slice a, Slice b) {
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (a[i] != b[i]) return static_cast<int64_t>(i);
+  }
+  return a.size() == b.size() ? -1 : static_cast<int64_t>(n);
+}
+
+std::string RandomBytes(Random& rng, size_t n) {
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng.Uniform(255) + 1);
+  return out;
+}
+
+// Drives a seeded mix of every storage operation, with program, erase and
+// read faults injected, and checks every byte the array returns against
+// PageStoreModel. Erase-and-reprogram cycles reuse freed block buffers, so
+// a page without data inside an allocated buffer sits on stale non-zero
+// memory and must still read as zeros.
+TEST(FlashArrayModelTest, StoredBytesFollowTheReferenceModel) {
+  FlashGeometry g = FlashGeometry::Tiny();
+  g.blocks_per_plane = 16;
+  // Rule coverage across all seeds.
+  uint64_t program_fails = 0, never_started = 0, torn = 0;
+  uint64_t interrupted_erases = 0, bad_blocks = 0, multi_plane = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    FaultInjector::Options faults;
+    faults.seed = seed;
+    faults.read_bit_flip_mean = 2.0;
+    faults.program_fail_rate = 0.05;
+    faults.erase_fail_rate = 0.02;
+    FlashArray flash(FlashArray::Options{g, /*store_data=*/true, faults});
+    PageStoreModel model(g);
+    Random rng(seed * 7919);
+
+    struct InFlightProgram {
+      Ppn ppn;
+      SimTime start, done;
+    };
+    struct InFlightErase {
+      uint32_t plane, block;
+      SimTime done;
+    };
+    std::vector<InFlightProgram> programs;
+    std::vector<InFlightErase> erases;
+    SimTime now = 0;
+
+    auto check_page = [&](Ppn ppn, const char* when) {
+      const std::string expected = model.Expected(ppn);
+      ASSERT_EQ(FirstDiff(flash.PageView(ppn), expected), -1)
+          << "PageView, seed " << seed << " ppn " << ppn << " " << when;
+      std::string out;
+      uint32_t raw = 0;
+      flash.ReadPage(now, ppn, &out, &raw);
+      ASSERT_EQ(FirstDiff(out, expected), -1)
+          << "ReadPage, seed " << seed << " ppn " << ppn << " " << when;
+    };
+    // A page image of 1-4 parts, sometimes shorter than the page.
+    auto random_image = [&](std::vector<std::string>* bytes,
+                            std::vector<Slice>* parts) {
+      const uint32_t n = 1 + static_cast<uint32_t>(rng.Uniform(4));
+      const size_t total = rng.Bernoulli(0.5)
+                               ? g.page_size
+                               : rng.UniformRange(0, g.page_size);
+      bytes->clear();
+      parts->clear();
+      size_t used = 0;
+      for (uint32_t i = 0; i < n; ++i) {
+        const size_t len =
+            i + 1 == n ? total - used : rng.UniformRange(0, total - used);
+        bytes->push_back(RandomBytes(rng, len));
+        used += len;
+      }
+      for (const std::string& b : *bytes) parts->push_back(Slice(b));
+    };
+    // A block that can take a program at its cursor, or false.
+    auto programmable = [&](uint32_t plane, uint32_t block) {
+      return !flash.is_bad_block(plane, block) &&
+             flash.next_program_page(plane, block) < g.pages_per_block;
+    };
+
+    for (int op = 0; op < 3000; ++op) {
+      now += static_cast<SimTime>(rng.Uniform(400 * kMicrosecond));
+      const uint64_t kind = rng.Uniform(100);
+      const uint32_t plane =
+          static_cast<uint32_t>(rng.Uniform(g.total_planes()));
+      const uint32_t block =
+          static_cast<uint32_t>(rng.Uniform(g.blocks_per_plane));
+      if (kind < 35) {
+        if (!programmable(plane, block)) continue;
+        const Ppn ppn =
+            g.MakePpn(plane, block, flash.next_program_page(plane, block));
+        std::vector<std::string> bytes;
+        std::vector<Slice> parts;
+        random_image(&bytes, &parts);
+        SimTime done = 0, start = 0;
+        const Status st = flash.ProgramPage(now, ppn, parts, &done, &start);
+        if (st.ok()) {
+          model.Program(ppn, parts);
+          programs.push_back({ppn, start, done});
+        } else {
+          ASSERT_TRUE(st.IsIoError()) << st.ToString();
+          model.Drop(ppn);
+        }
+      } else if (kind < 45) {
+        // Two-plane program on the sibling planes of one chip.
+        const uint32_t p0 = plane - plane % g.planes_per_chip;
+        const uint32_t b1 =
+            static_cast<uint32_t>(rng.Uniform(g.blocks_per_plane));
+        if (!programmable(p0, block) || !programmable(p0 + 1, b1)) continue;
+        const Ppn ppns[2] = {
+            g.MakePpn(p0, block, flash.next_program_page(p0, block)),
+            g.MakePpn(p0 + 1, b1, flash.next_program_page(p0 + 1, b1))};
+        std::vector<std::string> bytes[2];
+        std::vector<Slice> parts[2];
+        random_image(&bytes[0], &parts[0]);
+        random_image(&bytes[1], &parts[1]);
+        SimTime done = 0, start = 0;
+        bool failed[2] = {false, false};
+        const Status st = flash.ProgramPagesMultiPlane(
+            now, ppns[0], ppns[1], parts[0], parts[1], &done, &start, failed);
+        ASSERT_TRUE(st.ok() || st.IsIoError()) << st.ToString();
+        for (int i = 0; i < 2; ++i) {
+          if (failed[i]) {
+            model.Drop(ppns[i]);
+          } else {
+            model.Program(ppns[i], parts[i]);
+            programs.push_back({ppns[i], start, done});
+          }
+        }
+      } else if (kind < 70) {
+        const Ppn ppn = rng.Uniform(g.total_pages());
+        ASSERT_NO_FATAL_FAILURE(check_page(ppn, "after read"));
+      } else if (kind < 82) {
+        if (flash.is_bad_block(plane, block)) continue;
+        SimTime done = 0;
+        const Status st = flash.EraseBlock(now, plane, block, &done);
+        model.DropBlock(plane, block);
+        if (st.ok()) erases.push_back({plane, block, done});
+      } else if (kind < 83) {
+        if (!rng.Bernoulli(0.25)) continue;  // Keep most blocks in service.
+        flash.RetireBlock(plane, block);
+        model.DropBlock(plane, block);
+      } else if (kind < 95) {
+        // State changes that must leave the bytes alone.
+        const Ppn ppn = g.MakePpn(plane, block, 0) +
+                        rng.Uniform(g.pages_per_block);
+        if (rng.Bernoulli(0.5)) {
+          flash.MarkInvalid(ppn);
+        } else {
+          flash.RevalidatePage(ppn);
+        }
+        ASSERT_NO_FATAL_FAILURE(check_page(ppn, "after state change"));
+      } else {
+        // Power cut at or after every instant issued so far, often inside
+        // a program or an erase.
+        const SimTime cut =
+            now + static_cast<SimTime>(rng.Uniform(g.erase_latency));
+        flash.PowerCut(cut);
+        for (const InFlightProgram& p : programs) {
+          if (p.done <= cut) continue;
+          if (p.start >= cut) {
+            model.Drop(p.ppn);
+            never_started++;
+          } else {
+            model.Tear(p.ppn);
+            torn++;
+          }
+        }
+        for (const InFlightErase& e : erases) {
+          if (e.done <= cut) continue;
+          model.DropBlock(e.plane, e.block);
+          interrupted_erases++;
+        }
+        programs.clear();
+        erases.clear();
+        now = cut;
+      }
+      if (op % 100 == 99) {
+        for (Ppn ppn = 0; ppn < g.total_pages(); ++ppn) {
+          ASSERT_NO_FATAL_FAILURE(check_page(ppn, "in full scan"));
+        }
+      }
+    }
+    program_fails += flash.stats().program_fails;
+    bad_blocks += flash.stats().bad_blocks;
+    multi_plane += flash.stats().multi_plane_programs;
+  }
+  EXPECT_GT(program_fails, 0u);
+  EXPECT_GT(never_started, 0u);
+  EXPECT_GT(torn, 0u);
+  EXPECT_GT(interrupted_erases, 0u);
+  EXPECT_GT(bad_blocks, 0u);
+  EXPECT_GT(multi_plane, 0u);
+}
+
+TEST(FlashArrayModelTest, GatherProgramConcatenatesParts) {
+  FlashArray flash(TinyOptions());
+  const FlashGeometry& g = flash.geometry();
+  const std::string a(g.page_size / 2, 'a');
+  const std::string b = "tail";
+  const Slice parts[] = {Slice(a), Slice(), Slice(b)};
+  SimTime done = 0;
+  ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 0), parts, &done).ok());
+  std::string expected = a + b;
+  expected.resize(g.page_size, '\0');
+  EXPECT_EQ(flash.PageView(g.MakePpn(0, 0, 0)).ToView(), expected);
+
+  const std::string big(g.page_size, 'x');
+  const Slice too_big[] = {Slice(big), Slice("y")};
+  EXPECT_FALSE(
+      flash.ProgramPage(done, g.MakePpn(0, 0, 1), too_big, &done).ok());
 }
 
 }  // namespace

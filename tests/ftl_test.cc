@@ -23,7 +23,7 @@ class FtlTest : public ::testing::Test {
                   SimTime* done = nullptr) {
     SimTime start = 0;
     SimTime d = 0;
-    std::vector<Ftl::SectorWrite> w{{lpn, &data}};
+    std::vector<Ftl::SectorWrite> w{{lpn, data}};
     Status s = ftl_.ProgramSectors(now, w, &start, &d);
     if (done != nullptr) *done = d;
     return s;
@@ -57,15 +57,15 @@ TEST_F(FtlTest, PairsTwoSectorsIntoOneProgram) {
   const std::string a = SectorData('a');
   const std::string b = SectorData('b');
   SimTime start = 0, done = 0;
-  std::vector<Ftl::SectorWrite> w{{10, &a}, {11, &b}};
+  std::vector<Ftl::SectorWrite> w{{10, a}, {11, b}};
   ASSERT_TRUE(ftl_.ProgramSectors(0, w, &start, &done).ok());
   EXPECT_EQ(flash_.stats().programs, 1u);  // One 8KB program for both.
 
   std::string out;
   ftl_.ReadSector(done, 10, &out);
   EXPECT_EQ(out, a);
-  ftl_.ReadSector(done, 11, &out);
-  EXPECT_EQ(out, b);
+  ftl_.ReadSector(done, 11, &out);  // Appends to what `out` holds.
+  EXPECT_EQ(out, a + b);
 }
 
 TEST_F(FtlTest, OverwriteSupersedesOldVersion) {
@@ -80,13 +80,13 @@ TEST_F(FtlTest, OverwriteSupersedesOldVersion) {
 TEST_F(FtlTest, RejectsLpnBeyondCapacity) {
   SimTime start = 0, done = 0;
   const std::string d = SectorData('x');
-  std::vector<Ftl::SectorWrite> w{{ftl_.logical_sectors(), &d}};
+  std::vector<Ftl::SectorWrite> w{{ftl_.logical_sectors(), d}};
   EXPECT_FALSE(ftl_.ProgramSectors(0, w, &start, &done).ok());
 }
 
 TEST_F(FtlTest, RejectsOversizedGroup) {
   const std::string d = SectorData('x');
-  std::vector<Ftl::SectorWrite> w{{0, &d}, {1, &d}, {2, &d}};
+  std::vector<Ftl::SectorWrite> w{{0, d}, {1, d}, {2, d}};
   SimTime start = 0, done = 0;
   EXPECT_FALSE(ftl_.ProgramSectors(0, w, &start, &done).ok());
 }
@@ -297,6 +297,45 @@ TEST_F(FtlTest, GcSkipsRollbackEntriesRecordedAfterUnmap) {
   std::string out;
   ASSERT_TRUE(ftl_.ReadSector(t, 0, &out).ok());
   EXPECT_EQ(out, std::string(4 * kKiB, '\0'));
+}
+
+// LPNs beyond the logical space reach the FTL from the host and from log
+// recovery (decoded from media); none of them may index the forward map.
+TEST_F(FtlTest, LpnsBeyondCapacityAreNeverMapped) {
+  SimTime done = 0;
+  ASSERT_TRUE(WriteOne(0, 0, SectorData('m'), &done).ok());
+  Ppn ppn = kInvalidPpn;
+  uint32_t slot = 0;
+  for (Ppn p = 0; p < flash_.geometry().total_pages() && ppn == kInvalidPpn;
+       ++p) {
+    for (uint32_t s = 0; s < ftl_.sectors_per_page(); ++s) {
+      if (ftl_.IsMappedTo(0, p, s)) {
+        ppn = p;
+        slot = s;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(ppn, kInvalidPpn);
+
+  const Lpn past = ftl_.logical_sectors();
+  for (const Lpn lpn : {past, past + 1, kInvalidLpn}) {
+    EXPECT_FALSE(ftl_.IsMapped(lpn)) << lpn;
+    EXPECT_FALSE(ftl_.IsMappedTo(lpn, ppn, slot)) << lpn;
+    // (kInvalidPpn / 4, 3) packs to the all-ones value.
+    EXPECT_FALSE(ftl_.IsMappedTo(lpn, kInvalidPpn / 4, 3)) << lpn;
+    EXPECT_FALSE(ftl_.UnmapIfPointsTo(lpn, ppn, slot)) << lpn;
+    EXPECT_FALSE(ftl_.UnmapIfPointsTo(lpn, kInvalidPpn / 4, 3)) << lpn;
+    std::string out;
+    EXPECT_EQ(ftl_.ReadSector(done, lpn, &out).code(),
+              StatusCode::kInvalidArgument)
+        << lpn;
+    EXPECT_TRUE(out.empty());
+  }
+  // An unmapped in-range LPN never matches the all-ones location either.
+  EXPECT_FALSE(ftl_.IsMappedTo(1, kInvalidPpn / 4, 3));
+  EXPECT_FALSE(ftl_.UnmapIfPointsTo(1, kInvalidPpn / 4, 3));
+  EXPECT_TRUE(ftl_.IsMappedTo(0, ppn, slot));
 }
 
 // --------------------------- Dump area ------------------------------------

@@ -7,13 +7,18 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "array/array_device.h"
 #include "common/random.h"
 #include "db/database.h"
 #include "host/sim_file.h"
 #include "kv/kvstore.h"
+#include "ssd/hdd_device.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
+#include "tier/tiered_device.h"
 #include "workloads/keys.h"
 
 namespace durassd {
@@ -226,6 +231,47 @@ TEST(EndToEndCrashTest, KvStoreRandomCrashRounds) {
     device.PowerCut(cut);
     device.PowerOn();
     io.now = 0;
+  }
+}
+
+// BlockDevice contract on every device model: a range that ends past the
+// last sector is rejected up front, including one whose end wraps past
+// 2^64 back into range, and the rejected commands leave nothing behind for
+// a later FLUSH to trip over.
+TEST(DeviceRangeTest, RangesPastTheEndAreRejectedOnEveryDevice) {
+  HddDevice::Config hdd;
+  hdd.num_sectors = 1024;
+  TieredConfig tier;
+  tier.flash = SsdConfig::Tiny(/*durable=*/true);
+  tier.capacity_is_hdd = true;
+  tier.capacity_hdd.num_sectors = 1024;
+  std::vector<std::pair<std::string, std::unique_ptr<BlockDevice>>> devices;
+  devices.emplace_back("ssd", std::make_unique<SsdDevice>(SsdConfig::Tiny()));
+  devices.emplace_back("hdd", std::make_unique<HddDevice>(hdd));
+  devices.emplace_back("tiered", MakeTieredDevice(tier));
+  devices.emplace_back(
+      "striped", MakeStripedArray(SsdConfig::Tiny(true), 2, ArrayConfig{}));
+  devices.emplace_back(
+      "mirrored", MakeMirroredArray(SsdConfig::Tiny(true), 2, ArrayConfig{}));
+
+  for (const auto& [name, dev] : devices) {
+    const uint32_t ss = dev->sector_size();
+    const Lpn last = dev->num_sectors() - 1;
+    const std::pair<Lpn, uint32_t> ranges[] = {
+        {~0ull, 1}, {~0ull, 2}, {last, 2}};
+    SimTime t = 0;
+    for (const auto& [lpn, nsec] : ranges) {
+      const BlockDevice::Result w =
+          dev->Write(t, lpn, std::string(static_cast<size_t>(nsec) * ss, 'w'));
+      EXPECT_EQ(w.status.code(), StatusCode::kInvalidArgument)
+          << name << " write lpn=" << lpn << " nsec=" << nsec;
+      std::string out;
+      const BlockDevice::Result r = dev->Read(t, lpn, nsec, &out);
+      EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument)
+          << name << " read lpn=" << lpn << " nsec=" << nsec;
+      t = std::max({t, w.done, r.done});
+    }
+    EXPECT_TRUE(dev->Flush(t).status.ok()) << name;
   }
 }
 
