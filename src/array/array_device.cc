@@ -30,6 +30,11 @@ ArrayDevice::ArrayDevice(ArrayConfig config,
     assert(m->sector_size() == members_[0]->sector_size());
     member_sectors_ = std::min(member_sectors_, m->num_sectors());
   }
+  // Striping hands out whole stripe units, so a member can only serve whole
+  // units. A one-member array maps 1:1 and keeps the raw capacity.
+  if (cfg_.layout == ArrayConfig::Layout::kStriped && members_.size() > 1) {
+    member_sectors_ -= member_sectors_ % cfg_.stripe_unit_sectors;
+  }
   c_retries_ = metrics_.Counter("array.retries");
   c_timeouts_ = metrics_.Counter("array.timeouts");
   c_transient_rejects_ = metrics_.Counter("array.transient_rejects");

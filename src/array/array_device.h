@@ -293,7 +293,9 @@ class ArrayDevice : public BlockDevice {
   std::vector<SsdConfig> member_cfgs_;
   std::vector<std::unique_ptr<SsdDevice>> members_;
   std::vector<MemberState> states_;
-  uint64_t member_sectors_ = 0;  ///< Min capacity across members.
+  /// Min capacity across members; for a multi-member stripe, rounded down
+  /// to whole stripe units.
+  uint64_t member_sectors_ = 0;
   Health health_ = Health::kOptimal;
   bool powered_ = true;
 
@@ -335,14 +337,14 @@ class ArrayDevice : public BlockDevice {
   ArrayFaultInjector faults_;
   Stats stats_;
   MetricsRegistry metrics_;
-  MetricCounter* c_retries_;
-  MetricCounter* c_timeouts_;
-  MetricCounter* c_transient_rejects_;
-  MetricCounter* c_member_deaths_;
-  MetricCounter* c_redirected_reads_;
-  MetricCounter* c_redirected_writes_;
-  MetricCounter* c_degraded_write_rejects_;
-  MetricCounter* c_rebuild_copied_sectors_;
+  uint64_t* c_retries_;
+  uint64_t* c_timeouts_;
+  uint64_t* c_transient_rejects_;
+  uint64_t* c_member_deaths_;
+  uint64_t* c_redirected_reads_;
+  uint64_t* c_redirected_writes_;
+  uint64_t* c_degraded_write_rejects_;
+  uint64_t* c_rebuild_copied_sectors_;
 };
 
 /// Convenience builders (the factory seam for benches, tests, and the

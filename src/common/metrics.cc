@@ -2,21 +2,6 @@
 
 namespace durassd {
 
-MetricCounter* MetricsRegistry::Counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(reg_mu_);
-  return &counters_[name];
-}
-
-MetricGauge* MetricsRegistry::Gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(reg_mu_);
-  return &gauges_[name];
-}
-
-Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(reg_mu_);
-  return &histograms_[name];
-}
-
 void MetricsRegistry::Reset() {
   for (auto& [name, v] : counters_) v = 0;
   for (auto& [name, v] : gauges_) v = 0;

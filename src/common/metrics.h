@@ -1,10 +1,8 @@
 #ifndef DURASSD_COMMON_METRICS_H_
 #define DURASSD_COMMON_METRICS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 
 #include "common/histogram.h"
@@ -12,56 +10,6 @@
 #include "common/types.h"
 
 namespace durassd {
-
-/// One relaxed-atomic counter cell. Increments from concurrent shard /
-/// pool threads are safe (relaxed RMW — on x86 the same `lock xadd` a
-/// seq_cst increment would emit, so the single-threaded hot path is not
-/// perturbed); cross-metric ordering is not promised, snapshots are taken
-/// at barriers. The operator surface mirrors a plain `uint64_t*` so call
-/// sites (`++*c`, `*c += n`, reads) are unchanged.
-class MetricCounter {
- public:
-  MetricCounter() = default;
-  MetricCounter(const MetricCounter&) = delete;
-  MetricCounter& operator=(const MetricCounter&) = delete;
-
-  MetricCounter& operator=(uint64_t x) {
-    v_.store(x, std::memory_order_relaxed);
-    return *this;
-  }
-  MetricCounter& operator+=(uint64_t d) {
-    v_.fetch_add(d, std::memory_order_relaxed);
-    return *this;
-  }
-  MetricCounter& operator++() {
-    v_.fetch_add(1, std::memory_order_relaxed);
-    return *this;
-  }
-  uint64_t operator++(int) { return v_.fetch_add(1, std::memory_order_relaxed); }
-  operator uint64_t() const { return v_.load(std::memory_order_relaxed); }
-  uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> v_{0};
-};
-
-/// One relaxed-atomic gauge cell (last-value semantics).
-class MetricGauge {
- public:
-  MetricGauge() = default;
-  MetricGauge(const MetricGauge&) = delete;
-  MetricGauge& operator=(const MetricGauge&) = delete;
-
-  MetricGauge& operator=(double x) {
-    v_.store(x, std::memory_order_relaxed);
-    return *this;
-  }
-  operator double() const { return v_.load(std::memory_order_relaxed); }
-  double value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> v_{0.0};
-};
 
 /// Named metrics for one component tree: counters, gauges, and latency
 /// histograms, registered once and updated through stable pointers, so the
@@ -75,13 +23,6 @@ class MetricGauge {
 /// Metrics are observational only: recording never advances virtual time,
 /// so an instrumented run produces bit-identical simulation results to an
 /// uninstrumented one.
-///
-/// Thread safety (DESIGN.md §13): counter/gauge *updates* are relaxed
-/// atomics, safe from any thread. Registration takes a mutex (components
-/// register at construction; doing so concurrently is legal but unusual).
-/// Histograms are NOT thread-safe — they are shard-local by convention and
-/// only read at barriers, as are the snapshot accessors (counters() /
-/// AppendJson / Reset), which assume updates are quiesced.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -90,18 +31,18 @@ class MetricsRegistry {
 
   /// Registers (or finds) a counter. The returned pointer is stable for the
   /// registry's lifetime; increment it directly.
-  MetricCounter* Counter(const std::string& name);
+  uint64_t* Counter(const std::string& name) { return &counters_[name]; }
   /// Registers (or finds) a gauge (last-value semantics).
-  MetricGauge* Gauge(const std::string& name);
+  double* Gauge(const std::string& name) { return &gauges_[name]; }
   /// Registers (or finds) a latency histogram (nanosecond samples).
-  /// Unlike counters, histograms must only be updated by their owning
-  /// shard's thread.
-  Histogram* GetHistogram(const std::string& name);
+  Histogram* GetHistogram(const std::string& name) {
+    return &histograms_[name];
+  }
 
-  const std::map<std::string, MetricCounter>& counters() const {
+  const std::map<std::string, uint64_t>& counters() const {
     return counters_;
   }
-  const std::map<std::string, MetricGauge>& gauges() const { return gauges_; }
+  const std::map<std::string, double>& gauges() const { return gauges_; }
   const std::map<std::string, Histogram>& histograms() const {
     return histograms_;
   }
@@ -117,10 +58,9 @@ class MetricsRegistry {
  private:
   // std::map: stable node addresses (pointer registration) + deterministic
   // iteration order for the snapshot.
-  std::map<std::string, MetricCounter> counters_;
-  std::map<std::string, MetricGauge> gauges_;
+  std::map<std::string, uint64_t> counters_;
+  std::map<std::string, double> gauges_;
   std::map<std::string, Histogram> histograms_;
-  std::mutex reg_mu_;  // guards map insertion only
 };
 
 /// Appends the standard percentile summary for one histogram:

@@ -36,89 +36,15 @@ const char* TraceEventTypeName(TraceEventType type) {
   return "unknown";
 }
 
-namespace {
-
-std::atomic<uint64_t> g_next_tracer_id{1};
-
-/// One thread's (tracer id -> ring) cache. Tracer ids are never reused, so
-/// an entry for a destroyed tracer can never be looked up again; its raw
-/// pointer is dead weight, not a hazard. Tracer churn is bounded per test
-/// process, so the vector stays tiny.
-struct TlsRingCache {
-  struct Entry {
-    uint64_t tracer_id;
-    void* ring;
-  };
-  std::vector<Entry> entries;
-};
-
-thread_local TlsRingCache g_tls_rings;
-
-}  // namespace
-
-Tracer::Tracer(size_t capacity)
-    : capacity_(std::max<size_t>(capacity, 1)),
-      id_(g_next_tracer_id.fetch_add(1, std::memory_order_relaxed)) {}
-
-Tracer::~Tracer() = default;
-
-Tracer::Ring* Tracer::LocalRing() {
-  for (const TlsRingCache::Entry& e : g_tls_rings.entries) {
-    if (e.tracer_id == id_) return static_cast<Ring*>(e.ring);
-  }
-  return RegisterLocalRing();
-}
-
-Tracer::Ring* Tracer::RegisterLocalRing() {
-  std::lock_guard<std::mutex> lock(mu_);
-  rings_.push_back(std::make_unique<Ring>(capacity_));
-  Ring* r = rings_.back().get();
-  g_tls_rings.entries.push_back(TlsRingCache::Entry{id_, r});
-  return r;
-}
-
-size_t Tracer::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  for (const auto& r : rings_) {
-    n += static_cast<size_t>(std::min<uint64_t>(r->next, r->buf.size()));
-  }
-  return n;
-}
-
-uint64_t Tracer::recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t n = 0;
-  for (const auto& r : rings_) n += r->next;
-  return n;
-}
-
-uint64_t Tracer::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t n = 0;
-  for (const auto& r : rings_) {
-    n += r->next > r->buf.size() ? r->next - r->buf.size() : 0;
-  }
-  return n;
-}
+Tracer::Tracer(size_t capacity) : buf_(std::max<size_t>(capacity, 1)) {}
 
 std::vector<TraceEvent> Tracer::Events() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<TraceEvent> out;
-  for (const auto& r : rings_) {
-    const size_t n =
-        static_cast<size_t>(std::min<uint64_t>(r->next, r->buf.size()));
-    const uint64_t first = r->next - n;
-    for (uint64_t i = first; i < r->next; ++i) {
-      out.push_back(r->buf[i % r->buf.size()]);
-    }
+  out.reserve(size());
+  for (uint64_t i = next_ - size(); i < next_; ++i) {
+    out.push_back(buf_[i % buf_.size()]);
   }
   return out;
-}
-
-void Tracer::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& r : rings_) r->next = 0;
 }
 
 void Tracer::AppendJsonl(std::string* out) const {

@@ -1,10 +1,8 @@
 #ifndef DURASSD_COMMON_TRACE_H_
 #define DURASSD_COMMON_TRACE_H_
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -59,51 +57,40 @@ struct TraceEvent {
 /// Bounded ring-buffer event recorder. Recording is a branch + three stores
 /// when enabled and a single branch when not, and it never touches virtual
 /// time, so it can stay attached during timing-only benchmark runs without
-/// perturbing results. When a ring wraps, the oldest events are dropped
+/// perturbing results. When the ring wraps, the oldest events are dropped
 /// (and counted), keeping memory constant on arbitrarily long runs.
-///
-/// Thread safety (DESIGN.md §13): each recording thread gets its own ring
-/// (registered lazily on first Record, cached in thread-local storage), so
-/// the hot path stays lock-free and byte-identical to the historical
-/// single-ring recorder when one thread records. Export / size accessors
-/// merge the rings in registration order (each ring oldest-first) and
-/// assume recording is quiesced (executor barrier or end of run) — with a
-/// single recording thread that merge IS the historical event order.
 class Tracer {
  public:
   explicit Tracer(size_t capacity = 1 << 16);
-  ~Tracer();
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
+  bool enabled() const { return enabled_; }
+  void set_enabled(bool enabled) { enabled_ = enabled; }
 
   void Record(SimTime t, TraceEventType type, uint64_t a0 = 0,
               uint64_t a1 = 0) {
-    if (!enabled_.load(std::memory_order_relaxed)) return;
-    Ring* r = LocalRing();
-    TraceEvent& e = r->buf[r->next % r->buf.size()];
+    if (!enabled_) return;
+    TraceEvent& e = buf_[next_ % buf_.size()];
     e.t = t;
     e.type = type;
     e.a0 = a0;
     e.a1 = a1;
-    ++r->next;
+    ++next_;
   }
 
-  /// Per-ring capacity (each recording thread retains up to this many).
-  size_t capacity() const { return capacity_; }
-  /// Events currently retained across all rings (<= capacity × rings).
-  size_t size() const;
+  size_t capacity() const { return buf_.size(); }
+  /// Events currently retained (<= capacity).
+  size_t size() const {
+    return static_cast<size_t>(std::min<uint64_t>(next_, buf_.size()));
+  }
   /// Total events ever recorded (retained + dropped).
-  uint64_t recorded() const;
+  uint64_t recorded() const { return next_; }
   /// Events lost to ring wrap-around.
-  uint64_t dropped() const;
+  uint64_t dropped() const { return next_ - size(); }
 
-  /// Retained events: rings in registration order, each oldest-first.
+  /// Retained events, oldest first.
   std::vector<TraceEvent> Events() const;
 
   /// Appends the retained events as JSONL: one
@@ -112,28 +99,13 @@ class Tracer {
   /// Writes the JSONL export to `path` (truncating).
   Status ExportJsonl(const std::string& path) const;
 
-  /// Drops all retained events. Registered rings stay alive (thread-local
-  /// caches keep raw pointers into them); requires quiesced recording.
-  void Reset();
+  /// Drops all retained events.
+  void Reset() { next_ = 0; }
 
  private:
-  struct Ring {
-    explicit Ring(size_t capacity) : buf(capacity) {}
-    std::vector<TraceEvent> buf;
-    uint64_t next = 0;
-  };
-
-  /// Returns the calling thread's ring for this tracer, registering one on
-  /// first use. Cached in TLS keyed by a never-reused tracer id, so a
-  /// stale cache entry (destroyed tracer) can never match a live one.
-  Ring* LocalRing();
-  Ring* RegisterLocalRing();
-
-  const size_t capacity_;
-  const uint64_t id_;  ///< Unique across all tracers ever constructed.
-  std::atomic<bool> enabled_{true};
-  mutable std::mutex mu_;  ///< Guards rings_ registration vs export.
-  std::vector<std::unique_ptr<Ring>> rings_;  ///< Registration order.
+  std::vector<TraceEvent> buf_;
+  uint64_t next_ = 0;
+  bool enabled_ = true;
 };
 
 }  // namespace durassd

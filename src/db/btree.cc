@@ -107,100 +107,61 @@ StatusOr<PageId> BTree::Create(IoContext& io, BufferPool* pool,
   return *id;
 }
 
-// Both descents read a node's type *before* latching it (to pick the latch
-// mode). This is sound: a page's type byte is written once at Format and
-// never again (pages are never freed or repurposed — deletes do not merge),
-// and the pin taken by Fix orders the read after any frame reload.
-
-Status BTree::FindLeafRead(IoContext& io, Slice key, bool exclusive_leaf,
-                           Latched* leaf) {
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    const PageId root_id = root_.load(std::memory_order_acquire);
-    PageId current = root_id;
-    Latched parent;
-    bool restart = false;
-    for (int depth = 0; depth < 64; ++depth) {
-      StatusOr<PageRef> ref_or = pool_->Fix(io, current, /*create=*/false);
-      if (!ref_or.ok()) return ref_or.status();
-      PageRef ref = std::move(*ref_or);
-      const PageType type = ref->type();
-      if (type != PageType::kBTreeLeaf && type != PageType::kBTreeInternal) {
-        return Status::Corruption("unexpected page type in btree descent");
-      }
-      const bool is_leaf = type == PageType::kBTreeLeaf;
-      const int mode = (is_leaf && exclusive_leaf) ? 2 : 1;
-      if (mode == 2) {
-        ref.latch()->lock();
-      } else {
-        ref.latch()->lock_shared();
-      }
-      Latched node(std::move(ref), mode);
-      if (depth == 0 &&
-          root_.load(std::memory_order_acquire) != root_id) {
-        // The root we latched was split from under us; the upper half of
-        // its keys now lives under the new root. Retry from the top.
-        restart = true;
-        break;
-      }
-      parent.Drop();  // The child latch is held; the parent may go.
-      if (is_leaf) {
-        *leaf = std::move(node);
-        return Status::OK();
-      }
-      current = DescendChild(*node, key);
-      if (current == kInvalidPageId) {
-        return Status::Corruption("invalid child pointer");
-      }
-      parent = std::move(node);
+Status BTree::FindLeafRead(IoContext& io, Slice key, PageRef* leaf) {
+  PageId current = root_;
+  PageRef parent;
+  for (int depth = 0; depth < 64; ++depth) {
+    StatusOr<PageRef> ref_or = pool_->Fix(io, current, /*create=*/false);
+    if (!ref_or.ok()) return ref_or.status();
+    PageRef node = std::move(*ref_or);
+    const PageType type = node->type();
+    if (type != PageType::kBTreeLeaf && type != PageType::kBTreeInternal) {
+      return Status::Corruption("unexpected page type in btree descent");
     }
-    if (!restart) return Status::Corruption("btree deeper than 64 levels");
+    parent.Release();  // The child is pinned; the parent may go.
+    if (type == PageType::kBTreeLeaf) {
+      *leaf = std::move(node);
+      return Status::OK();
+    }
+    current = DescendChild(*node, key);
+    if (current == kInvalidPageId) {
+      return Status::Corruption("invalid child pointer");
+    }
+    parent = std::move(node);
   }
-  return Status::Busy("btree root kept splitting during descent");
+  return Status::Corruption("btree deeper than 64 levels");
 }
 
 Status BTree::FindLeafWrite(IoContext& io, Slice key, size_t leaf_need,
-                            std::vector<Latched>* path, Latched* leaf) {
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    path->clear();
-    const PageId root_id = root_.load(std::memory_order_acquire);
-    PageId current = root_id;
-    bool restart = false;
-    for (int depth = 0; depth < 64; ++depth) {
-      StatusOr<PageRef> ref_or = pool_->Fix(io, current, /*create=*/false);
-      if (!ref_or.ok()) return ref_or.status();
-      PageRef ref = std::move(*ref_or);
-      const PageType type = ref->type();
-      if (type != PageType::kBTreeLeaf && type != PageType::kBTreeInternal) {
-        return Status::Corruption("unexpected page type in btree descent");
-      }
-      ref.latch()->lock();
-      Latched node(std::move(ref), 2);
-      if (depth == 0 &&
-          root_.load(std::memory_order_acquire) != root_id) {
-        restart = true;
-        break;
-      }
-      const bool is_leaf = type == PageType::kBTreeLeaf;
-      // "Safe" = this node will absorb the worst insert that can reach it
-      // without splitting, so no split can propagate above it: retained
-      // ancestors are released. The node itself stays in the path — it is
-      // where an upward-propagating split stops. InsertCell compacts
-      // internally, so FreeSpace() is the exact criterion.
-      const size_t need = is_leaf ? leaf_need : WorstInternalNeed();
-      if (node->FreeSpace() >= need) path->clear();
-      if (is_leaf) {
-        *leaf = std::move(node);
-        return Status::OK();
-      }
-      current = DescendChild(*node, key);
-      if (current == kInvalidPageId) {
-        return Status::Corruption("invalid child pointer");
-      }
-      path->push_back(std::move(node));
+                            std::vector<PageRef>* path, PageRef* leaf) {
+  PageId current = root_;
+  for (int depth = 0; depth < 64; ++depth) {
+    StatusOr<PageRef> ref_or = pool_->Fix(io, current, /*create=*/false);
+    if (!ref_or.ok()) return ref_or.status();
+    PageRef node = std::move(*ref_or);
+    const PageType type = node->type();
+    if (type != PageType::kBTreeLeaf && type != PageType::kBTreeInternal) {
+      return Status::Corruption("unexpected page type in btree descent");
     }
-    if (!restart) return Status::Corruption("btree deeper than 64 levels");
+    const bool is_leaf = type == PageType::kBTreeLeaf;
+    // "Safe" = this node will absorb the worst insert that can reach it
+    // without splitting, so no split can propagate above it: retained
+    // ancestors are released. The node itself stays in the path — it is
+    // where an upward-propagating split stops. InsertCell compacts
+    // internally, so FreeSpace() is the exact criterion.
+    const size_t need = is_leaf ? leaf_need : WorstInternalNeed();
+    if (node->FreeSpace() >= need) path->clear();
+    if (is_leaf) {
+      *leaf = std::move(node);
+      return Status::OK();
+    }
+    current = DescendChild(*node, key);
+    if (current == kInvalidPageId) {
+      return Status::Corruption("invalid child pointer");
+    }
+    path->push_back(std::move(node));
   }
-  return Status::Busy("btree root kept splitting during descent");
+  return Status::Corruption("btree deeper than 64 levels");
 }
 
 Status BTree::Put(IoContext& io, const MutationCtx& m, Slice key,
@@ -214,8 +175,8 @@ Status BTree::Put(IoContext& io, const MutationCtx& m, Slice key,
   if (had_old != nullptr) *had_old = false;
 
   const std::string cell = EncodeLeafCell(key, value);
-  std::vector<Latched> path;
-  Latched leaf;
+  std::vector<PageRef> path;
+  PageRef leaf;
   DURASSD_RETURN_IF_ERROR(
       FindLeafWrite(io, key, cell.size() + 2, &path, &leaf));
 
@@ -228,24 +189,24 @@ Status BTree::Put(IoContext& io, const MutationCtx& m, Slice key,
     }
     if (had_old != nullptr) *had_old = true;
     if (leaf->ReplaceCell(slot, cell)) {
-      Dirty(m, leaf.ref.id());
+      Dirty(m, leaf.id());
       return Status::OK();
     }
     // Did not fit even after compaction: fall through to split; the old
     // cell was already removed by ReplaceCell's remove+insert attempt.
-    Dirty(m, leaf.ref.id());
+    Dirty(m, leaf.id());
     return SplitAndInsert(io, m, std::move(path), std::move(leaf), key, cell);
   }
 
   if (leaf->InsertCell(slot, cell)) {
-    Dirty(m, leaf.ref.id());
+    Dirty(m, leaf.id());
     return Status::OK();
   }
   return SplitAndInsert(io, m, std::move(path), std::move(leaf), key, cell);
 }
 
 Status BTree::SplitAndInsert(IoContext& io, const MutationCtx& m,
-                             std::vector<Latched> path, Latched page,
+                             std::vector<PageRef> path, PageRef page,
                              Slice key, const std::string& cell) {
   std::string pending_cell = cell;
   std::string pending_key = key.ToString();
@@ -253,9 +214,7 @@ Status BTree::SplitAndInsert(IoContext& io, const MutationCtx& m,
   while (true) {
     const bool is_leaf = page->type() == PageType::kBTreeLeaf;
 
-    // Allocate and format the right sibling. No latch needed: a fresh page
-    // is unreachable until the leaf chain / parent cell publishing it is
-    // updated, and those updates happen under latches this thread holds.
+    // Allocate and format the right sibling.
     StatusOr<PageId> right_id_or = alloc_->AllocatePage(io);
     if (!right_id_or.ok()) return right_id_or.status();
     const PageId right_id = *right_id_or;
@@ -301,7 +260,7 @@ Status BTree::SplitAndInsert(IoContext& io, const MutationCtx& m,
     // Insert the pending cell into the proper half.
     {
       Page* target =
-          Slice(pending_key).compare(Slice(separator)) < 0 ? page.ref.get()
+          Slice(pending_key).compare(Slice(separator)) < 0 ? page.get()
                                                            : right.get();
       bool exact = false;
       const uint16_t slot =
@@ -312,7 +271,7 @@ Status BTree::SplitAndInsert(IoContext& io, const MutationCtx& m,
         return Status::Corruption("cell does not fit half-full page");
       }
     }
-    Dirty(m, page.ref.id());
+    Dirty(m, page.id());
     Dirty(m, right.id());
 
     // Propagate the separator upward.
@@ -320,40 +279,33 @@ Status BTree::SplitAndInsert(IoContext& io, const MutationCtx& m,
     if (path.empty()) {
       // Root split: grow the tree. The descent only leaves the path empty
       // when `page` is the root itself (an unsafe non-root node always
-      // retains its parent), and its exclusive latch has been held since
-      // the root-id re-check, so root_ still names it. Publish the new
-      // root id *before* the old root's latch is released (when `page` is
-      // destroyed) — concurrent descents re-check root_ after latching.
+      // retains its parent).
       StatusOr<PageId> new_root_or = alloc_->AllocatePage(io);
       if (!new_root_or.ok()) return new_root_or.status();
       StatusOr<PageRef> root_or =
           pool_->Fix(io, *new_root_or, /*create=*/true);
       if (!root_or.ok()) return root_or.status();
       (*root_or)->Format(*new_root_or, PageType::kBTreeInternal);
-      (*root_or)->header()->aux1 = page.ref.id();
+      (*root_or)->header()->aux1 = page.id();
       if (!(*root_or)->InsertCell(0, up_cell)) {
         return Status::Corruption("new root overflow");
       }
       Dirty(m, *new_root_or);
-      root_.store(*new_root_or, std::memory_order_release);
+      root_ = *new_root_or;
       return Status::OK();
     }
 
-    // The parent was retained (exclusively latched) by the descent; no
-    // re-fix. `page` and `right` can be released first: their contents are
-    // final, key-based descents cannot reach either until the parent
-    // (still latched) is updated, and a scan chaining in from the left
-    // sibling sees a consistent split — `page`'s chain pointer already
-    // routes it through `right`.
-    Latched parent = std::move(path.back());
+    // The parent was retained by the descent; no re-fix. `page` and
+    // `right` are final and can be released first.
+    PageRef parent = std::move(path.back());
     path.pop_back();
-    page.Drop();
+    page.Release();
     right.Release();
     bool exact = false;
     const uint16_t slot =
         LowerBound(*parent, /*leaf=*/false, separator, &exact);
     if (parent->InsertCell(slot, up_cell)) {
-      Dirty(m, parent.ref.id());
+      Dirty(m, parent.id());
       return Status::OK();
     }
     // Parent overflows too: loop with the parent as the page to split.
@@ -364,9 +316,8 @@ Status BTree::SplitAndInsert(IoContext& io, const MutationCtx& m,
 }
 
 Status BTree::Get(IoContext& io, Slice key, std::string* value) {
-  Latched leaf;
-  DURASSD_RETURN_IF_ERROR(
-      FindLeafRead(io, key, /*exclusive_leaf=*/false, &leaf));
+  PageRef leaf;
+  DURASSD_RETURN_IF_ERROR(FindLeafRead(io, key, &leaf));
   bool exact = false;
   const uint16_t slot = LowerBound(*leaf, /*leaf=*/true, key, &exact);
   if (!exact) return Status::NotFound();
@@ -377,11 +328,9 @@ Status BTree::Get(IoContext& io, Slice key, std::string* value) {
 Status BTree::Delete(IoContext& io, const MutationCtx& m, Slice key,
                      std::string* old_value, bool* had_old) {
   if (had_old != nullptr) *had_old = false;
-  // Delete never merges, so the structure change stops at the leaf: shared
-  // crab down, exclusive latch on the leaf only.
-  Latched leaf;
-  DURASSD_RETURN_IF_ERROR(
-      FindLeafRead(io, key, /*exclusive_leaf=*/true, &leaf));
+  // Delete never merges, so the structure change stops at the leaf.
+  PageRef leaf;
+  DURASSD_RETURN_IF_ERROR(FindLeafRead(io, key, &leaf));
   bool exact = false;
   const uint16_t slot = LowerBound(*leaf, /*leaf=*/true, key, &exact);
   if (!exact) return Status::NotFound();
@@ -390,7 +339,7 @@ Status BTree::Delete(IoContext& io, const MutationCtx& m, Slice key,
   }
   if (had_old != nullptr) *had_old = true;
   leaf->RemoveCell(slot);
-  Dirty(m, leaf.ref.id());
+  Dirty(m, leaf.id());
   return Status::OK();
 }
 
@@ -398,22 +347,18 @@ Status BTree::ScanFrom(
     IoContext& io, Slice start, size_t limit,
     std::vector<std::pair<std::string, std::string>>* out) {
   out->clear();
-  Latched leaf;
-  DURASSD_RETURN_IF_ERROR(
-      FindLeafRead(io, start, /*exclusive_leaf=*/false, &leaf));
+  PageRef leaf;
+  DURASSD_RETURN_IF_ERROR(FindLeafRead(io, start, &leaf));
   bool exact = false;
   uint16_t slot = LowerBound(*leaf, /*leaf=*/true, start, &exact);
   while (out->size() < limit) {
     if (slot >= leaf->nslots()) {
       const PageId next = leaf->header()->aux1;
       if (next == kInvalidPageId) break;
-      // Hand-over-hand is not needed leaf-to-leaf: pages are never freed,
-      // and a split of `next` before we latch it leaves the chain intact.
-      leaf.Drop();
+      leaf.Release();  // Before fixing `next`: pins decide evictability.
       StatusOr<PageRef> next_or = pool_->Fix(io, next, /*create=*/false);
       if (!next_or.ok()) return next_or.status();
-      next_or->latch()->lock_shared();
-      leaf = Latched(std::move(*next_or), 1);
+      leaf = std::move(*next_or);
       slot = 0;
       continue;
     }
@@ -427,20 +372,18 @@ Status BTree::ScanFrom(
 Status BTree::CountRange(IoContext& io, Slice start, Slice end, size_t cap,
                          uint64_t* count) {
   *count = 0;
-  Latched leaf;
-  DURASSD_RETURN_IF_ERROR(
-      FindLeafRead(io, start, /*exclusive_leaf=*/false, &leaf));
+  PageRef leaf;
+  DURASSD_RETURN_IF_ERROR(FindLeafRead(io, start, &leaf));
   bool exact = false;
   uint16_t slot = LowerBound(*leaf, /*leaf=*/true, start, &exact);
   while (*count < cap) {
     if (slot >= leaf->nslots()) {
       const PageId next = leaf->header()->aux1;
       if (next == kInvalidPageId) break;
-      leaf.Drop();
+      leaf.Release();
       StatusOr<PageRef> next_or = pool_->Fix(io, next, /*create=*/false);
       if (!next_or.ok()) return next_or.status();
-      next_or->latch()->lock_shared();
-      leaf = Latched(std::move(*next_or), 1);
+      leaf = std::move(*next_or);
       slot = 0;
       continue;
     }

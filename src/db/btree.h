@@ -1,7 +1,6 @@
 #ifndef DURASSD_DB_BTREE_H_
 #define DURASSD_DB_BTREE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -39,26 +38,11 @@ struct MutationCtx {
 ///
 /// Size limits: key <= 1/16 page, value <= 1/8 page, so any two cells fit a
 /// fresh page and splits always succeed.
-///
-/// Concurrency (DESIGN.md §13): latch-coupled descent over the buffer
-/// pool's per-frame latches. Readers (Get/scans) crab root-to-leaf with
-/// shared latches; Delete crabs shared but takes the leaf exclusive (it
-/// never merges, so structure changes stop at the leaf); Put crabs with
-/// exclusive latches, releasing all retained ancestors whenever it reaches
-/// a node that is "safe" — guaranteed to absorb a worst-case separator
-/// insert without splitting — so splits propagate only into ancestors whose
-/// latches were never dropped. The root id is atomic: a descent latches the
-/// root it loaded and re-checks the id afterwards (a root split publishes
-/// the new id before unlatching the old root, so the re-check cannot miss
-/// it). All latches are acquired strictly top-down, which rules out
-/// deadlock. Scans are not snapshot-isolated: the latch chain is released
-/// between leaves, so a scan sees each leaf atomically but the range as a
-/// whole may interleave with concurrent writers.
 class BTree {
  public:
   BTree(BufferPool* pool, PageAllocator* alloc, PageId root);
 
-  PageId root() const { return root_.load(std::memory_order_acquire); }
+  PageId root() const { return root_; }
   uint32_t max_key_size() const { return pool_->page_size() / 16; }
   uint32_t max_value_size() const { return pool_->page_size() / 8; }
 
@@ -103,71 +87,21 @@ class BTree {
   /// Child to descend into for `key`.
   static PageId DescendChild(const Page& page, Slice key);
 
-  /// A pinned page plus the latch mode held on its frame. Unlatches (then
-  /// unpins, via PageRef) on destruction; release order is irrelevant since
-  /// latches are only ever *acquired* top-down.
-  struct Latched {
-    PageRef ref;
-    int mode = 0;  ///< 0 = none, 1 = shared, 2 = exclusive.
-
-    Latched() = default;
-    Latched(PageRef r, int m) : ref(std::move(r)), mode(m) {}
-    Latched(Latched&& o) noexcept : ref(std::move(o.ref)), mode(o.mode) {
-      o.mode = 0;
-    }
-    Latched& operator=(Latched&& o) noexcept {
-      if (this != &o) {
-        Drop();
-        ref = std::move(o.ref);
-        mode = o.mode;
-        o.mode = 0;
-      }
-      return *this;
-    }
-    Latched(const Latched&) = delete;
-    Latched& operator=(const Latched&) = delete;
-    ~Latched() { Drop(); }
-
-    Page* operator->() { return ref.get(); }
-    Page& operator*() { return *ref; }
-
-    /// Releases the latch (keeps the pin).
-    void Unlatch() {
-      if (mode != 0 && ref.valid()) {
-        if (mode == 2) {
-          ref.latch()->unlock();
-        } else {
-          ref.latch()->unlock_shared();
-        }
-      }
-      mode = 0;
-    }
-    /// Releases the latch, then the pin.
-    void Drop() {
-      Unlatch();
-      ref.Release();
-    }
-  };
-
-  /// Read-side descent: shared latches down the tree, leaf latched shared
-  /// (Get/scans) or exclusive (Delete). On return `leaf` is latched+pinned.
-  Status FindLeafRead(IoContext& io, Slice key, bool exclusive_leaf,
-                      Latched* leaf);
-  /// Write-side descent for Put: exclusive latches, retaining ancestors
-  /// while the child may split. `leaf_need` is the worst-case byte cost of
-  /// the pending leaf insert (cell + slot). On return `leaf` is latched
-  /// exclusive and `path` holds the retained ancestors (empty when the leaf
-  /// cannot split, or when the leaf is the root).
+  /// Read-side descent: fixes root to leaf, releasing each parent once its
+  /// child is fixed. On return `leaf` is pinned.
+  Status FindLeafRead(IoContext& io, Slice key, PageRef* leaf);
+  /// Write-side descent for Put, retaining ancestors while the child may
+  /// split. `leaf_need` is the worst-case byte cost of the pending leaf
+  /// insert (cell + slot). On return `leaf` is pinned and `path` holds the
+  /// retained ancestors (empty when the leaf cannot split, or when the leaf
+  /// is the root).
   Status FindLeafWrite(IoContext& io, Slice key, size_t leaf_need,
-                       std::vector<Latched>* path, Latched* leaf);
-  /// Splits the overflowing latched page and inserts the separator upward
-  /// through the retained `path`, growing the tree at the root if needed.
-  /// Every page mutated here is exclusively latched (retained from the
-  /// descent); fresh right siblings need no latch until published, which
-  /// happens under the latches already held.
+                       std::vector<PageRef>* path, PageRef* leaf);
+  /// Splits the overflowing `page` and inserts the separator upward through
+  /// the retained `path`, growing the tree at the root if needed.
   Status SplitAndInsert(IoContext& io, const MutationCtx& m,
-                        std::vector<Latched> path, Latched page,
-                        Slice key, const std::string& cell);
+                        std::vector<PageRef> path, PageRef page, Slice key,
+                        const std::string& cell);
 
   void Dirty(const MutationCtx& m, PageId id) {
     pool_->MarkDirty(id, m.lsn, m.txn);
@@ -180,9 +114,7 @@ class BTree {
 
   BufferPool* pool_;
   PageAllocator* alloc_;
-  /// Root page id; grows monotonically (root splits only). Written under
-  /// the old root's exclusive latch, before that latch is released.
-  std::atomic<PageId> root_;
+  PageId root_;  ///< Changes only when the root splits.
 };
 
 }  // namespace durassd

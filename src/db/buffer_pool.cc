@@ -12,18 +12,13 @@ namespace durassd {
 // PageRef
 // ---------------------------------------------------------------------------
 
-PageRef::PageRef(BufferPool* pool, PageId id, Page* page,
-                 std::shared_mutex* latch)
-    : pool_(pool), id_(id), page_(page), latch_(latch) {}
+PageRef::PageRef(BufferPool* pool, PageId id, Page* page)
+    : pool_(pool), id_(id), page_(page) {}
 
 PageRef::PageRef(PageRef&& other) noexcept
-    : pool_(other.pool_),
-      id_(other.id_),
-      page_(other.page_),
-      latch_(other.latch_) {
+    : pool_(other.pool_), id_(other.id_), page_(other.page_) {
   other.pool_ = nullptr;
   other.page_ = nullptr;
-  other.latch_ = nullptr;
 }
 
 PageRef& PageRef::operator=(PageRef&& other) noexcept {
@@ -32,10 +27,8 @@ PageRef& PageRef::operator=(PageRef&& other) noexcept {
     pool_ = other.pool_;
     id_ = other.id_;
     page_ = other.page_;
-    latch_ = other.latch_;
     other.pool_ = nullptr;
     other.page_ = nullptr;
-    other.latch_ = nullptr;
   }
   return *this;
 }
@@ -48,7 +41,6 @@ void PageRef::Release() {
   }
   pool_ = nullptr;
   page_ = nullptr;
-  latch_ = nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -63,38 +55,21 @@ BufferPool::BufferPool(SimFile* data_file, Wal* wal, DoubleWriteBuffer* dwb,
       opts_(options),
       capacity_(options.pool_bytes / options.page_size) {
   assert(capacity_ >= 8);
-  const uint32_t n = std::max<uint32_t>(opts_.shards, 1);
-  // Every partition needs room for a tree descent's worth of pins.
-  assert(capacity_ / n >= 4);
-  shards_.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    auto s = std::make_unique<Shard>();
-    s->capacity = capacity_ / n + (i < capacity_ % n ? 1 : 0);
-    shards_.push_back(std::move(s));
-  }
 }
 
 void BufferPool::Unpin(PageId id) {
-  Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(id);
-  if (it == shard.map.end()) return;
+  auto it = map_.find(id);
+  if (it == map_.end()) return;
   assert(it->second->pins > 0);
   it->second->pins--;
 }
 
-Status BufferPool::WriteFrame(IoContext& io, Shard& shard, Frame& frame) {
+Status BufferPool::WriteFrame(IoContext& io, Frame& frame) {
   // WAL rule: the log must be durable *on device* up to the page's LSN
-  // before the page itself may be written. The WAL (and the double-write
-  // buffer below) are shared across partitions, so concurrent evictions
-  // from different partitions serialize on log_mu_ here.
-  {
-    std::lock_guard<std::mutex> log_lock(log_mu_);
-    DURASSD_RETURN_IF_ERROR(wal_->EnsureWritten(io, frame.page.lsn()));
-  }
+  // before the page itself may be written.
+  DURASSD_RETURN_IF_ERROR(wal_->EnsureWritten(io, frame.page.lsn()));
   frame.page.SealChecksum();
   if (dwb_ != nullptr) {
-    std::lock_guard<std::mutex> log_lock(log_mu_);
     DURASSD_RETURN_IF_ERROR(
         dwb_->Add(io, frame.id, std::string(frame.page.data(),
                                             frame.page.size())));
@@ -109,8 +84,8 @@ Status BufferPool::WriteFrame(IoContext& io, Shard& shard, Frame& frame) {
       DURASSD_RETURN_IF_ERROR(s.status);
       io.AdvanceTo(s.done);
     } else if (opts_.pages_per_data_sync != 0 &&
-               ++shard.writes_since_data_sync >= opts_.pages_per_data_sync) {
-      shard.writes_since_data_sync = 0;
+               ++writes_since_data_sync_ >= opts_.pages_per_data_sync) {
+      writes_since_data_sync_ = 0;
       const SimFile::IoResult s = data_file_->DataSync(io.now);
       DURASSD_RETURN_IF_ERROR(s.status);
       io.AdvanceTo(s.done);
@@ -121,49 +96,46 @@ Status BufferPool::WriteFrame(IoContext& io, Shard& shard, Frame& frame) {
 }
 
 StatusOr<BufferPool::FrameList::iterator> BufferPool::GetFreeFrame(
-    IoContext& io, Shard& shard, bool for_read) {
-  if (shard.lru.size() < shard.capacity) {
-    shard.lru.emplace_front(opts_.page_size);
-    return shard.lru.begin();
+    IoContext& io, bool for_read) {
+  if (lru_.size() < capacity_) {
+    lru_.emplace_front(opts_.page_size);
+    return lru_.begin();
   }
-  // Scan from the LRU tail for an evictable frame. Holders of the frame
-  // latch always hold a pin, so pins == 0 also means the latch is free.
-  for (auto it = std::prev(shard.lru.end());; --it) {
+  // Scan from the LRU tail for an evictable frame.
+  for (auto it = std::prev(lru_.end());; --it) {
     Frame& frame = *it;
     const bool evictable = frame.pins == 0 && frame.owner_txn == 0;
     if (evictable) {
       if (frame.dirty) {
-        shard.stats.dirty_evictions++;
-        if (for_read) shard.stats.reads_blocked_by_writes++;
-        DURASSD_RETURN_IF_ERROR(WriteFrame(io, shard, frame));
+        stats_.dirty_evictions++;
+        if (for_read) stats_.reads_blocked_by_writes++;
+        DURASSD_RETURN_IF_ERROR(WriteFrame(io, frame));
       }
-      shard.stats.evictions++;
-      shard.map.erase(frame.id);
+      stats_.evictions++;
+      map_.erase(frame.id);
       frame.id = kInvalidPageId;
       frame.dirty = false;
       frame.owner_txn = 0;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it);  // Front for reuse.
-      return shard.lru.begin();
+      lru_.splice(lru_.begin(), lru_, it);  // Front for reuse.
+      return lru_.begin();
     }
-    if (it == shard.lru.begin()) break;
+    if (it == lru_.begin()) break;
   }
   return Status::Busy("no evictable frame (all pinned or owned)");
 }
 
 StatusOr<PageRef> BufferPool::Fix(IoContext& io, PageId id, bool create) {
-  Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto hit = shard.map.find(id);
-  if (hit != shard.map.end()) {
-    shard.stats.hits++;
-    shard.lru.splice(shard.lru.begin(), shard.lru, hit->second);
+  auto hit = map_.find(id);
+  if (hit != map_.end()) {
+    stats_.hits++;
+    lru_.splice(lru_.begin(), lru_, hit->second);
     Frame& frame = *hit->second;
     frame.pins++;
-    return PageRef(this, id, &frame.page, &frame.latch);
+    return PageRef(this, id, &frame.page);
   }
-  shard.stats.misses++;
+  stats_.misses++;
 
-  StatusOr<FrameList::iterator> frame_or = GetFreeFrame(io, shard, !create);
+  StatusOr<FrameList::iterator> frame_or = GetFreeFrame(io, !create);
   if (!frame_or.ok()) return frame_or.status();
   Frame& frame = **frame_or;
   frame.id = id;
@@ -185,7 +157,7 @@ StatusOr<PageRef> BufferPool::Fix(IoContext& io, PageId id, bool create) {
           io.now, static_cast<uint64_t>(id) * opts_.page_size,
           opts_.page_size, &raw);
       if (!r.status.ok()) {
-        shard.map.erase(id);
+        map_.erase(id);
         return r.status;
       }
       io.AdvanceTo(r.done);
@@ -200,16 +172,14 @@ StatusOr<PageRef> BufferPool::Fix(IoContext& io, PageId id, bool create) {
                                 " failed checksum (torn or uninitialized)");
     }
   }
-  shard.map[id] = *frame_or;
+  map_[id] = *frame_or;
   frame.pins = 1;
-  return PageRef(this, id, &frame.page, &frame.latch);
+  return PageRef(this, id, &frame.page);
 }
 
 void BufferPool::MarkDirty(PageId id, Lsn lsn, TxnId txn) {
-  Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(id);
-  assert(it != shard.map.end());
+  auto it = map_.find(id);
+  assert(it != map_.end());
   Frame& frame = *it->second;
   frame.dirty = true;
   frame.owner_txn = txn;
@@ -217,19 +187,14 @@ void BufferPool::MarkDirty(PageId id, Lsn lsn, TxnId txn) {
 }
 
 void BufferPool::ReleaseTxn(TxnId txn) {
-  for (auto& sp : shards_) {
-    std::lock_guard<std::mutex> lock(sp->mu);
-    for (auto& frame : sp->lru) {
-      if (frame.owner_txn == txn) frame.owner_txn = 0;
-    }
+  for (auto& frame : lru_) {
+    if (frame.owner_txn == txn) frame.owner_txn = 0;
   }
 }
 
 void BufferPool::ClearOwner(PageId id, TxnId txn) {
-  Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(id);
-  if (it != shard.map.end() && it->second->owner_txn == txn) {
+  auto it = map_.find(id);
+  if (it != map_.end() && it->second->owner_txn == txn) {
     it->second->owner_txn = 0;
   }
 }
@@ -239,13 +204,10 @@ Status BufferPool::FlushAll(IoContext& io) {
       !opts_.sync_every_write) {
     return FlushAllBatched(io);
   }
-  for (auto& sp : shards_) {
-    std::lock_guard<std::mutex> lock(sp->mu);
-    for (auto& frame : sp->lru) {
-      if (frame.id == kInvalidPageId || !frame.dirty) continue;
-      DURASSD_RETURN_IF_ERROR(WriteFrame(io, *sp, frame));
-      sp->stats.checkpoint_page_flushes++;
-    }
+  for (auto& frame : lru_) {
+    if (frame.id == kInvalidPageId || !frame.dirty) continue;
+    DURASSD_RETURN_IF_ERROR(WriteFrame(io, frame));
+    stats_.checkpoint_page_flushes++;
   }
   if (dwb_ != nullptr) {
     DURASSD_RETURN_IF_ERROR(dwb_->FlushBatch(io));
@@ -256,35 +218,23 @@ Status BufferPool::FlushAll(IoContext& io) {
 Status BufferPool::FlushAllBatched(IoContext& io) {
   // WAL rule, hoisted: make the log durable on device up to the newest
   // dirty page's LSN once, then destage pages with the queue kept full.
-  // Partitions are walked in order under their mutexes; the checkpoint
-  // itself is single-threaded by contract.
   Lsn max_lsn = 0;
   std::vector<Frame*> dirty;
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (auto& sp : shards_) {
-    locks.emplace_back(sp->mu);
-    for (auto& frame : sp->lru) {
-      if (frame.id == kInvalidPageId || !frame.dirty) continue;
-      max_lsn = std::max(max_lsn, frame.page.lsn());
-      dirty.push_back(&frame);
-    }
+  for (auto& frame : lru_) {
+    if (frame.id == kInvalidPageId || !frame.dirty) continue;
+    max_lsn = std::max(max_lsn, frame.page.lsn());
+    dirty.push_back(&frame);
   }
   if (dirty.empty()) return Status::OK();
-  {
-    std::lock_guard<std::mutex> log_lock(log_mu_);
-    DURASSD_RETURN_IF_ERROR(wal_->EnsureWritten(io, max_lsn));
-  }
+  DURASSD_RETURN_IF_ERROR(wal_->EnsureWritten(io, max_lsn));
 
   FileIoQueue queue(data_file_, opts_.checkpoint_queue_depth);
   uint32_t since_sync = 0;
-  uint64_t flushed = 0;
   for (Frame* frame : dirty) {
     frame->page.SealChecksum();
     queue.SubmitWrite(io,
                       static_cast<uint64_t>(frame->id) * opts_.page_size,
                       frame->page.AsSlice());
-    flushed++;
     if (opts_.pages_per_data_sync != 0 &&
         ++since_sync >= opts_.pages_per_data_sync) {
       since_sync = 0;
@@ -296,30 +246,13 @@ Status BufferPool::FlushAllBatched(IoContext& io) {
   }
   DURASSD_RETURN_IF_ERROR(queue.Drain(io));
   for (Frame* frame : dirty) frame->dirty = false;
-  shards_[0]->stats.checkpoint_page_flushes += flushed;
+  stats_.checkpoint_page_flushes += dirty.size();
   return Status::OK();
 }
 
 void BufferPool::DropAllForCrash() {
-  for (auto& sp : shards_) {
-    std::lock_guard<std::mutex> lock(sp->mu);
-    sp->lru.clear();
-    sp->map.clear();
-  }
-}
-
-BufferPool::Stats BufferPool::stats() const {
-  Stats total;
-  for (const auto& sp : shards_) {
-    std::lock_guard<std::mutex> lock(sp->mu);
-    total.hits += sp->stats.hits;
-    total.misses += sp->stats.misses;
-    total.evictions += sp->stats.evictions;
-    total.dirty_evictions += sp->stats.dirty_evictions;
-    total.reads_blocked_by_writes += sp->stats.reads_blocked_by_writes;
-    total.checkpoint_page_flushes += sp->stats.checkpoint_page_flushes;
-  }
-  return total;
+  lru_.clear();
+  map_.clear();
 }
 
 }  // namespace durassd

@@ -3,11 +3,7 @@
 
 #include <cstdint>
 #include <list>
-#include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -22,17 +18,10 @@ namespace durassd {
 class BufferPool;
 
 /// RAII pin on a fixed page. While alive, the frame cannot be evicted.
-///
-/// The ref also exposes the frame's latch (reader-writer) for callers that
-/// need page-level isolation — the B+-tree's latch-coupled descent. Pins
-/// and latches are deliberately separate: a pin only prevents eviction;
-/// the latch orders concurrent readers/writers on the page contents. The
-/// latch pointer stays valid for the life of the pin (eviction requires
-/// pins == 0, and latch holders always hold a pin).
 class PageRef {
  public:
   PageRef() = default;
-  PageRef(BufferPool* pool, PageId id, Page* page, std::shared_mutex* latch);
+  PageRef(BufferPool* pool, PageId id, Page* page);
   PageRef(PageRef&& other) noexcept;
   PageRef& operator=(PageRef&& other) noexcept;
   PageRef(const PageRef&) = delete;
@@ -45,15 +34,12 @@ class PageRef {
   const Page* get() const { return page_; }
   PageId id() const { return id_; }
   bool valid() const { return page_ != nullptr; }
-  /// Frame latch for latch-coupling; never acquired by the pool itself.
-  std::shared_mutex* latch() { return latch_; }
   void Release();
 
  private:
   BufferPool* pool_ = nullptr;
   PageId id_ = kInvalidPageId;
   Page* page_ = nullptr;
-  std::shared_mutex* latch_ = nullptr;
 };
 
 /// The database buffer pool: fixed frame count, LRU replacement, dirty
@@ -61,16 +47,6 @@ class PageRef {
 /// This is where Fig. 1's "reads blocked by writes" happens: a read miss
 /// with no clean frame pays for a dirty-page write (and its fsyncs) before
 /// the read can even start.
-///
-/// Partitioning (DESIGN.md §13): the pool is split into `Options::shards`
-/// independent partitions keyed by `id % shards`, each with its own LRU
-/// list, hash map, stats, and mutex — concurrent fixes on different
-/// partitions never contend. The default (1 shard) is bit-identical to the
-/// historical unsharded pool: same LRU decisions, same eviction I/O, same
-/// stats. Lock order: a partition mutex may be held across file/device
-/// calls (eviction writes); frame latches are always acquired *after* Fix
-/// returns (never under a partition mutex), so partition-mutex -> fs-latch
-/// -> device-latch and frame-latch -> partition-mutex never cycle.
 class BufferPool {
  public:
   struct Options {
@@ -87,10 +63,6 @@ class BufferPool {
     /// configurations only; the double-write and O_DSYNC paths stay
     /// serial). <= 1 reproduces the serial pre-async behavior exactly.
     uint32_t checkpoint_queue_depth = 1;
-    /// Latch-guarded partitions keyed by page id. 1 (the default) is
-    /// bit-identical to the historical unsharded pool; capacity is split
-    /// evenly across partitions (remainder to the lowest-numbered ones).
-    uint32_t shards = 1;
   };
   struct Stats {
     uint64_t hits = 0;
@@ -118,7 +90,6 @@ class BufferPool {
 
   uint32_t page_size() const { return opts_.page_size; }
   uint64_t capacity_frames() const { return capacity_; }
-  uint32_t shards() const { return static_cast<uint32_t>(shards_.size()); }
 
   /// Fixes a page into the pool and pins it. With `create` the page is not
   /// read from storage (fresh page; caller formats it). Reading a page that
@@ -133,15 +104,13 @@ class BufferPool {
   void ClearOwner(PageId id, TxnId txn);
 
   /// Writes out every dirty frame (checkpoint). Frames stay resident.
-  /// Single-threaded by contract (walks all partitions in order).
   Status FlushAll(IoContext& io);
 
   /// Drops all frames without writing (used to simulate the host losing
   /// RAM in a crash; the files keep whatever was flushed).
   void DropAllForCrash();
 
-  /// Merged snapshot across partitions (sum of per-partition stats).
-  Stats stats() const;
+  Stats stats() const { return stats_; }
 
  private:
   friend class PageRef;
@@ -152,46 +121,28 @@ class BufferPool {
     bool dirty = false;
     uint32_t pins = 0;
     TxnId owner_txn = 0;  ///< Nonzero while an active txn has changes here.
-    /// Page-content latch for latch-coupled descent; the pool never takes
-    /// it (pins == 0 already implies no holders when evicting).
-    std::shared_mutex latch;
     explicit Frame(uint32_t page_size) : page(page_size) {}
   };
   using FrameList = std::list<Frame>;
 
-  struct Shard {
-    mutable std::mutex mu;
-    FrameList lru;  ///< Front = most recently used.
-    std::unordered_map<PageId, FrameList::iterator> map;
-    uint64_t capacity = 0;
-    uint32_t writes_since_data_sync = 0;
-    Stats stats;
-  };
-
-  Shard& ShardFor(PageId id) { return *shards_[id % shards_.size()]; }
-
   void Unpin(PageId id);
   /// Writes one dirty frame out (WAL rule + double-write or direct).
-  /// Called with the owning partition's mutex held.
-  Status WriteFrame(IoContext& io, Shard& shard, Frame& frame);
+  Status WriteFrame(IoContext& io, Frame& frame);
   /// Checkpoint destage at checkpoint_queue_depth via the async file path.
   Status FlushAllBatched(IoContext& io);
-  /// Makes a frame available in `shard`, evicting its LRU victim if at
-  /// capacity. Called with the partition's mutex held.
-  StatusOr<FrameList::iterator> GetFreeFrame(IoContext& io, Shard& shard,
-                                             bool for_read);
+  /// Makes a frame available, evicting the LRU victim if at capacity.
+  StatusOr<FrameList::iterator> GetFreeFrame(IoContext& io, bool for_read);
 
   SimFile* data_file_;
-  /// Serializes partition evictions' calls into the shared WAL and
-  /// double-write buffer (neither is internally latched). Order: partition
-  /// mutex -> log_mu_ -> fs latch -> device latch.
-  std::mutex log_mu_;
   Wal* wal_;
   DoubleWriteBuffer* dwb_;
   Options opts_;
   uint64_t capacity_;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  FrameList lru_;  ///< Front = most recently used.
+  std::unordered_map<PageId, FrameList::iterator> map_;
+  uint32_t writes_since_data_sync_ = 0;
+  Stats stats_;
 };
 
 }  // namespace durassd

@@ -222,7 +222,7 @@ class Database : public PageAllocator {
   /// Registered in the constructor (always non-null).
   Histogram* h_txn_ns_;
   Histogram* h_fsync_ns_;
-  MetricCounter* c_degraded_aborts_;
+  uint64_t* c_degraded_aborts_;
 };
 
 }  // namespace durassd

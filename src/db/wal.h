@@ -178,9 +178,9 @@ class Wal {
   /// Registered metrics (null when no registry was supplied).
   Histogram* h_sync_ns_ = nullptr;
   Histogram* h_group_size_ = nullptr;
-  MetricCounter* c_appends_ = nullptr;
-  MetricCounter* c_group_rides_ = nullptr;
-  MetricCounter* c_barrier_commits_ = nullptr;
+  uint64_t* c_appends_ = nullptr;
+  uint64_t* c_group_rides_ = nullptr;
+  uint64_t* c_barrier_commits_ = nullptr;
 };
 
 }  // namespace durassd

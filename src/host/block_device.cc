@@ -6,7 +6,6 @@ namespace durassd {
 
 CmdId BlockDevice::Submit(SimTime now, const Command& cmd,
                           SimTime* submit_time) {
-  std::lock_guard<std::recursive_mutex> lock(latch_);
   SimTime t = now;
   while (!inflight_done_.empty() && inflight_done_.top() <= t) {
     inflight_done_.pop();
@@ -34,7 +33,6 @@ CmdId BlockDevice::Submit(SimTime now, const Command& cmd,
 }
 
 std::vector<BlockDevice::Completion> BlockDevice::Poll(SimTime now) {
-  std::lock_guard<std::recursive_mutex> lock(latch_);
   std::vector<Completion> out;
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (it->done <= now) {
@@ -52,7 +50,6 @@ std::vector<BlockDevice::Completion> BlockDevice::Poll(SimTime now) {
 }
 
 BlockDevice::Completion BlockDevice::Await(CmdId id) {
-  std::lock_guard<std::recursive_mutex> lock(latch_);
   // Callers typically await the most recent submission; search from the back.
   for (auto it = pending_.rbegin(); it != pending_.rend(); ++it) {
     if (it->id == id) {
@@ -68,7 +65,6 @@ BlockDevice::Completion BlockDevice::Await(CmdId id) {
 }
 
 const BlockDevice::Completion* BlockDevice::Find(CmdId id) const {
-  std::lock_guard<std::recursive_mutex> lock(latch_);
   for (auto it = pending_.rbegin(); it != pending_.rend(); ++it) {
     if (it->id == id) return &*it;
   }
@@ -76,7 +72,6 @@ const BlockDevice::Completion* BlockDevice::Find(CmdId id) const {
 }
 
 SimTime BlockDevice::EarliestPendingDone() const {
-  std::lock_guard<std::recursive_mutex> lock(latch_);
   SimTime earliest = kMaxSimTime;
   for (const Completion& c : pending_) {
     earliest = std::min(earliest, c.done);
@@ -85,7 +80,6 @@ SimTime BlockDevice::EarliestPendingDone() const {
 }
 
 void BlockDevice::AbortInFlight(SimTime t) {
-  std::lock_guard<std::recursive_mutex> lock(latch_);
   for (Completion& c : pending_) {
     if (c.done > t) {
       c.status = Status::DeviceOffline();

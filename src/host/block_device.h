@@ -2,7 +2,6 @@
 #define DURASSD_HOST_BLOCK_DEVICE_H_
 
 #include <cstdint>
-#include <mutex>
 #include <queue>
 #include <string>
 #include <vector>
@@ -42,17 +41,6 @@ inline bool SectorRangeFits(Lpn lpn, uint64_t nsec, uint64_t capacity) {
 /// at submission (virtual time makes this sound); the completion only
 /// becomes *observable* through Poll once its `done` instant is reached, or
 /// through Await, which waits for it.
-///
-/// Thread safety (DESIGN.md §13): a per-device latch serializes the whole
-/// command path — Submit (including the virtual Execute, so derived command
-/// state needs no locking of its own), Poll/Await/Find, and the sync
-/// wrappers — making a device safe to hand between executor threads across
-/// epoch barriers and safe under concurrent submission. Latch order:
-/// file-system latch before device latch; array latch before member latch
-/// (an ArrayDevice's Execute calls into member devices, which are distinct
-/// objects lower in the order). PowerCut/PowerOn are NOT latched — power
-/// events require externally exclusive access (they rewrite completion
-/// records wholesale).
 class BlockDevice {
  public:
   struct Result {
@@ -129,21 +117,12 @@ class BlockDevice {
   /// Earliest completion time among unconsumed completions, or kMaxSimTime.
   SimTime EarliestPendingDone() const;
 
-  size_t pending_completions() const {
-    std::lock_guard<std::recursive_mutex> lock(latch_);
-    return pending_.size();
-  }
+  size_t pending_completions() const { return pending_.size(); }
 
   /// Host submission-window size. 0 (the default) means unlimited, which
   /// preserves the behaviour of purely synchronous callers exactly.
-  void set_queue_depth_limit(uint32_t depth) {
-    std::lock_guard<std::recursive_mutex> lock(latch_);
-    qd_limit_ = depth;
-  }
-  uint32_t queue_depth_limit() const {
-    std::lock_guard<std::recursive_mutex> lock(latch_);
-    return qd_limit_;
-  }
+  void set_queue_depth_limit(uint32_t depth) { qd_limit_ = depth; }
+  uint32_t queue_depth_limit() const { return qd_limit_; }
 
   /// Submissions that stalled on the queue-depth limit, and the total
   /// virtual time spent stalled.
@@ -221,11 +200,6 @@ class BlockDevice {
   void set_qd_histogram(Histogram* h) { h_qd_ = h; }
 
  private:
-  /// Serializes the async command path (see class comment). Held across
-  /// Execute. Recursive because a scheduled power cut legitimately trips
-  /// *inside* Execute (mid-command), and the device's PowerCut path then
-  /// re-enters AbortInFlight on the same thread.
-  mutable std::recursive_mutex latch_;
   uint32_t qd_limit_ = 0;  ///< 0 = unlimited.
   CmdId next_cmd_id_ = 1;
   /// Completion times of in-flight commands (queue-depth accounting only;

@@ -15,7 +15,6 @@ SimFileSystem::SimFileSystem(BlockDevice* device, Options options)
       next_lpn_(options.journal_area_sectors) {}
 
 SimFile* SimFileSystem::Open(const std::string& name) {
-  std::lock_guard<std::mutex> lock(latch_);
   auto it = files_.find(name);
   if (it != files_.end()) return it->second.get();
   auto file = std::unique_ptr<SimFile>(new SimFile(this, name));
@@ -25,19 +24,16 @@ SimFile* SimFileSystem::Open(const std::string& name) {
 }
 
 bool SimFileSystem::Exists(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(latch_);
   return files_.count(name) != 0;
 }
 
 Status SimFileSystem::Remove(const std::string& name) {
-  std::lock_guard<std::mutex> lock(latch_);
   // Sectors are leaked (no free-space management); fine for simulation runs.
   if (files_.erase(name) == 0) return Status::NotFound(name);
   return Status::OK();
 }
 
 Status SimFileSystem::Rename(const std::string& from, const std::string& to) {
-  std::lock_guard<std::mutex> lock(latch_);
   auto it = files_.find(from);
   if (it == files_.end()) return Status::NotFound(from);
   if (files_.count(to) != 0) return Status::InvalidArgument(to + " exists");
@@ -155,7 +151,6 @@ StatusOr<Lpn> SimFile::MapOffset(uint64_t offset, bool grow) {
 }
 
 Status SimFile::Allocate(uint64_t new_size) {
-  std::lock_guard<std::mutex> lock(fs_->latch_);
   if (new_size == 0) return Status::OK();
   StatusOr<Lpn> last = MapOffset(new_size - 1, /*grow=*/true);
   DURASSD_RETURN_IF_ERROR(last.status());
@@ -167,14 +162,12 @@ Status SimFile::Allocate(uint64_t new_size) {
 }
 
 Status SimFile::Truncate(uint64_t new_size) {
-  std::lock_guard<std::mutex> lock(fs_->latch_);
   // Extents are kept (no hole punching); only the logical size shrinks.
   size_ = new_size;
   return Status::OK();
 }
 
 SimFile::IoResult SimFile::Write(SimTime now, uint64_t offset, Slice data) {
-  std::lock_guard<std::mutex> lock(fs_->latch_);
   if (data.empty()) return {Status::OK(), now};
   BlockDevice* dev = fs_->device();
   const uint32_t sector = dev->sector_size();
@@ -236,7 +229,6 @@ SimFile::IoResult SimFile::Write(SimTime now, uint64_t offset, Slice data) {
 
 CmdId SimFile::SubmitWrite(SimTime now, uint64_t offset, Slice data,
                            SimTime* submit_time) {
-  std::lock_guard<std::mutex> lock(fs_->latch_);
   PendingCmd p;
   p.id = next_cmd_id_++;
   p.early_status = Status::OK();
@@ -334,7 +326,6 @@ SimFile::Completion SimFile::Resolve(const PendingCmd& p) const {
 }
 
 std::vector<SimFile::Completion> SimFile::Poll(SimTime now) {
-  std::lock_guard<std::mutex> lock(fs_->latch_);
   std::vector<Completion> out;
   for (size_t i = 0; i < pending_.size();) {
     Completion c = Resolve(pending_[i]);
@@ -357,7 +348,6 @@ std::vector<SimFile::Completion> SimFile::Poll(SimTime now) {
 }
 
 SimFile::Completion SimFile::Await(CmdId id) {
-  std::lock_guard<std::mutex> lock(fs_->latch_);
   for (size_t i = 0; i < pending_.size(); ++i) {
     if (pending_[i].id != id) continue;
     Completion c = Resolve(pending_[i]);
@@ -374,12 +364,10 @@ SimFile::Completion SimFile::Await(CmdId id) {
 }
 
 size_t SimFile::pending_count() const {
-  std::lock_guard<std::mutex> lock(fs_->latch_);
   return pending_.size();
 }
 
 SimTime SimFile::EarliestPendingDone() const {
-  std::lock_guard<std::mutex> lock(fs_->latch_);
   SimTime earliest = kMaxSimTime;
   for (const PendingCmd& p : pending_) {
     earliest = std::min(earliest, Resolve(p).done);
@@ -389,7 +377,6 @@ SimTime SimFile::EarliestPendingDone() const {
 
 SimFile::IoResult SimFile::Read(SimTime now, uint64_t offset, uint64_t len,
                                 std::string* out) {
-  std::lock_guard<std::mutex> lock(fs_->latch_);
   if (out != nullptr) out->clear();
   if (len == 0) return {Status::OK(), now};
   BlockDevice* dev = fs_->device();
@@ -434,17 +421,14 @@ SimFile::IoResult SimFile::Read(SimTime now, uint64_t offset, uint64_t len,
 }
 
 SimFile::IoResult SimFile::Sync(SimTime now) {
-  std::lock_guard<std::mutex> lock(fs_->latch_);
   return fs_->SyncInternal(now, this, /*write_journal=*/true);
 }
 
 SimFile::IoResult SimFile::DataSync(SimTime now) {
-  std::lock_guard<std::mutex> lock(fs_->latch_);
   return fs_->SyncInternal(now, this, /*write_journal=*/false);
 }
 
 SimFile::IoResult SimFile::Barrier(SimTime now) {
-  std::lock_guard<std::mutex> lock(fs_->latch_);
   return fs_->BarrierInternal(now, this);
 }
 

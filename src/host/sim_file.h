@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -39,8 +38,6 @@ class SimFile {
   SimFile(const SimFile&) = delete;
   SimFile& operator=(const SimFile&) = delete;
 
-  /// Unsynchronized accessors: stable unless a concurrent Rename /
-  /// write is in flight (callers on other threads read them at barriers).
   const std::string& name() const { return name_; }
   uint64_t size() const { return size_; }
 
@@ -128,13 +125,6 @@ class SimFile {
 /// memory and survive simulated reboots (a journaling FS keeps its metadata
 /// consistent; we do not model FS-metadata loss — the paper's experiments
 /// never involve it).
-///
-/// Thread safety (DESIGN.md §13): one file-system latch serializes every
-/// public SimFile / SimFileSystem operation (files share the journal
-/// cursor, sync-batching windows, and the allocator, so per-file latching
-/// would not be sound). Latch order: file-system latch before device latch
-/// — file operations call into the device while holding the fs latch, never
-/// the reverse. stats() snapshots are for quiesced (barrier) reading.
 class SimFileSystem {
  public:
   struct Options {
@@ -163,14 +153,8 @@ class SimFileSystem {
 
   BlockDevice* device() { return device_; }
   const Options& options() const { return opts_; }
-  void set_write_barriers(bool on) {
-    std::lock_guard<std::mutex> lock(latch_);
-    opts_.write_barriers = on;
-  }
-  uint64_t allocated_sectors() const {
-    std::lock_guard<std::mutex> lock(latch_);
-    return next_lpn_;
-  }
+  void set_write_barriers(bool on) { opts_.write_barriers = on; }
+  uint64_t allocated_sectors() const { return next_lpn_; }
 
   struct Stats {
     uint64_t syncs = 0;
@@ -191,9 +175,6 @@ class SimFileSystem {
                                  bool write_journal);
   SimFile::IoResult BarrierInternal(SimTime now, SimFile* file);
 
-  /// Serializes all public SimFile/SimFileSystem entry points (private
-  /// helpers assume it is held). Acquired before the device latch.
-  mutable std::mutex latch_;
   BlockDevice* device_;
   Options opts_;
   uint64_t next_lpn_;

@@ -205,7 +205,7 @@ class KvStore {
   /// Registered in the constructor (always non-null).
   Histogram* h_commit_ns_;
   Histogram* h_fsync_ns_;
-  MetricCounter* c_degraded_aborts_;
+  uint64_t* c_degraded_aborts_;
 };
 
 }  // namespace durassd

@@ -359,9 +359,9 @@ class Ftl {
   /// Registered metrics (null when no registry was supplied).
   Histogram* h_program_ns_ = nullptr;
   Histogram* h_gc_relocation_ns_ = nullptr;
-  MetricCounter* c_ecc_retries_ = nullptr;
-  MetricCounter* c_gc_runs_ = nullptr;
-  MetricCounter* c_degraded_entries_ = nullptr;
+  uint64_t* c_ecc_retries_ = nullptr;
+  uint64_t* c_gc_runs_ = nullptr;
+  uint64_t* c_degraded_entries_ = nullptr;
   /// Completion time / sector count of the latest RelocateLiveSectors,
   /// consumed by RunGc for the gc_relocation_ns sample.
   SimTime last_relocation_done_ = 0;

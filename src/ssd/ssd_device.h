@@ -384,12 +384,12 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   Histogram* h_frame_stall_ns_;
   Histogram* h_destage_ns_;
   Histogram* h_flush_drain_ns_;
-  MetricCounter* c_degraded_rejects_;
-  MetricCounter* c_destage_absorbed_;  ///< "ssd.destage_absorbed" counter.
-  MetricCounter* c_barriers_;          ///< "ssd.barriers" counter.
-  MetricCounter* c_cache_read_sectors_;  ///< "ssd.cache_read_sectors" (hits).
-  MetricCounter* c_cache_read_misses_;   ///< "ssd.cache_read_misses".
-  MetricCounter* c_log_segments_;        ///< "ssd.log_segments" counter.
+  uint64_t* c_degraded_rejects_;
+  uint64_t* c_destage_absorbed_;  ///< "ssd.destage_absorbed" counter.
+  uint64_t* c_barriers_;          ///< "ssd.barriers" counter.
+  uint64_t* c_cache_read_sectors_;  ///< "ssd.cache_read_sectors" (hits).
+  uint64_t* c_cache_read_misses_;   ///< "ssd.cache_read_misses".
+  uint64_t* c_log_segments_;        ///< "ssd.log_segments" counter.
   Histogram* h_epoch_size_;  ///< Writes per sealed epoch ("ssd.epoch_size").
   Histogram* h_qd_;  ///< In-flight depth at each submission ("ssd.qd").
 };

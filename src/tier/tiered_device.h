@@ -336,14 +336,14 @@ class TieredDevice : public BlockDevice {
   std::string scratch_;  ///< Zero payload for timing-only member writes.
 
   Stats stats_;
-  MetricCounter* c_hits_;
-  MetricCounter* c_misses_;
-  MetricCounter* c_admitted_;
-  MetricCounter* c_bypassed_;
-  MetricCounter* c_destage_sectors_;
-  MetricCounter* c_destage_runs_;
-  MetricCounter* c_map_page_writes_;
-  MetricCounter* c_evictions_;
+  uint64_t* c_hits_;
+  uint64_t* c_misses_;
+  uint64_t* c_admitted_;
+  uint64_t* c_bypassed_;
+  uint64_t* c_destage_sectors_;
+  uint64_t* c_destage_runs_;
+  uint64_t* c_map_page_writes_;
+  uint64_t* c_evictions_;
 };
 
 /// Factory seam for benches, tests, and the crash harness: flash tier from

@@ -355,7 +355,7 @@ TEST(BarrierGroupCommit, WalBarrierNeverSplitsAnAckedGroup) {
   EXPECT_EQ(io2.now, io.now);  // Both durable at the same instant.
   // Only the leader issued a barrier; the rider rode it.
   EXPECT_EQ(wal.stats().barrier_commits, 1u);
-  const MetricCounter* c = metrics.Counter("wal.barrier_commits");
+  const uint64_t* c = metrics.Counter("wal.barrier_commits");
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(*c, 1u);
 }

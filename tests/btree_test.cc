@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "db/btree.h"
@@ -222,6 +224,106 @@ TEST_P(BTreeTest, GrowingValueRewritesAcrossSplits) {
   std::string v;
   ASSERT_TRUE(tree_->Get(io_, "grow30", &v).ok());
   EXPECT_EQ(v, std::string(400, 'a' + 8));
+}
+
+/// FNV-1a, 64-bit.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 0xCBF29CE484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+/// Keys of 9..189 bytes, so internal fanout stays low and the tree grows
+/// three levels.
+std::string MixKey(uint64_t k) {
+  char buf[16];
+  snprintf(buf, sizeof(buf), "k%08llu", static_cast<unsigned long long>(k));
+  return std::string(buf) + std::string(k % 181, 'p');
+}
+
+// Pins the tree's buffer-pool traffic under pool pressure: hits, misses
+// and evictions, and the data file's bytes after a checkpoint. A pinned
+// frame cannot be evicted, so these depend on what each operation keeps
+// pinned: the write path keeps ancestors pinned only above a node that may
+// split, a read descent releases the parent once the child is fixed, and a
+// scan releases a leaf before fixing the next one.
+TEST(BTreePoolTrafficTest, SeededMixPinsPoolStatsAndDataFile) {
+  SsdConfig cfg = SsdConfig::DuraSsd();
+  cfg.geometry = FlashGeometry::Tiny();
+  cfg.geometry.blocks_per_plane = 128;
+  cfg.geometry.pages_per_block = 32;
+  SsdDevice dev(cfg);
+  SimFileSystem fs(&dev, SimFileSystem::Options{});
+  Wal wal(fs.Open("wal"), Wal::Options{});
+  SimFile* data = fs.Open("data");
+  BufferPool::Options popts;
+  popts.pool_bytes = 10 * 4 * kKiB;  // 10 frames.
+  popts.page_size = 4 * kKiB;
+  BufferPool pool(data, &wal, nullptr, popts);
+  BumpAllocator alloc;
+  IoContext io;
+  const MutationCtx m{kInvalidLsn, 0, nullptr};
+  StatusOr<PageId> root = BTree::Create(io, &pool, &alloc, m);
+  ASSERT_TRUE(root.ok());
+  BTree tree(&pool, &alloc, *root);
+
+  Random rng(2024);
+  std::map<std::string, std::string> model;
+  int root_splits = 0;
+  for (int op = 0; op < 4000; ++op) {
+    const std::string key = MixKey(rng.Uniform(1500));
+    const uint64_t action = rng.Uniform(20);
+    if (action < 11) {
+      const std::string value(rng.UniformRange(16, 200),
+                              static_cast<char>('a' + op % 26));
+      const PageId old_root = tree.root();
+      ASSERT_TRUE(tree.Put(io, m, key, value).ok()) << op;
+      model[key] = value;
+      if (tree.root() != old_root) ++root_splits;
+    } else if (action < 14) {
+      const Status s = tree.Delete(io, m, key);
+      ASSERT_EQ(s.ok(), model.erase(key) > 0) << op;
+    } else if (action < 17) {
+      const size_t limit = rng.UniformRange(1, 48);
+      std::vector<std::pair<std::string, std::string>> out;
+      ASSERT_TRUE(tree.ScanFrom(io, key, limit, &out).ok()) << op;
+      auto it = model.lower_bound(key);
+      for (const auto& kv : out) {
+        ASSERT_TRUE(it != model.end()) << op;
+        ASSERT_EQ(kv.first, it->first) << op;
+        ASSERT_EQ(kv.second, it->second) << op;
+        ++it;
+      }
+      ASSERT_TRUE(out.size() == limit || it == model.end()) << op;
+    } else {
+      const std::string end = MixKey(rng.Uniform(1500));
+      const size_t cap = rng.UniformRange(1, 64);
+      uint64_t count = 0;
+      ASSERT_TRUE(tree.CountRange(io, key, end, cap, &count).ok()) << op;
+      uint64_t want = 0;
+      for (auto it = model.lower_bound(key);
+           it != model.end() && it->first < end && want < cap; ++it) {
+        ++want;
+      }
+      ASSERT_EQ(count, want) << op;
+    }
+  }
+  ASSERT_TRUE(pool.FlushAll(io).ok());
+  EXPECT_EQ(root_splits, 2);  // Leaf root, then internal root.
+
+  const BufferPool::Stats st = pool.stats();
+  EXPECT_EQ(st.hits, 7636u);
+  EXPECT_EQ(st.misses, 5210u);
+  EXPECT_EQ(st.evictions, 5200u);
+  EXPECT_EQ(st.dirty_evictions, 2234u);
+  EXPECT_EQ(st.reads_blocked_by_writes, 2198u);
+  std::string bytes;
+  ASSERT_TRUE(data->Read(io.now, 0, data->size(), &bytes).status.ok());
+  EXPECT_EQ(bytes.size(), 92u * 4 * kKiB);
+  EXPECT_EQ(Fnv1a(bytes), 0xCDF279B149112B8Eull);
 }
 
 }  // namespace

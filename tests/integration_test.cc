@@ -271,6 +271,16 @@ TEST(DeviceRangeTest, RangesPastTheEndAreRejectedOnEveryDevice) {
           << name << " read lpn=" << lpn << " nsec=" << nsec;
       t = std::max({t, w.done, r.done});
     }
+    // The last advertised sector itself must be storable.
+    const std::string one(ss, 'L');
+    const BlockDevice::Result w = dev->Write(t, last, one);
+    EXPECT_TRUE(w.status.ok()) << name << " write lpn=" << last << ": "
+                               << w.status.ToString();
+    std::string out;
+    const BlockDevice::Result r = dev->Read(w.done, last, 1, &out);
+    EXPECT_TRUE(r.status.ok()) << name << " read lpn=" << last;
+    EXPECT_EQ(out, one) << name;
+    t = std::max({t, w.done, r.done});
     EXPECT_TRUE(dev->Flush(t).status.ok()) << name;
   }
 }

@@ -215,14 +215,14 @@ TEST(JsonRoundTripTest, WriterOutputAlwaysParses) {
 
 TEST(MetricsRegistryTest, StablePointersAndIdempotentRegistration) {
   MetricsRegistry m;
-  MetricCounter* c = m.Counter("ssd.writes");
+  uint64_t* c = m.Counter("ssd.writes");
   *c = 5;
   // Registering more metrics must not move existing nodes (std::map).
   for (int i = 0; i < 100; ++i) m.Counter("pad." + std::to_string(i));
   EXPECT_EQ(m.Counter("ssd.writes"), c);
   EXPECT_EQ(*m.Counter("ssd.writes"), 5u);
 
-  MetricGauge* g = m.Gauge("ssd.util");
+  double* g = m.Gauge("ssd.util");
   *g = 0.75;
   EXPECT_EQ(m.Gauge("ssd.util"), g);
 
@@ -234,8 +234,8 @@ TEST(MetricsRegistryTest, StablePointersAndIdempotentRegistration) {
 
 TEST(MetricsRegistryTest, ResetZeroesEverythingPointersSurvive) {
   MetricsRegistry m;
-  MetricCounter* c = m.Counter("c");
-  MetricGauge* g = m.Gauge("g");
+  uint64_t* c = m.Counter("c");
+  double* g = m.Gauge("g");
   Histogram* h = m.GetHistogram("h");
   *c = 9;
   *g = 3.5;

@@ -3,16 +3,23 @@
 // (1 shard == serial, any epoch width, any host thread count), multi-shard
 // runs must be deterministic in the host thread count, and cross-shard
 // posts must arrive in (delivery time, sender, sequence) order with the
-// one-epoch visibility clamp.
+// one-epoch visibility clamp. A full engine stack driven through either
+// executor must leave the same trace and metrics behind.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "common/trace.h"
+#include "db/database.h"
+#include "host/sim_file.h"
 #include "sim/sim_executor.h"
 #include "sim/thread_pool.h"
+#include "ssd/ssd_config.h"
+#include "ssd/ssd_device.h"
 
 namespace durassd {
 namespace {
@@ -176,6 +183,94 @@ TEST(SimExecutorTest, CrossShardPostOrderingAndClamp) {
   for (const uint32_t threads : {2u, 4u}) {
     EXPECT_EQ(golden, run_once(threads)) << "threads=" << threads;
   }
+}
+
+/// A minibase stack (SsdDevice -> SimFileSystem -> Database) with one
+/// Tracer on the device and the database. Each client operation is one
+/// put-and-commit transaction followed by a point read. The pool and the
+/// checkpoint interval are small, so evictions and checkpoints happen.
+struct TracedDbStack {
+  Tracer tracer{1 << 20};
+  std::unique_ptr<SsdDevice> dev;
+  std::unique_ptr<SimFileSystem> fs;
+  std::unique_ptr<Database> db;
+  uint32_t tree = 0;
+  std::vector<uint64_t> client_seq;
+
+  TracedDbStack() {
+    SsdConfig cfg = SsdConfig::DuraSsd();
+    cfg.geometry = FlashGeometry::Tiny();
+    cfg.geometry.blocks_per_plane = 128;
+    cfg.geometry.pages_per_block = 32;
+    dev = std::make_unique<SsdDevice>(cfg);
+    dev->set_tracer(&tracer);
+    SimFileSystem::Options fo;
+    fo.write_barriers = false;
+    fs = std::make_unique<SimFileSystem>(dev.get(), fo);
+    Database::Options o;
+    o.pool_bytes = 256 * kKiB;
+    o.double_write = false;
+    o.checkpoint_log_bytes = 256 * kKiB;
+    IoContext io;
+    auto opened = Database::Open(io, fs.get(), fs.get(), o);
+    EXPECT_TRUE(opened.ok());
+    db = std::move(*opened);
+    db->set_tracer(&tracer);
+    tree = *db->CreateTree(io, "t");
+  }
+
+  SimTime Op(uint32_t client, SimTime now) {
+    if (client >= client_seq.size()) client_seq.resize(client + 1);
+    const uint64_t n = client_seq[client]++;
+    const std::string key =
+        "c" + std::to_string(client) + "-" + std::to_string(n % 300);
+    IoContext io;
+    io.now = now;
+    StatusOr<TxnId> txn = db->Begin(io);
+    EXPECT_TRUE(txn.ok());
+    EXPECT_TRUE(db->Put(io, *txn, tree, key, std::string(200, 'v')).ok());
+    EXPECT_TRUE(db->Commit(io, *txn).ok());
+    std::string value;
+    EXPECT_TRUE(db->Get(io, tree, key, &value).ok());
+    return io.now;
+  }
+};
+
+/// Runs 16 clients x 3000 operations on a fresh stack through `ex`, then
+/// checkpoints on the calling thread. Returns the trace as JSONL and the
+/// device's and the database's metrics snapshots.
+std::string RunTracedStack(SimExecutor& ex) {
+  TracedDbStack st;
+  const SimExecutor::RunResult r =
+      ex.Run(16, 3000, 0, [&st](uint32_t client, SimTime now) {
+        return st.Op(client, now);
+      });
+  IoContext io;
+  io.now = r.makespan;
+  EXPECT_TRUE(st.db->Checkpoint(io).ok());
+  EXPECT_EQ(st.tracer.dropped(), 0u);
+  std::string out = "ops=" + std::to_string(r.ops) +
+                    " makespan=" + std::to_string(r.makespan) + "\n";
+  st.tracer.AppendJsonl(&out);
+  out += st.dev->metrics().ToJson() + "\n" + st.db->metrics().ToJson();
+  return out;
+}
+
+// The trace and every metric, histograms included, are the same whichever
+// executor drove the stack and however many workers the sharded one used:
+// a stack is handed between workers only across an epoch barrier, and it
+// records into one trace ring in virtual-time order.
+TEST(SimExecutorTest, TracedStackIdenticalUnderSerialAndSharded) {
+  SimExecutor::Options opts;
+  SerialExecutor serial(opts);
+  const std::string golden = RunTracedStack(serial);
+  ASSERT_NE(golden.find("cmd_start"), std::string::npos);
+  ASSERT_NE(golden.find("txn_commit"), std::string::npos);
+
+  opts.host_threads = 4;
+  ShardedExecutor sharded(opts, {});
+  const std::string got = RunTracedStack(sharded);
+  EXPECT_TRUE(got == golden) << "sharded run diverged from serial";
 }
 
 }  // namespace
