@@ -8,9 +8,7 @@
 // destage scheduler, sectors rewritten while still pending are absorbed in
 // the buffer and never cost a NAND program: the larger the buffer, the more
 // of the hot set stays pending and the further sustained IOPS climbs above
-// the raw media ceiling. The first row pins the legacy eager path
-// (destage_batch_pages=1) at the largest buffer as the A/B baseline — it
-// stays at the media ceiling no matter how big the buffer is.
+// the raw media ceiling.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -23,7 +21,7 @@
 namespace durassd {
 namespace {
 
-SsdConfig SweepConfig(uint32_t sectors, bool lazy) {
+SsdConfig SweepConfig(uint32_t sectors) {
   SsdConfig cfg = SsdConfig::DuraSsd();
   // Media-bound geometry (16 planes): bursts outrun the destage rate, so
   // the buffer size decides how much of a burst is absorbed.
@@ -42,21 +40,17 @@ SsdConfig SweepConfig(uint32_t sectors, bool lazy) {
   cfg.bus_cmd_overhead = 1 * kMicrosecond;
   cfg.write_buffer_sectors = sectors;
   cfg.cache_capacity_sectors = sectors * 2;
-  if (lazy) {
-    // Drain on frame pressure / idle / flush only: the buffer itself is the
-    // destage batch, so pending occupancy (and with it the overwrite
-    // absorption rate) scales with the buffer size under sweep.
-    cfg.destage_batch_pages = sectors;
-  } else {
-    cfg.destage_batch_pages = 1;  // Legacy eager destage (A/B baseline).
-  }
+  // Drain on frame pressure / idle / flush only: the buffer itself is the
+  // destage batch, so pending occupancy (and with it the overwrite
+  // absorption rate) scales with the buffer size under sweep.
+  cfg.destage_batch_pages = sectors;
   cfg.store_data = false;
   return cfg;
 }
 
-void RunRow(const char* label, uint32_t sectors, bool lazy, uint64_t ops,
+void RunRow(const std::string& label, uint32_t sectors, uint64_t ops,
             BenchJson* json) {
-  SsdDevice dev(SweepConfig(sectors, lazy));
+  SsdDevice dev(SweepConfig(sectors));
   FioJob job;
   job.threads = 128;
   job.fsync_every = 0;
@@ -65,17 +59,18 @@ void RunRow(const char* label, uint32_t sectors, bool lazy, uint64_t ops,
   job.working_set_bytes = 4 * kMiB;  // Hot set: 1024 4K sectors.
   const FioResult r = RunFio(&dev, job);
   const SsdDevice::Stats& st = dev.stats();
-  printf("  %-22s %10.0f %12.0f %12.0f %10llu %10llu %10llu\n", label,
-         r.iops, static_cast<double>(r.latency.Percentile(50)) / 1e3,
+  printf("  %-22s %10.0f %12.0f %12.0f %10llu %10llu %10llu\n",
+         label.c_str(), r.iops,
+         static_cast<double>(r.latency.Percentile(50)) / 1e3,
          static_cast<double>(r.latency.Percentile(99)) / 1e3,
          static_cast<unsigned long long>(st.destage_absorbed),
          static_cast<unsigned long long>(st.write_stalls),
          static_cast<unsigned long long>(
              dev.flash().stats().multi_plane_programs));
   if (json->enabled()) {
-    BenchResult row{std::string(label)};
+    BenchResult row{label};
     row.Param("write_buffer_sectors", static_cast<uint64_t>(sectors))
-        .Param("lazy_destage", lazy)
+        .Param("lazy_destage", true)
         .Throughput(r.iops, "iops")
         .LatencyNs(r.latency)
         .Device(dev);
@@ -87,11 +82,9 @@ void RunSweep(uint64_t ops, BenchJson* json) {
   printf("Ablation: device write-buffer size vs burst absorption\n");
   printf("  %-22s %10s %12s %12s %10s %10s %10s\n", "buffer", "iops",
          "lat p50(us)", "lat p99(us)", "absorbed", "stalls", "mp_progs");
-  RunRow("eager_2048", 2048, /*lazy=*/false, ops, json);
   for (uint32_t sectors : {64u, 256u, 1024u, 2048u, 4096u}) {
-    const std::string label =
-        "write_buffer_sectors=" + std::to_string(sectors);
-    RunRow(label.c_str(), sectors, /*lazy=*/true, ops, json);
+    RunRow("write_buffer_sectors=" + std::to_string(sectors), sectors, ops,
+           json);
   }
 }
 

@@ -15,8 +15,8 @@
 namespace durassd {
 namespace {
 
-double RunOne(uint32_t channels, uint32_t planes_per_chip, bool lazy,
-              uint64_t ops, BenchJson* json) {
+double RunOne(uint32_t channels, uint32_t planes_per_chip, uint64_t ops,
+              BenchJson* json) {
   SsdConfig cfg = SsdConfig::DuraSsd();
   cfg.geometry.channels = channels;
   cfg.geometry.planes_per_chip = planes_per_chip;
@@ -32,13 +32,6 @@ double RunOne(uint32_t channels, uint32_t planes_per_chip, bool lazy,
   cfg.bus_cmd_overhead = 1 * kMicrosecond;
   cfg.write_buffer_sectors = 512;
   cfg.store_data = false;
-  if (!lazy) {
-    // Legacy path: eager per-command destage onto blindly round-robined
-    // planes, single-plane programs only.
-    cfg.destage_batch_pages = 1;
-    cfg.idle_aware_allocation = false;
-    cfg.multi_plane_program = false;
-  }
   SsdDevice dev(cfg);
   FioJob job;
   job.threads = 128;
@@ -48,13 +41,12 @@ double RunOne(uint32_t channels, uint32_t planes_per_chip, bool lazy,
   const FioResult r = RunFio(&dev, job);
   if (json->enabled()) {
     BenchResult row{"channels=" + std::to_string(channels) +
-                    "/planes=" + std::to_string(planes_per_chip) +
-                    (lazy ? "/lazy" : "/eager_rr")};
+                    "/planes=" + std::to_string(planes_per_chip) + "/lazy"};
     row.Param("channels", static_cast<uint64_t>(channels))
         .Param("planes_per_chip", static_cast<uint64_t>(planes_per_chip))
         .Param("total_planes",
                static_cast<uint64_t>(cfg.geometry.total_planes()))
-        .Param("lazy_destage", lazy)
+        .Param("lazy_destage", true)
         .Throughput(r.iops, "iops")
         .LatencyNs(r.latency)
         .Device(dev);
@@ -65,21 +57,15 @@ double RunOne(uint32_t channels, uint32_t planes_per_chip, bool lazy,
 
 void RunSweep(uint64_t ops, BenchJson* json) {
   printf("Ablation: internal parallelism vs sustained 4KB write IOPS\n");
-  printf("  (eager_rr = per-command destage, blind round-robin planes;\n");
-  printf("   lazy = batched destage, idle-aware planes, multi-plane)\n");
-  printf("  %-10s %-8s %-8s %14s %14s %8s\n", "channels", "planes", "total",
-         "eager_rr", "lazy", "ratio");
+  printf("  (lazy batched destage, idle-aware planes, multi-plane)\n");
+  printf("  %-10s %-8s %-8s %14s\n", "channels", "planes", "total", "iops");
   const struct {
     uint32_t channels, planes_per_chip;
   } kConfigs[] = {{1, 1}, {2, 1}, {4, 1}, {4, 2}, {8, 2}, {16, 2}};
   for (const auto& c : kConfigs) {
-    const double eager =
-        RunOne(c.channels, c.planes_per_chip, /*lazy=*/false, ops, json);
-    const double lazy =
-        RunOne(c.channels, c.planes_per_chip, /*lazy=*/true, ops, json);
-    printf("  %-10u %-8u %-8u %14.0f %14.0f %7.2fx\n", c.channels,
-           c.planes_per_chip, c.channels * 4 * 4 * c.planes_per_chip, eager,
-           lazy, eager > 0 ? lazy / eager : 0.0);
+    const double iops = RunOne(c.channels, c.planes_per_chip, ops, json);
+    printf("  %-10u %-8u %-8u %14.0f\n", c.channels, c.planes_per_chip,
+           c.channels * 4 * 4 * c.planes_per_chip, iops);
   }
 }
 

@@ -157,7 +157,7 @@ StatusOr<PageRef> BufferPool::Fix(IoContext& io, PageId id, bool create) {
           io.now, static_cast<uint64_t>(id) * opts_.page_size,
           opts_.page_size, &raw);
       if (!r.status.ok()) {
-        map_.erase(id);
+        frame.id = kInvalidPageId;  // Never mapped; the frame is reusable.
         return r.status;
       }
       io.AdvanceTo(r.done);

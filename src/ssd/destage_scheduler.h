@@ -16,9 +16,8 @@ namespace durassd {
 /// Dirty sectors accumulate here after acknowledgement and are issued to
 /// NAND in batches — up to one page per plane per round — instead of
 /// synchronously inside each write command. Pending sectors pair into full
-/// pages at drain time (better pairing than the eager one-sector
-/// "pending half"), and two full pages drain as one multi-plane program
-/// when the owner supports it.
+/// pages at drain time, and two full pages drain as one multi-plane program
+/// when the geometry has sibling planes.
 ///
 /// Durability is unaffected: acknowledged-but-unissued sectors sit in the
 /// durable cache with program_done == never, which is exactly what the
@@ -27,9 +26,11 @@ namespace durassd {
 ///
 /// Drain triggers (all invoked by the owner):
 ///   - batch threshold: a full batch of pages is pending (DrainRound),
-///   - frame pressure: the write buffer is out of frames (DrainAll),
+///   - idle media: fewer than one page per plane in flight (DrainRound),
+///   - frame pressure: the write buffer is out of frames (DrainRound, or
+///     DrainAll when nothing is in flight),
 ///   - FLUSH CACHE / clean shutdown (DrainAll),
-///   - idle threshold: the device exploits its own idle time,
+///   - idle threshold: the device exploits its own idle time (DrainAll),
 ///   - power cut: the dump covers pending sectors; Clear() drops them.
 class DestageScheduler {
  public:

@@ -259,16 +259,6 @@ Status Ftl::ValidateSectors(const std::vector<SectorWrite>& sectors) {
   return Status::OK();
 }
 
-uint32_t Ftl::PickPlane(SimTime now, uint32_t group) {
-  if (opts_.idle_aware_allocation) {
-    return flash_->NextIdlePlane(now, group);
-  }
-  // Legacy blind round-robin; group > 1 aligns down to the group boundary.
-  const uint32_t plane_idx = (rr_plane_ / group) * group;
-  rr_plane_ = (plane_idx + group) % static_cast<uint32_t>(planes_.size());
-  return plane_idx;
-}
-
 void Ftl::MapSector(Lpn lpn, Ppn ppn, uint32_t slot) {
   const uint64_t old = MappingOf(lpn);
   if (old != kUnmapped) KillSlot(old);
@@ -281,7 +271,8 @@ Status Ftl::ProgramSectors(SimTime now,
                            SimTime* start, SimTime* done) {
   DURASSD_RETURN_IF_ERROR(ValidateSectors(sectors));
 
-  const uint32_t plane_idx = PickPlane(now);
+  // Host programs go to the least-busy plane (round-robin tie-break).
+  const uint32_t plane_idx = flash_->NextIdlePlane(now);
   Slice parts[kMaxSectorsPerPage];
 
   SimTime prog_done = 0;
@@ -337,7 +328,7 @@ Status Ftl::ProgramSectorsMultiPlane(SimTime now,
     return Status::InvalidArgument("geometry has no sibling planes");
   }
 
-  const uint32_t plane0 = PickPlane(now, g.planes_per_chip);
+  const uint32_t plane0 = flash_->NextIdlePlane(now, g.planes_per_chip);
   const uint32_t plane1 = plane0 + 1;
   Slice parts0[kMaxSectorsPerPage];
   Slice parts1[kMaxSectorsPerPage];

@@ -21,9 +21,10 @@ namespace durassd {
 
 /// Page-mapping flash translation layer with 4KB mapping granularity over
 /// 8KB NAND pages (Sec. 3.1.2): two logical sectors share one physical page.
-/// Owns logical->physical mapping, page allocation (striped round-robin
-/// across planes for parallelism), greedy garbage collection, the reserved
-/// dump area, and the mapping-persistence crash model:
+/// Owns logical->physical mapping, page allocation (each host program on
+/// the least-busy plane, FlashArray::NextIdlePlane), greedy garbage
+/// collection, the reserved dump area, and the mapping-persistence crash
+/// model:
 ///
 ///   - RAM mapping is authoritative during normal operation.
 ///   - A "delta" tracks entries modified since the last persistence point.
@@ -47,10 +48,6 @@ class Ftl {
     uint32_t read_retry_limit = 4;
     /// Fresh pages tried when a program reports failure before giving up.
     uint32_t program_retry_limit = 3;
-    /// Pick the least-busy plane (plane busy_until + channel occupancy,
-    /// via FlashArray::NextIdlePlane) for each host program instead of
-    /// blind round-robin. false = legacy round-robin (A/B baseline).
-    bool idle_aware_allocation = false;
     /// Owner's metrics registry; the FTL registers its own metrics under
     /// the "ftl." prefix. May be null (no metrics collected).
     MetricsRegistry* metrics = nullptr;
@@ -242,8 +239,8 @@ class Ftl {
     return static_cast<uint32_t>(packed % 4);
   }
 
-  /// Returns the next erased physical page on the round-robin plane,
-  /// running GC when the plane is short on free blocks. `for_gc` allocs
+  /// Returns the next erased physical page on `plane`, running GC when the
+  /// plane is short on free blocks. `for_gc` allocs
   /// skip the GC trigger (they consume the reserved headroom).
   StatusOr<Ppn> AllocatePage(SimTime now, uint32_t plane, bool for_gc);
   /// AllocatePage + ProgramPage with transparent retry: a program that
@@ -252,10 +249,6 @@ class Ftl {
   StatusOr<Ppn> AllocateAndProgram(SimTime now, uint32_t plane, bool for_gc,
                                    std::span<const Slice> parts,
                                    SimTime* done, SimTime* start = nullptr);
-  /// Plane chooser for host programs: idle-aware (least-busy plane with
-  /// round-robin tie-break) or legacy blind round-robin per Options.
-  /// `group` > 1 returns the first plane of an aligned group (multi-plane).
-  uint32_t PickPlane(SimTime now, uint32_t group = 1);
   /// Validates one ProgramSectors batch (count, lpn range, data sizes) and
   /// rejects when degraded.
   Status ValidateSectors(const std::vector<SectorWrite>& sectors);
@@ -349,7 +342,6 @@ class Ftl {
   /// re-recorded with another rollback target, so readers re-check it.
   std::unordered_map<uint64_t, std::vector<Lpn>> delta_by_block_;
   std::vector<PlaneAlloc> planes_;
-  uint32_t rr_plane_ = 0;
   Stats stats_;
 
   bool degraded_ = false;

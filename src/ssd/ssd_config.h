@@ -34,14 +34,13 @@ struct SsdConfig {
   /// How the lazy destage scheduler places drained sectors on NAND:
   enum class DestageMode {
     /// Per-page programs through the page-mapping FTL's normal allocator
-    /// (the paper's design, and the bit-identical legacy behavior).
+    /// (the paper's design).
     kInPlace,
     /// Coalesce the pending buffer into large sequential log segments
     /// (header page with the LPN map + per-sector CRC32C, then data pages
     /// striped one per plane) appended to a dedicated log region. Segments
     /// are validated by checksum on recovery and a torn tail segment is
-    /// truncated. Requires the durable cache and the lazy scheduler
-    /// (destage_batch_pages > 1); ignored otherwise.
+    /// truncated. Requires the durable cache; ignored otherwise.
     kLogStructured,
   };
   DestageMode destage_mode = DestageMode::kInPlace;
@@ -72,24 +71,16 @@ struct SsdConfig {
   uint64_t capacitor_budget_bytes = 64 * kMiB;
 
   // --- Destage scheduler (Sec. 3.1.1: lazy destage fills every pipeline) ---
-  /// Pages per drain round the scheduler may issue (up to one page per
-  /// plane per round). 1 = legacy eager destage: every write programs NAND
-  /// synchronously at acknowledgement, exactly the pre-scheduler path (A/B
-  /// baseline). >1 = lazy batching: dirty sectors accumulate in the write
-  /// buffer and drain on frame pressure, FLUSH, power-cut dump, or the idle
-  /// threshold.
+  // Dirty sectors accumulate in the write buffer and drain in batches on a
+  // full batch, idle media, frame pressure, FLUSH or the idle threshold;
+  // the power-cut dump covers whatever is still pending. Each program goes
+  // to the least-busy plane, and two full pages pair into one multi-plane
+  // program whenever the geometry has sibling planes (planes_per_chip >= 2).
+  /// Batch threshold: once this many full pages are pending, a drain round
+  /// issues up to this many of them.
   uint32_t destage_batch_pages = 256;
-  /// Pair two full pages onto sibling planes of one chip as a single
-  /// multi-plane program command (chip-level interleaving, Sec. 2.3).
-  /// Only takes effect in lazy mode (destage_batch_pages > 1).
-  bool multi_plane_program = true;
-  /// Choose the least-busy plane (plane busy_until + channel occupancy) for
-  /// each destage program instead of blind round-robin. Round-robin remains
-  /// the tie-break so allocation stays deterministic and striped. false =
-  /// legacy blind round-robin.
-  bool idle_aware_allocation = true;
-  /// Lazy mode: dirty sectors older than this are destaged when the next
-  /// host command arrives (the device exploits its own idle time).
+  /// Dirty sectors older than this are destaged when the next host command
+  /// arrives (the device exploits its own idle time).
   SimTime destage_idle_ns = 1 * kMillisecond;
 
   // --- Host interface & firmware timing ---
@@ -162,11 +153,11 @@ struct SsdConfig {
   uint32_t program_retry_limit = 3;
 
   /// Log-region reservation with the 0 = auto default resolved. Zero unless
-  /// the device actually runs log-structured destage (which needs the lazy
-  /// scheduler on a durable-cache device).
+  /// the device actually runs log-structured destage (which needs a
+  /// durable write cache).
   uint32_t resolved_log_blocks_per_plane() const {
     if (destage_mode != DestageMode::kLogStructured || !cache_enabled ||
-        !durable_cache || destage_batch_pages <= 1) {
+        !durable_cache) {
       return 0;
     }
     const uint32_t want = log_blocks_per_plane != 0

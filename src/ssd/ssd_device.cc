@@ -19,14 +19,13 @@ constexpr SimTime kVolatileRecoveryScan = 50 * kMillisecond;
 }  // namespace
 
 SsdConfig SsdDevice::SizeDumpArea(SsdConfig cfg) {
-  if (!cfg.cache_enabled || cfg.destage_batch_pages <= 1 ||
-      !cfg.durable_cache) {
-    return cfg;  // Eager mode: the configured dump area is authoritative.
+  if (!cfg.cache_enabled || !cfg.durable_cache) {
+    return cfg;  // Nothing is ever dumped.
   }
   // Lazy destage widens the dump-eligible window: in the worst case every
   // write-buffer frame holds an acknowledged-but-unissued sector, and each
   // needs its own dump page (plus the header). Grow the reserved area to
-  // cover that; the eager path never needed more than the in-flight window.
+  // cover that.
   const FlashGeometry& g = cfg.geometry;
   const uint64_t pages_per_dump_block =
       static_cast<uint64_t>(g.pages_per_block) * g.total_planes();
@@ -47,7 +46,6 @@ SsdDevice::SsdDevice(SsdConfig config)
                                  cfg_.ecc_correctable_bits,
                                  cfg_.read_retry_limit,
                                  cfg_.program_retry_limit,
-                                 cfg_.idle_aware_allocation,
                                  &metrics_,
                                  cfg_.resolved_log_blocks_per_plane()}),
       bus_(1),
@@ -57,8 +55,7 @@ SsdDevice::SsdDevice(SsdConfig config)
                  DestageScheduler::Options{
                      cfg_.geometry.page_size / cfg_.sector_size,
                      cfg_.destage_batch_pages,
-                     cfg_.multi_plane_program &&
-                         cfg_.geometry.planes_per_chip >= 2}),
+                     cfg_.geometry.planes_per_chip >= 2}),
       h_ncq_wait_ns_(metrics_.GetHistogram("ssd.ncq_wait_ns")),
       h_bus_ns_(metrics_.GetHistogram("ssd.bus_ns")),
       h_fw_ns_(metrics_.GetHistogram("ssd.fw_ns")),
@@ -116,10 +113,6 @@ void SsdDevice::RollbackCommandEntries(Lpn lpn, uint32_t nsec, SimTime ack) {
     if (it == cache_.end() || it->second.ack != ack) continue;
     CacheEntry& e = it->second;
     if (e.program_done != kNeverProgrammed) continue;  // Already destaged.
-    if (has_pending_half_ && pending_half_lpn_ == lpn + i) {
-      has_pending_half_ = false;
-      pending_half_lpn_ = kInvalidLpn;
-    }
     if (e.has_prev) {
       e.data = std::move(e.prev_data);
       e.ack = e.prev_ack;
@@ -132,9 +125,9 @@ void SsdDevice::RollbackCommandEntries(Lpn lpn, uint32_t nsec, SimTime ack) {
       // The restored version must reach NAND (again): re-queue it. If the
       // failed overwrite had been absorbed, the pending slot simply keeps
       // pointing at the now-restored bytes.
-      if (UseScheduler()) scheduler_.Add(lpn + i, e.ack);
+      scheduler_.Add(lpn + i, e.ack);
     } else {
-      if (UseScheduler()) scheduler_.Remove(lpn + i);
+      scheduler_.Remove(lpn + i);
       cache_.erase(it);
     }
   }
@@ -154,78 +147,53 @@ SimTime SsdDevice::FwTime(uint32_t nsec, bool is_write) const {
   return cfg_.fw_read_base + cfg_.fw_read_per_extra_sector * (nsec - 1);
 }
 
-SimTime SsdDevice::AcquireFrame(SimTime t) {
+void SsdDevice::PopCompletedPrograms(SimTime t) {
   while (!outstanding_.empty() && outstanding_.top() <= t) {
     outstanding_.pop();
   }
-  // Frames are held by in-flight programs and, in lazy mode, by pending
-  // scheduler sectors (absorbed rewrites re-use their frame and never
-  // reach here).
-  const size_t in_use =
-      outstanding_.size() +
-      (UseScheduler() ? scheduler_.pending_sectors() : 0);
-  if (in_use >= cfg_.write_buffer_sectors) {
+}
+
+Status SsdDevice::DrainBatch(SimTime t, DrainTrigger trigger,
+                             size_t max_pages, bool include_partial) {
+  stats_.destage_batches++;
+  if (tracer_) {
+    tracer_->Record(t, TraceEventType::kDestageBatch,
+                    scheduler_.pending_sectors(),
+                    static_cast<uint64_t>(trigger));
+  }
+  if (UseLogDestage()) return DrainLogSegments(t, include_partial);
+  return include_partial ? scheduler_.DrainAll(t)
+                         : scheduler_.DrainRound(t, max_pages);
+}
+
+SimTime SsdDevice::AcquireFrame(SimTime t) {
+  PopCompletedPrograms(t);
+  // Frames are held by in-flight programs and by pending scheduler sectors
+  // (absorbed rewrites re-use their frame and never reach here).
+  if (outstanding_.size() + scheduler_.pending_sectors() >=
+      cfg_.write_buffer_sectors) {
     // Frame pressure. Draining moves sectors from pending to outstanding —
     // the sum (and thus the pressure) is unchanged until a program_done
     // passes — so drain only while the media has a free slot: once one
     // page per plane is in flight the media is saturated and further
     // programs would only queue at the planes while forfeiting their
-    // chance to absorb a rewrite. Only full pages drain — a partial tail
-    // stays pending to pair with future writes. A drain failure leaves
-    // sectors pending; the degraded checks on the command path surface it.
-    const size_t media_slots = static_cast<size_t>(
-        cfg_.geometry.total_planes() * ftl_.sectors_per_page());
-    if (UseLogDestage()) {
-      if (scheduler_.pending_sectors() >= SegmentSectors() &&
-          outstanding_.size() < media_slots) {
-        stats_.destage_batches++;
-        if (tracer_) {
-          tracer_->Record(t, TraceEventType::kDestageBatch,
-                          scheduler_.pending_sectors(), 2);
-        }
-        (void)DrainLogSegments(t, /*include_partial=*/false);
-        while (!outstanding_.empty() && outstanding_.top() <= t) {
-          outstanding_.pop();
-        }
-      }
-      if (outstanding_.empty() && !scheduler_.empty()) {
-        // Nothing in flight to wait on: a short tail segment beats a stall.
-        stats_.destage_batches++;
-        if (tracer_) {
-          tracer_->Record(t, TraceEventType::kDestageBatch,
-                          scheduler_.pending_sectors(), 2);
-        }
-        (void)DrainLogSegments(t, /*include_partial=*/true);
-        while (!outstanding_.empty() && outstanding_.top() <= t) {
-          outstanding_.pop();
-        }
-      }
-    } else {
-      if (UseScheduler() && scheduler_.pending_full_pages() > 0 &&
-          outstanding_.size() < media_slots) {
-        stats_.destage_batches++;
-        if (tracer_) {
-          tracer_->Record(t, TraceEventType::kDestageBatch,
-                          scheduler_.pending_sectors(), 2);
-        }
-        (void)scheduler_.DrainRound(t, cfg_.geometry.total_planes());
-        while (!outstanding_.empty() && outstanding_.top() <= t) {
-          outstanding_.pop();
-        }
-      }
-      if (outstanding_.empty() && UseScheduler() && !scheduler_.empty()) {
-        // Nothing in flight to wait on and the buffer is all pending partial
-        // pages (tiny buffers): force them out, half-filled or not.
-        stats_.destage_batches++;
-        if (tracer_) {
-          tracer_->Record(t, TraceEventType::kDestageBatch,
-                          scheduler_.pending_sectors(), 2);
-        }
-        (void)scheduler_.DrainAll(t);
-        while (!outstanding_.empty() && outstanding_.top() <= t) {
-          outstanding_.pop();
-        }
-      }
+    // chance to absorb a rewrite. Only full pages (or log segments) drain —
+    // a partial tail stays pending to pair with future writes. A drain
+    // failure leaves sectors pending; the degraded checks on the command
+    // path surface it.
+    if (FullBatchPending() && MediaHasFreeSlot()) {
+      (void)DrainBatch(t, DrainTrigger::kPressure,
+                       cfg_.geometry.total_planes(),
+                       /*include_partial=*/false);
+      PopCompletedPrograms(t);
+    }
+    if (outstanding_.empty() && !scheduler_.empty()) {
+      // Nothing in flight to wait on and the buffer is all pending partial
+      // pages (tiny buffers) or a short log tail: force them out — a short
+      // program beats a stall.
+      (void)DrainBatch(t, DrainTrigger::kPressure, 0,
+                       /*include_partial=*/true);
+      PopCompletedPrograms(t);
     }
     if (!outstanding_.empty()) {
       const SimTime freed = outstanding_.top();
@@ -277,7 +245,6 @@ void SsdDevice::EvictCleanIfNeeded() {
     cache_fifo_.pop_front();
     auto it = cache_.find(victim);
     if (it == cache_.end()) continue;                 // Stale FIFO entry.
-    if (victim == pending_half_lpn_ && has_pending_half_) continue;
     if (it->second.program_done == kNeverProgrammed ||
         it->second.program_done > max_time_seen_) {
       // Still dirty in flight; re-queue and stop (frames bound this).
@@ -297,9 +264,14 @@ void SsdDevice::FinishDestage(const std::vector<Lpn>& group, SimTime issue,
     e.program_done = done;
     outstanding_.push(done);
   }
+  h_destage_ns_->Record(done - issue);
+  if (tracer_) {
+    tracer_->Record(done, TraceEventType::kDestageDone, group[0], group.size());
+  }
 }
 
-Status SsdDevice::DestageGroup(SimTime t, const std::vector<Lpn>& group) {
+std::vector<Ftl::SectorWrite> SsdDevice::CachedSectors(
+    const std::vector<Lpn>& group) const {
   std::vector<Ftl::SectorWrite> writes;
   writes.reserve(group.size());
   for (Lpn lpn : group) {
@@ -307,23 +279,14 @@ Status SsdDevice::DestageGroup(SimTime t, const std::vector<Lpn>& group) {
     assert(it != cache_.end());
     writes.push_back({lpn, it->second.data});
   }
-  SimTime start = 0;
-  SimTime done = 0;
-  DURASSD_RETURN_IF_ERROR(ftl_.ProgramSectors(t, writes, &start, &done));
-  h_destage_ns_->Record(done - t);
-  if (tracer_) {
-    tracer_->Record(done, TraceEventType::kDestageDone, group[0], group.size());
-  }
-  FinishDestage(group, t, start, done);
-  return Status::OK();
+  return writes;
 }
 
 SimTime SsdDevice::ClampToAcks(SimTime t, const std::vector<Lpn>& group) const {
   // A sector's NAND program may never be issued before its command was
-  // acknowledged: the eager path issued exactly at the ack, and the crash
-  // semantics lean on issue >= ack (a kept mapping after the capacitor
-  // quiesce implies the command was acked before the cut, so a partially
-  // issued command can never read back torn).
+  // acknowledged: the crash semantics lean on issue >= ack (a kept mapping
+  // after the capacitor quiesce implies the command was acked before the
+  // cut, so a partially issued command can never read back torn).
   for (Lpn lpn : group) {
     auto it = cache_.find(lpn);
     if (it != cache_.end()) t = std::max(t, it->second.ack);
@@ -332,62 +295,42 @@ SimTime SsdDevice::ClampToAcks(SimTime t, const std::vector<Lpn>& group) const {
 }
 
 Status SsdDevice::DestagePage(SimTime t, const std::vector<Lpn>& group) {
-  return DestageGroup(ClampToAcks(t, group), group);
+  t = ClampToAcks(t, group);
+  SimTime start = 0;
+  SimTime done = 0;
+  DURASSD_RETURN_IF_ERROR(
+      ftl_.ProgramSectors(t, CachedSectors(group), &start, &done));
+  FinishDestage(group, t, start, done);
+  return Status::OK();
 }
 
 Status SsdDevice::DestagePagePair(SimTime t, const std::vector<Lpn>& a,
                                   const std::vector<Lpn>& b) {
   t = std::max(ClampToAcks(t, a), ClampToAcks(t, b));
-  std::vector<Ftl::SectorWrite> wa, wb;
-  wa.reserve(a.size());
-  wb.reserve(b.size());
-  for (Lpn lpn : a) {
-    auto it = cache_.find(lpn);
-    assert(it != cache_.end());
-    wa.push_back({lpn, it->second.data});
-  }
-  for (Lpn lpn : b) {
-    auto it = cache_.find(lpn);
-    assert(it != cache_.end());
-    wb.push_back({lpn, it->second.data});
-  }
   SimTime start = 0;
   SimTime done = 0;
-  DURASSD_RETURN_IF_ERROR(
-      ftl_.ProgramSectorsMultiPlane(t, wa, wb, &start, &done));
-  h_destage_ns_->Record(done - t);
-  if (tracer_) {
-    tracer_->Record(done, TraceEventType::kDestageDone, a[0],
-                    a.size() + b.size());
-  }
-  FinishDestage(a, t, start, done);
-  FinishDestage(b, t, start, done);
+  DURASSD_RETURN_IF_ERROR(ftl_.ProgramSectorsMultiPlane(
+      t, CachedSectors(a), CachedSectors(b), &start, &done));
+  std::vector<Lpn> both = a;
+  both.insert(both.end(), b.begin(), b.end());
+  FinishDestage(both, t, start, done);
   return Status::OK();
 }
 
 void SsdDevice::MaybeIdleDrain(SimTime now) {
-  if (!UseScheduler() || scheduler_.empty()) return;
+  if (scheduler_.empty()) return;
   const SimTime deadline = scheduler_.last_add_time() + cfg_.destage_idle_ns;
   if (now < deadline) return;
   // Log mode keeps sub-segment tails coalescing in the durable cache: they
   // are already ack-durable via the capacitor, and draining a short segment
-  // wastes a header page and fragments the log region.
-  if (UseLogDestage() && scheduler_.pending_sectors() < SegmentSectors()) {
-    return;
-  }
+  // wastes a header page and fragments the log region. In-place destage
+  // drains everything, partial page included.
+  if (UseLogDestage() && !FullBatchPending()) return;
   // The device used its own idle time: the drain is issued at the idle
   // deadline, which is causally safe (every pending byte was cached by
   // then) and models destage having happened before this command arrived.
-  stats_.destage_batches++;
-  if (tracer_) {
-    tracer_->Record(deadline, TraceEventType::kDestageBatch,
-                    scheduler_.pending_sectors(), 1);
-  }
-  if (UseLogDestage()) {
-    (void)DrainLogSegments(deadline, /*include_partial=*/false);
-  } else {
-    (void)scheduler_.DrainAll(deadline);
-  }
+  (void)DrainBatch(deadline, DrainTrigger::kIdle, 0,
+                   /*include_partial=*/!UseLogDestage());
 }
 
 BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
@@ -454,18 +397,13 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
   }
 
   // Cached path: acknowledge once all sectors are in the durable (or
-  // volatile) cache. In legacy eager mode destage is issued synchronously
-  // at acknowledgement; in lazy mode sectors join the destage scheduler
-  // and NAND programs happen in batches across all planes.
+  // volatile) cache. The sectors then join the destage scheduler, and NAND
+  // programs happen in batches across all planes.
   SimTime t = fw.done;
-  if (UseScheduler()) {
-    // Overwrite absorption: a sector whose destage is still unissued keeps
-    // its frame — only genuinely new dirty sectors acquire one.
-    for (uint32_t i = 0; i < nsec; ++i) {
-      if (!scheduler_.IsPending(lpn + i)) t = AcquireFrame(t);
-    }
-  } else {
-    for (uint32_t i = 0; i < nsec; ++i) t = AcquireFrame(t);
+  // Overwrite absorption: a sector whose destage is still unissued keeps
+  // its frame — only genuinely new dirty sectors acquire one.
+  for (uint32_t i = 0; i < nsec; ++i) {
+    if (!scheduler_.IsPending(lpn + i)) t = AcquireFrame(t);
   }
   SimTime ack = t;
   if (ordered_writes() && ack < last_ordered_ack_) {
@@ -494,46 +432,26 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
                            cfg_.sector_size),
                      ack, seq, cur_epoch_);
   }
+  for (uint32_t i = 0; i < nsec; ++i) {
+    if (!scheduler_.Add(lpn + i, ack)) {
+      // Rewrite of a sector whose destage had not been issued: the batch
+      // was updated in place, saving one NAND program.
+      stats_.destage_absorbed++;
+      ++*c_destage_absorbed_;
+    }
+  }
 
-  if (UseScheduler()) {
-    for (uint32_t i = 0; i < nsec; ++i) {
-      if (!scheduler_.Add(lpn + i, ack)) {
-        // Rewrite of a sector whose destage had not been issued: the batch
-        // was updated in place, saving one NAND program.
-        stats_.destage_absorbed++;
-        ++*c_destage_absorbed_;
-      }
+  Status drained = Status::OK();
+  if (UseLogDestage()) {
+    // Log-structured destage has exactly one trigger here: a full
+    // segment's worth of pending sectors. No idle-media opportunism —
+    // issuing sub-segment batches would fragment the log and forfeit
+    // the sequential-program win the mode exists for.
+    if (FullBatchPending()) {
+      drained = DrainBatch(ack, DrainTrigger::kBatch, 0,
+                           /*include_partial=*/false);
     }
-    if (UseLogDestage()) {
-      // Log-structured destage has exactly one trigger here: a full
-      // segment's worth of pending sectors. No idle-media opportunism —
-      // issuing sub-segment batches would fragment the log and forfeit
-      // the sequential-program win the mode exists for.
-      while (scheduler_.pending_sectors() >= SegmentSectors()) {
-        stats_.destage_batches++;
-        if (tracer_) {
-          tracer_->Record(ack, TraceEventType::kDestageBatch,
-                          scheduler_.pending_sectors(), 0);
-        }
-        Status s = DrainLogSegments(ack, /*include_partial=*/false);
-        if (!s.ok()) {
-          RollbackCommandEntries(lpn, nsec, ack);
-          return {s, now};
-        }
-      }
-      if (ftl_.dirty_mapping_entries() > cfg_.mapping_autopersist_threshold) {
-        ftl_.PersistMapping();
-      }
-      if (CutBeforeCompletion(ack)) return {Status::DeviceOffline(), now};
-      if (ordered_writes()) last_ordered_ack_ = ack;
-      epoch_max_ack_ = std::max(epoch_max_ack_, ack);
-      epoch_writes_++;
-      max_time_seen_ = std::max(max_time_seen_, ack);
-      stats_.host_writes++;
-      stats_.host_written_sectors += nsec;
-      if (tracer_) tracer_->Record(ack, TraceEventType::kCmdAck, lpn, nsec);
-      return {Status::OK(), ack};
-    }
+  } else {
     const bool batch_ready =
         scheduler_.pending_full_pages() >= cfg_.destage_batch_pages;
     // Idle-media opportunism: while fewer than one page per plane is in
@@ -541,74 +459,23 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
     // only lengthens frame residency — drain a round now. Once the media
     // saturates (outstanding covers every plane) this stops firing and
     // pending sectors accumulate to absorb rewrites instead.
-    while (!outstanding_.empty() && outstanding_.top() <= ack) {
-      outstanding_.pop();
-    }
+    PopCompletedPrograms(ack);
     const bool media_idle =
-        outstanding_.size() < static_cast<size_t>(cfg_.geometry.total_planes() *
-                                                  ftl_.sectors_per_page()) &&
-        scheduler_.pending_full_pages() > 0;
+        MediaHasFreeSlot() && scheduler_.pending_full_pages() > 0;
     if (batch_ready || media_idle) {
-      stats_.destage_batches++;
-      if (tracer_) {
-        tracer_->Record(ack, TraceEventType::kDestageBatch,
-                        scheduler_.pending_sectors(), batch_ready ? 0 : 1);
-      }
-      Status s = batch_ready
-                     ? scheduler_.DrainRound(ack)
-                     : scheduler_.DrainRound(ack, cfg_.geometry.total_planes());
-      if (!s.ok()) {
-        // The command is rejected as a whole: un-insert its cache entries so
-        // a later power cut cannot dump (and replay) data the host was told
-        // failed.
-        RollbackCommandEntries(lpn, nsec, ack);
-        return {s, now};
-      }
+      drained = DrainBatch(
+          ack, batch_ready ? DrainTrigger::kBatch : DrainTrigger::kIdle,
+          batch_ready ? cfg_.destage_batch_pages
+                      : cfg_.geometry.total_planes(),
+          /*include_partial=*/false);
     }
-  } else {
-    std::vector<Lpn> group;
-    for (uint32_t i = 0; i < nsec; ++i) {
-      const Lpn cur = lpn + i;
-      if (has_pending_half_ && pending_half_lpn_ == cur) {
-        // Rewriting the pending half: it stays pending with fresh data.
-        continue;
-      }
-      group.push_back(cur);
-      if (group.size() == ftl_.sectors_per_page()) {
-        Status s = DestageGroup(ack, group);
-        if (!s.ok()) {
-          // The command is rejected as a whole: un-insert its cache entries
-          // so a later power cut cannot dump (and replay) data the host was
-          // told failed.
-          RollbackCommandEntries(lpn, nsec, ack);
-          return {s, now};
-        }
-        group.clear();
-      }
-    }
-    if (!group.empty()) {
-      assert(group.size() == 1);
-      if (has_pending_half_ && cache_.count(pending_half_lpn_) != 0 &&
-          pending_half_lpn_ != group[0]) {
-        group.push_back(pending_half_lpn_);
-        has_pending_half_ = false;
-        pending_half_lpn_ = kInvalidLpn;
-        Status s = DestageGroup(ack, group);
-        if (!s.ok()) {
-          RollbackCommandEntries(lpn, nsec, ack);
-          return {s, now};
-        }
-      } else if (ftl_.sectors_per_page() > 1) {
-        has_pending_half_ = true;
-        pending_half_lpn_ = group[0];
-      } else {
-        Status s = DestageGroup(ack, group);
-        if (!s.ok()) {
-          RollbackCommandEntries(lpn, nsec, ack);
-          return {s, now};
-        }
-      }
-    }
+  }
+  if (!drained.ok()) {
+    // The command is rejected as a whole: un-insert its cache entries so a
+    // later power cut cannot dump (and replay) data the host was told
+    // failed.
+    RollbackCommandEntries(lpn, nsec, ack);
+    return {drained, now};
   }
 
   // Firmware-internal mapping checkpoint (invisible to the host).
@@ -746,25 +613,13 @@ BlockDevice::Result SsdDevice::DoFlush(SimTime now) {
   // requires the durable cache, so every acknowledged pending sector is
   // already covered by the capacitor dump, and forcing a partial segment
   // out here would fragment the log for zero durability gain.
-  if (UseScheduler() && !UseLogDestage() && !scheduler_.empty()) {
+  if (!UseLogDestage() && !scheduler_.empty()) {
     // FLUSH CACHE drains the write cache: everything pending is issued
     // before the drain wait below, partial page included.
-    stats_.destage_batches++;
-    if (tracer_) {
-      tracer_->Record(now, TraceEventType::kDestageBatch,
-                      scheduler_.pending_sectors(), 3);
-    }
-    Status s = scheduler_.DrainAll(now);
+    Status s = DrainBatch(now, DrainTrigger::kFlush, 0,
+                          /*include_partial=*/true);
     if (!s.ok()) return {s, now};
   }
-  if (has_pending_half_ && cache_.count(pending_half_lpn_) != 0) {
-    std::vector<Lpn> group{pending_half_lpn_};
-    has_pending_half_ = false;
-    pending_half_lpn_ = kInvalidLpn;
-    Status s = DestageGroup(now, group);
-    if (!s.ok()) return {s, now};
-  }
-  has_pending_half_ = false;
 
   // FLUSH CACHE commands are serialized by the firmware: a flush arriving
   // while another is in progress queues behind it. A flush arriving before
@@ -849,12 +704,12 @@ void SsdDevice::DumpOnCapacitor(SimTime t) {
   std::vector<std::pair<Lpn, const std::string*>> to_dump;
   for (const auto& [lpn, e] : cache_) {
     if (e.ack > t || e.program_done <= t) continue;
-    if (UseScheduler() && e.program_issue <= t) {
+    if (e.program_issue <= t) {
       // The program was issued by the cut: the capacitor quiesce runs it to
       // completion and the mapping survives the rollback (kIssued), so the
       // sector needs no dump page. Skipping these keeps the dump within the
-      // reserved area even though lazy destage leaves far more entries with
-      // an open [ack, program_done) window than the eager path ever did.
+      // reserved area even though lazy destage leaves many entries with an
+      // open [ack, program_done) window.
       continue;
     }
     to_dump.emplace_back(lpn, &e.data);
@@ -999,10 +854,6 @@ void SsdDevice::PowerCut(SimTime t) {
     if (cur_epoch_ > 0 && min_dropped_epoch < max_kept_epoch) {
       stats_.epoch_ordering_violations++;
     }
-    if (has_pending_half_ && cache_.count(pending_half_lpn_) == 0) {
-      has_pending_half_ = false;
-      pending_half_lpn_ = kInvalidLpn;
-    }
     // Programs issued after t belong to discarded commands; their mapping
     // entries roll back. Programs *issued* by t keep their mapping — the
     // capacitor runs every issued NAND operation to completion, so keying
@@ -1020,8 +871,6 @@ void SsdDevice::PowerCut(SimTime t) {
                                     : Ftl::PowerCutExposure::kNone);
   }
 
-  has_pending_half_ = false;
-  pending_half_lpn_ = kInvalidLpn;
   // Pending scheduler sectors were acknowledged but never issued: on a
   // durable device the dump above saved them (program_done is still
   // "never"), on a volatile one they are lost with the cache.
@@ -1126,31 +975,35 @@ SimTime SsdDevice::ReplayDump() {
   // Replay: re-program every dumped sector (idempotent — mapping simply
   // repoints, superseding any shorn page).
   std::vector<Ftl::SectorWrite> group;
+  std::vector<Ftl::SectorWrite> unreplayed;
   SimTime replay_done = t;
-  for (const auto& [lpn, data] : entries) {
-    group.push_back({lpn, data});
-    if (group.size() == ftl_.sectors_per_page()) {
-      SimTime start = 0;
-      SimTime done = 0;
-      if (ftl_.ProgramSectors(t, group, &start, &done).ok()) {
-        replay_done = std::max(replay_done, done);
-        stats_.replayed_pages += group.size();
-      }
-      group.clear();
+  for (size_t i = 0; i < entries.size(); ++i) {
+    group.push_back({entries[i].first, entries[i].second});
+    if (group.size() < ftl_.sectors_per_page() && i + 1 < entries.size()) {
+      continue;
     }
-  }
-  if (!group.empty()) {
     SimTime start = 0;
     SimTime done = 0;
     if (ftl_.ProgramSectors(t, group, &start, &done).ok()) {
       replay_done = std::max(replay_done, done);
       stats_.replayed_pages += group.size();
+    } else {
+      unreplayed.insert(unreplayed.end(), group.begin(), group.end());
     }
+    group.clear();
   }
 
   ftl_.PersistMapping();
   const SimTime erased = ftl_.EraseDumpArea(replay_done);
   dump_pages_used_ = 0;
+  // A sector the FTL refused (a read-only degraded device) has no copy
+  // left once the dump area is erased. Keep it acknowledged in the cache
+  // and pending: reads serve it, FLUSH CACHE keeps reporting the failure,
+  // and the next power cut dumps it again.
+  for (const Ftl::SectorWrite& w : unreplayed) {
+    InsertCacheEntry(w.lpn, w.data, /*ack=*/0, /*seq=*/0, /*epoch=*/0);
+    scheduler_.Add(w.lpn, 0);
+  }
   if (tracer_) {
     tracer_->Record(erased, TraceEventType::kReplay, entries.size(),
                     stats_.replayed_pages);
@@ -1240,11 +1093,6 @@ Status SsdDevice::AppendLogSegment(SimTime t, const std::vector<Lpn>& taken) {
                         ps, pd);
     }
     FinishDestage(group, t, ps, pd);
-    h_destage_ns_->Record(pd - t);
-    if (tracer_) {
-      tracer_->Record(pd, TraceEventType::kDestageDone, group[0],
-                      group.size());
-    }
     rec.data_ppns.push_back(ppn.value());
     rec.sectors += static_cast<uint32_t>(n);
   }
@@ -1415,18 +1263,9 @@ Status SsdDevice::Shutdown(SimTime now) {
   if (!powered_) return Status::OK();
   // A clean shutdown must persist pending scheduler sectors even under
   // flush modes that only assert ordering (kOrderedNoDrain).
-  if (UseScheduler() && !scheduler_.empty()) {
-    stats_.destage_batches++;
-    if (tracer_) {
-      tracer_->Record(now, TraceEventType::kDestageBatch,
-                      scheduler_.pending_sectors(), 3);
-    }
-    if (UseLogDestage()) {
-      DURASSD_RETURN_IF_ERROR(
-          DrainLogSegments(now, /*include_partial=*/true));
-    } else {
-      DURASSD_RETURN_IF_ERROR(scheduler_.DrainAll(now));
-    }
+  if (!scheduler_.empty()) {
+    DURASSD_RETURN_IF_ERROR(DrainBatch(now, DrainTrigger::kFlush, 0,
+                                       /*include_partial=*/true));
   }
   log_dir_.clear();  // Clean shutdown: every segment is fully destaged.
   const Result r = Flush(now);
@@ -1436,8 +1275,6 @@ Status SsdDevice::Shutdown(SimTime now) {
   cache_.clear();
   cache_fifo_.clear();
   while (!outstanding_.empty()) outstanding_.pop();
-  has_pending_half_ = false;
-  pending_half_lpn_ = kInvalidLpn;
   last_ordered_ack_ = 0;
   cur_epoch_ = 0;
   epoch_floor_ack_ = 0;

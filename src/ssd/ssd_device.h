@@ -32,9 +32,10 @@ namespace durassd {
 ///    it is acknowledged. Commands not fully transferred when power fails
 ///    are discarded whole; acknowledged ones are replayed from the dump
 ///    area on reboot (durable cache) or rolled back (volatile cache).
-///  - Flusher (Sec. 3.1.1): destage is scheduled the moment data lands in
-///    the cache, striped round-robin across planes for parallelism, with
-///    two 4KB sectors paired per 8KB NAND program.
+///  - Flusher (Sec. 3.1.1): acknowledged sectors wait in the cache and
+///    drain lazily through the DestageScheduler, in batches across every
+///    plane: two 4KB sectors per 8KB NAND page, two pages per multi-plane
+///    program on sibling planes, each program on the least-busy plane.
 ///  - FLUSH CACHE (Sec. 3.3): drains outstanding destages and persists the
 ///    mapping journal; cost grows with dirty state (Fig. 2).
 ///  - Recovery manager (Sec. 3.4): on power failure the durable cache and
@@ -184,11 +185,11 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   /// written (GC included). The endurance argument of Sec. 1 & 6.
   double WriteAmplification() const;
 
-  /// Log-structured destage active? Requires the lazy scheduler and the
-  /// durable cache: acked-but-pending sectors stay durable via the
-  /// capacitor dump while they wait to fill a whole segment.
+  /// Log-structured destage active? Requires the durable cache: acked-but-
+  /// pending sectors stay durable via the capacitor dump while they wait to
+  /// fill a whole segment.
   bool UseLogDestage() const {
-    return UseScheduler() && cfg_.durable_cache &&
+    return cfg_.durable_cache &&
            cfg_.destage_mode == SsdConfig::DestageMode::kLogStructured &&
            ftl_.log_pages_total() > 0;
   }
@@ -202,6 +203,14 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   Result Execute(SimTime t, const Command& cmd) override;
 
  private:
+  /// Why a destage batch drained: the `a1` argument of kDestageBatch.
+  enum class DrainTrigger : uint8_t {
+    kBatch = 0,     ///< A full batch (page round or log segment) is pending.
+    kIdle = 1,      ///< Idle media or the idle threshold.
+    kPressure = 2,  ///< The write buffer is out of frames.
+    kFlush = 3,     ///< FLUSH CACHE or clean shutdown.
+  };
+
   struct CacheEntry {
     std::string data;          ///< Sector bytes; empty in timing-only mode.
     SimTime ack = 0;           ///< Command acknowledged (atomicity point).
@@ -225,8 +234,8 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
       std::numeric_limits<SimTime>::max();
 
   /// Grows dump_blocks_per_plane so the reserved dump area can cover every
-  /// write-buffer frame when the lazy scheduler is enabled (acknowledged-
-  /// but-unissued sectors all need a dump page at a power cut).
+  /// write-buffer frame of a durable cache (acknowledged-but-unissued
+  /// sectors all need a dump page at a power cut).
   static SsdConfig SizeDumpArea(SsdConfig cfg);
   /// Single-command executors (the pre-async Write/Read/Flush bodies),
   /// dispatched from Execute.
@@ -237,12 +246,25 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
 
   SimTime BusTime(uint32_t nsec, bool is_write) const;
   SimTime FwTime(uint32_t nsec, bool is_write) const;
-  /// Lazy destage scheduling active (destage_batch_pages > 1)? When false
-  /// the device takes the legacy eager path: one destage per host command,
-  /// issued synchronously at acknowledgement (the A/B baseline).
-  bool UseScheduler() const {
-    return cfg_.cache_enabled && cfg_.destage_batch_pages > 1;
+  /// True when a whole drain unit is pending: a full page for in-place
+  /// destage, a full segment for log-structured destage.
+  bool FullBatchPending() const {
+    return UseLogDestage() ? scheduler_.pending_sectors() >= SegmentSectors()
+                           : scheduler_.pending_full_pages() > 0;
   }
+  /// True while fewer than one page per plane is in flight.
+  bool MediaHasFreeSlot() const {
+    return outstanding_.size() <
+           static_cast<size_t>(cfg_.geometry.total_planes() *
+                               ftl_.sectors_per_page());
+  }
+  /// The one place a destage batch drains: counts it, traces it, then
+  /// issues up to `max_pages` full pages (in place) or every full segment
+  /// (log-structured), plus the partial tail when `include_partial`.
+  Status DrainBatch(SimTime t, DrainTrigger trigger, size_t max_pages,
+                    bool include_partial);
+  /// Releases the frames of programs that completed by `t`.
+  void PopCompletedPrograms(SimTime t);
   /// Drains pending scheduler sectors into sequential log segments at time
   /// t: full segments only, plus a final short segment when
   /// `include_partial`. Sectors a failed append could not program are
@@ -260,13 +282,13 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   /// simply skipped. Returns the virtual time the scan+validation cost.
   SimTime RecoverCache();
   /// Blocks until a write-buffer frame is free; returns the (possibly
-  /// delayed) time at which the frame was obtained. In lazy mode, frames
-  /// are held by both in-flight programs (outstanding_) and pending
-  /// scheduler sectors; pressure first converts pending into programs.
+  /// delayed) time at which the frame was obtained. Frames are held by both
+  /// in-flight programs (outstanding_) and pending scheduler sectors;
+  /// pressure first converts pending into programs.
   SimTime AcquireFrame(SimTime t);
-  /// Destages `group` (1..sectors_per_page sectors) at time t, updating the
-  /// cache entries' program windows.
-  Status DestageGroup(SimTime t, const std::vector<Lpn>& group);
+  /// The cached bytes of `group`, in order, as one program's sectors.
+  std::vector<Ftl::SectorWrite> CachedSectors(
+      const std::vector<Lpn>& group) const;
   // --- DestageScheduler::Sink ---
   /// Never issue a sector's program before its command's ack (crash
   /// semantics rely on issue >= ack; see the definition).
@@ -278,8 +300,8 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   /// destaged when the next host command arrives (the device used its own
   /// idle time). Called on DoWrite/DoRead/DoFlush entry.
   void MaybeIdleDrain(SimTime now);
-  /// Records the program window for a destaged group and releases its
-  /// frames at program completion.
+  /// Records the program window for a destaged group, releases its frames
+  /// at program completion, and samples/traces the destage.
   void FinishDestage(const std::vector<Lpn>& group, SimTime issue,
                      SimTime start, SimTime done);
   void InsertCacheEntry(Lpn lpn, Slice sector, SimTime ack, uint64_t seq,
@@ -322,11 +344,7 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   /// Completion times of scheduled destages (frame accounting).
   std::priority_queue<SimTime, std::vector<SimTime>, std::greater<SimTime>>
       outstanding_;
-  /// An unpaired 4KB sector awaiting a partner for an 8KB program (legacy
-  /// eager mode only; the scheduler pairs at drain time instead).
-  bool has_pending_half_ = false;
-  Lpn pending_half_lpn_ = kInvalidLpn;
-  /// Lazy destage scheduler (UseScheduler(); no-op in legacy eager mode).
+  /// Lazy destage scheduler: every cached write drains through it.
   DestageScheduler scheduler_;
 
   /// One appended log segment: where its header and data pages landed.

@@ -146,6 +146,33 @@ TEST_F(BufferPoolTest, CorruptPageDetectedOnRead) {
   EXPECT_TRUE(ref.status().IsCorruption());
 }
 
+TEST_F(BufferPoolTest, FailedReadLeavesNoStaleFrame) {
+  // A page read that fails must not leave its recycled frame carrying the
+  // page id: evicting that stale frame later would erase the mapping of
+  // the page's live frame.
+  MakePage(1, 'a');
+  for (PageId id = 100; id < 116; ++id) MakePage(id, 'z');  // Evicts page 1.
+  // Clean frames only, so the failing fix below recycles a frame without a
+  // write-back and fails in the page read itself.
+  ASSERT_TRUE(pool_->FlushAll(io_).ok());
+
+  dev_.PowerCut(io_.now);
+  EXPECT_FALSE(pool_->Fix(io_, 1, /*create=*/false).ok());
+  dev_.PowerOn();
+
+  auto live = pool_->Fix(io_, 1, /*create=*/false);  // Stays pinned.
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  EXPECT_EQ((*live)->CellAt(0).data()[2], 'a');
+  // Cycle every unpinned frame, the failed read's included, out of the pool.
+  for (PageId id = 200; id < 232; ++id) MakePage(id, 'y');
+
+  const uint64_t hits = pool_->stats().hits;
+  auto again = pool_->Fix(io_, 1, /*create=*/false);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(pool_->stats().hits, hits + 1)
+      << "the pinned page lost its mapping";
+}
+
 TEST_F(BufferPoolTest, DoubleWritePendingImageServesReads) {
   DoubleWriteBuffer dwb(fs_->Open("dwb"), fs_->Open("data"),
                         DoubleWriteBuffer::Options{kPage, 8});

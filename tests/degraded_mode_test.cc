@@ -18,20 +18,11 @@ namespace durassd {
 namespace {
 
 // Drives the device into degraded mode from the outside: scripts every
-// upcoming NAND program to fail, then issues host writes to two scratch
-// LPNs (two distinct pages, so single-sector commands pair up and destage)
-// until block retirement has consumed every spare block and the FTL gives
-// up. The scratch writes that fail are rolled back by the device, so any
-// engine files living on lower LPNs are untouched.
-// The helper (and the degradation trips below) need every scratch write to
-// reach NAND synchronously; the lazy destage scheduler would absorb the
-// alternating rewrites in the durable cache and never program at all, so
-// these tests pin the legacy eager destage path.
-SsdConfig EagerDestage(SsdConfig cfg) {
-  cfg.destage_batch_pages = 1;
-  return cfg;
-}
-
+// upcoming NAND program to fail, then writes two scratch LPNs, each write
+// followed by a FLUSH CACHE that drains it to NAND, until block retirement
+// has consumed every spare block and the FTL gives up. The acknowledged
+// scratch sectors stay in the durable cache (they can no longer reach
+// NAND), so any engine files living on lower LPNs are untouched.
 void ExhaustSpares(SsdDevice& dev, IoContext& io) {
   for (uint64_t i = 0; i < (1u << 14); ++i) {
     dev.fault_injector().FailProgramAfter(i);
@@ -40,9 +31,8 @@ void ExhaustSpares(SsdDevice& dev, IoContext& io) {
   const Lpn a = dev.num_sectors() - 1;
   const Lpn b = dev.num_sectors() - 2;
   for (int i = 0; i < (1 << 12) && !dev.degraded(); ++i) {
-    auto r = dev.Write(io.now, (i % 2) ? a : b, sector);
-    io.AdvanceTo(r.done);
-    if (r.status.IsResourceExhausted()) break;
+    io.AdvanceTo(dev.Write(io.now, (i % 2) ? a : b, sector).done);
+    io.AdvanceTo(dev.Flush(io.now).done);
   }
   ASSERT_TRUE(dev.degraded()) << "spare exhaustion did not trip";
   // Return the media to health: degradation is an FTL state now, and the
@@ -54,7 +44,7 @@ void ExhaustSpares(SsdDevice& dev, IoContext& io) {
 // --------------------------- Device level ---------------------------------
 
 TEST(DegradedDeviceTest, SpareExhaustionEntersStickyReadOnly) {
-  SsdDevice dev(EagerDestage(SsdConfig::Tiny(true)));
+  SsdDevice dev(SsdConfig::Tiny(true));
   Tracer tracer;
   dev.set_tracer(&tracer);
   IoContext io;
@@ -73,8 +63,10 @@ TEST(DegradedDeviceTest, SpareExhaustionEntersStickyReadOnly) {
   auto w = dev.Write(io.now, 2, payload);
   EXPECT_TRUE(w.status.IsResourceExhausted()) << w.status.ToString();
   EXPECT_GE(dev.stats().degraded_write_rejects, 1u);
+  // FLUSH CACHE reports the failure for as long as an acknowledged sector
+  // (here the last scratch write) cannot reach NAND.
   auto f = dev.Flush(io.now);
-  EXPECT_TRUE(f.status.ok()) << "flush of already-durable data must work";
+  EXPECT_TRUE(f.status.IsResourceExhausted()) << f.status.ToString();
 
   // Reads of previously flushed data keep working.
   std::string got;
@@ -103,12 +95,57 @@ TEST(DegradedDeviceTest, SpareExhaustionEntersStickyReadOnly) {
   EXPECT_EQ(got, before);
 }
 
+TEST(DegradedDeviceTest, AckedSectorsSurviveDegradedPowerCycles) {
+  // Degradation strands acknowledged sectors in the durable cache: their
+  // programs fail and the read-only FTL refuses every retry. The dump
+  // replay at reboot fails the same way, so the sectors must stay cached
+  // (and be dumped again at the next cut) instead of being dropped with
+  // the erased dump area.
+  SsdDevice dev(SsdConfig::Tiny(true));
+  IoContext io;
+  for (uint64_t i = 0; i < (1u << 14); ++i) {
+    dev.fault_injector().FailProgramAfter(i);
+  }
+  const Lpn scratch[2] = {dev.num_sectors() - 1, dev.num_sectors() - 2};
+  std::string acked[2];
+  for (int i = 0; i < 64 && !dev.degraded(); ++i) {
+    const std::string sector(dev.sector_size(),
+                             static_cast<char>('a' + i % 26));
+    const auto w = dev.Write(io.now, scratch[i % 2], sector);
+    io.AdvanceTo(w.done);
+    if (w.status.ok()) acked[i % 2] = sector;
+    io.AdvanceTo(dev.Flush(io.now).done);
+  }
+  ASSERT_TRUE(dev.degraded());
+  ASSERT_FALSE(acked[0].empty() && acked[1].empty());
+  dev.fault_injector().ClearScripts();
+
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    if (cycle > 0) {
+      dev.PowerCut(io.now + 1);
+      dev.PowerOn();
+      io.now = 0;
+      ASSERT_TRUE(dev.degraded());
+    }
+    for (int k = 0; k < 2; ++k) {
+      if (acked[k].empty()) continue;
+      std::string got;
+      ASSERT_TRUE(dev.Read(io.now, scratch[k], 1, &got).status.ok());
+      EXPECT_TRUE(got == acked[k]) << "acked sector " << scratch[k]
+                                   << " lost after " << cycle
+                                   << " power cycle(s)";
+    }
+    // The sectors still cannot reach NAND, and FLUSH CACHE says so.
+    EXPECT_TRUE(dev.Flush(io.now).status.IsResourceExhausted());
+  }
+}
+
 TEST(DegradedDeviceTest, AsyncSubmitPollAwaitSurfaceDegradedErrors) {
   // Degradation must be visible through the async command path too: a
   // rejected write's ResourceExhausted status has to surface on completion
   // (Poll and Await agree), not get swallowed inside the queue, and
   // interleaved reads must still complete fine.
-  SsdDevice dev(EagerDestage(SsdConfig::Tiny(true)));
+  SsdDevice dev(SsdConfig::Tiny(true));
   IoContext io;
   const std::string before(dev.sector_size(), 'd');
   ASSERT_TRUE(dev.Write(io.now, 0, before).status.ok());
@@ -168,7 +205,7 @@ struct DbStack {
     dc.geometry.blocks_per_plane = 64;
     dc.geometry.pages_per_block = 32;
     dc.capacitor_budget_bytes = 16 * kMiB;
-    device = std::make_unique<SsdDevice>(EagerDestage(dc));
+    device = std::make_unique<SsdDevice>(dc);
     device->set_tracer(&tracer);
     SimFileSystem::Options fso;
     fso.write_barriers = true;
@@ -277,7 +314,7 @@ TEST(DegradedKvStoreTest, RollsBackInFlightBatchAndStaysReadable) {
   dc.geometry.blocks_per_plane = 64;
   dc.geometry.pages_per_block = 32;
   dc.capacitor_budget_bytes = 16 * kMiB;
-  SsdDevice dev(EagerDestage(dc));
+  SsdDevice dev(dc);
   Tracer tracer;
   dev.set_tracer(&tracer);
   SimFileSystem::Options fso;

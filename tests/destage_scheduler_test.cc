@@ -5,10 +5,11 @@
 //   - a power cut at any instant recovers every acknowledged sector, even
 //     ones whose NAND program was never issued (capacitor dump coverage),
 //   - overwrite absorption and multi-plane pairing actually fire,
-//   - the legacy knobs reproduce the seed (eager, blind round-robin) timing
-//     bit-for-bit, keeping the A/B baseline honest.
+//   - the destage path reproduces its golden timing bit-for-bit, both in
+//     place and log-structured.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -238,7 +239,7 @@ TEST(DestageSchedulerTest, OverwriteAbsorptionSavesPrograms) {
 
 TEST(DestageSchedulerTest, MultiPlaneProgramsPairSiblingPlanes) {
   SsdConfig cfg = LazyCutConfig();
-  cfg.multi_plane_program = true;
+  ASSERT_GE(cfg.geometry.planes_per_chip, 2u);
   {
     SsdDevice dev(cfg);
     for (int i = 0; i < 64; ++i) {
@@ -248,7 +249,7 @@ TEST(DestageSchedulerTest, MultiPlaneProgramsPairSiblingPlanes) {
     dev.Flush(1);
     EXPECT_GT(dev.flash().stats().multi_plane_programs, 0u);
   }
-  cfg.multi_plane_program = false;
+  cfg.geometry.planes_per_chip = 1;  // No sibling planes: nothing pairs.
   {
     SsdDevice dev(cfg);
     for (int i = 0; i < 64; ++i) {
@@ -260,17 +261,24 @@ TEST(DestageSchedulerTest, MultiPlaneProgramsPairSiblingPlanes) {
   }
 }
 
-// --- Legacy A/B baseline ----------------------------------------------------
+// --- Golden timing ---------------------------------------------------------
 
-TEST(DestageSchedulerTest, LegacyFlagsReproduceSeedTiming) {
-  // Golden fingerprint of the pre-scheduler device (eager per-command
-  // destage, blind round-robin allocation, no multi-plane). The legacy
-  // knobs must keep that path bit-identical so A/B comparisons stay valid.
-  SsdConfig cfg = SsdConfig::DuraSsd();
+// Appends one timing snapshot of `dev` at `t`: the time, then NAND programs,
+// multi-plane programs, absorbed rewrites, drain rounds and frame stalls.
+void Snapshot(const SsdDevice& dev, SimTime t, std::vector<uint64_t>* f) {
+  f->insert(f->end(),
+            {static_cast<uint64_t>(t), dev.flash().stats().programs,
+             dev.flash().stats().multi_plane_programs,
+             dev.stats().destage_absorbed, dev.stats().destage_batches,
+             dev.stats().write_stalls});
+}
+
+// Timing-only fingerprint of a device config: snapshots after 2,000 random
+// writes, after the FLUSH CACHE that follows, and (on a fresh device) after
+// 4,096 sequential writes and 2,000 random reads.
+std::vector<uint64_t> SerialFingerprint(SsdConfig cfg) {
   cfg.store_data = false;
-  cfg.destage_batch_pages = 1;
-  cfg.idle_aware_allocation = false;
-  cfg.multi_plane_program = false;
+  std::vector<uint64_t> f;
   {
     SsdDevice dev(cfg);
     const std::string data(kSector, 'w');
@@ -279,12 +287,8 @@ TEST(DestageSchedulerTest, LegacyFlagsReproduceSeedTiming) {
     for (int i = 0; i < 2000; ++i) {
       t = dev.Write(t, rng.Uniform(dev.num_sectors()), data).done;
     }
-    EXPECT_EQ(t, 129652000);
-    EXPECT_EQ(dev.Flush(t).done, 135272480);
-    EXPECT_EQ(dev.stats().write_stalls, 0u);
-    EXPECT_EQ(dev.flash().stats().programs, 1000u);
-    EXPECT_EQ(dev.flash().stats().multi_plane_programs, 0u);
-    EXPECT_EQ(dev.stats().destage_absorbed, 0u);
+    Snapshot(dev, t, &f);
+    Snapshot(dev, dev.Flush(t).done, &f);
   }
   {
     SsdDevice dev(cfg);
@@ -295,8 +299,73 @@ TEST(DestageSchedulerTest, LegacyFlagsReproduceSeedTiming) {
     for (int i = 0; i < 2000; ++i) {
       t = dev.Read(t, rng.Uniform(4096), 1, nullptr).done;
     }
-    EXPECT_EQ(t, 294421296);
+    Snapshot(dev, t, &f);
   }
+  return f;
+}
+
+// The serial workload above never outruns the media, so it reaches neither
+// frame pressure, absorption nor multi-plane pairing. This one does: 4,000
+// writes over a 1,024-sector hot set, all submitted at t=0 through an open
+// host interface onto 16 planes with a 256-frame buffer, then FLUSH CACHE.
+std::vector<uint64_t> BurstFingerprint(SsdConfig cfg) {
+  cfg.store_data = false;
+  cfg.geometry.channels = 2;
+  cfg.geometry.packages_per_channel = 2;
+  cfg.geometry.chips_per_package = 2;
+  cfg.geometry.planes_per_chip = 2;
+  cfg.geometry.blocks_per_plane = 256;
+  cfg.fw_parallelism = 32;
+  cfg.fw_write_base = 10 * kMicrosecond;
+  cfg.bus_write_bytes_per_ns = 3.2;
+  cfg.bus_cmd_overhead = 1 * kMicrosecond;
+  cfg.write_buffer_sectors = 256;
+  cfg.cache_capacity_sectors = 512;
+  std::vector<uint64_t> f;
+  SsdDevice dev(cfg);
+  const std::string data(kSector, 'b');
+  Random rng(5);
+  SimTime end = 0;
+  for (int i = 0; i < 4000; ++i) {
+    end = std::max(end, dev.Write(0, rng.Uniform(1024), data).done);
+  }
+  Snapshot(dev, end, &f);
+  Snapshot(dev, dev.Flush(end).done, &f);
+  return f;
+}
+
+TEST(DestageSchedulerTest, InPlaceDefaultsReproduceGoldenTiming) {
+  // Pins the timing of every drain trigger under the shipped DuraSSD
+  // defaults, so a change to the destage path that moves virtual time
+  // fails here before it reaches the bench rows.
+  const SsdConfig cfg = SsdConfig::DuraSsd();
+  EXPECT_EQ(SerialFingerprint(cfg),
+            (std::vector<uint64_t>{
+                129652000, 1000, 0, 0, 1000, 0,  // 2,000 random writes
+                135272480, 1000, 0, 0, 1000, 0,  // FLUSH CACHE
+                294421296, 2048, 0, 0, 2048, 0,  // sequential + reads
+            }));
+  EXPECT_EQ(BurstFingerprint(cfg),
+            (std::vector<uint64_t>{
+                78244320, 1504, 744, 784, 109, 386,  // burst
+                88685280, 1608, 796, 784, 110, 386,  // FLUSH CACHE
+            }));
+}
+
+TEST(DestageSchedulerTest, LogStructuredReproducesGoldenTiming) {
+  SsdConfig cfg = SsdConfig::DuraSsd();
+  cfg.destage_mode = SsdConfig::DestageMode::kLogStructured;
+  EXPECT_EQ(SerialFingerprint(cfg),
+            (std::vector<uint64_t>{
+                129652000, 768, 0, 0, 3, 0,   // 2,000 random writes
+                134452000, 768, 0, 0, 3, 0,   // FLUSH CACHE (no drain)
+                294421296, 2048, 0, 0, 8, 0,  // sequential + reads
+            }));
+  EXPECT_EQ(BurstFingerprint(cfg),
+            (std::vector<uint64_t>{
+                98646800, 2096, 0, 57, 131, 3687,   // burst
+                109046800, 2096, 0, 57, 131, 3687,  // FLUSH CACHE
+            }));
 }
 
 }  // namespace
