@@ -11,7 +11,7 @@
 #include "common/histogram.h"
 #include "common/random.h"
 #include "host/sim_file.h"
-#include "sim/client_scheduler.h"
+#include "sim/sim_executor.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
 
@@ -58,7 +58,7 @@ void RunOne(double fill_fraction, uint64_t ops, BenchJson* json) {
     }
     return dev.Write(now, r.Uniform(fill), payload).done;
   };
-  ClientScheduler::Run(8, ops, t, fn);
+  SerialExecutor().Run(8, ops, t, fn);
 
   printf("  %6.0f%% %10llu %10.2f %10.2f %10.2f %10.2f\n",
          fill_fraction * 100,

@@ -1,26 +1,33 @@
-// Ablation (DESIGN.md §13): host-parallelism sweep over the sharded
-// virtual-time engine. Four independent engine shards (each a full
-// device -> file system -> WAL -> buffer pool -> B+-tree stack) run the
-// same deterministic upsert workload; the sweep varies only the number of
-// HOST threads the epoch-barrier executor may use. Virtual-time results
-// (ops, makespan) are bit-identical across the sweep — that is the
-// executor's determinism contract — while wall-clock throughput
-// (sim_ops_per_wall_second) is the thing host parallelism is allowed to
-// change. Wall-clock is only emitted in full runs: under --quick (CI) the
-// workload is too small for stable timing, and the regression guard would
-// flap on scheduler noise.
+// Ablation (DESIGN.md §12): host-parallelism sweep over independent
+// stacks. Four engine stacks (each a full device -> file system -> WAL ->
+// buffer pool -> B+-tree stack) run the same deterministic upsert
+// workload, each through its own serial client loop; the sweep varies only
+// the number of HOST threads RunParallel may use. Virtual-time results
+// (ops, makespan) and the stacks' final contents (`state_crc32c`: CRC32C
+// over a full scan of every tree) must be identical across the sweep: the
+// bench exits 1 when any row differs from the 1-thread row. Wall-clock
+// throughput (sim_ops_per_wall_second) is the thing host parallelism is
+// allowed to change. Wall-clock is only emitted in full runs: under --quick
+// (CI) the workload is too small for stable timing, and the regression
+// guard would flap on scheduler noise.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_json.h"
+#include "common/crc32c.h"
 #include "db/btree.h"
 #include "db/buffer_pool.h"
 #include "db/wal.h"
 #include "host/sim_file.h"
+#include "sim/run_parallel.h"
 #include "sim/sim_executor.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
@@ -39,8 +46,8 @@ class BumpAllocator : public PageAllocator {
   PageId next_ = 1;
 };
 
-/// One engine shard: a private full stack driven by its shard's clients.
-struct EngineShard {
+/// One engine stack, driven by its own clients.
+struct EngineStack {
   std::unique_ptr<SsdDevice> dev;
   std::unique_ptr<SimFileSystem> fs;
   std::unique_ptr<Wal> wal;
@@ -49,7 +56,7 @@ struct EngineShard {
   std::unique_ptr<BTree> tree;
   uint64_t op_seq = 0;
 
-  explicit EngineShard(uint32_t seed) {
+  explicit EngineStack(uint32_t seed) {
     SsdConfig cfg = SsdConfig::DuraSsd();
     cfg.geometry = FlashGeometry::Tiny();
     cfg.geometry.blocks_per_plane = 128;
@@ -82,85 +89,110 @@ struct EngineShard {
     const SimTime floor = now + 5 * kMicrosecond;
     return io.now > floor ? io.now : floor;
   }
+
+  /// Extends `crc` with every key and value of the tree, in key order,
+  /// read at virtual time `now`.
+  uint32_t Digest(uint32_t crc, SimTime now) {
+    IoContext io;
+    io.now = now;
+    std::vector<std::pair<std::string, std::string>> kvs;
+    if (!tree->ScanFrom(io, "", std::numeric_limits<size_t>::max(), &kvs)
+             .ok()) {
+      abort();
+    }
+    for (const auto& [key, value] : kvs) {
+      crc = Crc32c(key.data(), key.size() + 1, crc);  // With the NUL.
+      crc = Crc32c(value.data(), value.size() + 1, crc);
+    }
+    return crc;
+  }
 };
 
 struct SweepPoint {
   uint64_t sim_ops = 0;
   SimTime makespan = 0;
+  uint32_t state_crc32c = 0;
   double wall_seconds = 0;
 };
 
-SweepPoint RunOnce(uint32_t threads, uint64_t ops_per_shard) {
-  constexpr uint32_t kShards = 4;
-  SimExecutor::Options opts;
-  opts.epoch_ns = 100 * kMicrosecond;
-  opts.host_threads = threads;
-  std::vector<std::unique_ptr<EngineShard>> engines;
-  std::vector<ShardedExecutor::Shard> shards;
-  for (uint32_t s = 0; s < kShards; ++s) {
-    engines.push_back(std::make_unique<EngineShard>(s + 1));
-    EngineShard* e = engines.back().get();
-    shards.push_back({/*num_clients=*/4, ops_per_shard,
-                      [e](uint32_t client, SimTime now) {
-                        (void)client;
-                        return e->Op(now);
-                      }});
+SweepPoint RunOnce(uint32_t threads, uint64_t ops_per_stack) {
+  constexpr uint32_t kStacks = 4;
+  std::vector<std::unique_ptr<EngineStack>> stacks;
+  for (uint32_t s = 0; s < kStacks; ++s) {
+    stacks.push_back(std::make_unique<EngineStack>(s + 1));
   }
-  ShardedExecutor xe(opts, std::move(shards));
+  std::vector<SerialExecutor::RunResult> results(kStacks);
   const auto t0 = std::chrono::steady_clock::now();
-  const auto results = xe.RunShards(/*start_time=*/0);
+  RunParallel(kStacks, threads, [&](uint32_t s) {
+    EngineStack* e = stacks[s].get();
+    results[s] = SerialExecutor().Run(/*num_clients=*/4, ops_per_stack,
+                                      /*start_time=*/0,
+                                      [e](uint32_t client, SimTime now) {
+                                        (void)client;
+                                        return e->Op(now);
+                                      });
+  });
   const auto t1 = std::chrono::steady_clock::now();
 
   SweepPoint p;
-  for (const auto& r : results) {
-    p.sim_ops += r.ops;
-    p.makespan = std::max(p.makespan, r.makespan);
+  for (uint32_t s = 0; s < kStacks; ++s) {
+    p.sim_ops += results[s].ops;
+    p.makespan = std::max(p.makespan, results[s].makespan);
+    p.state_crc32c = stacks[s]->Digest(p.state_crc32c, results[s].makespan);
   }
   p.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   return p;
 }
 
-void RunSweep(uint64_t ops_per_shard, bool quick, BenchJson* json) {
-  printf("Ablation: host threads vs wall-clock throughput (sharded engine)\n");
-  printf("  4 engine shards x %llu ops; virtual-time results must be\n",
-         static_cast<unsigned long long>(ops_per_shard));
-  printf("  identical across the sweep (executor determinism contract)\n");
-  printf("  %-8s %12s %14s %14s %10s\n", "threads", "sim_ops",
-         "makespan_ms", "wall_ms", "speedup");
+/// Returns false when any point's virtual-time results or final state
+/// differ from the 1-thread point's.
+bool RunSweep(uint64_t ops_per_stack, bool quick, BenchJson* json) {
+  printf("Ablation: host threads vs wall-clock throughput (independent "
+         "stacks)\n");
+  printf("  4 engine stacks x %llu ops; virtual-time results and final\n",
+         static_cast<unsigned long long>(ops_per_stack));
+  printf("  state must be identical across the sweep\n");
+  printf("  %-8s %12s %14s %10s %14s %10s\n", "threads", "sim_ops",
+         "makespan_ms", "state_crc", "wall_ms", "speedup");
 
+  bool identical = true;
   double base_wall = 0;
   SweepPoint first;
   for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
-    const SweepPoint p = RunOnce(threads, ops_per_shard);
+    const SweepPoint p = RunOnce(threads, ops_per_stack);
     if (threads == 1) {
       base_wall = p.wall_seconds;
       first = p;
-    } else if (p.sim_ops != first.sim_ops || p.makespan != first.makespan) {
+    } else if (p.sim_ops != first.sim_ops || p.makespan != first.makespan ||
+               p.state_crc32c != first.state_crc32c) {
+      identical = false;
       fprintf(stderr,
-              "DETERMINISM VIOLATION: threads=%u diverged "
-              "(ops %llu vs %llu, makespan %lld vs %lld)\n",
+              "DETERMINISM VIOLATION: threads=%u diverged (ops %llu vs "
+              "%llu, makespan %lld vs %lld, state_crc32c %08x vs %08x)\n",
               threads, static_cast<unsigned long long>(p.sim_ops),
               static_cast<unsigned long long>(first.sim_ops),
               static_cast<long long>(p.makespan),
-              static_cast<long long>(first.makespan));
+              static_cast<long long>(first.makespan), p.state_crc32c,
+              first.state_crc32c);
     }
     const double speedup =
         p.wall_seconds > 0 ? base_wall / p.wall_seconds : 0.0;
-    printf("  %-8u %12llu %14.2f %14.1f %9.2fx\n", threads,
+    printf("  %-8u %12llu %14.2f   %08x %14.1f %9.2fx\n", threads,
            static_cast<unsigned long long>(p.sim_ops),
-           static_cast<double>(p.makespan) / kMillisecond,
+           static_cast<double>(p.makespan) / kMillisecond, p.state_crc32c,
            p.wall_seconds * 1e3, speedup);
 
     if (json->enabled()) {
       BenchResult row{"threads=" + std::to_string(threads)};
       row.Param("host_threads", static_cast<uint64_t>(threads))
           .Param("shards", static_cast<uint64_t>(4))
-          .Param("ops_per_shard", ops_per_shard)
+          .Param("ops_per_shard", ops_per_stack)
           // Virtual-time throughput: deterministic, safe to guard per-row.
           .Throughput(static_cast<double>(p.sim_ops) /
                           (static_cast<double>(p.makespan) / kSecond),
                       "sim_ops_per_sim_second")
-          .Value("sim_makespan_ns", static_cast<uint64_t>(p.makespan));
+          .Value("sim_makespan_ns", static_cast<uint64_t>(p.makespan))
+          .Value("state_crc32c", static_cast<uint64_t>(p.state_crc32c));
       if (!quick) {
         // Wall-clock scaling: guarded (higher is better), full runs only —
         // quick-mode workloads are too small for stable wall timing.
@@ -172,23 +204,24 @@ void RunSweep(uint64_t ops_per_shard, bool quick, BenchJson* json) {
       json->Add(std::move(row));
     }
   }
+  return identical;
 }
 
 }  // namespace
 }  // namespace durassd
 
 int main(int argc, char** argv) {
-  uint64_t ops_per_shard = 30000;
+  uint64_t ops_per_stack = 30000;
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     if (strcmp(argv[i], "--quick") == 0) {
       quick = true;
-      ops_per_shard = 4000;
+      ops_per_stack = 4000;
     }
   }
   durassd::BenchJson json("ablation_host_parallelism",
                           durassd::BenchJson::PathFromArgs(argc, argv), quick);
-  json.Config("ops_per_shard", ops_per_shard);
-  durassd::RunSweep(ops_per_shard, quick, &json);
+  json.Config("ops_per_shard", ops_per_stack);
+  if (!durassd::RunSweep(ops_per_stack, quick, &json)) return 1;
   return json.WriteFile() ? 0 : 1;
 }

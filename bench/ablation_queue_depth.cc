@@ -20,7 +20,7 @@
 #include "bench/bench_json.h"
 #include "db/database.h"
 #include "host/sim_file.h"
-#include "sim/client_scheduler.h"
+#include "sim/sim_executor.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
 #include "workloads/fiosim.h"
@@ -126,8 +126,8 @@ CommitResult RunCommitters(bool ordered, uint32_t clients, uint64_t ops) {
     }
     return cio.now;
   };
-  const ClientScheduler::RunResult r =
-      ClientScheduler::Run(clients, ops, io.now, fn);
+  const SerialExecutor::RunResult r =
+      SerialExecutor().Run(clients, ops, io.now, fn);
   out.commits_per_sec = r.OpsPerSecond();
   out.wal = db->wal_stats();
   return out;

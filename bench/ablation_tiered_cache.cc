@@ -224,7 +224,9 @@ int main(int argc, char** argv) {
     if (strcmp(argv[i], "--quick") == 0) {
       quick = true;
       shape.capacity_sectors = 16384;  // 64 MiB.
-      shape.hot_sectors = 512;         // 2 MiB hot set.
+      // 4 MiB hot set: 1/16 of the capacity tier, the full run's ratio, so
+      // the 5% tier (819 slots) cannot hold it and the 10% tier can.
+      shape.hot_sectors = 1024;
       shape.ops = 4000;
     }
   }

@@ -13,9 +13,7 @@ Usage:
 Guarded metrics: per-row throughput (higher is better), plus the
 GUARDED_VALUES scalars when a baseline row carries them — currently
 write_amplification (lower is better), cache_hit_ratio (higher is
-better), failover_read_p99_us (lower is better),
-rebuild_foreground_floor (higher is better),
-sim_ops_per_wall_second (higher is better; full runs only),
+better), sim_ops_per_wall_second (higher is better; full runs only),
 tier_hit_ratio (higher is better), and rewarm_seconds (lower is
 better). Every micro_ops row (google-benchmark, wall clock) fails when
 its CPU time exceeds MICRO_OPS_FACTOR times the baseline's: a band wide
@@ -63,11 +61,7 @@ def rows_by_name(bench_doc):
 GUARDED_VALUES = {
     "write_amplification": "lower_is_better",
     "cache_hit_ratio": "higher_is_better",
-    # Array failover: post-failover read tail must not creep up, and the
-    # rebuild scheduler's foreground-throughput floor must not erode.
-    "failover_read_p99_us": "lower_is_better",
-    "rebuild_foreground_floor": "higher_is_better",
-    # Sharded engine: wall-clock simulation throughput (full runs only;
+    # Host parallelism: wall-clock simulation throughput (full runs only;
     # quick runs omit it because small workloads time too noisily).
     "sim_ops_per_wall_second": "higher_is_better",
     # Tiered cache: the hot-set hit ratio must not erode, and the warm

@@ -153,6 +153,63 @@ def fig6b_4k_highest(res):
                         f"{len(by_pool)} pool sizes")
 
 
+def tiered_knee(res):
+    """ablation_tiered_cache: the hot set overflows the 5% flash tier (hit
+    ratio < 0.9) and fits the 10% and 20% tiers (>= 0.9), where the tiered
+    device serves >= 2x the raw HDD's IOPS."""
+    bench = "ablation_tiered_cache"
+    hit = {pct: row(res, bench, f"hot_skew/flash_pct={pct}")["values"][
+        "tier_hit_ratio"] for pct in (5, 10, 20)}
+    speedup = ratio(res, bench, "hot_skew/flash_pct=10", "hot_skew/raw_hdd")
+    holds = hit[5] < 0.9 <= min(hit[10], hit[20]) and speedup >= 2.0
+    return holds, ("hit ratio 5/10/20%: " + " / ".join(
+        f"{h:.3f}" for h in hit.values()) + " (< 0.9 at 5%, >= 0.9 above); "
+        f"10% vs raw HDD: {speedup:.2f}x (>= 2x)")
+
+
+def host_parallelism_identical(res):
+    """ablation_host_parallelism: every host-thread count gives the same
+    virtual makespan, throughput and final stack state."""
+    outcomes = set()
+    rs = rows(res, "ablation_host_parallelism")
+    for r in rs:
+        v = r["values"]
+        if "state_crc32c" not in v:
+            raise MissingRow(f"ablation_host_parallelism/{r['name']} has no "
+                             "state_crc32c")
+        outcomes.add((v["sim_makespan_ns"], r["throughput"]["value"],
+                      v["state_crc32c"]))
+    if len(rs) < 2:
+        raise MissingRow("ablation_host_parallelism needs >= 2 rows")
+    return len(outcomes) == 1, (f"{len(rs)} thread counts: {len(outcomes)} "
+                                "distinct (makespan, throughput, state) (1)")
+
+
+def destage_mode_nand(res):
+    """ablation_destage_mode: at flush_every=1 log-structured destage
+    programs >= 45% fewer NAND bytes than in-place, and its write
+    amplification is <= 1.0 at every flush cadence."""
+    bench = "ablation_destage_mode"
+
+    def nand_sectors(name):
+        r = row(res, bench, name)
+        return (r["values"]["write_amplification"] *
+                r["device"]["stats"]["host_written_sectors"])
+
+    drop = 1.0 - nand_sectors("log_structured_f1") / nand_sectors(
+        "in_place_f1")
+    wa = {r["params"]["flush_every"]: r["values"]["write_amplification"]
+          for r in rows(res, bench)
+          if r["params"]["destage_mode"] == "log_structured"}
+    if not wa:
+        raise MissingRow(f"{bench} log_structured rows missing")
+    worst = max(wa.values())
+    return drop >= 0.45 and worst <= 1.0, (
+        f"flush_every=1 NAND bytes: {drop:.0%} fewer (>= 45%); "
+        f"log-structured WA at most {worst:.3f} over {len(wa)} cadences "
+        "(<= 1.0)")
+
+
 CLAIMS = [
     ("ablation_cache_size knee", cache_size_knee),
     ("ablation_cache_size saturation", cache_size_saturates),
@@ -164,6 +221,9 @@ CLAIMS = [
     ("Table 4 barrier factor", table4_barrier),
     ("Endurance NAND reduction", endurance),
     ("Fig. 6b 4KB highest", fig6b_4k_highest),
+    ("ablation_tiered_cache knee", tiered_knee),
+    ("ablation_host_parallelism identical", host_parallelism_identical),
+    ("ablation_destage_mode NAND bytes", destage_mode_nand),
 ]
 
 

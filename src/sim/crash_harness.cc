@@ -7,7 +7,6 @@
 #include <sstream>
 #include <utility>
 
-#include "array/array_device.h"
 #include "common/random.h"
 #include "db/database.h"
 #include "host/sim_file.h"
@@ -72,11 +71,10 @@ std::vector<Op> MakeOps(const CrashHarness::Options& opt) {
   return ops;
 }
 
-/// One full stack: device (raw SSD, or a mirrored array of them) + file
-/// system. The engine lives in EngineHolder so it can be destroyed and
-/// reopened across simulated reboots. The power/cut/epoch helpers fan out
-/// to whichever device backs the mount, so the torture logic below is
-/// array-agnostic.
+/// One full stack: device (raw SSD, or a tiered device) + file system. The
+/// engine lives in EngineHolder so it can be destroyed and reopened across
+/// simulated reboots. The power/cut/epoch helpers fan out to whichever
+/// device backs the mount, so the torture logic below is device-agnostic.
 struct Stack {
   explicit Stack(const CrashHarness::Options& opt) {
     SsdConfig dc =
@@ -119,13 +117,6 @@ struct Stack {
       tc.destage_batch = opt.tier_destage_batch;
       tc.warm_recovery = opt.tier_warm;
       tier = MakeTieredDevice(tc);
-    } else if (opt.array_mirrors > 0) {
-      ArrayConfig ac;
-      ac.layout = ArrayConfig::Layout::kMirrored;
-      ac.auto_rebuild = opt.array_rebuild;
-      ac.rebuild_batch_sectors = 64;
-      ac.rebuild_interval_ns = 100 * kMicrosecond;
-      array = MakeMirroredArray(dc, opt.array_mirrors, ac);
     } else {
       ssd = std::make_unique<SsdDevice>(dc);
     }
@@ -135,15 +126,12 @@ struct Stack {
   }
 
   BlockDevice* dev() {
-    if (tier != nullptr) return tier.get();
-    return array != nullptr ? static_cast<BlockDevice*>(array.get())
-                            : static_cast<BlockDevice*>(ssd.get());
+    return tier != nullptr ? static_cast<BlockDevice*>(tier.get())
+                           : static_cast<BlockDevice*>(ssd.get());
   }
   void SchedulePowerCut(SimTime t) {
     if (tier != nullptr) {
       tier->SchedulePowerCut(t);
-    } else if (array != nullptr) {
-      array->SchedulePowerCut(t);
     } else {
       ssd->SchedulePowerCut(t);
     }
@@ -151,8 +139,6 @@ struct Stack {
   void CancelScheduledPowerCut() {
     if (tier != nullptr) {
       tier->CancelScheduledPowerCut();
-    } else if (array != nullptr) {
-      array->CancelScheduledPowerCut();
     } else {
       ssd->CancelScheduledPowerCut();
     }
@@ -160,43 +146,27 @@ struct Stack {
   void PowerCut(SimTime t) { dev()->PowerCut(t); }
   SimTime PowerOn() { return dev()->PowerOn(); }
   bool powered() const {
-    if (tier != nullptr) return tier->powered();
-    return array != nullptr ? array->powered() : ssd->powered();
+    return tier != nullptr ? tier->powered() : ssd->powered();
   }
   bool degraded() const {
-    if (tier != nullptr) return tier->degraded();
-    return array != nullptr
-               ? array->degraded() || array->any_member_media_degraded()
-               : ssd->degraded();
+    return tier != nullptr ? tier->degraded() : ssd->degraded();
   }
   uint64_t epoch_violations() const {
-    if (tier != nullptr) return tier->epoch_ordering_violations();
-    return array != nullptr ? array->epoch_ordering_violations()
-                            : ssd->stats().epoch_ordering_violations;
+    return tier != nullptr ? tier->epoch_ordering_violations()
+                           : ssd->stats().epoch_ordering_violations;
   }
   void set_tracer(Tracer* t) {
-    // Array runs trace the read primary: its barrier/flush completions are
-    // the commit boundaries the host observes. Tiered runs trace the flash
-    // tier for the same reason.
+    // Tiered runs trace the flash tier: its barrier/flush completions are
+    // the commit boundaries the host observes.
     if (tier != nullptr) {
       tier->set_tracer(t);
-    } else if (array != nullptr) {
-      array->member(0).set_tracer(t);
     } else {
       ssd->set_tracer(t);
-    }
-  }
-  /// Arms the whole-device death of member 0 at virtual time `kill` (array
-  /// stacks only; no-op otherwise).
-  void ArmKill(SimTime kill) {
-    if (array != nullptr && kill > 0) {
-      array->fault_injector().KillMemberAt(0, kill);
     }
   }
 
   IoContext io;
   std::unique_ptr<SsdDevice> ssd;
-  std::unique_ptr<ArrayDevice> array;
   std::unique_ptr<TieredDevice> tier;
   std::unique_ptr<SimFileSystem> fs;
 };
@@ -437,9 +407,7 @@ std::string CrashHarness::Options::ToString() const {
      << " ckpt_qd=" << checkpoint_queue_depth
      << " mode=" << DurabilityModeName(durability_mode)
      << " cut_at_boundary=" << cut_at_barrier_boundary
-     << " plant_reorder=" << plant_epoch_reorder
-     << " mirrors=" << array_mirrors << " kill_frac=" << array_kill_fraction
-     << " rebuild=" << array_rebuild << " tiered=" << tiered
+     << " plant_reorder=" << plant_epoch_reorder << " tiered=" << tiered
      << " tier_pct=" << tier_flash_pct << " tier_adm=" << tier_admission
      << " tier_batch=" << tier_destage_batch << " tier_warm=" << tier_warm;
   return os.str();
@@ -500,12 +468,6 @@ CrashHarness::Options CrashHarness::Options::FromString(
       o.cut_at_barrier_boundary = as_bool();
     } else if (key == "plant_reorder") {
       o.plant_epoch_reorder = as_bool();
-    } else if (key == "mirrors") {
-      o.array_mirrors = static_cast<uint32_t>(std::stoul(val));
-    } else if (key == "kill_frac") {
-      o.array_kill_fraction = std::stod(val);
-    } else if (key == "rebuild") {
-      o.array_rebuild = as_bool();
     } else if (key == "tiered") {
       o.tiered = as_bool();
     } else if (key == "tier_pct") {
@@ -531,21 +493,6 @@ CrashHarness::Report CrashHarness::Run(const Options& opt) {
     if (op.is_put) history[op.key].insert(op.value);
   }
 
-  // ---- Optional pre-pass: the member-kill instant is a fraction of the
-  // FAULT-FREE run's duration, which only this extra kill-free, cut-free
-  // replay can reveal (the kill itself perturbs all later timing). The
-  // probe pass below then runs WITH the kill armed, so probe and crashing
-  // run stay bit-identical up to the cut. ----
-  SimTime kill_time = 0;
-  if (opt.array_mirrors > 0 && opt.array_kill_fraction > 0) {
-    Stack s(opt);
-    RunWorkload(s, opt, ops, /*cut=*/0, nullptr);
-    const SimTime t0 = std::max<SimTime>(s.io.now, 1);
-    kill_time = std::max<SimTime>(
-        1, static_cast<SimTime>(static_cast<double>(t0) *
-                                opt.array_kill_fraction));
-  }
-
   // ---- Probe pass: build the oracle on a pristine, cut-free stack. ----
   std::vector<Model> snapshots;
   snapshots.push_back(Model{});  // Snapshot 0: before any commit.
@@ -557,7 +504,6 @@ CrashHarness::Report CrashHarness::Run(const Options& opt) {
   {
     Stack s(opt);
     if (opt.cut_at_barrier_boundary) s.set_tracer(&boundary_tracer);
-    s.ArmKill(kill_time);
     const RunResult pr = RunWorkload(s, opt, ops, /*cut=*/0, &snapshots);
     if (!pr.open_ok) {
       AddViolation(&rep, opt, 0, "probe open failed: " + pr.fail.ToString());
@@ -602,7 +548,6 @@ CrashHarness::Report CrashHarness::Run(const Options& opt) {
   SimTime nested_at = 0;
   if (opt.nested_cut) {
     Stack s(opt);
-    s.ArmKill(kill_time);
     RunWorkload(s, opt, ops, cut, nullptr);
     EnsureCrashed(s, cut);
     s.PowerOn();
@@ -616,7 +561,6 @@ CrashHarness::Report CrashHarness::Run(const Options& opt) {
 
   // ---- The crashing run. ----
   Stack s(opt);
-  s.ArmKill(kill_time);
   const RunResult rr = RunWorkload(s, opt, ops, cut, nullptr);
   EnsureCrashed(s, cut);
   rep.cuts = 1;

@@ -111,28 +111,12 @@ class CrashHarness {
     /// to report a violation. A Run with this set REPORTING ok is itself
     /// the bug. Skips the idempotency phase.
     bool plant_epoch_reorder = false;
-    // --- Multi-device array scenarios ---
-    /// 0 = the raw single-device stack (the legacy path, bit-for-bit
-    /// unchanged). >= 1 = mount the engine on a mirrored ArrayDevice with
-    /// this many members; 1 is the golden single-member array, whose timing
-    /// must reproduce the raw path exactly.
-    uint32_t array_mirrors = 0;
-    /// > 0: whole-device death of member 0 (the read primary) at this
-    /// fraction of the fault-free run's virtual duration — an extra
-    /// pre-pass learns that duration first, and the probe pass runs with
-    /// the kill armed so probe and crashing run stay bit-identical up to
-    /// the cut. The workload must ride through on the survivor.
-    double array_kill_fraction = 0.0;
-    /// Hot-spare semantics: auto-start the rate-limited online rebuild
-    /// onto a fresh spare the moment the kill fires, so the power cut can
-    /// land mid-rebuild (the zero-acked-loss acceptance sweep).
-    bool array_rebuild = false;
     // --- Tiered (flash-extended-cache) scenarios ---
     /// Mount the engine on a TieredDevice: a small durable-cache flash
     /// tier fronting an HDD capacity tier, with the persistent cache
     /// directory journaled on flash. Host acks are flash-journal acks, so
     /// the stack earns the kStrict oracle regardless of `durable_cache`
-    /// (which is ignored). Mutually exclusive with array_mirrors.
+    /// (which is ignored).
     bool tiered = false;
     /// Flash-tier size as a percentage of the capacity tier.
     double tier_flash_pct = 10.0;

@@ -1,27 +1,14 @@
 #include "sim/sim_executor.h"
 
-#include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
-#include <utility>
-
-#include "sim/thread_pool.h"
+#include <queue>
+#include <vector>
 
 namespace durassd {
 
-namespace {
-constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// SerialExecutor — the pre-executor ClientScheduler loop, moved verbatim.
-// ---------------------------------------------------------------------------
-
-SimExecutor::RunResult SerialExecutor::Run(uint32_t num_clients,
-                                           uint64_t total_ops,
-                                           SimTime start_time,
-                                           const ClientFn& fn) {
+SerialExecutor::RunResult SerialExecutor::Run(uint32_t num_clients,
+                                              uint64_t total_ops,
+                                              SimTime start_time,
+                                              const ClientFn& fn) const {
   RunResult result;
   if (num_clients == 0 || total_ops == 0) return result;
   struct Entry {
@@ -44,221 +31,10 @@ SimExecutor::RunResult SerialExecutor::Run(uint32_t num_clients,
     const SimTime done = fn(e.client, e.at);
     latest = done > latest ? done : latest;
     result.ops++;
-    heap.push(Entry{done + options_.think_time, seq++, e.client});
+    heap.push(Entry{done, seq++, e.client});
   }
   result.makespan = latest - start_time;
   return result;
-}
-
-// ---------------------------------------------------------------------------
-// ShardedExecutor
-// ---------------------------------------------------------------------------
-
-SimTime ShardedExecutor::ShardState::NextAt() const {
-  SimTime next = kNever;
-  if (!ClientsDone() && !heap.empty()) next = heap.top().at;
-  for (size_t i = inbox_next; i < inbox.size(); ++i) {
-    next = std::min(next, inbox[i].at);
-  }
-  return next;
-}
-
-ShardedExecutor::ShardedExecutor(const Options& options,
-                                 std::vector<Shard> shards)
-    : options_(options) {
-  if (options_.epoch_ns <= 0) options_.epoch_ns = 100 * kMicrosecond;
-  for (Shard& sh : shards) {
-    auto st = std::make_unique<ShardState>();
-    st->shard = std::move(sh);
-    states_.push_back(std::move(st));
-  }
-  pool_ = std::make_unique<ThreadPool>(options_.host_threads);
-}
-
-ShardedExecutor::~ShardedExecutor() = default;
-
-SimExecutor::RunResult ShardedExecutor::Run(uint32_t num_clients,
-                                            uint64_t total_ops,
-                                            SimTime start_time,
-                                            const ClientFn& fn) {
-  states_.clear();
-  auto st = std::make_unique<ShardState>();
-  st->shard = Shard{num_clients, total_ops, fn};
-  states_.push_back(std::move(st));
-  std::vector<RunResult> r = RunShards(start_time);
-  return r.empty() ? RunResult{} : r[0];
-}
-
-void ShardedExecutor::Post(uint32_t from_shard, uint32_t to_shard, SimTime at,
-                           PostFn fn) {
-  ShardState* sender = states_[from_shard].get();
-  // Clamp to the current window's end: the post becomes visible at the
-  // next barrier at the earliest, making cross-shard latency >= one epoch.
-  const SimTime deliver = std::max(at, window_end_);
-  sender->outbox.push_back(Delivery{
-      deliver, from_shard, static_cast<uint64_t>(sender->outbox.size()),
-      to_shard, std::move(fn)});
-}
-
-void ShardedExecutor::RunShardWindow(ShardState* s, SimTime window_end) {
-  // 1. Deliver due cross-shard posts in (time, sender, sender-seq) order.
-  //    The inbox was merged in that order at the barrier, and every entry
-  //    appended later was posted in a later window (so clamped to a later
-  //    or equal delivery time); a stable scan from the cursor suffices.
-  while (s->inbox_next < s->inbox.size()) {
-    // Find the earliest due entry at or after the cursor (entries are
-    // grouped by merge round; rounds are appended in nondecreasing clamp
-    // time, but a round is internally sorted, so scan the whole tail).
-    size_t best = s->inbox.size();
-    for (size_t i = s->inbox_next; i < s->inbox.size(); ++i) {
-      if (s->inbox[i].fn == nullptr) continue;  // already run
-      if (s->inbox[i].at >= window_end) continue;
-      if (best == s->inbox.size()) {
-        best = i;
-        continue;
-      }
-      const Delivery& a = s->inbox[i];
-      const Delivery& b = s->inbox[best];
-      if (a.at != b.at ? a.at < b.at
-                       : (a.from_shard != b.from_shard
-                              ? a.from_shard < b.from_shard
-                              : a.from_seq < b.from_seq)) {
-        best = i;
-      }
-    }
-    if (best == s->inbox.size()) break;
-    PostFn fn = std::move(s->inbox[best].fn);
-    s->inbox[best].fn = nullptr;
-    fn(s->inbox[best].at);
-    // Advance the cursor past the consumed prefix.
-    while (s->inbox_next < s->inbox.size() &&
-           s->inbox[s->inbox_next].fn == nullptr) {
-      ++s->inbox_next;
-    }
-  }
-
-  // 2. Resume clients whose local clocks fall inside the window — the
-  //    serial loop restricted to [*, window_end).
-  while (s->ops_done < s->shard.total_ops && !s->heap.empty() &&
-         s->heap.top().at < window_end) {
-    const Entry e = s->heap.top();
-    s->heap.pop();
-    const SimTime done = s->shard.fn(e.client, e.at);
-    s->latest = done > s->latest ? done : s->latest;
-    s->ops_done++;
-    s->heap.push(Entry{done + options_.think_time, s->seq++, e.client});
-  }
-}
-
-std::vector<SimExecutor::RunResult> ShardedExecutor::RunShards(
-    SimTime start_time) {
-  // Seed every shard's heap: all clients runnable at start_time, FIFO
-  // seeded in client order (identical to the serial loop).
-  for (auto& sp : states_) {
-    ShardState* s = sp.get();
-    s->latest = start_time;
-    if (s->shard.num_clients == 0 || s->shard.total_ops == 0) continue;
-    for (uint32_t c = 0; c < s->shard.num_clients; ++c) {
-      s->heap.push(Entry{start_time, s->seq++, c});
-    }
-  }
-
-  std::vector<std::function<void()>> thunks;
-  std::vector<Delivery> round;
-  for (;;) {
-    // Global minimum next-runnable time decides the window; idle gaps are
-    // skipped entirely (no empty windows).
-    SimTime next = kNever;
-    for (auto& sp : states_) {
-      if (sp->HasWork()) next = std::min(next, sp->NextAt());
-    }
-    if (next == kNever) break;
-    window_end_ = (next / options_.epoch_ns + 1) * options_.epoch_ns;
-
-    thunks.clear();
-    for (auto& sp : states_) {
-      ShardState* s = sp.get();
-      if (!s->HasWork() || s->NextAt() >= window_end_) continue;
-      const SimTime we = window_end_;
-      thunks.push_back([this, s, we] { RunShardWindow(s, we); });
-    }
-    // Epoch barrier: RunBatch returns only when every scheduled
-    // shard-window has completed on the pool.
-    pool_->RunBatch(thunks);
-
-    // Merge outboxes into target inboxes in (delivery time, sender shard,
-    // sender seq) order — deterministic regardless of which worker ran
-    // which shard.
-    round.clear();
-    for (auto& sp : states_) {
-      for (Delivery& d : sp->outbox) round.push_back(std::move(d));
-      sp->outbox.clear();
-    }
-    if (!round.empty()) {
-      std::sort(round.begin(), round.end(),
-                [](const Delivery& a, const Delivery& b) {
-                  if (a.at != b.at) return a.at < b.at;
-                  if (a.from_shard != b.from_shard) {
-                    return a.from_shard < b.from_shard;
-                  }
-                  return a.from_seq < b.from_seq;
-                });
-      for (Delivery& d : round) {
-        states_[d.to_shard]->inbox.push_back(std::move(d));
-      }
-    }
-  }
-
-  std::vector<RunResult> results;
-  results.reserve(states_.size());
-  for (auto& sp : states_) {
-    RunResult r;
-    r.ops = sp->ops_done;
-    r.makespan = sp->latest - start_time;
-    results.push_back(r);
-  }
-  return results;
-}
-
-// ---------------------------------------------------------------------------
-// Environment-routed entry point (used by ClientScheduler).
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct ExecutorEnv {
-  bool sharded = false;
-  uint32_t threads = 2;
-};
-
-const ExecutorEnv& GetExecutorEnv() {
-  static const ExecutorEnv env = [] {
-    ExecutorEnv e;
-    const char* mode = std::getenv("DURASSD_EXECUTOR");
-    e.sharded = mode != nullptr && std::strcmp(mode, "sharded") == 0;
-    if (const char* t = std::getenv("DURASSD_EXECUTOR_THREADS")) {
-      const long n = std::strtol(t, nullptr, 10);
-      if (n >= 1 && n <= 256) e.threads = static_cast<uint32_t>(n);
-    }
-    return e;
-  }();
-  return env;
-}
-
-}  // namespace
-
-SimExecutor::RunResult RunClients(uint32_t num_clients, uint64_t total_ops,
-                                  SimTime start_time,
-                                  const SimExecutor::ClientFn& fn,
-                                  const SimExecutor::Options& options) {
-  const ExecutorEnv& env = GetExecutorEnv();
-  if (!env.sharded) {
-    return SerialExecutor(options).Run(num_clients, total_ops, start_time, fn);
-  }
-  SimExecutor::Options o = options;
-  o.host_threads = env.threads;
-  ShardedExecutor ex(o, {});
-  return ex.Run(num_clients, total_ops, start_time, fn);
 }
 
 }  // namespace durassd

@@ -3,52 +3,34 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <queue>
-#include <vector>
 
 #include "common/types.h"
 
 namespace durassd {
 
-class ThreadPool;
-
-/// Virtual-time execution engine contract. An executor owns the resume
-/// order of closed-loop clients: each client repeatedly runs one operation
-/// (a function of `(client, now)` returning the operation's completion
-/// time) and the executor decides which runnable client resumes next.
+/// Closed-loop multi-client execution in virtual time: N logical clients
+/// each repeatedly run one operation (a transaction) that advances their
+/// local clock; contention happens inside the shared device/engine resource
+/// timelines. Clients are always resumed in local-time order, which keeps
+/// causality across shared state tight at transaction granularity. This
+/// replaces the paper's 128 real benchmark threads: deterministic,
+/// seedable, and a few orders of magnitude faster than wall-clock runs.
 ///
-/// Two implementations:
-///  - SerialExecutor: the historical single-threaded loop (default).
-///    Clients pop in (local clock, FIFO-seq) order from one heap.
-///  - ShardedExecutor: N shards, each a disjoint simulation stack with its
-///    own (clock, FIFO) heap, advanced in lockstep epochs (virtual-time
-///    windows of `epoch_ns`) under a barrier, with shard-epochs executed
-///    on a real host thread pool.
+/// Determinism guarantee: the resume order is a pure function of the
+/// inputs. Clients are popped in (local clock, FIFO) order — among clients
+/// whose clocks are equal, the one that became runnable *first* resumes
+/// first (ties never depend on client index, container layout, or hash
+/// order). Given the same (num_clients, total_ops, start_time, fn), every
+/// run produces the identical operation schedule.
 ///
-/// Determinism contract (both implementations): the operation schedule is
-/// a pure function of (shards, total_ops, start_time, options) — never of
-/// the host thread count, wall-clock timing, or which worker ran which
-/// epoch. ShardedExecutor with 1 shard produces the bit-identical schedule
-/// to SerialExecutor for any epoch_ns and any thread count.
-class SimExecutor {
+/// The loop runs on the calling thread. Independent stacks, each driven by
+/// its own loop, can run on several host threads through RunParallel
+/// (sim/run_parallel.h); see DESIGN.md §12.
+class SerialExecutor {
  public:
   /// Runs one operation for `client` starting at local time `now`; returns
   /// the operation's completion time (>= now).
   using ClientFn = std::function<SimTime(uint32_t client, SimTime now)>;
-
-  struct Options {
-    /// Virtual think time between one operation's completion and the
-    /// client's next submission (0 = fully closed loop).
-    SimTime think_time = 0;
-    /// Sharded mode: width of one epoch window. Shards only observe each
-    /// other's cross-shard posts at window boundaries, so this is the
-    /// minimum cross-shard visibility latency. Ignored by SerialExecutor.
-    SimTime epoch_ns = 100 * kMicrosecond;
-    /// Sharded mode: host threads executing shard-epochs. Ignored by
-    /// SerialExecutor.
-    uint32_t host_threads = 1;
-  };
 
   struct RunResult {
     uint64_t ops = 0;
@@ -62,141 +44,13 @@ class SimExecutor {
     }
   };
 
-  virtual ~SimExecutor() = default;
-
   /// Runs `total_ops` operations spread across `num_clients` clients
-  /// starting at `start_time`. Degenerate inputs return a zero result.
-  virtual RunResult Run(uint32_t num_clients, uint64_t total_ops,
-                        SimTime start_time, const ClientFn& fn) = 0;
-};
-
-/// The historical single-threaded loop: one heap, clients popped in
-/// (local clock, FIFO) order. Bit-identical to the pre-executor
-/// ClientScheduler (the algorithm moved here verbatim).
-class SerialExecutor : public SimExecutor {
- public:
-  explicit SerialExecutor(const Options& options) : options_(options) {}
-  SerialExecutor() : SerialExecutor(Options{}) {}
-
+  /// starting at `start_time`. Each pop resumes the runnable client with
+  /// the smallest local clock (FIFO among equals). Degenerate inputs (no
+  /// clients or no ops) return a zero result.
   RunResult Run(uint32_t num_clients, uint64_t total_ops, SimTime start_time,
-                const ClientFn& fn) override;
-
- private:
-  Options options_;
+                const ClientFn& fn) const;
 };
-
-/// Epoch-barrier sharded engine. Each shard owns a *disjoint* simulation
-/// stack (device/array member + file system + engine + its clients); the
-/// executor advances all shards through the same virtual-time window
-/// [W, W+epoch) per round, running each shard's window on a pool thread,
-/// then barriers before the next window.
-///
-/// Why this is deterministic regardless of host thread count: within a
-/// window a shard's schedule depends only on shard-local state (its own
-/// heap) plus cross-shard posts delivered at the *previous* barrier — both
-/// pure functions of the inputs. Thread count only changes which worker
-/// executes a shard-window, never what the window computes. See
-/// DESIGN.md §13.
-///
-/// Cross-shard hand-off: during a window a shard may Post() a handler to
-/// another shard. Posts are buffered in the sender's outbox (owner-thread
-/// only — no locking during the window), merged at the barrier in
-/// (delivery time, sender shard, sender sequence) order, and run by the
-/// target shard at the start of the first window that covers their
-/// delivery time. Delivery times are clamped up to the end of the posting
-/// window, so cross-shard visibility latency is at least one epoch.
-class ShardedExecutor : public SimExecutor {
- public:
-  struct Shard {
-    uint32_t num_clients = 0;
-    uint64_t total_ops = 0;
-    ClientFn fn;
-  };
-
-  /// Handler delivered to a shard at an epoch boundary; `now` is the
-  /// (clamped) delivery time. Runs on the target shard's worker thread
-  /// before any client of that window resumes.
-  using PostFn = std::function<void(SimTime now)>;
-
-  ShardedExecutor(const Options& options, std::vector<Shard> shards);
-  ~ShardedExecutor() override;
-
-  /// Single-shard convenience form (the SimExecutor contract): wraps the
-  /// arguments into one shard and runs it — bit-identical to
-  /// SerialExecutor for any epoch_ns / host_threads.
-  RunResult Run(uint32_t num_clients, uint64_t total_ops, SimTime start_time,
-                const ClientFn& fn) override;
-
-  /// Runs every shard to completion and returns per-shard results
-  /// (indexed like the constructor's vector).
-  std::vector<RunResult> RunShards(SimTime start_time);
-
-  /// Posts `fn` from `from_shard` for delivery to `to_shard` at virtual
-  /// time >= `at` (clamped to the end of the current window). Only legal
-  /// from within a client function or post handler of `from_shard` while
-  /// RunShards is executing that shard's window.
-  void Post(uint32_t from_shard, uint32_t to_shard, SimTime at, PostFn fn);
-
-  uint32_t num_shards() const {
-    return static_cast<uint32_t>(states_.size());
-  }
-
- private:
-  struct Entry {
-    SimTime at;
-    uint64_t seq;  ///< Enqueue order: the FIFO tie-break among equal clocks.
-    uint32_t client;
-  };
-  struct EntryLater {
-    bool operator()(const Entry& a, const Entry& b) const {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-    }
-  };
-  struct Delivery {
-    SimTime at;
-    uint32_t from_shard;
-    uint64_t from_seq;  ///< Outbox index at the sender: FIFO among equals.
-    uint32_t to_shard;
-    PostFn fn;
-  };
-  struct ShardState {
-    Shard shard;
-    std::priority_queue<Entry, std::vector<Entry>, EntryLater> heap;
-    uint64_t seq = 0;
-    uint64_t ops_done = 0;
-    SimTime latest = 0;
-    std::vector<Delivery> outbox;  ///< Written only by the owning worker.
-    std::vector<Delivery> inbox;   ///< Merged at barriers, delivery order.
-    size_t inbox_next = 0;
-    RunResult result;
-
-    bool ClientsDone() const { return ops_done >= shard.total_ops; }
-    bool HasWork() const {
-      return (!ClientsDone() && !heap.empty()) || inbox_next < inbox.size();
-    }
-    /// Earliest virtual time at which this shard has something to run.
-    SimTime NextAt() const;
-  };
-
-  void RunShardWindow(ShardState* s, SimTime window_end);
-
-  Options options_;
-  std::vector<std::unique_ptr<ShardState>> states_;
-  std::unique_ptr<ThreadPool> pool_;
-  SimTime window_end_ = 0;  ///< Written by the barrier, read by workers.
-};
-
-/// ClientScheduler entry point: runs on the serial executor by default;
-/// when the environment forces sharded mode (DURASSD_EXECUTOR=sharded,
-/// thread count from DURASSD_EXECUTOR_THREADS, default 2) the same
-/// schedule runs as one shard on a ShardedExecutor — bit-identical
-/// results with real cross-thread hand-off of the simulation stack across
-/// epochs (this is how the TSan CI job exercises the whole suite under
-/// the sharded engine).
-SimExecutor::RunResult RunClients(uint32_t num_clients, uint64_t total_ops,
-                                  SimTime start_time,
-                                  const SimExecutor::ClientFn& fn,
-                                  const SimExecutor::Options& options);
 
 }  // namespace durassd
 

@@ -55,7 +55,7 @@ class HddDevice : public BlockDevice {
   bool has_durable_cache() const override { return false; }
 
   /// Arms a power cut at virtual time `t` (same contract as
-  /// SsdDevice/ArrayDevice::SchedulePowerCut): the first command observed at
+  /// SsdDevice::SchedulePowerCut): the first command observed at
   /// or after the instant — or whose completion would land past it — trips
   /// PowerCut(t) and fails DeviceOffline instead of being acknowledged, so
   /// the acked-durability oracle holds on the disk exactly as on the SSDs

@@ -47,7 +47,7 @@ TieredDevice::TieredDevice(TieredConfig config) : cfg_(std::move(config)) {
 
   // Size the cache and the map ring. The ring must hold two full
   // checkpoints plus the delta window between them with slack, so the
-  // writer can never lap the live window (see DESIGN.md §14).
+  // writer can never lap the live window (see DESIGN.md §13).
   const uint64_t flash_sectors = flash_->num_sectors();
   const uint32_t epp = EntriesPerPage();
   const double pct = std::clamp(cfg_.flash_pct, 0.01, 100.0);
@@ -464,7 +464,7 @@ BlockDevice::Result TieredDevice::Execute(SimTime t, const Command& cmd) {
   }
 
   if (cut_armed_ && r.done > scheduled_cut_) {
-    // Causality guard (ArrayDevice/SsdDevice contract): a command whose
+    // Causality guard (SsdDevice contract): a command whose
     // completion lands past the armed instant must not be acknowledged.
     // Member effects carrying post-cut timestamps are reverted by each
     // member's own PowerCut rollback; the directory is rebuilt from the

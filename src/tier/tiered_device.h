@@ -100,8 +100,8 @@ struct TieredConfig {
 ///    rebuilt — a WARM cache after a power cut, FaCE's faster-recovery
 ///    claim, validated by the crash harness's tiered scenarios.
 ///
-/// Power-cut model: like ArrayDevice, the tier arms its own scheduled cut
-/// and guards both Execute entry and completion causality; member effects
+/// Power-cut model: the tier arms its own scheduled cut and guards both
+/// Execute entry and completion causality; member effects
 /// carrying post-cut timestamps are reverted by each member's own PowerCut
 /// rollback, and the directory is rebuilt solely from the journal the
 /// flash tier rolled back consistently.
@@ -163,7 +163,7 @@ class TieredDevice : public BlockDevice {
   bool supports_barrier() const override { return false; }
 
   /// Arms a power cut (crash-harness hook; same contract as
-  /// SsdDevice/ArrayDevice::SchedulePowerCut). Members are NOT armed: the
+  /// SsdDevice::SchedulePowerCut). Members are NOT armed: the
   /// tier guards its own Execute and cascades PowerCut to both members.
   void SchedulePowerCut(SimTime t) {
     scheduled_cut_ = t;

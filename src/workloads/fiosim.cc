@@ -6,7 +6,7 @@
 
 #include "common/random.h"
 #include "host/sim_file.h"
-#include "sim/client_scheduler.h"
+#include "sim/sim_executor.h"
 
 namespace durassd {
 
@@ -120,8 +120,8 @@ FioResult RunFio(BlockDevice* device, const FioJob& job) {
     return done;
   };
 
-  const ClientScheduler::RunResult run =
-      ClientScheduler::Run(job.threads, job.ops, start_time, client_fn);
+  const SerialExecutor::RunResult run =
+      SerialExecutor().Run(job.threads, job.ops, start_time, client_fn);
   // Drain the device cache so the reported rate is sustained steady-state
   // (without this a short write burst "completes" into the cache at bus
   // speed and never pays for the media).

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/random.h"
-#include "sim/client_scheduler.h"
+#include "sim/sim_executor.h"
 #include "workloads/keys.h"
 
 namespace durassd {
@@ -283,8 +283,8 @@ StatusOr<LinkBench::Result> LinkBench::Run() {
   const auto fn = [this](uint32_t client, SimTime now) {
     return RunOne(client, now);
   };
-  const ClientScheduler::RunResult run =
-      ClientScheduler::Run(cfg_.clients, cfg_.requests, start_time_, fn);
+  const SerialExecutor::RunResult run =
+      SerialExecutor().Run(cfg_.clients, cfg_.requests, start_time_, fn);
   result_.tps = run.OpsPerSecond();
   result_.duration = run.makespan;
   result_.ops = run.ops;

@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "sim/client_scheduler.h"
+#include "sim/sim_executor.h"
 #include "workloads/keys.h"
 
 namespace durassd {
@@ -276,8 +276,8 @@ StatusOr<Tpcc::Result> Tpcc::Run() {
   const auto fn = [this](uint32_t client, SimTime now) {
     return RunOne(client, now);
   };
-  const ClientScheduler::RunResult run =
-      ClientScheduler::Run(cfg_.clients, cfg_.transactions, start_time_, fn);
+  const SerialExecutor::RunResult run =
+      SerialExecutor().Run(cfg_.clients, cfg_.transactions, start_time_, fn);
   result_.duration = run.makespan;
   result_.tps_all = run.OpsPerSecond();
   const double minutes =

@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "sim/client_scheduler.h"
+#include "sim/sim_executor.h"
 
 namespace durassd {
 
@@ -50,8 +50,8 @@ StatusOr<Ycsb::Result> Ycsb::Run() {
   const auto fn = [this](uint32_t client, SimTime now) {
     return RunOne(client, now);
   };
-  const ClientScheduler::RunResult run =
-      ClientScheduler::Run(cfg_.clients, cfg_.operations, start_time_, fn);
+  const SerialExecutor::RunResult run =
+      SerialExecutor().Run(cfg_.clients, cfg_.operations, start_time_, fn);
   result_.ops_per_sec = run.OpsPerSecond();
   result_.duration = run.makespan;
   return result_;

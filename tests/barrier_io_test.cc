@@ -26,7 +26,7 @@
 #include "db/io_context.h"
 #include "db/wal.h"
 #include "host/sim_file.h"
-#include "sim/client_scheduler.h"
+#include "sim/sim_executor.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
 
@@ -398,7 +398,7 @@ std::map<std::string, std::string> RunBarrierCommitters(
     end_time = std::max(end_time, cio.now);
     return cio.now;
   };
-  ClientScheduler::Run(clients, total_ops, io.now, fn);
+  SerialExecutor().Run(clients, total_ops, io.now, fn);
   *end = end_time;
   if (max_group != nullptr) *max_group = db->wal_stats().max_group_commit;
   return acked;

@@ -1,10 +1,10 @@
-// ClientScheduler determinism: (local clock, FIFO) resume order, think
-// time, and the degenerate zero-result cases.
+// SerialExecutor determinism: (local clock, FIFO) resume order and the
+// degenerate zero-result cases.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "sim/client_scheduler.h"
+#include "sim/sim_executor.h"
 
 namespace durassd {
 namespace {
@@ -20,7 +20,7 @@ TEST(ClientScheduler, FifoTieBreakAmongEqualClocks) {
     resumed.push_back(client);
     return now + 10;
   };
-  const ClientScheduler::RunResult r = ClientScheduler::Run(3, 9, 0, fn);
+  const SerialExecutor::RunResult r = SerialExecutor().Run(3, 9, 0, fn);
   EXPECT_EQ(r.ops, 9u);
   EXPECT_EQ(r.makespan, 30);
   const std::vector<uint32_t> want = {0, 1, 2, 0, 1, 2, 0, 1, 2};
@@ -44,29 +44,12 @@ TEST(ClientScheduler, FifoOrderFollowsBecameRunnableNotIndex) {
     if (client == 1 && op == 0) return now + 20;
     return now + 10;  // Later rounds: everyone collides again.
   };
-  const ClientScheduler::RunResult r = ClientScheduler::Run(2, 6, 0, fn);
+  const SerialExecutor::RunResult r = SerialExecutor().Run(2, 6, 0, fn);
   EXPECT_EQ(r.ops, 6u);
   // t=0: 0 then 1 (index order at start). t=3: 0 again (lowest clock).
   // t=20: both runnable, client 1 enqueued first -> 1 then 0. t=30: same.
   const std::vector<uint32_t> want = {0, 1, 0, 1, 0, 1};
   EXPECT_EQ(resumed, want);
-}
-
-TEST(ClientScheduler, ThinkTimeDelaysResubmission) {
-  std::vector<SimTime> starts;
-  const auto fn = [&](uint32_t, SimTime now) -> SimTime {
-    starts.push_back(now);
-    return now + 5;
-  };
-  ClientScheduler::Options opts;
-  opts.think_time = 95;
-  const ClientScheduler::RunResult r =
-      ClientScheduler::Run(1, 3, 0, fn, opts);
-  EXPECT_EQ(r.ops, 3u);
-  const std::vector<SimTime> want = {0, 100, 200};
-  EXPECT_EQ(starts, want);
-  // Makespan ends at the last op's completion, not after its think time.
-  EXPECT_EQ(r.makespan, 205);
 }
 
 TEST(ClientScheduler, DeterministicAcrossRuns) {
@@ -76,7 +59,7 @@ TEST(ClientScheduler, DeterministicAcrossRuns) {
       resumed.push_back(client);
       return now + 7 + (client * 3) % 5;
     };
-    ClientScheduler::Run(4, 24, 0, fn);
+    SerialExecutor().Run(4, 24, 0, fn);
     return resumed;
   };
   EXPECT_EQ(run(), run());
@@ -88,7 +71,7 @@ TEST(ClientScheduler, ZeroClientsReturnsZeroResult) {
     called = true;
     return now;
   };
-  const ClientScheduler::RunResult r = ClientScheduler::Run(0, 100, 50, fn);
+  const SerialExecutor::RunResult r = SerialExecutor().Run(0, 100, 50, fn);
   EXPECT_FALSE(called);
   EXPECT_EQ(r.ops, 0u);
   EXPECT_EQ(r.makespan, 0);
@@ -101,7 +84,7 @@ TEST(ClientScheduler, ZeroOpsReturnsZeroResult) {
     called = true;
     return now;
   };
-  const ClientScheduler::RunResult r = ClientScheduler::Run(8, 0, 50, fn);
+  const SerialExecutor::RunResult r = SerialExecutor().Run(8, 0, 50, fn);
   EXPECT_FALSE(called);
   EXPECT_EQ(r.ops, 0u);
   EXPECT_EQ(r.makespan, 0);

@@ -366,9 +366,6 @@ TEST(CrashHarnessReport, ReproStringRoundTripsThroughFromString) {
   o.durability_mode = DurabilityMode::kBarrier;
   o.cut_at_barrier_boundary = true;
   o.plant_epoch_reorder = true;
-  o.array_mirrors = 3;
-  o.array_kill_fraction = 0.125;
-  o.array_rebuild = true;
   const std::string line = o.ToString();
   const CrashHarness::Options back = CrashHarness::Options::FromString(line);
   EXPECT_EQ(back.ToString(), line);
@@ -386,25 +383,6 @@ TEST(CrashHarnessReport, ReproStringRoundTripsThroughFromString) {
   EXPECT_EQ(a.ok, b.ok);
   EXPECT_EQ(a.commits_acked, b.commits_acked);
   EXPECT_EQ(a.snapshot_matched, b.snapshot_matched);
-}
-
-TEST(ArrayHarness, MirroredFailoverWithRebuildSurvivesCut) {
-  // The full-stack array scenario: engine on a mirrored pair, primary
-  // killed mid-run with a hot-spare rebuild racing the power cut. The
-  // kStrict oracle is unchanged — failover must be invisible to the engine.
-  for (Engine engine : {Engine::kDatabase, Engine::kKvStore}) {
-    CrashHarness::Options o = Quick();
-    o.engine = engine;
-    o.seed = 11;
-    o.cut_fraction = 0.6;
-    o.array_mirrors = 2;
-    o.array_kill_fraction = 0.3;
-    o.array_rebuild = true;
-    const CrashHarness::Report rep = CrashHarness::Run(o);
-    EXPECT_TRUE(rep.ok) << (rep.violations.empty() ? o.ToString()
-                                                   : rep.violations[0]);
-    EXPECT_TRUE(rep.recovered);
-  }
 }
 
 TEST(CrashHarnessReport, RecordsViolationsInAttachedTracer) {

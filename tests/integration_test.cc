@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "array/array_device.h"
 #include "common/random.h"
 #include "db/database.h"
 #include "host/sim_file.h"
@@ -249,10 +248,6 @@ TEST(DeviceRangeTest, RangesPastTheEndAreRejectedOnEveryDevice) {
   devices.emplace_back("ssd", std::make_unique<SsdDevice>(SsdConfig::Tiny()));
   devices.emplace_back("hdd", std::make_unique<HddDevice>(hdd));
   devices.emplace_back("tiered", MakeTieredDevice(tier));
-  devices.emplace_back(
-      "striped", MakeStripedArray(SsdConfig::Tiny(true), 2, ArrayConfig{}));
-  devices.emplace_back(
-      "mirrored", MakeMirroredArray(SsdConfig::Tiny(true), 2, ArrayConfig{}));
 
   for (const auto& [name, dev] : devices) {
     const uint32_t ss = dev->sector_size();

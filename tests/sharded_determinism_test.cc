@@ -1,16 +1,18 @@
-// Satellite determinism regression: the sharded engine must produce
-// bit-identical results regardless of the host thread count. Each shard
-// runs a full mirrored-array crash-torture scenario (CrashHarness with
-// member kill + online rebuild) from inside its client loop, so the
-// heavyweight work really lands on whichever host worker owns the shard
-// that epoch — and the composite of every shard's Report, schedule log,
-// and executor result must not change across {1, 2, 4, 8} threads.
+// Determinism regression: independent stacks run through RunParallel must
+// produce bit-identical results regardless of the host thread count. Each
+// stack runs a full crash-torture scenario (CrashHarness with a nested
+// power cut, on a raw DuraSSD or on a tiered device) from inside its own
+// serial client loop, so the heavyweight work really lands on whichever
+// host worker took the stack — and the composite of every stack's Report,
+// schedule log, and loop result must not change across {1, 2, 4, 8}
+// threads.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "sim/crash_harness.h"
+#include "sim/run_parallel.h"
 #include "sim/sim_executor.h"
 
 namespace durassd {
@@ -38,51 +40,40 @@ std::string Format(const CrashHarness::Report& r) {
   return s;
 }
 
-CrashHarness::Options TortureOptions(uint32_t shard) {
+CrashHarness::Options TortureOptions(uint32_t stack) {
   CrashHarness::Options o;
-  o.engine = shard % 2 == 0 ? CrashHarness::Engine::kDatabase
+  o.engine = stack % 2 == 0 ? CrashHarness::Engine::kDatabase
                             : CrashHarness::Engine::kKvStore;
-  o.seed = 7000 + shard;
+  o.seed = 7000 + stack;
   o.ops = 60;
   o.keyspace = 48;
-  o.cut_fraction = 0.35 + 0.1 * shard;
-  o.array_mirrors = 2;
-  o.array_kill_fraction = 0.45;
-  o.array_rebuild = true;
+  o.cut_fraction = 0.35 + 0.1 * stack;
+  o.nested_cut = true;
+  o.tiered = stack >= 2;
   return o;
 }
 
 std::string RunOnce(uint32_t threads) {
-  SimExecutor::Options opts;
-  opts.epoch_ns = 20 * kMicrosecond;
-  opts.host_threads = threads;
-  constexpr uint32_t kShards = 4;
-
-  std::vector<std::string> reports(kShards);
-  std::vector<std::string> logs(kShards);
-  std::vector<ShardedExecutor::Shard> shards;
-  for (uint32_t s = 0; s < kShards; ++s) {
-    shards.push_back(
-        {/*num_clients=*/2, /*total_ops=*/40,
-         [s, &reports, &logs](uint32_t client, SimTime now) {
-           // Events within a shard are serial, so this guard is safe: the
-           // torture scenario runs exactly once, on whichever host worker
-           // happens to own the shard at that moment.
-           if (reports[s].empty()) {
-             reports[s] = Format(CrashHarness::Run(TortureOptions(s)));
-           }
-           const SimTime done = now + Service(client, now, 11 + s);
-           logs[s] += std::to_string(client) + "@" + std::to_string(now) +
-                      ";";
-           return done;
-         }});
-  }
-  ShardedExecutor xe(opts, std::move(shards));
-  const auto results = xe.RunShards(/*start_time=*/0);
+  constexpr uint32_t kStacks = 4;
+  std::vector<std::string> reports(kStacks);
+  std::vector<std::string> logs(kStacks);
+  std::vector<SerialExecutor::RunResult> results(kStacks);
+  RunParallel(kStacks, threads, [&](uint32_t s) {
+    results[s] = SerialExecutor().Run(
+        /*num_clients=*/2, /*total_ops=*/40, /*start_time=*/0,
+        [s, &reports, &logs](uint32_t client, SimTime now) {
+          if (reports[s].empty()) {
+            reports[s] = Format(CrashHarness::Run(TortureOptions(s)));
+          }
+          const SimTime done = now + Service(client, now, 11 + s);
+          logs[s] += std::to_string(client) + "@" + std::to_string(now) + ";";
+          return done;
+        });
+  });
 
   std::string composite;
-  for (uint32_t s = 0; s < kShards; ++s) {
-    composite += "[shard " + std::to_string(s) +
+  for (uint32_t s = 0; s < kStacks; ++s) {
+    composite += "[stack " + std::to_string(s) +
                  " ops=" + std::to_string(results[s].ops) +
                  " makespan=" + std::to_string(results[s].makespan) + " " +
                  reports[s] + "]" + logs[s] + "\n";
@@ -90,7 +81,7 @@ std::string RunOnce(uint32_t threads) {
   return composite;
 }
 
-TEST(ShardedDeterminismTest, MirroredArrayTortureIdenticalAcrossThreads) {
+TEST(ShardedDeterminismTest, TortureStacksIdenticalAcrossThreads) {
   const std::string golden = RunOnce(1);
   ASSERT_NE(golden.find("recovered=1"), std::string::npos) << golden;
   ASSERT_EQ(golden.find("V["), std::string::npos) << golden;

@@ -1,23 +1,21 @@
-// SimExecutor contract tests: the serial loop and the sharded epoch-barrier
-// engine must produce identical schedules wherever the contract says so
-// (1 shard == serial, any epoch width, any host thread count), multi-shard
-// runs must be deterministic in the host thread count, and cross-shard
-// posts must arrive in (delivery time, sender, sequence) order with the
-// one-epoch visibility clamp. A full engine stack driven through either
-// executor must leave the same trace and metrics behind.
+// Host threads never change virtual time: independent stacks, each driven
+// by its own SerialExecutor loop, give the same schedules, results, trace
+// and metrics whether RunParallel runs them on the calling thread or on
+// several workers at once.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/random.h"
 #include "common/trace.h"
 #include "db/database.h"
 #include "host/sim_file.h"
+#include "sim/run_parallel.h"
 #include "sim/sim_executor.h"
-#include "sim/thread_pool.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
 
@@ -39,7 +37,7 @@ struct ScheduleProbe {
   std::string log;
   uint64_t salt;
 
-  SimExecutor::ClientFn Fn() {
+  SerialExecutor::ClientFn Fn() {
     return [this](uint32_t client, SimTime now) {
       const SimTime done = now + Service(client, now, salt);
       log += std::to_string(client) + "@" + std::to_string(now) + "->" +
@@ -49,139 +47,58 @@ struct ScheduleProbe {
   }
 };
 
-TEST(ThreadPoolTest, RunBatchExecutesEverythingAndWaits) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  std::vector<std::function<void()>> batch;
-  for (int i = 0; i < 64; ++i) {
-    batch.push_back([&count] { count.fetch_add(1); });
-  }
-  pool.RunBatch(batch);
-  EXPECT_EQ(count.load(), 64);  // RunBatch is a barrier.
-  pool.RunBatch(batch);
-  EXPECT_EQ(count.load(), 128);
-}
-
-TEST(ThreadPoolTest, ScheduleAndWaitIdle) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Schedule([&count] { count.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(SimExecutorTest, SerialMatchesShardedSingleShardAnyThreads) {
-  for (const uint32_t threads : {1u, 2u, 4u}) {
-    for (const SimTime epoch : {kMicrosecond, 100 * kMicrosecond,
-                                10 * kMillisecond}) {
-      SimExecutor::Options opts;
-      opts.think_time = 500;
-      ScheduleProbe serial{.log = "", .salt = 42};
-      SerialExecutor se(opts);
-      const auto sr = se.Run(7, 200, 1000, serial.Fn());
-
-      opts.epoch_ns = epoch;
-      opts.host_threads = threads;
-      ScheduleProbe sharded{.log = "", .salt = 42};
-      ShardedExecutor xe(opts, {});
-      const auto xr = xe.Run(7, 200, 1000, sharded.Fn());
-
-      EXPECT_EQ(sr.ops, xr.ops) << "threads=" << threads;
-      EXPECT_EQ(sr.makespan, xr.makespan)
-          << "threads=" << threads << " epoch=" << epoch;
-      EXPECT_EQ(serial.log, sharded.log)
-          << "threads=" << threads << " epoch=" << epoch;
+TEST(RunParallelTest, RunsEveryJobOnceAndWaits) {
+  // {jobs, threads}: more jobs than threads, no helpers, and more threads
+  // than jobs.
+  for (const auto& [jobs, threads] : {std::pair<uint32_t, uint32_t>{64, 4},
+                                      {64, 1}, {64, 0}, {3, 8}}) {
+    std::vector<std::atomic<int>> runs(jobs);
+    RunParallel(jobs, threads, [&runs](uint32_t job) { runs[job]++; });
+    // RunParallel returns only after the last job finished.
+    for (uint32_t j = 0; j < jobs; ++j) {
+      EXPECT_EQ(runs[j].load(), 1) << "threads=" << threads << " job=" << j;
     }
   }
+  RunParallel(0, 4, [](uint32_t) { ADD_FAILURE() << "no job to run"; });
 }
 
-TEST(SimExecutorTest, RunClientsEnvRoutingDefaultIsSerial) {
-  // Whatever DURASSD_EXECUTOR says, RunClients must produce the serial
-  // schedule (sharded mode routes through 1 shard == bit-identical).
-  SimExecutor::Options opts;
-  ScheduleProbe a{.log = "", .salt = 7};
-  SerialExecutor se(opts);
-  const auto sr = se.Run(3, 60, 0, a.Fn());
-  ScheduleProbe b{.log = "", .salt = 7};
-  const auto rr = RunClients(3, 60, 0, b.Fn(), opts);
-  EXPECT_EQ(sr.ops, rr.ops);
-  EXPECT_EQ(sr.makespan, rr.makespan);
-  EXPECT_EQ(a.log, b.log);
+TEST(RunParallelTest, JobExceptionReachesCaller) {
+  for (const uint32_t threads : {1u, 4u}) {
+    EXPECT_THROW(RunParallel(8, threads,
+                             [](uint32_t job) {
+                               if (job == 5) throw std::runtime_error("5");
+                             }),
+                 std::runtime_error)
+        << "threads=" << threads;
+  }
 }
 
-/// Multi-shard runs: the per-shard schedules and results must not depend
+/// Independent stacks: the per-stack schedules and results must not depend
 /// on the host thread count.
 TEST(SimExecutorTest, MultiShardDeterministicAcrossThreadCounts) {
   auto run_once = [](uint32_t threads, std::string* all_logs) {
-    SimExecutor::Options opts;
-    opts.epoch_ns = 50 * kMicrosecond;
-    opts.host_threads = threads;
-    std::vector<ScheduleProbe> probes(4);
-    std::vector<ShardedExecutor::Shard> shards;
-    for (uint32_t s = 0; s < 4; ++s) {
+    constexpr uint32_t kStacks = 4;
+    std::vector<ScheduleProbe> probes(kStacks);
+    std::vector<SerialExecutor::RunResult> results(kStacks);
+    RunParallel(kStacks, threads, [&](uint32_t s) {
       probes[s].salt = 1000 + s;
-      shards.push_back({/*num_clients=*/3 + s, /*total_ops=*/150, probes[s].Fn()});
-    }
-    ShardedExecutor xe(opts, std::move(shards));
-    const auto results = xe.RunShards(/*start_time=*/0);
+      results[s] = SerialExecutor().Run(/*num_clients=*/3 + s,
+                                        /*total_ops=*/150, 0, probes[s].Fn());
+    });
     all_logs->clear();
-    for (uint32_t s = 0; s < 4; ++s) {
-      *all_logs += "[shard " + std::to_string(s) + " ops=" +
+    for (uint32_t s = 0; s < kStacks; ++s) {
+      *all_logs += "[stack " + std::to_string(s) + " ops=" +
                    std::to_string(results[s].ops) + " makespan=" +
                    std::to_string(results[s].makespan) + "]" + probes[s].log;
     }
   };
   std::string golden;
   run_once(1, &golden);
-  ASSERT_FALSE(golden.empty());
+  ASSERT_NE(golden.find("ops=150"), std::string::npos);
   for (const uint32_t threads : {2u, 4u, 8u}) {
     std::string log;
     run_once(threads, &log);
     EXPECT_EQ(golden, log) << "threads=" << threads;
-  }
-}
-
-/// Cross-shard posts: delivered at the target in (delivery time, sender,
-/// sequence) order, never earlier than the end of the posting window.
-TEST(SimExecutorTest, CrossShardPostOrderingAndClamp) {
-  auto run_once = [](uint32_t threads) {
-    SimExecutor::Options opts;
-    opts.epoch_ns = 10 * kMicrosecond;
-    opts.host_threads = threads;
-    // Built in two phases because shards capture the executor pointer.
-    ShardedExecutor* xe_raw = nullptr;
-    std::string delivered;      // Written only by shard 1's worker.
-    std::string posted;         // Written only by shard 0's worker.
-    std::vector<ShardedExecutor::Shard> shards(2);
-    shards[0].num_clients = 2;
-    shards[0].total_ops = 40;
-    shards[0].fn = [&](uint32_t client, SimTime now) {
-      const SimTime done = now + Service(client, now, 5);
-      posted += std::to_string(now) + ";";
-      xe_raw->Post(0, 1, done, [&delivered, client, done](SimTime at) {
-        delivered += std::to_string(client) + ":" + std::to_string(done) +
-                     "@" + std::to_string(at) + ";";
-        EXPECT_GE(at, done);  // Never delivered before the requested time.
-      });
-      return done;
-    };
-    shards[1].num_clients = 1;
-    shards[1].total_ops = 40;
-    shards[1].fn = [](uint32_t client, SimTime now) {
-      return now + Service(client, now, 6);
-    };
-    auto xe = std::make_unique<ShardedExecutor>(opts, std::move(shards));
-    xe_raw = xe.get();
-    xe->RunShards(0);
-    return posted + "|" + delivered;
-  };
-  const std::string golden = run_once(1);
-  ASSERT_NE(golden.find("|"), std::string::npos);
-  ASSERT_NE(golden.find("@"), std::string::npos);
-  for (const uint32_t threads : {2u, 4u}) {
-    EXPECT_EQ(golden, run_once(threads)) << "threads=" << threads;
   }
 }
 
@@ -236,13 +153,13 @@ struct TracedDbStack {
   }
 };
 
-/// Runs 16 clients x 3000 operations on a fresh stack through `ex`, then
-/// checkpoints on the calling thread. Returns the trace as JSONL and the
-/// device's and the database's metrics snapshots.
-std::string RunTracedStack(SimExecutor& ex) {
+/// Runs 16 clients x 3000 operations on a fresh stack, then checkpoints.
+/// Returns the trace as JSONL and the device's and the database's metrics
+/// snapshots.
+std::string RunTracedStack() {
   TracedDbStack st;
-  const SimExecutor::RunResult r =
-      ex.Run(16, 3000, 0, [&st](uint32_t client, SimTime now) {
+  const SerialExecutor::RunResult r =
+      SerialExecutor().Run(16, 3000, 0, [&st](uint32_t client, SimTime now) {
         return st.Op(client, now);
       });
   IoContext io;
@@ -256,21 +173,20 @@ std::string RunTracedStack(SimExecutor& ex) {
   return out;
 }
 
-// The trace and every metric, histograms included, are the same whichever
-// executor drove the stack and however many workers the sharded one used:
-// a stack is handed between workers only across an epoch barrier, and it
-// records into one trace ring in virtual-time order.
-TEST(SimExecutorTest, TracedStackIdenticalUnderSerialAndSharded) {
-  SimExecutor::Options opts;
-  SerialExecutor serial(opts);
-  const std::string golden = RunTracedStack(serial);
+// The trace and every metric, histograms included, are the same whether
+// the stack ran on the calling thread or on one of four workers running
+// four such stacks at once: each stack records into its own trace ring in
+// virtual-time order, and the workers share nothing.
+TEST(SimExecutorTest, TracedStackIdenticalOnCallerAndConcurrentWorkers) {
+  const std::string golden = RunTracedStack();
   ASSERT_NE(golden.find("cmd_start"), std::string::npos);
   ASSERT_NE(golden.find("txn_commit"), std::string::npos);
 
-  opts.host_threads = 4;
-  ShardedExecutor sharded(opts, {});
-  const std::string got = RunTracedStack(sharded);
-  EXPECT_TRUE(got == golden) << "sharded run diverged from serial";
+  std::vector<std::string> got(4);
+  RunParallel(4, 4, [&got](uint32_t job) { got[job] = RunTracedStack(); });
+  for (uint32_t job = 0; job < got.size(); ++job) {
+    EXPECT_TRUE(got[job] == golden) << "stack " << job << " diverged";
+  }
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-// A write-ahead log striped across the members of a RAID-0 ArrayDevice
-// under power cuts: a 60-instant sweep asserting that (a) every commit
-// acknowledged at the cut — its fsync returned — is recovered intact, and
-// (b) the recovered durable prefix never runs ahead of a lost stripe unit:
-// the recovered log is an exact prefix of the issued history, so no commit
-// past a gap on one member survives on another.
+// A write-ahead log on a DuraSSD under power cuts: a 60-instant sweep
+// asserting that (a) every commit acknowledged at the cut — its fsync
+// returned — is recovered intact, and (b) the recovered durable prefix never
+// runs ahead of a lost write: the recovered log is an exact prefix of the
+// issued history, so no commit past a gap survives.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,16 +10,15 @@
 #include <string>
 #include <vector>
 
-#include "array/array_device.h"
 #include "db/io_context.h"
 #include "db/wal.h"
 #include "host/sim_file.h"
 #include "ssd/ssd_config.h"
+#include "ssd/ssd_device.h"
 
 namespace durassd {
 namespace {
 
-constexpr uint32_t kStripes = 4;
 constexpr uint64_t kCommits = 64;
 constexpr uint32_t kGen = 1;  // A fresh Wal's generation.
 
@@ -43,14 +41,12 @@ std::vector<WalRecord> CommitRecords(uint64_t i) {
           Put(i, "key2-" + std::to_string(i), std::string(100, 'x')), commit};
 }
 
-/// Four DuraSSD members, one log sector per stripe unit: the WAL pads every
-/// commit to a sector, so consecutive commits land on consecutive members.
-std::unique_ptr<ArrayDevice> MakeArray() {
-  SsdConfig member = SsdConfig::Tiny(true);  // Durable cache (DuraSSD).
-  member.geometry.blocks_per_plane = 128;
-  ArrayConfig ac;
-  ac.stripe_unit_sectors = 1;
-  return MakeStripedArray(member, kStripes, ac);
+/// A small durable-cache device (DuraSSD), with enough blocks for the file
+/// system's journal area and one extent chunk.
+std::unique_ptr<SsdDevice> MakeDevice() {
+  SsdConfig cfg = SsdConfig::Tiny(/*durable=*/true);
+  cfg.geometry.blocks_per_plane = 128;
+  return std::make_unique<SsdDevice>(cfg);
 }
 
 struct AckedCommit {
@@ -106,7 +102,7 @@ TEST_P(StripedWalCutSweep, AckedCommitsSurviveAndWatermarkNeverRunsAhead) {
   // Probe pass: learn the full run's duration.
   SimTime total = 0;
   {
-    auto dev = MakeArray();
+    auto dev = MakeDevice();
     SimFileSystem fs(dev.get(), SimFileSystem::Options{});
     std::vector<AckedCommit> ignored;
     RunCommitHistory(&fs, kCommits, 0, &ignored, &total);
@@ -115,7 +111,7 @@ TEST_P(StripedWalCutSweep, AckedCommitsSurviveAndWatermarkNeverRunsAhead) {
   const SimTime cut = total * GetParam() / 61 + GetParam();  // Off-grid.
 
   // Real pass: same deterministic history, stop issuing at the cut.
-  auto dev = MakeArray();
+  auto dev = MakeDevice();
   SimFileSystem fs(dev.get(), SimFileSystem::Options{});
   SimTime end = 0;
   std::vector<AckedCommit> acked;

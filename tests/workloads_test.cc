@@ -4,7 +4,7 @@
 
 #include "host/sim_file.h"
 #include "kv/kvstore.h"
-#include "sim/client_scheduler.h"
+#include "sim/sim_executor.h"
 #include "ssd/device_factory.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
@@ -28,7 +28,7 @@ TEST(KeysTest, BigEndianOrderMatchesNumericOrder) {
   EXPECT_LT(KeyU64U32U64(1, 2, 0xFFFFFFFFFFull), KeyU64U32U64(1, 3, 0));
 }
 
-// --------------------------- ClientScheduler ------------------------------
+// --------------------------- SerialExecutor -------------------------------
 
 TEST(ClientSchedulerTest, RunsExactOpCount) {
   uint64_t count = 0;
@@ -36,7 +36,7 @@ TEST(ClientSchedulerTest, RunsExactOpCount) {
     count++;
     return now + kMillisecond;
   };
-  const auto r = ClientScheduler::Run(4, 100, 0, fn);
+  const auto r = SerialExecutor().Run(4, 100, 0, fn);
   EXPECT_EQ(r.ops, 100u);
   EXPECT_EQ(count, 100u);
   // 100 ops over 4 clients at 1ms each => makespan 25ms.
@@ -52,7 +52,7 @@ TEST(ClientSchedulerTest, ResumesEarliestClientFirst) {
     // should appear less often.
     return now + (client == 0 ? 10 * kMillisecond : kMillisecond);
   };
-  ClientScheduler::Run(2, 12, 0, fn);
+  SerialExecutor().Run(2, 12, 0, fn);
   int c0 = 0;
   for (uint32_t c : order) c0 += (c == 0);
   EXPECT_LT(c0, 4);
@@ -64,7 +64,7 @@ TEST(ClientSchedulerTest, HonorsStartTime) {
     if (first < 0) first = now;
     return now + kMillisecond;
   };
-  const auto r = ClientScheduler::Run(1, 5, 7 * kSecond, fn);
+  const auto r = SerialExecutor().Run(1, 5, 7 * kSecond, fn);
   EXPECT_EQ(first, 7 * kSecond);
   EXPECT_EQ(r.makespan, 5 * kMillisecond);  // Start excluded.
 }
