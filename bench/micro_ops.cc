@@ -112,7 +112,37 @@ void BM_FtlGcUnpersistedMap(benchmark::State& state) {
 }
 BENCHMARK(BM_FtlGcUnpersistedMap);
 
-// The byte path the rows above skip (they run with store_data=false): a
+// The cache's byte path, which BM_SsdCachedWrite skips (it runs timing-only):
+// 4 KB DuraSSD writes at random LPNs into a full 1,024-sector cache of
+// stored payloads on a small device in GC steady state, so each write evicts
+// a clean entry and the drains program pages from the cached bytes.
+void BM_SsdCachedWriteStored(benchmark::State& state) {
+  SsdConfig cfg = SsdConfig::DuraSsd();
+  cfg.store_data = true;
+  cfg.geometry.channels = 4;
+  cfg.geometry.packages_per_channel = 1;
+  cfg.geometry.chips_per_package = 2;
+  cfg.geometry.planes_per_chip = 2;
+  cfg.geometry.blocks_per_plane = 32;
+  cfg.geometry.pages_per_block = 32;  // 128 MiB raw.
+  cfg.cache_capacity_sectors = 1024;
+  SsdDevice dev(cfg);
+  const uint64_t n = dev.num_sectors() / 2;
+  std::string data(4096, 's');
+  SimTime t = 0;
+  for (Lpn l = 0; l < n; ++l) t = dev.Write(t, l, data).done;
+  Random rng(13);
+  for (auto _ : state) {
+    data[0]++;
+    const auto r = dev.Write(t, rng.Uniform(n), data);
+    if (!r.status.ok()) std::abort();
+    t = r.done;
+    benchmark::DoNotOptimize(t);
+  }
+}
+BENCHMARK(BM_SsdCachedWriteStored);
+
+// The read side of the byte path the timing-only rows skip: a
 // DuraSSD 4 KB write into the device cache plus a random 4 KB read that
 // mostly misses the cache and reads through the FTL from stored NAND pages,
 // on a small device kept in GC steady state.

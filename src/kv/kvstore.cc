@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
+#include <cstring>
 #include <iterator>
 
 #include "common/coding.h"
@@ -16,14 +18,97 @@ constexpr uint8_t kChunkDoc = 1;
 constexpr uint8_t kChunkNode = 2;
 // Chunk framing: [total_len u32][crc u32][type u8][body].
 constexpr uint32_t kChunkOverhead = 9;
+// Node entry: [key len u32][key][off u64][len u32].
+constexpr uint32_t kEntryFixed = 16;
+
+Slice KeyAt(const std::string& body, uint32_t pos) {
+  const char* e = body.data() + pos;
+  return Slice(e + 4, DecodeFixed32(e));
+}
 }  // namespace
 
-uint32_t KvStore::Node::SerializedSize() const {
-  uint32_t size = kChunkOverhead + 3;  // count u16 + leaf u8.
-  for (const Entry& e : entries) {
-    size += 2 + 8 + 4 + static_cast<uint32_t>(e.key.size());
+Slice KvStore::Node::key(size_t i) const { return KeyAt(body, pos[i]); }
+
+KvStore::NodeRef KvStore::Node::ref(size_t i) const {
+  const char* e = body.data() + pos[i];
+  e += 4 + DecodeFixed32(e);
+  return NodeRef{DecodeFixed64(e), DecodeFixed32(e + 8)};
+}
+
+size_t KvStore::Node::LowerBound(Slice k) const {
+  return std::lower_bound(pos.begin(), pos.end(), k,
+                          [this](uint32_t p, Slice target) {
+                            return KeyAt(body, p).compare(target) < 0;
+                          }) -
+         pos.begin();
+}
+
+size_t KvStore::Node::UpperBound(Slice k) const {
+  return std::upper_bound(pos.begin(), pos.end(), k,
+                          [this](Slice target, uint32_t p) {
+                            return target.compare(KeyAt(body, p)) < 0;
+                          }) -
+         pos.begin();
+}
+
+void KvStore::Node::Insert(size_t i, Slice k, NodeRef r) {
+  const uint32_t at =
+      i < count() ? pos[i] : static_cast<uint32_t>(body.size());
+  const uint32_t n = kEntryFixed + static_cast<uint32_t>(k.size());
+  body.insert(at, n, '\0');
+  char* e = body.data() + at;
+  EncodeFixed32(e, static_cast<uint32_t>(k.size()));
+  std::memcpy(e + 4, k.data(), k.size());
+  EncodeFixed64(e + 4 + k.size(), r.off);
+  EncodeFixed32(e + 12 + k.size(), r.len);
+  pos.insert(pos.begin() + static_cast<std::ptrdiff_t>(i), at);
+  for (size_t j = i + 1; j < pos.size(); ++j) pos[j] += n;
+}
+
+void KvStore::Node::Erase(size_t i) {
+  const uint32_t at = pos[i];
+  const uint32_t n =
+      (i + 1 < count() ? pos[i + 1] : static_cast<uint32_t>(body.size())) -
+      at;
+  body.erase(at, n);
+  pos.erase(pos.begin() + static_cast<std::ptrdiff_t>(i));
+  for (size_t j = i; j < pos.size(); ++j) pos[j] -= n;
+}
+
+void KvStore::Node::SetRef(size_t i, NodeRef r) {
+  char* e = body.data() + pos[i];
+  e += 4 + DecodeFixed32(e);
+  EncodeFixed64(e, r.off);
+  EncodeFixed32(e + 8, r.len);
+}
+
+void KvStore::Node::SetKey(size_t i, Slice k) {
+  const uint32_t at = pos[i];
+  const uint32_t old_len = DecodeFixed32(body.data() + at);
+  const uint32_t new_len = static_cast<uint32_t>(k.size());
+  body.replace(at + 4, old_len, k.data(), new_len);
+  EncodeFixed32(body.data() + at, new_len);
+  for (size_t j = i + 1; j < pos.size(); ++j) {
+    pos[j] = pos[j] - old_len + new_len;
   }
-  return size;
+}
+
+void KvStore::Node::SplitAt(size_t i, Node* right) {
+  const uint32_t at = pos[i];
+  right->leaf = leaf;
+  right->body.assign(body, at, std::string::npos);
+  right->pos.assign(pos.begin() + static_cast<std::ptrdiff_t>(i), pos.end());
+  for (uint32_t& p : right->pos) p -= at;
+  body.resize(at);
+  pos.resize(i);
+}
+
+// The split rule's size estimate: it prices the count and each key length
+// at two bytes where the chunk stores four. Kept as it is because the split
+// points, and so every file byte, follow from it.
+uint32_t KvStore::Node::SerializedSize() const {
+  return kChunkOverhead + 3 + static_cast<uint32_t>(body.size()) -
+         2 * static_cast<uint32_t>(count());
 }
 
 KvStore::KvStore(SimFileSystem* fs, SimFile* file, std::string name,
@@ -115,12 +200,8 @@ uint64_t KvStore::EndChunk(size_t start, uint32_t* total_len) {
 KvStore::NodeRef KvStore::AppendNode(Node node) {
   const size_t start = BeginChunk(kChunkNode);
   tail_.push_back(node.leaf ? 1 : 0);
-  PutFixed32(&tail_, static_cast<uint32_t>(node.entries.size()));
-  for (const Entry& e : node.entries) {
-    PutLengthPrefixed(&tail_, e.key);
-    PutFixed64(&tail_, e.off);
-    PutFixed32(&tail_, e.len);
-  }
+  PutFixed32(&tail_, static_cast<uint32_t>(node.count()));
+  tail_.append(node.body);
   uint32_t len = 0;
   const uint64_t off = EndChunk(start, &len);
   stats_.node_appends++;
@@ -142,27 +223,41 @@ uint64_t KvStore::AppendDoc(Slice key, Slice value, uint32_t* len) {
   return off;
 }
 
+Status KvStore::ReadChunk(IoContext& io, NodeRef ref, std::string* buf,
+                          Slice* raw) {
+  if (ref.off >= tail_base_) {
+    const uint64_t at = ref.off - tail_base_;
+    if (at > tail_.size() || ref.len > tail_.size() - at) {
+      return Status::Corruption("chunk reference past the tail");
+    }
+    *raw = Slice(tail_.data() + at, ref.len);
+    return Status::OK();
+  }
+  if (ref.len > file_->size() || ref.off > file_->size() - ref.len) {
+    return Status::Corruption("chunk reference past the file");
+  }
+  const SimFile::IoResult r = file_->Read(io.now, ref.off, ref.len, buf);
+  DURASSD_RETURN_IF_ERROR(r.status);
+  io.AdvanceTo(r.done);
+  *raw = Slice(*buf);
+  return Status::OK();
+}
+
 Status KvStore::LoadNode(IoContext& io, NodeRef ref, const Node** out) {
   auto cached = node_cache_.find(ref.off);
   if (cached != node_cache_.end()) {
     *out = &cached->second;
     return Status::OK();
   }
-  std::string raw;
-  if (ref.off >= tail_base_) {
-    raw = tail_.substr(ref.off - tail_base_, ref.len);
-  } else {
-    const SimFile::IoResult r = file_->Read(io.now, ref.off, ref.len, &raw);
-    DURASSD_RETURN_IF_ERROR(r.status);
-    io.AdvanceTo(r.done);
-  }
-  if (raw.size() < kChunkOverhead) return Status::Corruption("short node");
-  Slice in(raw);
+  std::string buf;
+  Slice in;
+  DURASSD_RETURN_IF_ERROR(ReadChunk(io, ref, &buf, &in));
+  if (in.size() < kChunkOverhead) return Status::Corruption("short node");
+  const size_t raw_size = in.size();
   uint32_t total = 0, crc = 0;
   GetFixed32(&in, &total);
   GetFixed32(&in, &crc);
-  if (total != raw.size() ||
-      Crc32c(in.data(), in.size()) != crc) {
+  if (total != raw_size || Crc32c(in.data(), in.size()) != crc) {
     return Status::Corruption("node chunk crc mismatch");
   }
   if (in[0] != kChunkNode) return Status::Corruption("not a node chunk");
@@ -174,38 +269,35 @@ Status KvStore::LoadNode(IoContext& io, NodeRef ref, const Node** out) {
   in.remove_prefix(1);
   uint32_t count = 0;
   if (!GetFixed32(&in, &count)) return Status::Corruption("node count");
-  node.entries.reserve(count);
+  // Index the entries, each of which must lie wholly inside the chunk.
+  node.pos.reserve(std::min<size_t>(count, in.size() / kEntryFixed));
+  size_t end = 0;
   for (uint32_t i = 0; i < count; ++i) {
-    Slice key;
-    uint64_t off = 0;
-    uint32_t len = 0;
-    if (!GetLengthPrefixed(&in, &key) || !GetFixed64(&in, &off) ||
-        !GetFixed32(&in, &len)) {
+    const size_t left = in.size() - end;
+    if (left < kEntryFixed ||
+        DecodeFixed32(in.data() + end) > left - kEntryFixed) {
       return Status::Corruption("node entry truncated");
     }
-    node.entries.push_back(Entry{key.ToString(), off, len});
+    node.pos.push_back(static_cast<uint32_t>(end));
+    end += kEntryFixed + DecodeFixed32(in.data() + end);
   }
+  node.body.assign(in.data(), end);
   cached = node_cache_.insert_or_assign(ref.off, std::move(node)).first;
   *out = &cached->second;
   return Status::OK();
 }
 
-Status KvStore::LoadDoc(IoContext& io, uint64_t off, uint32_t len,
-                        std::string* key, std::string* value) {
-  std::string raw;
-  if (off >= tail_base_) {
-    raw = tail_.substr(off - tail_base_, len);
-  } else {
-    const SimFile::IoResult r = file_->Read(io.now, off, len, &raw);
-    DURASSD_RETURN_IF_ERROR(r.status);
-    io.AdvanceTo(r.done);
-  }
-  if (raw.size() < kChunkOverhead) return Status::Corruption("short doc");
-  Slice in(raw);
+Status KvStore::LoadDoc(IoContext& io, NodeRef doc, std::string* key,
+                        std::string* value) {
+  std::string buf;
+  Slice in;
+  DURASSD_RETURN_IF_ERROR(ReadChunk(io, doc, &buf, &in));
+  if (in.size() < kChunkOverhead) return Status::Corruption("short doc");
+  const size_t raw_size = in.size();
   uint32_t total = 0, crc = 0;
   GetFixed32(&in, &total);
   GetFixed32(&in, &crc);
-  if (total != raw.size() || Crc32c(in.data(), in.size()) != crc) {
+  if (total != raw_size || Crc32c(in.data(), in.size()) != crc) {
     return Status::Corruption("doc chunk crc mismatch");
   }
   if (in[0] != kChunkDoc) return Status::Corruption("not a doc chunk");
@@ -232,71 +324,54 @@ Status KvStore::CowInsertRec(IoContext& io, NodeRef ref, Slice key,
   // recursion below may evict it). Room for the one entry a level can gain.
   Node node;
   node.leaf = cached->leaf;
-  node.entries.reserve(cached->entries.size() + 1);
-  node.entries.assign(cached->entries.begin(), cached->entries.end());
+  node.body.reserve(cached->body.size() + kEntryFixed + key.size());
+  node.body.append(cached->body);
+  node.pos.reserve(cached->count() + 1);
+  node.pos.assign(cached->pos.begin(), cached->pos.end());
 
   if (node.leaf) {
-    auto it = std::lower_bound(
-        node.entries.begin(), node.entries.end(), key,
-        [](const Entry& e, Slice k) { return Slice(e.key).compare(k) < 0; });
-    const bool exact =
-        it != node.entries.end() && Slice(it->key).compare(key) == 0;
+    const size_t i = node.LowerBound(key);
+    const bool exact = i < node.count() && node.key(i) == key;
     *found = exact;
     if (is_delete) {
       if (!exact) return Status::NotFound();
-      live_bytes_ -= it->len;
-      node.entries.erase(it);
+      live_bytes_ -= node.ref(i).len;
+      node.Erase(i);
     } else if (exact) {
       live_bytes_ += doc_len;
-      live_bytes_ -= it->len;
-      it->off = doc_off;
-      it->len = doc_len;
+      live_bytes_ -= node.ref(i).len;
+      node.SetRef(i, NodeRef{doc_off, doc_len});
     } else {
       live_bytes_ += doc_len;
-      node.entries.insert(it, Entry{key.ToString(), doc_off, doc_len});
+      node.Insert(i, key, NodeRef{doc_off, doc_len});
     }
   } else {
-    // Find the child to descend into: last entry with key <= target.
-    auto it = std::upper_bound(
-        node.entries.begin(), node.entries.end(), key,
-        [](Slice k, const Entry& e) { return k.compare(e.key) < 0; });
-    if (it == node.entries.begin()) {
-      // Smaller than every separator: descend leftmost (and its key will
-      // be lowered implicitly by the child rewrite).
-      it = node.entries.begin();
-    } else {
-      --it;
-    }
+    if (node.count() == 0) return Status::Corruption("empty internal node");
+    // Descend into the last entry with key <= target; a key smaller than
+    // every separator descends leftmost (and lowers that separator through
+    // the child's new minimum).
+    size_t i = node.UpperBound(key);
+    if (i > 0) --i;
     CowResult child;
-    DURASSD_RETURN_IF_ERROR(CowInsertRec(io, NodeRef{it->off, it->len}, key,
-                                         is_delete, doc_off, doc_len, found,
-                                         &child));
-    it->off = child.left.off;
-    it->len = child.left.len;
+    DURASSD_RETURN_IF_ERROR(CowInsertRec(io, node.ref(i), key, is_delete,
+                                         doc_off, doc_len, found, &child));
+    node.SetRef(i, child.left);
     // Keep the separator = min key of the child subtree.
-    if (child.left_min) it->key = std::move(*child.left_min);
-    if (child.split) {
-      node.entries.insert(std::next(it), Entry{std::move(child.sep),
-                                               child.right.off,
-                                               child.right.len});
-    }
+    if (child.left_min) node.SetKey(i, *child.left_min);
+    if (child.split) node.Insert(i + 1, child.sep, child.right);
   }
 
   // Serialize (splitting if oversized).
-  if (node.SerializedSize() > opts_.node_size && node.entries.size() >= 2) {
+  if (node.SerializedSize() > opts_.node_size && node.count() >= 2) {
     Node right;
-    right.leaf = node.leaf;
-    const size_t mid = node.entries.size() / 2;
-    right.entries.assign(std::make_move_iterator(node.entries.begin() + mid),
-                         std::make_move_iterator(node.entries.end()));
-    node.entries.resize(mid);
-    out->left_min = node.entries.front().key;
-    out->sep = right.entries.front().key;
+    node.SplitAt(node.count() / 2, &right);
+    out->left_min = node.key(0).ToString();
+    out->sep = right.key(0).ToString();
     out->left = AppendNode(std::move(node));
     out->split = true;
     out->right = AppendNode(std::move(right));
   } else {
-    if (!node.entries.empty()) out->left_min = node.entries.front().key;
+    if (node.count() > 0) out->left_min = node.key(0).ToString();
     out->left = AppendNode(std::move(node));
     out->split = false;
   }
@@ -312,7 +387,7 @@ StatusOr<KvStore::NodeRef> KvStore::CowUpdate(IoContext& io, NodeRef root,
     if (is_delete) return Status::NotFound();
     Node leaf;
     leaf.leaf = true;
-    leaf.entries.push_back(Entry{key.ToString(), doc_off, doc_len});
+    leaf.Insert(0, key, NodeRef{doc_off, doc_len});
     live_bytes_ += doc_len;
     return AppendNode(std::move(leaf));
   }
@@ -322,10 +397,8 @@ StatusOr<KvStore::NodeRef> KvStore::CowUpdate(IoContext& io, NodeRef root,
   if (!res.split) return res.left;
   Node new_root;
   new_root.leaf = false;
-  new_root.entries.push_back(Entry{std::move(res.left_min).value_or(""),
-                                   res.left.off, res.left.len});
-  new_root.entries.push_back(
-      Entry{std::move(res.sep), res.right.off, res.right.len});
+  new_root.Insert(0, res.left_min ? Slice(*res.left_min) : Slice(), res.left);
+  new_root.Insert(1, res.sep, res.right);
   return AppendNode(std::move(new_root));
 }
 
@@ -382,20 +455,15 @@ Status KvStore::Get(IoContext& io, Slice key, std::string* value) {
     const Node* node = nullptr;
     DURASSD_RETURN_IF_ERROR(LoadNode(io, ref, &node));
     if (node->leaf) {
-      auto it = std::lower_bound(
-          node->entries.begin(), node->entries.end(), key,
-          [](const Entry& e, Slice k) { return Slice(e.key).compare(k) < 0; });
-      if (it == node->entries.end() || Slice(it->key).compare(key) != 0) {
+      const size_t i = node->LowerBound(key);
+      if (i == node->count() || node->key(i) != key) {
         return Status::NotFound();
       }
-      return LoadDoc(io, it->off, it->len, nullptr, value);
+      return LoadDoc(io, node->ref(i), nullptr, value);
     }
-    auto it = std::upper_bound(
-        node->entries.begin(), node->entries.end(), key,
-        [](Slice k, const Entry& e) { return k.compare(e.key) < 0; });
-    if (it == node->entries.begin()) return Status::NotFound();
-    --it;
-    ref = NodeRef{it->off, it->len};
+    const size_t i = node->UpperBound(key);
+    if (i == 0) return Status::NotFound();
+    ref = node->ref(i - 1);
   }
   return Status::Corruption("tree too deep");
 }
@@ -586,15 +654,14 @@ Status KvStore::CompactImpl(IoContext& io) {
       const Node* node = nullptr;
       DURASSD_RETURN_IF_ERROR(LoadNode(io, ref, &node));
       if (node->leaf) {
-        for (const Entry& e : node->entries) {
+        for (size_t i = 0; i < node->count(); ++i) {
           std::string key, value;
-          DURASSD_RETURN_IF_ERROR(LoadDoc(io, e.off, e.len, &key, &value));
+          DURASSD_RETURN_IF_ERROR(LoadDoc(io, node->ref(i), &key, &value));
           docs.emplace_back(std::move(key), std::move(value));
         }
       } else {
-        for (auto it = node->entries.rbegin(); it != node->entries.rend();
-             ++it) {
-          stack.push_back(NodeRef{it->off, it->len});
+        for (size_t i = node->count(); i-- > 0;) {
+          stack.push_back(node->ref(i));
         }
       }
     }

@@ -104,29 +104,48 @@ class KvStore {
   Tracer* tracer() const { return tracer_; }
 
  private:
-  struct Entry {
-    std::string key;
-    uint64_t off;
-    uint32_t len;
-  };
-  struct Node {
-    bool leaf = true;
-    std::vector<Entry> entries;
-    uint32_t SerializedSize() const;
-  };
+  /// A chunk's place in the file: a child node, or (in a leaf) a document.
   struct NodeRef {
     uint64_t off = 0;
     uint32_t len = 0;
+  };
+  /// A tree node kept in its chunk encoding. `body` holds the entries
+  /// exactly as the chunk stores them after the leaf byte and the count,
+  /// each `[key len u32][key][off u64][len u32]`, in key order; `pos[i]` is
+  /// entry i's offset in `body`. Updates splice or patch `body` in place and
+  /// AppendNode copies it into the chunk unchanged.
+  struct Node {
+    bool leaf = true;
+    std::string body;
+    std::vector<uint32_t> pos;
+
+    size_t count() const { return pos.size(); }
+    Slice key(size_t i) const;
+    NodeRef ref(size_t i) const;
+    /// First entry whose key is >= k / > k (count() when there is none).
+    size_t LowerBound(Slice k) const;
+    size_t UpperBound(Slice k) const;
+    void Insert(size_t i, Slice k, NodeRef r);
+    void Erase(size_t i);
+    void SetRef(size_t i, NodeRef r);
+    void SetKey(size_t i, Slice k);
+    /// Moves entries [i, count()) into the empty `right`.
+    void SplitAt(size_t i, Node* right);
+    uint32_t SerializedSize() const;
   };
 
   KvStore(SimFileSystem* fs, SimFile* file, std::string name,
           Options options);
 
   Status Recover(IoContext& io);
-  /// Points `*out` at the cached node, decoding and caching it on a miss.
-  /// The pointer stays valid until the node cache next changes.
+  /// Points `*raw` at the `ref.len` chunk bytes at `ref.off`: inside tail_
+  /// when the chunk lies past tail_base_, else read from the file into
+  /// `*buf`. A range not wholly inside the tail or the file is Corruption.
+  Status ReadChunk(IoContext& io, NodeRef ref, std::string* buf, Slice* raw);
+  /// Points `*out` at the cached node, validating, indexing and caching it
+  /// on a miss. The pointer stays valid until the node cache next changes.
   Status LoadNode(IoContext& io, NodeRef ref, const Node** out);
-  Status LoadDoc(IoContext& io, uint64_t off, uint32_t len, std::string* key,
+  Status LoadDoc(IoContext& io, NodeRef doc, std::string* key,
                  std::string* value);
   /// Chunks are framed in place in the tail buffer: BeginChunk writes the
   /// length/CRC placeholder and the type byte and returns the chunk's start

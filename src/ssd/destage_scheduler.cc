@@ -6,7 +6,7 @@ namespace durassd {
 
 bool DestageScheduler::Add(Lpn lpn, SimTime now) {
   last_add_time_ = now;
-  if (!pending_.insert(lpn).second) {
+  if (!pending_.try_emplace(lpn, 0).second) {
     return false;  // Absorbed: already pending, bytes refreshed in place.
   }
   fifo_.push_back(lpn);
@@ -57,41 +57,46 @@ Status DestageScheduler::Drain(SimTime t, size_t max_pages,
   CompactFifo();
 
   // Pair pending sectors into pages in arrival order. Stale fifo entries
-  // (absorbed or removed since) are skipped; each group is removed from
+  // (absorbed or removed since) are skipped, and so is a second fifo entry
+  // of a sector this drain already staged; each group is removed from
   // pending_ only once its program was issued, so a failed issue leaves
   // the remainder queued for a later retry.
-  std::vector<std::vector<Lpn>> groups;
-  std::vector<Lpn> group;
-  std::unordered_set<Lpn> staged;
+  const uint64_t stamp = ++drain_stamp_;
+  size_t full = 0;  // Full pages staged: groups_[0, full).
+  size_t tail = 0;  // Sectors staged in the partial page groups_[full].
   for (Lpn lpn : fifo_) {
-    if (groups.size() == max_pages) break;
-    if (pending_.count(lpn) == 0 || staged.count(lpn) != 0) continue;
-    staged.insert(lpn);
-    group.push_back(lpn);
-    if (group.size() == opts_.sectors_per_page) {
-      groups.push_back(std::move(group));
-      group.clear();
+    if (full == max_pages) break;
+    auto it = pending_.find(lpn);
+    if (it == pending_.end() || it->second == stamp) continue;
+    it->second = stamp;
+    if (tail == 0) {
+      if (full == groups_.size()) groups_.emplace_back();
+      groups_[full].clear();
+    }
+    groups_[full].push_back(lpn);
+    if (++tail == opts_.sectors_per_page) {
+      ++full;
+      tail = 0;
     }
   }
-  if (include_partial && !group.empty() && groups.size() < max_pages) {
-    groups.push_back(std::move(group));
-  }
+  const size_t n =
+      full + (include_partial && tail > 0 && full < max_pages ? 1 : 0);
 
   size_t i = 0;
-  while (i < groups.size()) {
+  while (i < n) {
     const bool full_pair =
-        opts_.multi_plane && i + 1 < groups.size() &&
-        groups[i].size() == opts_.sectors_per_page &&
-        groups[i + 1].size() == opts_.sectors_per_page;
+        opts_.multi_plane && i + 1 < n &&
+        groups_[i].size() == opts_.sectors_per_page &&
+        groups_[i + 1].size() == opts_.sectors_per_page;
     if (full_pair) {
       DURASSD_RETURN_IF_ERROR(
-          sink_->DestagePagePair(t, groups[i], groups[i + 1]));
-      for (Lpn lpn : groups[i]) pending_.erase(lpn);
-      for (Lpn lpn : groups[i + 1]) pending_.erase(lpn);
+          sink_->DestagePagePair(t, groups_[i], groups_[i + 1]));
+      for (Lpn lpn : groups_[i]) pending_.erase(lpn);
+      for (Lpn lpn : groups_[i + 1]) pending_.erase(lpn);
       i += 2;
     } else {
-      DURASSD_RETURN_IF_ERROR(sink_->DestagePage(t, groups[i]));
-      for (Lpn lpn : groups[i]) pending_.erase(lpn);
+      DURASSD_RETURN_IF_ERROR(sink_->DestagePage(t, groups_[i]));
+      for (Lpn lpn : groups_[i]) pending_.erase(lpn);
       i += 1;
     }
   }

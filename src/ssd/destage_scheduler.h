@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -110,7 +110,15 @@ class DestageScheduler {
   /// Issue order. May contain stale LPNs (no longer in pending_); drains
   /// skip them and CompactFifo bounds the growth.
   std::deque<Lpn> fifo_;
-  std::unordered_set<Lpn> pending_;
+  /// Pending sectors, each with the stamp of the last drain that staged it
+  /// (0 until one does). A drain stages a sector only when its stamp is
+  /// older than the drain's own, so a sector that sits in fifo_ twice
+  /// (removed, then re-added) is staged once, at its first fifo slot.
+  std::unordered_map<Lpn, uint64_t> pending_;
+  uint64_t drain_stamp_ = 0;
+  /// Page groups staged by the current drain; the buffers are reused
+  /// across drains, so a drain allocates nothing once they have grown.
+  std::vector<std::vector<Lpn>> groups_;
   SimTime last_add_time_ = 0;
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <unordered_set>
+#include <utility>
 
 #include "common/coding.h"
 #include "common/crc32c.h"
@@ -114,21 +116,14 @@ void SsdDevice::RollbackCommandEntries(Lpn lpn, uint32_t nsec, SimTime ack) {
     CacheEntry& e = it->second;
     if (e.program_done != kNeverProgrammed) continue;  // Already destaged.
     if (e.has_prev) {
-      e.data = std::move(e.prev_data);
-      e.ack = e.prev_ack;
-      e.seq = e.prev_seq;
-      e.epoch = e.prev_epoch;
-      e.has_prev = false;
-      e.program_issue = kNeverProgrammed;
-      e.program_start = 0;
-      e.program_done = kNeverProgrammed;
+      RestorePrev(e);
       // The restored version must reach NAND (again): re-queue it. If the
       // failed overwrite had been absorbed, the pending slot simply keeps
       // pointing at the now-restored bytes.
       scheduler_.Add(lpn + i, e.ack);
     } else {
       scheduler_.Remove(lpn + i);
-      cache_.erase(it);
+      EraseCacheEntry(it);
     }
   }
 }
@@ -207,6 +202,52 @@ SimTime SsdDevice::AcquireFrame(SimTime t) {
   return t;
 }
 
+uint32_t SsdDevice::NewPayload() {
+  if (free_payloads_.empty()) {
+    const uint32_t base =
+        static_cast<uint32_t>(payload_chunks_.size()) * kPayloadsPerChunk;
+    payload_chunks_.push_back(std::make_unique_for_overwrite<char[]>(
+        static_cast<size_t>(kPayloadsPerChunk) * cfg_.sector_size));
+    for (uint32_t i = kPayloadsPerChunk; i-- > 0;) {
+      free_payloads_.push_back(base + i);
+    }
+  }
+  const uint32_t payload = free_payloads_.back();
+  free_payloads_.pop_back();
+  return payload;
+}
+
+void SsdDevice::RestorePrev(CacheEntry& e) {
+  FreePayload(e.payload);
+  e.payload = e.prev_payload;
+  e.prev_payload = kNoPayload;
+  e.ack = e.prev_ack;
+  e.seq = e.prev_seq;
+  e.epoch = e.prev_epoch;
+  e.has_prev = false;
+  e.program_issue = kNeverProgrammed;
+  e.program_start = 0;
+  e.program_done = kNeverProgrammed;  // Needs (re)programming.
+}
+
+std::unordered_map<Lpn, SsdDevice::CacheEntry>::iterator
+SsdDevice::EraseCacheEntry(std::unordered_map<Lpn, CacheEntry>::iterator it) {
+  FreePayload(it->second.payload);
+  FreePayload(it->second.prev_payload);
+  return cache_.erase(it);
+}
+
+void SsdDevice::ClearCache() {
+  cache_.clear();
+  cache_fifo_.clear();
+  free_payloads_.clear();
+  for (uint32_t i = static_cast<uint32_t>(payload_chunks_.size()) *
+                    kPayloadsPerChunk;
+       i-- > 0;) {
+    free_payloads_.push_back(i);
+  }
+}
+
 void SsdDevice::InsertCacheEntry(Lpn lpn, Slice sector, SimTime ack,
                                  uint64_t seq, uint64_t epoch) {
   const auto [it, inserted] = cache_.try_emplace(lpn);
@@ -214,17 +255,18 @@ void SsdDevice::InsertCacheEntry(Lpn lpn, Slice sector, SimTime ack,
   if (!inserted) {
     // Coalesce: keep the displaced acknowledged version for the incomplete-
     // overwrite rollback corner (Sec. 3.2's "old copies are discarded",
-    // with one-deep history for atomicity of the in-flight command).
-    // Swapped rather than move-assigned, so the rewrite below reuses the
-    // older version's buffer by contract, not by a library detail.
+    // with one-deep history for atomicity of the in-flight command). The
+    // payloads swap, so the rewrite below reuses the older version's frame.
     e.has_prev = true;
-    e.prev_data.swap(e.data);
+    std::swap(e.prev_payload, e.payload);
     e.prev_ack = e.ack;
     e.prev_seq = e.seq;
     e.prev_epoch = e.epoch;
   }
   if (cfg_.store_data) {
-    e.data.assign(sector.data(), sector.size());
+    assert(sector.size() == cfg_.sector_size);
+    if (e.payload == kNoPayload) e.payload = NewPayload();
+    std::memcpy(PayloadBytes(e.payload), sector.data(), cfg_.sector_size);
   }
   e.ack = ack;
   e.seq = seq;
@@ -251,7 +293,7 @@ void SsdDevice::EvictCleanIfNeeded() {
       cache_fifo_.push_back(victim);
       break;
     }
-    cache_.erase(it);
+    EraseCacheEntry(it);
   }
 }
 
@@ -270,16 +312,14 @@ void SsdDevice::FinishDestage(const std::vector<Lpn>& group, SimTime issue,
   }
 }
 
-std::vector<Ftl::SectorWrite> SsdDevice::CachedSectors(
-    const std::vector<Lpn>& group) const {
-  std::vector<Ftl::SectorWrite> writes;
-  writes.reserve(group.size());
+void SsdDevice::CachedSectors(const std::vector<Lpn>& group,
+                              std::vector<Ftl::SectorWrite>* out) const {
+  out->clear();
   for (Lpn lpn : group) {
     auto it = cache_.find(lpn);
     assert(it != cache_.end());
-    writes.push_back({lpn, it->second.data});
+    out->push_back({lpn, CachedBytes(it->second)});
   }
-  return writes;
 }
 
 SimTime SsdDevice::ClampToAcks(SimTime t, const std::vector<Lpn>& group) const {
@@ -298,8 +338,8 @@ Status SsdDevice::DestagePage(SimTime t, const std::vector<Lpn>& group) {
   t = ClampToAcks(t, group);
   SimTime start = 0;
   SimTime done = 0;
-  DURASSD_RETURN_IF_ERROR(
-      ftl_.ProgramSectors(t, CachedSectors(group), &start, &done));
+  CachedSectors(group, &writes_a_);
+  DURASSD_RETURN_IF_ERROR(ftl_.ProgramSectors(t, writes_a_, &start, &done));
   FinishDestage(group, t, start, done);
   return Status::OK();
 }
@@ -309,11 +349,13 @@ Status SsdDevice::DestagePagePair(SimTime t, const std::vector<Lpn>& a,
   t = std::max(ClampToAcks(t, a), ClampToAcks(t, b));
   SimTime start = 0;
   SimTime done = 0;
-  DURASSD_RETURN_IF_ERROR(ftl_.ProgramSectorsMultiPlane(
-      t, CachedSectors(a), CachedSectors(b), &start, &done));
-  std::vector<Lpn> both = a;
-  both.insert(both.end(), b.begin(), b.end());
-  FinishDestage(both, t, start, done);
+  CachedSectors(a, &writes_a_);
+  CachedSectors(b, &writes_b_);
+  DURASSD_RETURN_IF_ERROR(
+      ftl_.ProgramSectorsMultiPlane(t, writes_a_, writes_b_, &start, &done));
+  pair_group_.assign(a.begin(), a.end());
+  pair_group_.insert(pair_group_.end(), b.begin(), b.end());
+  FinishDestage(pair_group_, t, start, done);
   return Status::OK();
 }
 
@@ -545,12 +587,14 @@ BlockDevice::Result SsdDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
     // a data read must fall through to the media — returning zeros for a
     // mapped sector would corrupt the host (the original read-path bug).
     const bool hit = it != cache_.end() &&
-                     (out == nullptr || !it->second.data.empty());
+                     (out == nullptr || it->second.payload != kNoPayload);
     if (hit) {
       stats_.cache_read_hits++;
       ++*c_cache_read_sectors_;
       hit_sectors++;
-      if (out != nullptr) out->append(it->second.data);
+      if (out != nullptr) {
+        out->append(PayloadBytes(it->second.payload), cfg_.sector_size);
+      }
       continue;
     }
     stats_.cache_read_misses++;
@@ -701,7 +745,7 @@ void SsdDevice::DumpOnCapacitor(SimTime t) {
   // Everything acknowledged but not yet safely on NAND must reach the dump
   // area on capacitor power (Sec. 3.4.1), together with the dirty mapping
   // entries. Completed programs survive via the dumped mapping delta.
-  std::vector<std::pair<Lpn, const std::string*>> to_dump;
+  std::vector<std::pair<Lpn, Slice>> to_dump;
   for (const auto& [lpn, e] : cache_) {
     if (e.ack > t || e.program_done <= t) continue;
     if (e.program_issue <= t) {
@@ -712,7 +756,7 @@ void SsdDevice::DumpOnCapacitor(SimTime t) {
       // open [ack, program_done) window.
       continue;
     }
-    to_dump.emplace_back(lpn, &e.data);
+    to_dump.emplace_back(lpn, CachedBytes(e));
   }
   const uint64_t dump_bytes =
       (static_cast<uint64_t>(to_dump.size()) + 1) * cfg_.geometry.page_size +
@@ -754,9 +798,9 @@ void SsdDevice::DumpOnCapacitor(SimTime t) {
     std::string page;
     PutFixed32(&page, kDumpEntryMagic);
     PutFixed64(&page, lpn);
-    PutFixed32(&page, static_cast<uint32_t>(data->size()));
-    PutFixed32(&page, Crc32c(data->data(), data->size()));
-    page.append(*data);
+    PutFixed32(&page, static_cast<uint32_t>(data.size()));
+    PutFixed32(&page, Crc32c(data.data(), data.size()));
+    page.append(data.data(), data.size());
     bool stored = false;
     while (index < ftl_.dump_area_pages()) {
       const bool ok = ftl_.ProgramDumpPage(index, page).ok();
@@ -820,14 +864,7 @@ void SsdDevice::PowerCut(SimTime t) {
         min_dropped_seq = std::min(min_dropped_seq, e.seq);
         min_dropped_epoch = std::min(min_dropped_epoch, e.epoch);
         if (e.has_prev && e.prev_ack <= t) {
-          e.data = std::move(e.prev_data);
-          e.ack = e.prev_ack;
-          e.seq = e.prev_seq;
-          e.epoch = e.prev_epoch;
-          e.has_prev = false;
-          e.program_issue = kNeverProgrammed;
-          e.program_start = 0;
-          e.program_done = kNeverProgrammed;  // Needs replay.
+          RestorePrev(e);  // Needs replay.
           max_kept_seq = std::max(max_kept_seq, e.seq);
           max_kept_epoch = std::max(max_kept_epoch, e.epoch);
           ++it;
@@ -836,7 +873,7 @@ void SsdDevice::PowerCut(SimTime t) {
             min_dropped_seq = std::min(min_dropped_seq, e.prev_seq);
             min_dropped_epoch = std::min(min_dropped_epoch, e.prev_epoch);
           }
-          it = cache_.erase(it);
+          it = EraseCacheEntry(it);
         }
       } else {
         max_kept_seq = std::max(max_kept_seq, e.seq);
@@ -865,8 +902,7 @@ void SsdDevice::PowerCut(SimTime t) {
         last_flush_start_ >= 0 && last_flush_start_ <= t &&
         t < last_flush_done_;
     const bool expose = cfg_.exposes_torn_writes && flush_in_progress;
-    cache_.clear();
-    cache_fifo_.clear();
+    ClearCache();
     ftl_.PowerCutRollback(t, expose ? Ftl::PowerCutExposure::kStarted
                                     : Ftl::PowerCutExposure::kNone);
   }
@@ -894,10 +930,12 @@ SimTime SsdDevice::ReplayDump() {
   const FlashGeometry& g = cfg_.geometry;
   const SimTime page_read_cost = g.read_latency + g.channel_transfer_time();
 
-  // A dump entry is valid when its magic parses and its payload CRC holds
-  // (bit errors past the ECC budget or a shorn program fail both checks).
-  const auto parse_entry = [](const std::string& page, Lpn* lpn,
-                              std::string* data) {
+  // A dump entry is valid when its magic parses, it holds one sector and
+  // its payload CRC holds (bit errors past the ECC budget or a shorn
+  // program fail these checks).
+  const uint32_t sector_size = cfg_.sector_size;
+  const auto parse_entry = [sector_size](const std::string& page, Lpn* lpn,
+                                         std::string* data) {
     Slice p(page);
     uint32_t magic = 0;
     uint64_t l = 0;
@@ -905,7 +943,7 @@ SimTime SsdDevice::ReplayDump() {
     uint32_t crc = 0;
     if (!GetFixed32(&p, &magic) || magic != kDumpEntryMagic) return false;
     if (!GetFixed64(&p, &l) || !GetFixed32(&p, &len) ||
-        !GetFixed32(&p, &crc) || p.size() < len) {
+        !GetFixed32(&p, &crc) || len != sector_size || p.size() < len) {
       return false;
     }
     if (Crc32c(p.data(), len) != crc) return false;
@@ -1040,8 +1078,8 @@ Status SsdDevice::AppendLogSegment(SimTime t, const std::vector<Lpn>& taken) {
     for (Lpn lpn : taken) {
       auto it = cache_.find(lpn);
       assert(it != cache_.end());
-      PutFixed32(&header,
-                 Crc32c(it->second.data.data(), it->second.data.size()));
+      const Slice bytes = CachedBytes(it->second);
+      PutFixed32(&header, Crc32c(bytes.data(), bytes.size()));
       PutFixed64(&header, lpn);
     }
     PutFixed32(&header, Crc32c(header.data(), header.size()));
@@ -1074,7 +1112,8 @@ Status SsdDevice::AppendLogSegment(SimTime t, const std::vector<Lpn>& taken) {
       for (size_t j = 0; j < n; ++j) {
         auto it = cache_.find(taken[off + j]);
         assert(it != cache_.end());
-        page.append(it->second.data);
+        const Slice bytes = CachedBytes(it->second);
+        page.append(bytes.data(), bytes.size());
       }
     }
     SimTime ps = 0;
@@ -1229,8 +1268,7 @@ SimTime SsdDevice::RecoverCache() {
 SimTime SsdDevice::PowerOn() {
   if (powered_) return 0;
   powered_ = true;
-  cache_.clear();
-  cache_fifo_.clear();
+  ClearCache();
   scheduler_.Clear();
   while (!outstanding_.empty()) outstanding_.pop();
 
@@ -1272,8 +1310,7 @@ Status SsdDevice::Shutdown(SimTime now) {
   DURASSD_RETURN_IF_ERROR(r.status);
   powered_ = false;
   emergency_shutdown_ = false;
-  cache_.clear();
-  cache_fifo_.clear();
+  ClearCache();
   while (!outstanding_.empty()) outstanding_.pop();
   last_ordered_ack_ = 0;
   cur_epoch_ = 0;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <memory>
 #include <queue>
 #include <string>
 #include <unordered_map>
@@ -211,8 +212,12 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
     kFlush = 3,     ///< FLUSH CACHE or clean shutdown.
   };
 
+  /// Payload index of an entry that holds no bytes (timing-only mode).
+  static constexpr uint32_t kNoPayload = std::numeric_limits<uint32_t>::max();
+
   struct CacheEntry {
-    std::string data;          ///< Sector bytes; empty in timing-only mode.
+    /// Payload frame holding the sector bytes (kNoPayload when timing-only).
+    uint32_t payload = kNoPayload;
     SimTime ack = 0;           ///< Command acknowledged (atomicity point).
     uint64_t seq = 0;          ///< Submission sequence of the owning command.
     uint64_t epoch = 0;        ///< Barrier epoch the owning command joined.
@@ -224,7 +229,7 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
     // overwriting command turns out incomplete at a power cut, the
     // previously acknowledged version is restored.
     bool has_prev = false;
-    std::string prev_data;
+    uint32_t prev_payload = kNoPayload;
     SimTime prev_ack = 0;
     uint64_t prev_seq = 0;
     uint64_t prev_epoch = 0;
@@ -286,9 +291,10 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   /// in-flight programs (outstanding_) and pending scheduler sectors;
   /// pressure first converts pending into programs.
   SimTime AcquireFrame(SimTime t);
-  /// The cached bytes of `group`, in order, as one program's sectors.
-  std::vector<Ftl::SectorWrite> CachedSectors(
-      const std::vector<Lpn>& group) const;
+  /// Fills `out` with the cached bytes of `group`, in order, as one
+  /// program's sectors.
+  void CachedSectors(const std::vector<Lpn>& group,
+                     std::vector<Ftl::SectorWrite>* out) const;
   // --- DestageScheduler::Sink ---
   /// Never issue a sector's program before its command's ack (crash
   /// semantics rely on issue >= ack; see the definition).
@@ -307,6 +313,30 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   void InsertCacheEntry(Lpn lpn, Slice sector, SimTime ack, uint64_t seq,
                         uint64_t epoch);
   void EvictCleanIfNeeded();
+  /// Payload frames: a frame from the free list (the pool grows by one
+  /// chunk when the list is empty), its bytes, and its release.
+  uint32_t NewPayload();
+  char* PayloadBytes(uint32_t payload) const {
+    return payload_chunks_[payload / kPayloadsPerChunk].get() +
+           static_cast<size_t>(payload % kPayloadsPerChunk) * cfg_.sector_size;
+  }
+  void FreePayload(uint32_t payload) {
+    if (payload != kNoPayload) free_payloads_.push_back(payload);
+  }
+  /// The entry's cached bytes; empty when it holds no payload.
+  Slice CachedBytes(const CacheEntry& e) const {
+    return e.payload == kNoPayload
+               ? Slice()
+               : Slice(PayloadBytes(e.payload), cfg_.sector_size);
+  }
+  /// Makes the entry's one-deep history current again, freeing the
+  /// overwriting version's payload.
+  void RestorePrev(CacheEntry& e);
+  /// Erases one entry and frees its payloads.
+  std::unordered_map<Lpn, CacheEntry>::iterator EraseCacheEntry(
+      std::unordered_map<Lpn, CacheEntry>::iterator it);
+  /// Empties the cache and returns every payload frame to the free list.
+  void ClearCache();
   /// Mapping-journal persistence cost for `entries` dirty mapping entries.
   SimTime MappingPersistCost(size_t entries) const;
   void DumpOnCapacitor(SimTime t);
@@ -341,6 +371,17 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
 
   std::unordered_map<Lpn, CacheEntry> cache_;
   std::deque<Lpn> cache_fifo_;
+  /// Sector-size frames holding the cached payloads, allocated
+  /// kPayloadsPerChunk at a time and recycled through free_payloads_. The
+  /// chunks never move, so a Slice into a frame stays valid until the frame
+  /// is freed.
+  static constexpr uint32_t kPayloadsPerChunk = 256;
+  std::vector<std::unique_ptr<char[]>> payload_chunks_;
+  std::vector<uint32_t> free_payloads_;
+  /// Reused program buffers of DestagePage / DestagePagePair.
+  std::vector<Ftl::SectorWrite> writes_a_;
+  std::vector<Ftl::SectorWrite> writes_b_;
+  std::vector<Lpn> pair_group_;
   /// Completion times of scheduled destages (frame accounting).
   std::priority_queue<SimTime, std::vector<SimTime>, std::greater<SimTime>>
       outstanding_;

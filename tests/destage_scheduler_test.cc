@@ -15,6 +15,7 @@
 
 #include "common/random.h"
 #include "flash/flash_array.h"
+#include "ssd/destage_scheduler.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
 
@@ -259,6 +260,45 @@ TEST(DestageSchedulerTest, MultiPlaneProgramsPairSiblingPlanes) {
     dev.Flush(1);
     EXPECT_EQ(dev.flash().stats().multi_plane_programs, 0u);
   }
+}
+
+// --- Drain order -----------------------------------------------------------
+
+// Records every page the scheduler issues, in order.
+class RecordingSink : public DestageScheduler::Sink {
+ public:
+  Status DestagePage(SimTime, const std::vector<Lpn>& group) override {
+    pages.push_back(group);
+    return Status::OK();
+  }
+  Status DestagePagePair(SimTime, const std::vector<Lpn>& a,
+                         const std::vector<Lpn>& b) override {
+    pages.push_back(a);
+    pages.push_back(b);
+    return Status::OK();
+  }
+  std::vector<std::vector<Lpn>> pages;
+};
+
+TEST(DestageSchedulerTest, ReAddedSectorKeepsItsFirstFifoSlot) {
+  // Sector 1 is removed and re-added, so the fifo holds it twice: 1 2 3 4 1.
+  // A drain stages it once, at its first slot. Keeping the newer slot
+  // instead would issue [2,3] then [4,1].
+  RecordingSink sink;
+  DestageScheduler sched(&sink, DestageScheduler::Options{
+                                    /*sectors_per_page=*/2,
+                                    /*batch_pages=*/256,
+                                    /*multi_plane=*/false});
+  EXPECT_TRUE(sched.Add(1, 0));
+  EXPECT_TRUE(sched.Add(2, 0));
+  EXPECT_TRUE(sched.Add(3, 0));
+  sched.Remove(1);
+  EXPECT_TRUE(sched.Add(4, 0));
+  EXPECT_TRUE(sched.Add(1, 0));
+  ASSERT_TRUE(sched.DrainAll(0).ok());
+  EXPECT_EQ(sink.pages,
+            (std::vector<std::vector<Lpn>>{{1, 2}, {3, 4}}));
+  EXPECT_TRUE(sched.empty());
 }
 
 // --- Golden timing ---------------------------------------------------------

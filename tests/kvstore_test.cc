@@ -3,7 +3,10 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/coding.h"
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "db/io_context.h"
 #include "host/sim_file.h"
@@ -41,6 +44,8 @@ class KvHarness {
     store_ = std::move(*s);
     return Status::OK();
   }
+
+  void CloseStore() { store_.reset(); }
 
   void Crash() {
     store_.reset();
@@ -325,6 +330,158 @@ TEST(KvStoreTest, SeededMixKeepsPinnedFileBytes) {
     hash = (hash ^ static_cast<uint8_t>(c)) * 0x100000001B3ull;
   }
   EXPECT_EQ(hash, 13766376989402604387ull);
+}
+
+// --- Decoding untrusted bytes ----------------------------------------------
+
+TEST(KvStoreTest, HeaderRootPastItsOwnEndIsSkipped) {
+  // The file's only block is a header with a valid CRC whose root lies at
+  // 8192, past the header's own end at 4096. Recovery must reject that
+  // header (and so find no store), not read outside its buffers.
+  SsdConfig cfg = SsdConfig::Tiny(true);
+  cfg.geometry.blocks_per_plane = 128;
+  SsdDevice device(cfg);
+  SimFileSystem fs(&device, SimFileSystem::Options{});
+  std::string body;
+  PutFixed32(&body, 0xC0C4B453);  // Header magic.
+  PutFixed64(&body, 1);           // seq
+  PutFixed64(&body, 8192);        // root offset
+  PutFixed32(&body, 64);          // root length
+  PutFixed64(&body, 1);           // documents
+  PutFixed64(&body, 100);         // live bytes
+  std::string block;
+  PutFixed32(&block, Crc32c(body.data(), body.size()));
+  block += body;
+  block.resize(4096, '\0');
+  ASSERT_TRUE(fs.Open("s.couch")->Write(0, 0, block).status.ok());
+
+  IoContext io;
+  auto store = KvStore::Open(io, &fs, "s.couch", KvStore::Options{});
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->committed_seq(), 0u);
+  EXPECT_EQ((*store)->doc_count(), 0u);
+  std::string v;
+  EXPECT_TRUE((*store)->Get(io, "k", &v).IsNotFound());
+}
+
+// One entry of a node chunk as the test reads it from the file bytes.
+struct RawEntry {
+  std::string key;
+  uint64_t off;
+  uint32_t len;
+  size_t at;  ///< File offset of the entry's key length.
+};
+
+// Parses the node chunk at `off` of `file`: [total u32][crc u32][type u8]
+// [leaf u8][count u32] then [key len u32][key][off u64][len u32] each.
+bool ParseNodeChunk(const std::string& file, uint64_t off, bool* leaf,
+                    std::vector<RawEntry>* entries) {
+  if (off + 14 > file.size() || file[off + 8] != 2) return false;
+  *leaf = file[off + 9] != 0;
+  const uint32_t count = DecodeFixed32(file.data() + off + 10);
+  size_t at = off + 14;
+  entries->clear();
+  for (uint32_t i = 0; i < count; ++i) {
+    const uint32_t klen = DecodeFixed32(file.data() + at);
+    RawEntry e{file.substr(at + 4, klen),
+               DecodeFixed64(file.data() + at + 4 + klen),
+               DecodeFixed32(file.data() + at + 12 + klen), at};
+    entries->push_back(e);
+    at += 16 + klen;
+  }
+  return true;
+}
+
+// Recomputes the CRC of the chunk at `off` after its body was edited.
+void ResealChunk(std::string* file, uint64_t off) {
+  const uint32_t total = DecodeFixed32(file->data() + off);
+  EncodeFixed32(file->data() + off + 4,
+                Crc32c(file->data() + off + 8, total - 8));
+}
+
+TEST(KvStoreTest, MutatedNodeChunksReadAsCorruption) {
+  // Seeded edits of a real store's node chunks, each resealed with a valid
+  // CRC: a leaf count past the body, a leaf key length past the chunk, and
+  // a root child offset past the file (or past the empty tail). Every Get
+  // must return the right value or Corruption, and a Get that reaches the
+  // edited node must return Corruption.
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Random rng(seed);
+    KvHarness h(true, true, 100000);
+    ASSERT_TRUE(h.OpenStore(/*node_size=*/512).ok());
+    std::map<std::string, std::string> model;
+    for (int i = 0; i < 300; ++i) {
+      const std::string key = "key" + std::to_string(1000 + i);
+      model[key] = std::string(20 + rng.Uniform(60), static_cast<char>('a' + i % 26));
+      ASSERT_TRUE(h.store()->Put(h.io(), key, model[key]).ok());
+    }
+    ASSERT_TRUE(h.store()->Commit(h.io()).ok());
+    h.CloseStore();
+
+    SimFile* file = h.fs()->Open("bucket.couch");
+    std::string bytes;
+    ASSERT_TRUE(file->Read(h.io().now, 0, file->size(), &bytes).status.ok());
+    // The one header is the last block: [crc][magic][seq][root off][len].
+    const uint64_t root_off =
+        DecodeFixed64(bytes.data() + bytes.size() - 4096 + 16);
+    bool leaf = false;
+    std::vector<RawEntry> root;
+    ASSERT_TRUE(ParseNodeChunk(bytes, root_off, &leaf, &root));
+    ASSERT_FALSE(leaf);
+    ASSERT_GE(root.size(), 2u);
+
+    std::string probe;  // A key whose Get reaches the edited node.
+    const uint64_t kind = seed % 3;
+    if (kind == 2) {
+      RawEntry& e = root[rng.Uniform(root.size())];
+      const uint64_t off =
+          rng.Bernoulli(0.5) ? bytes.size() + rng.Uniform(1 << 20)
+                             : bytes.size() - 1 - rng.Uniform(e.len - 1);
+      EncodeFixed64(bytes.data() + e.at + 4 + e.key.size(), off);
+      ResealChunk(&bytes, root_off);
+      probe = e.key;
+    } else {
+      // Descend from the root along seeded children to a leaf.
+      uint64_t off = root_off;
+      std::vector<RawEntry> node = root;
+      while (!leaf) {
+        off = node[rng.Uniform(node.size())].off;
+        ASSERT_TRUE(ParseNodeChunk(bytes, off, &leaf, &node));
+      }
+      ASSERT_FALSE(node.empty());
+      const uint32_t total = DecodeFixed32(bytes.data() + off);
+      if (kind == 0) {
+        EncodeFixed32(bytes.data() + off + 10,
+                      static_cast<uint32_t>(node.size()) + 1 +
+                          static_cast<uint32_t>(rng.Uniform(1000)));
+      } else {
+        const RawEntry& e = node[rng.Uniform(node.size())];
+        const uint64_t left = off + total - (e.at + 4);
+        // The smallest length past the chunk is left - 11: key plus off and
+        // len would then end one byte beyond it.
+        EncodeFixed32(bytes.data() + e.at,
+                      static_cast<uint32_t>(left - 11 + rng.Uniform(1 << 20)));
+      }
+      ResealChunk(&bytes, off);
+      probe = node.front().key;
+    }
+    ASSERT_TRUE(file->Write(h.io().now, 0, bytes).status.ok());
+
+    ASSERT_TRUE(h.OpenStore(/*node_size=*/512).ok());
+    ASSERT_EQ(h.store()->doc_count(), model.size());
+    std::string got;
+    const Status hit = h.store()->Get(h.io(), probe, &got);
+    EXPECT_TRUE(hit.IsCorruption()) << probe << ": " << hit.ToString();
+    for (const auto& [k, v] : model) {
+      const Status s = h.store()->Get(h.io(), k, &got);
+      if (s.ok()) {
+        EXPECT_EQ(got, v) << k;
+      } else {
+        EXPECT_TRUE(s.IsCorruption()) << k << ": " << s.ToString();
+      }
+    }
+  }
 }
 
 }  // namespace
