@@ -1,7 +1,9 @@
 // Ablation (Sec. 3.4): power-loss dump size vs capacitor budget and
-// recovery time. Sweeps the dirty-cache footprint at the instant of power
-// failure and reports dump pages, whether the tantalum budget holds, and
-// the replay time at reboot.
+// recovery time. Sweeps how many sectors are written just before the power
+// cut (`dirty_sectors`) and reports the pages dumped at the cut, whether
+// the tantalum budget holds, and the replay time at reboot. The lazy
+// destage has already drained part of those sectors by the cut, so the
+// dumped pages, not `dirty_sectors`, set the recovery time.
 #include <cstdio>
 #include <cstring>
 #include <string>

@@ -60,7 +60,6 @@ WriteVolume RunConfig(const char* label, bool dwb, uint32_t page_size,
   const double nand_bytes =
       static_cast<double>(rig.data_dev->flash().stats().programs - nand0) *
       rig.data_dev->config().geometry.page_size;
-  const SsdDevice::FaultStats fs = rig.data_dev->fault_stats();
   if (g_json->enabled()) {
     BenchResult row(label);
     row.FailedOps(result->failed_ops)
@@ -70,13 +69,14 @@ WriteVolume RunConfig(const char* label, bool dwb, uint32_t page_size,
         .Value("nand_gib", nand_bytes / kGiB)
         .Value("write_amplification",
                host_bytes > 0 ? nand_bytes / host_bytes : 0.0)
-        .Metrics(rig.db->metrics())
+        .Engine(*rig.db)
         .Device(*rig.data_dev);
     g_json->Add(std::move(row));
   }
   return {host_bytes / kGiB, nand_bytes / kGiB,
-          host_bytes > 0 ? nand_bytes / host_bytes : 0, fs.ecc_corrected,
-          fs.retired_blocks};
+          host_bytes > 0 ? nand_bytes / host_bytes : 0,
+          rig.data_dev->ftl().stats().ecc_corrected,
+          rig.data_dev->flash().stats().bad_blocks};
 }
 
 bool FaultsActive() {

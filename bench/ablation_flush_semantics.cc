@@ -55,7 +55,7 @@ double RunConfig(const char* label, bool barriers, SsdConfig::FlushMode mode,
         .Param("ordered_no_drain",
                mode == SsdConfig::FlushMode::kOrderedNoDrain)
         .Throughput(tps, "txn/s")
-        .Metrics((*db)->metrics())
+        .Engine(**db)
         .Device(*data_dev);
     g_json->Add(std::move(row));
   }

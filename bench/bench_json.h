@@ -18,14 +18,18 @@
 //         "throughput": {"value": 1234.5, "unit": "txn/s"},
 //         "latency_ns": {"count","mean","min","p25",...,"p999","max"},
 //         "values": { ... extra scalar outputs (WA, reductions, ...) ... },
+//         "engine": {"db": {...}, "wal": {...}, "pool": {...}}
+//                   or {"kv": {...}},
 //         "device": {"stats": {...}, "faults": {...}, "metrics": {...}},
-//         "metrics": { ... engine-level registry snapshot ... }
+//         "metrics": {"histograms": { ... engine latency histograms ... }}
 //       }, ...
 //     ]
 //   }
 //
-// Sections a bench does not populate are simply absent. Text output is
-// unchanged; JSON is written on top of it at exit.
+// Every count comes from the Stats struct of the component that keeps it
+// ("engine" and "device.stats"/"faults"); the "metrics" sections hold the
+// registries' histograms. Sections a bench does not populate are simply
+// absent. Text output is unchanged; JSON is written on top of it at exit.
 
 #include <cstdio>
 #include <cstring>
@@ -36,6 +40,8 @@
 #include "common/histogram.h"
 #include "common/json.h"
 #include "common/metrics.h"
+#include "db/database.h"
+#include "kv/kvstore.h"
 #include "ssd/ssd_device.h"
 
 namespace durassd {
@@ -82,7 +88,8 @@ inline void AppendFields(const Fields& fields, JsonWriter* w) {
 
 inline void AppendDeviceJson(const SsdDevice& dev, JsonWriter* w) {
   const SsdDevice::Stats& s = dev.stats();
-  const SsdDevice::FaultStats f = dev.fault_stats();
+  const Ftl::Stats& ftl = dev.ftl().stats();
+  const FlashArray::Stats& flash = dev.flash().stats();
   w->BeginObject();
   w->Key("stats");
   w->BeginObject();
@@ -102,28 +109,97 @@ inline void AppendDeviceJson(const SsdDevice& dev, JsonWriter* w) {
   w->Key("dropped_incomplete"); w->Uint(s.dropped_incomplete);
   w->Key("capacitor_overruns"); w->Uint(s.capacitor_overruns);
   w->Key("reads_stalled_by_flush"); w->Uint(s.reads_stalled_by_flush);
+  w->Key("degraded_write_rejects"); w->Uint(s.degraded_write_rejects);
+  w->Key("barriers"); w->Uint(s.barriers);
   w->Key("destage_absorbed"); w->Uint(s.destage_absorbed);
   w->Key("destage_batches"); w->Uint(s.destage_batches);
-  w->Key("multi_plane_programs"); w->Uint(dev.flash().stats().multi_plane_programs);
+  w->Key("multi_plane_programs"); w->Uint(flash.multi_plane_programs);
   w->Key("log_segments"); w->Uint(s.log_segments);
   w->Key("log_segment_sectors"); w->Uint(s.log_segment_sectors);
   w->Key("log_replayed_segments"); w->Uint(s.log_replayed_segments);
   w->Key("log_torn_segments"); w->Uint(s.log_torn_segments);
   w->Key("log_recovered_sectors"); w->Uint(s.log_recovered_sectors);
   w->Key("log_dropped_sectors"); w->Uint(s.log_dropped_sectors);
+  w->Key("gc_runs"); w->Uint(ftl.gc_runs);
+  w->Key("degraded"); w->Bool(dev.degraded());
   w->Key("write_amplification"); w->Double(dev.WriteAmplification());
   w->EndObject();
   w->Key("faults");
   w->BeginObject();
-  w->Key("ecc_corrected"); w->Uint(f.ecc_corrected);
-  w->Key("read_retries"); w->Uint(f.read_retries);
-  w->Key("uncorrectable_reads"); w->Uint(f.uncorrectable_reads);
-  w->Key("program_fails"); w->Uint(f.program_fails);
-  w->Key("erase_fails"); w->Uint(f.erase_fails);
-  w->Key("retired_blocks"); w->Uint(f.retired_blocks);
+  w->Key("ecc_corrected"); w->Uint(ftl.ecc_corrected);
+  w->Key("read_retries"); w->Uint(ftl.read_retries);
+  w->Key("uncorrectable_reads"); w->Uint(ftl.uncorrectable_reads);
+  w->Key("program_fails"); w->Uint(flash.program_fails);
+  w->Key("erase_fails"); w->Uint(flash.erase_fails);
+  w->Key("retired_blocks"); w->Uint(flash.bad_blocks);
   w->EndObject();
   w->Key("metrics");
   dev.metrics().AppendJson(w);
+  w->EndObject();
+}
+
+inline void AppendEngineJson(const Database& db, JsonWriter* w) {
+  const Database::Stats& s = db.stats();
+  const Wal::Stats& wal = db.wal_stats();
+  const BufferPool::Stats pool = db.pool_stats();
+  w->BeginObject();
+  w->Key("db");
+  w->BeginObject();
+  w->Key("txns_committed"); w->Uint(s.txns_committed);
+  w->Key("txns_aborted"); w->Uint(s.txns_aborted);
+  w->Key("puts"); w->Uint(s.puts);
+  w->Key("gets"); w->Uint(s.gets);
+  w->Key("deletes"); w->Uint(s.deletes);
+  w->Key("scans"); w->Uint(s.scans);
+  w->Key("checkpoints"); w->Uint(s.checkpoints);
+  w->Key("recovered_records"); w->Uint(s.recovered_records);
+  w->Key("undone_loser_txns"); w->Uint(s.undone_loser_txns);
+  w->Key("torn_pages_repaired"); w->Uint(s.torn_pages_repaired);
+  w->Key("degraded_aborts"); w->Uint(s.degraded_aborts);
+  w->Key("ordered_wal_elisions"); w->Uint(s.ordered_wal_elisions);
+  w->EndObject();
+  w->Key("wal");
+  w->BeginObject();
+  w->Key("appends"); w->Uint(wal.appends);
+  w->Key("syncs"); w->Uint(wal.syncs);
+  w->Key("group_rides"); w->Uint(wal.group_rides);
+  w->Key("bytes_written"); w->Uint(wal.bytes_written);
+  w->Key("pad_bytes"); w->Uint(wal.pad_bytes);
+  w->Key("sync_groups"); w->Uint(wal.sync_groups);
+  w->Key("max_group_commit"); w->Uint(wal.max_group_commit);
+  w->Key("barrier_commits"); w->Uint(wal.barrier_commits);
+  w->EndObject();
+  w->Key("pool");
+  w->BeginObject();
+  w->Key("hits"); w->Uint(pool.hits);
+  w->Key("misses"); w->Uint(pool.misses);
+  w->Key("evictions"); w->Uint(pool.evictions);
+  w->Key("dirty_evictions"); w->Uint(pool.dirty_evictions);
+  w->Key("reads_blocked_by_writes"); w->Uint(pool.reads_blocked_by_writes);
+  w->Key("checkpoint_page_flushes"); w->Uint(pool.checkpoint_page_flushes);
+  w->EndObject();
+  w->EndObject();
+}
+
+inline void AppendEngineJson(const KvStore& kv, JsonWriter* w) {
+  const KvStore::Stats& s = kv.stats();
+  w->BeginObject();
+  w->Key("kv");
+  w->BeginObject();
+  w->Key("puts"); w->Uint(s.puts);
+  w->Key("gets"); w->Uint(s.gets);
+  w->Key("deletes"); w->Uint(s.deletes);
+  w->Key("commits"); w->Uint(s.commits);
+  w->Key("node_appends"); w->Uint(s.node_appends);
+  w->Key("doc_appends"); w->Uint(s.doc_appends);
+  w->Key("compactions"); w->Uint(s.compactions);
+  w->Key("recovered_seq"); w->Uint(s.recovered_seq);
+  w->Key("lost_updates_on_recovery"); w->Uint(s.lost_updates_on_recovery);
+  w->Key("degraded_aborts"); w->Uint(s.degraded_aborts);
+  w->Key("sync_groups"); w->Uint(s.sync_groups);
+  w->Key("max_group_commit"); w->Uint(s.max_group_commit);
+  w->Key("barrier_commits"); w->Uint(s.barrier_commits);
+  w->EndObject();
   w->EndObject();
 }
 
@@ -173,7 +249,8 @@ class BenchResult {
     return *this;
   }
 
-  /// Device section: Stats + FaultStats + the device's metrics registry.
+  /// Device section: the device's and its FTL's Stats, the fault counts of
+  /// the FTL and the flash array, and the device's histograms.
   BenchResult& Device(const SsdDevice& dev) {
     JsonWriter w;
     bench_json_internal::AppendDeviceJson(dev, &w);
@@ -181,7 +258,17 @@ class BenchResult {
     return *this;
   }
 
-  /// Engine-level registry snapshot (Database/KvStore metrics).
+  /// Engine section from the engine's Stats structs (minibase: database,
+  /// WAL and buffer pool; kvstore: the store), plus its histograms.
+  template <typename EngineT>
+  BenchResult& Engine(const EngineT& engine) {
+    JsonWriter w;
+    bench_json_internal::AppendEngineJson(engine, &w);
+    engine_ = w.TakeString();
+    return Metrics(engine.metrics());
+  }
+
+  /// Engine-level histograms (a Database's or KvStore's registry).
   BenchResult& Metrics(const MetricsRegistry& m) {
     metrics_ = m.ToJson();
     return *this;
@@ -211,6 +298,10 @@ class BenchResult {
       w->Key("values");
       bench_json_internal::AppendFields(values_, w);
     }
+    if (!engine_.empty()) {
+      w->Key("engine");
+      w->Raw(engine_);
+    }
     if (!device_.empty()) {
       w->Key("device");
       w->Raw(device_);
@@ -229,6 +320,7 @@ class BenchResult {
   std::string throughput_;
   std::string latency_;
   bench_json_internal::Fields values_;
+  std::string engine_;
   std::string device_;
   std::string metrics_;
 };

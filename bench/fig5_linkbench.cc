@@ -87,7 +87,7 @@ double RunConfig(const char* label, bool barriers, bool dwb,
         .Param("page_size", static_cast<uint64_t>(page_size))
         .Throughput(result->tps, "txn/s")
         .LatencyNs(result->latencies[LinkOp::kAddLink])
-        .Metrics(rig.db->metrics())
+        .Engine(*rig.db)
         .Device(*rig.data_dev);
     g_json->Add(std::move(row));
   }

@@ -49,7 +49,7 @@ Point RunConfig(uint32_t page_size, uint64_t pool_bytes, uint64_t nodes,
         .Param("pool_bytes", pool_bytes)
         .Throughput(result->tps, "txn/s")
         .Value("buffer_miss_pct", 100.0 * result->buffer_miss_ratio)
-        .Metrics(rig.db->metrics());
+        .Engine(*rig.db);
     g_json->Add(std::move(row));
   }
   return {100.0 * result->buffer_miss_ratio, result->tps};

@@ -41,7 +41,7 @@ double RunConfig(bool barriers, uint32_t page_size, const Tpcc::Config& tc,
         .Param("write_barriers", barriers)
         .Param("page_size", static_cast<uint64_t>(page_size))
         .Throughput(result->tpmc, "tpmC")
-        .Metrics(rig.db->metrics())
+        .Engine(*rig.db)
         .Device(*rig.data_dev);
     g_json->Add(std::move(row));
   }

@@ -53,7 +53,7 @@ double RunConfig(bool barriers, uint32_t batch, double update_fraction,
         .Param("update_fraction", update_fraction)
         .Throughput(result->ops_per_sec, "ops/s")
         .LatencyNs(result->update_latency)
-        .Metrics((*store)->metrics())
+        .Engine(**store)
         .Device(device);
     g_json->Add(std::move(row));
   }

@@ -44,6 +44,14 @@ def ratio(results, bench, num, den):
     return tput(results, bench, num) / tput(results, bench, den)
 
 
+def rising(vals):
+    return all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def ms(ns):
+    return f"{ns / 1e6:.1f}"
+
+
 # --- Claims: each returns (holds, detail) ---------------------------------
 
 def cache_size_knee(res):
@@ -76,8 +84,7 @@ def parallelism_scales(res):
     if missing:
         raise MissingRow(f"ablation_parallelism planes {missing} missing")
     vals = [iops[p] for p in planes]
-    rising = all(a < b for a, b in zip(vals, vals[1:]))
-    return rising, "16..256 planes: " + " -> ".join(
+    return rising(vals), "16..256 planes: " + " -> ".join(
         f"{v / 1e3:,.1f}K" for v in vals)
 
 
@@ -210,6 +217,108 @@ def destage_mode_nand(res):
         "(<= 1.0)")
 
 
+def dump_area_recovery(res):
+    """ablation_dump_area: no dump overruns the capacitor budget, and
+    reboot recovery time rises strictly with the pages dumped at the cut."""
+    rs = sorted(rows(res, "ablation_dump_area"),
+                key=lambda r: r["values"]["dumped_pages"])
+    if len(rs) < 2:
+        raise MissingRow("ablation_dump_area needs >= 2 rows")
+    pages = [r["values"]["dumped_pages"] for r in rs]
+    rec = [r["values"]["recovery_ns"] for r in rs]
+    overruns = sum(r["values"]["capacitor_overruns"] for r in rs)
+    holds = overruns == 0 and rising(pages) and rising(rec)
+    return holds, ("dumped pages " + "/".join(map(str, pages)) +
+                   " -> recovery " + "/".join(map(ms, rec)) +
+                   f" ms (rising); capacitor overruns {overruns} (0)")
+
+
+def gc_read_tail(res):
+    """ablation_gc: GC runs and read p99 both rise strictly with the device
+    fill level from 0.3. The quick sweep (8,000 ops) runs no GC at all at
+    fill 0.3; the full one (30,000 ops) already does there."""
+    rs = sorted(rows(res, "ablation_gc"),
+                key=lambda r: r["params"]["fill_fraction"])
+    if len(rs) < 2 or rs[0]["params"]["fill_fraction"] != 0.3:
+        raise MissingRow("ablation_gc needs the fill=0.3 row and a fuller one")
+    quick = res["benches"]["ablation_gc"].get("quick", False)
+    gc = [r["values"]["gc_runs"] for r in rs]
+    p99 = [r["latency_ns"]["p99"] for r in rs]
+    holds = (gc[0] == 0 or not quick) and rising(gc) and rising(p99)
+    return holds, ("fill " + "/".join(
+        f"{r['params']['fill_fraction']:g}" for r in rs) + ": GC runs " +
+        "/".join(f"{g:,}" for g in gc) +
+        (" (0 first, rising)" if quick else " (rising)") + "; read p99 " +
+        "/".join(map(ms, p99)) + " ms (rising)")
+
+
+def queue_depth_rows(res, workload):
+    """ablation_queue_depth rows of one workload: {ordered: [rows]}, each
+    list sorted by its sweep knob."""
+    knob = "iodepth" if workload == "fiosim_randwrite" else "committers"
+    out = {}
+    for r in rows(res, "ablation_queue_depth"):
+        if r["params"]["workload"] == workload:
+            out.setdefault(r["params"]["ordered_queue"], []).append(r)
+    if set(out) != {True, False}:
+        raise MissingRow(f"ablation_queue_depth {workload} rows missing")
+    for rs in out.values():
+        rs.sort(key=lambda r: r["params"][knob])
+    return out
+
+
+def queue_depth(res):
+    """ablation_queue_depth: the ordered queue costs nothing (Sec. 3.3):
+    ordered and unordered fio rows give identical IOPS at every depth. In
+    both modes WAL commits/s rise strictly with committers, 32 committers
+    reach >= 10x one, and the largest commit group never shrinks."""
+    iops = {o: {r["params"]["iodepth"]: r["throughput"]["value"] for r in rs}
+            for o, rs in queue_depth_rows(res, "fiosim_randwrite").items()}
+    if set(iops[True]) != set(iops[False]):
+        raise MissingRow("ablation_queue_depth fio depths differ by mode")
+    differ = [d for d in iops[True] if iops[True][d] != iops[False][d]]
+    ok = not differ
+    parts = [f"{len(iops[True])} depths, {len(differ)} with different "
+             "ordered/unordered IOPS (0)"]
+    for ordered, rs in sorted(queue_depth_rows(res, "wal_commit").items(),
+                              reverse=True):
+        by_n = {r["params"]["committers"]: r for r in rs}
+        if 1 not in by_n or 32 not in by_n:
+            raise MissingRow("ablation_queue_depth committers=1/32 missing")
+        tps = [r["throughput"]["value"] for r in rs]
+        groups = [r["values"]["max_group_commit"] for r in rs]
+        gain = (by_n[32]["throughput"]["value"] /
+                by_n[1]["throughput"]["value"])
+        ok &= (rising(tps) and gain >= 10.0 and
+               all(a <= b for a, b in zip(groups, groups[1:])))
+        parts.append(f"{'ordered' if ordered else 'unordered'} commits/s "
+                     f"{'rising' if rising(tps) else 'NOT rising'}, 32 vs 1 "
+                     f"committers {gain:.1f}x (>= 10x), max group " +
+                     "/".join(map(str, groups)) + " (non-decreasing)")
+    return ok, "; ".join(parts)
+
+
+def durability_mode_barrier(res):
+    """ablation_durability_mode: barrier mode gives >= 2x volatile+flush on
+    fsync IOPS and on WAL commits/s, and only barrier mode makes commits
+    durable by barrier — every one of them."""
+    bench = "ablation_durability_mode"
+    fsync = ratio(res, bench, "fsync_iops/barrier",
+                  "fsync_iops/volatile+flush")
+    commit = ratio(res, bench, "wal_commit/barrier",
+                   "wal_commit/volatile+flush")
+    counts = {r["params"]["mode"]: (r["values"]["barrier_commits"],
+                                    r["params"]["commits"])
+              for r in rows(res, bench) if r["name"].startswith("wal_commit/")}
+    counts_ok = all(n == (total if mode == "barrier" else 0)
+                    for mode, (n, total) in counts.items())
+    holds = fsync >= 2.0 and commit >= 2.0 and counts_ok
+    return holds, (f"vs volatile+flush: fsync IOPS {fsync:.1f}x, WAL commit/s "
+                   f"{commit:.1f}x (>= 2x); barrier commits " + ", ".join(
+                       f"{m} {n:,}/{t:,}" for m, (n, t) in counts.items()) +
+                   " (all in barrier mode, none otherwise)")
+
+
 CLAIMS = [
     ("ablation_cache_size knee", cache_size_knee),
     ("ablation_cache_size saturation", cache_size_saturates),
@@ -224,6 +333,10 @@ CLAIMS = [
     ("ablation_tiered_cache knee", tiered_knee),
     ("ablation_host_parallelism identical", host_parallelism_identical),
     ("ablation_destage_mode NAND bytes", destage_mode_nand),
+    ("ablation_dump_area recovery", dump_area_recovery),
+    ("ablation_gc read tail", gc_read_tail),
+    ("ablation_queue_depth ordering and group commit", queue_depth),
+    ("ablation_durability_mode barrier gain", durability_mode_barrier),
 ]
 
 

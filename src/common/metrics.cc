@@ -3,8 +3,6 @@
 namespace durassd {
 
 void MetricsRegistry::Reset() {
-  for (auto& [name, v] : counters_) v = 0;
-  for (auto& [name, v] : gauges_) v = 0;
   for (auto& [name, h] : histograms_) h.Reset();
 }
 
@@ -35,20 +33,6 @@ void AppendHistogramJson(const Histogram& h, JsonWriter* w) {
 
 void MetricsRegistry::AppendJson(JsonWriter* w) const {
   w->BeginObject();
-  w->Key("counters");
-  w->BeginObject();
-  for (const auto& [name, v] : counters_) {
-    w->Key(name);
-    w->Uint(v);
-  }
-  w->EndObject();
-  w->Key("gauges");
-  w->BeginObject();
-  for (const auto& [name, v] : gauges_) {
-    w->Key(name);
-    w->Double(v);
-  }
-  w->EndObject();
   w->Key("histograms");
   w->BeginObject();
   for (const auto& [name, h] : histograms_) {

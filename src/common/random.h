@@ -55,13 +55,6 @@ class Random {
   /// True with probability p.
   bool Bernoulli(double p) { return NextDouble() < p; }
 
-  /// Exponentially distributed with the given mean (> 0).
-  double Exponential(double mean) {
-    double u = NextDouble();
-    if (u <= 0.0) u = 1e-18;
-    return -mean * std::log(u);
-  }
-
  private:
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

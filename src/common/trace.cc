@@ -1,7 +1,6 @@
 #include "common/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/json.h"
 
@@ -63,21 +62,6 @@ void Tracer::AppendJsonl(std::string* out) const {
     out->append(w.str());
     out->push_back('\n');
   }
-}
-
-Status Tracer::ExportJsonl(const std::string& path) const {
-  FILE* f = fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IoError("cannot open trace output file: " + path);
-  }
-  std::string buf;
-  AppendJsonl(&buf);
-  const size_t written = fwrite(buf.data(), 1, buf.size(), f);
-  fclose(f);
-  if (written != buf.size()) {
-    return Status::IoError("short write to trace output file: " + path);
-  }
-  return Status::OK();
 }
 
 }  // namespace durassd

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "common/types.h"
 
 namespace durassd {
@@ -96,8 +95,6 @@ class Tracer {
   /// Appends the retained events as JSONL: one
   /// {"t":..,"type":"..","a0":..,"a1":..} object per line.
   void AppendJsonl(std::string* out) const;
-  /// Writes the JSONL export to `path` (truncating).
-  Status ExportJsonl(const std::string& path) const;
 
   /// Drops all retained events.
   void Reset() { next_ = 0; }

@@ -21,8 +21,7 @@ Database::Database(SimFileSystem* data_fs, SimFileSystem* log_fs,
       opts_(options),
       cpu_(options.cpu_parallelism),
       h_txn_ns_(metrics_.GetHistogram("db.txn_ns")),
-      h_fsync_ns_(metrics_.GetHistogram("db.fsync_ns")),
-      c_degraded_aborts_(metrics_.Counter("db.degraded_aborts")) {}
+      h_fsync_ns_(metrics_.GetHistogram("db.fsync_ns")) {}
 
 Status Database::ReadOnlyError() const {
   if (poisoned_) {
@@ -70,7 +69,6 @@ void Database::EnterReadOnly(IoContext& io, const Status& cause) {
     active_ = ActiveTxn{};
     stats_.txns_aborted++;
     stats_.degraded_aborts++;
-    ++*c_degraded_aborts_;
     if (tracer_) {
       tracer_->Record(io.now, TraceEventType::kTxnAbort, txn,
                       static_cast<uint64_t>(cause.code()));
@@ -102,7 +100,6 @@ StatusOr<std::unique_ptr<Database>> Database::Open(IoContext& io,
     DoubleWriteBuffer::Options dwb_opts;
     dwb_opts.page_size = options.page_size;
     dwb_opts.batch_pages = options.dwb_batch_pages;
-    dwb_opts.home_write_depth = options.dwb_home_write_depth;
     dwb_opts.metrics = &db->metrics_;
     dwb_opts.durability_mode = options.durability_mode;
     db->dwb_ = std::make_unique<DoubleWriteBuffer>(db->dwb_file_,

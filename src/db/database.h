@@ -53,9 +53,6 @@ class Database : public PageAllocator {
     /// Queue depth for checkpoint page destaging (direct-write path only);
     /// <= 1 keeps the serial pre-async behavior.
     uint32_t checkpoint_queue_depth = 1;
-    /// Queue depth for double-write home-location writes; 0 = issue all at
-    /// once and wait for the slowest (pre-async behavior).
-    uint32_t dwb_home_write_depth = 0;
     /// Commit durability discipline, threaded into the WAL and the
     /// double-write buffer. kBarrier turns fsync-for-ordering into barrier
     /// submissions; checkpoints keep a real fsync (the data pages must be
@@ -222,7 +219,6 @@ class Database : public PageAllocator {
   /// Registered in the constructor (always non-null).
   Histogram* h_txn_ns_;
   Histogram* h_fsync_ns_;
-  uint64_t* c_degraded_aborts_;
 };
 
 }  // namespace durassd

@@ -1,6 +1,5 @@
 #include "db/double_write_buffer.h"
 
-#include "db/io_queue.h"
 #include "db/page.h"
 
 namespace durassd {
@@ -57,24 +56,15 @@ Status DoubleWriteBuffer::FlushBatch(IoContext& io) {
   DURASSD_RETURN_IF_ERROR(r.status);
   io.AdvanceTo(r.done);
 
-  // 2. Home-location writes.
-  if (opts_.home_write_depth > 0) {
-    FileIoQueue queue(data_file_, opts_.home_write_depth);
-    for (const auto& [id, img] : pending_) {
-      queue.SubmitWrite(io, static_cast<uint64_t>(id) * opts_.page_size,
-                        img);
-    }
-    DURASSD_RETURN_IF_ERROR(queue.Drain(io));
-  } else {
-    SimTime latest = io.now;
-    for (const auto& [id, img] : pending_) {
-      const SimFile::IoResult w = data_file_->Write(
-          io.now, static_cast<uint64_t>(id) * opts_.page_size, img);
-      DURASSD_RETURN_IF_ERROR(w.status);
-      if (w.done > latest) latest = w.done;
-    }
-    io.AdvanceTo(latest);
+  // 2. Home-location writes: all issued at once, then wait for the slowest.
+  SimTime latest = io.now;
+  for (const auto& [id, img] : pending_) {
+    const SimFile::IoResult w = data_file_->Write(
+        io.now, static_cast<uint64_t>(id) * opts_.page_size, img);
+    DURASSD_RETURN_IF_ERROR(w.status);
+    if (w.done > latest) latest = w.done;
   }
+  io.AdvanceTo(latest);
 
   // 3. fsync the data file before the region may be overwritten — pure
   // ordering again, so barrier mode barriers instead.

@@ -28,11 +28,6 @@ class DoubleWriteBuffer {
     uint32_t page_size = 4 * kKiB;
     /// Pages accumulated in memory before one batched double-write pass.
     uint32_t batch_pages = 16;
-    /// Queue depth for the home-location writes of a batch. 0 = issue all
-    /// at once and wait for the slowest (the pre-async model, and still
-    /// the default); >0 bounds the submission window via the asynchronous
-    /// file path.
-    uint32_t home_write_depth = 0;
     /// Owner's metrics registry; the buffer registers under the "dwb."
     /// prefix. May be null (no metrics collected).
     MetricsRegistry* metrics = nullptr;

@@ -1,6 +1,7 @@
 #ifndef DURASSD_DB_IO_QUEUE_H_
 #define DURASSD_DB_IO_QUEUE_H_
 
+#include <cassert>
 #include <cstdint>
 
 #include "common/slice.h"
@@ -18,12 +19,11 @@ namespace durassd {
 /// completion — always, even after an error — so stale completions never
 /// leak to a later user of the file, and returns the first error seen with
 /// the time the last completion landed.
-///
-/// depth == 0 means "submit synchronously" (each write awaited in turn),
-/// which reproduces the pre-async serial behavior exactly.
 class FileIoQueue {
  public:
-  FileIoQueue(SimFile* file, uint32_t depth) : file_(file), depth_(depth) {}
+  FileIoQueue(SimFile* file, uint32_t depth) : file_(file), depth_(depth) {
+    assert(depth >= 1);
+  }
 
   FileIoQueue(const FileIoQueue&) = delete;
   FileIoQueue& operator=(const FileIoQueue&) = delete;
@@ -31,17 +31,11 @@ class FileIoQueue {
   /// Submits one write, stalling (in virtual time) while the window is
   /// full. Errors are deferred to Drain.
   void SubmitWrite(IoContext& io, uint64_t offset, Slice data) {
-    if (depth_ == 0) {
-      const CmdId id = file_->SubmitWrite(io.now, offset, data);
-      Absorb(file_->Await(id));
-      return;
-    }
     while (file_->pending_count() >= depth_) {
       io.AdvanceTo(file_->EarliestPendingDone());
       for (const SimFile::Completion& c : file_->Poll(io.now)) Absorb(c);
     }
     file_->SubmitWrite(io.now, offset, data);
-    submitted_++;
   }
 
   /// Waits for everything in flight; returns the first error seen across
@@ -54,8 +48,6 @@ class FileIoQueue {
     return first_error_;
   }
 
-  uint64_t submitted() const { return submitted_; }
-
  private:
   void Absorb(const SimFile::Completion& c) {
     if (first_error_.ok() && !c.status.ok()) first_error_ = c.status;
@@ -63,7 +55,6 @@ class FileIoQueue {
 
   SimFile* file_;
   uint32_t depth_;
-  uint64_t submitted_ = 0;
   Status first_error_;
 };
 

@@ -46,9 +46,6 @@ Wal::Wal(SimFile* file, Options options) : file_(file), opts_(options) {
   if (opts_.metrics != nullptr) {
     h_sync_ns_ = opts_.metrics->GetHistogram("wal.sync_ns");
     h_group_size_ = opts_.metrics->GetHistogram("wal.group_commit_size");
-    c_appends_ = opts_.metrics->Counter("wal.appends");
-    c_group_rides_ = opts_.metrics->Counter("wal.group_rides");
-    c_barrier_commits_ = opts_.metrics->Counter("wal.barrier_commits");
   }
 }
 
@@ -65,7 +62,6 @@ Lsn Wal::Append(const WalRecord& record) {
   tail_.append(payload);
   next_lsn_ += kFrameHeader + payload.size();
   stats_.appends++;
-  if (c_appends_) ++*c_appends_;
   if (tracer_) {
     tracer_->Record(0, TraceEventType::kWalAppend, lsn, payload.size());
   }
@@ -123,7 +119,6 @@ Status Wal::SyncTo(IoContext& io, Lsn lsn) {
     io.AdvanceTo(pending_sync_done_);
     stats_.group_rides++;
     NoteCommitDurable(pending_sync_done_);
-    if (c_group_rides_) ++*c_group_rides_;
     if (h_sync_ns_) h_sync_ns_->Record(io.now - entered);
     return Status::OK();
   }
@@ -143,10 +138,7 @@ Status Wal::SyncTo(IoContext& io, Lsn lsn) {
   const SimFile::IoResult r =
       use_barrier ? file_->Barrier(io.now) : file_->Sync(io.now);
   DURASSD_RETURN_IF_ERROR(r.status);
-  if (use_barrier) {
-    stats_.barrier_commits++;
-    if (c_barrier_commits_) ++*c_barrier_commits_;
-  }
+  if (use_barrier) stats_.barrier_commits++;
   pending_sync_lsn_ = written_lsn_;
   pending_sync_done_ = r.done;
   synced_lsn_ = written_lsn_;

@@ -175,12 +175,9 @@ class Wal {
   Stats stats_;
 
   Tracer* tracer_ = nullptr;
-  /// Registered metrics (null when no registry was supplied).
+  /// Registered histograms (null when no registry was supplied).
   Histogram* h_sync_ns_ = nullptr;
   Histogram* h_group_size_ = nullptr;
-  uint64_t* c_appends_ = nullptr;
-  uint64_t* c_group_rides_ = nullptr;
-  uint64_t* c_barrier_commits_ = nullptr;
 };
 
 }  // namespace durassd

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstring>
 #include <iterator>
+#include <unordered_set>
 
 #include "common/coding.h"
 #include "common/crc32c.h"
@@ -20,6 +21,9 @@ constexpr uint8_t kChunkNode = 2;
 constexpr uint32_t kChunkOverhead = 9;
 // Node entry: [key len u32][key][off u64][len u32].
 constexpr uint32_t kEntryFixed = 16;
+// Longest root-to-leaf path Get and CowInsertRec follow. Only a node that
+// refers back to itself or an ancestor makes a deeper one.
+constexpr int kMaxTreeDepth = 64;
 
 Slice KeyAt(const std::string& body, uint32_t pos) {
   const char* e = body.data() + pos;
@@ -118,8 +122,7 @@ KvStore::KvStore(SimFileSystem* fs, SimFile* file, std::string name,
       name_(std::move(name)),
       opts_(options),
       h_commit_ns_(metrics_.GetHistogram("kv.commit_ns")),
-      h_fsync_ns_(metrics_.GetHistogram("kv.fsync_ns")),
-      c_degraded_aborts_(metrics_.Counter("kv.degraded_aborts")) {}
+      h_fsync_ns_(metrics_.GetHistogram("kv.fsync_ns")) {}
 
 void KvStore::NoteCommitted() {
   committed_root_ = root_;
@@ -155,7 +158,6 @@ void KvStore::EnterReadOnly(IoContext& io, const Status& cause) {
   const uint64_t dropped = seq_ - committed_seq_;
   RestoreCommitted();
   stats_.degraded_aborts++;
-  ++*c_degraded_aborts_;
   if (tracer_) {
     tracer_->Record(io.now, TraceEventType::kTxnAbort, dropped,
                     static_cast<uint64_t>(cause.code()));
@@ -315,9 +317,10 @@ Status KvStore::LoadDoc(IoContext& io, NodeRef doc, std::string* key,
 // COW B+-tree
 // ---------------------------------------------------------------------------
 
-Status KvStore::CowInsertRec(IoContext& io, NodeRef ref, Slice key,
+Status KvStore::CowInsertRec(IoContext& io, NodeRef ref, int depth, Slice key,
                              bool is_delete, uint64_t doc_off,
                              uint32_t doc_len, bool* found, CowResult* out) {
+  if (depth >= kMaxTreeDepth) return Status::Corruption("tree too deep");
   const Node* cached = nullptr;
   DURASSD_RETURN_IF_ERROR(LoadNode(io, ref, &cached));
   // This level's one copy: the cached node stays immutable (and the
@@ -353,8 +356,9 @@ Status KvStore::CowInsertRec(IoContext& io, NodeRef ref, Slice key,
     size_t i = node.UpperBound(key);
     if (i > 0) --i;
     CowResult child;
-    DURASSD_RETURN_IF_ERROR(CowInsertRec(io, node.ref(i), key, is_delete,
-                                         doc_off, doc_len, found, &child));
+    DURASSD_RETURN_IF_ERROR(CowInsertRec(io, node.ref(i), depth + 1, key,
+                                         is_delete, doc_off, doc_len, found,
+                                         &child));
     node.SetRef(i, child.left);
     // Keep the separator = min key of the child subtree.
     if (child.left_min) node.SetKey(i, *child.left_min);
@@ -392,7 +396,7 @@ StatusOr<KvStore::NodeRef> KvStore::CowUpdate(IoContext& io, NodeRef root,
     return AppendNode(std::move(leaf));
   }
   CowResult res;
-  DURASSD_RETURN_IF_ERROR(CowInsertRec(io, root, key, is_delete, doc_off,
+  DURASSD_RETURN_IF_ERROR(CowInsertRec(io, root, 0, key, is_delete, doc_off,
                                        doc_len, found, &res));
   if (!res.split) return res.left;
   Node new_root;
@@ -451,7 +455,7 @@ Status KvStore::Get(IoContext& io, Slice key, std::string* value) {
   stats_.gets++;
   if (root_.len == 0) return Status::NotFound();
   NodeRef ref = root_;
-  for (int depth = 0; depth < 64; ++depth) {
+  for (int depth = 0; depth < kMaxTreeDepth; ++depth) {
     const Node* node = nullptr;
     DURASSD_RETURN_IF_ERROR(LoadNode(io, ref, &node));
     if (node->leaf) {
@@ -647,10 +651,16 @@ Status KvStore::CompactImpl(IoContext& io) {
   std::vector<std::pair<std::string, std::string>> docs;
   docs.reserve(doc_count_);
   if (root_.len != 0) {
+    // Every node of one tree version has exactly one parent, so a node
+    // reached twice means a crafted or corrupted reference.
+    std::unordered_set<uint64_t> visited;
     std::vector<NodeRef> stack{root_};
     while (!stack.empty()) {
       const NodeRef ref = stack.back();
       stack.pop_back();
+      if (!visited.insert(ref.off).second) {
+        return Status::Corruption("node reached twice");
+      }
       const Node* node = nullptr;
       DURASSD_RETURN_IF_ERROR(LoadNode(io, ref, &node));
       if (node->leaf) {

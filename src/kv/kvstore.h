@@ -171,9 +171,11 @@ class KvStore {
     std::string sep;
     NodeRef right;
   };
-  Status CowInsertRec(IoContext& io, NodeRef ref, Slice key, bool is_delete,
-                      uint64_t doc_off, uint32_t doc_len, bool* found,
-                      CowResult* out);
+  /// `depth` counts the levels above `ref`; past the tree-depth bound the
+  /// descent returns Corruption (a node that refers back to an ancestor).
+  Status CowInsertRec(IoContext& io, NodeRef ref, int depth, Slice key,
+                      bool is_delete, uint64_t doc_off, uint32_t doc_len,
+                      bool* found, CowResult* out);
 
   Status WriteHeader(IoContext& io);
   Status MaybeCommit(IoContext& io);
@@ -224,7 +226,6 @@ class KvStore {
   /// Registered in the constructor (always non-null).
   Histogram* h_commit_ns_;
   Histogram* h_fsync_ns_;
-  uint64_t* c_degraded_aborts_;
 };
 
 }  // namespace durassd

@@ -6,20 +6,6 @@
 
 namespace durassd {
 
-const char* DeviceModelName(DeviceModel model) {
-  switch (model) {
-    case DeviceModel::kHdd:
-      return "HDD";
-    case DeviceModel::kSsdA:
-      return "SSD-A";
-    case DeviceModel::kSsdB:
-      return "SSD-B";
-    case DeviceModel::kDuraSsd:
-      return "DuraSSD";
-  }
-  return "?";
-}
-
 std::unique_ptr<BlockDevice> MakeDevice(DeviceModel model, bool cache_on,
                                         bool store_data) {
   if (model == DeviceModel::kHdd) {

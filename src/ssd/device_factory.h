@@ -19,8 +19,6 @@ enum class DeviceModel {
   kDuraSsd,  ///< The prototype: 512MB capacitor-backed durable cache.
 };
 
-const char* DeviceModelName(DeviceModel model);
-
 /// Builds a device. `cache_on` maps to the "Storage Cache ON/OFF" rows;
 /// `store_data` selects real-bytes vs timing-only mode.
 std::unique_ptr<BlockDevice> MakeDevice(DeviceModel model, bool cache_on,

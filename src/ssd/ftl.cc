@@ -27,9 +27,6 @@ Ftl::Ftl(FlashArray* flash, Options options)
   if (opts_.metrics != nullptr) {
     h_program_ns_ = opts_.metrics->GetHistogram("ftl.program_ns");
     h_gc_relocation_ns_ = opts_.metrics->GetHistogram("ftl.gc_relocation_ns");
-    c_ecc_retries_ = opts_.metrics->Counter("ftl.ecc_retries");
-    c_gc_runs_ = opts_.metrics->Counter("ftl.gc_runs");
-    c_degraded_entries_ = opts_.metrics->Counter("ftl.degraded_entries");
   }
   const FlashGeometry& g = flash_->geometry();
   assert(g.page_size % opts_.sector_size == 0);
@@ -134,7 +131,6 @@ Status Ftl::ReadPageChecked(SimTime now, Ppn ppn, Slice* page,
     // Read-retry: re-sense with shifted thresholds; each attempt rolls a
     // fresh raw error count and costs a full page read.
     stats_.read_retries++;
-    if (c_ecc_retries_ != nullptr) ++*c_ecc_retries_;
     t = flash_->ReadPage(t, ppn, nullptr, &raw);
   }
   if (done != nullptr) *done = t;
@@ -198,7 +194,6 @@ void Ftl::EnterDegraded(SimTime now, uint32_t plane, std::string reason) {
   if (degraded_) return;
   degraded_ = true;
   degraded_reason_ = std::move(reason);
-  if (c_degraded_entries_ != nullptr) ++*c_degraded_entries_;
   if (tracer_ != nullptr) {
     tracer_->Record(now, TraceEventType::kDegraded, plane,
                     flash_->stats().bad_blocks);
@@ -477,7 +472,6 @@ Status Ftl::ReadSector(SimTime now, Lpn lpn, std::string* out, SimTime* done,
 Status Ftl::RunGc(SimTime now, uint32_t plane_idx) {
   PlaneAlloc& plane = planes_[plane_idx];
   stats_.gc_runs++;
-  if (c_gc_runs_ != nullptr) ++*c_gc_runs_;
   if (tracer_ != nullptr) {
     tracer_->Record(now, TraceEventType::kGcStart, plane_idx);
   }

@@ -48,8 +48,8 @@ class Ftl {
     uint32_t read_retry_limit = 4;
     /// Fresh pages tried when a program reports failure before giving up.
     uint32_t program_retry_limit = 3;
-    /// Owner's metrics registry; the FTL registers its own metrics under
-    /// the "ftl." prefix. May be null (no metrics collected).
+    /// Owner's metrics registry; the FTL registers its own histograms
+    /// under the "ftl." prefix. May be null (no histograms recorded).
     MetricsRegistry* metrics = nullptr;
     /// Blocks per plane reserved as the sequential log region, carved out
     /// directly below the dump area. 0 = no log region (legacy layout,
@@ -287,7 +287,7 @@ class Ftl {
   void MapSector(Lpn lpn, Ppn ppn, uint32_t slot);
   void RecordDelta(Lpn lpn, SimTime issue, SimTime start, SimTime done);
   /// Flips the sticky degraded flag (idempotent) and emits the trace event
-  /// and metrics counter for the transition.
+  /// for the transition.
   void EnterDegraded(SimTime now, uint32_t plane, std::string reason);
   bool IsDumpBlock(uint32_t block) const {
     return block >= first_dump_block_;
@@ -348,12 +348,9 @@ class Ftl {
   std::string degraded_reason_;
 
   Tracer* tracer_ = nullptr;
-  /// Registered metrics (null when no registry was supplied).
+  /// Registered histograms (null when no registry was supplied).
   Histogram* h_program_ns_ = nullptr;
   Histogram* h_gc_relocation_ns_ = nullptr;
-  uint64_t* c_ecc_retries_ = nullptr;
-  uint64_t* c_gc_runs_ = nullptr;
-  uint64_t* c_degraded_entries_ = nullptr;
   /// Completion time / sector count of the latest RelocateLiveSectors,
   /// consumed by RunGc for the gc_relocation_ns sample.
   SimTime last_relocation_done_ = 0;

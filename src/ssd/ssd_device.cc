@@ -64,12 +64,6 @@ SsdDevice::SsdDevice(SsdConfig config)
       h_frame_stall_ns_(metrics_.GetHistogram("ssd.frame_stall_ns")),
       h_destage_ns_(metrics_.GetHistogram("ssd.destage_ns")),
       h_flush_drain_ns_(metrics_.GetHistogram("ssd.flush_drain_ns")),
-      c_degraded_rejects_(metrics_.Counter("ssd.degraded_rejects")),
-      c_destage_absorbed_(metrics_.Counter("ssd.destage_absorbed")),
-      c_barriers_(metrics_.Counter("ssd.barriers")),
-      c_cache_read_sectors_(metrics_.Counter("ssd.cache_read_sectors")),
-      c_cache_read_misses_(metrics_.Counter("ssd.cache_read_misses")),
-      c_log_segments_(metrics_.Counter("ssd.log_segments")),
       h_epoch_size_(metrics_.GetHistogram("ssd.epoch_size")),
       h_qd_(metrics_.GetHistogram("ssd.qd")) {
   set_qd_histogram(h_qd_);
@@ -382,7 +376,6 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
     // Sticky read-only mode: refuse before touching the cache so nothing
     // from this command can be dumped or replayed later.
     stats_.degraded_write_rejects++;
-    ++*c_degraded_rejects_;
     return {Status::ResourceExhausted("device is read-only: " +
                                       ftl_.degraded_reason()),
             now};
@@ -479,7 +472,6 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
       // Rewrite of a sector whose destage had not been issued: the batch
       // was updated in place, saving one NAND program.
       stats_.destage_absorbed++;
-      ++*c_destage_absorbed_;
     }
   }
 
@@ -590,7 +582,6 @@ BlockDevice::Result SsdDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
                      (out == nullptr || it->second.payload != kNoPayload);
     if (hit) {
       stats_.cache_read_hits++;
-      ++*c_cache_read_sectors_;
       hit_sectors++;
       if (out != nullptr) {
         out->append(PayloadBytes(it->second.payload), cfg_.sector_size);
@@ -598,7 +589,6 @@ BlockDevice::Result SsdDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
       continue;
     }
     stats_.cache_read_misses++;
-    ++*c_cache_read_misses_;
     SimTime done = fw.done;
     const Status rs = ftl_.ReadSector(fw.done, cur, out, &done);
     media_done = std::max(media_done, done);
@@ -730,7 +720,6 @@ BlockDevice::Result SsdDevice::DoBarrier(SimTime now) {
 
   epoch_floor_ack_ = std::max(epoch_floor_ack_, epoch_max_ack_);
   stats_.barriers++;
-  ++*c_barriers_;
   h_epoch_size_->Record(static_cast<int64_t>(epoch_writes_));
   if (tracer_) {
     tracer_->Record(done, TraceEventType::kBarrier, cur_epoch_, epoch_writes_);
@@ -1138,7 +1127,6 @@ Status SsdDevice::AppendLogSegment(SimTime t, const std::vector<Lpn>& taken) {
 
   stats_.log_segments++;
   stats_.log_segment_sectors += rec.sectors;
-  ++*c_log_segments_;
   log_dir_.push_back(std::move(rec));
   // The directory mirrors what a physical scan of the log region would
   // find; once the append cursor laps a segment its pages have been

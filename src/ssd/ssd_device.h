@@ -92,18 +92,6 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
                                        ///< by recovery validation.
   };
 
-  /// Device-level view of NAND fault handling, aggregated from the FTL
-  /// (ECC policy) and the flash array (media failures). All zero when no
-  /// faults are injected.
-  struct FaultStats {
-    uint64_t ecc_corrected = 0;       ///< Raw bit errors corrected by ECC.
-    uint64_t read_retries = 0;        ///< Page re-reads past the ECC budget.
-    uint64_t uncorrectable_reads = 0; ///< Reads lost despite retries.
-    uint64_t program_fails = 0;       ///< NAND program-status failures.
-    uint64_t erase_fails = 0;         ///< NAND erase-status failures.
-    uint64_t retired_blocks = 0;      ///< Grown bad blocks out of service.
-  };
-
   explicit SsdDevice(SsdConfig config);
   ~SsdDevice() override = default;
 
@@ -161,16 +149,11 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   const Stats& stats() const { return stats_; }
   const Ftl& ftl() const { return ftl_; }
   const FlashArray& flash() const { return flash_; }
-  FaultStats fault_stats() const {
-    return {ftl_.stats().ecc_corrected,       ftl_.stats().read_retries,
-            ftl_.stats().uncorrectable_reads, flash_.stats().program_fails,
-            flash_.stats().erase_fails,       flash_.stats().bad_blocks};
-  }
   /// Live fault-injection scripting hook (tests).
   FaultInjector& fault_injector() { return flash_.fault_injector(); }
 
   /// Per-layer latency attribution (NCQ wait, bus, firmware, frame stalls,
-  /// destage, flush drain) plus the FTL's own metrics.
+  /// destage, flush drain) plus the FTL's own histograms.
   const MetricsRegistry& metrics() const { return metrics_; }
   MetricsRegistry& metrics() { return metrics_; }
 
@@ -360,7 +343,7 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
 
   SsdConfig cfg_;
   /// Declared before ftl_ (construction order): the FTL registers its own
-  /// metrics into this registry.
+  /// histograms into this registry.
   MetricsRegistry metrics_;
   FlashArray flash_;
   Ftl ftl_;
@@ -443,12 +426,6 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   Histogram* h_frame_stall_ns_;
   Histogram* h_destage_ns_;
   Histogram* h_flush_drain_ns_;
-  uint64_t* c_degraded_rejects_;
-  uint64_t* c_destage_absorbed_;  ///< "ssd.destage_absorbed" counter.
-  uint64_t* c_barriers_;          ///< "ssd.barriers" counter.
-  uint64_t* c_cache_read_sectors_;  ///< "ssd.cache_read_sectors" (hits).
-  uint64_t* c_cache_read_misses_;   ///< "ssd.cache_read_misses".
-  uint64_t* c_log_segments_;        ///< "ssd.log_segments" counter.
   Histogram* h_epoch_size_;  ///< Writes per sealed epoch ("ssd.epoch_size").
   Histogram* h_qd_;  ///< In-flight depth at each submission ("ssd.qd").
 };

@@ -78,15 +78,6 @@ TieredDevice::TieredDevice(TieredConfig config) : cfg_(std::move(config)) {
   if (!store_data_) sim_ring_.resize(map_pages_);
   scratch_.assign(cfg_.flash.sector_size, '\0');
 
-  c_hits_ = metrics_.Counter("tier.read_hits");
-  c_misses_ = metrics_.Counter("tier.read_misses");
-  c_admitted_ = metrics_.Counter("tier.admitted_sectors");
-  c_bypassed_ = metrics_.Counter("tier.bypassed_sectors");
-  c_destage_sectors_ = metrics_.Counter("tier.destage_sectors");
-  c_destage_runs_ = metrics_.Counter("tier.destage_runs");
-  c_map_page_writes_ = metrics_.Counter("tier.map_page_writes");
-  c_evictions_ = metrics_.Counter("tier.evictions");
-
   // Seed the ring with an empty checkpoint so recovery always finds a
   // complete base, even after a cut on a freshly-deployed device.
   Status st;
@@ -177,7 +168,6 @@ SimTime TieredDevice::WriteOpenPage(SimTime t, Status* st) {
     return r.done;
   }
   ++stats_.map_page_writes;
-  ++*c_map_page_writes_;
   if (!store_data_) {
     auto& vers = sim_ring_[map_ring_pos_];
     vers.push_back({std::move(p), r.done});
@@ -236,7 +226,6 @@ void TieredDevice::WriteCheckpoint(SimTime t, SimTime* done, Status* st) {
       return;
     }
     ++stats_.map_page_writes;
-    ++*c_map_page_writes_;
     if (!store_data_) {
       auto& vers = sim_ring_[map_ring_pos_];
       vers.push_back({std::move(p), r.done});
@@ -319,7 +308,6 @@ void TieredDevice::EnsureFreeSlots(SimTime t, size_t want, bool allow_destage,
       slots_[s] = Slot{};
       free_slots_.push_back(s);
       ++stats_.evictions;
-      ++*c_evictions_;
     }
     AppendMapDeltas(t, deltas, st);
   }
@@ -396,7 +384,6 @@ SimTime TieredDevice::DestageRound(SimTime t, uint32_t max_victims,
     }
     tw = std::max(tw, r.done);
     ++stats_.destage_runs;
-    ++*c_destage_runs_;
     i = j;
   }
 
@@ -418,7 +405,6 @@ SimTime TieredDevice::DestageRound(SimTime t, uint32_t max_victims,
   const SimTime tj = AppendMapDeltas(f.done, deltas, st);
   ++stats_.destage_batches;
   stats_.destage_sectors += victims.size();
-  *c_destage_sectors_ += victims.size();
   return tj;
 }
 
@@ -609,7 +595,6 @@ BlockDevice::Result TieredDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
       if (out != nullptr) out->append(tmp);
       done = std::max(done, r.done);
       stats_.tier_read_hits += run;
-      *c_hits_ += run;
       i += run;
     } else {
       uint32_t run = 1;
@@ -622,12 +607,10 @@ BlockDevice::Result TieredDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
       if (out != nullptr) out->append(mr.bytes);
       done = std::max(done, r.done);
       stats_.tier_read_misses += run;
-      *c_misses_ += run;
       if (admit_misses) {
         misses.push_back(std::move(mr));
       } else {
         stats_.bypassed_sectors += run;
-        *c_bypassed_ += run;
       }
       i += run;
     }
@@ -673,7 +656,6 @@ BlockDevice::Result TieredDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
         slots_[slot] = Slot{l, true, false, true};
         dir_[l] = slot;
         ++stats_.admitted_sectors;
-        ++*c_admitted_;
       }
     }
     if (!deltas.empty()) AppendMapDeltas(done, deltas, &st);

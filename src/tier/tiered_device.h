@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "host/block_device.h"
@@ -196,10 +195,6 @@ class TieredDevice : public BlockDevice {
   /// optional cold conversion).
   SimTime last_recovery_duration() const { return last_recovery_duration_; }
 
-  /// `tier.*` counters; hot-path updates go through stable pointers.
-  const MetricsRegistry& metrics() const { return metrics_; }
-  MetricsRegistry& metrics() { return metrics_; }
-
   /// Attaches a tracer to the flash tier (the member whose flush/barrier
   /// completions are the commit boundaries the host observes).
   void set_tracer(Tracer* tracer) { flash_->set_tracer(tracer); }
@@ -298,7 +293,6 @@ class TieredDevice : public BlockDevice {
   void RebuildFreeList();
 
   TieredConfig cfg_;
-  MetricsRegistry metrics_;
   std::unique_ptr<SsdDevice> flash_;
   std::unique_ptr<BlockDevice> capacity_;
   uint64_t capacity_sectors_ = 0;
@@ -336,14 +330,6 @@ class TieredDevice : public BlockDevice {
   std::string scratch_;  ///< Zero payload for timing-only member writes.
 
   Stats stats_;
-  uint64_t* c_hits_;
-  uint64_t* c_misses_;
-  uint64_t* c_admitted_;
-  uint64_t* c_bypassed_;
-  uint64_t* c_destage_sectors_;
-  uint64_t* c_destage_runs_;
-  uint64_t* c_map_page_writes_;
-  uint64_t* c_evictions_;
 };
 
 /// Factory seam for benches, tests, and the crash harness: flash tier from

@@ -74,9 +74,8 @@ TEST(DegradedDeviceTest, SpareExhaustionEntersStickyReadOnly) {
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(got, before);
 
-  // The transition was observable: metrics counter + trace event.
-  EXPECT_GE(dev.metrics().counters().at("ftl.degraded_entries"), 1u);
-  EXPECT_GE(dev.metrics().counters().at("ssd.degraded_rejects"), 1u);
+  // The transition was observable: the sticky flag + trace event.
+  EXPECT_TRUE(dev.degraded());
   bool saw_degraded_event = false;
   for (const TraceEvent& e : tracer.Events()) {
     saw_degraded_event |= (e.type == TraceEventType::kDegraded);
@@ -262,7 +261,6 @@ TEST(DegradedDatabaseTest, AbortsInFlightTxnKeepsServingReadsAndReboots) {
   ASSERT_TRUE(commit.IsResourceExhausted()) << commit.ToString();
   EXPECT_TRUE(s.db->read_only());
   EXPECT_EQ(s.db->stats().degraded_aborts, 1u);
-  EXPECT_GE(s.db->metrics().counters().at("db.degraded_aborts"), 1u);
 
   // The aborted mutation is invisible; committed data keeps serving.
   std::string got;
@@ -348,7 +346,6 @@ TEST(DegradedKvStoreTest, RollsBackInFlightBatchAndStaysReadable) {
   ASSERT_TRUE(st.IsResourceExhausted()) << st.ToString();
   EXPECT_TRUE(kv->read_only());
   EXPECT_EQ(kv->stats().degraded_aborts, 1u);
-  EXPECT_GE(kv->metrics().counters().at("kv.degraded_aborts"), 1u);
 
   // State rolled back to the last durable header: the committed eight docs,
   // none of the in-flight batch.

@@ -218,9 +218,8 @@ TEST(FaultInjectionDeviceTest, ScriptedProgramFailsAreInvisibleToHost) {
   ASSERT_TRUE(f.status.ok());
   t = f.done;
 
-  const SsdDevice::FaultStats fs = dev.fault_stats();
-  EXPECT_EQ(fs.program_fails, 2u);
-  EXPECT_GE(fs.retired_blocks, 1u);
+  EXPECT_EQ(dev.flash().stats().program_fails, 2u);
+  EXPECT_GE(dev.flash().stats().bad_blocks, 1u);
 
   // Power-cycle so reads come from NAND, not the device cache.
   dev.PowerCut(t + kSecond);
@@ -231,7 +230,7 @@ TEST(FaultInjectionDeviceTest, ScriptedProgramFailsAreInvisibleToHost) {
     ASSERT_TRUE(r.status.ok()) << "lpn " << l;
     EXPECT_EQ(got, SectorData('A' + l)) << "lpn " << l;
   }
-  EXPECT_EQ(dev.fault_stats().uncorrectable_reads, 0u);
+  EXPECT_EQ(dev.ftl().stats().uncorrectable_reads, 0u);
 }
 
 TEST(FaultInjectionDeviceTest, ArmedButSilentInjectorChangesNothing) {
@@ -296,7 +295,7 @@ TEST(FaultInjectionDeviceTest, LostDumpHeaderFallsBackToFullScan) {
   dev.fault_injector().FlipBitsOnReadAfter(0, 4096);
   dev.PowerOn();
 
-  EXPECT_GE(dev.fault_stats().uncorrectable_reads, 1u);
+  EXPECT_GE(dev.ftl().stats().uncorrectable_reads, 1u);
   EXPECT_GT(dev.stats().replayed_pages, 0u);  // Fallback scan found entries.
   for (Lpn l = 0; l < 16; ++l) {
     std::string got;

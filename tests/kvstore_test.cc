@@ -484,5 +484,89 @@ TEST(KvStoreTest, MutatedNodeChunksReadAsCorruption) {
   }
 }
 
+// Fills a store with 300 keys at 512-byte nodes (a multi-level tree),
+// closes it, and returns its file bytes and the root chunk's reference.
+void BuildSmallNodeStore(KvHarness* h, std::string* bytes, uint64_t* root_off,
+                         uint32_t* root_len) {
+  ASSERT_TRUE(h->OpenStore(/*node_size=*/512).ok());
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(h->store()
+                    ->Put(h->io(), "key" + std::to_string(1000 + i),
+                          std::string(40, static_cast<char>('a' + i % 26)))
+                    .ok());
+  }
+  ASSERT_TRUE(h->store()->Commit(h->io()).ok());
+  h->CloseStore();
+  SimFile* file = h->fs()->Open("bucket.couch");
+  ASSERT_TRUE(file->Read(h->io().now, 0, file->size(), bytes).status.ok());
+  // The one header is the last block: [crc][magic][seq][root off][len].
+  const char* header = bytes->data() + bytes->size() - 4096;
+  *root_off = DecodeFixed64(header + 16);
+  *root_len = DecodeFixed32(header + 24);
+}
+
+// Points root entry `i`'s child reference at (off, len), reseals the root
+// chunk and writes the file back.
+void RepointRootChild(KvHarness* h, std::string* bytes, uint64_t root_off,
+                      size_t i, uint64_t off, uint32_t len) {
+  bool leaf = true;
+  std::vector<RawEntry> root;
+  ASSERT_TRUE(ParseNodeChunk(*bytes, root_off, &leaf, &root));
+  ASSERT_FALSE(leaf);
+  ASSERT_LT(i, root.size());
+  const RawEntry& e = root[i];
+  EncodeFixed64(bytes->data() + e.at + 4 + e.key.size(), off);
+  EncodeFixed32(bytes->data() + e.at + 12 + e.key.size(), len);
+  ResealChunk(bytes, root_off);
+  ASSERT_TRUE(h->fs()->Open("bucket.couch")->Write(h->io().now, 0, *bytes)
+                  .status.ok());
+}
+
+TEST(KvStoreTest, ChildCycleReadsAsCorruption) {
+  // The root's first child reference points back at the root itself, under
+  // a valid CRC. Get stops at the depth bound; a Put whose key sorts below
+  // every separator descends leftmost into the same cycle, and Compact's
+  // walk meets the root again. All three must return Corruption.
+  KvHarness h(true, true, 100000);
+  std::string bytes;
+  uint64_t root_off = 0;
+  uint32_t root_len = 0;
+  ASSERT_NO_FATAL_FAILURE(
+      BuildSmallNodeStore(&h, &bytes, &root_off, &root_len));
+  ASSERT_NO_FATAL_FAILURE(
+      RepointRootChild(&h, &bytes, root_off, 0, root_off, root_len));
+
+  ASSERT_TRUE(h.OpenStore(/*node_size=*/512).ok());
+  std::string got;
+  const Status get = h.store()->Get(h.io(), "key1000", &got);
+  EXPECT_TRUE(get.IsCorruption()) << get.ToString();
+  const Status put = h.store()->Put(h.io(), "a", "x");
+  EXPECT_TRUE(put.IsCorruption()) << put.ToString();
+  const Status compact = h.store()->Compact(h.io());
+  EXPECT_TRUE(compact.IsCorruption()) << compact.ToString();
+}
+
+TEST(KvStoreTest, SharedChildFailsCompaction) {
+  // Root entries 0 and 1 refer to the same child. Within one tree version
+  // every node has one parent, so Compact must reject the second visit
+  // rather than copy the subtree twice.
+  KvHarness h(true, true, 100000);
+  std::string bytes;
+  uint64_t root_off = 0;
+  uint32_t root_len = 0;
+  ASSERT_NO_FATAL_FAILURE(
+      BuildSmallNodeStore(&h, &bytes, &root_off, &root_len));
+  bool leaf = true;
+  std::vector<RawEntry> root;
+  ASSERT_TRUE(ParseNodeChunk(bytes, root_off, &leaf, &root));
+  ASSERT_GE(root.size(), 2u);
+  ASSERT_NO_FATAL_FAILURE(
+      RepointRootChild(&h, &bytes, root_off, 1, root[0].off, root[0].len));
+
+  ASSERT_TRUE(h.OpenStore(/*node_size=*/512).ok());
+  const Status compact = h.store()->Compact(h.io());
+  EXPECT_TRUE(compact.IsCorruption()) << compact.ToString();
+}
+
 }  // namespace
 }  // namespace durassd

@@ -215,52 +215,35 @@ TEST(JsonRoundTripTest, WriterOutputAlwaysParses) {
 
 TEST(MetricsRegistryTest, StablePointersAndIdempotentRegistration) {
   MetricsRegistry m;
-  uint64_t* c = m.Counter("ssd.writes");
-  *c = 5;
-  // Registering more metrics must not move existing nodes (std::map).
-  for (int i = 0; i < 100; ++i) m.Counter("pad." + std::to_string(i));
-  EXPECT_EQ(m.Counter("ssd.writes"), c);
-  EXPECT_EQ(*m.Counter("ssd.writes"), 5u);
-
-  double* g = m.Gauge("ssd.util");
-  *g = 0.75;
-  EXPECT_EQ(m.Gauge("ssd.util"), g);
-
   Histogram* h = m.GetHistogram("ssd.lat_ns");
   h->Record(100);
+  // Registering more histograms must not move existing nodes (std::map).
+  for (int i = 0; i < 100; ++i) m.GetHistogram("pad." + std::to_string(i));
   EXPECT_EQ(m.GetHistogram("ssd.lat_ns"), h);
   EXPECT_EQ(m.histograms().at("ssd.lat_ns").count(), 1u);
 }
 
 TEST(MetricsRegistryTest, ResetZeroesEverythingPointersSurvive) {
   MetricsRegistry m;
-  uint64_t* c = m.Counter("c");
-  double* g = m.Gauge("g");
   Histogram* h = m.GetHistogram("h");
-  *c = 9;
-  *g = 3.5;
   h->Record(42);
   m.Reset();
-  EXPECT_EQ(*c, 0u);
-  EXPECT_EQ(*g, 0.0);
   EXPECT_EQ(h->count(), 0u);
   // Pointers still live and usable.
-  ++*c;
-  EXPECT_EQ(m.counters().at("c"), 1u);
+  h->Record(7);
+  EXPECT_EQ(m.histograms().at("h").count(), 1u);
+  EXPECT_EQ(m.histograms().at("h").max(), 7);
 }
 
 TEST(MetricsRegistryTest, SnapshotJsonParsesWithAllSections) {
+  // The registry holds histograms only: counts live in Stats structs.
   MetricsRegistry m;
-  *m.Counter("a.count") = 3;
-  *m.Gauge("a.gauge") = 1.5;
   m.GetHistogram("a.lat")->Record(1000);
   JsonValue v;
   ASSERT_TRUE(JsonValue::Parse(m.ToJson(), &v));
-  ASSERT_NE(v.Find("counters"), nullptr);
-  ASSERT_NE(v.Find("gauges"), nullptr);
+  ASSERT_TRUE(v.is_object());
+  EXPECT_EQ(v.AsObject().size(), 1u);
   ASSERT_NE(v.Find("histograms"), nullptr);
-  EXPECT_DOUBLE_EQ(v.Find("counters")->Find("a.count")->AsDouble(), 3.0);
-  EXPECT_DOUBLE_EQ(v.Find("gauges")->Find("a.gauge")->AsDouble(), 1.5);
   const JsonValue* h = v.Find("histograms")->Find("a.lat");
   ASSERT_NE(h, nullptr);
   for (const char* key : {"count", "mean", "min", "p25", "p50", "p75", "p90",
@@ -346,35 +329,6 @@ TEST(TracerTest, DegradedModeEventNamesAreStable) {
                "invariant_violation");
 }
 
-TEST(MetricsRegistryTest, DegradedModeCountersRegisteredUpFront) {
-  // Device side: both counters exist (at zero) from construction, so a
-  // metrics scrape sees the schema before anything degrades.
-  SsdConfig cfg = SsdConfig::Tiny(true);
-  cfg.geometry.blocks_per_plane = 128;  // Room for the default DB layout.
-  cfg.geometry.pages_per_block = 32;
-  SsdDevice dev(cfg);
-  const auto& c = dev.metrics().counters();
-  ASSERT_NE(c.find("ftl.degraded_entries"), c.end());
-  ASSERT_NE(c.find("ssd.degraded_rejects"), c.end());
-  EXPECT_EQ(c.at("ftl.degraded_entries"), 0u);
-  EXPECT_EQ(c.at("ssd.degraded_rejects"), 0u);
-
-  // Engine side, same contract.
-  SimFileSystem fs(&dev, SimFileSystem::Options{});
-  IoContext io;
-  auto db = Database::Open(io, &fs, &fs, Database::Options{});
-  ASSERT_TRUE(db.ok());
-  const auto& dc = (*db)->metrics().counters();
-  ASSERT_NE(dc.find("db.degraded_aborts"), dc.end());
-  EXPECT_EQ(dc.at("db.degraded_aborts"), 0u);
-
-  auto kv = KvStore::Open(io, &fs, "obs.couch", KvStore::Options{});
-  ASSERT_TRUE(kv.ok());
-  const auto& kc = (*kv)->metrics().counters();
-  ASSERT_NE(kc.find("kv.degraded_aborts"), kc.end());
-  EXPECT_EQ(kc.at("kv.degraded_aborts"), 0u);
-}
-
 TEST(TracerTest, DeviceEmitsCmdAndFlushEvents) {
   SsdConfig cfg = SsdConfig::Tiny(true);
   SsdDevice dev(cfg);
@@ -425,7 +379,7 @@ TEST(BenchJsonTest, DocumentMatchesSchema) {
   Histogram lat;
   for (int i = 1; i <= 100; ++i) lat.Record(i * 1000);
   MetricsRegistry reg;
-  *reg.Counter("db.commits") = 42;
+  reg.GetHistogram("db.txn_ns")->Record(4200);
 
   BenchJson json("unit_test_bench", "", true);
   json.Config("ops", uint64_t{1000}).Config("threads", uint64_t{4});
@@ -458,10 +412,11 @@ TEST(BenchJsonTest, DocumentMatchesSchema) {
   EXPECT_NEAR(l->Find("p50")->AsDouble(), 50000.0, 3000.0);
   EXPECT_DOUBLE_EQ(r.Find("values")->Find("write_amplification")->AsDouble(),
                    1.25);
-  EXPECT_DOUBLE_EQ(r.Find("metrics")->Find("counters")->Find("db.commits")
-                       ->AsDouble(), 42.0);
+  EXPECT_DOUBLE_EQ(r.Find("metrics")->Find("histograms")->Find("db.txn_ns")
+                       ->Find("max")->AsDouble(), 4200.0);
   // Sections not populated are absent, not null.
   EXPECT_EQ(r.Find("device"), nullptr);
+  EXPECT_EQ(r.Find("engine"), nullptr);
 }
 
 TEST(BenchJsonTest, DeviceSectionHasStatsFaultsMetrics) {
@@ -480,8 +435,64 @@ TEST(BenchJsonTest, DeviceSectionHasStatsFaultsMetrics) {
   const JsonValue* d = r.Find("device");
   ASSERT_NE(d, nullptr);
   EXPECT_DOUBLE_EQ(d->Find("stats")->Find("host_writes")->AsDouble(), 1.0);
+  for (const char* key : {"barriers", "degraded_write_rejects", "gc_runs"}) {
+    EXPECT_DOUBLE_EQ(d->Find("stats")->Find(key)->AsDouble(), 0.0) << key;
+  }
+  EXPECT_FALSE(d->Find("stats")->Find("degraded")->AsBool());
   EXPECT_NE(d->Find("faults")->Find("program_fails"), nullptr);
   EXPECT_NE(d->Find("metrics")->Find("histograms"), nullptr);
+  EXPECT_EQ(d->Find("metrics")->Find("counters"), nullptr);
+}
+
+TEST(BenchJsonTest, EngineSectionCarriesStatsAndHistograms) {
+  SsdConfig cfg = SsdConfig::Tiny(true);
+  cfg.geometry.blocks_per_plane = 128;  // Room for the default DB layout.
+  cfg.geometry.pages_per_block = 32;
+  SsdDevice dev(cfg);
+  SimFileSystem fs(&dev, SimFileSystem::Options{});
+  IoContext io;
+  auto db = Database::Open(io, &fs, &fs, Database::Options{});
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto tree = (*db)->CreateTree(io, "t");
+  ASSERT_TRUE(tree.ok());
+  auto txn = (*db)->Begin(io);
+  ASSERT_TRUE(txn.ok());
+  ASSERT_TRUE((*db)->Put(io, *txn, *tree, "k", "v").ok());
+  ASSERT_TRUE((*db)->Commit(io, *txn).ok());
+  auto kv = KvStore::Open(io, &fs, "obs.couch", KvStore::Options{});
+  ASSERT_TRUE(kv.ok()) << kv.status().ToString();
+  ASSERT_TRUE((*kv)->Put(io, "k", "v").ok());
+
+  BenchJson json("engine_bench", "", false);
+  BenchResult db_row("minibase");
+  db_row.Engine(**db);
+  json.Add(std::move(db_row));
+  BenchResult kv_row("kvstore");
+  kv_row.Engine(**kv);
+  json.Add(std::move(kv_row));
+  JsonValue v;
+  ASSERT_TRUE(JsonValue::Parse(json.Document(), &v));
+  const JsonValue& dr = v.Find("results")->AsArray()[0];
+  const JsonValue* e = dr.Find("engine");
+  ASSERT_NE(e, nullptr);
+  EXPECT_DOUBLE_EQ(e->Find("db")->Find("txns_committed")->AsDouble(),
+                   static_cast<double>((*db)->stats().txns_committed));
+  EXPECT_DOUBLE_EQ(e->Find("wal")->Find("appends")->AsDouble(),
+                   static_cast<double>((*db)->wal_stats().appends));
+  EXPECT_GT(e->Find("wal")->Find("appends")->AsDouble(), 0.0);
+  for (const char* key : {"dirty_evictions", "reads_blocked_by_writes"}) {
+    EXPECT_NE(e->Find("pool")->Find(key), nullptr) << key;
+  }
+  EXPECT_NE(dr.Find("metrics")->Find("histograms")->Find("db.txn_ns"),
+            nullptr);
+
+  const JsonValue& kr = v.Find("results")->AsArray()[1];
+  ASSERT_NE(kr.Find("engine"), nullptr);
+  EXPECT_EQ(kr.Find("engine")->Find("db"), nullptr);
+  EXPECT_DOUBLE_EQ(kr.Find("engine")->Find("kv")->Find("puts")->AsDouble(),
+                   1.0);
+  EXPECT_NE(kr.Find("metrics")->Find("histograms")->Find("kv.commit_ns"),
+            nullptr);
 }
 
 TEST(BenchJsonTest, PathFromArgsBothForms) {
@@ -554,14 +565,6 @@ TEST(ReadAccountingTest, HitsPlusMissesEqualHostReadSectors) {
   EXPECT_EQ(s.cache_read_misses, 3u);
   EXPECT_EQ(s.cache_full_hits, 1u);
   EXPECT_EQ(s.cache_partial_hits, 1u);
-
-  // The MetricsRegistry mirrors are registered up front and agree.
-  const auto& c = dev.metrics().counters();
-  ASSERT_NE(c.find("ssd.cache_read_sectors"), c.end());
-  ASSERT_NE(c.find("ssd.cache_read_misses"), c.end());
-  ASSERT_NE(c.find("ssd.log_segments"), c.end());
-  EXPECT_EQ(c.at("ssd.cache_read_sectors"), s.cache_read_hits);
-  EXPECT_EQ(c.at("ssd.cache_read_misses"), s.cache_read_misses);
 }
 
 // ---------------------------------------------------------------------------

@@ -203,9 +203,9 @@ TEST_P(FaultyDurablePowerCutSweep, AckedWritesDurableUnderMediaFaults) {
     }
   }
   EXPECT_EQ(dev.stats().capacitor_overruns, 0u);
-  const SsdDevice::FaultStats fs = dev.fault_stats();
-  EXPECT_EQ(fs.uncorrectable_reads, 0u);
-  EXPECT_GT(fs.ecc_corrected, 0u);  // The fault model really was active.
+  EXPECT_EQ(dev.ftl().stats().uncorrectable_reads, 0u);
+  // The fault model really was active.
+  EXPECT_GT(dev.ftl().stats().ecc_corrected, 0u);
 }
 
 TEST_P(FaultyDurablePowerCutSweep, RecoveryIdempotentUnderMediaFaults) {
@@ -232,7 +232,7 @@ TEST_P(FaultyDurablePowerCutSweep, RecoveryIdempotentUnderMediaFaults) {
     ASSERT_TRUE(dev.Read(0, lpn, 1, &got).status.ok());
     EXPECT_EQ(got, Value(version)) << "lpn " << lpn << " cut " << cut;
   }
-  EXPECT_EQ(dev.fault_stats().uncorrectable_reads, 0u);
+  EXPECT_EQ(dev.ftl().stats().uncorrectable_reads, 0u);
 }
 
 class VolatilePowerCutSweep : public ::testing::TestWithParam<int> {};
