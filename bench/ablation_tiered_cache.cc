@@ -47,7 +47,6 @@ TieredConfig TierConfig(const WorkloadShape& shape, double flash_pct) {
   TieredConfig tc;
   tc.flash = SsdConfig::DuraSsd();
   tc.flash.store_data = false;  // Timing-only: keeps big sweeps cheap.
-  tc.capacity_is_hdd = true;
   tc.capacity_hdd.num_sectors = shape.capacity_sectors;
   tc.flash_pct = flash_pct;
   return tc;

@@ -22,10 +22,6 @@ const char* CodeName(StatusCode code) {
       return "OutOfSpace";
     case StatusCode::kBusy:
       return "Busy";
-    case StatusCode::kTimedOut:
-      return "TimedOut";
-    case StatusCode::kNotSupported:
-      return "NotSupported";
     case StatusCode::kAborted:
       return "Aborted";
     case StatusCode::kDataLoss:

@@ -19,10 +19,6 @@ enum class StatusCode {
   kDeviceOffline,   ///< Operation issued while power is cut.
   kOutOfSpace,      ///< Device, dump area, or file system is full.
   kBusy,            ///< Queue full / resource temporarily unavailable.
-  kTimedOut,        ///< Command exceeded its deadline (supervisor timeout);
-                    ///< the operation may be retried — the device may have
-                    ///< applied it, so retries must be idempotent.
-  kNotSupported,
   kAborted,         ///< Transaction aborted.
   kDataLoss,        ///< Acknowledged data was lost (volatile cache).
   kResourceExhausted,  ///< Device permanently out of healthy resources
@@ -60,12 +56,6 @@ class Status {
   static Status Busy(std::string m = "busy") {
     return Status(StatusCode::kBusy, std::move(m));
   }
-  static Status TimedOut(std::string m = "timed out") {
-    return Status(StatusCode::kTimedOut, std::move(m));
-  }
-  static Status NotSupported(std::string m = "not supported") {
-    return Status(StatusCode::kNotSupported, std::move(m));
-  }
   static Status Aborted(std::string m = "aborted") {
     return Status(StatusCode::kAborted, std::move(m));
   }
@@ -83,21 +73,10 @@ class Status {
   bool IsDeviceOffline() const { return code_ == StatusCode::kDeviceOffline; }
   bool IsOutOfSpace() const { return code_ == StatusCode::kOutOfSpace; }
   bool IsBusy() const { return code_ == StatusCode::kBusy; }
-  bool IsTimedOut() const { return code_ == StatusCode::kTimedOut; }
   bool IsAborted() const { return code_ == StatusCode::kAborted; }
   bool IsDataLoss() const { return code_ == StatusCode::kDataLoss; }
   bool IsResourceExhausted() const {
     return code_ == StatusCode::kResourceExhausted;
-  }
-
-  /// The retryable/fatal split I/O supervisors and engines branch on —
-  /// instead of string-matching messages. Retryable failures (queue full,
-  /// transient unavailability, a deadline timeout) may succeed if the same
-  /// command is re-issued later; everything else is a definitive verdict
-  /// about the operation (media error, corruption, exhaustion, offline) and
-  /// retrying verbatim cannot help.
-  bool IsRetryable() const {
-    return code_ == StatusCode::kBusy || code_ == StatusCode::kTimedOut;
   }
 
   StatusCode code() const { return code_; }

@@ -41,6 +41,12 @@ inline bool SectorRangeFits(Lpn lpn, uint64_t nsec, uint64_t capacity) {
 /// at submission (virtual time makes this sound); the completion only
 /// becomes *observable* through Poll once its `done` instant is reached, or
 /// through Await, which waits for it.
+///
+/// Submit is the device front end, and the host-visible power contract
+/// lives there once for every device (DESIGN.md §7): the scheduled-cut trip
+/// at service entry, rejection while unpowered, the sector-alignment and
+/// range checks, BARRIER as FLUSH on devices without epochs, and the
+/// completion-causality guard after Execute.
 class BlockDevice {
  public:
   struct Result {
@@ -151,17 +157,40 @@ class BlockDevice {
   /// writes form an epoch-consistent cut — every write of a surviving epoch's
   /// predecessors survives too. Unlike Flush this neither drains the cache
   /// nor waits on media; it is an ordering point, not a durability point.
-  /// Only meaningful when supports_barrier(); other devices treat it as
-  /// Flush (see each Execute).
+  /// Only meaningful when supports_barrier(); Submit hands it to other
+  /// devices as a FLUSH.
   Result Barrier(SimTime now);
+
+  /// True while the device has power: PowerCut (or a tripped scheduled
+  /// cut) turns it off, and every command is then rejected with
+  /// DeviceOffline until PowerOn.
+  bool powered() const { return powered_; }
+
+  /// Arms a power cut at virtual time `t`. A command whose service entry
+  /// is at or after `t` runs PowerCut(t) instead of executing, and a
+  /// command whose completion would land after `t` runs it too (power
+  /// died mid-command, so the completion cannot have been delivered).
+  /// Either command fails DeviceOffline with `done` equal to `t`. This is
+  /// how the crash harness cuts power inside an engine call, recovery
+  /// included. One-shot; a manual PowerCut disarms it.
+  void SchedulePowerCut(SimTime t) {
+    scheduled_cut_ = t;
+    cut_armed_ = true;
+  }
+  void CancelScheduledPowerCut() { cut_armed_ = false; }
+  bool scheduled_cut_armed() const { return cut_armed_; }
+  /// Scheduled cuts that fired, at service entry or by the guard.
+  uint64_t scheduled_cuts_tripped() const { return scheduled_cuts_tripped_; }
 
   /// Simulated power failure at virtual time `t`. Volatile caches lose
   /// unflushed data; an in-flight media write leaves a torn sector; DuraSSD
-  /// dumps its durable cache to the dump area on capacitor power.
+  /// dumps its durable cache to the dump area on capacitor power. Overrides
+  /// start with CutPower.
   virtual void PowerCut(SimTime t) = 0;
 
   /// Re-powers the device, running its recovery (Sec. 3.4.2). Returns the
   /// virtual recovery duration. The device clock restarts at zero.
+  /// Overrides start with RestorePower.
   virtual SimTime PowerOn() = 0;
 
   /// True when an acknowledged write can never be observed torn.
@@ -187,19 +216,48 @@ class BlockDevice {
   /// Executes one command at time `t` (which already reflects any
   /// submission stall) and returns its status + completion time. Implemented
   /// by each device; this is where all timing and state modelling lives.
+  /// Submit calls it only on a powered device, with a valid command, and
+  /// never with a BARRIER unless supports_barrier().
   virtual Result Execute(SimTime t, const Command& cmd) = 0;
 
-  /// Devices call this from PowerCut(t): unconsumed completions with
-  /// done > t are rewritten to fail with DeviceOffline at the cut instant,
-  /// and the in-flight accounting window is cleared — power loss kills the
-  /// queue.
+  /// Unconsumed completions with done > t are rewritten to fail with
+  /// DeviceOffline at the cut instant, and the in-flight accounting window
+  /// is cleared — power loss kills the queue.
   void AbortInFlight(SimTime t);
+
+  /// The start of every PowerCut override: disarms a scheduled cut and,
+  /// when the device has power, turns it off and aborts the in-flight
+  /// completions at `t`. Returns false when the device was already off, in
+  /// which case the override has nothing more to do.
+  bool CutPower(SimTime t);
+  /// The start of every PowerOn override: returns false when the device
+  /// already has power (PowerOn then returns 0), else turns it on.
+  bool RestorePower();
+  /// Clean shutdown: turns the device off without failing any completion.
+  void ShutOff() { powered_ = false; }
+
+  /// Mid-command causality guard, for a device that must stop before
+  /// state the cut could not roll back (a mapping persist, ack-order
+  /// bookkeeping): when an armed cut lies before `done`, fires it and
+  /// returns true. The device then returns any result; Submit reports the
+  /// command as DeviceOffline at the cut instant.
+  bool CutBeforeCompletion(SimTime done);
 
   /// Optional histogram receiving the in-flight command count observed at
   /// each submission (the `ssd.qd` metric).
   void set_qd_histogram(Histogram* h) { h_qd_ = h; }
 
  private:
+  /// Submit's service step at entry time `t`: the power contract around
+  /// Execute.
+  Result Service(SimTime t, const Command& cmd);
+  /// Fires the armed cut: disarms it, counts it and runs PowerCut.
+  void TripScheduledCut();
+
+  bool powered_ = true;
+  bool cut_armed_ = false;
+  SimTime scheduled_cut_ = 0;
+  uint64_t scheduled_cuts_tripped_ = 0;
   uint32_t qd_limit_ = 0;  ///< 0 = unlimited.
   CmdId next_cmd_id_ = 1;
   /// Completion times of in-flight commands (queue-depth accounting only;

@@ -19,6 +19,9 @@ constexpr uint8_t kChunkDoc = 1;
 constexpr uint8_t kChunkNode = 2;
 // Chunk framing: [total_len u32][crc u32][type u8][body].
 constexpr uint32_t kChunkOverhead = 9;
+// Smallest document chunk: an empty key and an empty value, each behind its
+// u32 length.
+constexpr uint32_t kMinDocChunk = kChunkOverhead + 8;
 // Node entry: [key len u32][key][off u64][len u32].
 constexpr uint32_t kEntryFixed = 16;
 // Longest root-to-leaf path Get and CowInsertRec follow. Only a node that
@@ -556,12 +559,6 @@ Status KvStore::Commit(IoContext& io) {
     tracer_->Record(io.now, TraceEventType::kKvCommit, seq_,
                     static_cast<uint64_t>(io.now - entered));
   }
-  if (opts_.auto_compact && file_bytes() > 0 &&
-      static_cast<double>(live_bytes_) <
-          static_cast<double>(file_bytes()) *
-              (1.0 - opts_.compact_garbage_ratio)) {
-    return Compact(io);
-  }
   return Status::OK();
 }
 
@@ -601,6 +598,8 @@ Status KvStore::Recover(IoContext& io) {
     GetFixed64(&parse, &docs);
     GetFixed64(&parse, &live);
 
+    // The file before the header must be able to hold its documents.
+    if (docs > header_off / kMinDocChunk) continue;
     // Validate the root.
     root_ = NodeRef{root_off, root_len};
     if (root_len != 0) {
@@ -649,7 +648,6 @@ Status KvStore::CompactImpl(IoContext& io) {
   stats_.compactions++;
   // Walk the tree collecting live documents in key order.
   std::vector<std::pair<std::string, std::string>> docs;
-  docs.reserve(doc_count_);
   if (root_.len != 0) {
     // Every node of one tree version has exactly one parent, so a node
     // reached twice means a crafted or corrupted reference.

@@ -35,9 +35,6 @@ class KvStore {
   struct Options {
     uint32_t node_size = 4 * kKiB;  ///< B+-tree node target size.
     uint32_t batch_size = 1;        ///< Updates per fsync.
-    /// Compact when garbage exceeds this fraction of the file.
-    double compact_garbage_ratio = 0.7;
-    bool auto_compact = false;
     /// How a batch commit's header write is made durable. kBarrier submits
     /// a barrier instead of waiting on fsync: the durable-cache epoch
     /// ordering guarantees header-after-payload across a power cut.

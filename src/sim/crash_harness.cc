@@ -73,8 +73,9 @@ std::vector<Op> MakeOps(const CrashHarness::Options& opt) {
 
 /// One full stack: device (raw SSD, or a tiered device) + file system. The
 /// engine lives in EngineHolder so it can be destroyed and reopened across
-/// simulated reboots. The power/cut/epoch helpers fan out to whichever
-/// device backs the mount, so the torture logic below is device-agnostic.
+/// simulated reboots. Power and scheduled cuts go through the BlockDevice
+/// front end; the degraded/epoch/tracer helpers fan out to whichever device
+/// backs the mount, so the torture logic below is device-agnostic.
 struct Stack {
   explicit Stack(const CrashHarness::Options& opt) {
     SsdConfig dc =
@@ -108,7 +109,6 @@ struct Stack {
       tc.flash.capacitor_budget_bytes = dc.capacitor_budget_bytes;
       tc.flash.faults = dc.faults;
       tc.flash.ecc_correctable_bits = dc.ecc_correctable_bits;
-      tc.capacity_is_hdd = true;
       tc.capacity_hdd.num_sectors = 16384;  // 64 MiB capacity tier.
       tc.flash_pct = opt.tier_flash_pct;
       tc.admission = opt.tier_admission == 0
@@ -128,25 +128,6 @@ struct Stack {
   BlockDevice* dev() {
     return tier != nullptr ? static_cast<BlockDevice*>(tier.get())
                            : static_cast<BlockDevice*>(ssd.get());
-  }
-  void SchedulePowerCut(SimTime t) {
-    if (tier != nullptr) {
-      tier->SchedulePowerCut(t);
-    } else {
-      ssd->SchedulePowerCut(t);
-    }
-  }
-  void CancelScheduledPowerCut() {
-    if (tier != nullptr) {
-      tier->CancelScheduledPowerCut();
-    } else {
-      ssd->CancelScheduledPowerCut();
-    }
-  }
-  void PowerCut(SimTime t) { dev()->PowerCut(t); }
-  SimTime PowerOn() { return dev()->PowerOn(); }
-  bool powered() const {
-    return tier != nullptr ? tier->powered() : ssd->powered();
   }
   bool degraded() const {
     return tier != nullptr ? tier->degraded() : ssd->degraded();
@@ -235,7 +216,7 @@ RunResult RunWorkload(Stack& s, const CrashHarness::Options& opt,
                       const std::vector<Op>& ops, SimTime cut,
                       std::vector<Model>* snapshots) {
   RunResult r;
-  if (cut > 0) s.SchedulePowerCut(cut);
+  if (cut > 0) s.dev()->SchedulePowerCut(cut);
   EngineHolder eng;
   Status st = OpenEngine(s, opt, &eng, /*create_tree=*/true);
   if (!st.ok()) {
@@ -320,9 +301,9 @@ RunResult RunWorkload(Stack& s, const CrashHarness::Options& opt,
 /// finished first, or the engine failed for another reason such as
 /// degradation), cut power explicitly at the execution frontier.
 void EnsureCrashed(Stack& s, SimTime cut) {
-  if (s.powered()) {
-    s.CancelScheduledPowerCut();
-    s.PowerCut(std::max(cut, s.io.now));
+  if (s.dev()->powered()) {
+    s.dev()->CancelScheduledPowerCut();
+    s.dev()->PowerCut(std::max(cut, s.io.now));
   }
 }
 
@@ -550,7 +531,7 @@ CrashHarness::Report CrashHarness::Run(const Options& opt) {
     Stack s(opt);
     RunWorkload(s, opt, ops, cut, nullptr);
     EnsureCrashed(s, cut);
-    s.PowerOn();
+    s.dev()->PowerOn();
     s.io.now = 0;
     EngineHolder probe_eng;
     const Status st = OpenEngine(s, opt, &probe_eng, /*create_tree=*/false);
@@ -599,17 +580,17 @@ CrashHarness::Report CrashHarness::Run(const Options& opt) {
   Status open_st = Status::OK();
   for (int attempt = 0; attempt < 6; ++attempt) {
     rep.recovery_attempts++;
-    s.PowerOn();
+    s.dev()->PowerOn();
     s.io.now = 0;
     if (attempt == 0 && nested_at > 0) {
-      s.SchedulePowerCut(nested_at);
+      s.dev()->SchedulePowerCut(nested_at);
     } else {
-      s.CancelScheduledPowerCut();
+      s.dev()->CancelScheduledPowerCut();
     }
     eng.Reset();
     open_st = OpenEngine(s, opt, &eng, /*create_tree=*/false);
     if (open_st.ok()) {
-      s.CancelScheduledPowerCut();
+      s.dev()->CancelScheduledPowerCut();
       break;
     }
     if (open_st.IsDeviceOffline()) {
@@ -749,9 +730,9 @@ CrashHarness::Report CrashHarness::Run(const Options& opt) {
   if (tier != Tier::kPrefix && !opt.plant_epoch_reorder) {
     const Model first = *state;
     eng.Reset();
-    s.PowerCut(s.io.now + 1);
+    s.dev()->PowerCut(s.io.now + 1);
     rep.cuts++;
-    s.PowerOn();
+    s.dev()->PowerOn();
     s.io.now = 0;
     const Status st2 = OpenEngine(s, opt, &eng, /*create_tree=*/false);
     if (!st2.ok()) {

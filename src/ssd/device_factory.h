@@ -25,9 +25,8 @@ std::unique_ptr<BlockDevice> MakeDevice(DeviceModel model, bool cache_on,
                                         bool store_data);
 
 /// The SsdConfig preset behind `model` with the cache/data knobs applied.
-/// This is the single place the Table-1 line-up maps to configs; array
-/// builders use it to derive identical member (and spare) devices without
-/// duplicating the preset mapping. `model` must not be kHdd.
+/// This is the single place the Table-1 line-up maps to configs. `model`
+/// must not be kHdd.
 SsdConfig SsdConfigForModel(DeviceModel model, bool cache_on, bool store_data);
 
 /// The HDD preset (Table 1's Cheetah 15K.6 row) with the cache/data knobs

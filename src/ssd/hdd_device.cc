@@ -63,48 +63,18 @@ SimTime HddDevice::DestageToMedia(SimTime t, Lpn lpn, Slice data,
 }
 
 BlockDevice::Result HddDevice::Execute(SimTime t, const Command& cmd) {
-  if (cut_armed_ && t >= scheduled_cut_) {
-    const SimTime cut = scheduled_cut_;
-    ++scheduled_cuts_tripped_;
-    PowerCut(cut);
-    return {Status::DeviceOffline("scheduled power cut"), cut};
-  }
-  Result r;
   switch (cmd.op) {
     case Command::Op::kWrite:
-      r = DoWrite(t, cmd.lpn, cmd.data);
-      break;
+      return DoWrite(t, cmd.lpn, cmd.data);
     case Command::Op::kRead:
-      r = DoRead(t, cmd.lpn, cmd.nsec, cmd.out);
-      break;
-    case Command::Op::kFlush:
-    case Command::Op::kBarrier:
-      // No barrier support on disk: ordering requires the full drain.
-      r = DoFlush(t);
-      break;
+      return DoRead(t, cmd.lpn, cmd.nsec, cmd.out);
+    default:  // FLUSH: the disk has no epochs, so BARRIER arrives as FLUSH.
+      return DoFlush(t);
   }
-  if (cut_armed_ && r.status.ok() && r.done > scheduled_cut_) {
-    // Causality guard (SsdDevice::CutBeforeCompletion's contract): a
-    // completion past the armed instant must not be acknowledged — power
-    // failed first. PowerCut's shear/clear rollback reverts the effects
-    // the dispatch above already applied.
-    const SimTime cut = scheduled_cut_;
-    ++scheduled_cuts_tripped_;
-    PowerCut(cut);
-    return {Status::DeviceOffline("scheduled power cut"), cut};
-  }
-  return r;
 }
 
 BlockDevice::Result HddDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
-  if (!powered_) return {Status::DeviceOffline(), now};
-  if (data.empty() || data.size() % cfg_.sector_size != 0) {
-    return {Status::InvalidArgument("write size not sector-aligned"), now};
-  }
   const uint32_t nsec = static_cast<uint32_t>(data.size() / cfg_.sector_size);
-  if (!SectorRangeFits(lpn, nsec, cfg_.num_sectors)) {
-    return {Status::InvalidArgument("write beyond device capacity"), now};
-  }
   max_time_seen_ = std::max(max_time_seen_, now);
 
   const SimTime bus_time =
@@ -147,10 +117,6 @@ BlockDevice::Result HddDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
 
 BlockDevice::Result HddDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
                                       std::string* out) {
-  if (!powered_) return {Status::DeviceOffline(), now};
-  if (nsec == 0 || !SectorRangeFits(lpn, nsec, cfg_.num_sectors)) {
-    return {Status::InvalidArgument("read beyond device capacity"), now};
-  }
   max_time_seen_ = std::max(max_time_seen_, now);
 
   const SimTime service = ServiceTime(nsec, /*is_write=*/false,
@@ -184,7 +150,6 @@ BlockDevice::Result HddDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
 }
 
 BlockDevice::Result HddDevice::DoFlush(SimTime now) {
-  if (!powered_) return {Status::DeviceOffline(), now};
   max_time_seen_ = std::max(max_time_seen_, now);
   // Flushes serialize in the drive's firmware.
   const SimTime start = std::max(now, last_flush_done_);
@@ -202,9 +167,7 @@ BlockDevice::Result HddDevice::DoFlush(SimTime now) {
 }
 
 void HddDevice::PowerCut(SimTime t) {
-  cut_armed_ = false;
-  if (!powered_) return;
-  powered_ = false;
+  if (!CutPower(t)) return;
 
   // Writes whose media pass had not finished: roll back or shear.
   for (const InFlight& w : inflight_) {
@@ -240,12 +203,10 @@ void HddDevice::PowerCut(SimTime t) {
   arm_.Reset();
   max_time_seen_ = 0;
   last_flush_done_ = 0;  // The clock restarts at zero after PowerOn.
-  AbortInFlight(t);
 }
 
 SimTime HddDevice::PowerOn() {
-  if (powered_) return 0;
-  powered_ = true;
+  if (!RestorePower()) return 0;
   return 2 * kMillisecond;  // Spin-up is seconds on real disks; irrelevant.
 }
 

@@ -18,7 +18,10 @@ namespace durassd {
 /// positioning cost shrinks with queue depth (elevator scheduling); the
 /// volatile track cache acknowledges writes early and destages in sorted
 /// order. Power loss drops unflushed cache contents and can shear the
-/// sector being written.
+/// sector being written. Scheduled cuts follow BlockDevice's contract, so
+/// a cached write acked at bus speed before the instant keeps its ack (the
+/// bytes may still die with the cache), while a media completion past it
+/// is never acknowledged.
 class HddDevice : public BlockDevice {
  public:
   struct Config {
@@ -54,21 +57,6 @@ class HddDevice : public BlockDevice {
   bool supports_atomic_write() const override { return false; }
   bool has_durable_cache() const override { return false; }
 
-  /// Arms a power cut at virtual time `t` (same contract as
-  /// SsdDevice::SchedulePowerCut): the first command observed at
-  /// or after the instant — or whose completion would land past it — trips
-  /// PowerCut(t) and fails DeviceOffline instead of being acknowledged, so
-  /// the acked-durability oracle holds on the disk exactly as on the SSDs
-  /// (a completion later than the cut cannot causally have been delivered).
-  void SchedulePowerCut(SimTime t) {
-    scheduled_cut_ = t;
-    cut_armed_ = true;
-  }
-  void CancelScheduledPowerCut() { cut_armed_ = false; }
-  bool scheduled_cut_armed() const { return cut_armed_; }
-  uint64_t scheduled_cuts_tripped() const { return scheduled_cuts_tripped_; }
-
-  bool powered() const { return powered_; }
   const Config& config() const { return cfg_; }
 
  protected:
@@ -108,10 +96,6 @@ class HddDevice : public BlockDevice {
   std::priority_queue<SimTime, std::vector<SimTime>, std::greater<SimTime>>
       outstanding_;
   std::vector<InFlight> inflight_;
-  bool powered_ = true;
-  bool cut_armed_ = false;
-  SimTime scheduled_cut_ = 0;
-  uint64_t scheduled_cuts_tripped_ = 0;
   SimTime max_time_seen_ = 0;
   SimTime last_flush_done_ = 0;
 };

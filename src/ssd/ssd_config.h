@@ -107,19 +107,8 @@ struct SsdConfig {
   /// last internal checkpoint are at risk on a volatile device.
   uint32_t mapping_autopersist_threshold = 65536;
 
-  /// Whether a power cut during a flush (or during write-through) can leave
-  /// a mapping entry pointing at a torn page — the anomaly Zheng et al.
-  /// (FAST'13) observed on 13 of 15 commodity SSDs. Always false in effect
-  /// for a durable cache device.
-  bool exposes_torn_writes = true;
-
   /// NCQ depth (SATA: 31/32 outstanding commands).
   uint32_t ncq_depth = 32;
-  /// Host submission-window limit for the asynchronous Submit path: a
-  /// Submit stalls (in virtual time) while this many commands are in
-  /// flight. 0 = unlimited, which keeps purely synchronous callers'
-  /// timing identical to the pre-async model.
-  uint32_t host_queue_depth = 0;
   /// Ordered command queue (DuraSSD firmware feature, Sec. 3.3). Keeps the
   /// host-visible completion order equal to arrival order so WAL ordering
   /// survives without barriers.
@@ -209,7 +198,6 @@ struct SsdConfig {
     SsdConfig c;
     c.name = "DuraSSD";
     c.durable_cache = true;
-    c.exposes_torn_writes = false;
     c.ordered_queue = true;
     return c;
   }

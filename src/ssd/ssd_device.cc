@@ -67,7 +67,6 @@ SsdDevice::SsdDevice(SsdConfig config)
       h_epoch_size_(metrics_.GetHistogram("ssd.epoch_size")),
       h_qd_(metrics_.GetHistogram("ssd.qd")) {
   set_qd_histogram(h_qd_);
-  set_queue_depth_limit(cfg_.host_queue_depth);
   log_segment_pages_ = cfg_.resolved_log_segment_pages();
 }
 
@@ -80,27 +79,9 @@ BlockDevice::Result SsdDevice::Execute(SimTime t, const Command& cmd) {
     case Command::Op::kFlush:
       return DoFlush(t);
     case Command::Op::kBarrier:
-      // Without barrier support (volatile cache / cache off) the only way
-      // to honor the ordering request is the full flush semantics.
-      return supports_barrier() ? DoBarrier(t) : DoFlush(t);
+      return DoBarrier(t);
   }
   return {Status::InvalidArgument("unknown command op"), t};
-}
-
-bool SsdDevice::MaybeTripScheduledCut(SimTime now) {
-  if (!cut_armed_ || now < scheduled_cut_) return false;
-  cut_armed_ = false;
-  stats_.scheduled_cuts_tripped++;
-  PowerCut(scheduled_cut_);
-  return true;
-}
-
-bool SsdDevice::CutBeforeCompletion(SimTime done) {
-  if (!cut_armed_ || done <= scheduled_cut_) return false;
-  cut_armed_ = false;
-  stats_.scheduled_cuts_tripped++;
-  PowerCut(scheduled_cut_);
-  return true;
 }
 
 void SsdDevice::RollbackCommandEntries(Lpn lpn, uint32_t nsec, SimTime ack) {
@@ -370,8 +351,6 @@ void SsdDevice::MaybeIdleDrain(SimTime now) {
 }
 
 BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
-  if (MaybeTripScheduledCut(now)) return {Status::DeviceOffline(), now};
-  if (!powered_) return {Status::DeviceOffline(), now};
   if (ftl_.degraded()) {
     // Sticky read-only mode: refuse before touching the cache so nothing
     // from this command can be dumped or replayed later.
@@ -380,13 +359,7 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
                                       ftl_.degraded_reason()),
             now};
   }
-  if (data.empty() || data.size() % cfg_.sector_size != 0) {
-    return {Status::InvalidArgument("write size not sector-aligned"), now};
-  }
   const uint32_t nsec = static_cast<uint32_t>(data.size() / cfg_.sector_size);
-  if (!SectorRangeFits(lpn, nsec, num_sectors())) {
-    return {Status::InvalidArgument("write beyond device capacity"), now};
-  }
   max_time_seen_ = std::max(max_time_seen_, now);
   MaybeIdleDrain(now);
   if (tracer_) tracer_->Record(now, TraceEventType::kCmdStart, lpn, nsec);
@@ -532,11 +505,6 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
 
 BlockDevice::Result SsdDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
                                       std::string* out) {
-  if (MaybeTripScheduledCut(now)) return {Status::DeviceOffline(), now};
-  if (!powered_) return {Status::DeviceOffline(), now};
-  if (nsec == 0 || !SectorRangeFits(lpn, nsec, num_sectors())) {
-    return {Status::InvalidArgument("read beyond device capacity"), now};
-  }
   max_time_seen_ = std::max(max_time_seen_, now);
   MaybeIdleDrain(now);
   stats_.host_reads++;
@@ -620,16 +588,12 @@ SimTime SsdDevice::MappingPersistCost(size_t entries) const {
 }
 
 BlockDevice::Result SsdDevice::DoFlush(SimTime now) {
-  if (MaybeTripScheduledCut(now)) return {Status::DeviceOffline(), now};
-  if (!powered_) return {Status::DeviceOffline(), now};
   max_time_seen_ = std::max(max_time_seen_, now);
   stats_.flushes++;
 
   if (!cfg_.cache_enabled) {
     // Write-through device: nothing cached, mapping persisted per write.
-    const SimTime done = now + cfg_.bus_cmd_overhead + kFlushEmptyOverhead;
-    if (CutBeforeCompletion(done)) return {Status::DeviceOffline(), now};
-    return {Status::OK(), done};
+    return {Status::OK(), now + cfg_.bus_cmd_overhead + kFlushEmptyOverhead};
   }
 
   if (cfg_.durable_cache &&
@@ -638,9 +602,7 @@ BlockDevice::Result SsdDevice::DoFlush(SimTime now) {
     // durable, so the flush only asserts ordering. All commands that
     // arrived before it are acknowledged by construction (synchronous
     // acks), so the command completes at queue-processing cost.
-    const SimTime done = now + cfg_.bus_cmd_overhead + 25 * kMicrosecond;
-    if (CutBeforeCompletion(done)) return {Status::DeviceOffline(), now};
-    return {Status::OK(), done};
+    return {Status::OK(), now + cfg_.bus_cmd_overhead + 25 * kMicrosecond};
   }
 
   // Log-structured destage skips the FLUSH drain on purpose: the mode
@@ -660,12 +622,7 @@ BlockDevice::Result SsdDevice::DoFlush(SimTime now) {
   // an already-queued flush has *started* piggybacks on it — every write
   // acknowledged before that start time is covered by it. This is where
   // group commit materializes at the device level.
-  if (last_flush_start_ >= now) {
-    if (CutBeforeCompletion(last_flush_done_)) {
-      return {Status::DeviceOffline(), now};
-    }
-    return {Status::OK(), last_flush_done_};
-  }
+  if (last_flush_start_ >= now) return {Status::OK(), last_flush_done_};
   const SimTime start = std::max(now, last_flush_done_);
 
   SimTime drain = start;
@@ -695,17 +652,14 @@ BlockDevice::Result SsdDevice::DoFlush(SimTime now) {
   last_flush_done_ = done;
   flush_windows_.emplace_back(start, done);
   if (flush_windows_.size() > 64) flush_windows_.pop_front();
-  // After the window bookkeeping on purpose: if the armed cut lands inside
-  // this flush, PowerCut must see the flush as in progress (torn-write
+  // Submit's causality guard runs after this window bookkeeping, so a cut
+  // armed inside this flush sees the flush in progress (torn-write
   // exposure on volatile devices).
-  if (CutBeforeCompletion(done)) return {Status::DeviceOffline(), now};
   max_time_seen_ = std::max(max_time_seen_, done);
   return {Status::OK(), done};
 }
 
 BlockDevice::Result SsdDevice::DoBarrier(SimTime now) {
-  if (MaybeTripScheduledCut(now)) return {Status::DeviceOffline(), now};
-  if (!powered_) return {Status::DeviceOffline(), now};
   max_time_seen_ = std::max(max_time_seen_, now);
 
   // A BARRIER is an ordering token, not I/O: the firmware snapshots the ack
@@ -814,9 +768,7 @@ void SsdDevice::DumpOnCapacitor(SimTime t) {
 }
 
 void SsdDevice::PowerCut(SimTime t) {
-  if (!powered_) return;
-  cut_armed_ = false;
-  powered_ = false;
+  if (!CutPower(t)) return;
   emergency_shutdown_ = true;
   if (tracer_) {
     tracer_->Record(t, TraceEventType::kPowerCut,
@@ -887,13 +839,16 @@ void SsdDevice::PowerCut(SimTime t) {
     ftl_.PowerCutRollback(t, Ftl::PowerCutExposure::kIssued);
     DumpOnCapacitor(t);
   } else {
+    // A cut inside a FLUSH can leave a mapping entry pointing at a torn
+    // page: the anomaly Zheng et al. (FAST'13) saw on 13 of 15 commodity
+    // SSDs.
     const bool flush_in_progress =
         last_flush_start_ >= 0 && last_flush_start_ <= t &&
         t < last_flush_done_;
-    const bool expose = cfg_.exposes_torn_writes && flush_in_progress;
     ClearCache();
-    ftl_.PowerCutRollback(t, expose ? Ftl::PowerCutExposure::kStarted
-                                    : Ftl::PowerCutExposure::kNone);
+    ftl_.PowerCutRollback(t, flush_in_progress
+                                 ? Ftl::PowerCutExposure::kStarted
+                                 : Ftl::PowerCutExposure::kNone);
   }
 
   // Pending scheduler sectors were acknowledged but never issued: on a
@@ -909,9 +864,6 @@ void SsdDevice::PowerCut(SimTime t) {
   epoch_floor_ack_ = 0;
   epoch_max_ack_ = 0;
   epoch_writes_ = 0;
-  // Host-visible async completions that had not reached their completion
-  // instant die with the queue.
-  AbortInFlight(t);
 }
 
 SimTime SsdDevice::ReplayDump() {
@@ -1254,8 +1206,7 @@ SimTime SsdDevice::RecoverCache() {
 }
 
 SimTime SsdDevice::PowerOn() {
-  if (powered_) return 0;
-  powered_ = true;
+  if (!RestorePower()) return 0;
   ClearCache();
   scheduler_.Clear();
   while (!outstanding_.empty()) outstanding_.pop();
@@ -1286,7 +1237,7 @@ SimTime SsdDevice::PowerOn() {
 }
 
 Status SsdDevice::Shutdown(SimTime now) {
-  if (!powered_) return Status::OK();
+  if (!powered()) return Status::OK();
   // A clean shutdown must persist pending scheduler sectors even under
   // flush modes that only assert ordering (kOrderedNoDrain).
   if (!scheduler_.empty()) {
@@ -1296,7 +1247,7 @@ Status SsdDevice::Shutdown(SimTime now) {
   log_dir_.clear();  // Clean shutdown: every segment is fully destaged.
   const Result r = Flush(now);
   DURASSD_RETURN_IF_ERROR(r.status);
-  powered_ = false;
+  ShutOff();
   emergency_shutdown_ = false;
   ClearCache();
   while (!outstanding_.empty()) outstanding_.pop();

@@ -64,7 +64,6 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
     uint64_t reads_stalled_by_flush = 0;  ///< Reads behind FLUSH CACHE.
     uint64_t degraded_write_rejects = 0;  ///< Writes refused in degraded
                                           ///< (read-only) mode.
-    uint64_t scheduled_cuts_tripped = 0;  ///< SchedulePowerCut firings.
     uint64_t ordered_ack_clamps = 0;      ///< Ordered-NCQ ack monotonization.
     uint64_t ordering_violations = 0;     ///< Ordered mode: a power cut kept
                                           ///< a write submitted after a lost
@@ -126,25 +125,11 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   /// Clean shutdown: FLUSH CACHE then power down without the emergency flag.
   Status Shutdown(SimTime now);
 
-  /// Arms a power cut at virtual time `t`: the first command issued at
-  /// now >= t first executes PowerCut(t) and then fails with DeviceOffline.
-  /// This is how the crash harness cuts power mid-engine-call (including
-  /// mid-recovery): the cut takes effect *inside* the engine's sequence of
-  /// device operations rather than between host-visible steps. One-shot;
-  /// a manual PowerCut() disarms it.
-  void SchedulePowerCut(SimTime t) {
-    scheduled_cut_ = t;
-    cut_armed_ = true;
-  }
-  void CancelScheduledPowerCut() { cut_armed_ = false; }
-  bool scheduled_cut_armed() const { return cut_armed_; }
-
   /// True once the FTL has entered sticky read-only degraded mode (spare
   /// exhaustion / failed retirement relocation). Writes fail with
   /// kResourceExhausted; reads keep working across power cycles.
   bool degraded() const { return ftl_.degraded(); }
 
-  bool powered() const { return powered_; }
   const SsdConfig& config() const { return cfg_; }
   const Stats& stats() const { return stats_; }
   const Ftl& ftl() const { return ftl_; }
@@ -324,18 +309,6 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   SimTime MappingPersistCost(size_t entries) const;
   void DumpOnCapacitor(SimTime t);
   SimTime ReplayDump();
-  /// Fires an armed SchedulePowerCut whose time has arrived. Returns true
-  /// when the cut tripped (the caller must fail with DeviceOffline).
-  bool MaybeTripScheduledCut(SimTime now);
-  /// Causality guard for armed cuts: a command that would only COMPLETE
-  /// after the scheduled instant must not be acknowledged — the power died
-  /// mid-command. Fires the cut (rolling media state back to the cut time;
-  /// the command's already-applied effects carry post-cut timestamps, which
-  /// is exactly what PowerCut's rollback machinery reverts) and returns
-  /// true, in which case the caller must fail with DeviceOffline. Without
-  /// this, a flush spanning the cut instant would be acknowledged and then
-  /// silently undone — an acked-durability violation the host can observe.
-  bool CutBeforeCompletion(SimTime done);
   /// Removes the cache entries a failed write command inserted (restoring
   /// the one-deep history), so un-destaged data from a rejected command
   /// cannot be dumped or served later.
@@ -389,10 +362,7 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   /// Resolved segment size (data pages; 0 when log mode is off).
   uint32_t log_segment_pages_ = 0;
 
-  bool powered_ = true;
   bool emergency_shutdown_ = false;
-  bool cut_armed_ = false;
-  SimTime scheduled_cut_ = 0;
   SimTime max_time_seen_ = 0;
   /// Ordered NCQ: acknowledgement time of the last write command, used to
   /// clamp acks monotone in submission order (see ordered_writes()).

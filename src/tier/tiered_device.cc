@@ -33,16 +33,10 @@ TieredDevice::TieredDevice(TieredConfig config) : cfg_(std::move(config)) {
   cfg_.flash.cache_enabled = true;
   store_data_ = cfg_.flash.store_data;
   cfg_.capacity_hdd.store_data = store_data_;
-  cfg_.capacity_ssd.store_data = store_data_;
   cfg_.capacity_hdd.sector_size = cfg_.flash.sector_size;
-  cfg_.capacity_ssd.sector_size = cfg_.flash.sector_size;
 
   flash_ = std::make_unique<SsdDevice>(cfg_.flash);
-  if (cfg_.capacity_is_hdd) {
-    capacity_ = std::make_unique<HddDevice>(cfg_.capacity_hdd);
-  } else {
-    capacity_ = std::make_unique<SsdDevice>(cfg_.capacity_ssd);
-  }
+  capacity_ = std::make_unique<HddDevice>(cfg_.capacity_hdd);
   capacity_sectors_ = capacity_->num_sectors();
 
   // Size the cache and the map ring. The ring must hold two full
@@ -424,13 +418,6 @@ void TieredDevice::MaybeDestage(SimTime now) {
 // ---------------------------------------------------------------------------
 
 BlockDevice::Result TieredDevice::Execute(SimTime t, const Command& cmd) {
-  if (!powered_) return {Status::DeviceOffline("tier powered off"), t};
-  if (cut_armed_ && t >= scheduled_cut_) {
-    const SimTime cut = scheduled_cut_;
-    ++stats_.scheduled_cuts_tripped;
-    PowerCut(cut);
-    return {Status::DeviceOffline("scheduled power cut"), cut};
-  }
   MaybeDestage(t);
 
   Result r;
@@ -441,38 +428,20 @@ BlockDevice::Result TieredDevice::Execute(SimTime t, const Command& cmd) {
     case Command::Op::kRead:
       r = DoRead(t, cmd.lpn, cmd.nsec, cmd.out);
       break;
-    case Command::Op::kFlush:
-    case Command::Op::kBarrier:
-      // No native barrier: acked writes are already durable, so an
-      // ordering point degenerates to the (cheap) flash drain.
+    default:
+      // FLUSH. No native barrier: acked writes are already durable, so an
+      // ordering point degenerates to the (cheap) flash drain, and BARRIER
+      // arrives here as FLUSH.
       r = DoFlush(t);
       break;
-  }
-
-  if (cut_armed_ && r.done > scheduled_cut_) {
-    // Causality guard (SsdDevice contract): a command whose
-    // completion lands past the armed instant must not be acknowledged.
-    // Member effects carrying post-cut timestamps are reverted by each
-    // member's own PowerCut rollback; the directory is rebuilt from the
-    // journal the flash rolled back consistently.
-    const SimTime cut = scheduled_cut_;
-    ++stats_.scheduled_cuts_tripped;
-    PowerCut(cut);
-    return {Status::DeviceOffline("scheduled power cut"), cut};
   }
   if (r.status.ok()) last_activity_ = std::max(last_activity_, r.done);
   return r;
 }
 
 BlockDevice::Result TieredDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
-  if (data.empty() || data.size() % cfg_.flash.sector_size != 0) {
-    return {Status::InvalidArgument("write size not sector-aligned"), now};
-  }
   const uint32_t nsec =
       static_cast<uint32_t>(data.size() / cfg_.flash.sector_size);
-  if (!SectorRangeFits(lpn, nsec, capacity_sectors_)) {
-    return {Status::InvalidArgument("write beyond device capacity"), now};
-  }
   ++stats_.host_writes;
   stats_.host_written_sectors += nsec;
 
@@ -544,9 +513,6 @@ BlockDevice::Result TieredDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
 
 BlockDevice::Result TieredDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
                                          std::string* out) {
-  if (nsec == 0 || !SectorRangeFits(lpn, nsec, capacity_sectors_)) {
-    return {Status::InvalidArgument("read beyond device capacity"), now};
-  }
   ++stats_.host_reads;
   stats_.host_read_sectors += nsec;
 
@@ -675,9 +641,7 @@ BlockDevice::Result TieredDevice::DoFlush(SimTime now) {
 // ---------------------------------------------------------------------------
 
 void TieredDevice::PowerCut(SimTime t) {
-  cut_armed_ = false;
-  if (!powered_) return;
-  powered_ = false;
+  if (!CutPower(t)) return;
   flash_->PowerCut(t);
   capacity_->PowerCut(t);
   if (!store_data_) {
@@ -688,7 +652,6 @@ void TieredDevice::PowerCut(SimTime t) {
       if (vers.size() > 1) vers.erase(vers.begin(), vers.end() - 1);
     }
   }
-  AbortInFlight(t);
 }
 
 void TieredDevice::ApplyDelta(const MapDelta& d) {
@@ -857,9 +820,8 @@ SimTime TieredDevice::DropDirectory(SimTime t, Status* st) {
 }
 
 SimTime TieredDevice::PowerOn() {
-  if (powered_) return 0;
+  if (!RestorePower()) return 0;
   SimTime dur = std::max(flash_->PowerOn(), capacity_->PowerOn());
-  powered_ = true;
   SimTime t = RecoverDirectory(dur);
   if (!cfg_.warm_recovery) {
     Status st;
@@ -873,7 +835,7 @@ SimTime TieredDevice::PowerOn() {
 }
 
 Status TieredDevice::Shutdown(SimTime now) {
-  if (!powered_) return Status::DeviceOffline("tier powered off");
+  if (!powered()) return Status::DeviceOffline();
   Status st;
   SimTime t = now;
   while (dirty_count_ > 0 && st.ok()) {
@@ -886,7 +848,7 @@ Status TieredDevice::Shutdown(SimTime now) {
   const Status fs = flash_->Shutdown(t);
   if (!fs.ok()) return fs;
   capacity_->PowerCut(t);  // Cache flushed, nothing in flight: clean off.
-  powered_ = false;
+  ShutOff();
   return Status::OK();
 }
 
@@ -902,7 +864,6 @@ TieredConfig TieredDefaults(DeviceModel flash_model, bool store_data) {
                                /*cache_on=*/true, store_data);
   tc.flash.durable_cache = true;
   tc.flash.ordered_queue = true;
-  tc.capacity_is_hdd = true;
   tc.capacity_hdd = HddConfigForModel(/*cache_on=*/true, store_data);
   return tc;
 }

@@ -26,11 +26,8 @@ struct TieredConfig {
   /// persistent directory's commit-point semantics rely on both).
   SsdConfig flash = SsdConfig::DuraSsd();
 
-  /// The capacity tier: the HDD model by default, or a commodity
-  /// volatile-cache SSD when capacity_is_hdd is false.
-  bool capacity_is_hdd = true;
+  /// The capacity tier: the HDD model.
   HddDevice::Config capacity_hdd;
-  SsdConfig capacity_ssd = SsdConfig::SsdA();
 
   /// Cache size as a percentage of the capacity tier, clamped to what the
   /// flash tier can actually hold after the map region is carved out.
@@ -99,11 +96,11 @@ struct TieredConfig {
 ///    rebuilt — a WARM cache after a power cut, FaCE's faster-recovery
 ///    claim, validated by the crash harness's tiered scenarios.
 ///
-/// Power-cut model: the tier arms its own scheduled cut and guards both
-/// Execute entry and completion causality; member effects
-/// carrying post-cut timestamps are reverted by each member's own PowerCut
-/// rollback, and the directory is rebuilt solely from the journal the
-/// flash tier rolled back consistently.
+/// Power-cut model: BlockDevice::Submit trips a scheduled cut and guards
+/// completion causality on the tier as on any device; the members are not
+/// armed. PowerCut cascades to both members, whose own rollbacks revert the
+/// effects carrying post-cut timestamps, and the directory is rebuilt
+/// solely from the journal the flash tier rolled back consistently.
 class TieredDevice : public BlockDevice {
  public:
   struct Stats {
@@ -123,7 +120,6 @@ class TieredDevice : public BlockDevice {
     uint64_t map_page_writes = 0;    ///< Journal page programs (deltas).
     uint64_t map_checkpoints = 0;    ///< Full directory checkpoints.
     uint64_t flushes = 0;
-    uint64_t scheduled_cuts_tripped = 0;
     // --- Last PowerOn recovery ---
     uint64_t recovered_entries = 0;  ///< Directory entries rebuilt.
     uint64_t recovered_dirty = 0;    ///< ... of which were dirty.
@@ -161,21 +157,10 @@ class TieredDevice : public BlockDevice {
   bool ordered_writes() const override { return true; }
   bool supports_barrier() const override { return false; }
 
-  /// Arms a power cut (crash-harness hook; same contract as
-  /// SsdDevice::SchedulePowerCut). Members are NOT armed: the
-  /// tier guards its own Execute and cascades PowerCut to both members.
-  void SchedulePowerCut(SimTime t) {
-    scheduled_cut_ = t;
-    cut_armed_ = true;
-  }
-  void CancelScheduledPowerCut() { cut_armed_ = false; }
-  bool scheduled_cut_armed() const { return cut_armed_; }
-
   /// Clean shutdown: destage every dirty sector, flush the capacity tier,
   /// journal the clean state, then shut both members down.
   Status Shutdown(SimTime now);
 
-  bool powered() const { return powered_; }
   bool degraded() const { return flash_->degraded(); }
   uint64_t epoch_ordering_violations() const {
     return flash_->stats().epoch_ordering_violations;
@@ -294,7 +279,7 @@ class TieredDevice : public BlockDevice {
 
   TieredConfig cfg_;
   std::unique_ptr<SsdDevice> flash_;
-  std::unique_ptr<BlockDevice> capacity_;
+  std::unique_ptr<HddDevice> capacity_;
   uint64_t capacity_sectors_ = 0;
 
   // --- Directory ---
@@ -321,9 +306,6 @@ class TieredDevice : public BlockDevice {
   Lpn seq_last_end_ = kInvalidLpn;
   uint64_t seq_run_ = 0;
 
-  bool powered_ = true;
-  bool cut_armed_ = false;
-  SimTime scheduled_cut_ = 0;
   SimTime last_activity_ = 0;
   SimTime last_recovery_duration_ = 0;
   bool store_data_ = true;

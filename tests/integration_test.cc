@@ -242,7 +242,6 @@ TEST(DeviceRangeTest, RangesPastTheEndAreRejectedOnEveryDevice) {
   hdd.num_sectors = 1024;
   TieredConfig tier;
   tier.flash = SsdConfig::Tiny(/*durable=*/true);
-  tier.capacity_is_hdd = true;
   tier.capacity_hdd.num_sectors = 1024;
   std::vector<std::pair<std::string, std::unique_ptr<BlockDevice>>> devices;
   devices.emplace_back("ssd", std::make_unique<SsdDevice>(SsdConfig::Tiny()));

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -362,6 +363,125 @@ TEST(KvStoreTest, HeaderRootPastItsOwnEndIsSkipped) {
   EXPECT_EQ((*store)->doc_count(), 0u);
   std::string v;
   EXPECT_TRUE((*store)->Get(io, "k", &v).IsNotFound());
+}
+
+// A store with two commits: its file bytes, and what recovery must land on
+// when the newest header is unusable.
+struct TwoHeaderStore {
+  std::string bytes;
+  std::map<std::string, std::string> first;  ///< State at the first header.
+  uint64_t first_seq = 0;
+  std::vector<std::string> later_keys;  ///< Keys only the newest has.
+};
+
+void BuildTwoHeaderStore(KvHarness* h, TwoHeaderStore* st) {
+  ASSERT_TRUE(h->OpenStore().ok());
+  for (int i = 0; i < 5; ++i) {
+    const std::string k = "key" + std::to_string(i);
+    st->first[k] = "v1-" + std::to_string(i);
+    ASSERT_TRUE(h->store()->Put(h->io(), k, st->first[k]).ok());
+  }
+  ASSERT_TRUE(h->store()->Commit(h->io()).ok());
+  st->first_seq = h->store()->committed_seq();
+  ASSERT_TRUE(h->store()->Put(h->io(), "key0", "v2-0").ok());
+  for (int i = 5; i < 10; ++i) {
+    st->later_keys.push_back("key" + std::to_string(i));
+    ASSERT_TRUE(h->store()->Put(h->io(), st->later_keys.back(), "v2").ok());
+  }
+  ASSERT_TRUE(h->store()->Commit(h->io()).ok());
+  h->CloseStore();
+  SimFile* file = h->fs()->Open("bucket.couch");
+  ASSERT_TRUE(
+      file->Read(h->io().now, 0, file->size(), &st->bytes).status.ok());
+}
+
+// Reopens the store and checks it recovered exactly the first header's
+// state, before and after a Compact.
+void ExpectFirstHeaderState(KvHarness* h, const TwoHeaderStore& st) {
+  ASSERT_TRUE(h->OpenStore().ok());
+  EXPECT_EQ(h->store()->committed_seq(), st.first_seq);
+  EXPECT_EQ(h->store()->doc_count(), st.first.size());
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass == 0 ? "after Open" : "after Compact");
+    std::string got;
+    for (const auto& [k, v] : st.first) {
+      ASSERT_TRUE(h->store()->Get(h->io(), k, &got).ok()) << k;
+      EXPECT_EQ(got, v) << k;
+    }
+    for (const std::string& k : st.later_keys) {
+      EXPECT_TRUE(h->store()->Get(h->io(), k, &got).IsNotFound()) << k;
+    }
+    if (pass == 0) {
+      const Status c = h->store()->Compact(h->io());
+      ASSERT_TRUE(c.ok()) << c.ToString();
+    }
+  }
+}
+
+// Rewrites the header block at `off` with a fresh CRC over its body.
+void ResealHeader(std::string* bytes, size_t off) {
+  EncodeFixed32(bytes->data() + off, Crc32c(bytes->data() + off + 4, 40));
+}
+
+TEST(KvStoreTest, ImplausibleDocCountIsSkipped) {
+  // The newest header is CRC-valid but claims 2^60 documents, more than
+  // the file before it can hold. Recovery must skip it, as it skips a
+  // header whose root lies past its end, and land on the previous header;
+  // Compact must not size anything from the count.
+  KvHarness h(true, true, 100000);
+  TwoHeaderStore st;
+  ASSERT_NO_FATAL_FAILURE(BuildTwoHeaderStore(&h, &st));
+  const size_t header = st.bytes.size() - 4096;
+  // [crc u32][magic u32][seq u64][root off u64][root len u32][docs u64].
+  EncodeFixed64(st.bytes.data() + header + 28, 1ull << 60);
+  ResealHeader(&st.bytes, header);
+  ASSERT_TRUE(h.fs()->Open("bucket.couch")->Write(0, 0, st.bytes).status.ok());
+  ExpectFirstHeaderState(&h, st);
+}
+
+TEST(KvStoreTest, MutatedNewestHeaderFallsBackToThePreviousOne) {
+  // Seeded damage to the newest header block of a real two-commit store:
+  // one to three flipped bits in the CRC-covered bytes, a file truncated
+  // inside the block, or a resealed document count the file cannot hold.
+  // Open and Compact must not crash, the damaged header must never be
+  // accepted, and recovery must land on the previous header.
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Random rng(seed);
+    KvHarness h(true, true, 100000);
+    TwoHeaderStore st;
+    ASSERT_NO_FATAL_FAILURE(BuildTwoHeaderStore(&h, &st));
+    const size_t header = st.bytes.size() - 4096;
+    SimFile* file = h.fs()->Open("bucket.couch");
+    switch (seed % 3) {
+      case 0: {
+        const uint64_t flips = 1 + rng.Uniform(3);
+        std::vector<uint64_t> bits;
+        while (bits.size() < flips) {
+          const uint64_t b = rng.Uniform(44 * 8);
+          if (std::find(bits.begin(), bits.end(), b) == bits.end()) {
+            bits.push_back(b);
+          }
+        }
+        for (const uint64_t b : bits) {
+          st.bytes[header + b / 8] =
+              static_cast<char>(st.bytes[header + b / 8] ^ (1 << (b % 8)));
+        }
+        ASSERT_TRUE(file->Write(0, 0, st.bytes).status.ok());
+        break;
+      }
+      case 1:
+        ASSERT_TRUE(file->Truncate(header + rng.Uniform(4096)).ok());
+        break;
+      default:
+        EncodeFixed64(st.bytes.data() + header + 28,
+                      header / 17 + 1 + rng.Uniform(1ull << 62));
+        ResealHeader(&st.bytes, header);
+        ASSERT_TRUE(file->Write(0, 0, st.bytes).status.ok());
+        break;
+    }
+    ExpectFirstHeaderState(&h, st);
+  }
 }
 
 // One entry of a node chunk as the test reads it from the file bytes.

@@ -108,9 +108,8 @@ TEST(AsyncApi, PollReturnsCompletionsInDoneOrder) {
 }
 
 TEST(AsyncApi, QueueDepthLimitStallsSubmission) {
-  SsdConfig cfg = SmallConfig(true);
-  cfg.host_queue_depth = 1;
-  SsdDevice limited(cfg);
+  SsdDevice limited(SmallConfig(true));
+  limited.set_queue_depth_limit(1);
   SsdDevice unlimited(SmallConfig(true));
 
   for (int i = 0; i < 8; ++i) {

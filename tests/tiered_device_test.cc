@@ -22,7 +22,6 @@ TieredConfig SmallTier(bool store_data = true) {
   TieredConfig tc;
   tc.flash = SsdConfig::Tiny(/*durable=*/true);
   tc.flash.store_data = store_data;
-  tc.capacity_is_hdd = true;
   tc.capacity_hdd.num_sectors = 1024;
   tc.capacity_hdd.write_cache_sectors = 64;
   tc.flash_pct = 25.0;
@@ -286,7 +285,7 @@ TEST(TieredDevice, SixtyInstantPowerCutSweepLosesNoAckedSector) {
       tier->CancelScheduledPowerCut();
       tier->PowerCut(std::max(cut, t));
     } else {
-      EXPECT_GT(tier->stats().scheduled_cuts_tripped, 0u);
+      EXPECT_GT(tier->scheduled_cuts_tripped(), 0u);
     }
 
     tier->PowerOn();

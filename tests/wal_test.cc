@@ -223,7 +223,6 @@ TEST_F(WalTest, SurvivesDevicePowerCycleWhenSynced) {
 TEST_F(WalTest, UnsyncedTailLostOnVolatileDevice) {
   SsdConfig vc = Config();
   vc.durable_cache = false;
-  vc.exposes_torn_writes = true;
   SsdDevice vdev(vc);
   SimFileSystem vfs(&vdev, SimFileSystem::Options{});
   Wal wal(vfs.Open("wal.log"), Wal::Options{});
@@ -279,7 +278,6 @@ TEST_F(WalTest, SyncPadsTailToSectorBoundary) {
 TEST_F(WalTest, SectorPaddingShieldsSyncedFramesFromTornRewrites) {
   SsdConfig vc = Config();
   vc.durable_cache = false;
-  vc.exposes_torn_writes = true;
   SsdDevice vdev(vc);
   SimFileSystem::Options fso;
   fso.write_barriers = true;
