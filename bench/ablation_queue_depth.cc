@@ -1,9 +1,10 @@
-// Ablation (Sec. 3.3): host queue-depth sweep over the asynchronous
-// submit/complete path, in both queue modes (ordered NCQ vs unordered).
+// Ablation (Sec. 3.3): host queue-depth sweep, in both queue modes
+// (ordered NCQ vs unordered).
 //
 // Two workloads:
 //   - fiosim 4KB random write at iodepth 1..32 (a single submitter keeping
-//     QD commands in flight) — the device-level throughput the paper's
+//     QD writes in flight and issuing the next one when the earliest
+//     completes) — the device-level throughput the paper's
 //     ordered-queue argument rests on: queue depth buys channel overlap,
 //     and the ordered queue keeps durability = submission order at no
 //     sustained cost.

@@ -223,7 +223,7 @@ class BTreeFixture : public benchmark::Fixture {
     wal = std::make_unique<Wal>(fs->Open("wal"), Wal::Options{});
     pool = std::make_unique<BufferPool>(
         fs->Open("data"), wal.get(), nullptr,
-        BufferPool::Options{64 * kMiB, 4096, false, 0});
+        BufferPool::Options{64 * kMiB, 4096, false});
     MutationCtx m{0, 0, nullptr};
     auto root = BTree::Create(io, pool.get(), &alloc, m);
     tree = std::make_unique<BTree>(pool.get(), &alloc, *root);

@@ -26,18 +26,10 @@ using PageId = uint64_t;
 /// Transaction identifier.
 using TxnId = uint64_t;
 
-/// Identifier of a command submitted through the asynchronous
-/// BlockDevice::Submit / SimFile::SubmitWrite path.
-using CmdId = uint64_t;
-
 constexpr Ppn kInvalidPpn = ~0ull;
 constexpr Lpn kInvalidLpn = ~0ull;
 constexpr PageId kInvalidPageId = ~0ull;
 constexpr Lsn kInvalidLsn = ~0ull;
-constexpr CmdId kInvalidCmdId = ~0ull;
-
-/// Largest representable virtual time (used as "no pending completion").
-constexpr SimTime kMaxSimTime = INT64_MAX;
 
 constexpr uint32_t kKiB = 1024;
 constexpr uint64_t kMiB = 1024ull * kKiB;

@@ -1,12 +1,14 @@
 #include "db/buffer_pool.h"
 
-#include <algorithm>
 #include <cassert>
-#include <vector>
-
-#include "db/io_queue.h"
 
 namespace durassd {
+
+namespace {
+/// InnoDB-style fil_flush: the direct-write path fdatasyncs the data file
+/// after this many page writes.
+constexpr uint32_t kPagesPerDataSync = 24;
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // PageRef
@@ -83,8 +85,7 @@ Status BufferPool::WriteFrame(IoContext& io, Frame& frame) {
       const SimFile::IoResult s = data_file_->DataSync(io.now);
       DURASSD_RETURN_IF_ERROR(s.status);
       io.AdvanceTo(s.done);
-    } else if (opts_.pages_per_data_sync != 0 &&
-               ++writes_since_data_sync_ >= opts_.pages_per_data_sync) {
+    } else if (++writes_since_data_sync_ >= kPagesPerDataSync) {
       writes_since_data_sync_ = 0;
       const SimFile::IoResult s = data_file_->DataSync(io.now);
       DURASSD_RETURN_IF_ERROR(s.status);
@@ -200,10 +201,6 @@ void BufferPool::ClearOwner(PageId id, TxnId txn) {
 }
 
 Status BufferPool::FlushAll(IoContext& io) {
-  if (opts_.checkpoint_queue_depth > 1 && dwb_ == nullptr &&
-      !opts_.sync_every_write) {
-    return FlushAllBatched(io);
-  }
   for (auto& frame : lru_) {
     if (frame.id == kInvalidPageId || !frame.dirty) continue;
     DURASSD_RETURN_IF_ERROR(WriteFrame(io, frame));
@@ -212,41 +209,6 @@ Status BufferPool::FlushAll(IoContext& io) {
   if (dwb_ != nullptr) {
     DURASSD_RETURN_IF_ERROR(dwb_->FlushBatch(io));
   }
-  return Status::OK();
-}
-
-Status BufferPool::FlushAllBatched(IoContext& io) {
-  // WAL rule, hoisted: make the log durable on device up to the newest
-  // dirty page's LSN once, then destage pages with the queue kept full.
-  Lsn max_lsn = 0;
-  std::vector<Frame*> dirty;
-  for (auto& frame : lru_) {
-    if (frame.id == kInvalidPageId || !frame.dirty) continue;
-    max_lsn = std::max(max_lsn, frame.page.lsn());
-    dirty.push_back(&frame);
-  }
-  if (dirty.empty()) return Status::OK();
-  DURASSD_RETURN_IF_ERROR(wal_->EnsureWritten(io, max_lsn));
-
-  FileIoQueue queue(data_file_, opts_.checkpoint_queue_depth);
-  uint32_t since_sync = 0;
-  for (Frame* frame : dirty) {
-    frame->page.SealChecksum();
-    queue.SubmitWrite(io,
-                      static_cast<uint64_t>(frame->id) * opts_.page_size,
-                      frame->page.AsSlice());
-    if (opts_.pages_per_data_sync != 0 &&
-        ++since_sync >= opts_.pages_per_data_sync) {
-      since_sync = 0;
-      DURASSD_RETURN_IF_ERROR(queue.Drain(io));
-      const SimFile::IoResult s = data_file_->DataSync(io.now);
-      DURASSD_RETURN_IF_ERROR(s.status);
-      io.AdvanceTo(s.done);
-    }
-  }
-  DURASSD_RETURN_IF_ERROR(queue.Drain(io));
-  for (Frame* frame : dirty) frame->dirty = false;
-  stats_.checkpoint_page_flushes += dirty.size();
   return Status::OK();
 }
 

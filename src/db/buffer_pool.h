@@ -55,14 +55,6 @@ class BufferPool {
     /// fsync after every page write (O_DSYNC — the commercial RDBMS
     /// behaviour in the paper's TPC-C experiment, Sec. 4.3.2).
     bool sync_every_write = false;
-    /// InnoDB-style fil_flush: fsync the data file after this many direct
-    /// page writes (non-double-write path). 0 disables.
-    uint32_t pages_per_data_sync = 24;
-    /// Checkpoint destage queue depth: FlushAll keeps this many page
-    /// writes in flight through the asynchronous file path (direct-write
-    /// configurations only; the double-write and O_DSYNC paths stay
-    /// serial). <= 1 reproduces the serial pre-async behavior exactly.
-    uint32_t checkpoint_queue_depth = 1;
   };
   struct Stats {
     uint64_t hits = 0;
@@ -128,8 +120,6 @@ class BufferPool {
   void Unpin(PageId id);
   /// Writes one dirty frame out (WAL rule + double-write or direct).
   Status WriteFrame(IoContext& io, Frame& frame);
-  /// Checkpoint destage at checkpoint_queue_depth via the async file path.
-  Status FlushAllBatched(IoContext& io);
   /// Makes a frame available, evicting the LRU victim if at capacity.
   StatusOr<FrameList::iterator> GetFreeFrame(IoContext& io, bool for_read);
 

@@ -12,6 +12,12 @@ namespace {
 constexpr char kDataFile[] = "data.db";
 constexpr char kDwbFile[] = "dwb.db";
 constexpr char kWalFile[] = "wal.log";
+/// CPU time charged per engine operation, on a 32-way host like the
+/// paper's testbed.
+constexpr SimTime kCpuPerOp = 12 * kMicrosecond;
+constexpr uint32_t kCpuParallelism = 32;
+/// Pages per double-write batch.
+constexpr uint32_t kDwbBatchPages = 24;
 }  // namespace
 
 Database::Database(SimFileSystem* data_fs, SimFileSystem* log_fs,
@@ -19,7 +25,7 @@ Database::Database(SimFileSystem* data_fs, SimFileSystem* log_fs,
     : data_fs_(data_fs),
       log_fs_(log_fs),
       opts_(options),
-      cpu_(options.cpu_parallelism),
+      cpu_(kCpuParallelism),
       h_txn_ns_(metrics_.GetHistogram("db.txn_ns")),
       h_fsync_ns_(metrics_.GetHistogram("db.fsync_ns")) {}
 
@@ -92,14 +98,13 @@ StatusOr<std::unique_ptr<Database>> Database::Open(IoContext& io,
   db->dwb_file_ = data_fs->Open(kDwbFile);
   db->wal_file_ = log_fs->Open(kWalFile);
   Wal::Options wal_opts;
-  wal_opts.soft_limit_bytes = options.checkpoint_log_bytes;
   wal_opts.metrics = &db->metrics_;
   wal_opts.durability_mode = options.durability_mode;
   db->wal_ = std::make_unique<Wal>(db->wal_file_, wal_opts);
   if (options.double_write) {
     DoubleWriteBuffer::Options dwb_opts;
     dwb_opts.page_size = options.page_size;
-    dwb_opts.batch_pages = options.dwb_batch_pages;
+    dwb_opts.batch_pages = kDwbBatchPages;
     dwb_opts.metrics = &db->metrics_;
     dwb_opts.durability_mode = options.durability_mode;
     db->dwb_ = std::make_unique<DoubleWriteBuffer>(db->dwb_file_,
@@ -109,7 +114,6 @@ StatusOr<std::unique_ptr<Database>> Database::Open(IoContext& io,
   pool_opts.pool_bytes = options.pool_bytes;
   pool_opts.page_size = options.page_size;
   pool_opts.sync_every_write = options.sync_every_page_write;
-  pool_opts.checkpoint_queue_depth = options.checkpoint_queue_depth;
   db->pool_ = std::make_unique<BufferPool>(db->data_file_, db->wal_.get(),
                                            db->dwb_.get(), pool_opts);
   db->log_ordered_ = log_fs->device()->ordered_writes();
@@ -131,7 +135,7 @@ Status Database::Initialize(IoContext& io) {
 }
 
 void Database::ChargeCpu(IoContext& io) {
-  const ResourceTimeline::Grant g = cpu_.Acquire(io.now, opts_.cpu_per_op);
+  const ResourceTimeline::Grant g = cpu_.Acquire(io.now, kCpuPerOp);
   io.AdvanceTo(g.done);
 }
 

@@ -42,17 +42,10 @@ class Database : public PageAllocator {
     uint32_t page_size = 4 * kKiB;        ///< 4/8/16 KB (the paper's sweep).
     uint64_t pool_bytes = 64 * kMiB;
     bool double_write = true;             ///< InnoDB doublewrite on/off.
-    uint32_t dwb_batch_pages = 24;
     uint64_t checkpoint_log_bytes = 64 * kMiB;
-    /// CPU time charged per engine operation (32-way, like the testbed).
-    SimTime cpu_per_op = 12 * kMicrosecond;
-    uint32_t cpu_parallelism = 32;
     /// When true, every page write is followed by fsync — the commercial
     /// RDBMS's O_DSYNC behaviour in the TPC-C experiment (Sec. 4.3.2).
     bool sync_every_page_write = false;
-    /// Queue depth for checkpoint page destaging (direct-write path only);
-    /// <= 1 keeps the serial pre-async behavior.
-    uint32_t checkpoint_queue_depth = 1;
     /// Commit durability discipline, threaded into the WAL and the
     /// double-write buffer. kBarrier turns fsync-for-ordering into barrier
     /// submissions; checkpoints keep a real fsync (the data pages must be

@@ -81,8 +81,8 @@ Status Wal::WriteOut(IoContext& io) {
 }
 
 void Wal::PadToBoundary() {
-  const uint32_t align = opts_.pad_to_bytes;
-  if (align == 0 || next_lsn_ % align == 0) return;
+  constexpr uint32_t align = 4096;
+  if (next_lsn_ % align == 0) return;
   uint64_t gap = align - next_lsn_ % align;
   // A frame needs at least a header plus the one-byte record type; when
   // the hole is smaller, pad through the whole next sector instead.

@@ -28,7 +28,7 @@ enum class WalRecordType : uint8_t {
   kCreateTree = 6,  ///< {tree_id, name}
   kCheckpoint = 7,
   /// Sector filler appended by SyncTo so that a synced sector is never
-  /// rewritten in place by a later append (see Wal::Options::pad_to_bytes).
+  /// rewritten in place by a later append (see Wal::PadToBoundary).
   /// Skipped by ReadFrom; never surfaces in replay.
   kPad = 8,
 };
@@ -54,19 +54,9 @@ struct WalRecord {
 class Wal {
  public:
   struct Options {
-    /// Recycle the log by checkpointing before it outgrows this.
-    uint64_t soft_limit_bytes = 64 * kMiB;
     /// Owner's metrics registry; the WAL registers under the "wal."
     /// prefix. May be null (no metrics collected).
     MetricsRegistry* metrics = nullptr;
-    /// Tail padding unit (jbd2-style): SyncTo fills the log up to the next
-    /// multiple of this with a kPad frame before issuing the fsync, so a
-    /// sector covered by a sync is never rewritten in place by a later
-    /// append. Without it, a later append does a read-modify-write of the
-    /// synced tail sector; on a volatile-cache device that exposes torn
-    /// writes, a power cut shearing that NAND program destroys previously
-    /// fsynced commit records sharing the sector. 0 disables padding.
-    uint32_t pad_to_bytes = 4096;
     /// How SyncTo makes commits durable. kBarrier replaces the fsync with a
     /// barrier submission: commit latency stops waiting on media, and the
     /// device's epoch ordering guarantees the log prefix property instead.
@@ -150,8 +140,14 @@ class Wal {
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
  private:
-  /// Appends a kPad frame filling the log to the next pad_to_bytes
-  /// boundary (no-op when already aligned or padding is disabled).
+  /// Tail padding (jbd2-style): appends a kPad frame filling the log to
+  /// the next 4 KiB sector boundary (no-op when already aligned). SyncTo
+  /// calls it before the fsync, so a sector covered by a sync is never
+  /// rewritten in place by a later append. Without it, a later append does
+  /// a read-modify-write of the synced tail sector; on a volatile-cache
+  /// device that exposes torn writes, a power cut shearing that NAND
+  /// program destroys previously fsynced commit records sharing the
+  /// sector.
   void PadToBoundary();
   /// Group-commit bookkeeping: a SyncTo became durable at `done`.
   void NoteCommitDurable(SimTime done);

@@ -404,9 +404,10 @@ void FlashArray::PowerCut(SimTime t) {
     block.next_page = g.pages_per_block;  // Unusable until erased again.
   }
   inflight_erases_.clear();
+  ResetReservations();
+}
 
-  // Plane/channel reservations collapse: after power is restored the device
-  // starts idle.
+void FlashArray::ResetReservations() {
   for (auto& plane : planes_) plane.busy_until = 0;
   std::fill(channel_busy_.begin(), channel_busy_.end(), 0);
   alloc_cursor_ = 0;

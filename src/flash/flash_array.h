@@ -172,6 +172,10 @@ class FlashArray {
   /// program not yet begun is rolled back to kFree. In-flight erases leave
   /// the block in an unusable state until re-erased.
   void PowerCut(SimTime t);
+  /// Collapses plane and channel reservations: after power is restored the
+  /// array starts idle. PowerCut ends with it; a clean shutdown, whose
+  /// operations have all completed, calls it alone.
+  void ResetReservations();
 
   /// Declares all in-flight operations safely completed. Used when recovery
   /// runs under capacitor protection (Sec. 3.4.2: capacitors are recharged

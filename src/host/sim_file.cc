@@ -1,7 +1,6 @@
 #include "host/sim_file.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace durassd {
 
@@ -79,18 +78,15 @@ SimFile::IoResult SimFileSystem::SyncInternal(SimTime now, SimFile* file,
     write_journal = false;
   }
   if (write_journal) {
-    // Journal transaction: one (or a few) small ordered writes into the
-    // journal ring.
-    const uint32_t sector = device_->sector_size();
-    std::string zeros(sector, '\0');
-    for (uint32_t i = 0; i < opts_.journal_sectors_per_sync; ++i) {
-      const Lpn lpn = journal_cursor_ % opts_.journal_area_sectors;
-      journal_cursor_++;
-      const BlockDevice::Result r = device_->Write(t, lpn, zeros);
-      if (!r.status.ok()) return {r.status, t};
-      t = r.done;
-      stats_.journal_writes++;
-    }
+    // Journal transaction: one small ordered write into the journal ring
+    // (ext4's descriptor + commit fit one sector here).
+    const Lpn lpn = journal_cursor_ % opts_.journal_area_sectors;
+    journal_cursor_++;
+    const BlockDevice::Result r =
+        device_->Write(t, lpn, std::string(device_->sector_size(), '\0'));
+    if (!r.status.ok()) return {r.status, t};
+    t = r.done;
+    stats_.journal_writes++;
   }
   if (file != nullptr) file->metadata_dirty_ = false;
   if (opts_.write_barriers) {
@@ -225,154 +221,6 @@ SimFile::IoResult SimFile::Write(SimTime now, uint64_t offset, Slice data) {
     metadata_dirty_ = true;
   }
   return {Status::OK(), done};
-}
-
-CmdId SimFile::SubmitWrite(SimTime now, uint64_t offset, Slice data,
-                           SimTime* submit_time) {
-  PendingCmd p;
-  p.id = next_cmd_id_++;
-  p.early_status = Status::OK();
-  p.submit = now;
-  p.sync_done = now;
-  SimTime first_entry = now;
-  bool first = true;
-
-  BlockDevice* dev = fs_->device();
-  const uint32_t sector = dev->sector_size();
-  uint64_t pos = offset;
-  const char* src = data.data();
-  uint64_t remaining = data.size();
-
-  while (remaining > 0) {
-    const uint32_t in_sector = static_cast<uint32_t>(pos % sector);
-    const uint64_t n = std::min<uint64_t>(sector - in_sector, remaining);
-
-    StatusOr<Lpn> lpn = MapOffset(pos, /*grow=*/true);
-    if (!lpn.ok()) {
-      p.early_status = lpn.status();
-      break;
-    }
-
-    if (in_sector == 0 && n == sector) {
-      // Whole aligned run: same batching as Write(), but via Submit — all
-      // runs are issued at `now`, overlapping in the device.
-      uint64_t run_sectors = 1;
-      while (run_sectors * sector < remaining &&
-             (pos / sector + run_sectors) % fs_->options().chunk_sectors !=
-                 0 &&
-             remaining - run_sectors * sector >= sector) {
-        run_sectors++;
-      }
-      SimTime entered = now;
-      p.parts.push_back(
-          dev->Submit(now, BlockDevice::Command::MakeWrite(
-                               *lpn, Slice(src, run_sectors * sector)),
-                      &entered));
-      if (first) {
-        first_entry = entered;
-        first = false;
-      }
-      pos += run_sectors * sector;
-      src += run_sectors * sector;
-      remaining -= run_sectors * sector;
-      continue;
-    }
-
-    // Partial sector: synchronous read-modify-write, folded into the
-    // completion (a real kernel would serialize this path anyway).
-    std::string old;
-    const BlockDevice::Result rr = dev->Read(now, *lpn, 1, &old);
-    if (!rr.status.ok()) {
-      p.early_status = rr.status;
-      break;
-    }
-    old.resize(sector, '\0');
-    old.replace(in_sector, n, src, n);
-    const BlockDevice::Result wr = dev->Write(rr.done, *lpn, old);
-    if (!wr.status.ok()) {
-      p.early_status = wr.status;
-      break;
-    }
-    p.sync_done = std::max(p.sync_done, wr.done);
-    pos += n;
-    src += n;
-    remaining -= n;
-  }
-
-  if (p.early_status.ok() && offset + data.size() > size_) {
-    size_ = offset + data.size();
-    metadata_dirty_ = true;
-  }
-  if (submit_time != nullptr) *submit_time = first_entry;
-  const CmdId id = p.id;
-  pending_.push_back(std::move(p));
-  return id;
-}
-
-SimFile::Completion SimFile::Resolve(const PendingCmd& p) const {
-  Completion c;
-  c.id = p.id;
-  c.status = p.early_status;
-  c.submit = p.submit;
-  c.done = p.sync_done;
-  const BlockDevice* dev = fs_->device();
-  for (CmdId part : p.parts) {
-    const BlockDevice::Completion* pc = dev->Find(part);
-    if (pc == nullptr) continue;  // Already consumed; sync_done covers it.
-    c.done = std::max(c.done, pc->done);
-    if (c.status.ok() && !pc->status.ok()) c.status = pc->status;
-  }
-  return c;
-}
-
-std::vector<SimFile::Completion> SimFile::Poll(SimTime now) {
-  std::vector<Completion> out;
-  for (size_t i = 0; i < pending_.size();) {
-    Completion c = Resolve(pending_[i]);
-    if (c.done <= now) {
-      // Consume the device-level parts so they do not accumulate.
-      for (CmdId part : pending_[i].parts) {
-        (void)fs_->device()->Await(part);
-      }
-      out.push_back(std::move(c));
-      pending_.erase(pending_.begin() + static_cast<ptrdiff_t>(i));
-    } else {
-      ++i;
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const Completion& a, const Completion& b) {
-                     return a.done < b.done;
-                   });
-  return out;
-}
-
-SimFile::Completion SimFile::Await(CmdId id) {
-  for (size_t i = 0; i < pending_.size(); ++i) {
-    if (pending_[i].id != id) continue;
-    Completion c = Resolve(pending_[i]);
-    for (CmdId part : pending_[i].parts) {
-      (void)fs_->device()->Await(part);
-    }
-    pending_.erase(pending_.begin() + static_cast<ptrdiff_t>(i));
-    return c;
-  }
-  Completion c;
-  c.id = id;
-  c.status = Status::InvalidArgument("unknown file command id");
-  return c;
-}
-
-size_t SimFile::pending_count() const {
-  return pending_.size();
-}
-
-SimTime SimFile::EarliestPendingDone() const {
-  SimTime earliest = kMaxSimTime;
-  for (const PendingCmd& p : pending_) {
-    earliest = std::min(earliest, Resolve(p).done);
-  }
-  return earliest;
 }
 
 SimFile::IoResult SimFile::Read(SimTime now, uint64_t offset, uint64_t len,

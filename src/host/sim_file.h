@@ -28,44 +28,20 @@ class SimFile {
     SimTime done = 0;
   };
 
-  struct Completion {
-    CmdId id = kInvalidCmdId;
-    Status status;
-    SimTime submit = 0;
-    SimTime done = 0;
-  };
-
   SimFile(const SimFile&) = delete;
   SimFile& operator=(const SimFile&) = delete;
 
   const std::string& name() const { return name_; }
   uint64_t size() const { return size_; }
 
+  /// Writes `data` at `offset`, growing the file's extents as needed. Each
+  /// whole-sector run within an extent chunk is one device command, and
+  /// the runs do not wait for one another, so they overlap in the device.
+  /// A partial-sector edge is a read-modify-write. `done` is the latest
+  /// completion.
   IoResult Write(SimTime now, uint64_t offset, Slice data);
   IoResult Read(SimTime now, uint64_t offset, uint64_t len, std::string* out);
 
-  // --- Asynchronous write path ---
-  // A file write fans out into one or more device commands (one per
-  // whole-sector run; partial-sector edges fall back to a synchronous
-  // read-modify-write). SubmitWrite issues them all at `now` without
-  // waiting; the file-level completion materializes when every device
-  // command has completed. Completion records survive a device power cut
-  // (the device rewrites in-flight ones to DeviceOffline), so a host can
-  // always learn the fate of what it submitted.
-
-  /// Submits the write; `*submit_time` (when non-null) receives the service
-  /// entry time, which exceeds `now` if the device's queue-depth limit
-  /// stalled submission. `data` must stay alive only for the call.
-  CmdId SubmitWrite(SimTime now, uint64_t offset, Slice data,
-                    SimTime* submit_time = nullptr);
-  /// Removes and returns all file-level completions with done <= now.
-  std::vector<Completion> Poll(SimTime now);
-  /// Waits (in virtual time) for `id` and consumes its completion.
-  Completion Await(CmdId id);
-  /// Earliest completion time among outstanding submissions (kMaxSimTime
-  /// when none) — the instant a bounded-depth submitter should advance to.
-  SimTime EarliestPendingDone() const;
-  size_t pending_count() const;
   /// fsync(2): persists data + metadata. With barriers on, issues FLUSH
   /// CACHE to the device; with barriers off (the DuraSSD deployment mode),
   /// only the journal write happens and the call returns quickly.
@@ -92,20 +68,6 @@ class SimFile {
   /// Device LPN backing byte `offset`, growing the extent list on demand.
   StatusOr<Lpn> MapOffset(uint64_t offset, bool grow);
 
-  /// An outstanding SubmitWrite. Device commands are combined lazily (via
-  /// BlockDevice::Find) so that a power cut that rewrites their statuses is
-  /// observed truthfully; `sync_done` folds in any synchronous sub-ops
-  /// (partial-sector read-modify-write).
-  struct PendingCmd {
-    CmdId id;
-    Status early_status;  ///< Mapping/argument errors caught at submit.
-    SimTime submit;
-    SimTime sync_done;
-    std::vector<CmdId> parts;  ///< Device-level command ids.
-  };
-  /// Completion time / final status of `p` as of now (consuming nothing).
-  Completion Resolve(const PendingCmd& p) const;
-
   SimFileSystem* fs_;
   std::string name_;
   uint64_t size_ = 0;
@@ -113,8 +75,6 @@ class SimFile {
   /// Chunked extents: chunk i covers file sectors
   /// [i * chunk_sectors, (i+1) * chunk_sectors).
   std::vector<Lpn> chunks_;
-  CmdId next_cmd_id_ = 1;
-  std::vector<PendingCmd> pending_;  ///< In submission order.
 };
 
 /// Minimal file system over a BlockDevice: bump allocation in fixed-size
@@ -129,9 +89,6 @@ class SimFileSystem {
  public:
   struct Options {
     bool write_barriers = true;
-    /// Journal sectors written per fsync (ext4 ~ one descriptor+commit; we
-    /// default to 1 like a small ordered-journal transaction).
-    uint32_t journal_sectors_per_sync = 1;
     /// Extent chunk size in sectors (1024 x 4KB = 4 MiB).
     uint32_t chunk_sectors = 1024;
     /// Sectors reserved at LPN 0 for the journal ring.

@@ -174,7 +174,6 @@ Status OpenEngine(Stack& s, const CrashHarness::Options& opt,
     dbo.double_write = opt.double_write;
     dbo.checkpoint_log_bytes = 2 * kMiB;  // Frequent checkpoints.
     dbo.sync_every_page_write = opt.sync_every_page_write;
-    dbo.checkpoint_queue_depth = opt.checkpoint_queue_depth;
     dbo.durability_mode = opt.durability_mode;
     auto d = Database::Open(s.io, s.fs.get(), s.fs.get(), dbo);
     if (!d.ok()) return d.status();
@@ -385,7 +384,6 @@ std::string CrashHarness::Options::ToString() const {
      << " cut_fraction=" << cut_fraction << " nested=" << nested_cut
      << " faults=" << inject_faults << " ordered=" << ordered_queue
      << " log_destage=" << log_structured_destage
-     << " ckpt_qd=" << checkpoint_queue_depth
      << " mode=" << DurabilityModeName(durability_mode)
      << " cut_at_boundary=" << cut_at_barrier_boundary
      << " plant_reorder=" << plant_epoch_reorder << " tiered=" << tiered
@@ -435,8 +433,6 @@ CrashHarness::Options CrashHarness::Options::FromString(
       o.ordered_queue = as_bool();
     } else if (key == "log_destage") {
       o.log_structured_destage = as_bool();
-    } else if (key == "ckpt_qd") {
-      o.checkpoint_queue_depth = static_cast<uint32_t>(std::stoul(val));
     } else if (key == "mode") {
       if (val == DurabilityModeName(DurabilityMode::kVolatileFlush)) {
         o.durability_mode = DurabilityMode::kVolatileFlush;

@@ -75,9 +75,6 @@ class CrashHarness {
     /// of in-place page programs. Invariants are unchanged — the log adds
     /// a checksummed replay pass before the dump replay on recovery.
     bool log_structured_destage = false;
-    /// DB only: checkpoint destage queue depth — > 1 exercises the async
-    /// submit/complete path, so cuts land with commands in flight.
-    uint32_t checkpoint_queue_depth = 1;
     uint32_t kv_batch_size = 1;  ///< KV only: updates per fsync.
     uint64_t seed = 1;
     int ops = 60;                ///< Mutating operations in the workload.

@@ -785,9 +785,6 @@ void SsdDevice::PowerCut(SimTime t) {
     flash_.QuiesceInFlight();
   }
   flash_.PowerCut(t);
-  bus_.Reset();
-  fw_.Reset();
-  ncq_.Reset();
 
   if (cfg_.durable_cache) {
     // Discard commands whose transfer had not completed (atomic writer,
@@ -854,6 +851,13 @@ void SsdDevice::PowerCut(SimTime t) {
   // Pending scheduler sectors were acknowledged but never issued: on a
   // durable device the dump above saved them (program_done is still
   // "never"), on a volatile one they are lost with the cache.
+  EndPowerSession();
+}
+
+void SsdDevice::EndPowerSession() {
+  bus_.Reset();
+  fw_.Reset();
+  ncq_.Reset();
   scheduler_.Clear();
   while (!outstanding_.empty()) outstanding_.pop();
   last_flush_start_ = last_flush_done_ = -1;
@@ -1250,12 +1254,8 @@ Status SsdDevice::Shutdown(SimTime now) {
   ShutOff();
   emergency_shutdown_ = false;
   ClearCache();
-  while (!outstanding_.empty()) outstanding_.pop();
-  last_ordered_ack_ = 0;
-  cur_epoch_ = 0;
-  epoch_floor_ack_ = 0;
-  epoch_max_ack_ = 0;
-  epoch_writes_ = 0;
+  flash_.ResetReservations();
+  EndPowerSession();
   return Status::OK();
 }
 

@@ -308,6 +308,9 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   /// Mapping-journal persistence cost for `entries` dirty mapping entries.
   SimTime MappingPersistCost(size_t entries) const;
   void DumpOnCapacitor(SimTime t);
+  /// Resets the host-facing timelines and the per-power-session ordering
+  /// state, cut or clean: the device clock restarts at zero on PowerOn.
+  void EndPowerSession();
   SimTime ReplayDump();
   /// Removes the cache entries a failed write command inserted (restoring
   /// the one-deep history), so un-destaged data from a rejected command

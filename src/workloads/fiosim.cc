@@ -1,6 +1,8 @@
 #include "workloads/fiosim.h"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -43,32 +45,30 @@ FioResult RunFio(BlockDevice* device, const FioJob& job) {
     start_time = f.status.ok() ? f.done : t;
   }
 
-  // Asynchronous windowed submission (fio iodepth > 1): one submitter
-  // keeps the device's queue full; latency is measured per command from
-  // submission to completion.
+  // Windowed submission (fio iodepth > 1): one submitter keeps up to
+  // `iodepth` writes in flight. A write's result is final when it is
+  // issued, so its latency is recorded then and the window holds only
+  // completion times; a full window advances the submitter to its earliest
+  // completion.
   if (job.mode == FioJob::Mode::kRandWrite && job.iodepth > 1) {
     FioResult result;
     Random rng(job.seed);
     SimTime now = start_time;
     uint32_t since_fsync = 0;
-    const auto reap = [&](SimTime upto) {
-      for (const SimFile::Completion& c : file->Poll(upto)) {
-        result.latency.Record(c.done - c.submit);
-      }
-    };
+    std::priority_queue<SimTime, std::vector<SimTime>, std::greater<SimTime>>
+        window;
     const auto drain = [&] {
-      while (file->pending_count() > 0) {
-        now = std::max(now, file->EarliestPendingDone());
-        reap(now);
-      }
+      for (; !window.empty(); window.pop()) now = std::max(now, window.top());
     };
     for (uint64_t i = 0; i < job.ops; ++i) {
-      while (file->pending_count() >= job.iodepth) {
-        now = std::max(now, file->EarliestPendingDone());
-        reap(now);
+      if (window.size() >= job.iodepth) {
+        now = std::max(now, window.top());
+        while (!window.empty() && window.top() <= now) window.pop();
       }
       const uint64_t offset = rng.Uniform(blocks) * job.block_bytes;
-      file->SubmitWrite(now, offset, payload);
+      const SimFile::IoResult w = file->Write(now, offset, payload);
+      result.latency.Record(w.done - now);
+      window.push(w.done);
       if (job.fsync_every != 0 && ++since_fsync >= job.fsync_every) {
         since_fsync = 0;
         drain();

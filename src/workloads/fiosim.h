@@ -21,11 +21,12 @@ struct FioJob {
   uint64_t ops = 20000;
   /// fsync after every N writes per thread; 0 = never.
   uint32_t fsync_every = 0;
-  /// Asynchronous submission window (fio's iodepth) for write jobs: a
-  /// single submitter keeps up to this many file commands in flight via
-  /// the async submit/complete path; `threads` is ignored. <= 1 = the
-  /// synchronous closed loop over `threads` clients. `fsync_every` then
-  /// counts submissions and drains the window before each fsync.
+  /// Submission window (fio's iodepth) for write jobs: a single submitter
+  /// keeps up to this many writes in flight, issuing the next one at the
+  /// earliest completion whenever the window is full, and keeps only their
+  /// completion times; `threads` is ignored. <= 1 = the synchronous closed
+  /// loop over `threads` clients. `fsync_every` then counts writes and
+  /// waits for the whole window before each fsync.
   uint32_t iodepth = 1;
   /// Host write barriers (fsync => FLUSH CACHE) — the "NoBarrier" row.
   bool write_barriers = true;

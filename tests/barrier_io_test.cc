@@ -55,18 +55,18 @@ SsdConfig SmallConfig(bool ordered) {
 }
 
 struct EpochCmd {
-  CmdId id;
   Lpn lpn;
   uint32_t nsec;
   uint64_t version;
   uint64_t epoch;
 };
 
-/// Submits bursts of mixed-size writes, sealing an epoch with a BARRIER
-/// after each burst *without awaiting the writes* — the barrier orders the
-/// stream while bursts keep overlapping inside the device (ordering
-/// without waiting). Stops starting bursts at `stop_at` (0 = never).
-/// `*end` receives the latest acknowledgment/completion instant.
+/// Issues bursts of mixed-size writes at one instant, sealing an epoch
+/// with a BARRIER at the same instant *without waiting for the writes* —
+/// the barrier orders the stream while bursts keep overlapping inside the
+/// device (ordering without waiting). Stops starting bursts at `stop_at`
+/// (0 = never). `*end` receives the latest acknowledgment/completion
+/// instant.
 std::vector<EpochCmd> RunEpochBursts(SsdDevice* dev, uint64_t seed,
                                      SimTime stop_at, SimTime* end) {
   Random rng(seed);
@@ -79,10 +79,10 @@ std::vector<EpochCmd> RunEpochBursts(SsdDevice* dev, uint64_t seed,
     for (int i = 0; i < 6; ++i) {
       const uint32_t nsec = (rng.Next() % 2 == 0) ? 8 : 1;
       const uint64_t version = cmds.size();
-      const CmdId id = dev->Submit(
-          t, BlockDevice::Command::MakeWrite(next_lpn, Value(version, nsec)));
-      cmds.push_back({id, next_lpn, nsec, version, burst});
-      latest = std::max(latest, dev->Find(id)->done);
+      const BlockDevice::Result r =
+          dev->Write(t, next_lpn, Value(version, nsec));
+      cmds.push_back({next_lpn, nsec, version, burst});
+      latest = std::max(latest, r.done);
       next_lpn += nsec;
     }
     const BlockDevice::Result b = dev->Barrier(t);
@@ -247,7 +247,6 @@ TEST(BarrierEquivalence, OneWriteEpochsMatchOrderedNcqBitForBit) {
   SsdDevice a(SmallConfig(true));
   SsdDevice b(SmallConfig(false));
   Random rng(4242);
-  std::vector<std::pair<CmdId, CmdId>> ids;
   std::vector<EpochCmd> cmds;  // For the survivor comparison (B's view).
   SimTime t = 0;
   SimTime latest = 0;
@@ -258,26 +257,19 @@ TEST(BarrierEquivalence, OneWriteEpochsMatchOrderedNcqBitForBit) {
       const uint32_t nsec = (rng.Next() % 2 == 0) ? 8 : 1;
       const uint64_t version = cmds.size();
       const std::string data = Value(version, nsec);
-      const CmdId ia =
-          a.Submit(t, BlockDevice::Command::MakeWrite(next_lpn, data));
-      const CmdId ib =
-          b.Submit(t, BlockDevice::Command::MakeWrite(next_lpn, data));
+      const BlockDevice::Result ra = a.Write(t, next_lpn, data);
+      const BlockDevice::Result rb = b.Write(t, next_lpn, data);
       const BlockDevice::Result bar = b.Barrier(t);
       ASSERT_TRUE(bar.status.ok());
-      ids.push_back({ia, ib});
-      cmds.push_back({ib, next_lpn, nsec, version, cmds.size()});
-      burst_done = std::max(burst_done, a.Find(ia)->done);
+      ASSERT_TRUE(ra.status.ok());
+      ASSERT_TRUE(rb.status.ok());
+      ASSERT_EQ(ra.done, rb.done) << "ack " << version << " diverged";
+      cmds.push_back({next_lpn, nsec, version, cmds.size()});
+      burst_done = std::max(burst_done, ra.done);
       next_lpn += nsec;
     }
     latest = std::max(latest, burst_done);
     t = burst_done;
-  }
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const BlockDevice::Completion ca = a.Await(ids[i].first);
-    const BlockDevice::Completion cb = b.Await(ids[i].second);
-    ASSERT_TRUE(ca.status.ok());
-    ASSERT_TRUE(cb.status.ok());
-    ASSERT_EQ(ca.done, cb.done) << "ack " << i << " diverged";
   }
   // The degenerate-epoch clamp engaged exactly as often as the NCQ clamp.
   EXPECT_GT(a.stats().ordered_ack_clamps, 0u);
@@ -319,7 +311,6 @@ Database::Options BarrierDbOptions() {
   dbo.pool_bytes = 2 * kMiB;
   dbo.double_write = false;
   dbo.checkpoint_log_bytes = 4 * kMiB;
-  dbo.checkpoint_queue_depth = 8;
   dbo.durability_mode = DurabilityMode::kBarrier;
   return dbo;
 }

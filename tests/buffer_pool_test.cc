@@ -24,7 +24,7 @@ class BufferPoolTest : public ::testing::Test {
     // 16 frames only: eviction pressure is immediate.
     pool_ = std::make_unique<BufferPool>(
         fs_->Open("data"), wal_.get(), nullptr,
-        BufferPool::Options{16 * kPage, kPage, false, 0});
+        BufferPool::Options{16 * kPage, kPage, false});
   }
 
   static SsdConfig Config() {
@@ -177,7 +177,7 @@ TEST_F(BufferPoolTest, DoubleWritePendingImageServesReads) {
   DoubleWriteBuffer dwb(fs_->Open("dwb"), fs_->Open("data"),
                         DoubleWriteBuffer::Options{kPage, 8});
   BufferPool pool(fs_->Open("data"), wal_.get(), &dwb,
-                  BufferPool::Options{16 * kPage, kPage, false, 0});
+                  BufferPool::Options{16 * kPage, kPage, false});
   // Dirty a page, let it go through the (batched, still pending) DWB.
   auto ref = pool.Fix(io_, 5, true);
   ASSERT_TRUE(ref.ok());

@@ -354,7 +354,6 @@ TEST(CrashHarnessReport, ReproStringRoundTripsThroughFromString) {
   o.sync_every_page_write = true;
   o.ordered_queue = false;
   o.log_structured_destage = true;
-  o.checkpoint_queue_depth = 8;
   o.kv_batch_size = 16;
   o.seed = 987654321;
   o.ops = 37;

@@ -202,7 +202,7 @@ TEST(EndToEndCrashTest, KvStoreRandomCrashRounds) {
   dc.geometry.blocks_per_plane = 256;
   dc.geometry.pages_per_block = 32;
   SsdDevice device(dc);
-  SimFileSystem fs(&device, SimFileSystem::Options{false, 1, 1024, 256});
+  SimFileSystem fs(&device, SimFileSystem::Options{false, 1024, 256});
 
   Random rng(31);
   std::map<std::string, std::string> committed;

@@ -1,7 +1,8 @@
-// Asynchronous submit/complete path + ordered NCQ:
+// Commands in flight + ordered NCQ:
 //
-//   - API semantics: Submit/Poll/Await/Find, queue-depth stalls, power-cut
-//     abort of in-flight commands, sync wrappers == submit+await.
+//   - Queue depth: commands issued at one instant are in flight together;
+//     the queue-depth limit stalls their service entry, and a power cut
+//     empties the in-flight window and loses the unacknowledged writes.
 //   - Ordered-queue property sweep (>= 50 seeded cut instants per mode):
 //     in ordered mode the commands surviving a power cut are always a
 //     *prefix* of the submission order; in unordered mode survivors are a
@@ -54,156 +55,80 @@ SsdConfig SmallConfig(bool ordered) {
 }
 
 // ---------------------------------------------------------------------------
-// API semantics
+// Queue depth
 // ---------------------------------------------------------------------------
-
-TEST(AsyncApi, SyncWrappersMatchSubmitAwait) {
-  SsdDevice a(SmallConfig(true));
-  SsdDevice b(SmallConfig(true));
-  Random rng(7);
-  SimTime ta = 0, tb = 0;
-  for (int i = 0; i < 40; ++i) {
-    const Lpn lpn = rng.Uniform(32);
-    const std::string data = Value(i, 1);
-    const BlockDevice::Result ra = a.Write(ta, lpn, data);
-
-    const CmdId id =
-        b.Submit(tb, BlockDevice::Command::MakeWrite(lpn, data));
-    const BlockDevice::Completion cb = b.Await(id);
-    ASSERT_EQ(ra.status.ok(), cb.status.ok()) << "op " << i;
-    ASSERT_EQ(ra.done, cb.done) << "op " << i;
-    ta = ra.done;
-    tb = cb.done;
-  }
-  const BlockDevice::Result fa = a.Flush(ta);
-  const CmdId fid = b.Submit(tb, BlockDevice::Command::MakeFlush());
-  EXPECT_EQ(fa.done, b.Await(fid).done);
-}
-
-TEST(AsyncApi, PollReturnsCompletionsInDoneOrder) {
-  SsdDevice dev(SmallConfig(false));
-  std::vector<CmdId> ids;
-  for (int i = 0; i < 6; ++i) {
-    // Mixed sizes submitted at the same instant: completion order differs
-    // from submission order on the unordered queue.
-    const uint32_t nsec = (i % 2 == 0) ? 8 : 1;
-    ids.push_back(dev.Submit(
-        0, BlockDevice::Command::MakeWrite(static_cast<Lpn>(i) * 8,
-                                           Value(i, nsec))));
-  }
-  EXPECT_EQ(dev.pending_completions(), 6u);
-  EXPECT_TRUE(dev.Poll(0).empty());  // Nothing observable at t=0.
-  EXPECT_LT(dev.EarliestPendingDone(), kMaxSimTime);
-
-  const std::vector<BlockDevice::Completion> done = dev.Poll(kMaxSimTime);
-  ASSERT_EQ(done.size(), 6u);
-  EXPECT_EQ(dev.pending_completions(), 0u);
-  for (size_t i = 1; i < done.size(); ++i) {
-    EXPECT_LE(done[i - 1].done, done[i].done);
-  }
-  for (const BlockDevice::Completion& c : done) {
-    EXPECT_TRUE(c.status.ok());
-    EXPECT_GE(c.done, c.submit);
-  }
-}
 
 TEST(AsyncApi, QueueDepthLimitStallsSubmission) {
   SsdDevice limited(SmallConfig(true));
   limited.set_queue_depth_limit(1);
   SsdDevice unlimited(SmallConfig(true));
 
+  SimTime prev_done = 0;
   for (int i = 0; i < 8; ++i) {
-    SimTime entered = 0;
-    limited.Submit(
-        0, BlockDevice::Command::MakeWrite(static_cast<Lpn>(i), Value(i, 1)),
-        &entered);
-    unlimited.Submit(
-        0, BlockDevice::Command::MakeWrite(static_cast<Lpn>(i), Value(i, 1)));
+    // All eight are issued at time 0. On the depth-1 queue each waits for
+    // its predecessor's completion before it enters service.
+    const BlockDevice::Result r =
+        limited.Write(0, static_cast<Lpn>(i), Value(i, 1));
+    ASSERT_TRUE(r.status.ok());
+    ASSERT_TRUE(unlimited.Write(0, static_cast<Lpn>(i), Value(i, 1))
+                    .status.ok());
     if (i > 0) {
-      EXPECT_GT(entered, 0) << "submission " << i << " not stalled";
+      EXPECT_GT(r.done, prev_done) << "submission " << i << " not stalled";
+      EXPECT_EQ(limited.submit_stalls(), static_cast<uint64_t>(i));
     }
+    prev_done = r.done;
   }
   EXPECT_GT(limited.submit_stalls(), 0u);
   EXPECT_GT(limited.submit_stall_time(), 0);
   EXPECT_EQ(unlimited.submit_stalls(), 0u);
 
-  // The QD histogram saw every submission, never above the limit + 1.
+  // The QD histogram saw every submission, never above the limit.
   const Histogram* h = limited.metrics().GetHistogram("ssd.qd");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count(), 8u);
-}
-
-TEST(AsyncApi, FindPeeksWithoutConsumingAndUnknownAwaitFails) {
-  SsdDevice dev(SmallConfig(true));
-  const CmdId id = dev.Submit(0, BlockDevice::Command::MakeWrite(0, Value(1, 1)));
-  const BlockDevice::Completion* peek = dev.Find(id);
-  ASSERT_NE(peek, nullptr);
-  EXPECT_TRUE(peek->status.ok());
-  EXPECT_EQ(dev.pending_completions(), 1u);  // Find consumed nothing.
-
-  const BlockDevice::Completion c = dev.Await(id);
-  EXPECT_TRUE(c.status.ok());
-  EXPECT_EQ(dev.Find(id), nullptr);
-  EXPECT_FALSE(dev.Await(id).status.ok());  // Unknown id.
+  EXPECT_EQ(h->max(), 1);
+  // Without a limit the eight were in flight together.
+  EXPECT_EQ(unlimited.metrics().GetHistogram("ssd.qd")->max(), 8);
 }
 
 TEST(AsyncApi, PowerCutAbortsInFlightCommands) {
   SsdDevice dev(SmallConfig(true));
-  std::vector<CmdId> ids;
+  std::vector<SimTime> done;
   SimTime max_ack = 0;
   for (int i = 0; i < 8; ++i) {
-    const CmdId id = dev.Submit(
-        0, BlockDevice::Command::MakeWrite(static_cast<Lpn>(i) * 8,
-                                           Value(i, 8)));
-    ids.push_back(id);
-    max_ack = std::max(max_ack, dev.Find(id)->done);
+    const BlockDevice::Result r = dev.Write(
+        0, static_cast<Lpn>(i) * 8, Value(i, 8));
+    ASSERT_TRUE(r.status.ok());
+    done.push_back(r.done);
+    max_ack = std::max(max_ack, r.done);
   }
+  Histogram* qd = dev.metrics().GetHistogram("ssd.qd");
+  EXPECT_EQ(qd->max(), 8);  // All eight were in flight together.
   const SimTime cut = max_ack / 2;
   dev.PowerCut(cut);
+  dev.PowerOn();
 
+  // The cut emptied the in-flight window: the first command after PowerOn
+  // finds the queue empty although the clock restarted at zero.
+  qd->Reset();
+  ASSERT_TRUE(dev.Write(0, 100, Value(100, 1)).status.ok());
+  EXPECT_EQ(qd->max(), 1);
+
+  // A write acknowledged before the cut survives whole; one still in
+  // flight at the cut is gone whole.
   bool any_aborted = false;
-  for (CmdId id : ids) {
-    const BlockDevice::Completion c = dev.Await(id);
-    if (c.status.ok()) {
-      EXPECT_LE(c.done, cut);  // Completed before the lights went out.
+  for (int i = 0; i < 8; ++i) {
+    std::string got;
+    ASSERT_TRUE(dev.Read(0, static_cast<Lpn>(i) * 8, 8, &got).status.ok());
+    if (done[i] <= cut) {
+      EXPECT_EQ(got, Value(i, 8)) << "acknowledged write " << i << " lost";
     } else {
       any_aborted = true;
-      EXPECT_TRUE(c.status.IsDeviceOffline()) << c.status.ToString();
-      EXPECT_EQ(c.done, cut);  // Aborted at the cut instant.
+      EXPECT_EQ(got, std::string(8 * kSector, '\0'))
+          << "in-flight write " << i << " survived the cut";
     }
   }
   EXPECT_TRUE(any_aborted);
-}
-
-TEST(AsyncApi, SimFileAsyncWriteMatchesSyncWrite) {
-  SsdDevice da(SmallConfig(true));
-  SsdDevice db(SmallConfig(true));
-  SimFileSystem fa(&da, {});
-  SimFileSystem fb(&db, {});
-  SimFile* sync_file = fa.Open("f");
-  SimFile* async_file = fb.Open("f");
-
-  Random rng(99);
-  SimTime ta = 0, tb = 0;
-  for (int i = 0; i < 20; ++i) {
-    // Unaligned sizes exercise the read-modify-write edges too.
-    const uint64_t offset = rng.Uniform(64) * 1024;
-    const std::string data((rng.Next() % 3 + 1) * 5000, 'a' + i % 26);
-    const SimFile::IoResult r = sync_file->Write(ta, offset, data);
-    ASSERT_TRUE(r.status.ok());
-
-    const CmdId id = async_file->SubmitWrite(tb, offset, data);
-    const SimFile::Completion c = async_file->Await(id);
-    ASSERT_TRUE(c.status.ok());
-    ASSERT_EQ(r.done, c.done) << "op " << i;
-    ta = r.done;
-    tb = c.done;
-  }
-  EXPECT_EQ(sync_file->size(), async_file->size());
-  std::string sa, sb;
-  ASSERT_TRUE(sync_file->Read(ta, 0, sync_file->size(), &sa).status.ok());
-  ASSERT_TRUE(async_file->Read(tb, 0, async_file->size(), &sb).status.ok());
-  EXPECT_EQ(sa, sb);
 }
 
 // ---------------------------------------------------------------------------
@@ -211,16 +136,16 @@ TEST(AsyncApi, SimFileAsyncWriteMatchesSyncWrite) {
 // ---------------------------------------------------------------------------
 
 struct SubmittedCmd {
-  CmdId id;
   Lpn lpn;
   uint32_t nsec;
   uint64_t version;
 };
 
-/// Submits bursts of mixed-size writes to distinct LPN ranges without
-/// awaiting them (bursts overlap inside the device). Stops *starting*
-/// bursts at `stop_at` (0 = never), so a cut shortly after the last burst
-/// began lands with commands genuinely in flight.
+/// Issues bursts of mixed-size writes to distinct LPN ranges, each burst's
+/// writes at one instant (they overlap inside the device), the next burst
+/// when the previous one has completed. Stops *starting* bursts at
+/// `stop_at` (0 = never), so a cut shortly after the last burst began
+/// lands with commands genuinely in flight.
 std::vector<SubmittedCmd> RunBursts(SsdDevice* dev, uint64_t seed,
                                     SimTime stop_at, SimTime* end) {
   Random rng(seed);
@@ -233,10 +158,10 @@ std::vector<SubmittedCmd> RunBursts(SsdDevice* dev, uint64_t seed,
     for (int i = 0; i < 6; ++i) {
       const uint32_t nsec = (rng.Next() % 2 == 0) ? 8 : 1;
       const uint64_t version = cmds.size();
-      const CmdId id = dev->Submit(
-          t, BlockDevice::Command::MakeWrite(next_lpn, Value(version, nsec)));
-      cmds.push_back({id, next_lpn, nsec, version});
-      burst_done = std::max(burst_done, dev->Find(id)->done);
+      const BlockDevice::Result r =
+          dev->Write(t, next_lpn, Value(version, nsec));
+      cmds.push_back({next_lpn, nsec, version});
+      burst_done = std::max(burst_done, r.done);
       next_lpn += nsec;
     }
     t = burst_done;
@@ -367,7 +292,6 @@ Database::Options GroupCommitDbOptions() {
   dbo.pool_bytes = 2 * kMiB;
   dbo.double_write = false;
   dbo.checkpoint_log_bytes = 4 * kMiB;
-  dbo.checkpoint_queue_depth = 8;  // Exercise the async destage path.
   return dbo;
 }
 

@@ -120,13 +120,11 @@ TEST_F(WalTest, GenerationFiltersStaleFrames) {
 
 TEST_F(WalTest, TruncateTailPreventsStaleFrameResurrection) {
   IoContext io;
-  // Padding off: the scenario below needs byte-exact frame alignment, and
-  // the resurrection hazard it guards against is independent of sector
-  // sealing (the hole is torn *between* surviving frames of one sync).
-  Wal wal(fs_->Open("wal2.log"), Wal::Options{64 * kMiB, nullptr, 0});
+  // The resurrection hazard is independent of sector sealing: the hole is
+  // torn *between* surviving frames of one sync.
+  Wal wal(fs_->Open("wal2.log"), Wal::Options{});
   Wal* w = &wal;
-  // Durable prefix: one 40-byte frame ("a"/"1": 12-byte header + 28
-  // payload... sizes asserted below, the alignment is the whole point).
+  // Durable prefix: one frame, sealed into its own sector by SyncTo's pad.
   w->Append(Put(1, "a", "1"));
   ASSERT_TRUE(w->SyncTo(io, w->next_lsn()).ok());
 
@@ -150,10 +148,12 @@ TEST_F(WalTest, TruncateTailPreventsStaleFrameResurrection) {
   ASSERT_TRUE(w->TruncateTail(resume).ok());
 
   // New life appends a frame of EXACTLY the torn frame's size ("kk"/"zzzzz"
-  // matches "victim"/"x"), so without the truncation the read cursor would
-  // land precisely on the stranded intact frame and resurrect "stale".
+  // matches "victim"/"x") and writes it out without a sync, as the WAL rule
+  // does before a page write, so no pad frame seals the sector. Without the
+  // truncation the read cursor would land precisely on the stranded intact
+  // frame and resurrect "stale".
   const Lsn fresh = w->Append(Put(4, "kk", "zzzzz"));
-  ASSERT_TRUE(w->SyncTo(io, w->next_lsn()).ok());
+  ASSERT_TRUE(w->EnsureWritten(io, fresh).ok());
   ASSERT_EQ(w->next_lsn(), stale);  // The dangerous alignment holds.
 
   std::vector<WalRecord> again;

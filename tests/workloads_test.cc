@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "host/sim_file.h"
 #include "kv/kvstore.h"
@@ -122,6 +123,49 @@ TEST(FioSimTest, SmallerPagesGiveHigherReadIops) {
     const double iops = RunFio(dev.get(), job).iops;
     EXPECT_GT(iops, prev);  // Table 2's page-size effect.
     prev = iops;
+  }
+}
+
+TEST(FioSimTest, SubmissionWindowKeepsItsVirtualTime) {
+  // iodepth 1 is the closed loop; 4 and 16 keep a window of completion
+  // times over SimFile::Write. Each row pins the run's duration, the
+  // latency histogram's count, mean and max, and the deepest device queue
+  // ("ssd.qd"), so any change to the window's virtual time shows here.
+  // fsync_every waits for the whole window before each fsync (barriers
+  // on, so each one is a FLUSH).
+  struct Pin {
+    uint32_t iodepth;
+    uint32_t fsync_every;
+    SimTime duration;
+    uint64_t count;
+    double mean;
+    SimTime max;
+    int64_t qd_max;
+  };
+  const Pin pins[] = {
+      {1, 0, 135272480, 2000, 64826, 64826, 1},
+      {1, 8, 1351078500, 2000, 675489.25, 4950132, 1},
+      {4, 0, 42325132, 2000, 73354.304, 119826, 4},
+      {4, 8, 1267589500, 2000, 78576, 119826, 4},
+      {16, 0, 42325132, 2000, 292537.216, 339826, 16},
+      {16, 8, 1267589500, 2000, 121548.75, 184652, 8},
+  };
+  for (const Pin& p : pins) {
+    SCOPED_TRACE("iodepth " + std::to_string(p.iodepth) + " fsync_every " +
+                 std::to_string(p.fsync_every));
+    SsdConfig cfg = SsdConfig::DuraSsd();
+    cfg.store_data = false;
+    SsdDevice dev(cfg);
+    FioJob job;
+    job.ops = 2000;
+    job.iodepth = p.iodepth;
+    job.fsync_every = p.fsync_every;
+    const FioResult r = RunFio(&dev, job);
+    EXPECT_EQ(r.duration, p.duration);
+    EXPECT_EQ(r.latency.count(), p.count);
+    EXPECT_DOUBLE_EQ(r.latency.Mean(), p.mean);
+    EXPECT_EQ(r.latency.max(), p.max);
+    EXPECT_EQ(dev.metrics().GetHistogram("ssd.qd")->max(), p.qd_max);
   }
 }
 
