@@ -40,7 +40,7 @@ BENCHES="table1_fsync_iops table2_page_size fig5_linkbench fig6_buffer_sweep
          ablation_parallelism ablation_gc ablation_dump_area
          ablation_endurance ablation_flush_semantics ablation_queue_depth
          ablation_durability_mode ablation_destage_mode
-         ablation_host_parallelism ablation_tiered_cache"
+         ablation_tiered_cache"
 
 FAILED=""
 WALL_TABLE=""

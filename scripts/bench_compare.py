@@ -13,9 +13,8 @@ Usage:
 Guarded metrics: per-row throughput (higher is better), plus the
 GUARDED_VALUES scalars when a baseline row carries them — currently
 write_amplification (lower is better), cache_hit_ratio (higher is
-better), sim_ops_per_wall_second (higher is better; full runs only),
-tier_hit_ratio (higher is better), and rewarm_seconds (lower is
-better). Every micro_ops row (google-benchmark, wall clock) fails when
+better), tier_hit_ratio (higher is better), and rewarm_seconds (lower
+is better). Every micro_ops row (google-benchmark, wall clock) fails when
 its CPU time exceeds MICRO_OPS_FACTOR times the baseline's: a band wide
 enough for different hosts, narrow enough to catch a hot path that fell
 back to a slow implementation. Likewise the quick suite's total wall
@@ -61,9 +60,6 @@ def rows_by_name(bench_doc):
 GUARDED_VALUES = {
     "write_amplification": "lower_is_better",
     "cache_hit_ratio": "higher_is_better",
-    # Host parallelism: wall-clock simulation throughput (full runs only;
-    # quick runs omit it because small workloads time too noisily).
-    "sim_ops_per_wall_second": "higher_is_better",
     # Tiered cache: the hot-set hit ratio must not erode, and the warm
     # post-recovery rewarm pass must stay flash-fast (the cold arm's row
     # is guarded too — a slowdown there signals a destage regression).

@@ -174,24 +174,6 @@ def tiered_knee(res):
         f"10% vs raw HDD: {speedup:.2f}x (>= 2x)")
 
 
-def host_parallelism_identical(res):
-    """ablation_host_parallelism: every host-thread count gives the same
-    virtual makespan, throughput and final stack state."""
-    outcomes = set()
-    rs = rows(res, "ablation_host_parallelism")
-    for r in rs:
-        v = r["values"]
-        if "state_crc32c" not in v:
-            raise MissingRow(f"ablation_host_parallelism/{r['name']} has no "
-                             "state_crc32c")
-        outcomes.add((v["sim_makespan_ns"], r["throughput"]["value"],
-                      v["state_crc32c"]))
-    if len(rs) < 2:
-        raise MissingRow("ablation_host_parallelism needs >= 2 rows")
-    return len(outcomes) == 1, (f"{len(rs)} thread counts: {len(outcomes)} "
-                                "distinct (makespan, throughput, state) (1)")
-
-
 def destage_mode_nand(res):
     """ablation_destage_mode: at flush_every=1 log-structured destage
     programs >= 45% fewer NAND bytes than in-place, and its write
@@ -331,7 +313,6 @@ CLAIMS = [
     ("Endurance NAND reduction", endurance),
     ("Fig. 6b 4KB highest", fig6b_4k_highest),
     ("ablation_tiered_cache knee", tiered_knee),
-    ("ablation_host_parallelism identical", host_parallelism_identical),
     ("ablation_destage_mode NAND bytes", destage_mode_nand),
     ("ablation_dump_area recovery", dump_area_recovery),
     ("ablation_gc read tail", gc_read_tail),

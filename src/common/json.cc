@@ -1,15 +1,9 @@
 #include "common/json.h"
 
-#include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace durassd {
-
-// --------------------------- JsonWriter ------------------------------------
 
 void JsonWriter::MaybeComma() {
   if (pending_key_) {
@@ -89,11 +83,6 @@ void JsonWriter::Bool(bool value) {
   out_.append(value ? "true" : "false");
 }
 
-void JsonWriter::Null() {
-  MaybeComma();
-  out_.append("null");
-}
-
 void JsonWriter::Raw(Slice json) {
   MaybeComma();
   out_.append(json.data(), json.size());
@@ -120,198 +109,6 @@ void JsonWriter::Escape(Slice value, std::string* out) {
         }
     }
   }
-}
-
-// --------------------------- JsonValue -------------------------------------
-
-namespace {
-
-constexpr int kMaxDepth = 64;
-
-void SkipWs(const char** p, const char* end) {
-  while (*p < end && (**p == ' ' || **p == '\t' || **p == '\n' ||
-                      **p == '\r')) {
-    ++*p;
-  }
-}
-
-bool ParseString(const char** p, const char* end, std::string* out) {
-  if (*p >= end || **p != '"') return false;
-  ++*p;
-  out->clear();
-  while (*p < end) {
-    const char c = **p;
-    ++*p;
-    if (c == '"') return true;
-    if (c == '\\') {
-      if (*p >= end) return false;
-      const char e = **p;
-      ++*p;
-      switch (e) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          if (end - *p < 4) return false;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = (*p)[i];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= h - '0';
-            else if (h >= 'a' && h <= 'f') code |= h - 'a' + 10;
-            else if (h >= 'A' && h <= 'F') code |= h - 'A' + 10;
-            else return false;
-          }
-          *p += 4;
-          // UTF-8 encode (surrogate pairs not needed for our own output).
-          if (code < 0x80) {
-            out->push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default:
-          return false;
-      }
-    } else {
-      out->push_back(c);
-    }
-  }
-  return false;  // Unterminated.
-}
-
-}  // namespace
-
-bool JsonValue::ParseValue(const char** p, const char* end, JsonValue* out,
-                           int depth) {
-  if (depth > kMaxDepth) return false;
-  SkipWs(p, end);
-  if (*p >= end) return false;
-  const char c = **p;
-  if (c == '{') {
-    ++*p;
-    out->type_ = Type::kObject;
-    SkipWs(p, end);
-    if (*p < end && **p == '}') {
-      ++*p;
-      return true;
-    }
-    while (true) {
-      SkipWs(p, end);
-      std::string key;
-      if (!ParseString(p, end, &key)) return false;
-      SkipWs(p, end);
-      if (*p >= end || **p != ':') return false;
-      ++*p;
-      JsonValue child;
-      if (!ParseValue(p, end, &child, depth + 1)) return false;
-      out->object_.emplace(std::move(key), std::move(child));
-      SkipWs(p, end);
-      if (*p >= end) return false;
-      if (**p == ',') {
-        ++*p;
-        continue;
-      }
-      if (**p == '}') {
-        ++*p;
-        return true;
-      }
-      return false;
-    }
-  }
-  if (c == '[') {
-    ++*p;
-    out->type_ = Type::kArray;
-    SkipWs(p, end);
-    if (*p < end && **p == ']') {
-      ++*p;
-      return true;
-    }
-    while (true) {
-      JsonValue child;
-      if (!ParseValue(p, end, &child, depth + 1)) return false;
-      out->array_.push_back(std::move(child));
-      SkipWs(p, end);
-      if (*p >= end) return false;
-      if (**p == ',') {
-        ++*p;
-        continue;
-      }
-      if (**p == ']') {
-        ++*p;
-        return true;
-      }
-      return false;
-    }
-  }
-  if (c == '"') {
-    out->type_ = Type::kString;
-    return ParseString(p, end, &out->string_);
-  }
-  if (strncmp(*p, "true", std::min<size_t>(4, end - *p)) == 0) {
-    out->type_ = Type::kBool;
-    out->bool_ = true;
-    *p += 4;
-    return true;
-  }
-  if (strncmp(*p, "false", std::min<size_t>(5, end - *p)) == 0) {
-    out->type_ = Type::kBool;
-    out->bool_ = false;
-    *p += 5;
-    return true;
-  }
-  if (strncmp(*p, "null", std::min<size_t>(4, end - *p)) == 0) {
-    out->type_ = Type::kNull;
-    *p += 4;
-    return true;
-  }
-  // Number. strtod needs a NUL-terminated buffer; numbers are short.
-  char buf[64];
-  size_t n = 0;
-  while (*p + n < end && n < sizeof(buf) - 1) {
-    const char d = (*p)[n];
-    if ((d >= '0' && d <= '9') || d == '-' || d == '+' || d == '.' ||
-        d == 'e' || d == 'E') {
-      buf[n] = d;
-      ++n;
-    } else {
-      break;
-    }
-  }
-  if (n == 0) return false;
-  buf[n] = '\0';
-  char* num_end = nullptr;
-  out->number_ = strtod(buf, &num_end);
-  if (num_end != buf + n) return false;
-  out->type_ = Type::kNumber;
-  *p += n;
-  return true;
-}
-
-bool JsonValue::Parse(Slice text, JsonValue* out) {
-  *out = JsonValue();
-  const char* p = text.data();
-  const char* end = text.data() + text.size();
-  if (!ParseValue(&p, end, out, 0)) return false;
-  SkipWs(&p, end);
-  return p == end;
-}
-
-const JsonValue* JsonValue::Find(const std::string& key) const {
-  if (type_ != Type::kObject) return nullptr;
-  auto it = object_.find(key);
-  return it == object_.end() ? nullptr : &it->second;
 }
 
 }  // namespace durassd

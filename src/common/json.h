@@ -2,9 +2,8 @@
 #define DURASSD_COMMON_JSON_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/slice.h"
@@ -36,7 +35,6 @@ class JsonWriter {
   void Uint(uint64_t value);
   void Double(double value);
   void Bool(bool value);
-  void Null();
   /// Splices a pre-serialized JSON value (object/array/literal) verbatim.
   void Raw(Slice json);
 
@@ -52,44 +50,6 @@ class JsonWriter {
   /// One entry per open container: true once the first element was written.
   std::vector<bool> has_element_;
   bool pending_key_ = false;
-};
-
-/// Tiny recursive-descent JSON parser for tests and tooling (schema
-/// validation of the bench output). Numbers are held as doubles; this is a
-/// diagnostic reader, not a general-purpose library.
-class JsonValue {
- public:
-  enum class Type { kNull, kBool, kNumber, kString, kObject, kArray };
-
-  /// Parses `text` as one JSON document (trailing whitespace allowed).
-  /// Returns false on malformed input.
-  static bool Parse(Slice text, JsonValue* out);
-
-  Type type() const { return type_; }
-  bool is_object() const { return type_ == Type::kObject; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
-
-  bool AsBool() const { return bool_; }
-  double AsDouble() const { return number_; }
-  const std::string& AsString() const { return string_; }
-  const std::vector<JsonValue>& AsArray() const { return array_; }
-  const std::map<std::string, JsonValue>& AsObject() const { return object_; }
-
-  /// Object member lookup; nullptr when absent or not an object.
-  const JsonValue* Find(const std::string& key) const;
-
- private:
-  static bool ParseValue(const char** p, const char* end, JsonValue* out,
-                         int depth);
-
-  Type type_ = Type::kNull;
-  bool bool_ = false;
-  double number_ = 0;
-  std::string string_;
-  std::vector<JsonValue> array_;
-  std::map<std::string, JsonValue> object_;
 };
 
 }  // namespace durassd

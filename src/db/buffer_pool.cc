@@ -187,12 +187,6 @@ void BufferPool::MarkDirty(PageId id, Lsn lsn, TxnId txn) {
   if (lsn != kInvalidLsn) frame.page.set_lsn(lsn);
 }
 
-void BufferPool::ReleaseTxn(TxnId txn) {
-  for (auto& frame : lru_) {
-    if (frame.owner_txn == txn) frame.owner_txn = 0;
-  }
-}
-
 void BufferPool::ClearOwner(PageId id, TxnId txn) {
   auto it = map_.find(id);
   if (it != map_.end() && it->second->owner_txn == txn) {
@@ -210,11 +204,6 @@ Status BufferPool::FlushAll(IoContext& io) {
     DURASSD_RETURN_IF_ERROR(dwb_->FlushBatch(io));
   }
   return Status::OK();
-}
-
-void BufferPool::DropAllForCrash() {
-  lru_.clear();
-  map_.clear();
 }
 
 }  // namespace durassd

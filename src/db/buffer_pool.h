@@ -82,6 +82,7 @@ class BufferPool {
 
   uint32_t page_size() const { return opts_.page_size; }
   uint64_t capacity_frames() const { return capacity_; }
+  bool resident(PageId id) const { return map_.count(id) != 0; }
 
   /// Fixes a page into the pool and pins it. With `create` the page is not
   /// read from storage (fresh page; caller formats it). Reading a page that
@@ -89,18 +90,12 @@ class BufferPool {
   StatusOr<PageRef> Fix(IoContext& io, PageId id, bool create);
 
   /// Marks a fixed page dirty under `txn`; frames dirtied by an active
-  /// transaction are not evictable until ReleaseTxn (no-steal policy).
+  /// transaction are not evictable until ClearOwner (no-steal policy).
   void MarkDirty(PageId id, Lsn lsn, TxnId txn);
-  /// O(pool) fallback; prefer ClearOwner per dirtied page.
-  void ReleaseTxn(TxnId txn);
   void ClearOwner(PageId id, TxnId txn);
 
   /// Writes out every dirty frame (checkpoint). Frames stay resident.
   Status FlushAll(IoContext& io);
-
-  /// Drops all frames without writing (used to simulate the host losing
-  /// RAM in a crash; the files keep whatever was flushed).
-  void DropAllForCrash();
 
   Stats stats() const { return stats_; }
 

@@ -141,6 +141,12 @@ void Database::ChargeCpu(IoContext& io) {
 
 StatusOr<PageId> Database::AllocatePage(IoContext& io) {
   (void)io;
+  // Ids only grow, so a resident page here means a damaged meta record
+  // under-counted the pages: formatting it would wipe a live page.
+  if (pool_->resident(next_page_)) {
+    return Status::Corruption("page " + std::to_string(next_page_) +
+                              " allocated while in use");
+  }
   return next_page_++;
 }
 
@@ -490,6 +496,10 @@ Status Database::ParseMeta(Slice blob, Lsn* ckpt_lsn, uint32_t* gen) {
       !GetFixed64(&blob, &next_page) || !GetFixed32(&blob, &next_tree) ||
       !GetFixed32(&blob, &n)) {
     return Status::Corruption("meta blob truncated");
+  }
+  // Every page below next_page must fit on the data device.
+  if (next_page > data_fs_->device()->capacity_bytes() / opts_.page_size) {
+    return Status::Corruption("meta next_page past the data device");
   }
   next_page_ = next_page;
   next_tree_id_ = next_tree;

@@ -26,23 +26,6 @@ bool SimFileSystem::Exists(const std::string& name) const {
   return files_.count(name) != 0;
 }
 
-Status SimFileSystem::Remove(const std::string& name) {
-  // Sectors are leaked (no free-space management); fine for simulation runs.
-  if (files_.erase(name) == 0) return Status::NotFound(name);
-  return Status::OK();
-}
-
-Status SimFileSystem::Rename(const std::string& from, const std::string& to) {
-  auto it = files_.find(from);
-  if (it == files_.end()) return Status::NotFound(from);
-  if (files_.count(to) != 0) return Status::InvalidArgument(to + " exists");
-  auto node = files_.extract(it);
-  node.key() = to;
-  node.mapped()->name_ = to;
-  files_.insert(std::move(node));
-  return Status::OK();
-}
-
 StatusOr<Lpn> SimFileSystem::AllocateChunk() {
   const Lpn start = next_lpn_;
   if (start + opts_.chunk_sectors > device_->num_sectors()) {

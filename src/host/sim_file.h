@@ -103,10 +103,6 @@ class SimFileSystem {
   /// Opens (creating if absent) a file.
   SimFile* Open(const std::string& name);
   bool Exists(const std::string& name) const;
-  Status Remove(const std::string& name);
-  /// Atomic rename (metadata-only, like rename(2) on a journaling FS).
-  /// Fails if `to` exists.
-  Status Rename(const std::string& from, const std::string& to);
 
   BlockDevice* device() { return device_; }
   const Options& options() const { return opts_; }

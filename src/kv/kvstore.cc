@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstring>
 #include <iterator>
-#include <unordered_set>
 
 #include "common/coding.h"
 #include "common/crc32c.h"
@@ -563,7 +562,7 @@ Status KvStore::Commit(IoContext& io) {
 }
 
 // ---------------------------------------------------------------------------
-// Recovery & compaction
+// Recovery
 // ---------------------------------------------------------------------------
 
 Status KvStore::Recover(IoContext& io) {
@@ -627,89 +626,6 @@ Status KvStore::Recover(IoContext& io) {
   append_offset_ = 0;
   tail_base_ = 0;
   NoteCommitted();
-  return Status::OK();
-}
-
-Status KvStore::Compact(IoContext& io) {
-  if (read_only_) return ReadOnlyError();
-  Status s = CompactImpl(io);
-  if (s.IsResourceExhausted()) {
-    // The original file still exists (the swap never happened): reopen it
-    // and fall back to the last committed state, read-only.
-    file_ = fs_->Open(name_);
-    node_cache_.clear();
-    EnterReadOnly(io, s);
-    return ReadOnlyError();
-  }
-  return s;
-}
-
-Status KvStore::CompactImpl(IoContext& io) {
-  stats_.compactions++;
-  // Walk the tree collecting live documents in key order.
-  std::vector<std::pair<std::string, std::string>> docs;
-  if (root_.len != 0) {
-    // Every node of one tree version has exactly one parent, so a node
-    // reached twice means a crafted or corrupted reference.
-    std::unordered_set<uint64_t> visited;
-    std::vector<NodeRef> stack{root_};
-    while (!stack.empty()) {
-      const NodeRef ref = stack.back();
-      stack.pop_back();
-      if (!visited.insert(ref.off).second) {
-        return Status::Corruption("node reached twice");
-      }
-      const Node* node = nullptr;
-      DURASSD_RETURN_IF_ERROR(LoadNode(io, ref, &node));
-      if (node->leaf) {
-        for (size_t i = 0; i < node->count(); ++i) {
-          std::string key, value;
-          DURASSD_RETURN_IF_ERROR(LoadDoc(io, node->ref(i), &key, &value));
-          docs.emplace_back(std::move(key), std::move(value));
-        }
-      } else {
-        for (size_t i = node->count(); i-- > 0;) {
-          stack.push_back(node->ref(i));
-        }
-      }
-    }
-  }
-  std::sort(docs.begin(), docs.end());
-
-  // Rebuild into a fresh file. A leftover temp from an interrupted earlier
-  // compaction is expected (NotFound is fine); any other removal failure
-  // must abort the compaction rather than corrupt the swap below.
-  const std::string tmp_name = name_ + ".compact";
-  const Status rm = fs_->Remove(tmp_name);
-  if (!rm.ok() && !rm.IsNotFound()) return rm;
-  SimFile* fresh = fs_->Open(tmp_name);
-  file_ = fresh;
-  node_cache_.clear();
-  root_ = NodeRef{};
-  append_offset_ = 0;
-  tail_base_ = 0;
-  tail_.clear();
-  live_bytes_ = 0;
-  doc_count_ = 0;
-  const uint64_t seq_keep = seq_;
-  for (const auto& [k, v] : docs) {
-    uint32_t len = 0;
-    const uint64_t off = AppendDoc(k, v, &len);
-    bool found = false;
-    StatusOr<NodeRef> nr =
-        CowUpdate(io, root_, k, /*is_delete=*/false, off, len, &found);
-    if (!nr.ok()) return nr.status();
-    root_ = *nr;
-    doc_count_++;
-  }
-  seq_ = seq_keep;
-  DURASSD_RETURN_IF_ERROR(WriteHeader(io));
-
-  // Swap the compacted file in under the original name (CouchStore does an
-  // atomic rename).
-  DURASSD_RETURN_IF_ERROR(fs_->Remove(name_));
-  DURASSD_RETURN_IF_ERROR(fs_->Rename(tmp_name, name_));
-  file_ = fs_->Open(name_);
   return Status::OK();
 }
 

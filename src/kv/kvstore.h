@@ -48,7 +48,6 @@ class KvStore {
     uint64_t commits = 0;
     uint64_t node_appends = 0;
     uint64_t doc_appends = 0;
-    uint64_t compactions = 0;
     uint64_t recovered_seq = 0;
     uint64_t lost_updates_on_recovery = 0;
     uint64_t degraded_aborts = 0;  ///< In-flight batches dropped on device
@@ -76,9 +75,6 @@ class KvStore {
   /// whether fsync reaches the media depends on the file system's
   /// write-barrier setting, as everywhere else).
   Status Commit(IoContext& io);
-
-  /// Copies live documents into a fresh file and swaps it in.
-  Status Compact(IoContext& io);
 
   /// True once the store switched to read-only because the device entered
   /// degraded mode. The in-flight (uncommitted) batch was rolled back to
@@ -176,7 +172,6 @@ class KvStore {
 
   Status WriteHeader(IoContext& io);
   Status MaybeCommit(IoContext& io);
-  Status CompactImpl(IoContext& io);
   /// Remembers the current (durable) state as the rollback target for
   /// degraded-mode aborts.
   void NoteCommitted();

@@ -23,9 +23,8 @@ namespace durassd {
 /// order). Given the same (num_clients, total_ops, start_time, fn), every
 /// run produces the identical operation schedule.
 ///
-/// The loop runs on the calling thread. Independent stacks, each driven by
-/// its own loop, can run on several host threads through RunParallel
-/// (sim/run_parallel.h); see DESIGN.md §12.
+/// The loop runs on the calling thread, and so does everything it drives:
+/// no stack uses host threads (DESIGN.md §12).
 class SerialExecutor {
  public:
   /// Runs one operation for `client` starting at local time `now`; returns

@@ -614,13 +614,6 @@ void Ftl::PersistMapping() {
   delta_by_block_.clear();
 }
 
-std::vector<Lpn> Ftl::DirtyMappingLpns() const {
-  std::vector<Lpn> out;
-  out.reserve(delta_.size());
-  for (const auto& [lpn, rec] : delta_) out.push_back(lpn);
-  return out;
-}
-
 void Ftl::PowerCutRollback(SimTime t, PowerCutExposure exposure) {
   for (auto& [lpn, rec] : delta_) {
     const SimTime kept_from = exposure == PowerCutExposure::kIssued
@@ -648,11 +641,6 @@ void Ftl::PowerCutRollback(SimTime t, PowerCutExposure exposure) {
   }
   delta_.clear();
   delta_by_block_.clear();
-}
-
-Ppn Ftl::DumpAreaPpn(uint32_t index) const {
-  assert(index < dump_ppns_.size());
-  return dump_ppns_[index];
 }
 
 Status Ftl::ProgramDumpPage(uint32_t index, Slice data) {

@@ -177,8 +177,6 @@ class Ftl {
   /// Power cut at `t`: entries in the delta roll back to their persisted
   /// value except those `exposure` keeps.
   void PowerCutRollback(SimTime t, PowerCutExposure exposure);
-  /// LPNs with unpersisted mapping entries (dump sizing on DuraSSD).
-  std::vector<Lpn> DirtyMappingLpns() const;
 
   // --- Dump area (Sec. 3.4.1): reserved clean blocks, one dump page per
   // cached sector, always erased during normal operation. A dump block
@@ -187,7 +185,6 @@ class Ftl {
   uint32_t dump_area_pages() const {
     return static_cast<uint32_t>(dump_ppns_.size());
   }
-  Ppn DumpAreaPpn(uint32_t index) const;
   /// Programs `data` into the index-th dump page, bypassing the mapping.
   /// Used on capacitor power, so the caller ignores timing.
   Status ProgramDumpPage(uint32_t index, Slice data);

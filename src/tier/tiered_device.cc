@@ -856,18 +856,6 @@ Status TieredDevice::Shutdown(SimTime now) {
 // Factory
 // ---------------------------------------------------------------------------
 
-TieredConfig TieredDefaults(DeviceModel flash_model, bool store_data) {
-  TieredConfig tc;
-  tc.flash = SsdConfigForModel(flash_model == DeviceModel::kHdd
-                                   ? DeviceModel::kDuraSsd
-                                   : flash_model,
-                               /*cache_on=*/true, store_data);
-  tc.flash.durable_cache = true;
-  tc.flash.ordered_queue = true;
-  tc.capacity_hdd = HddConfigForModel(/*cache_on=*/true, store_data);
-  return tc;
-}
-
 std::unique_ptr<TieredDevice> MakeTieredDevice(TieredConfig cfg) {
   return std::make_unique<TieredDevice>(std::move(cfg));
 }

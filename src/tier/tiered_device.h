@@ -10,7 +10,6 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "host/block_device.h"
-#include "ssd/device_factory.h"
 #include "ssd/hdd_device.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
@@ -314,10 +313,7 @@ class TieredDevice : public BlockDevice {
   Stats stats_;
 };
 
-/// Factory seam for benches, tests, and the crash harness: flash tier from
-/// the Table-1 preset line-up (device_factory's SsdConfigForModel), HDD
-/// capacity tier from the factory's HDD preset.
-TieredConfig TieredDefaults(DeviceModel flash_model, bool store_data);
+/// Factory seam for benches, tests, and the crash harness.
 std::unique_ptr<TieredDevice> MakeTieredDevice(TieredConfig cfg);
 
 }  // namespace durassd

@@ -55,18 +55,6 @@ const char* LinkOpName(LinkOp op) {
   }
 }
 
-bool LinkOpIsWrite(LinkOp op) {
-  switch (op) {
-    case LinkOp::kGetNode:
-    case LinkOp::kCountLink:
-    case LinkOp::kGetLinkList:
-    case LinkOp::kMultigetLink:
-      return false;
-    default:
-      return true;
-  }
-}
-
 LinkBench::LinkBench(Database* db, Config config)
     : db_(db),
       cfg_(config),

@@ -29,7 +29,6 @@ enum class LinkOp {
 };
 
 const char* LinkOpName(LinkOp op);
-bool LinkOpIsWrite(LinkOp op);
 
 /// LinkBench-compatible social-graph workload over minibase (Sec. 4.3.1):
 /// a node table and a link table, Facebook's default operation mix (~70%

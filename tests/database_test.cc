@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/coding.h"
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "db/database.h"
+#include "db/page.h"
 #include "host/sim_file.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
@@ -60,6 +65,7 @@ class DbHarness {
 
   Database* db() { return db_.get(); }
   IoContext& io() { return io_; }
+  SimFileSystem* fs() { return fs_.get(); }
 
   // Convenience single-op transactions.
   Status PutTxn(uint32_t tree, const std::string& k, const std::string& v) {
@@ -369,6 +375,112 @@ TEST(CrashSemanticsTest, DuraSsdNoBarrierKeepsCommittedData) {
     std::string v;
     EXPECT_TRUE(h.db()->Get(h.io(), *tid, "k" + std::to_string(i), &v).ok())
         << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Decoding untrusted bytes
+// ---------------------------------------------------------------------------
+
+/// 300 one-put transactions of 100-byte values with a checkpoint after the
+/// 151st, then a crash: recovery reads the meta record and replays the
+/// frames the log took after the checkpoint, whose leaf splits allocate
+/// pages.
+void BuildCheckpointedDb(DbHarness* h) {
+  ASSERT_TRUE(h->OpenDb().ok());
+  auto tree = h->db()->CreateTree(h->io(), "t");
+  ASSERT_TRUE(tree.ok());
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(
+        h->PutTxn(*tree, "k" + std::to_string(i), std::string(100, 'v')).ok());
+    if (i == 150) {
+      ASSERT_TRUE(h->db()->Checkpoint(h->io()).ok());
+    }
+  }
+  h->Crash();
+}
+
+/// Flips one to three distinct bits of `bytes[0, len)`.
+void FlipBits(Random* rng, char* bytes, size_t len) {
+  const uint64_t flips = 1 + rng->Uniform(3);
+  std::vector<uint64_t> bits;
+  while (bits.size() < flips) {
+    const uint64_t b = rng->Uniform(len * 8);
+    if (std::find(bits.begin(), bits.end(), b) == bits.end()) {
+      bits.push_back(b);
+    }
+  }
+  for (const uint64_t b : bits) {
+    bytes[b / 8] = static_cast<char>(bytes[b / 8] ^ (1 << (b % 8)));
+  }
+}
+
+/// Damages the meta record (the blob behind the meta cell's length) and
+/// reseals the page checksum.
+void MutateMetaRecord(DbHarness* h, Random* rng) {
+  SimFile* data = h->fs()->Open("data.db");
+  std::string raw;
+  ASSERT_TRUE(data->Read(h->io().now, 0, 4096, &raw).status.ok());
+  Page meta(4096);
+  meta.CopyFrom(raw);
+  ASSERT_EQ(meta.type(), PageType::kMeta);
+  const Slice cell = meta.CellAt(0);
+  FlipBits(rng, meta.data() + (cell.data() - meta.data()) + 2,
+           cell.size() - 2);
+  meta.SealChecksum();
+  ASSERT_TRUE(data->Write(h->io().now, 0, meta.AsSlice()).status.ok());
+}
+
+/// Damages the payload of one frame of the generation the checkpoint
+/// started at LSN 0, and reseals the frame's CRC.
+void MutateWalFrame(DbHarness* h, Random* rng) {
+  SimFile* wal = h->fs()->Open("wal.log");
+  std::string log;
+  ASSERT_TRUE(wal->Read(h->io().now, 0, wal->size(), &log).status.ok());
+  // Frame: [len u32][gen u32][crc u32][payload].
+  ASSERT_GE(log.size(), 12u);
+  const uint32_t gen = DecodeFixed32(log.data() + 4);
+  std::vector<size_t> frames;
+  for (size_t pos = 0; pos + 12 <= log.size();) {
+    const uint32_t len = DecodeFixed32(log.data() + pos);
+    if (len == 0 || DecodeFixed32(log.data() + pos + 4) != gen ||
+        pos + 12 + len > log.size()) {
+      break;
+    }
+    frames.push_back(pos);
+    pos += 12 + len;
+  }
+  ASSERT_FALSE(frames.empty());
+  const size_t f = frames[rng->Uniform(frames.size())];
+  const uint32_t len = DecodeFixed32(log.data() + f);
+  FlipBits(rng, log.data() + f + 12, len);
+  EncodeFixed32(log.data() + f + 8, Crc32c(log.data() + f + 12, len));
+  ASSERT_TRUE(wal->Write(h->io().now, 0, log).status.ok());
+}
+
+TEST(DatabaseTest, MutatedMetaRecordOrWalFrameOpensOrReadsAsCorruption) {
+  // Seeded damage under a valid checksum: one to three flipped bits in the
+  // meta record or in one post-checkpoint WAL frame's payload. Recovery
+  // must open the database or return Corruption. Anything else means a
+  // decoder trusted its input, such as replay allocating a page past the
+  // end of the device (OutOfSpace) or a split formatting a page still in
+  // use, even the one it splits (a crash).
+  for (const bool wal : {false, true}) {
+    for (uint64_t seed = 1; seed <= 300; ++seed) {
+      SCOPED_TRACE(std::string(wal ? "wal frame" : "meta record") +
+                   " seed " + std::to_string(seed));
+      Random rng(seed);
+      DbHarness h({/*durable_cache=*/true, /*write_barriers=*/false,
+                   /*double_write=*/true, 4096});
+      ASSERT_NO_FATAL_FAILURE(BuildCheckpointedDb(&h));
+      if (wal) {
+        ASSERT_NO_FATAL_FAILURE(MutateWalFrame(&h, &rng));
+      } else {
+        ASSERT_NO_FATAL_FAILURE(MutateMetaRecord(&h, &rng));
+      }
+      const Status s = h.OpenDb();
+      EXPECT_TRUE(s.ok() || s.IsCorruption()) << s.ToString();
+    }
   }
 }
 

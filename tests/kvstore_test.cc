@@ -224,43 +224,6 @@ TEST(KvStoreTest, DuraSsdNoBarrierKeepsCommittedBatches) {
   EXPECT_EQ(h.store()->doc_count(), 30u);
 }
 
-TEST(KvStoreTest, CompactionShrinksFileAndPreservesData) {
-  KvHarness h(true, true, 50);
-  ASSERT_TRUE(h.OpenStore().ok());
-  const std::string value(512, 'c');
-  // Overwrite a small key set many times: mostly garbage.
-  for (int round = 0; round < 20; ++round) {
-    for (int i = 0; i < 50; ++i) {
-      ASSERT_TRUE(h.store()
-                      ->Put(h.io(), "k" + std::to_string(i),
-                            value + std::to_string(round))
-                      .ok());
-    }
-  }
-  ASSERT_TRUE(h.store()->Commit(h.io()).ok());
-  const uint64_t before = h.store()->file_bytes();
-  ASSERT_TRUE(h.store()->Compact(h.io()).ok());
-  EXPECT_LT(h.store()->file_bytes(), before / 4);
-  for (int i = 0; i < 50; ++i) {
-    std::string v;
-    ASSERT_TRUE(h.store()->Get(h.io(), "k" + std::to_string(i), &v).ok());
-    EXPECT_EQ(v, value + "19");
-  }
-  EXPECT_EQ(h.store()->stats().compactions, 1u);
-}
-
-TEST(KvStoreTest, CrashAfterCompactionRecovers) {
-  KvHarness h(true, true, 10);
-  ASSERT_TRUE(h.OpenStore().ok());
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(h.store()->Put(h.io(), "k" + std::to_string(i), "v").ok());
-  }
-  ASSERT_TRUE(h.store()->Compact(h.io()).ok());
-  h.Crash();
-  ASSERT_TRUE(h.OpenStore().ok());
-  EXPECT_EQ(h.store()->doc_count(), 100u);
-}
-
 TEST(KvStoreTest, EachUpdateRewritesRootToLeafPath) {
   // Sec. 4.3.3: an update appends the doc plus every node on the path.
   KvHarness h(true, true, 1000000);  // Never auto-commit.
@@ -279,10 +242,10 @@ TEST(KvStoreTest, EachUpdateRewritesRootToLeafPath) {
 
 TEST(KvStoreTest, SeededMixKeepsPinnedFileBytes) {
   // Small nodes give a three-level tree with leaf and internal splits and
-  // new roots. The mix empties whole leaves, appends far more than the
-  // node cache's 4096 entries (so it evicts), and compacts once. The file
-  // bytes, node appends and final virtual time were recorded when every
-  // cache hit copied its node; handing out cached nodes must match them.
+  // new roots. The mix empties whole leaves and appends far more than the
+  // node cache's 4096 entries (so it evicts). The file bytes, node appends
+  // and final virtual time are pinned: a change to the append path or the
+  // node cache that moves one byte or one virtual nanosecond fails here.
   KvHarness h(true, true, 20);
   ASSERT_TRUE(h.OpenStore(/*node_size=*/512).ok());
   Random rng(777);
@@ -298,9 +261,6 @@ TEST(KvStoreTest, SeededMixKeepsPinnedFileBytes) {
         ASSERT_EQ(s.ok(), model.erase(k) > 0) << k << " " << s.ToString();
       }
     }
-    if (op == 4000) {
-      ASSERT_TRUE(h.store()->Compact(h.io()).ok());
-    }
     if (rng.Bernoulli(0.8)) {
       const std::string value(40 + rng.Uniform(200),
                               static_cast<char>('a' + op % 26));
@@ -312,15 +272,14 @@ TEST(KvStoreTest, SeededMixKeepsPinnedFileBytes) {
     }
   }
   ASSERT_TRUE(h.store()->Commit(h.io()).ok());
-  EXPECT_EQ(h.store()->stats().compactions, 1u);
   EXPECT_EQ(h.store()->doc_count(), model.size());
   for (const auto& [k, v] : model) {
     std::string got;
     ASSERT_TRUE(h.store()->Get(h.io(), k, &got).ok()) << k;
     ASSERT_EQ(got, v) << k;
   }
-  EXPECT_EQ(h.store()->stats().node_appends, 19527u);
-  EXPECT_EQ(h.io().now, 1577876414);
+  EXPECT_EQ(h.store()->stats().node_appends, 16517u);
+  EXPECT_EQ(h.io().now, 1522408196);
 
   SimFile* file = h.fs()->Open("bucket.couch");
   std::string bytes;
@@ -330,7 +289,7 @@ TEST(KvStoreTest, SeededMixKeepsPinnedFileBytes) {
   for (const char c : bytes) {
     hash = (hash ^ static_cast<uint8_t>(c)) * 0x100000001B3ull;
   }
-  EXPECT_EQ(hash, 13766376989402604387ull);
+  EXPECT_EQ(hash, 7107476421147866260ull);
 }
 
 // --- Decoding untrusted bytes ----------------------------------------------
@@ -396,25 +355,18 @@ void BuildTwoHeaderStore(KvHarness* h, TwoHeaderStore* st) {
 }
 
 // Reopens the store and checks it recovered exactly the first header's
-// state, before and after a Compact.
+// state.
 void ExpectFirstHeaderState(KvHarness* h, const TwoHeaderStore& st) {
   ASSERT_TRUE(h->OpenStore().ok());
   EXPECT_EQ(h->store()->committed_seq(), st.first_seq);
   EXPECT_EQ(h->store()->doc_count(), st.first.size());
-  for (int pass = 0; pass < 2; ++pass) {
-    SCOPED_TRACE(pass == 0 ? "after Open" : "after Compact");
-    std::string got;
-    for (const auto& [k, v] : st.first) {
-      ASSERT_TRUE(h->store()->Get(h->io(), k, &got).ok()) << k;
-      EXPECT_EQ(got, v) << k;
-    }
-    for (const std::string& k : st.later_keys) {
-      EXPECT_TRUE(h->store()->Get(h->io(), k, &got).IsNotFound()) << k;
-    }
-    if (pass == 0) {
-      const Status c = h->store()->Compact(h->io());
-      ASSERT_TRUE(c.ok()) << c.ToString();
-    }
+  std::string got;
+  for (const auto& [k, v] : st.first) {
+    ASSERT_TRUE(h->store()->Get(h->io(), k, &got).ok()) << k;
+    EXPECT_EQ(got, v) << k;
+  }
+  for (const std::string& k : st.later_keys) {
+    EXPECT_TRUE(h->store()->Get(h->io(), k, &got).IsNotFound()) << k;
   }
 }
 
@@ -426,8 +378,7 @@ void ResealHeader(std::string* bytes, size_t off) {
 TEST(KvStoreTest, ImplausibleDocCountIsSkipped) {
   // The newest header is CRC-valid but claims 2^60 documents, more than
   // the file before it can hold. Recovery must skip it, as it skips a
-  // header whose root lies past its end, and land on the previous header;
-  // Compact must not size anything from the count.
+  // header whose root lies past its end, and land on the previous header.
   KvHarness h(true, true, 100000);
   TwoHeaderStore st;
   ASSERT_NO_FATAL_FAILURE(BuildTwoHeaderStore(&h, &st));
@@ -443,8 +394,8 @@ TEST(KvStoreTest, MutatedNewestHeaderFallsBackToThePreviousOne) {
   // Seeded damage to the newest header block of a real two-commit store:
   // one to three flipped bits in the CRC-covered bytes, a file truncated
   // inside the block, or a resealed document count the file cannot hold.
-  // Open and Compact must not crash, the damaged header must never be
-  // accepted, and recovery must land on the previous header.
+  // Open must not crash, the damaged header must never be accepted, and
+  // recovery must land on the previous header.
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Random rng(seed);
@@ -644,9 +595,9 @@ void RepointRootChild(KvHarness* h, std::string* bytes, uint64_t root_off,
 
 TEST(KvStoreTest, ChildCycleReadsAsCorruption) {
   // The root's first child reference points back at the root itself, under
-  // a valid CRC. Get stops at the depth bound; a Put whose key sorts below
-  // every separator descends leftmost into the same cycle, and Compact's
-  // walk meets the root again. All three must return Corruption.
+  // a valid CRC. Get stops at the depth bound, and a Put whose key sorts
+  // below every separator descends leftmost into the same cycle. Both must
+  // return Corruption.
   KvHarness h(true, true, 100000);
   std::string bytes;
   uint64_t root_off = 0;
@@ -662,30 +613,6 @@ TEST(KvStoreTest, ChildCycleReadsAsCorruption) {
   EXPECT_TRUE(get.IsCorruption()) << get.ToString();
   const Status put = h.store()->Put(h.io(), "a", "x");
   EXPECT_TRUE(put.IsCorruption()) << put.ToString();
-  const Status compact = h.store()->Compact(h.io());
-  EXPECT_TRUE(compact.IsCorruption()) << compact.ToString();
-}
-
-TEST(KvStoreTest, SharedChildFailsCompaction) {
-  // Root entries 0 and 1 refer to the same child. Within one tree version
-  // every node has one parent, so Compact must reject the second visit
-  // rather than copy the subtree twice.
-  KvHarness h(true, true, 100000);
-  std::string bytes;
-  uint64_t root_off = 0;
-  uint32_t root_len = 0;
-  ASSERT_NO_FATAL_FAILURE(
-      BuildSmallNodeStore(&h, &bytes, &root_off, &root_len));
-  bool leaf = true;
-  std::vector<RawEntry> root;
-  ASSERT_TRUE(ParseNodeChunk(bytes, root_off, &leaf, &root));
-  ASSERT_GE(root.size(), 2u);
-  ASSERT_NO_FATAL_FAILURE(
-      RepointRootChild(&h, &bytes, root_off, 1, root[0].off, root[0].len));
-
-  ASSERT_TRUE(h.OpenStore(/*node_size=*/512).ok());
-  const Status compact = h.store()->Compact(h.io());
-  EXPECT_TRUE(compact.IsCorruption()) << compact.ToString();
 }
 
 }  // namespace

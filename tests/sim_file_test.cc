@@ -141,27 +141,6 @@ TEST_F(SimFileTest, TruncateShrinksLogicalSize) {
   EXPECT_EQ(f->size(), 4096u);
 }
 
-TEST_F(SimFileTest, RenameMovesFile) {
-  SimFile* f = fs_->Open("old");
-  ASSERT_TRUE(f->Write(0, 0, std::string(4096, 'r')).status.ok());
-  ASSERT_TRUE(fs_->Rename("old", "new").ok());
-  EXPECT_FALSE(fs_->Exists("old"));
-  ASSERT_TRUE(fs_->Exists("new"));
-  std::string out;
-  ASSERT_TRUE(fs_->Open("new")->Read(0, 0, 4096, &out).status.ok());
-  EXPECT_EQ(out[0], 'r');
-  EXPECT_TRUE(fs_->Rename("absent", "x").IsNotFound());
-  EXPECT_FALSE(fs_->Rename("new", "new").ok());
-}
-
-TEST_F(SimFileTest, RemoveThenReopenIsEmpty) {
-  SimFile* f = fs_->Open("f");
-  ASSERT_TRUE(f->Write(0, 0, std::string(4096, 'd')).status.ok());
-  ASSERT_TRUE(fs_->Remove("f").ok());
-  SimFile* again = fs_->Open("f");
-  EXPECT_EQ(again->size(), 0u);
-}
-
 TEST_F(SimFileTest, FsyncBatchingSharesDeviceFlushes) {
   SimFile* f = fs_->Open("f");
   // Three syncs whose arrival times overlap a queued flush should produce

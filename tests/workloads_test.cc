@@ -5,7 +5,6 @@
 
 #include "host/sim_file.h"
 #include "kv/kvstore.h"
-#include "sim/sim_executor.h"
 #include "ssd/device_factory.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
@@ -27,47 +26,6 @@ TEST(KeysTest, BigEndianOrderMatchesNumericOrder) {
   EXPECT_LT(KeyU64U32(5, 9), KeyU64U32(6, 0));
   EXPECT_LT(KeyU64U32U64(1, 2, 3), KeyU64U32U64(1, 2, 4));
   EXPECT_LT(KeyU64U32U64(1, 2, 0xFFFFFFFFFFull), KeyU64U32U64(1, 3, 0));
-}
-
-// --------------------------- SerialExecutor -------------------------------
-
-TEST(ClientSchedulerTest, RunsExactOpCount) {
-  uint64_t count = 0;
-  const auto fn = [&](uint32_t, SimTime now) {
-    count++;
-    return now + kMillisecond;
-  };
-  const auto r = SerialExecutor().Run(4, 100, 0, fn);
-  EXPECT_EQ(r.ops, 100u);
-  EXPECT_EQ(count, 100u);
-  // 100 ops over 4 clients at 1ms each => makespan 25ms.
-  EXPECT_EQ(r.makespan, 25 * kMillisecond);
-  EXPECT_NEAR(r.OpsPerSecond(), 4000.0, 1.0);
-}
-
-TEST(ClientSchedulerTest, ResumesEarliestClientFirst) {
-  std::vector<uint32_t> order;
-  const auto fn = [&](uint32_t client, SimTime now) {
-    order.push_back(client);
-    // Client 0 is slow, others fast: after the first round, client 0
-    // should appear less often.
-    return now + (client == 0 ? 10 * kMillisecond : kMillisecond);
-  };
-  SerialExecutor().Run(2, 12, 0, fn);
-  int c0 = 0;
-  for (uint32_t c : order) c0 += (c == 0);
-  EXPECT_LT(c0, 4);
-}
-
-TEST(ClientSchedulerTest, HonorsStartTime) {
-  SimTime first = -1;
-  const auto fn = [&](uint32_t, SimTime now) {
-    if (first < 0) first = now;
-    return now + kMillisecond;
-  };
-  const auto r = SerialExecutor().Run(1, 5, 7 * kSecond, fn);
-  EXPECT_EQ(first, 7 * kSecond);
-  EXPECT_EQ(r.makespan, 5 * kMillisecond);  // Start excluded.
 }
 
 // --------------------------- fiosim ---------------------------------------
@@ -235,8 +193,6 @@ TEST(LinkBenchTest, OpNamesAndMixAreComplete) {
   for (int i = 0; i < static_cast<int>(LinkOp::kNumOps); ++i) {
     EXPECT_STRNE(LinkOpName(static_cast<LinkOp>(i)), "?");
   }
-  EXPECT_FALSE(LinkOpIsWrite(LinkOp::kGetLinkList));
-  EXPECT_TRUE(LinkOpIsWrite(LinkOp::kAddLink));
 }
 
 // --------------------------- YCSB -----------------------------------------
