@@ -37,7 +37,7 @@ constexpr DurabilityMode kModes[] = {DurabilityMode::kVolatileFlush,
                                      DurabilityMode::kBarrier};
 
 double RunFsyncIops(DurabilityMode mode, uint64_t ops, BenchJson* json) {
-  auto device = MakeDeviceForDurabilityMode(mode, /*store_data=*/false);
+  auto device = MakeDeviceForDurabilityMode(mode);
   FioJob job;
   job.mode = FioJob::Mode::kRandWrite;
   job.block_bytes = 4 * kKiB;
@@ -59,7 +59,7 @@ double RunFsyncIops(DurabilityMode mode, uint64_t ops, BenchJson* json) {
 }
 
 double RunWalCommits(DurabilityMode mode, uint64_t commits, BenchJson* json) {
-  auto device = MakeDeviceForDurabilityMode(mode, /*store_data=*/false);
+  auto device = MakeDeviceForDurabilityMode(mode);
   SimFileSystem::Options fso;
   fso.write_barriers = WriteBarriersForDurabilityMode(mode);
   SimFileSystem fs(device.get(), fso);

@@ -46,7 +46,6 @@ struct WorkloadShape {
 TieredConfig TierConfig(const WorkloadShape& shape, double flash_pct) {
   TieredConfig tc;
   tc.flash = SsdConfig::DuraSsd();
-  tc.flash.store_data = false;  // Timing-only: keeps big sweeps cheap.
   tc.capacity_hdd.num_sectors = shape.capacity_sectors;
   tc.flash_pct = flash_pct;
   return tc;

@@ -90,7 +90,7 @@ void BM_FtlGcUnpersistedMap(benchmark::State& state) {
   FlashGeometry g = FlashGeometry::Tiny();
   g.blocks_per_plane = 256;
   g.pages_per_block = 32;
-  FlashArray flash(FlashArray::Options{g, /*store_data=*/false});
+  FlashArray flash(FlashArray::Options{g});
   Ftl ftl(&flash, Ftl::Options{4 * kKiB, 0.25, 2, 2});
   const uint64_t n = ftl.logical_sectors() / 2;
   SimTime t = 0;
@@ -185,7 +185,7 @@ void BM_FtlGcStoredBytes(benchmark::State& state) {
   FlashGeometry g = FlashGeometry::Tiny();
   g.blocks_per_plane = 64;
   g.pages_per_block = 32;  // 64 MiB raw.
-  FlashArray flash(FlashArray::Options{g, /*store_data=*/true});
+  FlashArray flash(FlashArray::Options{g});
   Ftl ftl(&flash, Ftl::Options{4 * kKiB, 0.25, 2, 2});
   const uint64_t n = ftl.logical_sectors() / 2;
   std::string data(4096, 'g');

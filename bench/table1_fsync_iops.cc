@@ -27,7 +27,7 @@ std::vector<double> RunSweep(DeviceModel model, const char* device_name,
                              BenchJson* json) {
   std::vector<double> out;
   for (uint32_t every : kFsyncSteps) {
-    auto device = MakeDevice(model, cache_on, /*store_data=*/false);
+    auto device = MakeDevice(model, cache_on);
     FioJob job;
     job.mode = FioJob::Mode::kRandWrite;
     job.block_bytes = 4 * kKiB;

@@ -19,7 +19,7 @@ BenchJson* g_json = nullptr;
 double RunOne(const char* label, DeviceModel model, FioJob::Mode mode,
               uint32_t block, uint32_t threads, uint32_t fsync_every,
               bool barriers, uint64_t ops) {
-  auto device = MakeDevice(model, /*cache_on=*/true, /*store_data=*/false);
+  auto device = MakeDevice(model, /*cache_on=*/true);
   FioJob job;
   job.mode = mode;
   job.block_bytes = block;

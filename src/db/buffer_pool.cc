@@ -172,6 +172,11 @@ StatusOr<PageRef> BufferPool::Fix(IoContext& io, PageId id, bool create) {
       return Status::Corruption("page " + std::to_string(id) +
                                 " failed checksum (torn or uninitialized)");
     }
+    if (!frame.page.VerifyLayout()) {
+      frame.id = kInvalidPageId;
+      return Status::Corruption("page " + std::to_string(id) +
+                                " has a slot or cell outside the page");
+    }
   }
   map_[id] = *frame_or;
   frame.pins = 1;

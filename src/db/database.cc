@@ -742,7 +742,8 @@ Status Database::Recover(IoContext& io) {
     meta.CopyFrom(raw);
     const bool all_zero = raw.find_first_not_of('\0') == std::string::npos;
     if (meta.header()->magic == Page::kMagic && meta.VerifyChecksum() &&
-        meta.type() == PageType::kMeta && meta.nslots() >= 1) {
+        meta.type() == PageType::kMeta && meta.nslots() >= 1 &&
+        meta.VerifyLayout()) {
       Slice cell = meta.CellAt(0);
       cell.remove_prefix(2);  // Cell length.
       DURASSD_RETURN_IF_ERROR(ParseMeta(cell, &ckpt_lsn, &gen));

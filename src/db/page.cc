@@ -117,6 +117,21 @@ bool Page::VerifyChecksum() const {
   return header()->checksum == PageCrc(data_.data(), data_.size());
 }
 
+bool Page::VerifyLayout() const {
+  const uint32_t slots_end =
+      kHeaderSize + static_cast<uint32_t>(header()->nslots) * 2;
+  const uint32_t cell_start = header()->cell_start;
+  if (slots_end > cell_start || cell_start > size()) return false;
+  for (uint16_t i = 0; i < header()->nslots; ++i) {
+    const uint32_t off = slot_array()[i];
+    if (off < cell_start || off + 2 > size()) return false;
+    uint16_t len;
+    memcpy(&len, data_.data() + off, 2);
+    if (len < 2 || off + len > size()) return false;
+  }
+  return true;
+}
+
 void Page::CopyFrom(Slice raw) {
   assert(raw.size() == data_.size());
   memcpy(data_.data(), raw.data(), raw.size());

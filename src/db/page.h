@@ -79,6 +79,12 @@ class Page {
   void SealChecksum();
   /// True iff the stored checksum matches the contents.
   bool VerifyChecksum() const;
+  /// True iff the slot array and every cell's length prefix lie inside the
+  /// page: header + 2 * nslots <= cell_start <= size, each slot offset in
+  /// [cell_start, size - 2], each cell at least 2 bytes long and ending
+  /// inside the page. Checked once when a page is loaded from media, so
+  /// CellAt can trust the layout.
+  bool VerifyLayout() const;
 
   void CopyFrom(Slice raw);
 

@@ -108,7 +108,9 @@ bool FlashArray::CommitProgram(Ppn ppn, std::span<const Slice> parts,
   torn_[ppn] = false;
   block.next_page++;
   block.valid_count++;
-  if (opts_.store_data) {
+  size_t size = 0;
+  for (const Slice& part : parts) size += part.size();
+  if (size > 0) {
     if (block.bytes == nullptr) {
       block.bytes = std::make_unique_for_overwrite<char[]>(
           static_cast<size_t>(g.pages_per_block) * g.page_size);
@@ -120,8 +122,8 @@ bool FlashArray::CommitProgram(Ppn ppn, std::span<const Slice> parts,
       filled += part.size();
     }
     std::memset(page + filled, 0, g.page_size - filled);
-    has_data_[ppn] = true;
   }
+  has_data_[ppn] = size > 0;
   inflight_programs_.push_back({ppn, prog_start, prog_done});
   return true;
 }

@@ -26,9 +26,10 @@ enum class PageState : uint8_t {
 /// pages. Models:
 ///   - erase-before-program and in-order programming within a block,
 ///   - per-plane and per-channel occupancy for latency/parallelism,
-///   - real byte storage (optional, for correctness tests): one flat buffer
-///     per block, allocated by its first stored program and freed when the
-///     block is erased or goes bad, plus a per-page has-data bit,
+///   - byte storage of exactly what each program is handed: one flat buffer
+///     per block, allocated by its first program with a non-empty image and
+///     freed when the block is erased or goes bad, plus a per-page has-data
+///     bit (a program with an empty image stores nothing),
 ///   - torn pages when power is cut mid-program (shorn writes),
 ///   - per-block wear counters.
 ///
@@ -38,9 +39,6 @@ class FlashArray {
  public:
   struct Options {
     FlashGeometry geometry;
-    /// When false, page contents are not stored (timing-only mode for large
-    /// benchmarks); reads return zeros.
-    bool store_data = true;
     /// NAND fault injection. All-zero rates (the default) keep the array
     /// bit-for-bit identical to a fault-free build.
     FaultInjector::Options faults{};
@@ -70,10 +68,12 @@ class FlashArray {
 
   /// The stored bytes of a physical page, page_size long, at no media cost
   /// (ReadPage charges the sense and transfer). A page that holds no data —
-  /// free, failed, rolled back by a power cut, or any page when store_data
-  /// is false — reads as zeros. The view stays valid until the page's block
-  /// is erased or retired, or power is cut.
+  /// free, failed, rolled back by a power cut, or programmed with an empty
+  /// image — reads as zeros. The view stays valid until the page's block is
+  /// erased or retired, or power is cut.
   Slice PageView(Ppn ppn) const;
+  /// True iff the page holds programmed bytes (see PageView).
+  bool HasData(Ppn ppn) const { return has_data_[ppn]; }
 
   /// Programs an erased page. Enforces NAND constraints: the page must be
   /// free and must be the next unwritten page of its block (in-order
@@ -88,7 +88,8 @@ class FlashArray {
   ///
   /// The page image is the concatenation of `parts` (a gather list, so
   /// sectors are copied once, straight into the page); the rest of the page
-  /// reads as zeros.
+  /// reads as zeros. An empty image stores nothing: the page is programmed
+  /// (state, wear and timing as usual) but holds no data.
   Status ProgramPage(SimTime now, Ppn ppn, std::span<const Slice> parts,
                      SimTime* done, SimTime* start = nullptr);
   Status ProgramPage(SimTime now, Ppn ppn, Slice data, SimTime* done,
@@ -173,8 +174,9 @@ class FlashArray {
   /// the block in an unusable state until re-erased.
   void PowerCut(SimTime t);
   /// Collapses plane and channel reservations: after power is restored the
-  /// array starts idle. PowerCut ends with it; a clean shutdown, whose
-  /// operations have all completed, calls it alone.
+  /// array starts idle. PowerCut ends with it; the SSD calls it again when
+  /// it ends a power session, clean or cut, so NAND operations issued after
+  /// the cut (the capacitor dump) do not carry into the next session.
   void ResetReservations();
 
   /// Declares all in-flight operations safely completed. Used when recovery
@@ -205,7 +207,8 @@ class FlashArray {
     bool bad = false;         ///< Grown bad block; permanently out of service.
     /// pages_per_block * page_size bytes, left uninitialized: only pages
     /// whose has_data_ bit is set hold meaningful bytes. Null until the
-    /// block's first stored program; freed by erase and by MarkBad.
+    /// block's first program with a non-empty image; freed by erase and by
+    /// MarkBad.
     std::unique_ptr<char[]> bytes;
   };
   struct Plane {

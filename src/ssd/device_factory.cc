@@ -6,24 +6,13 @@
 
 namespace durassd {
 
-std::unique_ptr<BlockDevice> MakeDevice(DeviceModel model, bool cache_on,
-                                        bool store_data) {
+std::unique_ptr<BlockDevice> MakeDevice(DeviceModel model, bool cache_on) {
   if (model == DeviceModel::kHdd) {
-    return std::make_unique<HddDevice>(HddConfigForModel(cache_on, store_data));
+    HddDevice::Config hc;
+    hc.cache_enabled = cache_on;
+    hc.store_data = false;
+    return std::make_unique<HddDevice>(hc);
   }
-  return std::make_unique<SsdDevice>(
-      SsdConfigForModel(model, cache_on, store_data));
-}
-
-HddDevice::Config HddConfigForModel(bool cache_on, bool store_data) {
-  HddDevice::Config hc;
-  hc.cache_enabled = cache_on;
-  hc.store_data = store_data;
-  return hc;
-}
-
-SsdConfig SsdConfigForModel(DeviceModel model, bool cache_on,
-                            bool store_data) {
   SsdConfig c;
   switch (model) {
     case DeviceModel::kSsdA:
@@ -37,16 +26,15 @@ SsdConfig SsdConfigForModel(DeviceModel model, bool cache_on,
       break;
   }
   c.cache_enabled = cache_on;
-  c.store_data = store_data;
-  return c;
+  c.store_data = false;
+  return std::make_unique<SsdDevice>(c);
 }
 
-std::unique_ptr<BlockDevice> MakeDeviceForDurabilityMode(DurabilityMode mode,
-                                                         bool store_data) {
+std::unique_ptr<BlockDevice> MakeDeviceForDurabilityMode(DurabilityMode mode) {
   return MakeDevice(mode == DurabilityMode::kVolatileFlush
                         ? DeviceModel::kSsdA
                         : DeviceModel::kDuraSsd,
-                    /*cache_on=*/true, store_data);
+                    /*cache_on=*/true);
 }
 
 bool WriteBarriersForDurabilityMode(DurabilityMode mode) {

@@ -533,10 +533,14 @@ Status Ftl::RelocateLiveSectors(SimTime now, uint32_t plane_idx,
   // Read every live sector first, then re-pair them sectors_per_page_ per
   // program. Each sector travels as a view into the block, which stays
   // readable until it is erased or retired after the moves; only an
-  // uncorrectable page is copied, to carry its damage.
+  // uncorrectable page is copied, to carry its damage. A program whose
+  // sectors all come from pages without data (timing-only writes) moves an
+  // empty image, so they stay dataless; otherwise every sector keeps its
+  // full slot, zeros included, so each lands at its own offset.
   struct LiveSector {
     Lpn lpn;
     Slice bytes;
+    bool has_data;
   };
   std::vector<LiveSector> live;
   std::list<std::string> damaged;
@@ -558,14 +562,20 @@ Status Ftl::RelocateLiveSectors(SimTime now, uint32_t plane_idx,
         read_done = true;
       }
       live.push_back(
-          {lpn, Slice(page.data() + s * opts_.sector_size, opts_.sector_size)});
+          {lpn, Slice(page.data() + s * opts_.sector_size, opts_.sector_size),
+           flash_->HasData(ppn)});
     }
   }
 
   for (size_t i = 0; i < live.size(); i += sectors_per_page_) {
     const size_t count = std::min<size_t>(sectors_per_page_, live.size() - i);
+    const bool any_data =
+        std::any_of(live.begin() + i, live.begin() + i + count,
+                    [](const LiveSector& l) { return l.has_data; });
     Slice parts[kMaxSectorsPerPage];
-    for (size_t j = 0; j < count; ++j) parts[j] = live[i + j].bytes;
+    for (size_t j = 0; j < count; ++j) {
+      parts[j] = any_data ? live[i + j].bytes : Slice();
+    }
     SimTime done = 0;
     StatusOr<Ppn> dst_or =
         AllocateAndProgram(now, plane_idx, /*for_gc=*/true,

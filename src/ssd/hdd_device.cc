@@ -6,9 +6,7 @@
 namespace durassd {
 
 HddDevice::HddDevice(Config config)
-    : cfg_(std::move(config)), bus_(1), arm_(1) {
-  torn_.assign(cfg_.num_sectors, false);
-}
+    : cfg_(std::move(config)), bus_(1), arm_(1) {}
 
 SimTime HddDevice::ServiceTime(uint32_t nsec, bool is_write,
                                uint32_t q) const {
@@ -40,25 +38,22 @@ void HddDevice::CommitToMedia(Lpn lpn, Slice data) {
     media_[lpn + i].assign(
         data.data() + static_cast<size_t>(i) * cfg_.sector_size,
         cfg_.sector_size);
-    torn_[lpn + i] = false;
   }
 }
 
-SimTime HddDevice::DestageToMedia(SimTime t, Lpn lpn, Slice data,
-                                  SimTime* start_out) {
+SimTime HddDevice::DestageToMedia(SimTime t, Lpn lpn, Slice data) {
   const uint32_t nsec =
       std::max<uint32_t>(1, static_cast<uint32_t>(data.size() / cfg_.sector_size));
   const SimTime service = ServiceTime(nsec, /*is_write=*/true, QueueDepth(t));
   const ResourceTimeline::Grant g = arm_.Acquire(t, service);
   outstanding_.push(g.done);
-  inflight_.push_back({lpn, nsec, g.start, g.done, data.ToString()});
+  inflight_.push_back({lpn, nsec, g.done});
   if (inflight_.size() > 2048) {
     std::erase_if(inflight_, [this](const InFlight& w) {
       return w.done <= max_time_seen_;
     });
   }
   CommitToMedia(lpn, data);
-  *start_out = g.start;
   return g.done;
 }
 
@@ -83,8 +78,7 @@ BlockDevice::Result HddDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
   const ResourceTimeline::Grant bus = bus_.Acquire(now, bus_time);
 
   if (!cfg_.cache_enabled) {
-    SimTime start = 0;
-    const SimTime done = DestageToMedia(bus.done, lpn, data, &start);
+    const SimTime done = DestageToMedia(bus.done, lpn, data);
     max_time_seen_ = std::max(max_time_seen_, done);
     return {Status::OK(), done};
   }
@@ -99,18 +93,7 @@ BlockDevice::Result HddDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
     outstanding_.pop();
   }
   const SimTime ack = t;
-  SimTime start = 0;
-  const SimTime media_done = DestageToMedia(ack, lpn, data, &start);
-  if (cfg_.store_data) {
-    for (uint32_t i = 0; i < nsec; ++i) {
-      CachedWrite& cw = cache_[lpn + i];
-      cw.data.assign(data.data() + static_cast<size_t>(i) * cfg_.sector_size,
-                     cfg_.sector_size);
-      cw.ack = ack;
-      cw.media_start = start;
-      cw.media_done = media_done;
-    }
-  }
+  DestageToMedia(ack, lpn, data);
   max_time_seen_ = std::max(max_time_seen_, ack);
   return {Status::OK(), ack};
 }
@@ -132,11 +115,6 @@ BlockDevice::Result HddDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
   if (out != nullptr) {
     out->clear();
     for (uint32_t i = 0; i < nsec; ++i) {
-      auto cit = cache_.find(lpn + i);
-      if (cit != cache_.end()) {
-        out->append(cit->second.data);
-        continue;
-      }
       auto mit = media_.find(lpn + i);
       if (mit != media_.end()) {
         out->append(mit->second);
@@ -190,14 +168,12 @@ void HddDevice::PowerCut(SimTime t) {
         // read back as stale/empty.
         bytes.assign(cfg_.sector_size, '\0');
       }
-      torn_[w.lpn + i] = true;
     }
   }
   inflight_.clear();
 
-  // Unflushed cache contents are gone; anything only in the track cache
-  // (media write incomplete) was handled above.
-  cache_.clear();
+  // Unflushed cache contents are gone: a write whose media pass had not
+  // finished was handled above.
   while (!outstanding_.empty()) outstanding_.pop();
   bus_.Reset();
   arm_.Reset();

@@ -67,32 +67,22 @@ class HddDevice : public BlockDevice {
   Result DoRead(SimTime now, Lpn lpn, uint32_t nsec, std::string* out);
   Result DoFlush(SimTime now);
 
-  struct CachedWrite {
-    std::string data;
-    SimTime ack;
-    SimTime media_start;
-    SimTime media_done;
-  };
   struct InFlight {
     Lpn lpn;
     uint32_t nsec;
-    SimTime start;
     SimTime done;
-    std::string new_data;
   };
 
   /// Positioning + transfer cost for `nsec` sectors at queue depth q.
   SimTime ServiceTime(uint32_t nsec, bool is_write, uint32_t q) const;
   uint32_t QueueDepth(SimTime t);
   void CommitToMedia(Lpn lpn, Slice data);
-  SimTime DestageToMedia(SimTime t, Lpn lpn, Slice data, SimTime* start_out);
+  SimTime DestageToMedia(SimTime t, Lpn lpn, Slice data);
 
   Config cfg_;
   ResourceTimeline bus_;
   ResourceTimeline arm_;  ///< The single actuator.
   std::unordered_map<Lpn, std::string> media_;
-  std::vector<bool> torn_;
-  std::unordered_map<Lpn, CachedWrite> cache_;
   std::priority_queue<SimTime, std::vector<SimTime>, std::greater<SimTime>>
       outstanding_;
   std::vector<InFlight> inflight_;

@@ -127,7 +127,11 @@ struct SsdConfig {
   };
   FlushMode flush_mode = FlushMode::kFullFlush;
 
-  /// Store real bytes (tests) or run timing-only (large benchmarks).
+  /// Whether host payload bytes enter the device. False runs timing-only
+  /// (large benchmarks): a host sector carries no bytes into the cache or
+  /// onto NAND, and reads of it return zeros. Everything else is the same
+  /// in both modes, recovery included: the dump pages and log-segment
+  /// headers the controller writes for itself are real bytes either way.
   bool store_data = true;
 
   // --- NAND fault injection & ECC (all-zero rates = exact seed behavior) ---

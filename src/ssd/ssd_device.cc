@@ -41,7 +41,7 @@ SsdConfig SsdDevice::SizeDumpArea(SsdConfig cfg) {
 
 SsdDevice::SsdDevice(SsdConfig config)
     : cfg_(SizeDumpArea(std::move(config))),
-      flash_(FlashArray::Options{cfg_.geometry, cfg_.store_data, cfg_.faults}),
+      flash_(FlashArray::Options{cfg_.geometry, cfg_.faults}),
       ftl_(&flash_, Ftl::Options{cfg_.sector_size, cfg_.over_provision,
                                  cfg_.gc_free_block_threshold,
                                  cfg_.dump_blocks_per_plane,
@@ -381,7 +381,7 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
     std::vector<Ftl::SectorWrite> group;
     for (uint32_t i = 0; i < nsec; ++i) {
       const size_t off = static_cast<size_t>(i) * cfg_.sector_size;
-      group.push_back({lpn + i, Slice(data.data() + off, cfg_.sector_size)});
+      group.push_back({lpn + i, Slice(data.data() + off, PayloadLen())});
       if (group.size() == ftl_.sectors_per_page() || i + 1 == nsec) {
         SimTime start = 0;
         SimTime done = 0;
@@ -711,25 +711,13 @@ void SsdDevice::DumpOnCapacitor(SimTime t) {
     // detect the overrun via stats instead of undefined behavior.
   }
 
-  if (!cfg_.store_data) {
-    dump_lpns_timing_only_.clear();
-    for (const auto& [lpn, data] : to_dump) {
-      dump_lpns_timing_only_.push_back(lpn);
-    }
-    stats_.dumped_pages += to_dump.size();
-    dump_pages_used_ = static_cast<uint32_t>(to_dump.size());
-    if (tracer_) {
-      tracer_->Record(t, TraceEventType::kDump, to_dump.size(),
-                      stats_.capacitor_overruns);
-    }
-    return;
-  }
-
   // Header page, then one dump page per cached sector. Header and entries
   // carry CRCs so replay can detect dump pages damaged by bit errors, and
   // entries are self-describing (own magic), so a failed entry program is
   // retried on the next dump page and replay tolerates the gap. A lost
-  // header degrades replay to a full scan rather than losing the dump.
+  // header degrades replay to a full scan rather than losing the dump. An
+  // entry's payload is the cached sector: PayloadLen() bytes, none on a
+  // timing-only device, whose dump pages still program and replay alike.
   std::string header;
   PutFixed32(&header, kDumpMagic);
   PutFixed32(&header, static_cast<uint32_t>(to_dump.size()));
@@ -760,7 +748,6 @@ void SsdDevice::DumpOnCapacitor(SimTime t) {
     written++;
   }
   stats_.dumped_pages += written;
-  dump_pages_used_ = index;
   if (tracer_) {
     tracer_->Record(t, TraceEventType::kDump, written,
                     stats_.capacitor_overruns);
@@ -855,6 +842,9 @@ void SsdDevice::PowerCut(SimTime t) {
 }
 
 void SsdDevice::EndPowerSession() {
+  // After a cut this runs once the capacitor dump has programmed: the next
+  // session starts with idle NAND, not behind the dump's own programs.
+  flash_.ResetReservations();
   bus_.Reset();
   fw_.Reset();
   ncq_.Reset();
@@ -875,11 +865,11 @@ SimTime SsdDevice::ReplayDump() {
   const FlashGeometry& g = cfg_.geometry;
   const SimTime page_read_cost = g.read_latency + g.channel_transfer_time();
 
-  // A dump entry is valid when its magic parses, it holds one sector and
-  // its payload CRC holds (bit errors past the ECC budget or a shorn
-  // program fail these checks).
-  const uint32_t sector_size = cfg_.sector_size;
-  const auto parse_entry = [sector_size](const std::string& page, Lpn* lpn,
+  // A dump entry is valid when its magic parses, it holds one cached
+  // payload (PayloadLen() bytes) and its payload CRC holds (bit errors past
+  // the ECC budget or a shorn program fail these checks).
+  const uint32_t payload_len = PayloadLen();
+  const auto parse_entry = [payload_len](const std::string& page, Lpn* lpn,
                                          std::string* data) {
     Slice p(page);
     uint32_t magic = 0;
@@ -888,7 +878,7 @@ SimTime SsdDevice::ReplayDump() {
     uint32_t crc = 0;
     if (!GetFixed32(&p, &magic) || magic != kDumpEntryMagic) return false;
     if (!GetFixed64(&p, &l) || !GetFixed32(&p, &len) ||
-        !GetFixed32(&p, &crc) || len != sector_size || p.size() < len) {
+        !GetFixed32(&p, &crc) || len != payload_len || p.size() < len) {
       return false;
     }
     if (Crc32c(p.data(), len) != crc) return false;
@@ -898,61 +888,41 @@ SimTime SsdDevice::ReplayDump() {
   };
 
   std::vector<std::pair<Lpn, std::string>> entries;
-  if (cfg_.store_data) {
-    std::string header;
-    const Status hs = ftl_.ReadDumpPage(0, &header);
-    t += page_read_cost;  // Header read.
-    uint32_t count = 0;
-    bool header_valid = false;
-    if (hs.ok()) {
-      Slice h(header);
-      uint32_t magic = 0;
-      uint32_t crc = 0;
-      if (GetFixed32(&h, &magic) && magic == kDumpMagic &&
-          GetFixed32(&h, &count) && GetFixed32(&h, &crc)) {
-        std::string prefix;
-        PutFixed32(&prefix, magic);
-        PutFixed32(&prefix, count);
-        header_valid = Crc32c(prefix.data(), prefix.size()) == crc;
-      }
+  std::string header;
+  const Status hs = ftl_.ReadDumpPage(0, &header);
+  t += page_read_cost;  // Header read.
+  uint32_t count = 0;
+  bool header_valid = false;
+  if (hs.ok()) {
+    Slice h(header);
+    uint32_t magic = 0;
+    uint32_t crc = 0;
+    if (GetFixed32(&h, &magic) && magic == kDumpMagic &&
+        GetFixed32(&h, &count) && GetFixed32(&h, &crc)) {
+      std::string prefix;
+      PutFixed32(&prefix, magic);
+      PutFixed32(&prefix, count);
+      header_valid = Crc32c(prefix.data(), prefix.size()) == crc;
     }
-    if (header_valid) {
-      // Entries were written in order but may have gaps where a program
-      // failed; scan until `count` valid entries are recovered.
-      uint32_t found = 0;
-      for (uint32_t i = 1; found < count && i < ftl_.dump_area_pages(); ++i) {
-        std::string page;
-        const Status ps = ftl_.ReadDumpPage(i, &page);
-        t += page_read_cost;
-        (void)ps;  // A damaged page simply fails entry parsing below.
-        Lpn lpn = 0;
-        std::string data;
-        if (parse_entry(page, &lpn, &data)) {
-          entries.emplace_back(lpn, std::move(data));
-          found++;
-        }
-      }
-    } else if (hs.code() != StatusCode::kInvalidArgument) {
-      // Header page lost (failed program or uncorrectable read): fall back
-      // to scanning the whole dump area for self-describing entries.
-      for (uint32_t i = 1; i < ftl_.dump_area_pages(); ++i) {
-        std::string page;
-        const Status ps = ftl_.ReadDumpPage(i, &page);
-        t += page_read_cost;
-        (void)ps;
-        Lpn lpn = 0;
-        std::string data;
-        if (parse_entry(page, &lpn, &data)) {
-          entries.emplace_back(lpn, std::move(data));
-        }
-      }
+  }
+  // Entries were written in order but may have gaps where a program
+  // failed: with a valid header, scan until `count` valid entries are
+  // recovered. A lost header (failed program or uncorrectable read) falls
+  // back to scanning the whole dump area for self-describing entries.
+  const bool scan_all =
+      !header_valid && hs.code() != StatusCode::kInvalidArgument;
+  for (uint32_t i = 1; (header_valid ? entries.size() < count : scan_all) &&
+                       i < ftl_.dump_area_pages();
+       ++i) {
+    std::string page;
+    // A damaged page simply fails entry parsing below.
+    (void)ftl_.ReadDumpPage(i, &page);
+    t += page_read_cost;
+    Lpn lpn = 0;
+    std::string data;
+    if (parse_entry(page, &lpn, &data)) {
+      entries.emplace_back(lpn, std::move(data));
     }
-  } else {
-    for (Lpn lpn : dump_lpns_timing_only_) {
-      entries.emplace_back(lpn, std::string());
-    }
-    t += static_cast<SimTime>(entries.size() + 1) * page_read_cost;
-    dump_lpns_timing_only_.clear();
   }
 
   // Replay: re-program every dumped sector (idempotent — mapping simply
@@ -978,7 +948,6 @@ SimTime SsdDevice::ReplayDump() {
 
   ftl_.PersistMapping();
   const SimTime erased = ftl_.EraseDumpArea(replay_done);
-  dump_pages_used_ = 0;
   // A sector the FTL refused (a read-only degraded device) has no copy
   // left once the dump area is erased. Keep it acknowledged in the cache
   // and pending: reads serve it, FLUSH CACHE keeps reporting the failure,
@@ -1013,22 +982,20 @@ Status SsdDevice::AppendLogSegment(SimTime t, const std::vector<Lpn>& taken) {
 
   // Header: segment sequence plus an (LPN, payload CRC) pair per sector, so
   // replay can both locate every payload and validate it without trusting
-  // the (volatile) mapping table. Timing-only runs skip the bytes but still
-  // pay the header program.
+  // the (volatile) mapping table. The CRC covers the cached payload, which
+  // is empty on a timing-only device.
   std::string header;
-  if (cfg_.store_data) {
-    PutFixed32(&header, kLogSegmentMagic);
-    PutFixed64(&header, log_seq_ + 1);
-    PutFixed32(&header, static_cast<uint32_t>(taken.size()));
-    for (Lpn lpn : taken) {
-      auto it = cache_.find(lpn);
-      assert(it != cache_.end());
-      const Slice bytes = CachedBytes(it->second);
-      PutFixed32(&header, Crc32c(bytes.data(), bytes.size()));
-      PutFixed64(&header, lpn);
-    }
-    PutFixed32(&header, Crc32c(header.data(), header.size()));
+  PutFixed32(&header, kLogSegmentMagic);
+  PutFixed64(&header, log_seq_ + 1);
+  PutFixed32(&header, static_cast<uint32_t>(taken.size()));
+  for (Lpn lpn : taken) {
+    auto it = cache_.find(lpn);
+    assert(it != cache_.end());
+    const Slice bytes = CachedBytes(it->second);
+    PutFixed32(&header, Crc32c(bytes.data(), bytes.size()));
+    PutFixed64(&header, lpn);
   }
+  PutFixed32(&header, Crc32c(header.data(), header.size()));
 
   // A failed append leaves the untouched tail pending again: the sectors
   // stay acknowledged in the durable cache, so durability is unaffected
@@ -1053,13 +1020,11 @@ Status SsdDevice::AppendLogSegment(SimTime t, const std::vector<Lpn>& taken) {
   for (size_t off = 0; off < taken.size(); off += spp) {
     const size_t n = std::min<size_t>(spp, taken.size() - off);
     std::string page;
-    if (cfg_.store_data) {
-      for (size_t j = 0; j < n; ++j) {
-        auto it = cache_.find(taken[off + j]);
-        assert(it != cache_.end());
-        const Slice bytes = CachedBytes(it->second);
-        page.append(bytes.data(), bytes.size());
-      }
+    for (size_t j = 0; j < n; ++j) {
+      auto it = cache_.find(taken[off + j]);
+      assert(it != cache_.end());
+      const Slice bytes = CachedBytes(it->second);
+      page.append(bytes.data(), bytes.size());
     }
     SimTime ps = 0;
     SimTime pd = 0;
@@ -1098,22 +1063,6 @@ SimTime SsdDevice::RecoverCache() {
   SimTime t = 0;
   const FlashGeometry& g = cfg_.geometry;
   const SimTime page_read_cost = g.read_latency + g.channel_transfer_time();
-
-  if (!cfg_.store_data) {
-    // Timing-only runs: charge the header + data reads a physical replay
-    // would perform; the mapping itself already survived via the issued-
-    // program rollback rule.
-    for (const LogSegmentRec& rec : log_dir_) {
-      t += page_read_cost * static_cast<SimTime>(1 + rec.data_ppns.size());
-      stats_.log_replayed_segments++;
-    }
-    log_dir_.clear();
-    if (tracer_) {
-      tracer_->Record(t, TraceEventType::kReplay, stats_.log_replayed_segments,
-                      stats_.log_recovered_sectors);
-    }
-    return t;
-  }
 
   // Newest to oldest, so the first (ppn, slot) the live mapping confirms
   // for an LPN is its authoritative copy and older ones are skipped.
@@ -1187,8 +1136,8 @@ SimTime SsdDevice::RecoverCache() {
         continue;
       }
       const size_t off = static_cast<size_t>(slot) * cfg_.sector_size;
-      if (page.size() >= off + cfg_.sector_size &&
-          Crc32c(page.data() + off, cfg_.sector_size) == crc) {
+      if (page.size() >= off + PayloadLen() &&
+          Crc32c(page.data() + off, PayloadLen()) == crc) {
         stats_.log_recovered_sectors++;
       } else {
         // The page reads clean but holds the wrong bytes (shorn program the
@@ -1254,7 +1203,6 @@ Status SsdDevice::Shutdown(SimTime now) {
   ShutOff();
   emergency_shutdown_ = false;
   ClearCache();
-  flash_.ResetReservations();
   EndPowerSession();
   return Status::OK();
 }

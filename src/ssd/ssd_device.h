@@ -182,6 +182,11 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
 
   /// Payload index of an entry that holds no bytes (timing-only mode).
   static constexpr uint32_t kNoPayload = std::numeric_limits<uint32_t>::max();
+  /// Bytes of host payload a sector carries into the device: a whole sector,
+  /// or none on a timing-only device (cfg_.store_data false).
+  uint32_t PayloadLen() const {
+    return cfg_.store_data ? cfg_.sector_size : 0;
+  }
 
   struct CacheEntry {
     /// Payload frame holding the sector bytes (kNoPayload when timing-only).
@@ -385,9 +390,6 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   SimTime last_flush_done_ = -1;
   /// Recent FLUSH CACHE service windows (reads arriving inside one wait).
   std::deque<std::pair<SimTime, SimTime>> flush_windows_;
-  /// Logical dump contents in timing-only mode (store_data == false).
-  std::vector<Lpn> dump_lpns_timing_only_;
-  uint32_t dump_pages_used_ = 0;
 
   Stats stats_;
 

@@ -28,11 +28,13 @@ uint32_t TieredDevice::EntriesPerPage() const {
 TieredDevice::TieredDevice(TieredConfig config) : cfg_(std::move(config)) {
   // The commit-point semantics (journal ack implies data acks; acked
   // commands atomic + durable) require the durable ordered write cache.
+  // Both members store bytes: recovery reads the journal back from flash,
+  // and a destage moves real sectors to the capacity tier.
   cfg_.flash.durable_cache = true;
   cfg_.flash.ordered_queue = true;
   cfg_.flash.cache_enabled = true;
-  store_data_ = cfg_.flash.store_data;
-  cfg_.capacity_hdd.store_data = store_data_;
+  cfg_.flash.store_data = true;
+  cfg_.capacity_hdd.store_data = true;
   cfg_.capacity_hdd.sector_size = cfg_.flash.sector_size;
 
   flash_ = std::make_unique<SsdDevice>(cfg_.flash);
@@ -69,8 +71,6 @@ TieredDevice::TieredDevice(TieredConfig config) : cfg_(std::move(config)) {
 
   slots_.assign(static_cast<size_t>(slots), Slot{});
   RebuildFreeList();
-  if (!store_data_) sim_ring_.resize(map_pages_);
-  scratch_.assign(cfg_.flash.sector_size, '\0');
 
   // Seed the ring with an empty checkpoint so recovery always finds a
   // complete base, even after a cut on a freshly-deployed device.
@@ -148,27 +148,12 @@ SimTime TieredDevice::WriteOpenPage(SimTime t, Status* st) {
   p.is_checkpoint = false;
   p.seq = map_seq_;
   p.deltas = open_deltas_;
-  Slice payload;
-  std::string encoded;
-  if (store_data_) {
-    encoded = EncodePage(p);
-    payload = Slice(encoded);
-  } else {
-    payload = Slice(scratch_.data(), cfg_.flash.sector_size);
-  }
-  const Result r = flash_->Write(t, map_ring_pos_, payload);
+  const Result r = flash_->Write(t, map_ring_pos_, EncodePage(p));
   if (!r.status.ok()) {
     *st = r.status;
     return r.done;
   }
   ++stats_.map_page_writes;
-  if (!store_data_) {
-    auto& vers = sim_ring_[map_ring_pos_];
-    vers.push_back({std::move(p), r.done});
-    // Versions superseded by one already durable at the current frontier
-    // can never be a cut's survivor.
-    while (vers.size() > 1 && vers[1].ack <= t) vers.erase(vers.begin());
-  }
   return r.done;
 }
 
@@ -206,25 +191,12 @@ void TieredDevice::WriteCheckpoint(SimTime t, SimTime* done, Status* st) {
     const size_t lo = static_cast<size_t>(i) * epp;
     const size_t hi = std::min(entries.size(), lo + epp);
     if (lo < hi) p.deltas.assign(entries.begin() + lo, entries.begin() + hi);
-    Slice payload;
-    std::string encoded;
-    if (store_data_) {
-      encoded = EncodePage(p);
-      payload = Slice(encoded);
-    } else {
-      payload = Slice(scratch_.data(), cfg_.flash.sector_size);
-    }
-    const Result r = flash_->Write(when, map_ring_pos_, payload);
+    const Result r = flash_->Write(when, map_ring_pos_, EncodePage(p));
     if (!r.status.ok()) {
       *st = r.status;
       return;
     }
     ++stats_.map_page_writes;
-    if (!store_data_) {
-      auto& vers = sim_ring_[map_ring_pos_];
-      vers.push_back({std::move(p), r.done});
-      while (vers.size() > 1 && vers[1].ack <= when) vers.erase(vers.begin());
-    }
     *done = std::max(*done, r.done);
     map_ring_pos_ = (map_ring_pos_ + 1) % map_pages_;
   }
@@ -338,11 +310,11 @@ SimTime TieredDevice::DestageRound(SimTime t, uint32_t max_victims,
   std::sort(victims.begin(), victims.end());
 
   // Phase 1: pull victim bytes off the flash tier.
-  std::vector<std::string> bytes(store_data_ ? victims.size() : 0);
+  std::vector<std::string> bytes(victims.size());
   SimTime tr = t;
   for (size_t i = 0; i < victims.size(); ++i) {
-    const Result r = flash_->Read(t, SlotDataLpn(victims[i].second), 1,
-                                  store_data_ ? &bytes[i] : nullptr);
+    const Result r =
+        flash_->Read(t, SlotDataLpn(victims[i].second), 1, &bytes[i]);
     if (!r.status.ok()) {
       *st = r.status;
       return tr;
@@ -359,19 +331,10 @@ SimTime TieredDevice::DestageRound(SimTime t, uint32_t max_victims,
     while (j < victims.size() && victims[j].first == victims[j - 1].first + 1) {
       ++j;
     }
-    const size_t run = j - i;
-    Slice payload;
     std::string run_buf;
-    if (store_data_) {
-      run_buf.reserve(run * cfg_.flash.sector_size);
-      for (size_t k = i; k < j; ++k) run_buf.append(bytes[k]);
-      payload = Slice(run_buf);
-    } else {
-      const size_t nbytes = run * cfg_.flash.sector_size;
-      if (scratch_.size() < nbytes) scratch_.assign(nbytes, '\0');
-      payload = Slice(scratch_.data(), nbytes);
-    }
-    const Result r = capacity_->Write(tr, victims[i].first, payload);
+    run_buf.reserve((j - i) * cfg_.flash.sector_size);
+    for (size_t k = i; k < j; ++k) run_buf.append(bytes[k]);
+    const Result r = capacity_->Write(tr, victims[i].first, run_buf);
     if (!r.status.ok()) {
       *st = r.status;
       return tw;
@@ -458,13 +421,9 @@ BlockDevice::Result TieredDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
       for (const uint32_t s : placed) free_slots_.push_back(s);
       return {st.ok() ? Status::ResourceExhausted("no cache slot") : st, now};
     }
-    Slice sector;
-    if (store_data_) {
-      sector = Slice(data.data() + static_cast<size_t>(i) * cfg_.flash.sector_size,
-                     cfg_.flash.sector_size);
-    } else {
-      sector = Slice(scratch_.data(), cfg_.flash.sector_size);
-    }
+    const Slice sector(
+        data.data() + static_cast<size_t>(i) * cfg_.flash.sector_size,
+        cfg_.flash.sector_size);
     const Result dr = flash_->Write(now, SlotDataLpn(slot), sector);
     if (!dr.status.ok()) {
       free_slots_.push_back(slot);
@@ -534,7 +493,7 @@ BlockDevice::Result TieredDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
   struct MissRun {
     Lpn lpn;
     uint32_t nsec;
-    std::string bytes;  ///< Capacity bytes (store_data + admission only).
+    std::string bytes;  ///< Capacity bytes (read or admitted misses).
   };
   std::vector<MissRun> misses;
   SimTime done = now;
@@ -567,7 +526,7 @@ BlockDevice::Result TieredDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
       while (i + run < nsec && dir_.find(l + run) == dir_.end()) ++run;
       MissRun mr{l, run, {}};
       std::string* dst = nullptr;
-      if (out != nullptr || (admit_misses && store_data_)) dst = &mr.bytes;
+      if (out != nullptr || admit_misses) dst = &mr.bytes;
       const Result r = capacity_->Read(now, l, run, dst);
       if (!r.status.ok()) return {r.status, r.done};
       if (out != nullptr) out->append(mr.bytes);
@@ -603,14 +562,9 @@ BlockDevice::Result TieredDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
         }
         const uint32_t slot = free_slots_.back();
         free_slots_.pop_back();
-        Slice sector;
-        if (store_data_) {
-          sector = Slice(mr.bytes.data() +
-                             static_cast<size_t>(k) * cfg_.flash.sector_size,
-                         cfg_.flash.sector_size);
-        } else {
-          sector = Slice(scratch_.data(), cfg_.flash.sector_size);
-        }
+        const Slice sector(
+            mr.bytes.data() + static_cast<size_t>(k) * cfg_.flash.sector_size,
+            cfg_.flash.sector_size);
         const Result wr = flash_->Write(done, SlotDataLpn(slot), sector);
         if (!wr.status.ok()) {
           free_slots_.push_back(slot);
@@ -644,14 +598,6 @@ void TieredDevice::PowerCut(SimTime t) {
   if (!CutPower(t)) return;
   flash_->PowerCut(t);
   capacity_->PowerCut(t);
-  if (!store_data_) {
-    // Mirror the flash tier's rollback: a journal page version acked
-    // after the cut never reached durability.
-    for (auto& vers : sim_ring_) {
-      while (!vers.empty() && vers.back().ack > t) vers.pop_back();
-      if (vers.size() > 1) vers.erase(vers.begin(), vers.end() - 1);
-    }
-  }
 }
 
 void TieredDevice::ApplyDelta(const MapDelta& d) {
@@ -693,30 +639,16 @@ void TieredDevice::ApplyDelta(const MapDelta& d) {
 }
 
 SimTime TieredDevice::RecoverDirectory(SimTime t) {
-  // Scan the whole ring. With real bytes each page is read back and CRC
-  // validated; in timing-only mode the ack-pruned mirror supplies the
-  // content while the same scan time is charged.
+  // Scan the whole ring: each page is read back and CRC validated.
   std::vector<std::pair<uint32_t, MapPage>> pages;
   SimTime done = t;
-  if (store_data_) {
-    std::string buf;
-    for (uint32_t p = 0; p < map_pages_; ++p) {
-      const Result r = flash_->Read(t, p, 1, &buf);
-      if (!r.status.ok()) continue;
-      done = std::max(done, r.done);
-      MapPage mp;
-      if (DecodePage(Slice(buf), &mp)) pages.emplace_back(p, std::move(mp));
-    }
-  } else {
-    // Same page-by-page scan as the real path so the charged recovery
-    // time is bit-identical; content comes from the ack-pruned mirror.
-    for (uint32_t p = 0; p < map_pages_; ++p) {
-      const Result r = flash_->Read(t, p, 1, nullptr);
-      if (r.status.ok()) done = std::max(done, r.done);
-      if (!sim_ring_[p].empty()) {
-        pages.emplace_back(p, sim_ring_[p].back().page);
-      }
-    }
+  std::string buf;
+  for (uint32_t p = 0; p < map_pages_; ++p) {
+    const Result r = flash_->Read(t, p, 1, &buf);
+    if (!r.status.ok()) continue;
+    done = std::max(done, r.done);
+    MapPage mp;
+    if (DecodePage(Slice(buf), &mp)) pages.emplace_back(p, std::move(mp));
   }
   stats_.recovery_map_pages_valid = pages.size();
 

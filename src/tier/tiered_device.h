@@ -21,11 +21,12 @@ namespace durassd {
 struct TieredConfig {
   std::string name = "Tiered";
 
-  /// The flash tier. Must be a durable-cache, ordered-queue config (the
-  /// persistent directory's commit-point semantics rely on both).
+  /// The flash tier. The device forces a durable, ordered, enabled cache
+  /// (the persistent directory's commit-point semantics rely on them) and
+  /// byte storage (recovery reads the journal back).
   SsdConfig flash = SsdConfig::DuraSsd();
 
-  /// The capacity tier: the HDD model.
+  /// The capacity tier: the HDD model, also forced to store bytes.
   HddDevice::Config capacity_hdd;
 
   /// Cache size as a percentage of the capacity tier, clamped to what the
@@ -217,14 +218,6 @@ class TieredDevice : public BlockDevice {
     std::vector<MapDelta> deltas;
   };
 
-  /// Timing-only mode (store_data == false): the journal's logical content
-  /// is mirrored in memory, version-stamped with each page write's ack so
-  /// a power cut prunes exactly what the flash rollback would.
-  struct SimPageVersion {
-    MapPage page;
-    SimTime ack = 0;
-  };
-
   Result DoWrite(SimTime now, Lpn lpn, Slice data);
   Result DoRead(SimTime now, Lpn lpn, uint32_t nsec, std::string* out);
   Result DoFlush(SimTime now);
@@ -265,9 +258,8 @@ class TieredDevice : public BlockDevice {
   /// Batch/idle triggers, evaluated on command entry and exit.
   void MaybeDestage(SimTime now);
 
-  /// Rebuilds the directory from the journal at time t (real page reads +
-  /// CRC validation when store_data; the ack-pruned mirror otherwise, with
-  /// the same scan time charged). Returns the post-scan time.
+  /// Rebuilds the directory from the journal at time t (page reads + CRC
+  /// validation). Returns the post-scan time.
   SimTime RecoverDirectory(SimTime t);
   /// Cold-start conversion: destage all dirty, drop the directory, write a
   /// fresh empty checkpoint. Correctness-preserving — only warmth is lost.
@@ -298,8 +290,6 @@ class TieredDevice : public BlockDevice {
   uint64_t map_seq_ = 1;          ///< Seq of the open page.
   uint64_t closed_since_ckpt_ = 0;
   std::vector<MapDelta> open_deltas_;  ///< Cumulative open-page content.
-  /// Timing-only journal mirror (empty when store_data).
-  std::vector<std::vector<SimPageVersion>> sim_ring_;
 
   // --- Admission (sequential-scan detection) ---
   Lpn seq_last_end_ = kInvalidLpn;
@@ -307,8 +297,6 @@ class TieredDevice : public BlockDevice {
 
   SimTime last_activity_ = 0;
   SimTime last_recovery_duration_ = 0;
-  bool store_data_ = true;
-  std::string scratch_;  ///< Zero payload for timing-only member writes.
 
   Stats stats_;
 };

@@ -45,8 +45,10 @@ struct FioResult {
   Histogram latency;
 };
 
-/// Runs the job against the device. The device should usually be in
-/// timing-only mode (store_data = false) for large jobs.
+/// Runs the job against the device. Reads ask for no bytes, so large jobs
+/// usually run on a timing-only device (`SsdConfig::store_data = false`,
+/// or `MakeDevice`), which keeps no host bytes and recovers like its
+/// real-bytes twin.
 FioResult RunFio(BlockDevice* device, const FioJob& job);
 
 }  // namespace durassd

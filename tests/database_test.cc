@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -458,30 +459,95 @@ void MutateWalFrame(DbHarness* h, Random* rng) {
   ASSERT_TRUE(wal->Write(h->io().now, 0, log).status.ok());
 }
 
+/// Damages the slot array or the cells' length prefixes of one page that
+/// holds cells (the meta page or a B-tree page), then reseals its checksum.
+void MutatePageLayout(DbHarness* h, Random* rng) {
+  SimFile* data = h->fs()->Open("data.db");
+  std::vector<Page> pages;
+  for (uint64_t off = 0; off + 4096 <= data->size(); off += 4096) {
+    std::string raw;
+    ASSERT_TRUE(data->Read(h->io().now, off, 4096, &raw).status.ok());
+    Page page(4096);
+    page.CopyFrom(raw);
+    if (page.header()->magic == Page::kMagic && page.nslots() > 0) {
+      pages.push_back(std::move(page));
+    }
+  }
+  ASSERT_FALSE(pages.empty());
+  Page& page = pages[rng->Uniform(pages.size())];
+  std::vector<size_t> bytes;
+  for (uint16_t i = 0; i < page.nslots(); ++i) {
+    const size_t slot = Page::kHeaderSize + 2 * static_cast<size_t>(i);
+    const size_t cell = page.CellAt(i).data() - page.data();
+    bytes.insert(bytes.end(), {slot, slot + 1, cell, cell + 1});
+  }
+  const uint64_t flips = 1 + rng->Uniform(3);
+  std::vector<uint64_t> bits;
+  while (bits.size() < flips) {
+    const uint64_t b = rng->Uniform(bytes.size() * 8);
+    if (std::find(bits.begin(), bits.end(), b) == bits.end()) {
+      bits.push_back(b);
+    }
+  }
+  for (const uint64_t b : bits) {
+    char& byte = page.data()[bytes[b / 8]];
+    byte = static_cast<char>(byte ^ (1 << (b % 8)));
+  }
+  page.SealChecksum();
+  ASSERT_TRUE(data->Write(h->io().now, page.page_id() * 4096, page.AsSlice())
+                  .status.ok());
+}
+
 TEST(DatabaseTest, MutatedMetaRecordOrWalFrameOpensOrReadsAsCorruption) {
   // Seeded damage under a valid checksum: one to three flipped bits in the
-  // meta record or in one post-checkpoint WAL frame's payload. Recovery
-  // must open the database or return Corruption. Anything else means a
-  // decoder trusted its input, such as replay allocating a page past the
-  // end of the device (OutOfSpace) or a split formatting a page still in
-  // use, even the one it splits (a crash).
-  for (const bool wal : {false, true}) {
+  // meta record, in one post-checkpoint WAL frame's payload, or in the slot
+  // array and cell length prefixes of one page. Recovery must open the
+  // database or return Corruption. Anything else means a decoder trusted
+  // its input, such as replay allocating a page past the end of the device
+  // (OutOfSpace), a split formatting a page still in use, even the one it
+  // splits, or a slot pointing past the page (a crash).
+  enum class Input { kMetaRecord, kWalFrame, kPageLayout };
+  for (const Input input :
+       {Input::kMetaRecord, Input::kWalFrame, Input::kPageLayout}) {
     for (uint64_t seed = 1; seed <= 300; ++seed) {
-      SCOPED_TRACE(std::string(wal ? "wal frame" : "meta record") +
-                   " seed " + std::to_string(seed));
+      const char* name = input == Input::kMetaRecord ? "meta record"
+                         : input == Input::kWalFrame ? "wal frame"
+                                                     : "page layout";
+      SCOPED_TRACE(std::string(name) + " seed " + std::to_string(seed));
       Random rng(seed);
       DbHarness h({/*durable_cache=*/true, /*write_barriers=*/false,
                    /*double_write=*/true, 4096});
       ASSERT_NO_FATAL_FAILURE(BuildCheckpointedDb(&h));
-      if (wal) {
-        ASSERT_NO_FATAL_FAILURE(MutateWalFrame(&h, &rng));
-      } else {
-        ASSERT_NO_FATAL_FAILURE(MutateMetaRecord(&h, &rng));
+      switch (input) {
+        case Input::kMetaRecord:
+          ASSERT_NO_FATAL_FAILURE(MutateMetaRecord(&h, &rng));
+          break;
+        case Input::kWalFrame:
+          ASSERT_NO_FATAL_FAILURE(MutateWalFrame(&h, &rng));
+          break;
+        case Input::kPageLayout:
+          ASSERT_NO_FATAL_FAILURE(MutatePageLayout(&h, &rng));
+          break;
       }
       const Status s = h.OpenDb();
       EXPECT_TRUE(s.ok() || s.IsCorruption()) << s.ToString();
     }
   }
+  // Pinned: the meta page's slot 0 points far past the page.
+  DbHarness h({/*durable_cache=*/true, /*write_barriers=*/false,
+               /*double_write=*/true, 4096});
+  ASSERT_NO_FATAL_FAILURE(BuildCheckpointedDb(&h));
+  SimFile* data = h.fs()->Open("data.db");
+  std::string raw;
+  ASSERT_TRUE(data->Read(h.io().now, 0, 4096, &raw).status.ok());
+  Page meta(4096);
+  meta.CopyFrom(raw);
+  const uint16_t far = 0xF000;
+  std::memcpy(meta.data() + Page::kHeaderSize, &far, 2);
+  meta.SealChecksum();
+  ASSERT_TRUE(data->Write(h.io().now, 0, meta.AsSlice()).status.ok());
+  const Status s = h.OpenDb();
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
 }  // namespace

@@ -33,7 +33,7 @@ TEST(NextIdlePlaneTest, NeverPicksBusyPlaneWhileIdlePlaneExists) {
   g.chips_per_package = 1;
   g.planes_per_chip = 2;  // 8 planes.
   g.blocks_per_plane = 8;
-  FlashArray flash(FlashArray::Options{g, false});
+  FlashArray flash(FlashArray::Options{g});
   const uint32_t n = g.total_planes();
 
   Random rng(7);
@@ -69,7 +69,7 @@ TEST(NextIdlePlaneTest, GroupedPickRespectsSiblingBusyTimes) {
   g.chips_per_package = 1;
   g.planes_per_chip = 2;
   g.blocks_per_plane = 8;
-  FlashArray flash(FlashArray::Options{g, false});
+  FlashArray flash(FlashArray::Options{g});
   const uint32_t n = g.total_planes();
 
   Random rng(11);
@@ -99,7 +99,7 @@ TEST(NextIdlePlaneTest, GroupedPickRespectsSiblingBusyTimes) {
 }
 
 TEST(NextIdlePlaneTest, StripesRoundRobinWhenAllIdle) {
-  FlashArray flash(FlashArray::Options{FlashGeometry::Tiny(), false});
+  FlashArray flash(FlashArray::Options{FlashGeometry::Tiny()});
   const uint32_t n = FlashGeometry::Tiny().total_planes();
   std::vector<uint32_t> picks;
   for (uint32_t i = 0; i < n; ++i) picks.push_back(flash.NextIdlePlane(0));

@@ -23,7 +23,7 @@ std::string SectorData(char fill) { return std::string(kSector, fill); }
 // --------------------------- FlashArray level -------------------------------
 
 TEST(FaultInjectionFlashTest, ScriptedProgramFailConsumesPage) {
-  FlashArray flash(FlashArray::Options{FlashGeometry::Tiny(), true});
+  FlashArray flash(FlashArray::Options{FlashGeometry::Tiny()});
   const FlashGeometry& g = flash.geometry();
 
   flash.fault_injector().FailProgramAfter(0);
@@ -39,7 +39,7 @@ TEST(FaultInjectionFlashTest, ScriptedProgramFailConsumesPage) {
 }
 
 TEST(FaultInjectionFlashTest, ScriptedEraseFailGrowsBadBlock) {
-  FlashArray flash(FlashArray::Options{FlashGeometry::Tiny(), true});
+  FlashArray flash(FlashArray::Options{FlashGeometry::Tiny()});
   const FlashGeometry& g = flash.geometry();
   SimTime done = 0;
   ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 0), "a", &done).ok());
@@ -58,7 +58,7 @@ TEST(FaultInjectionFlashTest, ScriptedEraseFailGrowsBadBlock) {
 }
 
 TEST(FaultInjectionFlashTest, RawReaderSeesFlippedBits) {
-  FlashArray flash(FlashArray::Options{FlashGeometry::Tiny(), true});
+  FlashArray flash(FlashArray::Options{FlashGeometry::Tiny()});
   const FlashGeometry& g = flash.geometry();
   const std::string data(g.page_size, 'd');
   SimTime done = 0;
@@ -84,7 +84,7 @@ TEST(FaultInjectionFlashTest, RawReaderSeesFlippedBits) {
 class FaultInjectionFtlTest : public ::testing::Test {
  protected:
   FaultInjectionFtlTest()
-      : flash_(FlashArray::Options{FlashGeometry::Tiny(), true}),
+      : flash_(FlashArray::Options{FlashGeometry::Tiny()}),
         ftl_(&flash_, Ftl::Options{4 * kKiB, 0.25, 2, 2}) {}
 
   Status WriteOne(SimTime now, Lpn lpn, const std::string& data,
@@ -173,7 +173,7 @@ TEST_F(FaultInjectionFtlTest, ReadRetryRecoversFromBurstErrors) {
 }
 
 TEST(FaultInjectionEccTest, UncorrectableReadReportsCorruption) {
-  FlashArray flash(FlashArray::Options{FlashGeometry::Tiny(), true});
+  FlashArray flash(FlashArray::Options{FlashGeometry::Tiny()});
   // Tight ECC: 2 correctable bits, 2 retries.
   Ftl ftl(&flash, Ftl::Options{4 * kKiB, 0.25, 2, 2, 2, 2, 3});
 

@@ -13,8 +13,8 @@
 namespace durassd {
 namespace {
 
-FlashArray::Options TinyOptions(bool store_data = true) {
-  return FlashArray::Options{FlashGeometry::Tiny(), store_data};
+FlashArray::Options TinyOptions() {
+  return FlashArray::Options{FlashGeometry::Tiny()};
 }
 
 TEST(FlashGeometryTest, PpnEncodingRoundTrips) {
@@ -135,7 +135,7 @@ TEST(FlashArrayTest, RevalidateRestoresCount) {
 // --------------------------- Timing ---------------------------------------
 
 TEST(FlashArrayTest, PlaneSerializesPrograms) {
-  FlashArray flash(TinyOptions(false));
+  FlashArray flash(TinyOptions());
   const FlashGeometry& g = flash.geometry();
   SimTime d1 = 0, d2 = 0;
   ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 0), "", &d1).ok());
@@ -145,7 +145,7 @@ TEST(FlashArrayTest, PlaneSerializesPrograms) {
 }
 
 TEST(FlashArrayTest, DifferentChannelsRunInParallel) {
-  FlashArray flash(TinyOptions(false));
+  FlashArray flash(TinyOptions());
   const FlashGeometry& g = flash.geometry();
   // Tiny geometry: planes 0,1 on channel 0; planes 2,3 on channel 1.
   SimTime d1 = 0, d2 = 0;
@@ -156,7 +156,7 @@ TEST(FlashArrayTest, DifferentChannelsRunInParallel) {
 }
 
 TEST(FlashArrayTest, SameChannelSerializesTransferOnly) {
-  FlashArray flash(TinyOptions(false));
+  FlashArray flash(TinyOptions());
   const FlashGeometry& g = flash.geometry();
   SimTime d1 = 0, d2 = 0;
   ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 0), "", &d1).ok());
@@ -234,14 +234,24 @@ TEST(FlashArrayTest, PowerCutMidEraseInvalidatesBlock) {
 }
 
 TEST(FlashArrayTest, TimingOnlyModeStoresNothing) {
-  FlashArray flash(TinyOptions(false));
+  // A timing-only write hands the array an empty image: the page is
+  // programmed (state, wear and time as usual) but holds no bytes.
+  FlashArray flash(TinyOptions());
   const FlashGeometry& g = flash.geometry();
-  std::string data(g.page_size, 'q');
+  const Ppn ppn = g.MakePpn(0, 0, 0);
   SimTime done = 0;
-  ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 0), data, &done).ok());
+  ASSERT_TRUE(flash.ProgramPage(0, ppn, Slice(), &done).ok());
+  EXPECT_GT(done, 0);
+  EXPECT_EQ(flash.page_state(ppn), PageState::kValid);
+  EXPECT_FALSE(flash.HasData(ppn));
   std::string out;
-  flash.ReadPage(done, g.MakePpn(0, 0, 0), &out);
+  flash.ReadPage(done, ppn, &out);
   EXPECT_EQ(out, std::string(g.page_size, '\0'));
+  // The next page of the block stores exactly what it is handed.
+  const std::string data(g.page_size, 'q');
+  ASSERT_TRUE(flash.ProgramPage(done, g.MakePpn(0, 0, 1), data, &done).ok());
+  EXPECT_TRUE(flash.HasData(g.MakePpn(0, 0, 1)));
+  EXPECT_EQ(flash.PageView(g.MakePpn(0, 0, 1)), Slice(data));
 }
 
 // ----------------------- Reference model ----------------------------------
@@ -317,7 +327,7 @@ TEST(FlashArrayModelTest, StoredBytesFollowTheReferenceModel) {
     faults.read_bit_flip_mean = 2.0;
     faults.program_fail_rate = 0.05;
     faults.erase_fail_rate = 0.02;
-    FlashArray flash(FlashArray::Options{g, /*store_data=*/true, faults});
+    FlashArray flash(FlashArray::Options{g, faults});
     PageStoreModel model(g);
     Random rng(seed * 7919);
 

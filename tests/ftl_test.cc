@@ -14,7 +14,7 @@ namespace {
 class FtlTest : public ::testing::Test {
  protected:
   FtlTest()
-      : flash_(FlashArray::Options{FlashGeometry::Tiny(), true}),
+      : flash_(FlashArray::Options{FlashGeometry::Tiny()}),
         ftl_(&flash_, Ftl::Options{4 * kKiB, 0.25, 2, 2}) {}
 
   std::string SectorData(char fill) const { return std::string(4 * kKiB, fill); }

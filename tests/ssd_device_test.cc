@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -384,6 +385,115 @@ TEST(SsdDeviceTest, ReplayIsIdempotentAcrossDoubleFailure) {
   ASSERT_TRUE(dev.Read(0, 3, 1, &out).status.ok());
   EXPECT_EQ(out, SectorData('R'));
 }
+
+TEST(SsdDeviceTest, NextPowerSessionStartsWithIdleNand) {
+  // The capacitor dump programs NAND after the cut; those programs belong
+  // to the dying session. Reboot recovery must not queue behind them.
+  SsdDevice dev(SsdConfig::Tiny(true));
+  SimTime t = 0;
+  for (Lpn l = 0; l < 24; ++l) {
+    const auto w = dev.Write(t, l, SectorData('i'));
+    ASSERT_TRUE(w.status.ok());
+    t = w.done;
+  }
+  dev.PowerCut(t + 1);
+  ASSERT_GT(dev.stats().dumped_pages, 0u);
+  for (uint32_t p = 0; p < dev.flash().geometry().total_planes(); ++p) {
+    EXPECT_EQ(dev.flash().plane_ready_time(p), 0) << "plane " << p;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Timing-only twin: a device that keeps no host bytes dumps, replays and
+// scans its log through the same code as its real-bytes twin, so the two
+// report the same recovery.
+// ---------------------------------------------------------------------------
+
+struct TwinCase {
+  const char* name;
+  bool durable;
+  bool log_structured;
+};
+
+void PrintTo(const TwinCase& c, std::ostream* os) { *os << c.name; }
+
+struct TwinRecovery {
+  SimTime power_on = 0;
+  SimTime read_pass_done = 0;
+  uint64_t dumped_pages = 0;
+  uint64_t replayed_pages = 0;
+  uint64_t log_replayed_segments = 0;
+  uint64_t log_recovered_sectors = 0;
+  uint64_t nand_programs = 0;
+  uint64_t nand_erases = 0;
+};
+
+/// 150 writes over 90 LPNs, a cut 1 ns after the last ack, a reboot, then
+/// one read pass over every LPN.
+TwinRecovery RunTwin(const TwinCase& c, bool store_data) {
+  SsdConfig cfg = SsdConfig::Tiny(c.durable);
+  if (c.log_structured) {
+    cfg.destage_mode = SsdConfig::DestageMode::kLogStructured;
+  }
+  cfg.store_data = store_data;
+  SsdDevice dev(cfg);
+  EXPECT_EQ(dev.UseLogDestage(), c.log_structured);
+  SimTime t = 0;
+  for (int i = 0; i < 150; ++i) {
+    const auto w = dev.Write(t, static_cast<Lpn>((i * 7) % 90),
+                             SectorData(static_cast<char>('a' + i % 26)));
+    EXPECT_TRUE(w.status.ok());
+    t = w.done;
+  }
+  dev.PowerCut(t + 1);
+  TwinRecovery r;
+  r.power_on = dev.PowerOn();
+  SimTime tr = r.power_on;
+  for (Lpn l = 0; l < 90; ++l) {
+    const auto rd = dev.Read(tr, l, 1, nullptr);
+    EXPECT_TRUE(rd.status.ok());
+    tr = rd.done;
+  }
+  r.read_pass_done = tr;
+  r.dumped_pages = dev.stats().dumped_pages;
+  r.replayed_pages = dev.stats().replayed_pages;
+  r.log_replayed_segments = dev.stats().log_replayed_segments;
+  r.log_recovered_sectors = dev.stats().log_recovered_sectors;
+  r.nand_programs = dev.flash().stats().programs;
+  r.nand_erases = dev.flash().stats().erases;
+  return r;
+}
+
+class TimingOnlyTwinTest : public ::testing::TestWithParam<TwinCase> {};
+
+TEST_P(TimingOnlyTwinTest, RecoversLikeItsRealBytesTwin) {
+  const TwinRecovery real = RunTwin(GetParam(), /*store_data=*/true);
+  const TwinRecovery timing = RunTwin(GetParam(), /*store_data=*/false);
+  EXPECT_EQ(timing.power_on, real.power_on);
+  EXPECT_EQ(timing.dumped_pages, real.dumped_pages);
+  EXPECT_EQ(timing.replayed_pages, real.replayed_pages);
+  EXPECT_EQ(timing.log_replayed_segments, real.log_replayed_segments);
+  EXPECT_EQ(timing.log_recovered_sectors, real.log_recovered_sectors);
+  EXPECT_EQ(timing.nand_programs, real.nand_programs);
+  EXPECT_EQ(timing.nand_erases, real.nand_erases);
+  EXPECT_EQ(timing.read_pass_done, real.read_pass_done);
+  // Each case exercises the recovery it stands for.
+  if (GetParam().durable && !GetParam().log_structured) {
+    EXPECT_GT(real.dumped_pages, 0u);
+  }
+  if (GetParam().log_structured) {
+    EXPECT_GT(real.log_replayed_segments, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Twins, TimingOnlyTwinTest,
+    ::testing::Values(TwinCase{"DuraSsdInPlace", true, false},
+                      TwinCase{"DuraSsdLogStructured", true, true},
+                      TwinCase{"SsdA", false, false}),
+    [](const ::testing::TestParamInfo<TwinCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace durassd

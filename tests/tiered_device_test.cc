@@ -18,10 +18,9 @@ std::string SectorData(char fill) { return std::string(kSs, fill); }
 
 /// A small tier for unit tests: ~192 flash cache slots (Tiny geometry)
 /// over a 1024-sector (4 MiB) HDD capacity tier.
-TieredConfig SmallTier(bool store_data = true) {
+TieredConfig SmallTier() {
   TieredConfig tc;
   tc.flash = SsdConfig::Tiny(/*durable=*/true);
-  tc.flash.store_data = store_data;
   tc.capacity_hdd.num_sectors = 1024;
   tc.capacity_hdd.write_cache_sectors = 64;
   tc.flash_pct = 25.0;
@@ -383,60 +382,6 @@ TEST(TieredDevice, MapRingWrapsThroughCheckpointsAndStillRecovers) {
     EXPECT_EQ(out, SectorData(static_cast<char>('a' + last % 26))) << l;
     tr = r.done;
   }
-}
-
-TEST(TieredDevice, TimingOnlyModeMatchesStoreDataTiming) {
-  // The sim_ring_ journal mirror must make timing-only runs (benches)
-  // behave identically to real-bytes runs — including across a power cut.
-  auto real = MakeTieredDevice(SmallTier(/*store_data=*/true));
-  auto sim = MakeTieredDevice(SmallTier(/*store_data=*/false));
-  SimTime tr = 0, ts = 0;
-  for (int i = 0; i < 200; ++i) {
-    const Lpn l = static_cast<Lpn>((i * 37) % 300);
-    if (i % 3 == 2) {
-      const auto a = real->Read(tr, l, 1, nullptr);
-      const auto b = sim->Read(ts, l, 1, nullptr);
-      ASSERT_TRUE(a.status.ok());
-      ASSERT_TRUE(b.status.ok());
-      ASSERT_EQ(a.done, b.done) << "read " << i;
-      tr = a.done;
-      ts = b.done;
-    } else {
-      const auto a = real->Write(tr, l, SectorData('w'));
-      const auto b = sim->Write(ts, l, SectorData('w'));
-      ASSERT_TRUE(a.status.ok());
-      ASSERT_TRUE(b.status.ok());
-      ASSERT_EQ(a.done, b.done) << "write " << i;
-      tr = a.done;
-      ts = b.done;
-    }
-  }
-  real->PowerCut(tr + 5);
-  sim->PowerCut(ts + 5);
-  // The flash member's own PowerOn replay charge differs between modes
-  // (pre-existing SsdDevice behavior), which skews absolute clocks — and
-  // with them the HDD's rotational phase. So post-cut the claim is
-  // FUNCTIONAL parity: the mirror recovered the identical directory, and
-  // the recovered cache classifies every subsequent access identically.
-  tr = real->PowerOn();
-  ts = sim->PowerOn();
-  EXPECT_EQ(real->stats().recovered_entries, sim->stats().recovered_entries);
-  EXPECT_EQ(real->stats().recovered_dirty, sim->stats().recovered_dirty);
-  for (int i = 0; i < 50; ++i) {
-    const Lpn l = static_cast<Lpn>((i * 29) % 300);
-    const auto a = i % 2 ? real->Write(tr, l, SectorData('z'))
-                         : real->Read(tr, l, 1, nullptr);
-    const auto b = i % 2 ? sim->Write(ts, l, SectorData('z'))
-                         : sim->Read(ts, l, 1, nullptr);
-    ASSERT_TRUE(a.status.ok());
-    ASSERT_TRUE(b.status.ok());
-    tr = a.done;
-    ts = b.done;
-  }
-  EXPECT_EQ(real->stats().tier_read_hits, sim->stats().tier_read_hits);
-  EXPECT_EQ(real->stats().tier_read_misses, sim->stats().tier_read_misses);
-  EXPECT_EQ(real->stats().admitted_sectors, sim->stats().admitted_sectors);
-  EXPECT_EQ(real->dirty_slots(), sim->dirty_slots());
 }
 
 // ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ TEST(KeysTest, BigEndianOrderMatchesNumericOrder) {
 TEST(FioSimTest, FsyncFrequencyMonotonicallyImprovesIops) {
   double prev = 0;
   for (uint32_t every : {1u, 16u, 0u}) {
-    auto dev = MakeDevice(DeviceModel::kDuraSsd, true, false);
+    auto dev = MakeDevice(DeviceModel::kDuraSsd, true);
     FioJob job;
     job.ops = 2000;
     job.fsync_every = every;
@@ -44,8 +44,8 @@ TEST(FioSimTest, FsyncFrequencyMonotonicallyImprovesIops) {
 }
 
 TEST(FioSimTest, NoBarrierBeatsBarrierAtFsync1) {
-  auto dev1 = MakeDevice(DeviceModel::kDuraSsd, true, false);
-  auto dev2 = MakeDevice(DeviceModel::kDuraSsd, true, false);
+  auto dev1 = MakeDevice(DeviceModel::kDuraSsd, true);
+  auto dev2 = MakeDevice(DeviceModel::kDuraSsd, true);
   FioJob job;
   job.ops = 2000;
   job.fsync_every = 1;
@@ -57,8 +57,8 @@ TEST(FioSimTest, NoBarrierBeatsBarrierAtFsync1) {
 }
 
 TEST(FioSimTest, ReadsScaleWithThreads) {
-  auto dev1 = MakeDevice(DeviceModel::kDuraSsd, true, false);
-  auto dev128 = MakeDevice(DeviceModel::kDuraSsd, true, false);
+  auto dev1 = MakeDevice(DeviceModel::kDuraSsd, true);
+  auto dev128 = MakeDevice(DeviceModel::kDuraSsd, true);
   FioJob job;
   job.mode = FioJob::Mode::kRandRead;
   job.ops = 5000;
@@ -72,7 +72,7 @@ TEST(FioSimTest, ReadsScaleWithThreads) {
 TEST(FioSimTest, SmallerPagesGiveHigherReadIops) {
   double prev = 0;
   for (uint32_t block : {16u * kKiB, 8u * kKiB, 4u * kKiB}) {
-    auto dev = MakeDevice(DeviceModel::kDuraSsd, true, false);
+    auto dev = MakeDevice(DeviceModel::kDuraSsd, true);
     FioJob job;
     job.mode = FioJob::Mode::kRandRead;
     job.block_bytes = block;
