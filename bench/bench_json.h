@@ -193,7 +193,6 @@ inline void AppendEngineJson(const KvStore& kv, JsonWriter* w) {
   w->Key("node_appends"); w->Uint(s.node_appends);
   w->Key("doc_appends"); w->Uint(s.doc_appends);
   w->Key("recovered_seq"); w->Uint(s.recovered_seq);
-  w->Key("lost_updates_on_recovery"); w->Uint(s.lost_updates_on_recovery);
   w->Key("degraded_aborts"); w->Uint(s.degraded_aborts);
   w->Key("sync_groups"); w->Uint(s.sync_groups);
   w->Key("max_group_commit"); w->Uint(s.max_group_commit);

@@ -91,7 +91,9 @@ void BM_FtlGcUnpersistedMap(benchmark::State& state) {
   g.blocks_per_plane = 256;
   g.pages_per_block = 32;
   FlashArray flash(FlashArray::Options{g});
-  Ftl ftl(&flash, Ftl::Options{4 * kKiB, 0.25, 2, 2});
+  Ftl ftl(&flash, Ftl::Options{.sector_size = 4 * kKiB,
+                               .over_provision = 0.25,
+                               .dump_blocks_per_plane = 2});
   const uint64_t n = ftl.logical_sectors() / 2;
   SimTime t = 0;
   SimTime start = 0;
@@ -186,7 +188,9 @@ void BM_FtlGcStoredBytes(benchmark::State& state) {
   g.blocks_per_plane = 64;
   g.pages_per_block = 32;  // 64 MiB raw.
   FlashArray flash(FlashArray::Options{g});
-  Ftl ftl(&flash, Ftl::Options{4 * kKiB, 0.25, 2, 2});
+  Ftl ftl(&flash, Ftl::Options{.sector_size = 4 * kKiB,
+                               .over_provision = 0.25,
+                               .dump_blocks_per_plane = 2});
   const uint64_t n = ftl.logical_sectors() / 2;
   std::string data(4096, 'g');
   SimTime t = 0;

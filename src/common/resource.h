@@ -42,9 +42,6 @@ class ResourceTimeline {
     return {start, done};
   }
 
-  /// Earliest time a new request could begin service.
-  SimTime NextFree() const { return slots_.top(); }
-
   /// Time at which all current reservations have drained.
   SimTime AllFree() const {
     // The max of a min-heap: scan a copy. Capacity is small (<= hundreds).
@@ -56,8 +53,6 @@ class ResourceTimeline {
     }
     return latest;
   }
-
-  uint32_t capacity() const { return capacity_; }
 
  private:
   uint32_t capacity_ = 1;

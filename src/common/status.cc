@@ -22,8 +22,6 @@ const char* CodeName(StatusCode code) {
       return "OutOfSpace";
     case StatusCode::kBusy:
       return "Busy";
-    case StatusCode::kAborted:
-      return "Aborted";
     case StatusCode::kDataLoss:
       return "DataLoss";
     case StatusCode::kResourceExhausted:

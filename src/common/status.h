@@ -19,7 +19,6 @@ enum class StatusCode {
   kDeviceOffline,   ///< Operation issued while power is cut.
   kOutOfSpace,      ///< Device, dump area, or file system is full.
   kBusy,            ///< Queue full / resource temporarily unavailable.
-  kAborted,         ///< Transaction aborted.
   kDataLoss,        ///< Acknowledged data was lost (volatile cache).
   kResourceExhausted,  ///< Device permanently out of healthy resources
                        ///< (spare-block exhaustion); writes are rejected
@@ -56,9 +55,6 @@ class Status {
   static Status Busy(std::string m = "busy") {
     return Status(StatusCode::kBusy, std::move(m));
   }
-  static Status Aborted(std::string m = "aborted") {
-    return Status(StatusCode::kAborted, std::move(m));
-  }
   static Status DataLoss(std::string m = "data loss") {
     return Status(StatusCode::kDataLoss, std::move(m));
   }
@@ -73,7 +69,6 @@ class Status {
   bool IsDeviceOffline() const { return code_ == StatusCode::kDeviceOffline; }
   bool IsOutOfSpace() const { return code_ == StatusCode::kOutOfSpace; }
   bool IsBusy() const { return code_ == StatusCode::kBusy; }
-  bool IsAborted() const { return code_ == StatusCode::kAborted; }
   bool IsDataLoss() const { return code_ == StatusCode::kDataLoss; }
   bool IsResourceExhausted() const {
     return code_ == StatusCode::kResourceExhausted;

@@ -23,8 +23,9 @@ BTree::BTree(BufferPool* pool, PageAllocator* alloc, PageId root)
 
 std::string BTree::EncodeLeafCell(Slice key, Slice value) {
   std::string cell;
-  cell.reserve(6 + key.size() + value.size());
-  PutU16(&cell, static_cast<uint16_t>(6 + key.size() + value.size()));
+  const size_t len = Page::kLeafCellHeaderSize + key.size() + value.size();
+  cell.reserve(len);
+  PutU16(&cell, static_cast<uint16_t>(len));
   PutU16(&cell, static_cast<uint16_t>(key.size()));
   PutU16(&cell, static_cast<uint16_t>(value.size()));
   cell.append(key.data(), key.size());
@@ -34,8 +35,9 @@ std::string BTree::EncodeLeafCell(Slice key, Slice value) {
 
 std::string BTree::EncodeInternalCell(Slice key, PageId child) {
   std::string cell;
-  cell.reserve(12 + key.size());
-  PutU16(&cell, static_cast<uint16_t>(12 + key.size()));
+  const size_t len = Page::kInternalCellHeaderSize + key.size();
+  cell.reserve(len);
+  PutU16(&cell, static_cast<uint16_t>(len));
   PutU16(&cell, static_cast<uint16_t>(key.size()));
   cell.append(reinterpret_cast<const char*>(&child), 8);
   cell.append(key.data(), key.size());
@@ -44,18 +46,18 @@ std::string BTree::EncodeInternalCell(Slice key, PageId child) {
 
 Slice BTree::LeafKey(Slice cell) {
   const uint16_t klen = GetU16(cell.data() + 2);
-  return Slice(cell.data() + 6, klen);
+  return Slice(cell.data() + Page::kLeafCellHeaderSize, klen);
 }
 
 Slice BTree::LeafValue(Slice cell) {
   const uint16_t klen = GetU16(cell.data() + 2);
   const uint16_t vlen = GetU16(cell.data() + 4);
-  return Slice(cell.data() + 6 + klen, vlen);
+  return Slice(cell.data() + Page::kLeafCellHeaderSize + klen, vlen);
 }
 
 Slice BTree::InternalKey(Slice cell) {
   const uint16_t klen = GetU16(cell.data() + 2);
-  return Slice(cell.data() + 12, klen);
+  return Slice(cell.data() + Page::kInternalCellHeaderSize, klen);
 }
 
 PageId BTree::InternalChild(Slice cell) {

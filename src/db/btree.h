@@ -71,9 +71,11 @@ class BTree {
 
  private:
   // Cell encodings (first u16 = total cell length, making cells
-  // self-describing for Page::CellAt):
+  // self-describing for Page::CellAt); the header sizes live in Page:
   //  leaf:     [len u16][klen u16][vlen u16][key][value]
   //  internal: [len u16][klen u16][child u64][key]
+  // The accessors trust the lengths: Page::VerifyLayout checked them when
+  // the page was loaded.
   static std::string EncodeLeafCell(Slice key, Slice value);
   static std::string EncodeInternalCell(Slice key, PageId child);
   static Slice LeafKey(Slice cell);
@@ -110,7 +112,9 @@ class BTree {
 
   /// Worst-case separator cell an internal node may have to absorb (cell
   /// header + max key + slot); a node with this much free space is "safe".
-  size_t WorstInternalNeed() const { return 12 + max_key_size() + 2; }
+  size_t WorstInternalNeed() const {
+    return Page::kInternalCellHeaderSize + max_key_size() + 2;
+  }
 
   BufferPool* pool_;
   PageAllocator* alloc_;

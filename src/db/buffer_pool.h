@@ -81,7 +81,6 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   uint32_t page_size() const { return opts_.page_size; }
-  uint64_t capacity_frames() const { return capacity_; }
   bool resident(PageId id) const { return map_.count(id) != 0; }
 
   /// Fixes a page into the pool and pins it. With `create` the page is not

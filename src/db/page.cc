@@ -117,6 +117,32 @@ bool Page::VerifyChecksum() const {
   return header()->checksum == PageCrc(data_.data(), data_.size());
 }
 
+namespace {
+uint32_t GetU16At(const char* p) {
+  uint16_t v = 0;
+  memcpy(&v, p, 2);
+  return v;
+}
+
+// Whether a `len`-byte cell on a page of `type` holds its B-tree header and
+// the key and value lengths that header claims. Other cells have no body
+// layout to check.
+bool CellBodyFits(PageType type, const char* cell, uint32_t len) {
+  switch (type) {
+    case PageType::kBTreeLeaf:
+      return len >= Page::kLeafCellHeaderSize &&
+             Page::kLeafCellHeaderSize + GetU16At(cell + 2) +
+                     GetU16At(cell + 4) <=
+                 len;
+    case PageType::kBTreeInternal:
+      return len >= Page::kInternalCellHeaderSize &&
+             Page::kInternalCellHeaderSize + GetU16At(cell + 2) <= len;
+    default:
+      return true;
+  }
+}
+}  // namespace
+
 bool Page::VerifyLayout() const {
   const uint32_t slots_end =
       kHeaderSize + static_cast<uint32_t>(header()->nslots) * 2;
@@ -125,9 +151,9 @@ bool Page::VerifyLayout() const {
   for (uint16_t i = 0; i < header()->nslots; ++i) {
     const uint32_t off = slot_array()[i];
     if (off < cell_start || off + 2 > size()) return false;
-    uint16_t len;
-    memcpy(&len, data_.data() + off, 2);
+    const uint32_t len = GetU16At(data_.data() + off);
     if (len < 2 || off + len > size()) return false;
+    if (!CellBodyFits(type(), data_.data() + off, len)) return false;
   }
   return true;
 }

@@ -41,6 +41,11 @@ class Page {
     uint64_t aux2;        ///< Leaf: unused. Meta: catalog length.
   };
   static constexpr uint32_t kHeaderSize = sizeof(Header);
+  /// Fixed bytes before the key in a B-tree cell, the one definition
+  /// BTree's encoders and VerifyLayout share. Leaf: [len u16][klen u16]
+  /// [vlen u16][key][value]. Internal: [len u16][klen u16][child u64][key].
+  static constexpr uint32_t kLeafCellHeaderSize = 6;
+  static constexpr uint32_t kInternalCellHeaderSize = 12;
 
   explicit Page(uint32_t size) : data_(size, '\0') {}
 
@@ -79,11 +84,12 @@ class Page {
   void SealChecksum();
   /// True iff the stored checksum matches the contents.
   bool VerifyChecksum() const;
-  /// True iff the slot array and every cell's length prefix lie inside the
-  /// page: header + 2 * nslots <= cell_start <= size, each slot offset in
-  /// [cell_start, size - 2], each cell at least 2 bytes long and ending
-  /// inside the page. Checked once when a page is loaded from media, so
-  /// CellAt can trust the layout.
+  /// True iff the slot array and every cell lie inside the page: header +
+  /// 2 * nslots <= cell_start <= size, each slot offset in [cell_start,
+  /// size - 2], each cell at least 2 bytes long and ending inside the page,
+  /// and on B-tree pages each cell's header plus its key (and value) length
+  /// fitting the cell. Checked once when a page is loaded from media, so
+  /// CellAt and BTree's cell accessors can trust the layout.
   bool VerifyLayout() const;
 
   void CopyFrom(Slice raw);

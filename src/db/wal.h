@@ -84,7 +84,6 @@ class Wal {
   uint64_t bytes_since_checkpoint() const {
     return next_lsn_ - last_checkpoint_lsn_;
   }
-  void NoteCheckpoint(Lsn lsn) { last_checkpoint_lsn_ = lsn; }
 
   /// Reads every well-formed record of generation `gen` starting at `from`
   /// (stops at the first torn/invalid/foreign-generation frame — the

@@ -367,7 +367,7 @@ void FlashArray::PowerCut(SimTime t) {
   for (const InFlightProgram& p : inflight_programs_) {
     if (p.done <= t) continue;  // Finished before the cut.
     Block& block = BlockAt(g.PlaneOf(p.ppn), g.BlockOf(p.ppn));
-    if (p.start >= t) {
+    if (!ProgramStarted(p.start, t)) {
       // Never started: the page is still erased.
       states_[p.ppn] = PageState::kFree;
       has_data_[p.ppn] = false;

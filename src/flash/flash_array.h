@@ -113,9 +113,6 @@ class FlashArray {
   /// Earliest time the plane can accept a new operation, including its
   /// channel: max(plane busy_until, channel busy_until).
   SimTime plane_ready_time(uint32_t plane) const;
-  SimTime channel_busy_until(uint32_t channel) const {
-    return channel_busy_[channel];
-  }
   uint32_t ChannelOfPlane(uint32_t plane) const;
 
   /// Least-busy plane chooser for idle-aware allocation: returns the first
@@ -163,15 +160,15 @@ class FlashArray {
   uint32_t valid_pages_in_block(uint32_t plane, uint32_t block) const;
   uint32_t next_program_page(uint32_t plane, uint32_t block) const;
 
-  /// Virtual time at which the given plane becomes idle.
-  SimTime plane_busy_until(uint32_t plane) const {
-    return planes_[plane].busy_until;
-  }
+  /// Whether a cell program starting at `start` had begun when power is cut
+  /// at `t`. The one definition PowerCut and the FTL's torn-write rollback
+  /// share: a program that would start exactly at the cut never began.
+  static bool ProgramStarted(SimTime start, SimTime t) { return start < t; }
 
   /// Cuts power at time `t`. Any program still in flight at `t` leaves its
   /// page torn (only the first quarter of the new bytes survive); any
-  /// program not yet begun is rolled back to kFree. In-flight erases leave
-  /// the block in an unusable state until re-erased.
+  /// program not yet begun (ProgramStarted) is rolled back to kFree.
+  /// In-flight erases leave the block in an unusable state until re-erased.
   void PowerCut(SimTime t);
   /// Collapses plane and channel reservations: after power is restored the
   /// array starts idle. PowerCut ends with it; the SSD calls it again when

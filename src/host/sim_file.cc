@@ -95,7 +95,6 @@ SimFile::IoResult SimFileSystem::BarrierInternal(SimTime now, SimFile* file) {
   // completed full sync (journal + FLUSH drain) is strictly stronger and
   // covers the request too.
   if (last_barrier_start_ >= now || last_sync_start_ >= now) {
-    stats_.batched_barriers++;
     return {Status::OK(),
             last_barrier_start_ >= last_sync_start_ ? last_barrier_done_
                                                     : last_sync_done_};
@@ -103,7 +102,6 @@ SimFile::IoResult SimFileSystem::BarrierInternal(SimTime now, SimFile* file) {
   // No journal transaction: a BARRIER does not persist metadata, it only
   // orders the data stream. The file's metadata stays dirty so a later
   // real fsync still journals it.
-  stats_.barrier_cmds++;
   const BlockDevice::Result r = device_->Barrier(now);
   if (r.status.ok()) {
     last_barrier_start_ = now;

@@ -107,16 +107,12 @@ class SimFileSystem {
   BlockDevice* device() { return device_; }
   const Options& options() const { return opts_; }
   void set_write_barriers(bool on) { opts_.write_barriers = on; }
-  uint64_t allocated_sectors() const { return next_lpn_; }
 
   struct Stats {
     uint64_t syncs = 0;
     uint64_t batched_syncs = 0;  ///< fsyncs that rode another's commit.
     uint64_t journal_writes = 0;
     uint64_t flush_cmds = 0;  ///< FLUSH CACHE actually sent to the device.
-    uint64_t barrier_cmds = 0;  ///< BARRIER commands sent to the device.
-    uint64_t batched_barriers = 0;  ///< Barriers that rode another's
-                                    ///< barrier or full sync.
   };
   const Stats& stats() const { return stats_; }
 

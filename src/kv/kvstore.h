@@ -49,7 +49,6 @@ class KvStore {
     uint64_t node_appends = 0;
     uint64_t doc_appends = 0;
     uint64_t recovered_seq = 0;
-    uint64_t lost_updates_on_recovery = 0;
     uint64_t degraded_aborts = 0;  ///< In-flight batches dropped on device
                                    ///< degradation.
     /// Group-commit accounting (mirrors Wal::Stats): commits whose header

@@ -11,6 +11,9 @@ namespace durassd {
 namespace {
 /// Largest sectors_per_page() (asserted in the constructor).
 constexpr size_t kMaxSectorsPerPage = 4;
+/// GC runs before a host program when its plane has at most this many
+/// free blocks left.
+constexpr size_t kGcFreeBlockThreshold = 2;
 
 /// A batch's page image as a gather list of its sector payloads, in slot
 /// order (the rest of the page stays erased). Empty in timing-only mode.
@@ -61,7 +64,9 @@ Ftl::Ftl(FlashArray* flash, Options options)
   map_.reset(static_cast<uint64_t*>(
       std::calloc(std::max<uint64_t>(logical_sectors_, 1), sizeof(uint64_t))));
   if (map_ == nullptr) throw std::bad_alloc();
-  reverse_.assign(g.total_pages() * sectors_per_page_, kInvalidLpn);
+  reverse_.reset(static_cast<Lpn*>(
+      std::calloc(g.total_pages() * sectors_per_page_, sizeof(Lpn))));
+  if (reverse_ == nullptr) throw std::bad_alloc();
   planes_.resize(g.total_planes());
   for (auto& plane : planes_) {
     plane.free_blocks.reserve(first_log_block_);
@@ -76,7 +81,7 @@ StatusOr<Ppn> Ftl::AllocatePage(SimTime now, uint32_t plane_idx, bool for_gc) {
   const FlashGeometry& g = flash_->geometry();
   PlaneAlloc& plane = planes_[plane_idx];
 
-  if (!for_gc && plane.free_blocks.size() <= opts_.gc_free_block_threshold &&
+  if (!for_gc && plane.free_blocks.size() <= kGcFreeBlockThreshold &&
       plane.active_block != ~0u) {
     DURASSD_RETURN_IF_ERROR(RunGc(now, plane_idx));
   }
@@ -105,7 +110,7 @@ StatusOr<Ppn> Ftl::AllocateAndProgram(SimTime now, uint32_t plane_idx,
                                       std::span<const Slice> parts,
                                       SimTime* done, SimTime* start) {
   const FlashGeometry& g = flash_->geometry();
-  for (uint32_t attempt = 0; attempt <= opts_.program_retry_limit; ++attempt) {
+  for (uint32_t attempt = 0; attempt <= kProgramRetryLimit; ++attempt) {
     StatusOr<Ppn> ppn_or = AllocatePage(now, plane_idx, for_gc);
     if (!ppn_or.ok()) return ppn_or;
     const Ppn ppn = *ppn_or;
@@ -126,7 +131,7 @@ Status Ftl::ReadPageChecked(SimTime now, Ppn ppn, Slice* page,
   uint32_t raw = 0;
   SimTime t = flash_->ReadPage(now, ppn, nullptr, &raw);
   for (uint32_t retry = 0;
-       raw > opts_.ecc_correctable_bits && retry < opts_.read_retry_limit;
+       raw > opts_.ecc_correctable_bits && retry < kReadRetryLimit;
        ++retry) {
     // Read-retry: re-sense with shifted thresholds; each attempt rolls a
     // fresh raw error count and costs a full page read.
@@ -202,12 +207,11 @@ void Ftl::EnterDegraded(SimTime now, uint32_t plane, std::string reason) {
 
 void Ftl::KillSlot(uint64_t packed) {
   const Ppn ppn = PpnOf(packed);
-  const uint32_t slot = SlotOf(packed);
-  reverse_[ppn * sectors_per_page_ + slot] = kInvalidLpn;
+  SetReverse(packed, kInvalidLpn);
   // The physical page dies when its last live sector dies.
   bool any_live = false;
   for (uint32_t s = 0; s < sectors_per_page_; ++s) {
-    if (reverse_[ppn * sectors_per_page_ + s] != kInvalidLpn) {
+    if (ReverseOf(Pack(ppn, s)) != kInvalidLpn) {
       any_live = true;
       break;
     }
@@ -215,11 +219,11 @@ void Ftl::KillSlot(uint64_t packed) {
   if (!any_live) flash_->MarkInvalid(ppn);
 }
 
-void Ftl::RecordDelta(Lpn lpn, SimTime issue, SimTime start, SimTime done) {
+void Ftl::RecordDelta(Lpn lpn, SimTime issue, SimTime start) {
   auto it = delta_.find(lpn);
   if (it == delta_.end()) {
     const uint64_t old_packed = MappingOf(lpn);
-    delta_.emplace(lpn, DeltaRec{old_packed, issue, start, done});
+    delta_.emplace(lpn, DeltaRec{old_packed, issue, start});
     if (old_packed != kUnmapped) {
       const FlashGeometry& g = flash_->geometry();
       const Ppn old_ppn = PpnOf(old_packed);
@@ -229,7 +233,6 @@ void Ftl::RecordDelta(Lpn lpn, SimTime issue, SimTime start, SimTime done) {
   } else {
     it->second.last_issue = issue;
     it->second.last_start = start;
-    it->second.last_done = done;
   }
 }
 
@@ -258,7 +261,7 @@ void Ftl::MapSector(Lpn lpn, Ppn ppn, uint32_t slot) {
   const uint64_t old = MappingOf(lpn);
   if (old != kUnmapped) KillSlot(old);
   SetMapping(lpn, Pack(ppn, slot));
-  reverse_[ppn * sectors_per_page_ + slot] = lpn;
+  SetReverse(Pack(ppn, slot), lpn);
 }
 
 Status Ftl::ProgramSectors(SimTime now,
@@ -291,7 +294,6 @@ Status Ftl::ProgramSectors(SimTime now,
     return st;
   }
   const Ppn ppn = *ppn_or;
-  stats_.host_programs++;
   if (h_program_ns_ != nullptr) h_program_ns_->Record(prog_done - now);
   // prog_start is the true cell-program start reported by the flash layer —
   // after the channel transfer and any wait for a busy plane — which is
@@ -299,7 +301,7 @@ Status Ftl::ProgramSectors(SimTime now,
 
   for (uint32_t slot = 0; slot < sectors.size(); ++slot) {
     const Lpn lpn = sectors[slot].lpn;
-    RecordDelta(lpn, now, prog_start, prog_done);
+    RecordDelta(lpn, now, prog_start);
     MapSector(lpn, ppn, slot);
   }
 
@@ -415,7 +417,6 @@ Status Ftl::ProgramSectorsMultiPlane(SimTime now,
     }
   }
 
-  stats_.host_programs += 2;
   if (h_program_ns_ != nullptr) {
     h_program_ns_->Record(done0 - now);
     h_program_ns_->Record(done1 - now);
@@ -424,12 +425,11 @@ Status Ftl::ProgramSectorsMultiPlane(SimTime now,
   const std::vector<SectorWrite>* batches[2] = {&a, &b};
   const Ppn ppns[2] = {ppn0, ppn1};
   const SimTime starts[2] = {start0, start1};
-  const SimTime dones[2] = {done0, done1};
   for (int i = 0; i < 2; ++i) {
     const std::vector<SectorWrite>& sectors = *batches[i];
     for (uint32_t slot = 0; slot < sectors.size(); ++slot) {
       const Lpn lpn = sectors[slot].lpn;
-      RecordDelta(lpn, now, starts[i], dones[i]);
+      RecordDelta(lpn, now, starts[i]);
       MapSector(lpn, ppns[i], slot);
     }
   }
@@ -549,7 +549,7 @@ Status Ftl::RelocateLiveSectors(SimTime now, uint32_t plane_idx,
     Slice page;
     bool read_done = false;
     for (uint32_t s = 0; s < sectors_per_page_; ++s) {
-      const Lpn lpn = reverse_[ppn * sectors_per_page_ + s];
+      const Lpn lpn = ReverseOf(Pack(ppn, s));
       if (lpn == kInvalidLpn) continue;
       if (!read_done) {
         // An uncorrectable read here is not fatal to the move: the bytes
@@ -558,7 +558,6 @@ Status Ftl::RelocateLiveSectors(SimTime now, uint32_t plane_idx,
         if (!ReadPageChecked(now, ppn, &page, &copy, nullptr).ok()) {
           page = Slice(damaged.emplace_back(std::move(copy)));
         }
-        stats_.gc_reads++;
         read_done = true;
       }
       live.push_back(
@@ -626,10 +625,12 @@ void Ftl::PersistMapping() {
 
 void Ftl::PowerCutRollback(SimTime t, PowerCutExposure exposure) {
   for (auto& [lpn, rec] : delta_) {
-    const SimTime kept_from = exposure == PowerCutExposure::kIssued
-                                  ? rec.last_issue
-                                  : rec.last_start;
-    if (exposure != PowerCutExposure::kNone && kept_from <= t) {
+    const bool kept =
+        exposure == PowerCutExposure::kIssued
+            ? rec.last_issue <= t
+            : exposure == PowerCutExposure::kStarted &&
+                  FlashArray::ProgramStarted(rec.last_start, t);
+    if (kept) {
       // The mapping journal had already recorded this entry when the
       // program was issued: the (possibly torn) new page stays visible.
       continue;
@@ -641,8 +642,7 @@ void Ftl::PowerCutRollback(SimTime t, PowerCutExposure exposure) {
       SetMapping(lpn, rec.old_packed);
       if (rec.old_packed != kUnmapped) {
         const Ppn old_ppn = PpnOf(rec.old_packed);
-        const uint32_t old_slot = SlotOf(rec.old_packed);
-        reverse_[old_ppn * sectors_per_page_ + old_slot] = lpn;
+        SetReverse(rec.old_packed, lpn);
         if (flash_->page_state(old_ppn) == PageState::kInvalid) {
           flash_->RevalidatePage(old_ppn);
         }
@@ -746,7 +746,6 @@ StatusOr<Ppn> Ftl::AppendLogPage(SimTime now, Slice data, SimTime* start,
     const Status st = flash_->ProgramPage(now, ppn, data, done, start);
     log_head_++;  // The page is consumed whether or not the program stuck.
     if (st.ok()) {
-      stats_.host_programs++;
       stats_.log_appends++;
       if (h_program_ns_ != nullptr) h_program_ns_->Record(*done - now);
       return ppn;
@@ -760,8 +759,8 @@ StatusOr<Ppn> Ftl::AppendLogPage(SimTime now, Slice data, SimTime* start,
 }
 
 void Ftl::MapLogSector(Lpn lpn, Ppn ppn, uint32_t slot, SimTime issue,
-                       SimTime start, SimTime done) {
-  RecordDelta(lpn, issue, start, done);
+                       SimTime start) {
+  RecordDelta(lpn, issue, start);
   MapSector(lpn, ppn, slot);
 }
 

@@ -35,19 +35,19 @@ namespace durassd {
 ///     reboot, so nothing rolls back.
 class Ftl {
  public:
+  /// Re-reads attempted when the raw error count exceeds the ECC budget
+  /// (real controllers retry with shifted read voltages).
+  static constexpr uint32_t kReadRetryLimit = 4;
+  /// Fresh pages tried when a program reports failure before giving up.
+  static constexpr uint32_t kProgramRetryLimit = 3;
+
   struct Options {
     uint32_t sector_size = 4 * kKiB;
     double over_provision = 0.07;
-    uint32_t gc_free_block_threshold = 2;
     uint32_t dump_blocks_per_plane = 2;
-    // --- ECC / fault handling (only exercised when faults are injected) ---
-    /// Raw bit errors per page the ECC corrects in one shot.
+    /// Raw bit errors per page the ECC corrects in one shot (only exercised
+    /// when faults are injected).
     uint32_t ecc_correctable_bits = 8;
-    /// Re-reads attempted when the raw error count exceeds the ECC budget
-    /// (real controllers retry with shifted read voltages).
-    uint32_t read_retry_limit = 4;
-    /// Fresh pages tried when a program reports failure before giving up.
-    uint32_t program_retry_limit = 3;
     /// Owner's metrics registry; the FTL registers its own histograms
     /// under the "ftl." prefix. May be null (no histograms recorded).
     MetricsRegistry* metrics = nullptr;
@@ -63,9 +63,7 @@ class Ftl {
   };
 
   struct Stats {
-    uint64_t host_programs = 0;
     uint64_t gc_runs = 0;
-    uint64_t gc_reads = 0;
     uint64_t gc_programs = 0;
     uint64_t gc_erases = 0;
     uint64_t forced_persists = 0;  ///< Delta entries force-persisted by GC.
@@ -141,7 +139,7 @@ class Ftl {
   /// exactly like ProgramSectors — so power-cut rollback treats a sector
   /// destaged through the log identically to one destaged in place.
   void MapLogSector(Lpn lpn, Ppn ppn, uint32_t slot, SimTime issue,
-                    SimTime start, SimTime done);
+                    SimTime start);
   /// True iff `lpn` currently maps exactly to (ppn, slot). Recovery uses
   /// this to skip log-directory entries superseded by later writes,
   /// relocations, or rollback.
@@ -168,10 +166,11 @@ class Ftl {
     /// durable-cache model, where capacitor power runs every issued NAND
     /// operation to completion (Sec. 3.4.1).
     kIssued,
-    /// Entries whose cell program had *started* by `t` keep the new
-    /// (possibly torn) mapping: the commodity-SSD model that exposes torn
-    /// writes (FAST'13). Programs issued but not yet started by `t` roll
-    /// back, matching FlashArray::PowerCut returning those pages to kFree.
+    /// Entries whose cell program had *started* by `t`
+    /// (FlashArray::ProgramStarted) keep the new (possibly torn) mapping:
+    /// the commodity-SSD model that exposes torn writes (FAST'13). Programs
+    /// not yet started by `t` roll back, exactly the pages
+    /// FlashArray::PowerCut returns to kFree.
     kStarted,
   };
   /// Power cut at `t`: entries in the delta roll back to their persisted
@@ -227,7 +226,6 @@ class Ftl {
     uint64_t old_packed;  ///< Persisted value (kUnmapped if none).
     SimTime last_issue;   ///< Issue time of the most recent program.
     SimTime last_start;   ///< True cell-program start (after channel wait).
-    SimTime last_done;
   };
 
   static uint64_t Pack(Ppn ppn, uint32_t slot) { return ppn * 4 + slot; }
@@ -242,7 +240,7 @@ class Ftl {
   StatusOr<Ppn> AllocatePage(SimTime now, uint32_t plane, bool for_gc);
   /// AllocatePage + ProgramPage with transparent retry: a program that
   /// reports failure closes the block, queues it for retirement, and tries
-  /// again on a fresh page (up to program_retry_limit times).
+  /// again on a fresh page (up to kProgramRetryLimit times).
   StatusOr<Ppn> AllocateAndProgram(SimTime now, uint32_t plane, bool for_gc,
                                    std::span<const Slice> parts,
                                    SimTime* done, SimTime* start = nullptr);
@@ -250,7 +248,7 @@ class Ftl {
   /// rejects when degraded.
   Status ValidateSectors(const std::vector<SectorWrite>& sectors);
   /// Reads a full physical page through the ECC model: up to
-  /// read_retry_limit re-reads while the raw error count exceeds
+  /// kReadRetryLimit re-reads while the raw error count exceeds
   /// ecc_correctable_bits, then kCorruption if still over budget. `page`
   /// (nullptr = timing only) receives FlashArray::PageView of the page; on
   /// kCorruption the bytes are first copied into `damaged`, the bit flips
@@ -280,18 +278,20 @@ class Ftl {
     assert(lpn < logical_sectors_);
     map_[lpn] = packed + 1;
   }
+  /// The LPN living in `packed`'s (ppn, slot), or kInvalidLpn when dead.
+  Lpn ReverseOf(uint64_t packed) const {
+    return reverse_[PpnOf(packed) * sectors_per_page_ + SlotOf(packed)] - 1;
+  }
+  /// Records `lpn` (kInvalidLpn to kill) as the owner of `packed`.
+  void SetReverse(uint64_t packed, Lpn lpn) {
+    reverse_[PpnOf(packed) * sectors_per_page_ + SlotOf(packed)] = lpn + 1;
+  }
   /// Points `lpn` at (ppn, slot), killing the slot it held before.
   void MapSector(Lpn lpn, Ppn ppn, uint32_t slot);
-  void RecordDelta(Lpn lpn, SimTime issue, SimTime start, SimTime done);
+  void RecordDelta(Lpn lpn, SimTime issue, SimTime start);
   /// Flips the sticky degraded flag (idempotent) and emits the trace event
   /// for the transition.
   void EnterDegraded(SimTime now, uint32_t plane, std::string reason);
-  bool IsDumpBlock(uint32_t block) const {
-    return block >= first_dump_block_;
-  }
-  bool IsLogBlock(uint32_t block) const {
-    return block >= first_log_block_ && block < first_dump_block_;
-  }
   /// Makes a log block writable again before the wrapping head re-enters
   /// it: still-live sectors relocate into the main area (FIFO cleaning),
   /// then the block is erased. An erase failure grows a bad block the
@@ -329,9 +329,10 @@ class Ftl {
   /// memory. Read and written only through MappingOf / SetMapping.
   std::unique_ptr<uint64_t[], decltype(&std::free)> map_{nullptr,
                                                          &std::free};
-  /// Reverse map: which LPN lives in each (ppn, slot); kInvalidLpn = dead.
-  /// Flat-indexed as ppn * sectors_per_page_ + slot.
-  std::vector<Lpn> reverse_;
+  /// Reverse map: which LPN lives in each (ppn, slot), flat-indexed as
+  /// ppn * sectors_per_page_ + slot and encoded like map_ (lpn + 1, 0 =
+  /// dead, calloc'd). Read and written only through ReverseOf / SetReverse.
+  std::unique_ptr<Lpn[], decltype(&std::free)> reverse_{nullptr, &std::free};
   std::unordered_map<Lpn, DeltaRec> delta_;
   /// Side index of delta_ for ForcePersistDeltaIn: BlockKey of each entry's
   /// rollback target -> the entry's LPN. delta_ stays authoritative: after

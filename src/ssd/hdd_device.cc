@@ -5,23 +5,37 @@
 
 namespace durassd {
 
+namespace {
+constexpr SimTime kAvgSeek = 3600 * kMicrosecond;
+constexpr SimTime kHalfRotation = 2000 * kMicrosecond;  ///< 15K rpm.
+constexpr SimTime kFixedOverhead = 700 * kMicrosecond;
+constexpr double kTransferBytesPerNs = 0.17;  ///< ~170 MB/s media rate.
+/// Elevator gain: service factor = 1 + gain * min(q, window) / window.
+constexpr double kReadElevatorGain = 3.9;
+constexpr uint32_t kReadElevatorWindow = 128;
+constexpr double kWriteElevatorGain = 2.3;
+constexpr uint32_t kWriteElevatorWindow = 64;
+constexpr double kBusBytesPerNs = 0.60;
+constexpr SimTime kBusCmdOverhead = 3 * kMicrosecond;
+/// Track-cache frames: 16 MiB of 4 KiB sectors.
+constexpr uint32_t kWriteCacheSectors = 4096;
+}  // namespace
+
 HddDevice::HddDevice(Config config)
     : cfg_(std::move(config)), bus_(1), arm_(1) {}
 
 SimTime HddDevice::ServiceTime(uint32_t nsec, bool is_write,
                                uint32_t q) const {
-  const double gain =
-      is_write ? cfg_.write_elevator_gain : cfg_.read_elevator_gain;
-  const uint32_t window =
-      is_write ? cfg_.write_elevator_window : cfg_.read_elevator_window;
+  const double gain = is_write ? kWriteElevatorGain : kReadElevatorGain;
+  const uint32_t window = is_write ? kWriteElevatorWindow : kReadElevatorWindow;
   const double factor =
       1.0 + gain * static_cast<double>(std::min(q, window)) / window;
-  const double positioning = static_cast<double>(cfg_.avg_seek) +
-                             static_cast<double>(cfg_.half_rotation);
-  const double transfer = static_cast<double>(nsec) * cfg_.sector_size /
-                          cfg_.transfer_bytes_per_ns;
+  const double positioning =
+      static_cast<double>(kAvgSeek) + static_cast<double>(kHalfRotation);
+  const double transfer =
+      static_cast<double>(nsec) * cfg_.sector_size / kTransferBytesPerNs;
   return static_cast<SimTime>(positioning / factor + transfer) +
-         cfg_.fixed_overhead;
+         kFixedOverhead;
 }
 
 uint32_t HddDevice::QueueDepth(SimTime t) {
@@ -73,8 +87,7 @@ BlockDevice::Result HddDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
   max_time_seen_ = std::max(max_time_seen_, now);
 
   const SimTime bus_time =
-      static_cast<SimTime>(data.size() / cfg_.bus_bytes_per_ns) +
-      cfg_.bus_cmd_overhead;
+      static_cast<SimTime>(data.size() / kBusBytesPerNs) + kBusCmdOverhead;
   const ResourceTimeline::Grant bus = bus_.Acquire(now, bus_time);
 
   if (!cfg_.cache_enabled) {
@@ -87,7 +100,7 @@ BlockDevice::Result HddDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
   // bound the dirty backlog.
   SimTime t = bus.done;
   while (!outstanding_.empty() && outstanding_.top() <= t) outstanding_.pop();
-  while (outstanding_.size() + nsec > cfg_.write_cache_sectors &&
+  while (outstanding_.size() + nsec > kWriteCacheSectors &&
          !outstanding_.empty()) {
     t = std::max(t, outstanding_.top());
     outstanding_.pop();
@@ -108,8 +121,8 @@ BlockDevice::Result HddDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
   outstanding_.push(g.done);
   const SimTime bus_time =
       static_cast<SimTime>(static_cast<double>(nsec) * cfg_.sector_size /
-                           cfg_.bus_bytes_per_ns) +
-      cfg_.bus_cmd_overhead;
+                           kBusBytesPerNs) +
+      kBusCmdOverhead;
   const ResourceTimeline::Grant bus = bus_.Acquire(g.done, bus_time);
 
   if (out != nullptr) {
@@ -131,7 +144,7 @@ BlockDevice::Result HddDevice::DoFlush(SimTime now) {
   max_time_seen_ = std::max(max_time_seen_, now);
   // Flushes serialize in the drive's firmware.
   const SimTime start = std::max(now, last_flush_done_);
-  SimTime done = start + cfg_.bus_cmd_overhead;
+  SimTime done = start + kBusCmdOverhead;
   while (!outstanding_.empty()) {
     done = std::max(done, outstanding_.top());
     outstanding_.pop();

@@ -17,7 +17,9 @@ namespace durassd {
 /// 146.8GB, 16MB track cache). A single actuator serves requests whose
 /// positioning cost shrinks with queue depth (elevator scheduling); the
 /// volatile track cache acknowledges writes early and destages in sorted
-/// order. Power loss drops unflushed cache contents and can shear the
+/// order. The drive's timing (seek, rotation, media and bus rates, elevator
+/// gains, cache size) is one calibration, kept as constants in
+/// hdd_device.cc. Power loss drops unflushed cache contents and can shear the
 /// sector being written. Scheduled cuts follow BlockDevice's contract, so
 /// a cached write acked at bus speed before the instant keeps its ack (the
 /// bytes may still die with the cache), while a media completion past it
@@ -25,26 +27,9 @@ namespace durassd {
 class HddDevice : public BlockDevice {
  public:
   struct Config {
-    std::string name = "HDD";
     uint32_t sector_size = 4 * kKiB;
     uint64_t num_sectors = (16ull * kGiB) / (4 * kKiB);
     bool cache_enabled = true;
-    uint32_t write_cache_sectors = 4096;  ///< 16 MiB / 4 KiB.
-
-    SimTime avg_seek = 3600 * kMicrosecond;
-    SimTime half_rotation = 2000 * kMicrosecond;  ///< 15K rpm.
-    SimTime fixed_overhead = 700 * kMicrosecond;
-    double transfer_bytes_per_ns = 0.17;  ///< ~170 MB/s media rate.
-
-    /// Elevator gain: service factor = 1 + gain * min(q, window) / window.
-    double read_elevator_gain = 3.9;
-    uint32_t read_elevator_window = 128;
-    double write_elevator_gain = 2.3;
-    uint32_t write_elevator_window = 64;
-
-    double bus_bytes_per_ns = 0.60;
-    SimTime bus_cmd_overhead = 3 * kMicrosecond;
-
     bool store_data = true;
   };
 

@@ -14,10 +14,61 @@ namespace durassd {
 namespace {
 constexpr uint32_t kDumpMagic = 0xD0D0CAFE;
 constexpr uint32_t kDumpEntryMagic = 0xD0D0BEEF;
-constexpr uint32_t kLogSegmentMagic = 0xD0D01065;
 constexpr SimTime kFlushEmptyOverhead = 100 * kMicrosecond;
 constexpr SimTime kCleanBootTime = 1 * kMillisecond;
 constexpr SimTime kVolatileRecoveryScan = 50 * kMillisecond;
+
+// Calibration every preset shares (the presets vary the write-side costs).
+/// NCQ depth (SATA: 31/32 outstanding commands).
+constexpr uint32_t kNcqDepth = 32;
+/// SATA 3.0-class read transfer rate: ~550 MB/s effective.
+constexpr double kBusReadBytesPerNs = 0.55;
+/// Firmware cost of a command: its base plus this much per extra sector.
+constexpr SimTime kFwWritePerExtraSector = 50 * kMicrosecond;
+constexpr SimTime kFwReadBase = 4 * kMicrosecond;
+constexpr SimTime kFwReadPerExtraSector = 2 * kMicrosecond;
+/// Mapping entries that fit one NAND journal page when persisting.
+constexpr size_t kMappingEntriesPerPage = 1024;
+/// The firmware checkpoints its mapping journal on its own once this many
+/// entries are dirty, like real controllers do; only writes after the last
+/// internal checkpoint are at risk on a volatile device.
+constexpr size_t kMappingAutopersistThreshold = 65536;
+/// Pending sectors are destaged when the next host command arrives this
+/// long after the last one joined (the device exploits its own idle time).
+constexpr SimTime kDestageIdle = 1 * kMillisecond;
+
+/// Log segment header (one NAND page): magic u32 | seq u64 | count u32 |
+/// count x (payload crc32c u32, lpn u64) | header crc32c u32.
+constexpr uint32_t kLogSegmentMagic = 0xD0D01065;
+constexpr size_t kSegmentPrefixBytes = 4 + 8 + 4;
+constexpr size_t kSegmentEntryBytes = 4 + 8;
+
+/// Blocks per plane reserved as the log region: max(2, blocks_per_plane /
+/// 8) when the device runs log-structured destage (which needs an enabled
+/// durable cache), else none. Never eats into the dump area or the last
+/// few main-area blocks.
+uint32_t LogBlocksPerPlane(const SsdConfig& cfg) {
+  if (cfg.destage_mode != SsdConfig::DestageMode::kLogStructured ||
+      !cfg.cache_enabled || !cfg.durable_cache) {
+    return 0;
+  }
+  const uint32_t blocks = cfg.geometry.blocks_per_plane;
+  const uint32_t ceiling = blocks > cfg.dump_blocks_per_plane + 4
+                               ? blocks - cfg.dump_blocks_per_plane - 4
+                               : 0;
+  return std::min(std::max(2u, blocks / 8), ceiling);
+}
+
+/// Data pages per log segment (the header page is extra): one page per
+/// plane minus the header, clamped so the header's entries fit one page.
+uint32_t LogSegmentPages(const SsdConfig& cfg) {
+  const FlashGeometry& g = cfg.geometry;
+  const uint32_t sectors_per_page = g.page_size / cfg.sector_size;
+  const uint32_t max_sectors = static_cast<uint32_t>(
+      (g.page_size - kSegmentPrefixBytes - 4) / kSegmentEntryBytes);
+  return std::min(std::max(1u, g.total_planes() - 1),
+                  std::max(1u, max_sectors / sectors_per_page));
+}
 }  // namespace
 
 SsdConfig SsdDevice::SizeDumpArea(SsdConfig cfg) {
@@ -42,17 +93,16 @@ SsdConfig SsdDevice::SizeDumpArea(SsdConfig cfg) {
 SsdDevice::SsdDevice(SsdConfig config)
     : cfg_(SizeDumpArea(std::move(config))),
       flash_(FlashArray::Options{cfg_.geometry, cfg_.faults}),
-      ftl_(&flash_, Ftl::Options{cfg_.sector_size, cfg_.over_provision,
-                                 cfg_.gc_free_block_threshold,
-                                 cfg_.dump_blocks_per_plane,
-                                 cfg_.ecc_correctable_bits,
-                                 cfg_.read_retry_limit,
-                                 cfg_.program_retry_limit,
-                                 &metrics_,
-                                 cfg_.resolved_log_blocks_per_plane()}),
+      ftl_(&flash_,
+           Ftl::Options{.sector_size = cfg_.sector_size,
+                        .over_provision = cfg_.over_provision,
+                        .dump_blocks_per_plane = cfg_.dump_blocks_per_plane,
+                        .ecc_correctable_bits = cfg_.ecc_correctable_bits,
+                        .metrics = &metrics_,
+                        .log_blocks_per_plane = LogBlocksPerPlane(cfg_)}),
       bus_(1),
       fw_(cfg_.fw_parallelism),
-      ncq_(cfg_.ncq_depth),
+      ncq_(kNcqDepth),
       scheduler_(this,
                  DestageScheduler::Options{
                      cfg_.geometry.page_size / cfg_.sector_size,
@@ -67,7 +117,7 @@ SsdDevice::SsdDevice(SsdConfig config)
       h_epoch_size_(metrics_.GetHistogram("ssd.epoch_size")),
       h_qd_(metrics_.GetHistogram("ssd.qd")) {
   set_qd_histogram(h_qd_);
-  log_segment_pages_ = cfg_.resolved_log_segment_pages();
+  log_segment_pages_ = LogSegmentPages(cfg_);
 }
 
 BlockDevice::Result SsdDevice::Execute(SimTime t, const Command& cmd) {
@@ -105,16 +155,16 @@ void SsdDevice::RollbackCommandEntries(Lpn lpn, uint32_t nsec, SimTime ack) {
 
 SimTime SsdDevice::BusTime(uint32_t nsec, bool is_write) const {
   const double rate =
-      is_write ? cfg_.bus_write_bytes_per_ns : cfg_.bus_read_bytes_per_ns;
+      is_write ? cfg_.bus_write_bytes_per_ns : kBusReadBytesPerNs;
   const double bytes = static_cast<double>(nsec) * cfg_.sector_size;
   return static_cast<SimTime>(bytes / rate) + cfg_.bus_cmd_overhead;
 }
 
 SimTime SsdDevice::FwTime(uint32_t nsec, bool is_write) const {
   if (is_write) {
-    return cfg_.fw_write_base + cfg_.fw_write_per_extra_sector * (nsec - 1);
+    return cfg_.fw_write_base + kFwWritePerExtraSector * (nsec - 1);
   }
-  return cfg_.fw_read_base + cfg_.fw_read_per_extra_sector * (nsec - 1);
+  return kFwReadBase + kFwReadPerExtraSector * (nsec - 1);
 }
 
 void SsdDevice::PopCompletedPrograms(SimTime t) {
@@ -201,7 +251,6 @@ void SsdDevice::RestorePrev(CacheEntry& e) {
   e.epoch = e.prev_epoch;
   e.has_prev = false;
   e.program_issue = kNeverProgrammed;
-  e.program_start = 0;
   e.program_done = kNeverProgrammed;  // Needs (re)programming.
 }
 
@@ -247,7 +296,6 @@ void SsdDevice::InsertCacheEntry(Lpn lpn, Slice sector, SimTime ack,
   e.seq = seq;
   e.epoch = epoch;
   e.program_issue = kNeverProgrammed;
-  e.program_start = 0;
   e.program_done = kNeverProgrammed;
   // A resident entry keeps its FIFO slot: pushing again would bloat the
   // FIFO with one stale duplicate per hot-sector rewrite.
@@ -273,11 +321,10 @@ void SsdDevice::EvictCleanIfNeeded() {
 }
 
 void SsdDevice::FinishDestage(const std::vector<Lpn>& group, SimTime issue,
-                              SimTime start, SimTime done) {
+                              SimTime done) {
   for (Lpn lpn : group) {
     CacheEntry& e = cache_[lpn];
     e.program_issue = issue;
-    e.program_start = start;
     e.program_done = done;
     outstanding_.push(done);
   }
@@ -315,7 +362,7 @@ Status SsdDevice::DestagePage(SimTime t, const std::vector<Lpn>& group) {
   SimTime done = 0;
   CachedSectors(group, &writes_a_);
   DURASSD_RETURN_IF_ERROR(ftl_.ProgramSectors(t, writes_a_, &start, &done));
-  FinishDestage(group, t, start, done);
+  FinishDestage(group, t, done);
   return Status::OK();
 }
 
@@ -330,13 +377,13 @@ Status SsdDevice::DestagePagePair(SimTime t, const std::vector<Lpn>& a,
       ftl_.ProgramSectorsMultiPlane(t, writes_a_, writes_b_, &start, &done));
   pair_group_.assign(a.begin(), a.end());
   pair_group_.insert(pair_group_.end(), b.begin(), b.end());
-  FinishDestage(pair_group_, t, start, done);
+  FinishDestage(pair_group_, t, done);
   return Status::OK();
 }
 
 void SsdDevice::MaybeIdleDrain(SimTime now) {
   if (scheduler_.empty()) return;
-  const SimTime deadline = scheduler_.last_add_time() + cfg_.destage_idle_ns;
+  const SimTime deadline = scheduler_.last_add_time() + kDestageIdle;
   if (now < deadline) return;
   // Log mode keeps sub-segment tails coalescing in the durable cache: they
   // are already ack-durable via the capacitor, and draining a short segment
@@ -486,7 +533,7 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
   }
 
   // Firmware-internal mapping checkpoint (invisible to the host).
-  if (ftl_.dirty_mapping_entries() > cfg_.mapping_autopersist_threshold) {
+  if (ftl_.dirty_mapping_entries() > kMappingAutopersistThreshold) {
     ftl_.PersistMapping();
   }
 
@@ -541,18 +588,19 @@ BlockDevice::Result SsdDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
   for (uint32_t i = 0; i < nsec; ++i) {
     const Lpn cur = lpn + i;
     auto it = cache_.find(cur);
-    // A cache entry serves the read only when it can actually supply the
-    // bytes: always in timing-only runs (out == nullptr), and in data runs
-    // only when the frame holds a payload. A timing-only write followed by
-    // a data read must fall through to the media — returning zeros for a
-    // mapped sector would corrupt the host (the original read-path bug).
-    const bool hit = it != cache_.end() &&
-                     (out == nullptr || it->second.payload != kNoPayload);
-    if (hit) {
+    // Every resident entry serves the read. An entry without a payload
+    // exists only on a timing-only device, where its sector reads as the
+    // zeros the FTL returns for a page without data.
+    if (it != cache_.end()) {
       stats_.cache_read_hits++;
       hit_sectors++;
       if (out != nullptr) {
-        out->append(PayloadBytes(it->second.payload), cfg_.sector_size);
+        const Slice bytes = CachedBytes(it->second);
+        if (bytes.empty()) {
+          out->append(cfg_.sector_size, '\0');
+        } else {
+          out->append(bytes.data(), bytes.size());
+        }
       }
       continue;
     }
@@ -582,8 +630,7 @@ BlockDevice::Result SsdDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
 SimTime SsdDevice::MappingPersistCost(size_t entries) const {
   if (entries == 0) return 0;
   const size_t pages =
-      (entries + cfg_.mapping_entries_per_page - 1) /
-      cfg_.mapping_entries_per_page;
+      (entries + kMappingEntriesPerPage - 1) / kMappingEntriesPerPage;
   return static_cast<SimTime>(pages) * cfg_.geometry.program_latency;
 }
 
@@ -1039,9 +1086,9 @@ Status SsdDevice::AppendLogSegment(SimTime t, const std::vector<Lpn>& taken) {
     std::vector<Lpn> group(taken.begin() + off, taken.begin() + off + n);
     for (size_t j = 0; j < n; ++j) {
       ftl_.MapLogSector(group[j], ppn.value(), static_cast<uint32_t>(j), t,
-                        ps, pd);
+                        ps);
     }
-    FinishDestage(group, t, ps, pd);
+    FinishDestage(group, t, pd);
     rec.data_ppns.push_back(ppn.value());
     rec.sectors += static_cast<uint32_t>(n);
   }
@@ -1084,8 +1131,9 @@ SimTime SsdDevice::RecoverCache() {
       uint64_t seq = 0;
       if (GetFixed32(&h, &magic) && magic == kLogSegmentMagic &&
           GetFixed64(&h, &seq) && GetFixed32(&h, &count) &&
-          h.size() >= static_cast<size_t>(count) * 12 + 4) {
-        const size_t crc_pos = 16 + static_cast<size_t>(count) * 12;
+          h.size() >= static_cast<size_t>(count) * kSegmentEntryBytes + 4) {
+        const size_t crc_pos = kSegmentPrefixBytes +
+                               static_cast<size_t>(count) * kSegmentEntryBytes;
         uint32_t stored_crc = 0;
         std::memcpy(&stored_crc, header.data() + crc_pos, sizeof(stored_crc));
         if (Crc32c(header.data(), crc_pos) == stored_crc) {

@@ -196,7 +196,6 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
     uint64_t epoch = 0;        ///< Barrier epoch the owning command joined.
     SimTime program_issue = 0;  ///< NAND program issued (kNeverProgrammed
                                 ///< until then); dump/rollback hinge on it.
-    SimTime program_start = 0;
     SimTime program_done = 0;  ///< kNeverProgrammed until destage scheduled.
     // One-deep history for the coalescing rollback corner case: if the
     // overwriting command turns out incomplete at a power cut, the
@@ -275,14 +274,14 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   Status DestagePage(SimTime t, const std::vector<Lpn>& group) override;
   Status DestagePagePair(SimTime t, const std::vector<Lpn>& a,
                          const std::vector<Lpn>& b) override;
-  /// Idle-threshold drain: pending sectors older than destage_idle_ns are
-  /// destaged when the next host command arrives (the device used its own
-  /// idle time). Called on DoWrite/DoRead/DoFlush entry.
+  /// Idle-threshold drain: pending sectors are destaged when the next host
+  /// command arrives 1 ms or more after the last one joined (the device used
+  /// its own idle time). Called on DoWrite/DoRead entry.
   void MaybeIdleDrain(SimTime now);
   /// Records the program window for a destaged group, releases its frames
   /// at program completion, and samples/traces the destage.
   void FinishDestage(const std::vector<Lpn>& group, SimTime issue,
-                     SimTime start, SimTime done);
+                     SimTime done);
   void InsertCacheEntry(Lpn lpn, Slice sector, SimTime ack, uint64_t seq,
                         uint64_t epoch);
   void EvictCleanIfNeeded();
@@ -367,7 +366,8 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   /// lap of the log region — anything older has been overwritten.
   std::deque<LogSegmentRec> log_dir_;
   uint64_t log_seq_ = 0;
-  /// Resolved segment size (data pages; 0 when log mode is off).
+  /// Data pages per log segment, sized from the geometry at construction
+  /// (read only when UseLogDestage()).
   uint32_t log_segment_pages_ = 0;
 
   bool emergency_shutdown_ = false;

@@ -18,6 +18,20 @@ constexpr uint32_t kMapMagic = 0x7E1ECA5Eu;
 constexpr size_t kPageHeaderBytes = 4 + 1 + 8 + 8 + 4 + 4 + 4;
 constexpr size_t kEntryBytes = 1 + 4 + 8;
 
+/// A read stream whose consecutive-LBA run reaches this many sectors is a
+/// scan (admission bypass until the run breaks).
+constexpr uint64_t kSeqRunSectors = 64;
+/// Idle opportunism: when the host has been quiet this long and at least
+/// kDestageIdleMin sectors are dirty, a round is issued at the idle start so
+/// the capacity tier's quiet time is used.
+constexpr SimTime kDestageIdle = 2 * kMillisecond;
+constexpr uint64_t kDestageIdleMin = 8;
+/// Free-slot low-water mark: allocation refills the free pool by
+/// batch-invalidating clean victims (one journal write for the batch).
+constexpr size_t kFreeReserveSlots = 16;
+/// Clean victims invalidated per refill round.
+constexpr size_t kEvictBatch = 32;
+
 }  // namespace
 
 uint32_t TieredDevice::EntriesPerPage() const {
@@ -53,9 +67,8 @@ TieredDevice::TieredDevice(TieredConfig config) : cfg_(std::move(config)) {
   uint64_t slots = std::min(want, flash_sectors > 64 ? flash_sectors - 64 : 1);
   ckpt_pages_ = static_cast<uint32_t>((slots + epp - 1) / epp);
   if (ckpt_pages_ == 0) ckpt_pages_ = 1;
-  map_pages_ = cfg_.map_pages != 0 ? cfg_.map_pages : 4 * ckpt_pages_ + 16;
   map_pages_ = static_cast<uint32_t>(
-      std::min<uint64_t>(map_pages_, flash_sectors / 2));
+      std::min<uint64_t>(4 * ckpt_pages_ + 16, flash_sectors / 2));
   if (map_pages_ < 8) map_pages_ = 8;
   // Clamp the slot count to what the chosen ring can checkpoint and what
   // the flash tier has left after the ring.
@@ -149,11 +162,7 @@ SimTime TieredDevice::WriteOpenPage(SimTime t, Status* st) {
   p.seq = map_seq_;
   p.deltas = open_deltas_;
   const Result r = flash_->Write(t, map_ring_pos_, EncodePage(p));
-  if (!r.status.ok()) {
-    *st = r.status;
-    return r.done;
-  }
-  ++stats_.map_page_writes;
+  if (!r.status.ok()) *st = r.status;
   return r.done;
 }
 
@@ -196,7 +205,6 @@ void TieredDevice::WriteCheckpoint(SimTime t, SimTime* done, Status* st) {
       *st = r.status;
       return;
     }
-    ++stats_.map_page_writes;
     *done = std::max(*done, r.done);
     map_ring_pos_ = (map_ring_pos_ + 1) % map_pages_;
   }
@@ -239,12 +247,13 @@ SimTime TieredDevice::AppendMapDeltas(SimTime t,
 void TieredDevice::EnsureFreeSlots(SimTime t, size_t want, bool allow_destage,
                                    Status* st) {
   while (free_slots_.size() < want && st->ok()) {
-    // Clock sweep (second chance) for a batch of clean victims.
-    std::vector<uint32_t> victims;
+    // Clock sweep (second chance) for a batch of clean victims. Each victim
+    // is invalidated as it is picked: the sweep may lap the clock, and a
+    // slot picked twice would be freed twice and handed to two LBAs.
+    std::vector<MapDelta> deltas;
     const size_t nslots = slots_.size();
     for (size_t scanned = 0;
-         victims.size() < cfg_.evict_batch && scanned < 2 * nslots;
-         ++scanned) {
+         deltas.size() < kEvictBatch && scanned < 2 * nslots; ++scanned) {
       const uint32_t s = clock_hand_;
       clock_hand_ = (clock_hand_ + 1) % static_cast<uint32_t>(nslots);
       Slot& sl = slots_[s];
@@ -253,9 +262,13 @@ void TieredDevice::EnsureFreeSlots(SimTime t, size_t want, bool allow_destage,
         sl.ref = false;
         continue;
       }
-      victims.push_back(s);
+      deltas.push_back({kOpInvalidate, s, sl.cap_lpn});
+      dir_.erase(sl.cap_lpn);
+      sl = Slot{};
+      free_slots_.push_back(s);
+      ++stats_.evictions;
     }
-    if (victims.empty()) {
+    if (deltas.empty()) {
       // Everything is dirty (or invalid): only a destage round can mint
       // clean victims.
       if (!allow_destage || dirty_count_ == 0) return;
@@ -266,25 +279,15 @@ void TieredDevice::EnsureFreeSlots(SimTime t, size_t want, bool allow_destage,
     // slot's data write is submitted after this page write, so the ordered
     // flash queue guarantees a cut can never leave new bytes under a
     // surviving old mapping.
-    std::vector<MapDelta> deltas;
-    deltas.reserve(victims.size());
-    for (const uint32_t s : victims) {
-      deltas.push_back({kOpInvalidate, s, slots_[s].cap_lpn});
-      dir_.erase(slots_[s].cap_lpn);
-      slots_[s] = Slot{};
-      free_slots_.push_back(s);
-      ++stats_.evictions;
-    }
     AppendMapDeltas(t, deltas, st);
   }
 }
 
 bool TieredDevice::AcquireSlot(SimTime t, uint32_t* slot, Status* st) {
   if (free_slots_.empty()) {
-    EnsureFreeSlots(t, std::max<size_t>(1, cfg_.free_reserve_slots),
-                    /*allow_destage=*/true, st);
-  } else if (free_slots_.size() < cfg_.free_reserve_slots) {
-    EnsureFreeSlots(t, cfg_.free_reserve_slots, /*allow_destage=*/false, st);
+    EnsureFreeSlots(t, kFreeReserveSlots, /*allow_destage=*/true, st);
+  } else if (free_slots_.size() < kFreeReserveSlots) {
+    EnsureFreeSlots(t, kFreeReserveSlots, /*allow_destage=*/false, st);
   }
   if (!st->ok() || free_slots_.empty()) return false;
   *slot = free_slots_.back();
@@ -368,9 +371,8 @@ SimTime TieredDevice::DestageRound(SimTime t, uint32_t max_victims,
 void TieredDevice::MaybeDestage(SimTime now) {
   // Idle opportunism: the gap that just ended belonged to the devices —
   // issue the round at the idle start so it used quiet capacity time.
-  if (dirty_count_ >= cfg_.destage_idle_min && last_activity_ > 0 &&
-      now > last_activity_ &&
-      now - last_activity_ >= cfg_.destage_idle_ns) {
+  if (dirty_count_ >= kDestageIdleMin && last_activity_ > 0 &&
+      now > last_activity_ && now - last_activity_ >= kDestageIdle) {
     Status st;
     DestageRound(last_activity_, cfg_.destage_batch, &st);
   }
@@ -481,7 +483,7 @@ BlockDevice::Result TieredDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
   if (cfg_.admission == TieredConfig::Admission::kBypassSequential) {
     seq_run_ = (lpn == seq_last_end_) ? seq_run_ + nsec : nsec;
     seq_last_end_ = lpn + nsec;
-    scan = seq_run_ >= cfg_.seq_run_sectors;
+    scan = seq_run_ >= kSeqRunSectors;
   }
   const bool admit_misses = !scan;
 
@@ -553,8 +555,8 @@ BlockDevice::Result TieredDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
     for (const MissRun& mr : misses) {
       for (uint32_t k = 0; k < mr.nsec && !full; ++k) {
         if (free_slots_.empty()) {
-          EnsureFreeSlots(done, cfg_.free_reserve_slots,
-                          /*allow_destage=*/false, &st);
+          EnsureFreeSlots(done, kFreeReserveSlots, /*allow_destage=*/false,
+                          &st);
           if (!st.ok() || free_slots_.empty()) {
             full = true;
             break;
@@ -650,7 +652,6 @@ SimTime TieredDevice::RecoverDirectory(SimTime t) {
     MapPage mp;
     if (DecodePage(Slice(buf), &mp)) pages.emplace_back(p, std::move(mp));
   }
-  stats_.recovery_map_pages_valid = pages.size();
 
   // Newest complete checkpoint group (group id = seq of fragment 0, so
   // the largest complete group id is the newest checkpoint).
@@ -659,7 +660,6 @@ SimTime TieredDevice::RecoverDirectory(SimTime t) {
     if (p.is_checkpoint) groups[p.group][p.idx] = &p;
   }
   const std::map<uint32_t, const MapPage*>* best = nullptr;
-  uint64_t best_group = 0;
   for (auto it = groups.rbegin(); it != groups.rend(); ++it) {
     const uint32_t of = it->second.begin()->second->of;
     if (it->second.size() == of) {
@@ -672,7 +672,6 @@ SimTime TieredDevice::RecoverDirectory(SimTime t) {
       }
       if (complete) {
         best = &it->second;
-        best_group = it->first;
         break;
       }
     }
@@ -716,19 +715,14 @@ SimTime TieredDevice::RecoverDirectory(SimTime t) {
 
   dirty_count_ = 0;
   stats_.recovered_entries = 0;
-  stats_.recovered_dirty = 0;
   for (const Slot& sl : slots_) {
     if (!sl.valid) continue;
     ++stats_.recovered_entries;
-    if (sl.dirty) {
-      ++dirty_count_;
-      ++stats_.recovered_dirty;
-    }
+    if (sl.dirty) ++dirty_count_;
   }
   RebuildFreeList();
   clock_hand_ = 0;
   destage_cursor_ = 0;
-  (void)best_group;
   return done;
 }
 

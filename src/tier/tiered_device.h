@@ -18,9 +18,9 @@ namespace durassd {
 
 /// Configuration of a TieredDevice: a small durable-cache flash tier
 /// fronting a large, cheap capacity tier (FaCE-style flash extended cache).
+/// The scan threshold, idle-destage trigger, free-slot reserve, eviction
+/// batch and journal ring size are fixed policy (tiered_device.cc).
 struct TieredConfig {
-  std::string name = "Tiered";
-
   /// The flash tier. The device forces a durable, ordered, enabled cache
   /// (the persistent directory's commit-point semantics rely on them) and
   /// byte storage (recovery reads the journal back).
@@ -38,40 +38,23 @@ struct TieredConfig {
   /// populates the cache.
   enum class Admission {
     kAll,               ///< Every miss is admitted.
-    kBypassSequential,  ///< Scan-like sequential runs bypass the cache so a
-                        ///< backup cannot flush the hot set.
+    kBypassSequential,  ///< Scan-like sequential runs (64 consecutive
+                        ///< sectors or more) bypass the cache so a backup
+                        ///< cannot flush the hot set.
   };
   Admission admission = Admission::kBypassSequential;
-  /// A read stream whose consecutive-LBA run reaches this many sectors is
-  /// classified as a scan (admission bypass until the run breaks).
-  uint32_t seq_run_sectors = 64;
 
-  /// Dirty victims per group destage round. Victims are taken in LBA order
-  /// and coalesced into contiguous runs, so the capacity tier sees few,
-  /// large, sorted writes instead of per-page random ones.
+  /// Dirty victims per group destage round, and the dirty count that
+  /// starts one. Victims are taken in LBA order and coalesced into
+  /// contiguous runs, so the capacity tier sees few, large, sorted writes
+  /// instead of per-page random ones.
   uint32_t destage_batch = 64;
-  /// Idle opportunism: when the host has been quiet for destage_idle_ns
-  /// and at least destage_idle_min sectors are dirty, a round is issued at
-  /// the idle start so the capacity tier's quiet time is used.
-  SimTime destage_idle_ns = 2 * kMillisecond;
-  uint32_t destage_idle_min = 8;
-
-  /// Free-slot low-water mark: allocation refills the free pool by
-  /// batch-invalidating clean victims (one journal write for the batch).
-  uint32_t free_reserve_slots = 16;
-  /// Clean victims invalidated per refill round.
-  uint32_t evict_batch = 32;
 
   /// Warm recovery (the FaCE claim): rebuild the full directory from the
   /// on-flash journal at PowerOn. When false the device still recovers and
   /// destages dirty entries (correctness is never optional) but then drops
   /// the directory — the cold-start baseline the rewarm A/B measures.
   bool warm_recovery = true;
-
-  /// Flash sectors reserved for the directory journal ring. 0 = auto:
-  /// sized from the slot count so a full checkpoint plus its delta window
-  /// always fits with slack.
-  uint32_t map_pages = 0;
 };
 
 /// Flash as an extended cache over a cheap capacity tier (FaCE lineage of
@@ -117,13 +100,10 @@ class TieredDevice : public BlockDevice {
     uint64_t destage_runs = 0;       ///< Contiguous capacity writes issued
                                      ///< (sectors/runs = mean run length).
     uint64_t evictions = 0;          ///< Clean slots invalidated for reuse.
-    uint64_t map_page_writes = 0;    ///< Journal page programs (deltas).
     uint64_t map_checkpoints = 0;    ///< Full directory checkpoints.
     uint64_t flushes = 0;
     // --- Last PowerOn recovery ---
     uint64_t recovered_entries = 0;  ///< Directory entries rebuilt.
-    uint64_t recovered_dirty = 0;    ///< ... of which were dirty.
-    uint64_t recovery_map_pages_valid = 0;  ///< CRC-clean journal pages.
     uint64_t cold_resets = 0;        ///< Cold-start conversions performed.
 
     double hit_ratio() const {

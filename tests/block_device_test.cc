@@ -57,7 +57,6 @@ HddDevice::Config SmallHdd(bool cache_on) {
   HddDevice::Config c;
   c.num_sectors = 1024;
   c.cache_enabled = cache_on;
-  c.write_cache_sectors = 64;
   return c;
 }
 
@@ -67,10 +66,6 @@ TieredConfig SmallTier() {
   tc.capacity_hdd = SmallHdd(/*cache_on=*/true);
   tc.flash_pct = 25.0;
   tc.destage_batch = 16;
-  tc.destage_idle_ns = 500 * kMicrosecond;
-  tc.destage_idle_min = 4;
-  tc.free_reserve_slots = 8;
-  tc.evict_batch = 8;
   return tc;
 }
 

@@ -34,11 +34,12 @@ class BufferPoolTest : public ::testing::Test {
     return c;
   }
 
-  /// Creates page `id` with a recognizable body and unpins it.
+  /// Creates page `id` with a recognizable body and unpins it. The cell is
+  /// not a B-tree cell, so the page is not typed as a B-tree page.
   void MakePage(PageId id, char fill) {
     auto ref = pool_->Fix(io_, id, /*create=*/true);
     ASSERT_TRUE(ref.ok());
-    (*ref)->Format(id, PageType::kBTreeLeaf);
+    (*ref)->Format(id, PageType::kOverflow);
     std::string cell;
     cell.resize(2);
     const uint16_t len = 2 + 64;

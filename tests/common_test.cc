@@ -36,7 +36,6 @@ TEST(StatusTest, AllConstructorsMapToPredicates) {
   EXPECT_TRUE(Status::DeviceOffline().IsDeviceOffline());
   EXPECT_TRUE(Status::OutOfSpace().IsOutOfSpace());
   EXPECT_TRUE(Status::Busy().IsBusy());
-  EXPECT_TRUE(Status::Aborted().IsAborted());
   EXPECT_TRUE(Status::DataLoss().IsDataLoss());
   EXPECT_TRUE(Status::ResourceExhausted().IsResourceExhausted());
 }

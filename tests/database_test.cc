@@ -498,21 +498,51 @@ void MutatePageLayout(DbHarness* h, Random* rng) {
                   .status.ok());
 }
 
+/// Damages the key and value length fields of one cell of one B-tree page
+/// (leaf: key and value lengths; internal: key length), then reseals the
+/// page checksum.
+void MutateCellBody(DbHarness* h, Random* rng) {
+  SimFile* data = h->fs()->Open("data.db");
+  std::vector<Page> pages;
+  for (uint64_t off = 0; off + 4096 <= data->size(); off += 4096) {
+    std::string raw;
+    ASSERT_TRUE(data->Read(h->io().now, off, 4096, &raw).status.ok());
+    Page page(4096);
+    page.CopyFrom(raw);
+    if (page.header()->magic == Page::kMagic && page.nslots() > 0 &&
+        (page.type() == PageType::kBTreeLeaf ||
+         page.type() == PageType::kBTreeInternal)) {
+      pages.push_back(std::move(page));
+    }
+  }
+  ASSERT_FALSE(pages.empty());
+  Page& page = pages[rng->Uniform(pages.size())];
+  const Slice cell = page.CellAt(
+      static_cast<uint16_t>(rng->Uniform(page.nslots())));
+  const size_t length_bytes = page.type() == PageType::kBTreeLeaf ? 4 : 2;
+  FlipBits(rng, page.data() + (cell.data() - page.data()) + 2, length_bytes);
+  page.SealChecksum();
+  ASSERT_TRUE(data->Write(h->io().now, page.page_id() * 4096, page.AsSlice())
+                  .status.ok());
+}
+
 TEST(DatabaseTest, MutatedMetaRecordOrWalFrameOpensOrReadsAsCorruption) {
   // Seeded damage under a valid checksum: one to three flipped bits in the
-  // meta record, in one post-checkpoint WAL frame's payload, or in the slot
-  // array and cell length prefixes of one page. Recovery must open the
-  // database or return Corruption. Anything else means a decoder trusted
-  // its input, such as replay allocating a page past the end of the device
-  // (OutOfSpace), a split formatting a page still in use, even the one it
-  // splits, or a slot pointing past the page (a crash).
-  enum class Input { kMetaRecord, kWalFrame, kPageLayout };
-  for (const Input input :
-       {Input::kMetaRecord, Input::kWalFrame, Input::kPageLayout}) {
+  // meta record, in one post-checkpoint WAL frame's payload, in the slot
+  // array and cell length prefixes of one page, or in the key and value
+  // lengths of one B-tree cell. Recovery must open the database or return
+  // Corruption. Anything else means a decoder trusted its input, such as
+  // replay allocating a page past the end of the device (OutOfSpace), a
+  // split formatting a page still in use, even the one it splits, or a
+  // slot or key pointing past the page (a crash).
+  enum class Input { kMetaRecord, kWalFrame, kPageLayout, kCellBody };
+  for (const Input input : {Input::kMetaRecord, Input::kWalFrame,
+                            Input::kPageLayout, Input::kCellBody}) {
     for (uint64_t seed = 1; seed <= 300; ++seed) {
-      const char* name = input == Input::kMetaRecord ? "meta record"
-                         : input == Input::kWalFrame ? "wal frame"
-                                                     : "page layout";
+      const char* name = input == Input::kMetaRecord   ? "meta record"
+                         : input == Input::kWalFrame   ? "wal frame"
+                         : input == Input::kPageLayout ? "page layout"
+                                                       : "cell body";
       SCOPED_TRACE(std::string(name) + " seed " + std::to_string(seed));
       Random rng(seed);
       DbHarness h({/*durable_cache=*/true, /*write_barriers=*/false,
@@ -527,6 +557,9 @@ TEST(DatabaseTest, MutatedMetaRecordOrWalFrameOpensOrReadsAsCorruption) {
           break;
         case Input::kPageLayout:
           ASSERT_NO_FATAL_FAILURE(MutatePageLayout(&h, &rng));
+          break;
+        case Input::kCellBody:
+          ASSERT_NO_FATAL_FAILURE(MutateCellBody(&h, &rng));
           break;
       }
       const Status s = h.OpenDb();

@@ -85,7 +85,9 @@ class FaultInjectionFtlTest : public ::testing::Test {
  protected:
   FaultInjectionFtlTest()
       : flash_(FlashArray::Options{FlashGeometry::Tiny()}),
-        ftl_(&flash_, Ftl::Options{4 * kKiB, 0.25, 2, 2}) {}
+        ftl_(&flash_, Ftl::Options{.sector_size = 4 * kKiB,
+                                   .over_provision = 0.25,
+                                   .dump_blocks_per_plane = 2}) {}
 
   Status WriteOne(SimTime now, Lpn lpn, const std::string& data,
                   SimTime* done = nullptr) {
@@ -174,8 +176,11 @@ TEST_F(FaultInjectionFtlTest, ReadRetryRecoversFromBurstErrors) {
 
 TEST(FaultInjectionEccTest, UncorrectableReadReportsCorruption) {
   FlashArray flash(FlashArray::Options{FlashGeometry::Tiny()});
-  // Tight ECC: 2 correctable bits, 2 retries.
-  Ftl ftl(&flash, Ftl::Options{4 * kKiB, 0.25, 2, 2, 2, 2, 3});
+  // Tight ECC: 2 correctable bits.
+  Ftl ftl(&flash, Ftl::Options{.sector_size = 4 * kKiB,
+                               .over_provision = 0.25,
+                               .dump_blocks_per_plane = 2,
+                               .ecc_correctable_bits = 2});
 
   const std::string data = SectorData('u');
   std::vector<Ftl::SectorWrite> w{{7, data}};
@@ -183,14 +188,14 @@ TEST(FaultInjectionEccTest, UncorrectableReadReportsCorruption) {
   SimTime done = 0;
   ASSERT_TRUE(ftl.ProgramSectors(0, w, &start, &done).ok());
 
-  // Initial read and both retries all come back over budget.
-  flash.fault_injector().FlipBitsOnReadAfter(0, 10);
-  flash.fault_injector().FlipBitsOnReadAfter(1, 10);
-  flash.fault_injector().FlipBitsOnReadAfter(2, 10);
+  // The initial read and every retry come back over budget.
+  for (uint32_t i = 0; i <= Ftl::kReadRetryLimit; ++i) {
+    flash.fault_injector().FlipBitsOnReadAfter(i, 10);
+  }
   std::string out;
   const Status st = ftl.ReadSector(done, 7, &out);
   EXPECT_TRUE(st.IsCorruption());
-  EXPECT_EQ(ftl.stats().read_retries, 2u);
+  EXPECT_EQ(ftl.stats().read_retries, Ftl::kReadRetryLimit);
   EXPECT_EQ(ftl.stats().uncorrectable_reads, 1u);
 }
 
@@ -277,7 +282,6 @@ TEST(FaultInjectionDeviceTest, LostDumpHeaderFallsBackToFullScan) {
   // count. Lose it to an uncorrectable read and recovery must degrade to
   // the full self-describing scan — not drop the dump.
   SsdConfig cfg = SsdConfig::Tiny(true);
-  cfg.read_retry_limit = 0;      // One-shot scripted flips stay effective.
   cfg.ecc_correctable_bits = 8;  // Budget far below the scripted burst.
   SsdDevice dev(cfg);
 
@@ -291,8 +295,11 @@ TEST(FaultInjectionDeviceTest, LostDumpHeaderFallsBackToFullScan) {
   }
   dev.PowerCut(t);
   ASSERT_GT(dev.stats().dumped_pages, 0u);
-  // First flash read after the cut is ReplayDump's header read.
-  dev.fault_injector().FlipBitsOnReadAfter(0, 4096);
+  // The first flash reads after the cut are ReplayDump's header read and
+  // its retries: flip every attempt.
+  for (uint32_t i = 0; i <= Ftl::kReadRetryLimit; ++i) {
+    dev.fault_injector().FlipBitsOnReadAfter(i, 4096);
+  }
   dev.PowerOn();
 
   EXPECT_GE(dev.ftl().stats().uncorrectable_reads, 1u);

@@ -15,7 +15,9 @@ class FtlTest : public ::testing::Test {
  protected:
   FtlTest()
       : flash_(FlashArray::Options{FlashGeometry::Tiny()}),
-        ftl_(&flash_, Ftl::Options{4 * kKiB, 0.25, 2, 2}) {}
+        ftl_(&flash_, Ftl::Options{.sector_size = 4 * kKiB,
+                                   .over_provision = 0.25,
+                                   .dump_blocks_per_plane = 2}) {}
 
   std::string SectorData(char fill) const { return std::string(4 * kKiB, fill); }
 
@@ -182,6 +184,38 @@ TEST_F(FtlTest, ExposeStartedKeepsInFlightMapping) {
   // First half new, second half shorn.
   EXPECT_EQ(out.substr(0, 2 * kKiB), std::string(2 * kKiB, 't'));
   EXPECT_EQ(out.substr(2 * kKiB), std::string(2 * kKiB, '\0'));
+}
+
+TEST(FtlCutTest, CutAtProgramStartAgreesWithTheArray) {
+  // FlashArray::PowerCut and the torn-write rollback share one definition
+  // of "the cell program had started by the cut": at the start instant the
+  // page is still erased, so the mapping rolls back too; one nanosecond
+  // later the page is torn and the mapping stays.
+  for (const SimTime after_start : {SimTime{0}, SimTime{1}}) {
+    FlashArray flash(FlashArray::Options{FlashGeometry::Tiny()});
+    Ftl ftl(&flash, Ftl::Options{.sector_size = 4 * kKiB,
+                                 .over_provision = 0.25,
+                                 .dump_blocks_per_plane = 2});
+    const std::string data(4 * kKiB, 'c');
+    const std::vector<Ftl::SectorWrite> w{{7, data}};
+    SimTime start = 0;
+    SimTime done = 0;
+    ASSERT_TRUE(ftl.ProgramSectors(0, w, &start, &done).ok());
+    ASSERT_GT(start, 0);  // The channel transfer comes first.
+    const SimTime cut = start + after_start;
+    flash.PowerCut(cut);
+    ftl.PowerCutRollback(cut, Ftl::PowerCutExposure::kStarted);
+
+    std::string out;
+    bool torn = false;
+    ASSERT_TRUE(ftl.ReadSector(0, 7, &out, nullptr, &torn).ok());
+    SCOPED_TRACE("cut at start + " + std::to_string(after_start));
+    EXPECT_EQ(ftl.IsMapped(7), after_start > 0);
+    EXPECT_EQ(torn, after_start > 0);
+    if (after_start == 0) {
+      EXPECT_EQ(out, std::string(4 * kKiB, '\0'));
+    }
+  }
 }
 
 TEST_F(FtlTest, RollbackAfterOverwriteRestoresPersistedVersion) {

@@ -11,7 +11,6 @@ HddDevice::Config SmallHdd(bool cache_on = true) {
   HddDevice::Config c;
   c.num_sectors = 4096;
   c.cache_enabled = cache_on;
-  c.write_cache_sectors = 64;
   return c;
 }
 

@@ -139,9 +139,7 @@ TEST(LogDestageTest, PowerCutSweepRecoversEveryAckedSector) {
 }
 
 TEST(LogDestageTest, LostSegmentHeaderIsCountedTornWithoutDataLoss) {
-  SsdConfig cfg = LogConfig();
-  cfg.read_retry_limit = 0;  // One-shot scripted flips must not be retried.
-  SsdDevice dev(cfg);
+  SsdDevice dev(LogConfig());
 
   constexpr int kWrites = 48;
   SimTime t = 0;
@@ -151,9 +149,12 @@ TEST(LogDestageTest, LostSegmentHeaderIsCountedTornWithoutDataLoss) {
   ASSERT_GT(dev.stats().log_segments, 0u);
 
   dev.PowerCut(t);
-  // The first flash read after the cut is the newest segment's header page
-  // (RecoverCache validates newest to oldest): make it uncorrectable.
-  dev.fault_injector().FlipBitsOnReadAfter(0, 4096);
+  // The first flash reads after the cut are the newest segment's header
+  // page and its retries (RecoverCache validates newest to oldest): make
+  // every attempt uncorrectable.
+  for (uint32_t i = 0; i <= Ftl::kReadRetryLimit; ++i) {
+    dev.fault_injector().FlipBitsOnReadAfter(i, 4096);
+  }
   dev.PowerOn();
 
   EXPECT_GE(dev.stats().log_torn_segments, 1u);
@@ -169,9 +170,12 @@ TEST(LogDestageTest, LostSegmentHeaderIsCountedTornWithoutDataLoss) {
 
 TEST(LogDestageTest, AppendCursorWrapsAndReclaimsWithoutCorruption) {
   SsdConfig cfg = LogConfig();
-  cfg.log_blocks_per_plane = 2;  // 2 * 16 * 4 = 128 log pages: wraps fast.
+  // 16 blocks per plane: the log region is max(2, 16 / 8) = 2 blocks, so
+  // 2 * 16 * 4 = 128 log pages: wraps fast.
+  cfg.geometry.blocks_per_plane = 16;
   SsdDevice dev(cfg);
   ASSERT_TRUE(dev.UseLogDestage());
+  ASSERT_EQ(dev.ftl().log_pages_total(), 128u);
 
   // Enough volume to lap the log region several times. A narrow LPN range
   // leaves live sectors inside reclaimed log blocks (relocation coverage)
@@ -206,8 +210,12 @@ TEST(LogDestageTest, LogModeLowersWriteAmplification) {
   auto run = [](SsdConfig::DestageMode mode) {
     SsdConfig cfg = LogConfig();
     cfg.destage_mode = mode;
-    cfg.log_segment_pages = 15;  // 30-sector segments: 1/16 header overhead.
+    // 16 planes: 15-page (30-sector) segments, 1/16 header overhead.
+    cfg.geometry.channels = 8;
     SsdDevice dev(cfg);
+    if (mode == SsdConfig::DestageMode::kLogStructured) {
+      EXPECT_EQ(dev.SegmentDataPages(), 15u);
+    }
     Random rng(17);
     SimTime t = 0;
     for (int i = 0; i < 300; ++i) {

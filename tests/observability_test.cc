@@ -513,11 +513,14 @@ TEST(BenchJsonTest, PathFromArgsBothForms) {
 TEST(WriteAccountingTest, FailedWriteThroughProgramDoesNotCount) {
   SsdConfig cfg = SsdConfig::Tiny(true);
   cfg.cache_enabled = false;  // Write-through: program before ack.
-  cfg.program_retry_limit = 0;  // First program failure surfaces to host.
   SsdDevice dev(cfg);
   const std::string data(cfg.sector_size, 'x');
 
-  dev.fault_injector().FailProgramAfter(0);
+  // Fail the first program and every retry, so the failure surfaces to
+  // the host.
+  for (uint32_t i = 0; i <= Ftl::kProgramRetryLimit; ++i) {
+    dev.fault_injector().FailProgramAfter(i);
+  }
   const auto fail = dev.Write(0, 0, data);
   ASSERT_FALSE(fail.status.ok());
   EXPECT_EQ(dev.stats().host_writes, 0u);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -134,6 +135,35 @@ TEST(PageTest, ChecksumDetectsSingleBitRot) {
   Page rotten(4096);
   rotten.CopyFrom(raw);
   EXPECT_FALSE(rotten.VerifyChecksum());
+}
+
+TEST(PageTest, LayoutCheckBoundsBTreeCellBodies) {
+  // [len u16][klen u16][vlen u16][key][value] on a leaf, [len u16][klen u16]
+  // [child u64][key] on an internal page: the lengths must fit the cell.
+  const auto cell = [](uint16_t klen, uint16_t vlen, size_t body) {
+    std::string c(2, '\0');
+    c.append(reinterpret_cast<const char*>(&klen), 2);
+    c.append(reinterpret_cast<const char*>(&vlen), 2);
+    c.append(body, 'x');
+    const uint16_t len = static_cast<uint16_t>(c.size());
+    std::memcpy(c.data(), &len, 2);
+    return c;
+  };
+  const auto verifies = [](PageType type, const std::string& c) {
+    Page page(4096);
+    page.Format(1, type);
+    EXPECT_TRUE(page.InsertCell(0, c));
+    return page.VerifyLayout();
+  };
+  EXPECT_TRUE(verifies(PageType::kBTreeLeaf, cell(3, 5, 8)));
+  EXPECT_FALSE(verifies(PageType::kBTreeLeaf, cell(3, 6, 8)));
+  EXPECT_FALSE(verifies(PageType::kBTreeLeaf, cell(0xFFFF, 0, 8)));
+  EXPECT_FALSE(verifies(PageType::kBTreeLeaf, std::string("\4\0\0\0", 4)));
+  // Internal: klen 4 leaves room for the 8-byte child; klen 5 does not.
+  EXPECT_TRUE(verifies(PageType::kBTreeInternal, cell(4, 0, 10)));
+  EXPECT_FALSE(verifies(PageType::kBTreeInternal, cell(5, 0, 10)));
+  // Pages of other types carry no B-tree cells to check.
+  EXPECT_TRUE(verifies(PageType::kMeta, cell(0xFFFF, 0, 8)));
 }
 
 TEST(PageTest, SupportsAllConfiguredSizes) {

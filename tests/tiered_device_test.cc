@@ -22,13 +22,8 @@ TieredConfig SmallTier() {
   TieredConfig tc;
   tc.flash = SsdConfig::Tiny(/*durable=*/true);
   tc.capacity_hdd.num_sectors = 1024;
-  tc.capacity_hdd.write_cache_sectors = 64;
   tc.flash_pct = 25.0;
   tc.destage_batch = 16;
-  tc.destage_idle_ns = 500 * kMicrosecond;
-  tc.destage_idle_min = 4;
-  tc.free_reserve_slots = 8;
-  tc.evict_batch = 8;
   return tc;
 }
 
@@ -180,9 +175,7 @@ TEST(TieredDevice, EvictionKeepsDirectoryConsistentBeyondCacheSize) {
 // ---------------------------------------------------------------------------
 
 TEST(TieredDevice, SequentialScanBypassesAdmissionAndPreservesHitRatio) {
-  TieredConfig tc = SmallTier();
-  tc.seq_run_sectors = 64;
-  auto tier = MakeTieredDevice(tc);
+  auto tier = MakeTieredDevice(SmallTier());
 
   // Hot set: write (and thereby cache) sectors 0..31, then warm-up reads.
   SimTime t = 0;
@@ -198,8 +191,9 @@ TEST(TieredDevice, SequentialScanBypassesAdmissionAndPreservesHitRatio) {
   const uint64_t admitted_before = tier->stats().admitted_sectors;
 
   // A backup-style scan: 64-sector sequential commands over a cold range.
-  // Each command's run is already >= seq_run_sectors, so nothing from the
-  // scan may be admitted (and nothing hot may be evicted for it).
+  // Each command's run already reaches the 64-sector scan threshold, so
+  // nothing from the scan may be admitted (and nothing hot may be evicted
+  // for it).
   for (Lpn l = 256; l < 768; l += 64) {
     const auto r = tier->Read(t, l, 64, nullptr);
     ASSERT_TRUE(r.status.ok());
@@ -353,10 +347,12 @@ TEST(TieredDevice, WarmRecoveryRewarmsFasterThanColdStart) {
 }
 
 TEST(TieredDevice, MapRingWrapsThroughCheckpointsAndStillRecovers) {
-  TieredConfig tc = SmallTier();
-  tc.map_pages = 8;  // Tiny ring: wraps and checkpoints constantly.
-  auto tier = MakeTieredDevice(tc);
-  constexpr int kIters = 2500;
+  // The auto-sized ring of this tier holds 20 pages and checkpoints every
+  // 9 closed delta pages, so four checkpoints (the seed one included) mean
+  // at least 27 closed pages: the writer has lapped the ring.
+  auto tier = MakeTieredDevice(SmallTier());
+  ASSERT_EQ(tier->map_ring_pages(), 20u);
+  constexpr int kIters = 5000;
   constexpr Lpn kKeys = 64;
   SimTime t = 0;
   for (int i = 0; i < kIters; ++i) {
@@ -366,7 +362,7 @@ TEST(TieredDevice, MapRingWrapsThroughCheckpointsAndStillRecovers) {
     ASSERT_TRUE(w.status.ok()) << "iter " << i;
     t = w.done;
   }
-  EXPECT_GE(tier->stats().map_checkpoints, 3u);
+  EXPECT_GE(tier->stats().map_checkpoints, 4u);
 
   tier->PowerCut(t + 1);
   tier->PowerOn();
