@@ -13,6 +13,7 @@
 //     "results": [
 //       {
 //         "name": "<row label>",
+//         "wall_seconds": 1.25,
 //         "failed_ops": 0,
 //         "params": { ... per-row knobs ... },
 //         "throughput": {"value": 1234.5, "unit": "txn/s"},
@@ -28,9 +29,12 @@
 //
 // Every count comes from the Stats struct of the component that keeps it
 // ("engine" and "device.stats"/"faults"); the "metrics" sections hold the
-// registries' histograms. Sections a bench does not populate are simply
-// absent. Text output is unchanged; JSON is written on top of it at exit.
+// registries' histograms. "wall_seconds" is the host time the row took:
+// since the previous row was added (or the BenchJson was made, for the
+// first). Sections a bench does not populate are simply absent. Text
+// output is unchanged; JSON is written on top of it at exit.
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -272,10 +276,12 @@ class BenchResult {
     return *this;
   }
 
-  void AppendTo(JsonWriter* w) const {
+  void AppendTo(JsonWriter* w, double wall_seconds) const {
     w->BeginObject();
     w->Key("name");
     w->String(name_);
+    w->Key("wall_seconds");
+    w->Double(wall_seconds);
     if (!failed_ops_.empty()) {
       w->Key("failed_ops");
       w->Raw(failed_ops_);
@@ -352,9 +358,13 @@ class BenchJson {
     return *this;
   }
 
+  /// Adds a row, timed since the previous one.
   void Add(BenchResult result) {
+    const auto now = std::chrono::steady_clock::now();
     JsonWriter w;
-    result.AppendTo(&w);
+    result.AppendTo(&w,
+                    std::chrono::duration<double>(now - last_row_).count());
+    last_row_ = now;
     results_.push_back(w.TakeString());
   }
 
@@ -419,6 +429,8 @@ class BenchJson {
   bool quick_;
   bench_json_internal::Fields config_;
   std::vector<std::string> results_;
+  std::chrono::steady_clock::time_point last_row_ =
+      std::chrono::steady_clock::now();
   uint64_t failed_ops_ = 0;
 };
 

@@ -1,14 +1,19 @@
 #include "flash/flash_array.h"
 
 #include <algorithm>
-#include <cstring>
+#include <cassert>
 #include <limits>
+#include <new>
 
 namespace durassd {
 
 FlashArray::FlashArray(Options options)
-    : opts_(std::move(options)), faults_(opts_.faults) {
+    : opts_(std::move(options)),
+      store_(opts_.sector_size),
+      slots_per_page_(opts_.geometry.page_size / opts_.sector_size),
+      faults_(opts_.faults) {
   const FlashGeometry& g = opts_.geometry;
+  assert(g.page_size % opts_.sector_size == 0);
   planes_.resize(g.total_planes());
   for (auto& plane : planes_) {
     plane.blocks.resize(g.blocks_per_plane);
@@ -16,8 +21,9 @@ FlashArray::FlashArray(Options options)
   channel_busy_.assign(g.channels, 0);
   states_.assign(g.total_pages(), PageState::kFree);
   torn_.assign(g.total_pages(), false);
-  has_data_.assign(g.total_pages(), false);
-  zero_page_.assign(g.page_size, '\0');
+  frames_.reset(static_cast<Frame*>(
+      std::calloc(g.total_pages() * slots_per_page_, sizeof(Frame))));
+  if (frames_ == nullptr) throw std::bad_alloc();
 }
 
 SimTime FlashArray::ReserveChannel(uint32_t channel, SimTime t) {
@@ -39,10 +45,7 @@ SimTime FlashArray::ReadPage(SimTime now, Ppn ppn, std::string* out,
   plane.busy_until = sense_done;
   const SimTime done = ReserveChannel(g.ChannelOf(ppn), sense_done);
 
-  if (out != nullptr) {
-    const Slice page = PageView(ppn);
-    out->assign(page.data(), page.size());
-  }
+  if (out != nullptr) CopyPage(ppn, out);
   if (raw_bit_errors != nullptr) *raw_bit_errors = 0;
   if (faults_.enabled()) {
     const uint32_t raw = faults_.OnRead(
@@ -58,15 +61,47 @@ SimTime FlashArray::ReadPage(SimTime now, Ppn ppn, std::string* out,
   return done;
 }
 
-Slice FlashArray::PageView(Ppn ppn) const {
-  if (!has_data_[ppn]) return Slice(zero_page_);
-  const FlashGeometry& g = opts_.geometry;
-  return Slice(PageBytes(BlockAt(g.PlaneOf(ppn), g.BlockOf(ppn)), ppn),
-               g.page_size);
+void FlashArray::CopyPage(Ppn ppn, std::string* out) const {
+  out->clear();
+  out->reserve(opts_.geometry.page_size);
+  for (uint32_t s = 0; s < slots_per_page_; ++s) {
+    const Slice bytes = SlotView(ppn, s);
+    out->append(bytes.data(), bytes.size());
+  }
+}
+
+void FlashArray::ReleaseSlot(Ppn ppn, uint32_t slot) {
+  Frame& frame = frames_[ppn * slots_per_page_ + slot];
+  store_.Release(frame);
+  frame = SectorStore::kZeroFrame;
+}
+
+void FlashArray::DropPageData(Ppn ppn) {
+  for (uint32_t s = 0; s < slots_per_page_; ++s) ReleaseSlot(ppn, s);
+}
+
+void FlashArray::TearPage(Ppn ppn) {
+  // Page bytes [0, page_size / 4) survive. A slot wholly past them loses
+  // its frame; the slot they end inside gets a fresh frame with its
+  // surviving prefix (Put zero-fills the rest), so the frame it held —
+  // possibly shared with the cache or a GC source page — stays intact.
+  const uint32_t sector = opts_.sector_size;
+  const uint32_t kept = opts_.geometry.page_size / 4;
+  for (uint32_t s = 0; s < slots_per_page_; ++s) {
+    const uint32_t begin = s * sector;
+    if (begin + sector <= kept) continue;
+    Frame& frame = frames_[ppn * slots_per_page_ + s];
+    const Frame torn =
+        begin < kept
+            ? store_.Put(Slice(store_.Bytes(frame).data(), kept - begin))
+            : SectorStore::kZeroFrame;
+    store_.Release(frame);
+    frame = torn;
+  }
 }
 
 Status FlashArray::CheckProgrammable(Ppn ppn,
-                                     std::span<const Slice> parts) const {
+                                     std::span<const Frame> frames) const {
   const FlashGeometry& g = opts_.geometry;
   if (ppn >= states_.size()) {
     return Status::InvalidArgument("ppn out of range");
@@ -81,15 +116,13 @@ Status FlashArray::CheckProgrammable(Ppn ppn,
   if (g.PageOf(ppn) != block.next_page) {
     return Status::IoError("out-of-order program within block");
   }
-  size_t size = 0;
-  for (const Slice& part : parts) size += part.size();
-  if (size > g.page_size) {
+  if (frames.size() > slots_per_page_) {
     return Status::InvalidArgument("data larger than page");
   }
   return Status::OK();
 }
 
-bool FlashArray::CommitProgram(Ppn ppn, std::span<const Slice> parts,
+bool FlashArray::CommitProgram(Ppn ppn, std::span<const Frame> frames,
                                SimTime prog_start, SimTime prog_done) {
   const FlashGeometry& g = opts_.geometry;
   Block& block = BlockAt(g.PlaneOf(ppn), g.BlockOf(ppn));
@@ -101,40 +134,30 @@ bool FlashArray::CommitProgram(Ppn ppn, std::span<const Slice> parts,
     states_[ppn] = PageState::kInvalid;
     torn_[ppn] = true;
     block.next_page++;
-    has_data_[ppn] = false;
     return false;
   }
   states_[ppn] = PageState::kValid;
   torn_[ppn] = false;
   block.next_page++;
   block.valid_count++;
-  size_t size = 0;
-  for (const Slice& part : parts) size += part.size();
-  if (size > 0) {
-    if (block.bytes == nullptr) {
-      block.bytes = std::make_unique_for_overwrite<char[]>(
-          static_cast<size_t>(g.pages_per_block) * g.page_size);
-    }
-    char* const page = PageBytes(block, ppn);
-    size_t filled = 0;
-    for (const Slice& part : parts) {
-      std::memcpy(page + filled, part.data(), part.size());
-      filled += part.size();
-    }
-    std::memset(page + filled, 0, g.page_size - filled);
+  // A free page's slots hold no frames (erase and a never-started program
+  // release them), so the page simply takes its references.
+  Frame* const slots = &frames_[ppn * slots_per_page_];
+  for (size_t s = 0; s < frames.size(); ++s) {
+    store_.Ref(frames[s]);
+    slots[s] = frames[s];
   }
-  has_data_[ppn] = size > 0;
   inflight_programs_.push_back({ppn, prog_start, prog_done});
   return true;
 }
 
 Status FlashArray::ProgramPage(SimTime now, Ppn ppn,
-                               std::span<const Slice> parts, SimTime* done,
+                               std::span<const Frame> frames, SimTime* done,
                                SimTime* start) {
   const FlashGeometry& g = opts_.geometry;
   max_seen_time_ = std::max(max_seen_time_, now);
   PruneInFlight(now);
-  DURASSD_RETURN_IF_ERROR(CheckProgrammable(ppn, parts));
+  DURASSD_RETURN_IF_ERROR(CheckProgrammable(ppn, frames));
 
   stats_.programs++;
   Plane& plane = planes_[g.PlaneOf(ppn)];
@@ -146,15 +169,15 @@ Status FlashArray::ProgramPage(SimTime now, Ppn ppn,
   if (start != nullptr) *start = prog_start;
   *done = prog_done;
 
-  if (!CommitProgram(ppn, parts, prog_start, prog_done)) {
+  if (!CommitProgram(ppn, frames, prog_start, prog_done)) {
     return Status::IoError("program failed");
   }
   return Status::OK();
 }
 
 Status FlashArray::ProgramPagesMultiPlane(SimTime now, Ppn ppn0, Ppn ppn1,
-                                          std::span<const Slice> parts0,
-                                          std::span<const Slice> parts1,
+                                          std::span<const Frame> frames0,
+                                          std::span<const Frame> frames1,
                                           SimTime* done, SimTime* start,
                                           bool failed[2]) {
   const FlashGeometry& g = opts_.geometry;
@@ -168,8 +191,8 @@ Status FlashArray::ProgramPagesMultiPlane(SimTime now, Ppn ppn0, Ppn ppn1,
     return Status::InvalidArgument(
         "multi-plane program requires distinct sibling planes of one chip");
   }
-  DURASSD_RETURN_IF_ERROR(CheckProgrammable(ppn0, parts0));
-  DURASSD_RETURN_IF_ERROR(CheckProgrammable(ppn1, parts1));
+  DURASSD_RETURN_IF_ERROR(CheckProgrammable(ppn0, frames0));
+  DURASSD_RETURN_IF_ERROR(CheckProgrammable(ppn1, frames1));
 
   stats_.programs += 2;
   stats_.multi_plane_programs++;
@@ -189,8 +212,8 @@ Status FlashArray::ProgramPagesMultiPlane(SimTime now, Ppn ppn0, Ppn ppn1,
 
   // Program-status is reported (and fault-rolled) per plane, like real
   // multi-plane NAND: one plane can fail while its sibling succeeds.
-  failed[0] = !CommitProgram(ppn0, parts0, prog_start, prog_done);
-  failed[1] = !CommitProgram(ppn1, parts1, prog_start, prog_done);
+  failed[0] = !CommitProgram(ppn0, frames0, prog_start, prog_done);
+  failed[1] = !CommitProgram(ppn1, frames1, prog_start, prog_done);
   if (failed[0] || failed[1]) {
     return Status::IoError("multi-plane program failed");
   }
@@ -305,8 +328,7 @@ void FlashArray::MarkBad(uint32_t plane_idx, uint32_t block_idx) {
 void FlashArray::DropBlockData(uint32_t plane_idx, uint32_t block_idx) {
   const FlashGeometry& g = opts_.geometry;
   const Ppn first = g.MakePpn(plane_idx, block_idx, 0);
-  for (uint32_t p = 0; p < g.pages_per_block; ++p) has_data_[first + p] = false;
-  BlockAt(plane_idx, block_idx).bytes.reset();
+  for (uint32_t p = 0; p < g.pages_per_block; ++p) DropPageData(first + p);
 }
 
 void FlashArray::RetireBlock(uint32_t plane_idx, uint32_t block_idx) {
@@ -370,7 +392,7 @@ void FlashArray::PowerCut(SimTime t) {
     if (!ProgramStarted(p.start, t)) {
       // Never started: the page is still erased.
       states_[p.ppn] = PageState::kFree;
-      has_data_[p.ppn] = false;
+      DropPageData(p.ppn);
       if (block.valid_count > 0) block.valid_count--;
       // The in-order cursor stays where it is; the FTL will treat this
       // block's remaining pages as unusable until erased, which is what a
@@ -382,10 +404,7 @@ void FlashArray::PowerCut(SimTime t) {
       // torn. The rest reads as erased.
       torn_[p.ppn] = true;
       stats_.torn_pages++;
-      if (has_data_[p.ppn]) {
-        std::memset(PageBytes(block, p.ppn) + g.page_size / 4, 0,
-                    g.page_size - g.page_size / 4);
-      }
+      TearPage(p.ppn);
     }
   }
   inflight_programs_.clear();

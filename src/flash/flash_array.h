@@ -2,6 +2,7 @@
 #define DURASSD_FLASH_FLASH_ARRAY_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <span>
 #include <string>
@@ -12,6 +13,7 @@
 #include "common/types.h"
 #include "flash/fault_model.h"
 #include "flash/geometry.h"
+#include "flash/sector_store.h"
 
 namespace durassd {
 
@@ -26,10 +28,11 @@ enum class PageState : uint8_t {
 /// pages. Models:
 ///   - erase-before-program and in-order programming within a block,
 ///   - per-plane and per-channel occupancy for latency/parallelism,
-///   - byte storage of exactly what each program is handed: one flat buffer
-///     per block, allocated by its first program with a non-empty image and
-///     freed when the block is erased or goes bad, plus a per-page has-data
-///     bit (a program with an empty image stores nothing),
+///   - byte storage by reference: a page holds one SectorStore frame id per
+///     sector slot (the zero frame when the slot holds no data), taking its
+///     own reference on each frame it is programmed with and dropping them
+///     when the block is erased or goes bad, or when the FTL releases a
+///     slot nothing can read any more,
 ///   - torn pages when power is cut mid-program (shorn writes),
 ///   - per-block wear counters.
 ///
@@ -37,11 +40,16 @@ enum class PageState : uint8_t {
 /// completion time; the array never blocks.
 class FlashArray {
  public:
+  using Frame = SectorStore::Frame;
+
   struct Options {
     FlashGeometry geometry;
     /// NAND fault injection. All-zero rates (the default) keep the array
     /// bit-for-bit identical to a fault-free build.
     FaultInjector::Options faults{};
+    /// Sector slot size: the store's frame size and the FTL's mapping unit.
+    /// Must divide the page size.
+    uint32_t sector_size = 4 * kKiB;
   };
 
   explicit FlashArray(Options options);
@@ -50,9 +58,13 @@ class FlashArray {
   FlashArray& operator=(const FlashArray&) = delete;
 
   const FlashGeometry& geometry() const { return opts_.geometry; }
+  uint32_t slots_per_page() const { return slots_per_page_; }
+  /// The frames every page slot and the SSD's cache hold.
+  SectorStore& store() { return store_; }
+  const SectorStore& store() const { return store_; }
 
   /// Reads a physical page. `out` may be nullptr (timing only); otherwise it
-  /// receives a copy of PageView(ppn). Returns the virtual completion time.
+  /// receives CopyPage(ppn). Returns the virtual completion time.
   /// A torn page is returned as-is (the half-old half-new bytes); callers
   /// detect it via checksums, exactly like a host.
   ///
@@ -66,14 +78,24 @@ class FlashArray {
   SimTime ReadPage(SimTime now, Ppn ppn, std::string* out,
                    uint32_t* raw_bit_errors = nullptr);
 
-  /// The stored bytes of a physical page, page_size long, at no media cost
-  /// (ReadPage charges the sense and transfer). A page that holds no data —
-  /// free, failed, rolled back by a power cut, or programmed with an empty
-  /// image — reads as zeros. The view stays valid until the page's block is
-  /// erased or retired, or power is cut.
-  Slice PageView(Ppn ppn) const;
-  /// True iff the page holds programmed bytes (see PageView).
-  bool HasData(Ppn ppn) const { return has_data_[ppn]; }
+  /// The frame in one sector slot of a page, at no media cost (ReadPage
+  /// charges the sense and transfer). A slot that holds no data — free,
+  /// failed, rolled back by a power cut, programmed without a frame, or
+  /// released — names the zero frame.
+  Frame SlotFrame(Ppn ppn, uint32_t slot) const {
+    return frames_[ppn * slots_per_page_ + slot];
+  }
+  /// SlotFrame's bytes, sector_size long. The view stays valid while the
+  /// slot keeps its frame.
+  Slice SlotView(Ppn ppn, uint32_t slot) const {
+    return store_.Bytes(SlotFrame(ppn, slot));
+  }
+  /// The stored bytes of a whole page, page_size long, assembled from its
+  /// slots (dump replay and the log scan read pages whole).
+  void CopyPage(Ppn ppn, std::string* out) const;
+  /// Drops a slot's frame once nothing can read it (the FTL's release
+  /// rule); the slot then reads as zeros.
+  void ReleaseSlot(Ppn ppn, uint32_t slot);
 
   /// Programs an erased page. Enforces NAND constraints: the page must be
   /// free and must be the next unwritten page of its block (in-order
@@ -86,17 +108,12 @@ class FlashArray {
   /// in-order cursor advances past it, as on real NAND where a failed
   /// program still consumes the page.
   ///
-  /// The page image is the concatenation of `parts` (a gather list, so
-  /// sectors are copied once, straight into the page); the rest of the page
-  /// reads as zeros. An empty image stores nothing: the page is programmed
-  /// (state, wear and timing as usual) but holds no data.
-  Status ProgramPage(SimTime now, Ppn ppn, std::span<const Slice> parts,
+  /// The page's slots take `frames` in order, one reference each (no bytes
+  /// are copied); slots past the list hold no data and read as zeros, so an
+  /// empty list programs the page (state, wear and timing as usual) with
+  /// nothing stored.
+  Status ProgramPage(SimTime now, Ppn ppn, std::span<const Frame> frames,
                      SimTime* done, SimTime* start = nullptr);
-  Status ProgramPage(SimTime now, Ppn ppn, Slice data, SimTime* done,
-                     SimTime* start = nullptr) {
-    return ProgramPage(now, ppn, std::span<const Slice>(&data, 1), done,
-                       start);
-  }
 
   /// Two-plane program (Sec. 2.3 chip-level interleaving): programs one page
   /// on each of two sibling planes of the same chip with a single command.
@@ -106,8 +123,8 @@ class FlashArray {
   /// rolled per page (`failed[i]`); the command returns IoError when either
   /// page failed, and the caller re-drives the failed page(s) individually.
   Status ProgramPagesMultiPlane(SimTime now, Ppn ppn0, Ppn ppn1,
-                                std::span<const Slice> parts0,
-                                std::span<const Slice> parts1, SimTime* done,
+                                std::span<const Frame> frames0,
+                                std::span<const Frame> frames1, SimTime* done,
                                 SimTime* start, bool failed[2]);
 
   /// Earliest time the plane can accept a new operation, including its
@@ -166,8 +183,9 @@ class FlashArray {
   static bool ProgramStarted(SimTime start, SimTime t) { return start < t; }
 
   /// Cuts power at time `t`. Any program still in flight at `t` leaves its
-  /// page torn (only the first quarter of the new bytes survive); any
-  /// program not yet begun (ProgramStarted) is rolled back to kFree.
+  /// page torn (only the first quarter of the new bytes survive, in fresh
+  /// frames: a tear never writes into a frame another holder references);
+  /// any program not yet begun (ProgramStarted) is rolled back to kFree.
   /// In-flight erases leave the block in an unusable state until re-erased.
   void PowerCut(SimTime t);
   /// Collapses plane and channel reservations: after power is restored the
@@ -202,11 +220,6 @@ class FlashArray {
     uint32_t next_page = 0;   ///< In-order programming cursor.
     uint32_t valid_count = 0;
     bool bad = false;         ///< Grown bad block; permanently out of service.
-    /// pages_per_block * page_size bytes, left uninitialized: only pages
-    /// whose has_data_ bit is set hold meaningful bytes. Null until the
-    /// block's first program with a non-empty image; freed by erase and by
-    /// MarkBad.
-    std::unique_ptr<char[]> bytes;
   };
   struct Plane {
     SimTime busy_until = 0;
@@ -234,20 +247,18 @@ class FlashArray {
   SimTime ReserveChannel(uint32_t channel, SimTime t);
   /// Shared validation for ProgramPage / ProgramPagesMultiPlane: NAND
   /// constraints that must hold before any time is charged.
-  Status CheckProgrammable(Ppn ppn, std::span<const Slice> parts) const;
-  /// Commits one programmed page (fault roll, state/data update, in-flight
+  Status CheckProgrammable(Ppn ppn, std::span<const Frame> frames) const;
+  /// Commits one programmed page (fault roll, state/frame update, in-flight
   /// record) given its program window. Returns false on an injected
   /// program failure.
-  bool CommitProgram(Ppn ppn, std::span<const Slice> parts, SimTime prog_start,
-                     SimTime prog_done);
+  bool CommitProgram(Ppn ppn, std::span<const Frame> frames,
+                     SimTime prog_start, SimTime prog_done);
+  /// Releases every slot of a page.
+  void DropPageData(Ppn ppn);
   /// Drops a block's stored bytes (erase, bad block, interrupted erase).
   void DropBlockData(uint32_t plane, uint32_t block);
-  /// Start of `ppn`'s bytes in `block`'s buffer, which must be allocated.
-  char* PageBytes(const Block& block, Ppn ppn) const {
-    return block.bytes.get() +
-           static_cast<size_t>(opts_.geometry.PageOf(ppn)) *
-               opts_.geometry.page_size;
-  }
+  /// Keeps only the first quarter of a page's bytes (a shorn program).
+  void TearPage(Ppn ppn);
   void PruneInFlight(SimTime now);
   /// Shared tail of EraseBlock-failure and RetireBlock: poisons every page
   /// and takes the block out of service.
@@ -258,10 +269,12 @@ class FlashArray {
   std::vector<SimTime> channel_busy_;
   std::vector<PageState> states_;
   std::vector<bool> torn_;
-  /// Per page: the block buffer holds this page's programmed bytes.
-  std::vector<bool> has_data_;
-  /// PageView of a page without data.
-  std::string zero_page_;
+  SectorStore store_;
+  uint32_t slots_per_page_;
+  /// Frame of every (page, slot), flat-indexed as ppn * slots_per_page_ +
+  /// slot: calloc'd, so slots never programmed cost no resident memory.
+  std::unique_ptr<Frame[], decltype(&std::free)> frames_{nullptr,
+                                                          &std::free};
   std::vector<InFlightProgram> inflight_programs_;
   std::vector<InFlightErase> inflight_erases_;
   /// Round-robin tie-break cursor for NextIdlePlane.

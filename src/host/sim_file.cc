@@ -11,7 +11,8 @@ namespace durassd {
 SimFileSystem::SimFileSystem(BlockDevice* device, Options options)
     : device_(device),
       opts_(options),
-      next_lpn_(options.journal_area_sectors) {}
+      next_lpn_(options.journal_area_sectors),
+      journal_sector_(device->sector_size(), '\0') {}
 
 SimFile* SimFileSystem::Open(const std::string& name) {
   auto it = files_.find(name);
@@ -65,8 +66,7 @@ SimFile::IoResult SimFileSystem::SyncInternal(SimTime now, SimFile* file,
     // (ext4's descriptor + commit fit one sector here).
     const Lpn lpn = journal_cursor_ % opts_.journal_area_sectors;
     journal_cursor_++;
-    const BlockDevice::Result r =
-        device_->Write(t, lpn, std::string(device_->sector_size(), '\0'));
+    const BlockDevice::Result r = device_->Write(t, lpn, journal_sector_);
     if (!r.status.ok()) return {r.status, t};
     t = r.done;
     stats_.journal_writes++;

@@ -128,6 +128,9 @@ class SimFileSystem {
   Options opts_;
   uint64_t next_lpn_;
   uint32_t journal_cursor_ = 0;
+  /// The journal stand-in's sector: one zero sector, written as is by
+  /// every journal transaction.
+  const std::string journal_sector_;
   SimTime last_sync_start_ = -1;
   SimTime last_sync_done_ = -1;
   SimTime last_barrier_start_ = -1;

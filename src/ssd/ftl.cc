@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <list>
 #include <new>
 
 namespace durassd {
@@ -15,13 +14,13 @@ constexpr size_t kMaxSectorsPerPage = 4;
 /// free blocks left.
 constexpr size_t kGcFreeBlockThreshold = 2;
 
-/// A batch's page image as a gather list of its sector payloads, in slot
-/// order (the rest of the page stays erased). Empty in timing-only mode.
-std::span<const Slice> PageParts(const std::vector<Ftl::SectorWrite>& sectors,
-                                 Slice (&parts)[kMaxSectorsPerPage]) {
-  if (sectors[0].data.empty()) return {};
-  for (size_t i = 0; i < sectors.size(); ++i) parts[i] = sectors[i].data;
-  return {parts, sectors.size()};
+/// A batch's page as its sectors' frames, in slot order (the rest of the
+/// page stays erased).
+std::span<const Ftl::Frame> PageFrames(
+    const std::vector<Ftl::SectorWrite>& sectors,
+    Ftl::Frame (&frames)[kMaxSectorsPerPage]) {
+  for (size_t i = 0; i < sectors.size(); ++i) frames[i] = sectors[i].frame;
+  return {frames, sectors.size()};
 }
 }  // namespace
 
@@ -32,8 +31,8 @@ Ftl::Ftl(FlashArray* flash, Options options)
     h_gc_relocation_ns_ = opts_.metrics->GetHistogram("ftl.gc_relocation_ns");
   }
   const FlashGeometry& g = flash_->geometry();
-  assert(g.page_size % opts_.sector_size == 0);
-  sectors_per_page_ = g.page_size / opts_.sector_size;
+  sector_size_ = flash_->store().sector_size();
+  sectors_per_page_ = flash_->slots_per_page();
   assert(sectors_per_page_ >= 1 && sectors_per_page_ <= kMaxSectorsPerPage);
   assert(opts_.dump_blocks_per_plane + opts_.log_blocks_per_plane <
          g.blocks_per_plane);
@@ -59,7 +58,7 @@ Ftl::Ftl(FlashArray* flash, Options options)
                          static_cast<double>(reserved_bytes)) *
                         (1.0 - opts_.over_provision);
   logical_sectors_ =
-      usable <= 0 ? 0 : static_cast<uint64_t>(usable) / opts_.sector_size;
+      usable <= 0 ? 0 : static_cast<uint64_t>(usable) / sector_size_;
 
   map_.reset(static_cast<uint64_t*>(
       std::calloc(std::max<uint64_t>(logical_sectors_, 1), sizeof(uint64_t))));
@@ -107,14 +106,14 @@ StatusOr<Ppn> Ftl::AllocatePage(SimTime now, uint32_t plane_idx, bool for_gc) {
 
 StatusOr<Ppn> Ftl::AllocateAndProgram(SimTime now, uint32_t plane_idx,
                                       bool for_gc,
-                                      std::span<const Slice> parts,
+                                      std::span<const Frame> frames,
                                       SimTime* done, SimTime* start) {
   const FlashGeometry& g = flash_->geometry();
   for (uint32_t attempt = 0; attempt <= kProgramRetryLimit; ++attempt) {
     StatusOr<Ppn> ppn_or = AllocatePage(now, plane_idx, for_gc);
     if (!ppn_or.ok()) return ppn_or;
     const Ppn ppn = *ppn_or;
-    Status st = flash_->ProgramPage(now, ppn, parts, done, start);
+    Status st = flash_->ProgramPage(now, ppn, frames, done, start);
     if (st.ok()) return ppn;
     if (!st.IsIoError()) return st;
     // The die reported program failure. Close the block, queue it for
@@ -126,8 +125,8 @@ StatusOr<Ppn> Ftl::AllocateAndProgram(SimTime now, uint32_t plane_idx,
   return Status::IoError("program retries exhausted");
 }
 
-Status Ftl::ReadPageChecked(SimTime now, Ppn ppn, Slice* page,
-                            std::string* damaged, SimTime* done) {
+Status Ftl::ReadPageChecked(SimTime now, Ppn ppn, std::string* damaged,
+                            SimTime* done) {
   uint32_t raw = 0;
   SimTime t = flash_->ReadPage(now, ppn, nullptr, &raw);
   for (uint32_t retry = 0;
@@ -139,13 +138,11 @@ Status Ftl::ReadPageChecked(SimTime now, Ppn ppn, Slice* page,
     t = flash_->ReadPage(t, ppn, nullptr, &raw);
   }
   if (done != nullptr) *done = t;
-  if (page != nullptr) *page = flash_->PageView(ppn);
   if (raw > opts_.ecc_correctable_bits) {
     stats_.uncorrectable_reads++;
-    if (page != nullptr) {
-      damaged->assign(page->data(), page->size());
+    if (damaged != nullptr) {
+      flash_->CopyPage(ppn, damaged);
       flash_->fault_injector().CorruptPage(damaged, raw);
-      *page = Slice(*damaged);
     }
     return Status::Corruption("uncorrectable NAND read");
   }
@@ -205,9 +202,10 @@ void Ftl::EnterDegraded(SimTime now, uint32_t plane, std::string reason) {
   }
 }
 
-void Ftl::KillSlot(uint64_t packed) {
+void Ftl::KillSlot(uint64_t packed, bool rollback_target) {
   const Ppn ppn = PpnOf(packed);
   SetReverse(packed, kInvalidLpn);
+  if (!rollback_target) ReleaseDeadSlot(packed);
   // The physical page dies when its last live sector dies.
   bool any_live = false;
   for (uint32_t s = 0; s < sectors_per_page_; ++s) {
@@ -219,7 +217,22 @@ void Ftl::KillSlot(uint64_t packed) {
   if (!any_live) flash_->MarkInvalid(ppn);
 }
 
-void Ftl::RecordDelta(Lpn lpn, SimTime issue, SimTime start) {
+void Ftl::ReleaseDeadSlot(uint64_t packed) {
+  const Ppn ppn = PpnOf(packed);
+  const uint32_t block = flash_->geometry().BlockOf(ppn);
+  if (block >= first_log_block_ && block < first_dump_block_) return;
+  flash_->ReleaseSlot(ppn, SlotOf(packed));
+}
+
+void Ftl::ReleaseRollbackTarget(const DeltaRec& rec) {
+  // A target the mapping points at again (a power-cut rollback restored
+  // it) is live, not a leftover.
+  if (rec.old_packed != kUnmapped && ReverseOf(rec.old_packed) == kInvalidLpn) {
+    ReleaseDeadSlot(rec.old_packed);
+  }
+}
+
+bool Ftl::RecordDelta(Lpn lpn, SimTime issue, SimTime start) {
   auto it = delta_.find(lpn);
   if (it == delta_.end()) {
     const uint64_t old_packed = MappingOf(lpn);
@@ -230,10 +243,11 @@ void Ftl::RecordDelta(Lpn lpn, SimTime issue, SimTime start) {
       delta_by_block_[BlockKey(g.PlaneOf(old_ppn), g.BlockOf(old_ppn))]
           .push_back(lpn);
     }
-  } else {
-    it->second.last_issue = issue;
-    it->second.last_start = start;
+    return true;
   }
+  it->second.last_issue = issue;
+  it->second.last_start = start;
+  return false;
 }
 
 Status Ftl::ValidateSectors(const std::vector<SectorWrite>& sectors) {
@@ -245,21 +259,17 @@ Status Ftl::ValidateSectors(const std::vector<SectorWrite>& sectors) {
     return Status::ResourceExhausted("device is read-only: " +
                                      degraded_reason_);
   }
-  const bool have_data = !sectors[0].data.empty();
   for (const SectorWrite& s : sectors) {
     if (s.lpn >= logical_sectors_) {
       return Status::InvalidArgument("lpn beyond logical capacity");
-    }
-    if (have_data && s.data.size() != opts_.sector_size) {
-      return Status::InvalidArgument("sector data size mismatch");
     }
   }
   return Status::OK();
 }
 
-void Ftl::MapSector(Lpn lpn, Ppn ppn, uint32_t slot) {
+void Ftl::MapSector(Lpn lpn, Ppn ppn, uint32_t slot, bool old_is_target) {
   const uint64_t old = MappingOf(lpn);
-  if (old != kUnmapped) KillSlot(old);
+  if (old != kUnmapped) KillSlot(old, old_is_target);
   SetMapping(lpn, Pack(ppn, slot));
   SetReverse(Pack(ppn, slot), lpn);
 }
@@ -271,13 +281,13 @@ Status Ftl::ProgramSectors(SimTime now,
 
   // Host programs go to the least-busy plane (round-robin tie-break).
   const uint32_t plane_idx = flash_->NextIdlePlane(now);
-  Slice parts[kMaxSectorsPerPage];
+  Frame frames[kMaxSectorsPerPage];
 
   SimTime prog_done = 0;
   SimTime prog_start = now;
   StatusOr<Ppn> ppn_or =
       AllocateAndProgram(now, plane_idx, /*for_gc=*/false,
-                         PageParts(sectors, parts), &prog_done, &prog_start);
+                         PageFrames(sectors, frames), &prog_done, &prog_start);
   if (!ppn_or.ok()) {
     const Status& st = ppn_or.status();
     if (st.IsOutOfSpace()) {
@@ -301,8 +311,7 @@ Status Ftl::ProgramSectors(SimTime now,
 
   for (uint32_t slot = 0; slot < sectors.size(); ++slot) {
     const Lpn lpn = sectors[slot].lpn;
-    RecordDelta(lpn, now, prog_start);
-    MapSector(lpn, ppn, slot);
+    MapSector(lpn, ppn, slot, RecordDelta(lpn, now, prog_start));
   }
 
   // Blocks that failed a program during this call get their live data
@@ -327,10 +336,10 @@ Status Ftl::ProgramSectorsMultiPlane(SimTime now,
 
   const uint32_t plane0 = flash_->NextIdlePlane(now, g.planes_per_chip);
   const uint32_t plane1 = plane0 + 1;
-  Slice parts0[kMaxSectorsPerPage];
-  Slice parts1[kMaxSectorsPerPage];
-  const std::span<const Slice> data0 = PageParts(a, parts0);
-  const std::span<const Slice> data1 = PageParts(b, parts1);
+  Frame frames0[kMaxSectorsPerPage];
+  Frame frames1[kMaxSectorsPerPage];
+  const std::span<const Frame> data0 = PageFrames(a, frames0);
+  const std::span<const Frame> data1 = PageFrames(b, frames1);
 
   // Allocate both pages up front. If the sibling allocation fails, the
   // first plane's page was reserved but never programmed — roll its
@@ -429,8 +438,7 @@ Status Ftl::ProgramSectorsMultiPlane(SimTime now,
     const std::vector<SectorWrite>& sectors = *batches[i];
     for (uint32_t slot = 0; slot < sectors.size(); ++slot) {
       const Lpn lpn = sectors[slot].lpn;
-      RecordDelta(lpn, now, starts[i]);
-      MapSector(lpn, ppns[i], slot);
+      MapSector(lpn, ppns[i], slot, RecordDelta(lpn, now, starts[i]));
     }
   }
 
@@ -449,21 +457,23 @@ Status Ftl::ReadSector(SimTime now, Lpn lpn, std::string* out, SimTime* done,
   }
   const uint64_t packed = MappingOf(lpn);
   if (packed == kUnmapped) {
-    if (out != nullptr) out->append(opts_.sector_size, '\0');
+    if (out != nullptr) out->append(sector_size_, '\0');
     if (done != nullptr) *done = now;  // Map lookup only; no media access.
     return Status::OK();
   }
   const Ppn ppn = PpnOf(packed);
 
-  Slice page;
   std::string damaged;
-  const Status st = ReadPageChecked(now, ppn, out ? &page : nullptr, &damaged,
-                                    done);
+  const Status st =
+      ReadPageChecked(now, ppn, out != nullptr ? &damaged : nullptr, done);
   if (out != nullptr) {
     // Even on an uncorrectable read the (corrupted) bytes are handed back,
     // so host-level checksums observe the damage instead of a silent zero.
-    out->append(page.data() + SlotOf(packed) * opts_.sector_size,
-                opts_.sector_size);
+    const Slice bytes =
+        st.ok() ? flash_->SlotView(ppn, SlotOf(packed))
+                : Slice(damaged.data() + SlotOf(packed) * sector_size_,
+                        sector_size_);
+    out->append(bytes.data(), bytes.size());
   }
   if (torn != nullptr) *torn = flash_->IsTorn(ppn);
   return st;
@@ -531,55 +541,53 @@ Status Ftl::RelocateLiveSectors(SimTime now, uint32_t plane_idx,
   last_relocation_moved_ = 0;
 
   // Read every live sector first, then re-pair them sectors_per_page_ per
-  // program. Each sector travels as a view into the block, which stays
-  // readable until it is erased or retired after the moves; only an
-  // uncorrectable page is copied, to carry its damage. A program whose
-  // sectors all come from pages without data (timing-only writes) moves an
-  // empty image, so they stay dataless; otherwise every sector keeps its
-  // full slot, zeros included, so each lands at its own offset.
+  // program. A sector travels as its frame id: the destination page takes
+  // its own reference, and the source slot's goes when the move kills it.
+  // Only an uncorrectable page's sectors get fresh frames, to carry their
+  // damage; this function holds those until the moves are done.
   struct LiveSector {
     Lpn lpn;
-    Slice bytes;
-    bool has_data;
+    Frame frame;
   };
   std::vector<LiveSector> live;
-  std::list<std::string> damaged;
+  std::vector<Frame> damaged_frames;
   for (uint32_t p = 0; p < g.pages_per_block; ++p) {
     const Ppn ppn = g.MakePpn(plane_idx, block, p);
-    Slice page;
+    std::string damaged;
     bool read_done = false;
+    bool read_ok = true;
     for (uint32_t s = 0; s < sectors_per_page_; ++s) {
       const Lpn lpn = ReverseOf(Pack(ppn, s));
       if (lpn == kInvalidLpn) continue;
       if (!read_done) {
         // An uncorrectable read here is not fatal to the move: the bytes
         // (with their damage) still travel, and host checksums catch it.
-        std::string copy;
-        if (!ReadPageChecked(now, ppn, &page, &copy, nullptr).ok()) {
-          page = Slice(damaged.emplace_back(std::move(copy)));
-        }
+        read_ok = ReadPageChecked(now, ppn, &damaged, nullptr).ok();
         read_done = true;
       }
-      live.push_back(
-          {lpn, Slice(page.data() + s * opts_.sector_size, opts_.sector_size),
-           flash_->HasData(ppn)});
+      Frame frame = flash_->SlotFrame(ppn, s);
+      if (!read_ok) {
+        frame = flash_->store().Put(
+            Slice(damaged.data() + s * sector_size_, sector_size_));
+        damaged_frames.push_back(frame);
+      }
+      live.push_back({lpn, frame});
     }
   }
 
-  for (size_t i = 0; i < live.size(); i += sectors_per_page_) {
+  Status moved = Status::OK();
+  for (size_t i = 0; i < live.size() && moved.ok(); i += sectors_per_page_) {
     const size_t count = std::min<size_t>(sectors_per_page_, live.size() - i);
-    const bool any_data =
-        std::any_of(live.begin() + i, live.begin() + i + count,
-                    [](const LiveSector& l) { return l.has_data; });
-    Slice parts[kMaxSectorsPerPage];
-    for (size_t j = 0; j < count; ++j) {
-      parts[j] = any_data ? live[i + j].bytes : Slice();
-    }
+    Frame frames[kMaxSectorsPerPage];
+    for (size_t j = 0; j < count; ++j) frames[j] = live[i + j].frame;
     SimTime done = 0;
     StatusOr<Ppn> dst_or =
         AllocateAndProgram(now, plane_idx, /*for_gc=*/true,
-                           std::span<const Slice>(parts, count), &done);
-    if (!dst_or.ok()) return dst_or.status();
+                           std::span<const Frame>(frames, count), &done);
+    if (!dst_or.ok()) {
+      moved = dst_or.status();
+      break;
+    }
     const Ppn dst = *dst_or;
     stats_.gc_programs++;
     last_relocation_done_ = std::max(last_relocation_done_, done);
@@ -589,9 +597,12 @@ Status Ftl::RelocateLiveSectors(SimTime now, uint32_t plane_idx,
       // move does not change what the host wrote, only where it lives, and
       // rollback targets are handled below.
       assert(IsMapped(live[i + j].lpn));
-      MapSector(live[i + j].lpn, dst, static_cast<uint32_t>(j));
+      MapSector(live[i + j].lpn, dst, static_cast<uint32_t>(j),
+                /*old_is_target=*/false);
     }
   }
+  for (const Frame frame : damaged_frames) flash_->store().Release(frame);
+  if (!moved.ok()) return moved;
 
   ForcePersistDeltaIn(plane_idx, block);
   return Status::OK();
@@ -619,6 +630,7 @@ void Ftl::ForcePersistDeltaIn(uint32_t plane_idx, uint32_t block) {
 }
 
 void Ftl::PersistMapping() {
+  for (const auto& entry : delta_) ReleaseRollbackTarget(entry.second);
   delta_.clear();
   delta_by_block_.clear();
 }
@@ -630,15 +642,12 @@ void Ftl::PowerCutRollback(SimTime t, PowerCutExposure exposure) {
             ? rec.last_issue <= t
             : exposure == PowerCutExposure::kStarted &&
                   FlashArray::ProgramStarted(rec.last_start, t);
-    if (kept) {
-      // The mapping journal had already recorded this entry when the
-      // program was issued: the (possibly torn) new page stays visible.
-      continue;
-    }
-    // Lost write: revert to the persisted mapping.
+    // A kept entry: the mapping journal had already recorded it when the
+    // program was issued, so the (possibly torn) new page stays visible.
     const uint64_t packed = MappingOf(lpn);
-    if (packed != kUnmapped) {
-      KillSlot(packed);
+    if (!kept && packed != kUnmapped) {
+      // Lost write: revert to the persisted mapping.
+      KillSlot(packed, /*rollback_target=*/false);
       SetMapping(lpn, rec.old_packed);
       if (rec.old_packed != kUnmapped) {
         const Ppn old_ppn = PpnOf(rec.old_packed);
@@ -648,6 +657,9 @@ void Ftl::PowerCutRollback(SimTime t, PowerCutExposure exposure) {
         }
       }
     }
+    // A target the rollback restored is live again; any other can no
+    // longer come back.
+    ReleaseRollbackTarget(rec);
   }
   delta_.clear();
   delta_by_block_.clear();
@@ -658,8 +670,9 @@ Status Ftl::ProgramDumpPage(uint32_t index, Slice data) {
     return Status::OutOfSpace("dump area exhausted");
   }
   SimTime done = 0;
+  const PageImage image(&flash_->store(), data);
   // Timing is irrelevant on capacitor power; issue at the end of time seen.
-  return flash_->ProgramPage(0, dump_ppns_[index], data, &done);
+  return flash_->ProgramPage(0, dump_ppns_[index], image.frames(), &done);
 }
 
 Status Ftl::ReadDumpPage(uint32_t index, std::string* out) {
@@ -711,8 +724,8 @@ Status Ftl::PrepareLogBlock(SimTime now, uint32_t plane, uint32_t block) {
   return Status::OK();
 }
 
-StatusOr<Ppn> Ftl::AppendLogPage(SimTime now, Slice data, SimTime* start,
-                                 SimTime* done) {
+StatusOr<Ppn> Ftl::AppendLogPage(SimTime now, std::span<const Frame> frames,
+                                 SimTime* start, SimTime* done) {
   if (log_pages_total_ == 0) {
     return Status::InvalidArgument("no log region reserved");
   }
@@ -743,7 +756,7 @@ StatusOr<Ppn> Ftl::AppendLogPage(SimTime now, Slice data, SimTime* start,
       }
     }
     const Ppn ppn = g.MakePpn(plane, block, page);
-    const Status st = flash_->ProgramPage(now, ppn, data, done, start);
+    const Status st = flash_->ProgramPage(now, ppn, frames, done, start);
     log_head_++;  // The page is consumed whether or not the program stuck.
     if (st.ok()) {
       stats_.log_appends++;
@@ -760,8 +773,7 @@ StatusOr<Ppn> Ftl::AppendLogPage(SimTime now, Slice data, SimTime* start,
 
 void Ftl::MapLogSector(Lpn lpn, Ppn ppn, uint32_t slot, SimTime issue,
                        SimTime start) {
-  RecordDelta(lpn, issue, start);
-  MapSector(lpn, ppn, slot);
+  MapSector(lpn, ppn, slot, RecordDelta(lpn, issue, start));
 }
 
 bool Ftl::IsMappedTo(Lpn lpn, Ppn ppn, uint32_t slot) const {
@@ -771,19 +783,21 @@ bool Ftl::IsMappedTo(Lpn lpn, Ppn ppn, uint32_t slot) const {
 
 bool Ftl::UnmapIfPointsTo(Lpn lpn, Ppn ppn, uint32_t slot) {
   if (!IsMappedTo(lpn, ppn, slot)) return false;
-  KillSlot(Pack(ppn, slot));
+  KillSlot(Pack(ppn, slot), /*rollback_target=*/false);
   SetMapping(lpn, kUnmapped);
-  delta_.erase(lpn);
+  const auto rec = delta_.find(lpn);
+  if (rec != delta_.end()) {
+    ReleaseRollbackTarget(rec->second);
+    delta_.erase(rec);
+  }
   return true;
 }
 
 Status Ftl::ReadPhysicalPage(SimTime now, Ppn ppn, std::string* out,
                              SimTime* done) {
-  Slice page;
   // An uncorrectable read leaves its damaged copy in `out` already.
-  const Status st =
-      ReadPageChecked(now, ppn, out != nullptr ? &page : nullptr, out, done);
-  if (out != nullptr && st.ok()) out->assign(page.data(), page.size());
+  const Status st = ReadPageChecked(now, ppn, out, done);
+  if (out != nullptr && st.ok()) flash_->CopyPage(ppn, out);
   return st;
 }
 

@@ -33,6 +33,14 @@ namespace durassd {
 ///     which is how commodity SSDs expose torn writes (FAST'13).
 ///   - On DuraSSD the delta is dumped on capacitor power and merged at
 ///     reboot, so nothing rolls back.
+///
+/// Sector bytes live in the flash array's SectorStore; a program hands the
+/// FTL frame ids, and a GC move hands the same ids to the destination page.
+/// The release rule: a slot's frame is released as soon as the slot dies,
+/// unless something can still read it — a rollback target (the persisted
+/// location a power cut would restore) keeps its frame until its delta
+/// record goes, and a log-region slot keeps its frame until its block is
+/// reclaimed, because recovery re-reads whole segments.
 class Ftl {
  public:
   /// Re-reads attempted when the raw error count exceeds the ECC budget
@@ -41,8 +49,9 @@ class Ftl {
   /// Fresh pages tried when a program reports failure before giving up.
   static constexpr uint32_t kProgramRetryLimit = 3;
 
+  using Frame = FlashArray::Frame;
+
   struct Options {
-    uint32_t sector_size = 4 * kKiB;
     double over_provision = 0.07;
     uint32_t dump_blocks_per_plane = 2;
     /// Raw bit errors per page the ECC corrects in one shot (only exercised
@@ -59,7 +68,9 @@ class Ftl {
 
   struct SectorWrite {
     Lpn lpn;
-    Slice data;  ///< Empty in timing-only mode.
+    /// The sector's bytes; the zero frame in timing-only mode. The page
+    /// takes its own reference.
+    Frame frame;
   };
 
   struct Stats {
@@ -83,7 +94,6 @@ class Ftl {
   Ftl(const Ftl&) = delete;
   Ftl& operator=(const Ftl&) = delete;
 
-  uint32_t sector_size() const { return opts_.sector_size; }
   uint32_t sectors_per_page() const { return sectors_per_page_; }
   uint64_t logical_sectors() const { return logical_sectors_; }
 
@@ -125,15 +135,15 @@ class Ftl {
   // --- Log region (log-structured destage, ROADMAP item 2) ---
   /// Total pages in the reserved log region (0 = no log region).
   uint64_t log_pages_total() const { return log_pages_total_; }
-  /// Appends one physical page at the log head cursor, which advances
-  /// strictly sequentially through the log region, striped one page per
-  /// plane per row. Wrapping into a previously written block first
-  /// relocates its still-live sectors into the main area and erases it
-  /// (FIFO log cleaning). A failed program skips that page and tries the
-  /// next one. Leaves the mapping untouched — the caller maps data pages
-  /// with MapLogSector; header pages are never mapped.
-  StatusOr<Ppn> AppendLogPage(SimTime now, Slice data, SimTime* start,
-                              SimTime* done);
+  /// Appends one physical page, holding `frames` in slot order, at the log
+  /// head cursor, which advances strictly sequentially through the log
+  /// region, striped one page per plane per row. Wrapping into a previously
+  /// written block first relocates its still-live sectors into the main
+  /// area and erases it (FIFO log cleaning). A failed program skips that
+  /// page and tries the next one. Leaves the mapping untouched — the caller
+  /// maps data pages with MapLogSector; header pages are never mapped.
+  StatusOr<Ppn> AppendLogPage(SimTime now, std::span<const Frame> frames,
+                              SimTime* start, SimTime* done);
   /// Points `lpn` at (ppn, slot) of a freshly appended log data page:
   /// kills the superseded slot, updates the map, and records the delta
   /// exactly like ProgramSectors — so power-cut rollback treats a sector
@@ -156,7 +166,8 @@ class Ftl {
   // --- Mapping persistence / crash model ---
   size_t dirty_mapping_entries() const { return delta_.size(); }
   /// Marks everything persisted (called when a FLUSH CACHE completes, or
-  /// after a successful durable-cache dump replay).
+  /// after a successful durable-cache dump replay); the rollback targets'
+  /// frames are released.
   void PersistMapping();
   /// Which unpersisted mapping entries survive a power cut at `t`.
   enum class PowerCutExposure {
@@ -174,7 +185,8 @@ class Ftl {
     kStarted,
   };
   /// Power cut at `t`: entries in the delta roll back to their persisted
-  /// value except those `exposure` keeps.
+  /// value except those `exposure` keeps, whose rollback targets' frames
+  /// are released.
   void PowerCutRollback(SimTime t, PowerCutExposure exposure);
 
   // --- Dump area (Sec. 3.4.1): reserved clean blocks, one dump page per
@@ -184,8 +196,8 @@ class Ftl {
   uint32_t dump_area_pages() const {
     return static_cast<uint32_t>(dump_ppns_.size());
   }
-  /// Programs `data` into the index-th dump page, bypassing the mapping.
-  /// Used on capacitor power, so the caller ignores timing.
+  /// Programs the page image `data` into the index-th dump page, bypassing
+  /// the mapping. Used on capacitor power, so the caller ignores timing.
   Status ProgramDumpPage(uint32_t index, Slice data);
   /// Reads the index-th dump page through ECC. Returns InvalidArgument for
   /// an out-of-range index and kCorruption for an uncorrectable read (the
@@ -242,19 +254,19 @@ class Ftl {
   /// reports failure closes the block, queues it for retirement, and tries
   /// again on a fresh page (up to kProgramRetryLimit times).
   StatusOr<Ppn> AllocateAndProgram(SimTime now, uint32_t plane, bool for_gc,
-                                   std::span<const Slice> parts,
+                                   std::span<const Frame> frames,
                                    SimTime* done, SimTime* start = nullptr);
-  /// Validates one ProgramSectors batch (count, lpn range, data sizes) and
-  /// rejects when degraded.
+  /// Validates one ProgramSectors batch (count, lpn range) and rejects when
+  /// degraded.
   Status ValidateSectors(const std::vector<SectorWrite>& sectors);
   /// Reads a full physical page through the ECC model: up to
   /// kReadRetryLimit re-reads while the raw error count exceeds
-  /// ecc_correctable_bits, then kCorruption if still over budget. `page`
-  /// (nullptr = timing only) receives FlashArray::PageView of the page; on
-  /// kCorruption the bytes are first copied into `damaged`, the bit flips
-  /// are applied there, and `page` views that copy instead.
-  Status ReadPageChecked(SimTime now, Ppn ppn, Slice* page,
-                         std::string* damaged, SimTime* done);
+  /// ecc_correctable_bits, then kCorruption if still over budget. On
+  /// kCorruption `damaged` (nullptr = timing only) receives a copy of the
+  /// page with the bit flips applied; on success the caller reads the
+  /// stored slots themselves.
+  Status ReadPageChecked(SimTime now, Ppn ppn, std::string* damaged,
+                         SimTime* done);
   Status RunGc(SimTime now, uint32_t plane);
   /// Moves every live sector out of the block (shared by GC and block
   /// retirement), then force-persists delta entries whose rollback target
@@ -267,7 +279,16 @@ class Ftl {
   void QueueRetirement(uint32_t plane, uint32_t block);
   void DrainRetirements(SimTime now);
   bool IsRetirePending(uint32_t plane, uint32_t block) const;
-  void KillSlot(uint64_t packed);
+  /// Kills a live slot: the reverse map forgets its LPN, the page dies with
+  /// its last live slot, and the frame goes unless the slot is the rollback
+  /// target of the LPN it held (`delta_[lpn].old_packed`).
+  void KillSlot(uint64_t packed, bool rollback_target);
+  /// Releases the frame of the dead slot `packed`, unless it lies in the
+  /// log region (kept until its block is reclaimed).
+  void ReleaseDeadSlot(uint64_t packed);
+  /// ReleaseDeadSlot for the rollback target of a delta record that is
+  /// about to be erased.
+  void ReleaseRollbackTarget(const DeltaRec& rec);
   /// Packed location of `lpn`, or kUnmapped (also for an LPN beyond
   /// logical_sectors_, which may come from the host or from media).
   uint64_t MappingOf(Lpn lpn) const {
@@ -286,9 +307,16 @@ class Ftl {
   void SetReverse(uint64_t packed, Lpn lpn) {
     reverse_[PpnOf(packed) * sectors_per_page_ + SlotOf(packed)] = lpn + 1;
   }
-  /// Points `lpn` at (ppn, slot), killing the slot it held before.
-  void MapSector(Lpn lpn, Ppn ppn, uint32_t slot);
-  void RecordDelta(Lpn lpn, SimTime issue, SimTime start);
+  /// Points `lpn` at (ppn, slot), killing the slot it held before. That
+  /// slot is `lpn`'s rollback target, and keeps its frame, exactly when
+  /// this is the first move since the mapping was persisted
+  /// (`old_is_target`, RecordDelta's result): a record's target is the
+  /// slot its LPN held when the record was made, and every later move
+  /// starts from a newer slot.
+  void MapSector(Lpn lpn, Ppn ppn, uint32_t slot, bool old_is_target);
+  /// Records a program of `lpn` in the delta; returns true when it created
+  /// the record, whose rollback target is then `lpn`'s current slot.
+  bool RecordDelta(Lpn lpn, SimTime issue, SimTime start);
   /// Flips the sticky degraded flag (idempotent) and emits the trace event
   /// for the transition.
   void EnterDegraded(SimTime now, uint32_t plane, std::string reason);
@@ -300,6 +328,7 @@ class Ftl {
 
   FlashArray* flash_;
   Options opts_;
+  uint32_t sector_size_;
   uint32_t sectors_per_page_;
   uint64_t logical_sectors_;
   uint32_t first_dump_block_;

@@ -96,17 +96,19 @@ BlockDevice::Result HddDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
     return {Status::OK(), done};
   }
 
-  // Track-cache path: ack once transferred; destage asynchronously. Frames
-  // bound the dirty backlog.
+  // Track-cache path: ack once transferred; destage asynchronously. The
+  // cache holds kWriteCacheSectors: a write that would overflow it waits
+  // until enough earlier destages have reached media.
   SimTime t = bus.done;
-  while (!outstanding_.empty() && outstanding_.top() <= t) outstanding_.pop();
-  while (outstanding_.size() + nsec > kWriteCacheSectors &&
-         !outstanding_.empty()) {
-    t = std::max(t, outstanding_.top());
-    outstanding_.pop();
+  while (!dirty_.empty() && (dirty_.top().first <= t ||
+                             dirty_sectors_ + nsec > kWriteCacheSectors)) {
+    t = std::max(t, dirty_.top().first);
+    dirty_sectors_ -= dirty_.top().second;
+    dirty_.pop();
   }
   const SimTime ack = t;
-  DestageToMedia(ack, lpn, data);
+  dirty_.emplace(DestageToMedia(ack, lpn, data), nsec);
+  dirty_sectors_ += nsec;
   max_time_seen_ = std::max(max_time_seen_, ack);
   return {Status::OK(), ack};
 }
@@ -149,6 +151,8 @@ BlockDevice::Result HddDevice::DoFlush(SimTime now) {
     done = std::max(done, outstanding_.top());
     outstanding_.pop();
   }
+  dirty_ = {};  // Every destage is on media by `done`.
+  dirty_sectors_ = 0;
   last_flush_done_ = done;
   if (done > start) {
     (void)bus_.Acquire(start, done - start);  // Flush stalls the link.
@@ -188,6 +192,8 @@ void HddDevice::PowerCut(SimTime t) {
   // Unflushed cache contents are gone: a write whose media pass had not
   // finished was handled above.
   while (!outstanding_.empty()) outstanding_.pop();
+  dirty_ = {};
+  dirty_sectors_ = 0;
   bus_.Reset();
   arm_.Reset();
   max_time_seen_ = 0;

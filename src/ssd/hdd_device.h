@@ -5,6 +5,7 @@
 #include <queue>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/resource.h"
@@ -70,6 +71,13 @@ class HddDevice : public BlockDevice {
   std::unordered_map<Lpn, std::string> media_;
   std::priority_queue<SimTime, std::vector<SimTime>, std::greater<SimTime>>
       outstanding_;
+  /// Track-cache destages still headed for media, as (media completion,
+  /// sectors), earliest first, and the sectors they hold in the cache.
+  std::priority_queue<std::pair<SimTime, uint32_t>,
+                      std::vector<std::pair<SimTime, uint32_t>>,
+                      std::greater<>>
+      dirty_;
+  uint32_t dirty_sectors_ = 0;
   std::vector<InFlight> inflight_;
   SimTime max_time_seen_ = 0;
   SimTime last_flush_done_ = 0;

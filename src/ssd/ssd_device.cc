@@ -92,10 +92,10 @@ SsdConfig SsdDevice::SizeDumpArea(SsdConfig cfg) {
 
 SsdDevice::SsdDevice(SsdConfig config)
     : cfg_(SizeDumpArea(std::move(config))),
-      flash_(FlashArray::Options{cfg_.geometry, cfg_.faults}),
+      flash_(FlashArray::Options{cfg_.geometry, cfg_.faults,
+                                 cfg_.sector_size}),
       ftl_(&flash_,
-           Ftl::Options{.sector_size = cfg_.sector_size,
-                        .over_provision = cfg_.over_provision,
+           Ftl::Options{.over_provision = cfg_.over_provision,
                         .dump_blocks_per_plane = cfg_.dump_blocks_per_plane,
                         .ecc_correctable_bits = cfg_.ecc_correctable_bits,
                         .metrics = &metrics_,
@@ -227,25 +227,10 @@ SimTime SsdDevice::AcquireFrame(SimTime t) {
   return t;
 }
 
-uint32_t SsdDevice::NewPayload() {
-  if (free_payloads_.empty()) {
-    const uint32_t base =
-        static_cast<uint32_t>(payload_chunks_.size()) * kPayloadsPerChunk;
-    payload_chunks_.push_back(std::make_unique_for_overwrite<char[]>(
-        static_cast<size_t>(kPayloadsPerChunk) * cfg_.sector_size));
-    for (uint32_t i = kPayloadsPerChunk; i-- > 0;) {
-      free_payloads_.push_back(base + i);
-    }
-  }
-  const uint32_t payload = free_payloads_.back();
-  free_payloads_.pop_back();
-  return payload;
-}
-
 void SsdDevice::RestorePrev(CacheEntry& e) {
-  FreePayload(e.payload);
-  e.payload = e.prev_payload;
-  e.prev_payload = kNoPayload;
+  flash_.store().Release(e.frame);
+  e.frame = e.prev_frame;
+  e.prev_frame = SectorStore::kZeroFrame;
   e.ack = e.prev_ack;
   e.seq = e.prev_seq;
   e.epoch = e.prev_epoch;
@@ -256,20 +241,18 @@ void SsdDevice::RestorePrev(CacheEntry& e) {
 
 std::unordered_map<Lpn, SsdDevice::CacheEntry>::iterator
 SsdDevice::EraseCacheEntry(std::unordered_map<Lpn, CacheEntry>::iterator it) {
-  FreePayload(it->second.payload);
-  FreePayload(it->second.prev_payload);
+  flash_.store().Release(it->second.frame);
+  flash_.store().Release(it->second.prev_frame);
   return cache_.erase(it);
 }
 
 void SsdDevice::ClearCache() {
+  for (const auto& [lpn, e] : cache_) {
+    flash_.store().Release(e.frame);
+    flash_.store().Release(e.prev_frame);
+  }
   cache_.clear();
   cache_fifo_.clear();
-  free_payloads_.clear();
-  for (uint32_t i = static_cast<uint32_t>(payload_chunks_.size()) *
-                    kPayloadsPerChunk;
-       i-- > 0;) {
-    free_payloads_.push_back(i);
-  }
 }
 
 void SsdDevice::InsertCacheEntry(Lpn lpn, Slice sector, SimTime ack,
@@ -279,19 +262,17 @@ void SsdDevice::InsertCacheEntry(Lpn lpn, Slice sector, SimTime ack,
   if (!inserted) {
     // Coalesce: keep the displaced acknowledged version for the incomplete-
     // overwrite rollback corner (Sec. 3.2's "old copies are discarded",
-    // with one-deep history for atomicity of the in-flight command). The
-    // payloads swap, so the rewrite below reuses the older version's frame.
+    // with one-deep history for atomicity of the in-flight command).
     e.has_prev = true;
-    std::swap(e.prev_payload, e.payload);
+    flash_.store().Release(e.prev_frame);
+    e.prev_frame = e.frame;
     e.prev_ack = e.ack;
     e.prev_seq = e.seq;
     e.prev_epoch = e.epoch;
   }
-  if (cfg_.store_data) {
-    assert(sector.size() == cfg_.sector_size);
-    if (e.payload == kNoPayload) e.payload = NewPayload();
-    std::memcpy(PayloadBytes(e.payload), sector.data(), cfg_.sector_size);
-  }
+  assert(!cfg_.store_data || sector.size() == cfg_.sector_size);
+  e.frame = cfg_.store_data ? flash_.store().Put(sector)
+                            : SectorStore::kZeroFrame;
   e.ack = ack;
   e.seq = seq;
   e.epoch = epoch;
@@ -340,7 +321,7 @@ void SsdDevice::CachedSectors(const std::vector<Lpn>& group,
   for (Lpn lpn : group) {
     auto it = cache_.find(lpn);
     assert(it != cache_.end());
-    out->push_back({lpn, CachedBytes(it->second)});
+    out->push_back({lpn, it->second.frame});
   }
 }
 
@@ -428,11 +409,15 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
     std::vector<Ftl::SectorWrite> group;
     for (uint32_t i = 0; i < nsec; ++i) {
       const size_t off = static_cast<size_t>(i) * cfg_.sector_size;
-      group.push_back({lpn + i, Slice(data.data() + off, PayloadLen())});
+      group.push_back({lpn + i, flash_.store().Put(
+                                    Slice(data.data() + off, PayloadLen()))});
       if (group.size() == ftl_.sectors_per_page() || i + 1 == nsec) {
         SimTime start = 0;
         SimTime done = 0;
         Status s = ftl_.ProgramSectors(fw.done, group, &start, &done);
+        for (const Ftl::SectorWrite& w : group) {
+          flash_.store().Release(w.frame);
+        }
         if (!s.ok()) return {s, now};
         last_done = std::max(last_done, done);
         group.clear();
@@ -588,19 +573,15 @@ BlockDevice::Result SsdDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
   for (uint32_t i = 0; i < nsec; ++i) {
     const Lpn cur = lpn + i;
     auto it = cache_.find(cur);
-    // Every resident entry serves the read. An entry without a payload
-    // exists only on a timing-only device, where its sector reads as the
-    // zeros the FTL returns for a page without data.
+    // Every resident entry serves the read. On a timing-only device its
+    // frame is the zero frame, so the sector reads as the zeros the FTL
+    // returns for a slot without data.
     if (it != cache_.end()) {
       stats_.cache_read_hits++;
       hit_sectors++;
       if (out != nullptr) {
-        const Slice bytes = CachedBytes(it->second);
-        if (bytes.empty()) {
-          out->append(cfg_.sector_size, '\0');
-        } else {
-          out->append(bytes.data(), bytes.size());
-        }
+        const Slice bytes = flash_.store().Bytes(it->second.frame);
+        out->append(bytes.data(), bytes.size());
       }
       continue;
     }
@@ -975,10 +956,10 @@ SimTime SsdDevice::ReplayDump() {
   // Replay: re-program every dumped sector (idempotent — mapping simply
   // repoints, superseding any shorn page).
   std::vector<Ftl::SectorWrite> group;
-  std::vector<Ftl::SectorWrite> unreplayed;
+  std::vector<size_t> unreplayed;  // Indexes into `entries`.
   SimTime replay_done = t;
   for (size_t i = 0; i < entries.size(); ++i) {
-    group.push_back({entries[i].first, entries[i].second});
+    group.push_back({entries[i].first, flash_.store().Put(entries[i].second)});
     if (group.size() < ftl_.sectors_per_page() && i + 1 < entries.size()) {
       continue;
     }
@@ -988,8 +969,11 @@ SimTime SsdDevice::ReplayDump() {
       replay_done = std::max(replay_done, done);
       stats_.replayed_pages += group.size();
     } else {
-      unreplayed.insert(unreplayed.end(), group.begin(), group.end());
+      for (size_t j = i + 1 - group.size(); j <= i; ++j) {
+        unreplayed.push_back(j);
+      }
     }
+    for (const Ftl::SectorWrite& w : group) flash_.store().Release(w.frame);
     group.clear();
   }
 
@@ -999,9 +983,11 @@ SimTime SsdDevice::ReplayDump() {
   // left once the dump area is erased. Keep it acknowledged in the cache
   // and pending: reads serve it, FLUSH CACHE keeps reporting the failure,
   // and the next power cut dumps it again.
-  for (const Ftl::SectorWrite& w : unreplayed) {
-    InsertCacheEntry(w.lpn, w.data, /*ack=*/0, /*seq=*/0, /*epoch=*/0);
-    scheduler_.Add(w.lpn, 0);
+  for (const size_t i : unreplayed) {
+    const Lpn lpn = entries[i].first;
+    InsertCacheEntry(lpn, entries[i].second, /*ack=*/0, /*seq=*/0,
+                     /*epoch=*/0);
+    scheduler_.Add(lpn, 0);
   }
   if (tracer_) {
     tracer_->Record(erased, TraceEventType::kReplay, entries.size(),
@@ -1053,8 +1039,9 @@ Status SsdDevice::AppendLogSegment(SimTime t, const std::vector<Lpn>& taken) {
 
   SimTime hdr_start = 0;
   SimTime hdr_done = 0;
+  const PageImage header_image(&flash_.store(), header);
   StatusOr<Ppn> hdr =
-      ftl_.AppendLogPage(t, Slice(header), &hdr_start, &hdr_done);
+      ftl_.AppendLogPage(t, header_image.frames(), &hdr_start, &hdr_done);
   if (!hdr.ok()) {
     requeue(taken, 0);
     return hdr.status();
@@ -1064,18 +1051,18 @@ Status SsdDevice::AppendLogSegment(SimTime t, const std::vector<Lpn>& taken) {
   rec.seq = ++log_seq_;
   rec.header_ppn = hdr.value();
   rec.sectors = 0;
+  std::vector<Frame> page;
   for (size_t off = 0; off < taken.size(); off += spp) {
     const size_t n = std::min<size_t>(spp, taken.size() - off);
-    std::string page;
+    page.clear();
     for (size_t j = 0; j < n; ++j) {
       auto it = cache_.find(taken[off + j]);
       assert(it != cache_.end());
-      const Slice bytes = CachedBytes(it->second);
-      page.append(bytes.data(), bytes.size());
+      page.push_back(it->second.frame);
     }
     SimTime ps = 0;
     SimTime pd = 0;
-    StatusOr<Ppn> ppn = ftl_.AppendLogPage(t, Slice(page), &ps, &pd);
+    StatusOr<Ppn> ppn = ftl_.AppendLogPage(t, page, &ps, &pd);
     if (!ppn.ok()) {
       // Keep what was programmed (already mapped below); the header simply
       // over-claims and replay treats the missing tail as never written.

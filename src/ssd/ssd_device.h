@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <memory>
 #include <queue>
 #include <string>
 #include <unordered_map>
@@ -180,8 +179,7 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
     kFlush = 3,     ///< FLUSH CACHE or clean shutdown.
   };
 
-  /// Payload index of an entry that holds no bytes (timing-only mode).
-  static constexpr uint32_t kNoPayload = std::numeric_limits<uint32_t>::max();
+  using Frame = SectorStore::Frame;
   /// Bytes of host payload a sector carries into the device: a whole sector,
   /// or none on a timing-only device (cfg_.store_data false).
   uint32_t PayloadLen() const {
@@ -189,8 +187,9 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   }
 
   struct CacheEntry {
-    /// Payload frame holding the sector bytes (kNoPayload when timing-only).
-    uint32_t payload = kNoPayload;
+    /// The cache's reference to the sector's frame (the zero frame on a
+    /// timing-only device). A destaged entry shares it with its NAND slot.
+    Frame frame = SectorStore::kZeroFrame;
     SimTime ack = 0;           ///< Command acknowledged (atomicity point).
     uint64_t seq = 0;          ///< Submission sequence of the owning command.
     uint64_t epoch = 0;        ///< Barrier epoch the owning command joined.
@@ -201,7 +200,7 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
     // overwriting command turns out incomplete at a power cut, the
     // previously acknowledged version is restored.
     bool has_prev = false;
-    uint32_t prev_payload = kNoPayload;
+    Frame prev_frame = SectorStore::kZeroFrame;
     SimTime prev_ack = 0;
     uint64_t prev_seq = 0;
     uint64_t prev_epoch = 0;
@@ -282,32 +281,22 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   /// at program completion, and samples/traces the destage.
   void FinishDestage(const std::vector<Lpn>& group, SimTime issue,
                      SimTime done);
+  /// Caches one host sector: the one copy of its bytes into the store
+  /// (none on a timing-only device).
   void InsertCacheEntry(Lpn lpn, Slice sector, SimTime ack, uint64_t seq,
                         uint64_t epoch);
   void EvictCleanIfNeeded();
-  /// Payload frames: a frame from the free list (the pool grows by one
-  /// chunk when the list is empty), its bytes, and its release.
-  uint32_t NewPayload();
-  char* PayloadBytes(uint32_t payload) const {
-    return payload_chunks_[payload / kPayloadsPerChunk].get() +
-           static_cast<size_t>(payload % kPayloadsPerChunk) * cfg_.sector_size;
-  }
-  void FreePayload(uint32_t payload) {
-    if (payload != kNoPayload) free_payloads_.push_back(payload);
-  }
-  /// The entry's cached bytes; empty when it holds no payload.
+  /// The entry's host payload: PayloadLen() bytes of its frame.
   Slice CachedBytes(const CacheEntry& e) const {
-    return e.payload == kNoPayload
-               ? Slice()
-               : Slice(PayloadBytes(e.payload), cfg_.sector_size);
+    return Slice(flash_.store().Bytes(e.frame).data(), PayloadLen());
   }
-  /// Makes the entry's one-deep history current again, freeing the
-  /// overwriting version's payload.
+  /// Makes the entry's one-deep history current again, releasing the
+  /// overwriting version's frame.
   void RestorePrev(CacheEntry& e);
-  /// Erases one entry and frees its payloads.
+  /// Erases one entry and releases its frames.
   std::unordered_map<Lpn, CacheEntry>::iterator EraseCacheEntry(
       std::unordered_map<Lpn, CacheEntry>::iterator it);
-  /// Empties the cache and returns every payload frame to the free list.
+  /// Empties the cache, releasing every frame it holds.
   void ClearCache();
   /// Mapping-journal persistence cost for `entries` dirty mapping entries.
   SimTime MappingPersistCost(size_t entries) const;
@@ -334,13 +323,6 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
 
   std::unordered_map<Lpn, CacheEntry> cache_;
   std::deque<Lpn> cache_fifo_;
-  /// Sector-size frames holding the cached payloads, allocated
-  /// kPayloadsPerChunk at a time and recycled through free_payloads_. The
-  /// chunks never move, so a Slice into a frame stays valid until the frame
-  /// is freed.
-  static constexpr uint32_t kPayloadsPerChunk = 256;
-  std::vector<std::unique_ptr<char[]>> payload_chunks_;
-  std::vector<uint32_t> free_payloads_;
   /// Reused program buffers of DestagePage / DestagePagePair.
   std::vector<Ftl::SectorWrite> writes_a_;
   std::vector<Ftl::SectorWrite> writes_b_;

@@ -9,6 +9,7 @@
 #include "flash/fault_model.h"
 #include "flash/flash_array.h"
 #include "flash/geometry.h"
+#include "flash/sector_store.h"
 #include "ssd/ftl.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
@@ -20,6 +21,23 @@ constexpr uint32_t kSector = 4 * kKiB;
 
 std::string SectorData(char fill) { return std::string(kSector, fill); }
 
+// Programs the page image `image` into `ppn` through store frames.
+Status Program(FlashArray& flash, SimTime now, Ppn ppn, Slice image,
+               SimTime* done) {
+  const PageImage frames(&flash.store(), image);
+  return flash.ProgramPage(now, ppn, frames.frames(), done);
+}
+
+// One-sector FTL program of `data`; the page keeps the only reference.
+Status ProgramSector(FlashArray& flash, Ftl& ftl, SimTime now, Lpn lpn,
+                     const std::string& data, SimTime* done) {
+  const std::vector<Ftl::SectorWrite> w{{lpn, flash.store().Put(data)}};
+  SimTime start = 0;
+  const Status s = ftl.ProgramSectors(now, w, &start, done);
+  flash.store().Release(w[0].frame);
+  return s;
+}
+
 // --------------------------- FlashArray level -------------------------------
 
 TEST(FaultInjectionFlashTest, ScriptedProgramFailConsumesPage) {
@@ -28,21 +46,21 @@ TEST(FaultInjectionFlashTest, ScriptedProgramFailConsumesPage) {
 
   flash.fault_injector().FailProgramAfter(0);
   SimTime done = 0;
-  const Status st = flash.ProgramPage(0, g.MakePpn(0, 0, 0), "x", &done);
+  const Status st = Program(flash, 0, g.MakePpn(0, 0, 0), "x", &done);
   EXPECT_TRUE(st.IsIoError());
   EXPECT_GT(done, 0);  // The failed program still took full program time.
   EXPECT_EQ(flash.stats().program_fails, 1u);
   EXPECT_EQ(flash.page_state(g.MakePpn(0, 0, 0)), PageState::kInvalid);
   // The in-order cursor advanced past the dead page: the next page programs.
   EXPECT_EQ(flash.next_program_page(0, 0), 1u);
-  EXPECT_TRUE(flash.ProgramPage(done, g.MakePpn(0, 0, 1), "y", &done).ok());
+  EXPECT_TRUE(Program(flash, done, g.MakePpn(0, 0, 1), "y", &done).ok());
 }
 
 TEST(FaultInjectionFlashTest, ScriptedEraseFailGrowsBadBlock) {
   FlashArray flash(FlashArray::Options{FlashGeometry::Tiny()});
   const FlashGeometry& g = flash.geometry();
   SimTime done = 0;
-  ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 0), "a", &done).ok());
+  ASSERT_TRUE(Program(flash, 0, g.MakePpn(0, 0, 0), "a", &done).ok());
 
   flash.fault_injector().FailEraseAfter(0);
   EXPECT_TRUE(flash.EraseBlock(done, 0, 0).IsIoError());
@@ -51,7 +69,7 @@ TEST(FaultInjectionFlashTest, ScriptedEraseFailGrowsBadBlock) {
   EXPECT_TRUE(flash.is_bad_block(0, 0));
 
   // A bad block refuses programs and further erases.
-  EXPECT_TRUE(flash.ProgramPage(done, g.MakePpn(0, 0, 1), "b", &done)
+  EXPECT_TRUE(Program(flash, done, g.MakePpn(0, 0, 1), "b", &done)
                   .IsIoError());
   EXPECT_TRUE(flash.EraseBlock(done, 0, 0).IsIoError());
   EXPECT_EQ(flash.stats().erase_fails, 1u);  // Bad-block guard, not a fail.
@@ -62,7 +80,7 @@ TEST(FaultInjectionFlashTest, RawReaderSeesFlippedBits) {
   const FlashGeometry& g = flash.geometry();
   const std::string data(g.page_size, 'd');
   SimTime done = 0;
-  ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 0), data, &done).ok());
+  ASSERT_TRUE(Program(flash, 0, g.MakePpn(0, 0, 0), data, &done).ok());
 
   // A fault-unaware caller (no raw_bit_errors out-param) gets the flips
   // applied to the returned bytes.
@@ -85,16 +103,13 @@ class FaultInjectionFtlTest : public ::testing::Test {
  protected:
   FaultInjectionFtlTest()
       : flash_(FlashArray::Options{FlashGeometry::Tiny()}),
-        ftl_(&flash_, Ftl::Options{.sector_size = 4 * kKiB,
-                                   .over_provision = 0.25,
+        ftl_(&flash_, Ftl::Options{.over_provision = 0.25,
                                    .dump_blocks_per_plane = 2}) {}
 
   Status WriteOne(SimTime now, Lpn lpn, const std::string& data,
                   SimTime* done = nullptr) {
-    std::vector<Ftl::SectorWrite> w{{lpn, data}};
-    SimTime start = 0;
     SimTime d = 0;
-    Status s = ftl_.ProgramSectors(now, w, &start, &d);
+    Status s = ProgramSector(flash_, ftl_, now, lpn, data, &d);
     if (done != nullptr) *done = d;
     return s;
   }
@@ -177,16 +192,13 @@ TEST_F(FaultInjectionFtlTest, ReadRetryRecoversFromBurstErrors) {
 TEST(FaultInjectionEccTest, UncorrectableReadReportsCorruption) {
   FlashArray flash(FlashArray::Options{FlashGeometry::Tiny()});
   // Tight ECC: 2 correctable bits.
-  Ftl ftl(&flash, Ftl::Options{.sector_size = 4 * kKiB,
-                               .over_provision = 0.25,
+  Ftl ftl(&flash, Ftl::Options{.over_provision = 0.25,
                                .dump_blocks_per_plane = 2,
                                .ecc_correctable_bits = 2});
 
   const std::string data = SectorData('u');
-  std::vector<Ftl::SectorWrite> w{{7, data}};
-  SimTime start = 0;
   SimTime done = 0;
-  ASSERT_TRUE(ftl.ProgramSectors(0, w, &start, &done).ok());
+  ASSERT_TRUE(ProgramSector(flash, ftl, 0, 7, data, &done).ok());
 
   // The initial read and every retry come back over budget.
   for (uint32_t i = 0; i <= Ftl::kReadRetryLimit; ++i) {

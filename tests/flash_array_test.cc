@@ -9,12 +9,27 @@
 #include "common/random.h"
 #include "flash/flash_array.h"
 #include "flash/geometry.h"
+#include "flash/sector_store.h"
 
 namespace durassd {
 namespace {
 
 FlashArray::Options TinyOptions() {
   return FlashArray::Options{FlashGeometry::Tiny()};
+}
+
+// Programs the page image `image` into `ppn`: the image goes into store
+// frames, the page takes its own references, and the image's are released.
+Status Program(FlashArray& flash, SimTime now, Ppn ppn, Slice image,
+               SimTime* done, SimTime* start = nullptr) {
+  const PageImage frames(&flash.store(), image);
+  return flash.ProgramPage(now, ppn, frames.frames(), done, start);
+}
+
+std::string PageBytes(const FlashArray& flash, Ppn ppn) {
+  std::string out;
+  flash.CopyPage(ppn, &out);
+  return out;
 }
 
 TEST(FlashGeometryTest, PpnEncodingRoundTrips) {
@@ -45,7 +60,7 @@ TEST(FlashArrayTest, ProgramThenReadRoundTrips) {
 
   std::string data(g.page_size, 'x');
   SimTime done = 0;
-  ASSERT_TRUE(flash.ProgramPage(0, ppn, data, &done).ok());
+  ASSERT_TRUE(Program(flash, 0, ppn, data, &done).ok());
   EXPECT_GT(done, 0);
 
   std::string out;
@@ -58,7 +73,7 @@ TEST(FlashArrayTest, ShortProgramPadsWithZeros) {
   FlashArray flash(TinyOptions());
   const FlashGeometry& g = flash.geometry();
   SimTime done = 0;
-  ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 0), "abc", &done).ok());
+  ASSERT_TRUE(Program(flash, 0, g.MakePpn(0, 0, 0), "abc", &done).ok());
   std::string out;
   flash.ReadPage(done, g.MakePpn(0, 0, 0), &out);
   ASSERT_EQ(out.size(), g.page_size);
@@ -70,8 +85,8 @@ TEST(FlashArrayTest, RejectsProgramToProgrammedPage) {
   FlashArray flash(TinyOptions());
   const Ppn ppn = flash.geometry().MakePpn(0, 0, 0);
   SimTime done = 0;
-  ASSERT_TRUE(flash.ProgramPage(0, ppn, "a", &done).ok());
-  EXPECT_TRUE(flash.ProgramPage(done, ppn, "b", &done).IsIoError());
+  ASSERT_TRUE(Program(flash, 0, ppn, "a", &done).ok());
+  EXPECT_TRUE(Program(flash, done, ppn, "b", &done).IsIoError());
 }
 
 TEST(FlashArrayTest, EnforcesInOrderProgrammingWithinBlock) {
@@ -79,9 +94,9 @@ TEST(FlashArrayTest, EnforcesInOrderProgrammingWithinBlock) {
   const FlashGeometry& g = flash.geometry();
   SimTime done = 0;
   // Page 1 before page 0: rejected.
-  EXPECT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 1), "x", &done).IsIoError());
-  ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 0), "x", &done).ok());
-  EXPECT_TRUE(flash.ProgramPage(done, g.MakePpn(0, 0, 1), "x", &done).ok());
+  EXPECT_TRUE(Program(flash, 0, g.MakePpn(0, 0, 1), "x", &done).IsIoError());
+  ASSERT_TRUE(Program(flash, 0, g.MakePpn(0, 0, 0), "x", &done).ok());
+  EXPECT_TRUE(Program(flash, done, g.MakePpn(0, 0, 1), "x", &done).ok());
 }
 
 TEST(FlashArrayTest, EraseResetsBlockAndBumpsWear) {
@@ -89,7 +104,7 @@ TEST(FlashArrayTest, EraseResetsBlockAndBumpsWear) {
   const FlashGeometry& g = flash.geometry();
   SimTime done = 0;
   for (uint32_t p = 0; p < g.pages_per_block; ++p) {
-    ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, p), "z", &done).ok());
+    ASSERT_TRUE(Program(flash, 0, g.MakePpn(0, 0, p), "z", &done).ok());
   }
   EXPECT_EQ(flash.valid_pages_in_block(0, 0), g.pages_per_block);
 
@@ -105,14 +120,14 @@ TEST(FlashArrayTest, EraseResetsBlockAndBumpsWear) {
   std::string out;
   flash.ReadPage(erased, g.MakePpn(0, 0, 0), &out);
   EXPECT_EQ(out, std::string(g.page_size, '\0'));
-  EXPECT_TRUE(flash.ProgramPage(erased, g.MakePpn(0, 0, 0), "y", &done).ok());
+  EXPECT_TRUE(Program(flash, erased, g.MakePpn(0, 0, 0), "y", &done).ok());
 }
 
 TEST(FlashArrayTest, MarkInvalidDropsValidCount) {
   FlashArray flash(TinyOptions());
   const FlashGeometry& g = flash.geometry();
   SimTime done = 0;
-  ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 0), "a", &done).ok());
+  ASSERT_TRUE(Program(flash, 0, g.MakePpn(0, 0, 0), "a", &done).ok());
   flash.MarkInvalid(g.MakePpn(0, 0, 0));
   EXPECT_EQ(flash.page_state(g.MakePpn(0, 0, 0)), PageState::kInvalid);
   EXPECT_EQ(flash.valid_pages_in_block(0, 0), 0u);
@@ -125,7 +140,7 @@ TEST(FlashArrayTest, RevalidateRestoresCount) {
   FlashArray flash(TinyOptions());
   const FlashGeometry& g = flash.geometry();
   SimTime done = 0;
-  ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 0), "a", &done).ok());
+  ASSERT_TRUE(Program(flash, 0, g.MakePpn(0, 0, 0), "a", &done).ok());
   flash.MarkInvalid(g.MakePpn(0, 0, 0));
   flash.RevalidatePage(g.MakePpn(0, 0, 0));
   EXPECT_EQ(flash.page_state(g.MakePpn(0, 0, 0)), PageState::kValid);
@@ -138,8 +153,8 @@ TEST(FlashArrayTest, PlaneSerializesPrograms) {
   FlashArray flash(TinyOptions());
   const FlashGeometry& g = flash.geometry();
   SimTime d1 = 0, d2 = 0;
-  ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 0), "", &d1).ok());
-  ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 1), "", &d2).ok());
+  ASSERT_TRUE(Program(flash, 0, g.MakePpn(0, 0, 0), "", &d1).ok());
+  ASSERT_TRUE(Program(flash, 0, g.MakePpn(0, 0, 1), "", &d2).ok());
   // Same plane: the second program waits for the first.
   EXPECT_GE(d2, d1 + g.program_latency);
 }
@@ -149,8 +164,8 @@ TEST(FlashArrayTest, DifferentChannelsRunInParallel) {
   const FlashGeometry& g = flash.geometry();
   // Tiny geometry: planes 0,1 on channel 0; planes 2,3 on channel 1.
   SimTime d1 = 0, d2 = 0;
-  ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 0), "", &d1).ok());
-  ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(2, 0, 0), "", &d2).ok());
+  ASSERT_TRUE(Program(flash, 0, g.MakePpn(0, 0, 0), "", &d1).ok());
+  ASSERT_TRUE(Program(flash, 0, g.MakePpn(2, 0, 0), "", &d2).ok());
   // Different channel + different plane: nearly identical completion.
   EXPECT_LT(d2 - d1, g.program_latency / 4);
 }
@@ -159,8 +174,8 @@ TEST(FlashArrayTest, SameChannelSerializesTransferOnly) {
   FlashArray flash(TinyOptions());
   const FlashGeometry& g = flash.geometry();
   SimTime d1 = 0, d2 = 0;
-  ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 0), "", &d1).ok());
-  ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(1, 0, 0), "", &d2).ok());
+  ASSERT_TRUE(Program(flash, 0, g.MakePpn(0, 0, 0), "", &d1).ok());
+  ASSERT_TRUE(Program(flash, 0, g.MakePpn(1, 0, 0), "", &d2).ok());
   // Same channel, different planes: programs overlap, transfers serialize.
   EXPECT_EQ(d2 - d1, g.channel_transfer_time());
 }
@@ -173,7 +188,7 @@ TEST(FlashArrayTest, PowerCutMidProgramTearsPage) {
   const Ppn ppn = g.MakePpn(0, 0, 0);
   std::string data(g.page_size, 'T');
   SimTime done = 0;
-  ASSERT_TRUE(flash.ProgramPage(0, ppn, data, &done).ok());
+  ASSERT_TRUE(Program(flash, 0, ppn, data, &done).ok());
 
   // Cut halfway through the program.
   flash.PowerCut(done - g.program_latency / 2);
@@ -193,7 +208,7 @@ TEST(FlashArrayTest, PowerCutAfterCompletionKeepsPage) {
   const Ppn ppn = g.MakePpn(0, 0, 0);
   std::string data(g.page_size, 'K');
   SimTime done = 0;
-  ASSERT_TRUE(flash.ProgramPage(0, ppn, data, &done).ok());
+  ASSERT_TRUE(Program(flash, 0, ppn, data, &done).ok());
 
   flash.PowerCut(done + 1);
   EXPECT_FALSE(flash.IsTorn(ppn));
@@ -208,8 +223,8 @@ TEST(FlashArrayTest, PowerCutBeforeStartRollsBackToErased) {
   // Two programs on the same plane: the second starts only after the first
   // finishes. Cut during the first => second never started.
   SimTime d1 = 0, d2 = 0;
-  ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 0), "a", &d1).ok());
-  ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 1), "b", &d2).ok());
+  ASSERT_TRUE(Program(flash, 0, g.MakePpn(0, 0, 0), "a", &d1).ok());
+  ASSERT_TRUE(Program(flash, 0, g.MakePpn(0, 0, 1), "b", &d2).ok());
   flash.PowerCut(d1 - 1);
 
   EXPECT_TRUE(flash.IsTorn(g.MakePpn(0, 0, 0)));
@@ -221,37 +236,91 @@ TEST(FlashArrayTest, PowerCutMidEraseInvalidatesBlock) {
   FlashArray flash(TinyOptions());
   const FlashGeometry& g = flash.geometry();
   SimTime done = 0;
-  ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 0), "a", &done).ok());
+  ASSERT_TRUE(Program(flash, 0, g.MakePpn(0, 0, 0), "a", &done).ok());
   SimTime erase_done = 0;
   ASSERT_TRUE(flash.EraseBlock(done, 0, 0, &erase_done).ok());
   flash.PowerCut(erase_done - 1);
 
   // Block is unusable until a clean re-erase.
   SimTime d = 0;
-  EXPECT_FALSE(flash.ProgramPage(0, g.MakePpn(0, 0, 0), "x", &d).ok());
+  EXPECT_FALSE(Program(flash, 0, g.MakePpn(0, 0, 0), "x", &d).ok());
   ASSERT_TRUE(flash.EraseBlock(0, 0, 0).ok());
-  EXPECT_TRUE(flash.ProgramPage(1, g.MakePpn(0, 0, 0), "x", &d).ok());
+  EXPECT_TRUE(Program(flash, 1, g.MakePpn(0, 0, 0), "x", &d).ok());
 }
 
 TEST(FlashArrayTest, TimingOnlyModeStoresNothing) {
-  // A timing-only write hands the array an empty image: the page is
-  // programmed (state, wear and time as usual) but holds no bytes.
+  // A timing-only write hands the array no frames: the page is programmed
+  // (state, wear and time as usual) but holds no bytes.
   FlashArray flash(TinyOptions());
   const FlashGeometry& g = flash.geometry();
   const Ppn ppn = g.MakePpn(0, 0, 0);
   SimTime done = 0;
-  ASSERT_TRUE(flash.ProgramPage(0, ppn, Slice(), &done).ok());
+  ASSERT_TRUE(flash.ProgramPage(0, ppn, {}, &done).ok());
   EXPECT_GT(done, 0);
   EXPECT_EQ(flash.page_state(ppn), PageState::kValid);
-  EXPECT_FALSE(flash.HasData(ppn));
+  EXPECT_EQ(flash.SlotFrame(ppn, 0), SectorStore::kZeroFrame);
+  EXPECT_EQ(flash.store().live_frames(), 0u);
   std::string out;
   flash.ReadPage(done, ppn, &out);
   EXPECT_EQ(out, std::string(g.page_size, '\0'));
   // The next page of the block stores exactly what it is handed.
   const std::string data(g.page_size, 'q');
-  ASSERT_TRUE(flash.ProgramPage(done, g.MakePpn(0, 0, 1), data, &done).ok());
-  EXPECT_TRUE(flash.HasData(g.MakePpn(0, 0, 1)));
-  EXPECT_EQ(flash.PageView(g.MakePpn(0, 0, 1)), Slice(data));
+  ASSERT_TRUE(Program(flash, done, g.MakePpn(0, 0, 1), data, &done).ok());
+  EXPECT_EQ(flash.store().live_frames(), flash.slots_per_page());
+  EXPECT_EQ(PageBytes(flash, g.MakePpn(0, 0, 1)), data);
+}
+
+TEST(FlashArrayTest, PagesShareFramesByReference) {
+  // A second page programmed with the first one's frame ids (what a GC move
+  // does) copies no bytes and takes its own references: erasing the first
+  // page's block leaves the second page's bytes alone.
+  FlashArray flash(TinyOptions());
+  const FlashGeometry& g = flash.geometry();
+  const Ppn src = g.MakePpn(0, 0, 0);
+  const Ppn dst = g.MakePpn(1, 0, 0);
+  const std::string data(g.page_size, 'r');
+  SimTime done = 0;
+  ASSERT_TRUE(Program(flash, 0, src, data, &done).ok());
+  const FlashArray::Frame frames[] = {flash.SlotFrame(src, 0),
+                                      flash.SlotFrame(src, 1)};
+  ASSERT_TRUE(flash.ProgramPage(done, dst, frames, &done).ok());
+  EXPECT_EQ(flash.store().live_frames(), 2u);
+  ASSERT_TRUE(flash.EraseBlock(done, 0, 0, &done).ok());
+  EXPECT_EQ(PageBytes(flash, src), std::string(g.page_size, '\0'));
+  EXPECT_EQ(PageBytes(flash, dst), data);
+  flash.ReleaseSlot(dst, 0);
+  EXPECT_EQ(flash.store().live_frames(), 1u);
+  EXPECT_EQ(flash.SlotView(dst, 0), Slice(std::string(4 * kKiB, '\0')));
+}
+
+TEST(FlashArrayTest, TornGcDestinationLeavesSourceSlotBytes) {
+  // GC relocation programs the destination with the source slots' frames.
+  // A cut mid-way through that program tears the destination, and the tear
+  // must land in fresh frames: the source slot (a rollback target, or the
+  // cache's copy of a clean sector) still reads its bytes.
+  FlashArray flash(TinyOptions());
+  const FlashGeometry& g = flash.geometry();
+  const Ppn src = g.MakePpn(0, 0, 0);
+  const Ppn dst = g.MakePpn(1, 0, 0);
+  std::string data(g.page_size, 'S');
+  data[g.page_size / 8] = 'x';
+  SimTime done = 0;
+  ASSERT_TRUE(Program(flash, 0, src, data, &done).ok());
+  const FlashArray::Frame frames[] = {flash.SlotFrame(src, 0),
+                                      flash.SlotFrame(src, 1)};
+  SimTime gc_done = 0;
+  ASSERT_TRUE(flash.ProgramPage(done, dst, frames, &gc_done).ok());
+  flash.PowerCut(gc_done - g.program_latency / 2);
+
+  EXPECT_TRUE(flash.IsTorn(dst));
+  const std::string torn = PageBytes(flash, dst);
+  EXPECT_EQ(torn.substr(0, g.page_size / 4), data.substr(0, g.page_size / 4));
+  EXPECT_EQ(torn.substr(g.page_size / 4),
+            std::string(g.page_size - g.page_size / 4, '\0'));
+  EXPECT_FALSE(flash.IsTorn(src));
+  EXPECT_EQ(PageBytes(flash, src), data);
+  EXPECT_EQ(flash.SlotFrame(src, 0), frames[0]);
+  EXPECT_NE(flash.SlotFrame(dst, 0), frames[0]);
 }
 
 // ----------------------- Reference model ----------------------------------
@@ -268,9 +337,7 @@ class PageStoreModel {
  public:
   explicit PageStoreModel(const FlashGeometry& g) : g_(g) {}
 
-  void Program(Ppn ppn, std::span<const Slice> parts) {
-    std::string image;
-    for (const Slice& part : parts) image.append(part.data(), part.size());
+  void Program(Ppn ppn, std::string image) {
     image.resize(g_.page_size, '\0');
     pages_[ppn] = std::move(image);
   }
@@ -312,15 +379,16 @@ std::string RandomBytes(Random& rng, size_t n) {
 
 // Drives a seeded mix of every storage operation, with program, erase and
 // read faults injected, and checks every byte the array returns against
-// PageStoreModel. Erase-and-reprogram cycles reuse freed block buffers, so
-// a page without data inside an allocated buffer sits on stale non-zero
-// memory and must still read as zeros.
+// PageStoreModel. Some programs reuse another page's frame ids, as a GC move
+// does, so erases and tears hit frames that other pages share; once every
+// block is erased at the end, no frame may still be live.
 TEST(FlashArrayModelTest, StoredBytesFollowTheReferenceModel) {
   FlashGeometry g = FlashGeometry::Tiny();
   g.blocks_per_plane = 16;
   // Rule coverage across all seeds.
   uint64_t program_fails = 0, never_started = 0, torn = 0;
   uint64_t interrupted_erases = 0, bad_blocks = 0, multi_plane = 0;
+  uint64_t shared_programs = 0;
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     FaultInjector::Options faults;
     faults.seed = seed;
@@ -345,31 +413,25 @@ TEST(FlashArrayModelTest, StoredBytesFollowTheReferenceModel) {
 
     auto check_page = [&](Ppn ppn, const char* when) {
       const std::string expected = model.Expected(ppn);
-      ASSERT_EQ(FirstDiff(flash.PageView(ppn), expected), -1)
-          << "PageView, seed " << seed << " ppn " << ppn << " " << when;
+      ASSERT_EQ(FirstDiff(PageBytes(flash, ppn), expected), -1)
+          << "CopyPage, seed " << seed << " ppn " << ppn << " " << when;
       std::string out;
       uint32_t raw = 0;
       flash.ReadPage(now, ppn, &out, &raw);
       ASSERT_EQ(FirstDiff(out, expected), -1)
           << "ReadPage, seed " << seed << " ppn " << ppn << " " << when;
     };
-    // A page image of 1-4 parts, sometimes shorter than the page.
-    auto random_image = [&](std::vector<std::string>* bytes,
-                            std::vector<Slice>* parts) {
-      const uint32_t n = 1 + static_cast<uint32_t>(rng.Uniform(4));
+    // A page image, sometimes shorter than the page, sometimes with an
+    // all-zero first sector (the store's zero frame).
+    auto random_image = [&]() {
       const size_t total = rng.Bernoulli(0.5)
                                ? g.page_size
                                : rng.UniformRange(0, g.page_size);
-      bytes->clear();
-      parts->clear();
-      size_t used = 0;
-      for (uint32_t i = 0; i < n; ++i) {
-        const size_t len =
-            i + 1 == n ? total - used : rng.UniformRange(0, total - used);
-        bytes->push_back(RandomBytes(rng, len));
-        used += len;
+      std::string image = RandomBytes(rng, total);
+      if (rng.Bernoulli(0.2)) {
+        std::fill_n(image.begin(), std::min<size_t>(total, 4 * kKiB), '\0');
       }
-      for (const std::string& b : *bytes) parts->push_back(Slice(b));
+      return image;
     };
     // A block that can take a program at its cursor, or false.
     auto programmable = [&](uint32_t plane, uint32_t block) {
@@ -388,13 +450,27 @@ TEST(FlashArrayModelTest, StoredBytesFollowTheReferenceModel) {
         if (!programmable(plane, block)) continue;
         const Ppn ppn =
             g.MakePpn(plane, block, flash.next_program_page(plane, block));
-        std::vector<std::string> bytes;
-        std::vector<Slice> parts;
-        random_image(&bytes, &parts);
+        std::string image;
+        std::vector<FlashArray::Frame> frames;
+        if (rng.Bernoulli(0.3)) {
+          // A GC-style move: the page takes another page's frame ids.
+          const Ppn src = rng.Uniform(g.total_pages());
+          for (uint32_t s = 0; s < flash.slots_per_page(); ++s) {
+            frames.push_back(flash.SlotFrame(src, s));
+          }
+          image = model.Expected(src);
+          shared_programs++;
+        } else {
+          image = random_image();
+        }
+        const PageImage owned(&flash.store(), image);
+        if (frames.empty()) {
+          frames.assign(owned.frames().begin(), owned.frames().end());
+        }
         SimTime done = 0, start = 0;
-        const Status st = flash.ProgramPage(now, ppn, parts, &done, &start);
+        const Status st = flash.ProgramPage(now, ppn, frames, &done, &start);
         if (st.ok()) {
-          model.Program(ppn, parts);
+          model.Program(ppn, image);
           programs.push_back({ppn, start, done});
         } else {
           ASSERT_TRUE(st.IsIoError()) << st.ToString();
@@ -409,20 +485,20 @@ TEST(FlashArrayModelTest, StoredBytesFollowTheReferenceModel) {
         const Ppn ppns[2] = {
             g.MakePpn(p0, block, flash.next_program_page(p0, block)),
             g.MakePpn(p0 + 1, b1, flash.next_program_page(p0 + 1, b1))};
-        std::vector<std::string> bytes[2];
-        std::vector<Slice> parts[2];
-        random_image(&bytes[0], &parts[0]);
-        random_image(&bytes[1], &parts[1]);
+        const std::string images[2] = {random_image(), random_image()};
+        const PageImage frames0(&flash.store(), images[0]);
+        const PageImage frames1(&flash.store(), images[1]);
         SimTime done = 0, start = 0;
         bool failed[2] = {false, false};
         const Status st = flash.ProgramPagesMultiPlane(
-            now, ppns[0], ppns[1], parts[0], parts[1], &done, &start, failed);
+            now, ppns[0], ppns[1], frames0.frames(), frames1.frames(), &done,
+            &start, failed);
         ASSERT_TRUE(st.ok() || st.IsIoError()) << st.ToString();
         for (int i = 0; i < 2; ++i) {
           if (failed[i]) {
             model.Drop(ppns[i]);
           } else {
-            model.Program(ppns[i], parts[i]);
+            model.Program(ppns[i], images[i]);
             programs.push_back({ppns[i], start, done});
           }
         }
@@ -483,6 +559,15 @@ TEST(FlashArrayModelTest, StoredBytesFollowTheReferenceModel) {
     program_fails += flash.stats().program_fails;
     bad_blocks += flash.stats().bad_blocks;
     multi_plane += flash.stats().multi_plane_programs;
+
+    // Every frame belongs to some page; erasing (or retiring) every block
+    // must hand each one back.
+    for (uint32_t p = 0; p < g.total_planes(); ++p) {
+      for (uint32_t b = 0; b < g.blocks_per_plane; ++b) {
+        if (!flash.is_bad_block(p, b)) (void)flash.EraseBlock(now, p, b);
+      }
+    }
+    EXPECT_EQ(flash.store().live_frames(), 0u) << "seed " << seed;
   }
   EXPECT_GT(program_fails, 0u);
   EXPECT_GT(never_started, 0u);
@@ -490,24 +575,50 @@ TEST(FlashArrayModelTest, StoredBytesFollowTheReferenceModel) {
   EXPECT_GT(interrupted_erases, 0u);
   EXPECT_GT(bad_blocks, 0u);
   EXPECT_GT(multi_plane, 0u);
+  EXPECT_GT(shared_programs, 0u);
 }
 
 TEST(FlashArrayModelTest, GatherProgramConcatenatesParts) {
+  // A page is the concatenation of the frames it is handed, one per slot:
+  // the zero frame reads as a zero sector, and a list longer than the
+  // page's slots is refused.
   FlashArray flash(TinyOptions());
   const FlashGeometry& g = flash.geometry();
-  const std::string a(g.page_size / 2, 'a');
-  const std::string b = "tail";
-  const Slice parts[] = {Slice(a), Slice(), Slice(b)};
+  const uint32_t sector = flash.store().sector_size();
+  const std::string a(sector, 'a');
+  SectorStore& store = flash.store();
+  const FlashArray::Frame parts[] = {SectorStore::kZeroFrame, store.Put(a)};
   SimTime done = 0;
   ASSERT_TRUE(flash.ProgramPage(0, g.MakePpn(0, 0, 0), parts, &done).ok());
-  std::string expected = a + b;
-  expected.resize(g.page_size, '\0');
-  EXPECT_EQ(flash.PageView(g.MakePpn(0, 0, 0)).ToView(), expected);
+  EXPECT_EQ(PageBytes(flash, g.MakePpn(0, 0, 0)),
+            std::string(sector, '\0') + a);
 
-  const std::string big(g.page_size, 'x');
-  const Slice too_big[] = {Slice(big), Slice("y")};
+  const FlashArray::Frame too_big[] = {parts[1], parts[1], parts[1]};
   EXPECT_FALSE(
       flash.ProgramPage(done, g.MakePpn(0, 0, 1), too_big, &done).ok());
+  store.Release(parts[1]);
+  EXPECT_EQ(store.live_frames(), 1u);  // The page's reference.
+}
+
+TEST(SectorStoreTest, ZeroSectorsShareTheZeroFrame) {
+  SectorStore store(4 * kKiB);
+  EXPECT_EQ(store.Put(std::string(4 * kKiB, '\0')), SectorStore::kZeroFrame);
+  EXPECT_EQ(store.Put(Slice()), SectorStore::kZeroFrame);
+  EXPECT_EQ(store.live_frames(), 0u);
+  store.Release(SectorStore::kZeroFrame);  // A no-op.
+  EXPECT_EQ(store.Bytes(SectorStore::kZeroFrame),
+            Slice(std::string(4 * kKiB, '\0')));
+
+  // A short image is zero-padded; frames recycle once released.
+  const SectorStore::Frame f = store.Put("abc");
+  ASSERT_NE(f, SectorStore::kZeroFrame);
+  EXPECT_EQ(store.Bytes(f).ToString().substr(0, 4), std::string("abc\0", 4));
+  store.Ref(f);
+  store.Release(f);
+  EXPECT_EQ(store.live_frames(), 1u);
+  store.Release(f);
+  EXPECT_EQ(store.live_frames(), 0u);
+  EXPECT_EQ(store.Put("xyz"), f);
 }
 
 }  // namespace

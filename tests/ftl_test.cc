@@ -6,17 +6,31 @@
 #include "common/coding.h"
 #include "common/random.h"
 #include "flash/flash_array.h"
+#include "flash/sector_store.h"
 #include "ssd/ftl.h"
 
 namespace durassd {
 namespace {
 
+// Programs sectors given as bytes: each goes into a store frame, the page
+// takes its own reference, and the caller's are released.
+Status ProgramBytes(FlashArray& flash, Ftl& ftl, SimTime now,
+                    const std::vector<std::pair<Lpn, std::string>>& sectors,
+                    SimTime* start, SimTime* done) {
+  std::vector<Ftl::SectorWrite> w;
+  for (const auto& [lpn, bytes] : sectors) {
+    w.push_back({lpn, flash.store().Put(bytes)});
+  }
+  const Status s = ftl.ProgramSectors(now, w, start, done);
+  for (const Ftl::SectorWrite& x : w) flash.store().Release(x.frame);
+  return s;
+}
+
 class FtlTest : public ::testing::Test {
  protected:
   FtlTest()
       : flash_(FlashArray::Options{FlashGeometry::Tiny()}),
-        ftl_(&flash_, Ftl::Options{.sector_size = 4 * kKiB,
-                                   .over_provision = 0.25,
+        ftl_(&flash_, Ftl::Options{.over_provision = 0.25,
                                    .dump_blocks_per_plane = 2}) {}
 
   std::string SectorData(char fill) const { return std::string(4 * kKiB, fill); }
@@ -25,8 +39,7 @@ class FtlTest : public ::testing::Test {
                   SimTime* done = nullptr) {
     SimTime start = 0;
     SimTime d = 0;
-    std::vector<Ftl::SectorWrite> w{{lpn, data}};
-    Status s = ftl_.ProgramSectors(now, w, &start, &d);
+    Status s = ProgramBytes(flash_, ftl_, now, {{lpn, data}}, &start, &d);
     if (done != nullptr) *done = d;
     return s;
   }
@@ -59,8 +72,8 @@ TEST_F(FtlTest, PairsTwoSectorsIntoOneProgram) {
   const std::string a = SectorData('a');
   const std::string b = SectorData('b');
   SimTime start = 0, done = 0;
-  std::vector<Ftl::SectorWrite> w{{10, a}, {11, b}};
-  ASSERT_TRUE(ftl_.ProgramSectors(0, w, &start, &done).ok());
+  ASSERT_TRUE(
+      ProgramBytes(flash_, ftl_, 0, {{10, a}, {11, b}}, &start, &done).ok());
   EXPECT_EQ(flash_.stats().programs, 1u);  // One 8KB program for both.
 
   std::string out;
@@ -82,15 +95,17 @@ TEST_F(FtlTest, OverwriteSupersedesOldVersion) {
 TEST_F(FtlTest, RejectsLpnBeyondCapacity) {
   SimTime start = 0, done = 0;
   const std::string d = SectorData('x');
-  std::vector<Ftl::SectorWrite> w{{ftl_.logical_sectors(), d}};
-  EXPECT_FALSE(ftl_.ProgramSectors(0, w, &start, &done).ok());
+  EXPECT_FALSE(ProgramBytes(flash_, ftl_, 0, {{ftl_.logical_sectors(), d}},
+                           &start, &done)
+                   .ok());
 }
 
 TEST_F(FtlTest, RejectsOversizedGroup) {
   const std::string d = SectorData('x');
-  std::vector<Ftl::SectorWrite> w{{0, d}, {1, d}, {2, d}};
   SimTime start = 0, done = 0;
-  EXPECT_FALSE(ftl_.ProgramSectors(0, w, &start, &done).ok());
+  EXPECT_FALSE(
+      ProgramBytes(flash_, ftl_, 0, {{0, d}, {1, d}, {2, d}}, &start, &done)
+          .ok());
 }
 
 TEST_F(FtlTest, GarbageCollectionReclaimsSpaceUnderOverwrites) {
@@ -193,14 +208,12 @@ TEST(FtlCutTest, CutAtProgramStartAgreesWithTheArray) {
   // later the page is torn and the mapping stays.
   for (const SimTime after_start : {SimTime{0}, SimTime{1}}) {
     FlashArray flash(FlashArray::Options{FlashGeometry::Tiny()});
-    Ftl ftl(&flash, Ftl::Options{.sector_size = 4 * kKiB,
-                                 .over_provision = 0.25,
+    Ftl ftl(&flash, Ftl::Options{.over_provision = 0.25,
                                  .dump_blocks_per_plane = 2});
     const std::string data(4 * kKiB, 'c');
-    const std::vector<Ftl::SectorWrite> w{{7, data}};
     SimTime start = 0;
     SimTime done = 0;
-    ASSERT_TRUE(ftl.ProgramSectors(0, w, &start, &done).ok());
+    ASSERT_TRUE(ProgramBytes(flash, ftl, 0, {{7, data}}, &start, &done).ok());
     ASSERT_GT(start, 0);  // The channel transfer comes first.
     const SimTime cut = start + after_start;
     flash.PowerCut(cut);
@@ -230,6 +243,30 @@ TEST_F(FtlTest, RollbackAfterOverwriteRestoresPersistedVersion) {
   std::string out;
   ftl_.ReadSector(0, 2, &out);
   EXPECT_EQ(out, SectorData('p'));
+}
+
+TEST_F(FtlTest, DeadSlotsReleaseFramesUnlessARollbackCanReadThem) {
+  // The page holds the only reference to each sector's frame here, so the
+  // store's live count is the number of slots that keep their bytes.
+  const SectorStore& store = flash_.store();
+  SimTime t = 0;
+  ASSERT_TRUE(WriteOne(t, 1, SectorData('a'), &t).ok());
+  ASSERT_TRUE(WriteOne(t, 1, SectorData('b'), &t).ok());
+  EXPECT_EQ(store.live_frames(), 1u);  // 'a' was never persisted.
+  ftl_.PersistMapping();
+  ASSERT_TRUE(WriteOne(t, 1, SectorData('c'), &t).ok());
+  ASSERT_TRUE(WriteOne(t, 1, SectorData('d'), &t).ok());
+  EXPECT_EQ(store.live_frames(), 2u);  // 'b', the rollback target, and 'd'.
+  ftl_.PersistMapping();
+  EXPECT_EQ(store.live_frames(), 1u);  // The target went with its record.
+
+  ASSERT_TRUE(WriteOne(t, 1, SectorData('e'), &t).ok());
+  EXPECT_EQ(store.live_frames(), 2u);
+  ftl_.PowerCutRollback(t + kSecond, Ftl::PowerCutExposure::kNone);
+  EXPECT_EQ(store.live_frames(), 1u);  // The lost write's frame went.
+  std::string out;
+  ASSERT_TRUE(ftl_.ReadSector(t, 1, &out).ok());
+  EXPECT_EQ(out, SectorData('d'));
 }
 
 // Sector contents unique per (lpn, version): the first 12 bytes carry

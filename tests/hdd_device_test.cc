@@ -42,6 +42,25 @@ TEST(HddDeviceTest, CachedWriteAcksFasterThanUncached) {
   EXPECT_GT(t2, 3 * kMillisecond);
 }
 
+TEST(HddDeviceTest, TrackCacheBoundsDirtySectorsNotCommands) {
+  // The 16 MiB track cache holds 4,096 sectors. Four 1,024-sector writes
+  // fill it and ack at bus speed; the fifth must wait until the first
+  // destage reaches media, which on the uncached twin is exactly when its
+  // own first write completes.
+  HddDevice cached(SmallHdd(true));
+  HddDevice raw(SmallHdd(false));
+  const std::string chunk(1024 * 4 * kKiB, 'c');
+  const SimTime first_on_media = raw.Write(0, 0, chunk).done;
+  SimTime acks[5];
+  for (int i = 0; i < 5; ++i) {
+    const auto w = cached.Write(0, 0, chunk);
+    ASSERT_TRUE(w.status.ok());
+    acks[i] = w.done;
+  }
+  EXPECT_LT(acks[3], first_on_media);
+  EXPECT_GE(acks[4], first_on_media);
+}
+
 TEST(HddDeviceTest, QueueDepthImprovesServiceTime) {
   // Back-to-back requests at high queue depth are served faster per op
   // (elevator scheduling) than isolated ones.

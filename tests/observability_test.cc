@@ -402,6 +402,9 @@ TEST(BenchJsonTest, DocumentMatchesSchema) {
 
   const JsonValue& r = v.Find("results")->AsArray()[0];
   EXPECT_EQ(r.Find("name")->AsString(), "cfg=a");
+  // Host seconds since the BenchJson was made (the first row's start).
+  ASSERT_NE(r.Find("wall_seconds"), nullptr);
+  EXPECT_GE(r.Find("wall_seconds")->AsDouble(), 0.0);
   EXPECT_TRUE(r.Find("params")->Find("barriers")->AsBool());
   EXPECT_DOUBLE_EQ(r.Find("throughput")->Find("value")->AsDouble(), 9876.5);
   EXPECT_EQ(r.Find("throughput")->Find("unit")->AsString(), "iops");

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/coding.h"
+#include "common/random.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
 
@@ -410,6 +414,117 @@ TEST(SsdDeviceTest, NextPowerSessionStartsWithIdleNand) {
   for (uint32_t p = 0; p < dev.flash().geometry().total_planes(); ++p) {
     EXPECT_EQ(dev.flash().plane_ready_time(p), 0) << "plane " << p;
   }
+}
+
+// ---------------------------------------------------------------------------
+// One sector store: the cache and NAND share reference-counted frames
+// ---------------------------------------------------------------------------
+
+// The (ppn, slot) `lpn` maps to, or {kInvalidPpn, 0} when unmapped.
+std::pair<Ppn, uint32_t> LocationOf(const SsdDevice& dev, Lpn lpn) {
+  const Ftl& ftl = dev.ftl();
+  for (Ppn p = 0; p < dev.flash().geometry().total_pages(); ++p) {
+    for (uint32_t s = 0; s < ftl.sectors_per_page(); ++s) {
+      if (ftl.IsMappedTo(lpn, p, s)) return {p, s};
+    }
+  }
+  return {kInvalidPpn, 0};
+}
+
+TEST(SsdDeviceTest, RollbackTargetBytesSurviveTheirSlotsDeath) {
+  // A volatile SSD overwrites a page's sectors without a mapping persist:
+  // the destage kills the old slots, which are the rollback targets, so
+  // they keep their frames and the cut brings the old bytes back.
+  SsdDevice dev(SsdConfig::Tiny(false));
+  SimTime t = dev.Write(0, 6, SectorData('o') + SectorData('O')).done;
+  t = dev.Flush(t).done;
+  const auto old_location = LocationOf(dev, 6);
+  ASSERT_NE(old_location.first, kInvalidPpn);
+  const auto w = dev.Write(t, 6, SectorData('n') + SectorData('N'));
+  ASSERT_TRUE(w.status.ok());
+  ASSERT_NE(LocationOf(dev, 6), old_location) << "the overwrite destaged";
+  ASSERT_EQ(dev.ftl().dirty_mapping_entries(), 2u);
+
+  dev.PowerCut(w.done + kSecond);
+  dev.PowerOn();
+  std::string out;
+  ASSERT_TRUE(dev.Read(0, 6, 2, &out).status.ok());
+  EXPECT_EQ(out, SectorData('o') + SectorData('O'));
+}
+
+TEST(SsdDeviceTest, CleanCachedSectorReadsItsBytesAfterGcMovesItsPage) {
+  // A destaged sector's cache entry shares its frame with its NAND slot.
+  // GC moves the slot's frame id to a new page and the old slot dies; the
+  // cache's own reference keeps the bytes it serves.
+  SsdDevice dev(SsdConfig::Tiny(true));
+  SimTime t = dev.Write(0, 100, SectorData('k')).done;
+  t = dev.Flush(t).done;
+  const auto first = LocationOf(dev, 100);
+  ASSERT_NE(first.first, kInvalidPpn);
+  // Rewrite a few other sectors until GC relocates sector 100.
+  for (int i = 0; i < 5000 && LocationOf(dev, 100) == first; ++i) {
+    const auto w = dev.Write(t, (i % 8) * 2,
+                             SectorData('a' + i % 26) + SectorData('z'));
+    ASSERT_TRUE(w.status.ok());
+    t = w.done;
+  }
+  ASSERT_NE(LocationOf(dev, 100), first) << "GC never moved the sector";
+  ASSERT_GT(dev.ftl().stats().gc_runs, 0u);
+
+  const uint64_t hits = dev.stats().cache_read_hits;
+  std::string out;
+  ASSERT_TRUE(dev.Read(t, 100, 1, &out).status.ok());
+  EXPECT_EQ(dev.stats().cache_read_hits, hits + 1);
+  EXPECT_EQ(out, SectorData('k'));
+  // The relocated NAND copy too, once a clean shutdown empties the cache.
+  ASSERT_TRUE(dev.Shutdown(t).ok());
+  dev.PowerOn();
+  ASSERT_TRUE(dev.Read(0, 100, 1, &out).status.ok());
+  EXPECT_EQ(out, SectorData('k'));
+}
+
+TEST(SsdDeviceTest, AllZeroHostSectorTakesNoFrame) {
+  SsdDevice dev(SsdConfig::Tiny(true));
+  const SectorStore& store = dev.flash().store();
+  SimTime t = dev.Write(0, 5, SectorData('\0') + SectorData('\0')).done;
+  EXPECT_EQ(store.live_frames(), 0u);
+  t = dev.Flush(t).done;  // Destaged: the page slots name the zero frame.
+  EXPECT_EQ(store.live_frames(), 0u);
+  std::string out;
+  ASSERT_TRUE(dev.Read(t, 5, 2, &out).status.ok());
+  EXPECT_EQ(out, SectorData('\0') + SectorData('\0'));
+  ASSERT_TRUE(dev.Shutdown(t).ok());
+  dev.PowerOn();
+  ASSERT_TRUE(dev.Read(0, 5, 2, &out).status.ok());
+  EXPECT_EQ(out, SectorData('\0') + SectorData('\0'));
+}
+
+TEST(SsdDeviceTest, LiveFramesStayBoundedUnderRewrites) {
+  // 10,000 rewrites of 64 sectors: a slot that dies hands its frame back,
+  // so the store never holds more frames than the cache can plus one per
+  // live sector. A cache entry holds at most two: its version and the
+  // one-deep history the atomic writer restores when an overwrite turns
+  // out incomplete at a cut. Once a clean shutdown empties the cache,
+  // exactly one frame per live sector is left.
+  const SsdConfig cfg = SsdConfig::Tiny(true);
+  SsdDevice dev(cfg);
+  constexpr Lpn kLpns = 64;
+  Random rng(30);
+  SimTime t = 0;
+  size_t peak = 0;
+  for (uint32_t v = 0; v < 10000; ++v) {
+    const Lpn lpn = rng.Uniform(kLpns);
+    std::string data = SectorData('a' + v % 26);
+    EncodeFixed32(data.data(), v);
+    const auto w = dev.Write(t, lpn, data);
+    ASSERT_TRUE(w.status.ok()) << v;
+    t = w.done;
+    peak = std::max(peak, dev.flash().store().live_frames());
+  }
+  ASSERT_GT(dev.ftl().stats().gc_runs, 0u);
+  EXPECT_LE(peak, 2 * cfg.cache_capacity_sectors + kLpns);
+  ASSERT_TRUE(dev.Shutdown(t).ok());
+  EXPECT_EQ(dev.flash().store().live_frames(), kLpns);
 }
 
 // ---------------------------------------------------------------------------
