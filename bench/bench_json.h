@@ -21,17 +21,18 @@
 //         "values": { ... extra scalar outputs (WA, reductions, ...) ... },
 //         "engine": {"db": {...}, "wal": {...}, "pool": {...}}
 //                   or {"kv": {...}},
-//         "device": {"stats": {...}, "faults": {...}, "metrics": {...}},
+//         "device": {"stats": {...}, "faults": {...}, "store": {...},
+//                    "metrics": {...}},
 //         "metrics": {"histograms": { ... engine latency histograms ... }}
 //       }, ...
 //     ]
 //   }
 //
 // Every count comes from the Stats struct of the component that keeps it
-// ("engine" and "device.stats"/"faults"); the "metrics" sections hold the
-// registries' histograms. "wall_seconds" is the host time the row took:
-// since the previous row was added (or the BenchJson was made, for the
-// first). Sections a bench does not populate are simply absent. Text
+// ("engine" and "device.stats"/"faults"/"store"); the "metrics" sections
+// hold the registries' histograms. "wall_seconds" is the host time the row
+// took: since the previous row was added (or the BenchJson was made, for
+// the first). Sections a bench does not populate are simply absent. Text
 // output is unchanged; JSON is written on top of it at exit.
 
 #include <chrono>
@@ -94,6 +95,7 @@ inline void AppendDeviceJson(const SsdDevice& dev, JsonWriter* w) {
   const SsdDevice::Stats& s = dev.stats();
   const Ftl::Stats& ftl = dev.ftl().stats();
   const FlashArray::Stats& flash = dev.flash().stats();
+  const SectorStore::Stats& store = dev.flash().store().stats();
   w->BeginObject();
   w->Key("stats");
   w->BeginObject();
@@ -136,6 +138,12 @@ inline void AppendDeviceJson(const SsdDevice& dev, JsonWriter* w) {
   w->Key("program_fails"); w->Uint(flash.program_fails);
   w->Key("erase_fails"); w->Uint(flash.erase_fails);
   w->Key("retired_blocks"); w->Uint(flash.bad_blocks);
+  w->EndObject();
+  w->Key("store");
+  w->BeginObject();
+  w->Key("live_frames"); w->Uint(store.live_frames);
+  w->Key("live_bytes"); w->Uint(store.live_bytes);
+  w->Key("chunk_bytes"); w->Uint(store.chunk_bytes);
   w->EndObject();
   w->Key("metrics");
   dev.metrics().AppendJson(w);
@@ -252,7 +260,8 @@ class BenchResult {
   }
 
   /// Device section: the device's and its FTL's Stats, the fault counts of
-  /// the FTL and the flash array, and the device's histograms.
+  /// the FTL and the flash array, the sector store's Stats, and the
+  /// device's histograms.
   BenchResult& Device(const SsdDevice& dev) {
     JsonWriter w;
     bench_json_internal::AppendDeviceJson(dev, &w);

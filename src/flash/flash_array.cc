@@ -65,8 +65,7 @@ void FlashArray::CopyPage(Ppn ppn, std::string* out) const {
   out->clear();
   out->reserve(opts_.geometry.page_size);
   for (uint32_t s = 0; s < slots_per_page_; ++s) {
-    const Slice bytes = SlotView(ppn, s);
-    out->append(bytes.data(), bytes.size());
+    store_.AppendSector(SlotFrame(ppn, s), out);
   }
 }
 
@@ -83,7 +82,7 @@ void FlashArray::DropPageData(Ppn ppn) {
 void FlashArray::TearPage(Ppn ppn) {
   // Page bytes [0, page_size / 4) survive. A slot wholly past them loses
   // its frame; the slot they end inside gets a fresh frame with its
-  // surviving prefix (Put zero-fills the rest), so the frame it held —
+  // surviving prefix (the rest reads as zeros), so the frame it held —
   // possibly shared with the cache or a GC source page — stays intact.
   const uint32_t sector = opts_.sector_size;
   const uint32_t kept = opts_.geometry.page_size / 4;
@@ -91,10 +90,12 @@ void FlashArray::TearPage(Ppn ppn) {
     const uint32_t begin = s * sector;
     if (begin + sector <= kept) continue;
     Frame& frame = frames_[ppn * slots_per_page_ + s];
-    const Frame torn =
-        begin < kept
-            ? store_.Put(Slice(store_.Bytes(frame).data(), kept - begin))
-            : SectorStore::kZeroFrame;
+    Frame torn = SectorStore::kZeroFrame;
+    if (begin < kept) {
+      const Slice stored = store_.Stored(frame);
+      torn = store_.Put(
+          Slice(stored.data(), std::min<size_t>(stored.size(), kept - begin)));
+    }
     store_.Release(frame);
     frame = torn;
   }

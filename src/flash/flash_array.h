@@ -47,8 +47,8 @@ class FlashArray {
     /// NAND fault injection. All-zero rates (the default) keep the array
     /// bit-for-bit identical to a fault-free build.
     FaultInjector::Options faults{};
-    /// Sector slot size: the store's frame size and the FTL's mapping unit.
-    /// Must divide the page size.
+    /// Sector slot size: the store's sector size and the FTL's mapping
+    /// unit. Must divide the page size.
     uint32_t sector_size = 4 * kKiB;
   };
 
@@ -84,11 +84,6 @@ class FlashArray {
   /// released — names the zero frame.
   Frame SlotFrame(Ppn ppn, uint32_t slot) const {
     return frames_[ppn * slots_per_page_ + slot];
-  }
-  /// SlotFrame's bytes, sector_size long. The view stays valid while the
-  /// slot keeps its frame.
-  Slice SlotView(Ppn ppn, uint32_t slot) const {
-    return store_.Bytes(SlotFrame(ppn, slot));
   }
   /// The stored bytes of a whole page, page_size long, assembled from its
   /// slots (dump replay and the log scan read pages whole).

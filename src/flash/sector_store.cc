@@ -1,49 +1,123 @@
 #include "flash/sector_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
+#include <new>
+#include <stdexcept>
 
 namespace durassd {
 
-SectorStore::SectorStore(uint32_t sector_size) : sector_size_(sector_size) {
-  // The first chunk's frame 0 is the zero frame; it never joins the free
-  // list.
-  chunks_.push_back(std::make_unique<char[]>(
-      static_cast<size_t>(kFramesPerChunk) * sector_size_));
-  refs_.assign(kFramesPerChunk, 0);
-  for (Frame f = kFramesPerChunk; f-- > 1;) free_.push_back(f);
+namespace {
+
+// Compared against a sector's upper halves; a class's upper half is at most
+// half the largest sector.
+constexpr char kZeros[SectorStore::kMaxSectorBytes / 2] = {};
+
+uint32_t ClassBytes(int cls) { return SectorStore::kMinFrameBytes << cls; }
+
+// The smallest class whose frame covers the last non-zero byte of `bytes`,
+// or -1 when every byte is zero.
+int ClassFor(Slice bytes) {
+  const char* const p = bytes.data();
+  size_t n = bytes.size();
+  if (n == 0) return -1;
+  int cls = n <= SectorStore::kMinFrameBytes
+                ? 0
+                : std::bit_width(n - 1) -
+                      std::countr_zero(SectorStore::kMinFrameBytes);
+  // Most sectors end in data: their last word, when it lies above the next
+  // smaller class, settles them. Otherwise each class's upper half is
+  // compared against zeros, largest class first.
+  uint64_t last = 0;
+  if (n >= (cls > 0 ? ClassBytes(cls - 1) : 0) + sizeof(last)) {
+    std::memcpy(&last, p + n - sizeof(last), sizeof(last));
+    if (last != 0) return cls;
+  }
+  for (; cls > 0; --cls) {
+    const size_t half = ClassBytes(cls - 1);
+    if (std::memcmp(p + half, kZeros, n - half) != 0) return cls;
+    n = half;
+  }
+  return std::memcmp(p, kZeros, n) != 0 ? 0 : -1;
+}
+
+}  // namespace
+
+SectorStore::SectorStore(uint32_t sector_size)
+    : sector_size_(sector_size),
+      num_classes_(std::countr_zero(sector_size / kMinFrameBytes) + 1) {
+  if (!std::has_single_bit(sector_size) || sector_size < kMinFrameBytes ||
+      sector_size > kMaxSectorBytes) {
+    throw std::invalid_argument("SectorStore: unsupported sector size");
+  }
+  for (uint32_t c = 0; c < num_classes_; ++c) {
+    classes_[c].frame_bytes = ClassBytes(c);
+  }
+  // Index 0 of the smallest class is the zero frame's id; it stores nothing
+  // and is never handed out.
+  classes_[0].refs.push_back(0);
+}
+
+uint32_t SectorStore::MakeRoom(uint32_t cls) {
+  // A released larger frame is already resident; the frame past the cursor
+  // is not.
+  for (uint32_t larger = cls + 1; larger < num_classes_; ++larger) {
+    if (!classes_[larger].free.empty()) return larger;
+  }
+  FrameClass& c = classes_[cls];
+  const size_t per_chunk = kChunkBytes / c.frame_bytes;
+  if (c.refs.size() < c.chunks.size() * per_chunk) return cls;
+  if ((c.chunks.size() + 1) * per_chunk > size_t{kIndexMask} + 1) {
+    // One more chunk would give frames ids outside the class's index bits,
+    // aliasing another class's frames.
+    throw std::length_error("SectorStore: frame class out of ids");
+  }
+  char* const chunk = static_cast<char*>(std::aligned_alloc(4096, kChunkBytes));
+  if (chunk == nullptr) throw std::bad_alloc();
+  c.chunks.emplace_back(chunk, &std::free);
+  stats_.chunk_bytes += kChunkBytes;
+  return cls;
 }
 
 SectorStore::Frame SectorStore::Put(Slice bytes) {
   assert(bytes.size() <= sector_size_);
-  const char* const zeros = FrameBytes(kZeroFrame);
-  if (std::memcmp(bytes.data(), zeros, bytes.size()) == 0) return kZeroFrame;
-  if (free_.empty()) {
-    const Frame base =
-        static_cast<Frame>(chunks_.size()) * kFramesPerChunk;
-    chunks_.push_back(std::make_unique_for_overwrite<char[]>(
-        static_cast<size_t>(kFramesPerChunk) * sector_size_));
-    refs_.resize(refs_.size() + kFramesPerChunk, 0);
-    for (Frame f = base + kFramesPerChunk; f-- > base;) free_.push_back(f);
+  const int needed = ClassFor(bytes);
+  if (needed < 0) return kZeroFrame;
+  uint32_t cls = static_cast<uint32_t>(needed);
+  if (classes_[cls].free.empty()) cls = MakeRoom(cls);
+  FrameClass& c = classes_[cls];
+  uint32_t index;
+  if (c.free.empty()) {
+    index = static_cast<uint32_t>(c.refs.size());
+    c.refs.push_back(1);
+  } else {
+    index = c.free.back();
+    c.free.pop_back();
+    c.refs[index] = 1;
   }
-  const Frame frame = free_.back();
-  free_.pop_back();
+  stats_.live_frames++;
+  stats_.live_bytes += c.frame_bytes;
+
+  const Frame frame = (cls << kIndexBits) | index;
   char* const dst = FrameBytes(frame);
-  std::memcpy(dst, bytes.data(), bytes.size());
-  std::memset(dst + bytes.size(), 0, sector_size_ - bytes.size());
-  refs_[frame] = 1;
-  live_++;
+  const size_t size = c.frame_bytes;
+  // The input is zero past the class. A shorter input, or a frame of a
+  // larger class, is zero-filled to the frame's end.
+  if (bytes.size() >= size) {
+    std::memcpy(dst, bytes.data(), size);
+  } else {
+    std::memcpy(dst, bytes.data(), bytes.size());
+    std::memset(dst + bytes.size(), 0, size - bytes.size());
+  }
   return frame;
 }
 
-void SectorStore::Release(Frame frame) {
-  if (frame == kZeroFrame) return;
-  assert(refs_[frame] > 0);
-  if (--refs_[frame] == 0) {
-    free_.push_back(frame);
-    live_--;
-  }
+void SectorStore::AppendSector(Frame frame, std::string* out) const {
+  const Slice stored = Stored(frame);
+  out->append(stored.data(), stored.size());
+  out->append(sector_size_ - stored.size(), '\0');
 }
 
 PageImage::PageImage(SectorStore* store, Slice image) : store_(store) {

@@ -469,11 +469,12 @@ Status Ftl::ReadSector(SimTime now, Lpn lpn, std::string* out, SimTime* done,
   if (out != nullptr) {
     // Even on an uncorrectable read the (corrupted) bytes are handed back,
     // so host-level checksums observe the damage instead of a silent zero.
-    const Slice bytes =
-        st.ok() ? flash_->SlotView(ppn, SlotOf(packed))
-                : Slice(damaged.data() + SlotOf(packed) * sector_size_,
-                        sector_size_);
-    out->append(bytes.data(), bytes.size());
+    if (st.ok()) {
+      flash_->store().AppendSector(flash_->SlotFrame(ppn, SlotOf(packed)),
+                                   out);
+    } else {
+      out->append(damaged, SlotOf(packed) * sector_size_, sector_size_);
+    }
   }
   if (torn != nullptr) *torn = flash_->IsTorn(ppn);
   return st;

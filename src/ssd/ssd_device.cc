@@ -579,10 +579,7 @@ BlockDevice::Result SsdDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
     if (it != cache_.end()) {
       stats_.cache_read_hits++;
       hit_sectors++;
-      if (out != nullptr) {
-        const Slice bytes = flash_.store().Bytes(it->second.frame);
-        out->append(bytes.data(), bytes.size());
-      }
+      if (out != nullptr) flash_.store().AppendSector(it->second.frame, out);
       continue;
     }
     stats_.cache_read_misses++;
@@ -716,7 +713,7 @@ void SsdDevice::DumpOnCapacitor(SimTime t) {
   // Everything acknowledged but not yet safely on NAND must reach the dump
   // area on capacitor power (Sec. 3.4.1), together with the dirty mapping
   // entries. Completed programs survive via the dumped mapping delta.
-  std::vector<std::pair<Lpn, Slice>> to_dump;
+  std::vector<std::pair<Lpn, Frame>> to_dump;
   for (const auto& [lpn, e] : cache_) {
     if (e.ack > t || e.program_done <= t) continue;
     if (e.program_issue <= t) {
@@ -727,7 +724,7 @@ void SsdDevice::DumpOnCapacitor(SimTime t) {
       // open [ack, program_done) window.
       continue;
     }
-    to_dump.emplace_back(lpn, CachedBytes(e));
+    to_dump.emplace_back(lpn, e.frame);
   }
   const uint64_t dump_bytes =
       (static_cast<uint64_t>(to_dump.size()) + 1) * cfg_.geometry.page_size +
@@ -753,7 +750,10 @@ void SsdDevice::DumpOnCapacitor(SimTime t) {
   ftl_.ProgramDumpPage(0, header);
   uint32_t index = 1;
   uint64_t written = 0;
-  for (const auto& [lpn, data] : to_dump) {
+  std::string data;
+  for (const auto& [lpn, frame] : to_dump) {
+    data.clear();
+    AppendPayload(frame, &data);
     std::string page;
     PutFixed32(&page, kDumpEntryMagic);
     PutFixed64(&page, lpn);
@@ -1021,11 +1021,13 @@ Status SsdDevice::AppendLogSegment(SimTime t, const std::vector<Lpn>& taken) {
   PutFixed32(&header, kLogSegmentMagic);
   PutFixed64(&header, log_seq_ + 1);
   PutFixed32(&header, static_cast<uint32_t>(taken.size()));
+  std::string payload;
   for (Lpn lpn : taken) {
     auto it = cache_.find(lpn);
     assert(it != cache_.end());
-    const Slice bytes = CachedBytes(it->second);
-    PutFixed32(&header, Crc32c(bytes.data(), bytes.size()));
+    payload.clear();
+    AppendPayload(it->second.frame, &payload);
+    PutFixed32(&header, Crc32c(payload.data(), payload.size()));
     PutFixed64(&header, lpn);
   }
   PutFixed32(&header, Crc32c(header.data(), header.size()));

@@ -286,9 +286,10 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   void InsertCacheEntry(Lpn lpn, Slice sector, SimTime ack, uint64_t seq,
                         uint64_t epoch);
   void EvictCleanIfNeeded();
-  /// The entry's host payload: PayloadLen() bytes of its frame.
-  Slice CachedBytes(const CacheEntry& e) const {
-    return Slice(flash_.store().Bytes(e.frame).data(), PayloadLen());
+  /// Appends a cached sector's host payload, PayloadLen() bytes of its
+  /// frame, to `out`.
+  void AppendPayload(Frame frame, std::string* out) const {
+    if (PayloadLen() > 0) flash_.store().AppendSector(frame, out);
   }
   /// Makes the entry's one-deep history current again, releasing the
   /// overwriting version's frame.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <span>
 #include <string>
@@ -259,14 +260,14 @@ TEST(FlashArrayTest, TimingOnlyModeStoresNothing) {
   EXPECT_GT(done, 0);
   EXPECT_EQ(flash.page_state(ppn), PageState::kValid);
   EXPECT_EQ(flash.SlotFrame(ppn, 0), SectorStore::kZeroFrame);
-  EXPECT_EQ(flash.store().live_frames(), 0u);
+  EXPECT_EQ(flash.store().stats().live_frames, 0u);
   std::string out;
   flash.ReadPage(done, ppn, &out);
   EXPECT_EQ(out, std::string(g.page_size, '\0'));
   // The next page of the block stores exactly what it is handed.
   const std::string data(g.page_size, 'q');
   ASSERT_TRUE(Program(flash, done, g.MakePpn(0, 0, 1), data, &done).ok());
-  EXPECT_EQ(flash.store().live_frames(), flash.slots_per_page());
+  EXPECT_EQ(flash.store().stats().live_frames, flash.slots_per_page());
   EXPECT_EQ(PageBytes(flash, g.MakePpn(0, 0, 1)), data);
 }
 
@@ -284,13 +285,15 @@ TEST(FlashArrayTest, PagesShareFramesByReference) {
   const FlashArray::Frame frames[] = {flash.SlotFrame(src, 0),
                                       flash.SlotFrame(src, 1)};
   ASSERT_TRUE(flash.ProgramPage(done, dst, frames, &done).ok());
-  EXPECT_EQ(flash.store().live_frames(), 2u);
+  EXPECT_EQ(flash.store().stats().live_frames, 2u);
   ASSERT_TRUE(flash.EraseBlock(done, 0, 0, &done).ok());
   EXPECT_EQ(PageBytes(flash, src), std::string(g.page_size, '\0'));
   EXPECT_EQ(PageBytes(flash, dst), data);
   flash.ReleaseSlot(dst, 0);
-  EXPECT_EQ(flash.store().live_frames(), 1u);
-  EXPECT_EQ(flash.SlotView(dst, 0), Slice(std::string(4 * kKiB, '\0')));
+  EXPECT_EQ(flash.store().stats().live_frames, 1u);
+  std::string released;
+  flash.store().AppendSector(flash.SlotFrame(dst, 0), &released);
+  EXPECT_EQ(released, std::string(4 * kKiB, '\0'));
 }
 
 TEST(FlashArrayTest, TornGcDestinationLeavesSourceSlotBytes) {
@@ -422,7 +425,9 @@ TEST(FlashArrayModelTest, StoredBytesFollowTheReferenceModel) {
           << "ReadPage, seed " << seed << " ppn " << ppn << " " << when;
     };
     // A page image, sometimes shorter than the page, sometimes with an
-    // all-zero first sector (the store's zero frame).
+    // all-zero first sector (the store's zero frame), and with some sectors
+    // zero from a random offset on, as engines pad their writes (short
+    // frames).
     auto random_image = [&]() {
       const size_t total = rng.Bernoulli(0.5)
                                ? g.page_size
@@ -430,6 +435,12 @@ TEST(FlashArrayModelTest, StoredBytesFollowTheReferenceModel) {
       std::string image = RandomBytes(rng, total);
       if (rng.Bernoulli(0.2)) {
         std::fill_n(image.begin(), std::min<size_t>(total, 4 * kKiB), '\0');
+      }
+      for (size_t off = 0; off < total; off += 4 * kKiB) {
+        if (!rng.Bernoulli(0.3)) continue;
+        const size_t end = std::min<size_t>(total, off + 4 * kKiB);
+        std::fill(image.begin() + off + rng.UniformRange(0, end - off),
+                  image.begin() + end, '\0');
       }
       return image;
     };
@@ -567,7 +578,7 @@ TEST(FlashArrayModelTest, StoredBytesFollowTheReferenceModel) {
         if (!flash.is_bad_block(p, b)) (void)flash.EraseBlock(now, p, b);
       }
     }
-    EXPECT_EQ(flash.store().live_frames(), 0u) << "seed " << seed;
+    EXPECT_EQ(flash.store().stats().live_frames, 0u) << "seed " << seed;
   }
   EXPECT_GT(program_fails, 0u);
   EXPECT_GT(never_started, 0u);
@@ -597,28 +608,177 @@ TEST(FlashArrayModelTest, GatherProgramConcatenatesParts) {
   EXPECT_FALSE(
       flash.ProgramPage(done, g.MakePpn(0, 0, 1), too_big, &done).ok());
   store.Release(parts[1]);
-  EXPECT_EQ(store.live_frames(), 1u);  // The page's reference.
+  EXPECT_EQ(store.stats().live_frames, 1u);  // The page's reference.
+}
+
+// The bytes `frame` appends: its whole sector.
+std::string SectorBytes(const SectorStore& store, SectorStore::Frame frame) {
+  std::string out;
+  store.AppendSector(frame, &out);
+  return out;
 }
 
 TEST(SectorStoreTest, ZeroSectorsShareTheZeroFrame) {
   SectorStore store(4 * kKiB);
   EXPECT_EQ(store.Put(std::string(4 * kKiB, '\0')), SectorStore::kZeroFrame);
   EXPECT_EQ(store.Put(Slice()), SectorStore::kZeroFrame);
-  EXPECT_EQ(store.live_frames(), 0u);
+  EXPECT_EQ(store.stats().live_frames, 0u);
+  EXPECT_EQ(store.stats().chunk_bytes, 0u);
   store.Release(SectorStore::kZeroFrame);  // A no-op.
-  EXPECT_EQ(store.Bytes(SectorStore::kZeroFrame),
-            Slice(std::string(4 * kKiB, '\0')));
+  EXPECT_TRUE(store.Stored(SectorStore::kZeroFrame).empty());
+  EXPECT_EQ(SectorBytes(store, SectorStore::kZeroFrame),
+            std::string(4 * kKiB, '\0'));
 
   // A short image is zero-padded; frames recycle once released.
   const SectorStore::Frame f = store.Put("abc");
   ASSERT_NE(f, SectorStore::kZeroFrame);
-  EXPECT_EQ(store.Bytes(f).ToString().substr(0, 4), std::string("abc\0", 4));
+  EXPECT_EQ(SectorBytes(store, f), "abc" + std::string(4 * kKiB - 3, '\0'));
   store.Ref(f);
   store.Release(f);
-  EXPECT_EQ(store.live_frames(), 1u);
+  EXPECT_EQ(store.stats().live_frames, 1u);
   store.Release(f);
-  EXPECT_EQ(store.live_frames(), 0u);
+  EXPECT_EQ(store.stats().live_frames, 0u);
   EXPECT_EQ(store.Put("xyz"), f);
+}
+
+// Random sectors whose non-zero prefix ends at or next to every class
+// boundary, with random extra references and releases, checked against a
+// model of the store's rules:
+//   - a frame appends back exactly the sector it was put with;
+//   - its class is the smallest that covers the prefix, unless that class
+//     has no released frame and a larger class has one;
+//   - a released frame, the class's own or the smallest larger class's,
+//     goes before the frame past the class's cursor, and that before a
+//     new 1 MiB chunk;
+//   - live frames, live bytes and chunk bytes follow.
+TEST(SectorStoreTest, FramesFollowTheReferenceModel) {
+  constexpr uint32_t kSector = 4 * kKiB;
+  constexpr uint32_t kClasses = 7;  // 64 B to 4 KiB.
+  std::vector<size_t> prefixes = {0, 1};
+  for (size_t b = SectorStore::kMinFrameBytes; b <= kSector; b *= 2) {
+    prefixes.push_back(b - 1);
+    prefixes.push_back(b);
+    if (b < kSector) prefixes.push_back(b + 1);
+  }
+  auto class_of = [](size_t prefix) {
+    uint32_t c = 0;
+    while ((size_t{SectorStore::kMinFrameBytes} << c) < prefix) c++;
+    return c;
+  };
+  auto frames_per_chunk = [](uint32_t c) {
+    return SectorStore::kChunkBytes / (SectorStore::kMinFrameBytes << c);
+  };
+
+  uint64_t all_reused_larger = 0;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SectorStore store(kSector);
+    Random rng(seed * 104729);
+    struct Live {
+      std::string sector;
+      uint32_t refs;
+      uint32_t cls;
+    };
+    std::map<SectorStore::Frame, Live> live;
+    uint64_t live_bytes = 0;
+    std::vector<uint64_t> released(kClasses, 0);  // Free, already used.
+    std::vector<uint64_t> handed(kClasses, 0);    // Cursor per class.
+    std::vector<uint64_t> chunks(kClasses, 0);
+    handed[0] = 1;  // The zero frame's id is the smallest class's first.
+    uint64_t reused_larger = 0, new_chunks = 0;
+
+    auto check_all = [&](const char* when) {
+      ASSERT_EQ(store.stats().live_frames, live.size()) << when;
+      ASSERT_EQ(store.stats().live_bytes, live_bytes) << when;
+      uint64_t chunk_bytes = 0;
+      for (const uint64_t n : chunks) {
+        chunk_bytes += n * SectorStore::kChunkBytes;
+      }
+      ASSERT_EQ(store.stats().chunk_bytes, chunk_bytes) << when;
+      for (const auto& [frame, l] : live) {
+        ASSERT_EQ(SectorBytes(store, frame), l.sector)
+            << "seed " << seed << " frame " << frame << " " << when;
+      }
+    };
+
+    // Half the sectors fall in one hot class, so it runs through chunks
+    // and, with the 4 KiB class churning beside it, into larger frames.
+    const uint32_t hot = seed == 1 ? kClasses - 1 : kClasses - 2;
+    const size_t hot_bytes = size_t{SectorStore::kMinFrameBytes} << hot;
+    size_t target = 0;
+    for (int op = 0; op < 12000; ++op) {
+      if (op % 2000 == 0) target = rng.UniformRange(300, 1500);
+      const bool put = live.empty() ||
+                       rng.Bernoulli(live.size() < target ? 0.7 : 0.3);
+      if (put) {
+        const size_t prefix =
+            rng.Bernoulli(0.5) ? rng.UniformRange(hot_bytes / 2 + 1, hot_bytes)
+                               : prefixes[rng.Uniform(prefixes.size())];
+        std::string sector(kSector, '\0');
+        for (size_t i = 0; i < prefix; ++i) {
+          sector[i] = static_cast<char>(rng.Uniform(256));
+        }
+        if (prefix > 0) {
+          sector[prefix - 1] = static_cast<char>(rng.Uniform(255) + 1);
+        }
+        // The store takes anything up to a sector; the rest reads as zeros.
+        const size_t len = rng.UniformRange(prefix, kSector);
+        const SectorStore::Frame frame = store.Put(Slice(sector.data(), len));
+        if (prefix == 0) {
+          ASSERT_EQ(frame, SectorStore::kZeroFrame);
+          continue;
+        }
+        ASSERT_NE(frame, SectorStore::kZeroFrame);
+        ASSERT_EQ(live.count(frame), 0u) << "frame ids alias";
+        const uint32_t want = class_of(prefix);
+        uint32_t cls = want;
+        while (cls < kClasses && released[cls] == 0) cls++;
+        if (cls < kClasses) {
+          released[cls]--;
+          if (cls > want) reused_larger++;
+        } else {
+          cls = want;
+          if (handed[want] >= chunks[want] * frames_per_chunk(want)) {
+            chunks[want]++;
+            new_chunks++;
+          }
+          handed[want]++;
+        }
+        ASSERT_EQ(store.Stored(frame).size(),
+                  size_t{SectorStore::kMinFrameBytes} << cls)
+            << "seed " << seed << " prefix " << prefix << " len " << len;
+        live[frame] = {sector, 1, cls};
+        live_bytes += SectorStore::kMinFrameBytes << cls;
+        ASSERT_EQ(SectorBytes(store, frame), sector);
+      } else {
+        auto it = live.begin();
+        std::advance(it, rng.Uniform(live.size()));
+        if (rng.Bernoulli(0.25)) {
+          store.Ref(it->first);
+          it->second.refs++;
+        } else {
+          store.Release(it->first);
+          if (--it->second.refs == 0) {
+            released[it->second.cls]++;
+            live_bytes -= SectorStore::kMinFrameBytes << it->second.cls;
+            live.erase(it);
+          }
+        }
+      }
+      if (op % 1000 == 999) {
+        ASSERT_NO_FATAL_FAILURE(check_all("in scan"));
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(check_all("at end"));
+    EXPECT_GT(new_chunks, kClasses) << "seed " << seed;
+    all_reused_larger += reused_larger;
+
+    for (auto& [frame, l] : live) {
+      for (; l.refs > 0; --l.refs) store.Release(frame);
+    }
+    EXPECT_EQ(store.stats().live_frames, 0u);
+    EXPECT_EQ(store.stats().live_bytes, 0u);
+  }
+  EXPECT_GT(all_reused_larger, 0u);
 }
 
 }  // namespace

@@ -252,18 +252,19 @@ TEST_F(FtlTest, DeadSlotsReleaseFramesUnlessARollbackCanReadThem) {
   SimTime t = 0;
   ASSERT_TRUE(WriteOne(t, 1, SectorData('a'), &t).ok());
   ASSERT_TRUE(WriteOne(t, 1, SectorData('b'), &t).ok());
-  EXPECT_EQ(store.live_frames(), 1u);  // 'a' was never persisted.
+  EXPECT_EQ(store.stats().live_frames, 1u);  // 'a' was never persisted.
   ftl_.PersistMapping();
   ASSERT_TRUE(WriteOne(t, 1, SectorData('c'), &t).ok());
   ASSERT_TRUE(WriteOne(t, 1, SectorData('d'), &t).ok());
-  EXPECT_EQ(store.live_frames(), 2u);  // 'b', the rollback target, and 'd'.
+  // 'b', the rollback target, and 'd'.
+  EXPECT_EQ(store.stats().live_frames, 2u);
   ftl_.PersistMapping();
-  EXPECT_EQ(store.live_frames(), 1u);  // The target went with its record.
+  EXPECT_EQ(store.stats().live_frames, 1u);  // The target went with its record.
 
   ASSERT_TRUE(WriteOne(t, 1, SectorData('e'), &t).ok());
-  EXPECT_EQ(store.live_frames(), 2u);
+  EXPECT_EQ(store.stats().live_frames, 2u);
   ftl_.PowerCutRollback(t + kSecond, Ftl::PowerCutExposure::kNone);
-  EXPECT_EQ(store.live_frames(), 1u);  // The lost write's frame went.
+  EXPECT_EQ(store.stats().live_frames, 1u);  // The lost write's frame went.
   std::string out;
   ASSERT_TRUE(ftl_.ReadSector(t, 1, &out).ok());
   EXPECT_EQ(out, SectorData('d'));

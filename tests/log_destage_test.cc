@@ -11,6 +11,7 @@
 //     pages than in-place lazy destage (the write-amplification win).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -35,9 +36,15 @@ SsdConfig LogConfig() {
   return cfg;
 }
 
+// Every third sector keeps data only in a prefix and is zero after it, as
+// engines pad their durable writes: the segment header's CRCs must cover
+// the zeros past a short frame's stored bytes too.
 std::string Value(int i, char tag = 'l') {
   std::string v = std::string(1, tag) + "-sector-" + std::to_string(i) + "-";
-  v.resize(kSector, 'p');
+  const size_t data =
+      i % 3 == 0 ? v.size() + static_cast<size_t>(i) * 37 % kSector : kSector;
+  v.resize(std::min<size_t>(data, kSector), 'p');
+  v.resize(kSector, '\0');
   return v;
 }
 

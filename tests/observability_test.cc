@@ -443,6 +443,12 @@ TEST(BenchJsonTest, DeviceSectionHasStatsFaultsMetrics) {
   }
   EXPECT_FALSE(d->Find("stats")->Find("degraded")->AsBool());
   EXPECT_NE(d->Find("faults")->Find("program_fails"), nullptr);
+  // The one written sector sits in one 4 KiB frame of a 1 MiB chunk.
+  const JsonValue* store = d->Find("store");
+  ASSERT_NE(store, nullptr);
+  EXPECT_DOUBLE_EQ(store->Find("live_frames")->AsDouble(), 1.0);
+  EXPECT_DOUBLE_EQ(store->Find("live_bytes")->AsDouble(), 4096.0);
+  EXPECT_DOUBLE_EQ(store->Find("chunk_bytes")->AsDouble(), 1048576.0);
   EXPECT_NE(d->Find("metrics")->Find("histograms"), nullptr);
   EXPECT_EQ(d->Find("metrics")->Find("counters"), nullptr);
 }

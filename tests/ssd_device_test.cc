@@ -487,9 +487,9 @@ TEST(SsdDeviceTest, AllZeroHostSectorTakesNoFrame) {
   SsdDevice dev(SsdConfig::Tiny(true));
   const SectorStore& store = dev.flash().store();
   SimTime t = dev.Write(0, 5, SectorData('\0') + SectorData('\0')).done;
-  EXPECT_EQ(store.live_frames(), 0u);
+  EXPECT_EQ(store.stats().live_frames, 0u);
   t = dev.Flush(t).done;  // Destaged: the page slots name the zero frame.
-  EXPECT_EQ(store.live_frames(), 0u);
+  EXPECT_EQ(store.stats().live_frames, 0u);
   std::string out;
   ASSERT_TRUE(dev.Read(t, 5, 2, &out).status.ok());
   EXPECT_EQ(out, SectorData('\0') + SectorData('\0'));
@@ -519,12 +519,12 @@ TEST(SsdDeviceTest, LiveFramesStayBoundedUnderRewrites) {
     const auto w = dev.Write(t, lpn, data);
     ASSERT_TRUE(w.status.ok()) << v;
     t = w.done;
-    peak = std::max(peak, dev.flash().store().live_frames());
+    peak = std::max(peak, dev.flash().store().stats().live_frames);
   }
   ASSERT_GT(dev.ftl().stats().gc_runs, 0u);
   EXPECT_LE(peak, 2 * cfg.cache_capacity_sectors + kLpns);
   ASSERT_TRUE(dev.Shutdown(t).ok());
-  EXPECT_EQ(dev.flash().store().live_frames(), kLpns);
+  EXPECT_EQ(dev.flash().store().stats().live_frames, kLpns);
 }
 
 // ---------------------------------------------------------------------------
