@@ -144,6 +144,7 @@ inline void AppendDeviceJson(const SsdDevice& dev, JsonWriter* w) {
   w->Key("live_frames"); w->Uint(store.live_frames);
   w->Key("live_bytes"); w->Uint(store.live_bytes);
   w->Key("chunk_bytes"); w->Uint(store.chunk_bytes);
+  w->Key("resident_bytes"); w->Uint(store.resident_bytes);
   w->EndObject();
   w->Key("metrics");
   dev.metrics().AppendJson(w);

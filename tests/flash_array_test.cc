@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <iterator>
@@ -644,34 +645,52 @@ TEST(SectorStoreTest, ZeroSectorsShareTheZeroFrame) {
 // Random sectors whose non-zero prefix ends at or next to every class
 // boundary, with random extra references and releases, checked against a
 // model of the store's rules:
-//   - a frame appends back exactly the sector it was put with;
-//   - its class is the smallest that covers the prefix, unless that class
-//     has no released frame and a larger class has one;
-//   - a released frame, the class's own or the smallest larger class's,
-//     goes before the frame past the class's cursor, and that before a
-//     new 1 MiB chunk;
-//   - live frames, live bytes and chunk bytes follow.
+//   - a frame appends back exactly the sector it was put with, zero tail
+//     included, also when it was handed out again after its pages went
+//     back to the OS;
+//   - its class is the smallest that covers the prefix: powers of two to a
+//     quarter sector, then eighth-sector steps. It never takes a larger
+//     class's frame;
+//   - a class takes its resident released frame, then a returned one, then
+//     the frame past its cursor, and only then a new chunk of a
+//     power-of-two number of frames (at most 1 MiB);
+//   - a class whose frames are whole system pages returns a released
+//     frame's pages once it keeps a chunk's worth of resident released
+//     frames;
+//   - live frames, live bytes, chunk bytes and resident bytes (frames
+//     handed out less those returned) follow, and releasing everything
+//     ends at 0 live frames.
 TEST(SectorStoreTest, FramesFollowTheReferenceModel) {
   constexpr uint32_t kSector = 4 * kKiB;
-  constexpr uint32_t kClasses = 7;  // 64 B to 4 KiB.
+  const std::vector<size_t> class_bytes = {64,   128,  256,  512,
+                                           1024, 1536, 2048, 2560,
+                                           3072, 3584, 4096};
+  const uint32_t classes = static_cast<uint32_t>(class_bytes.size());
   std::vector<size_t> prefixes = {0, 1};
-  for (size_t b = SectorStore::kMinFrameBytes; b <= kSector; b *= 2) {
+  for (const size_t b : class_bytes) {
     prefixes.push_back(b - 1);
     prefixes.push_back(b);
     if (b < kSector) prefixes.push_back(b + 1);
   }
-  auto class_of = [](size_t prefix) {
+  auto class_of = [&](size_t prefix) {
     uint32_t c = 0;
-    while ((size_t{SectorStore::kMinFrameBytes} << c) < prefix) c++;
+    while (class_bytes[c] < prefix) c++;
     return c;
   };
-  auto frames_per_chunk = [](uint32_t c) {
-    return SectorStore::kChunkBytes / (SectorStore::kMinFrameBytes << c);
+  auto frames_per_chunk = [&](uint32_t c) {
+    size_t n = 1;
+    while (2 * n * class_bytes[c] <= SectorStore::kChunkBytes) n *= 2;
+    return n;
   };
 
-  uint64_t all_reused_larger = 0;
+  // Only a class whose frames are whole system pages returns pages.
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  uint64_t all_returned = 0, all_retaken = 0;
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     SectorStore store(kSector);
+    auto chunk_bytes_of = [&](uint32_t c) {
+      return (frames_per_chunk(c) * class_bytes[c] + page - 1) / page * page;
+    };
     Random rng(seed * 104729);
     struct Live {
       std::string sector;
@@ -679,40 +698,65 @@ TEST(SectorStoreTest, FramesFollowTheReferenceModel) {
       uint32_t cls;
     };
     std::map<SectorStore::Frame, Live> live;
-    uint64_t live_bytes = 0;
-    std::vector<uint64_t> released(kClasses, 0);  // Free, already used.
-    std::vector<uint64_t> handed(kClasses, 0);    // Cursor per class.
-    std::vector<uint64_t> chunks(kClasses, 0);
+    uint64_t live_bytes = 0, chunk_bytes = 0, resident_bytes = 0;
+    std::vector<uint64_t> released(classes, 0);  // Free and resident.
+    std::vector<uint64_t> returned(classes, 0);  // Free, pages returned.
+    std::vector<uint64_t> handed(classes, 0);    // Cursor per class.
+    std::vector<uint64_t> chunks(classes, 0);
     handed[0] = 1;  // The zero frame's id is the smallest class's first.
-    uint64_t reused_larger = 0, new_chunks = 0;
+    uint64_t new_chunks = 0;
 
     auto check_all = [&](const char* when) {
       ASSERT_EQ(store.stats().live_frames, live.size()) << when;
       ASSERT_EQ(store.stats().live_bytes, live_bytes) << when;
-      uint64_t chunk_bytes = 0;
-      for (const uint64_t n : chunks) {
-        chunk_bytes += n * SectorStore::kChunkBytes;
-      }
       ASSERT_EQ(store.stats().chunk_bytes, chunk_bytes) << when;
+      ASSERT_EQ(store.stats().resident_bytes, resident_bytes) << when;
       for (const auto& [frame, l] : live) {
         ASSERT_EQ(SectorBytes(store, frame), l.sector)
             << "seed " << seed << " frame " << frame << " " << when;
       }
     };
+    auto release = [&](std::map<SectorStore::Frame, Live>::iterator it) {
+      store.Release(it->first);
+      if (--it->second.refs > 0) return;
+      const uint32_t cls = it->second.cls;
+      if (class_bytes[cls] % page == 0 &&
+          released[cls] >= frames_per_chunk(cls)) {
+        returned[cls]++;
+        resident_bytes -= class_bytes[cls];
+        all_returned++;
+      } else {
+        released[cls]++;
+      }
+      live_bytes -= class_bytes[cls];
+      live.erase(it);
+    };
 
-    // Half the sectors fall in one hot class, so it runs through chunks
-    // and, with the 4 KiB class churning beside it, into larger frames.
-    const uint32_t hot = seed == 1 ? kClasses - 1 : kClasses - 2;
-    const size_t hot_bytes = size_t{SectorStore::kMinFrameBytes} << hot;
+    auto release_all = [&]() {
+      while (!live.empty()) {
+        auto it = live.begin();
+        while (it != live.end()) release(it++);
+      }
+    };
+
+    // Half the sectors fall in one hot class, so it runs through chunks.
+    // Halfway every frame is released, so the hot class returns pages past
+    // its resident reserve, and the second half takes them back.
+    const uint32_t hot = seed == 2 ? 7 : classes - 1;  // 2.5 or 4 KiB.
     size_t target = 0;
     for (int op = 0; op < 12000; ++op) {
+      if (op == 6000) {
+        release_all();
+        ASSERT_NO_FATAL_FAILURE(check_all("halfway"));
+      }
       if (op % 2000 == 0) target = rng.UniformRange(300, 1500);
       const bool put = live.empty() ||
                        rng.Bernoulli(live.size() < target ? 0.7 : 0.3);
       if (put) {
         const size_t prefix =
-            rng.Bernoulli(0.5) ? rng.UniformRange(hot_bytes / 2 + 1, hot_bytes)
-                               : prefixes[rng.Uniform(prefixes.size())];
+            rng.Bernoulli(0.5)
+                ? rng.UniformRange(class_bytes[hot - 1] + 1, class_bytes[hot])
+                : prefixes[rng.Uniform(prefixes.size())];
         std::string sector(kSector, '\0');
         for (size_t i = 0; i < prefix; ++i) {
           sector[i] = static_cast<char>(rng.Uniform(256));
@@ -729,25 +773,26 @@ TEST(SectorStoreTest, FramesFollowTheReferenceModel) {
         }
         ASSERT_NE(frame, SectorStore::kZeroFrame);
         ASSERT_EQ(live.count(frame), 0u) << "frame ids alias";
-        const uint32_t want = class_of(prefix);
-        uint32_t cls = want;
-        while (cls < kClasses && released[cls] == 0) cls++;
-        if (cls < kClasses) {
+        const uint32_t cls = class_of(prefix);
+        if (released[cls] > 0) {
           released[cls]--;
-          if (cls > want) reused_larger++;
+        } else if (returned[cls] > 0) {
+          returned[cls]--;
+          resident_bytes += class_bytes[cls];
+          all_retaken++;
         } else {
-          cls = want;
-          if (handed[want] >= chunks[want] * frames_per_chunk(want)) {
-            chunks[want]++;
+          if (handed[cls] >= chunks[cls] * frames_per_chunk(cls)) {
+            chunks[cls]++;
+            chunk_bytes += chunk_bytes_of(cls);
             new_chunks++;
           }
-          handed[want]++;
+          handed[cls]++;
+          resident_bytes += class_bytes[cls];
         }
-        ASSERT_EQ(store.Stored(frame).size(),
-                  size_t{SectorStore::kMinFrameBytes} << cls)
+        ASSERT_EQ(store.Stored(frame).size(), class_bytes[cls])
             << "seed " << seed << " prefix " << prefix << " len " << len;
         live[frame] = {sector, 1, cls};
-        live_bytes += SectorStore::kMinFrameBytes << cls;
+        live_bytes += class_bytes[cls];
         ASSERT_EQ(SectorBytes(store, frame), sector);
       } else {
         auto it = live.begin();
@@ -756,12 +801,7 @@ TEST(SectorStoreTest, FramesFollowTheReferenceModel) {
           store.Ref(it->first);
           it->second.refs++;
         } else {
-          store.Release(it->first);
-          if (--it->second.refs == 0) {
-            released[it->second.cls]++;
-            live_bytes -= SectorStore::kMinFrameBytes << it->second.cls;
-            live.erase(it);
-          }
+          release(it);
         }
       }
       if (op % 1000 == 999) {
@@ -769,16 +809,19 @@ TEST(SectorStoreTest, FramesFollowTheReferenceModel) {
       }
     }
     ASSERT_NO_FATAL_FAILURE(check_all("at end"));
-    EXPECT_GT(new_chunks, kClasses) << "seed " << seed;
-    all_reused_larger += reused_larger;
+    EXPECT_GT(new_chunks, classes) << "seed " << seed;
 
-    for (auto& [frame, l] : live) {
-      for (; l.refs > 0; --l.refs) store.Release(frame);
-    }
+    release_all();
+    ASSERT_NO_FATAL_FAILURE(check_all("all released"));
     EXPECT_EQ(store.stats().live_frames, 0u);
     EXPECT_EQ(store.stats().live_bytes, 0u);
   }
-  EXPECT_GT(all_reused_larger, 0u);
+  // On a host whose pages are larger than the 4 KiB frames, nothing is
+  // returned and the model above still holds.
+  if (page <= kSector) {
+    EXPECT_GT(all_returned, 0u);
+    EXPECT_GT(all_retaken, 0u);
+  }
 }
 
 }  // namespace

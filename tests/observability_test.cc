@@ -420,6 +420,25 @@ TEST(BenchJsonTest, DocumentMatchesSchema) {
   // Sections not populated are absent, not null.
   EXPECT_EQ(r.Find("device"), nullptr);
   EXPECT_EQ(r.Find("engine"), nullptr);
+
+  // A device row's store section carries the sector store's four counts.
+  SsdDevice dev(SsdConfig::Tiny(true));
+  BenchJson dev_json("unit_test_bench", "", true);
+  BenchResult dev_row("cfg=b");
+  dev_row.Device(dev);
+  dev_json.Add(std::move(dev_row));
+  JsonValue dv;
+  ASSERT_TRUE(JsonValue::Parse(dev_json.Document(), &dv));
+  const JsonValue* store =
+      dv.Find("results")->AsArray()[0].Find("device")->Find("store");
+  ASSERT_NE(store, nullptr);
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : store->AsObject()) {
+    EXPECT_TRUE(value.is_number()) << key;
+    keys.push_back(key);
+  }
+  EXPECT_EQ(keys, (std::vector<std::string>{"chunk_bytes", "live_bytes",
+                                            "live_frames", "resident_bytes"}));
 }
 
 TEST(BenchJsonTest, DeviceSectionHasStatsFaultsMetrics) {
@@ -443,12 +462,14 @@ TEST(BenchJsonTest, DeviceSectionHasStatsFaultsMetrics) {
   }
   EXPECT_FALSE(d->Find("stats")->Find("degraded")->AsBool());
   EXPECT_NE(d->Find("faults")->Find("program_fails"), nullptr);
-  // The one written sector sits in one 4 KiB frame of a 1 MiB chunk.
+  // The one written sector sits in one 4 KiB frame of a 1 MiB chunk, and
+  // only that frame has been written.
   const JsonValue* store = d->Find("store");
   ASSERT_NE(store, nullptr);
   EXPECT_DOUBLE_EQ(store->Find("live_frames")->AsDouble(), 1.0);
   EXPECT_DOUBLE_EQ(store->Find("live_bytes")->AsDouble(), 4096.0);
   EXPECT_DOUBLE_EQ(store->Find("chunk_bytes")->AsDouble(), 1048576.0);
+  EXPECT_DOUBLE_EQ(store->Find("resident_bytes")->AsDouble(), 4096.0);
   EXPECT_NE(d->Find("metrics")->Find("histograms"), nullptr);
   EXPECT_EQ(d->Find("metrics")->Find("counters"), nullptr);
 }

@@ -252,18 +252,33 @@ TEST(SsdDeviceTest, DurableCacheNeverExposesTornPages) {
 }
 
 TEST(SsdDeviceTest, CoalescedOverwriteRestoresPriorAckedVersion) {
-  SsdDevice dev(SsdConfig::Tiny(true));
-  const auto w1 = dev.Write(0, 4, SectorData('x'));
-  ASSERT_TRUE(w1.status.ok());
-  const auto w2 = dev.Write(w1.done, 4, SectorData('y'));
-  ASSERT_TRUE(w2.status.ok());
+  // A cut before the overwrite's ack restores the prior acknowledged
+  // version. The cut may also land before a command the device has already
+  // run (the tiered and sweep scenarios cut that way): here a later write
+  // to another LPN is serviced past the overwrite's ack, and the overwrite's
+  // history must still be there, so it cannot be released once the
+  // device's latest command passes the overwrite's ack.
+  for (const bool later_write : {false, true}) {
+    SsdDevice dev(SsdConfig::Tiny(true));
+    const auto w1 = dev.Write(0, 4, SectorData('x'));
+    ASSERT_TRUE(w1.status.ok());
+    const auto w2 = dev.Write(w1.done, 4, SectorData('y'));
+    ASSERT_TRUE(w2.status.ok());
+    if (later_write) {
+      const auto w3 = dev.Write(w2.done + kMillisecond, 9, SectorData('z'));
+      ASSERT_TRUE(w3.status.ok());
+    }
 
-  dev.PowerCut(w2.done - 1);  // Second command incomplete.
-  dev.PowerOn();
+    dev.PowerCut(w2.done - 1);  // Second command incomplete.
+    dev.PowerOn();
 
-  std::string out;
-  ASSERT_TRUE(dev.Read(0, 4, 1, &out).status.ok());
-  EXPECT_EQ(out, SectorData('x'));
+    std::string out;
+    ASSERT_TRUE(dev.Read(0, 4, 1, &out).status.ok());
+    EXPECT_EQ(out, SectorData('x')) << "later write " << later_write;
+    // The later write was submitted after the cut, so it never happened.
+    ASSERT_TRUE(dev.Read(0, 9, 1, &out).status.ok());
+    EXPECT_EQ(out, SectorData('\0')) << "later write " << later_write;
+  }
 }
 
 TEST(SsdDeviceTest, CleanShutdownNeedsNoReplay) {
