@@ -2,6 +2,11 @@
 // write-barrier / double-write-buffer configurations {ON/ON, ON/OFF,
 // OFF/ON, OFF/OFF} x page sizes {16KB, 8KB, 4KB}, 128 clients.
 //
+// Also reproduces Table 3 from two of those runs: the distribution of
+// transaction latency (mean/P25/P50/P75/P99/max, in ms) for the ten
+// operation types, the MySQL default configuration (ON/ON, 16KB pages)
+// against the best DuraSSD configuration (OFF/OFF, 4KB pages).
+//
 // Scale note: the paper runs a 100GB database against a 10GB buffer pool on
 // real hardware; this harness keeps the same DB:pool ratio (~10:1) at
 // simulator scale. Absolute TPS differs; the configuration ordering and
@@ -32,6 +37,41 @@ constexpr uint32_t kPageSizes[] = {16 * kKiB, 8 * kKiB, 4 * kKiB};
 
 bool g_stats = false;
 BenchJson* g_json = nullptr;
+/// Table 3's text, printed after the figure.
+std::string g_table3;
+
+/// Adds Table 3's per-op latency rows for one run (`label`, e.g.
+/// "ON / ON/page=16KB"), if it is one of the two the table compares.
+void AddTable3Rows(const std::string& label, bool barriers, bool dwb,
+                   uint32_t page_size, const LinkBench::Result& result) {
+  const bool mysql_default = barriers && dwb && page_size == 16 * kKiB;
+  const bool durassd_best = !barriers && !dwb && page_size == 4 * kKiB;
+  if (!mysql_default && !durassd_best) return;
+  char line[160];
+  snprintf(line, sizeof(line), "%s (TPS %.0f)\n",
+           mysql_default ? " ON/ON with 16KB pages (MySQL default)"
+                         : " OFF/OFF with 4KB pages (DuraSSD best)",
+           result.tps);
+  g_table3 += line;
+  snprintf(line, sizeof(line), "  %-14s %8s %8s %8s %8s %8s %8s\n", "op",
+           "mean", "p25", "p50", "p75", "p99", "max");
+  g_table3 += line;
+  for (const auto& [op, latency] : result.latencies) {
+    snprintf(line, sizeof(line), "  %-14s %s\n", LinkOpName(op),
+             latency.SummaryMillis().c_str());
+    g_table3 += line;
+    if (!g_json->enabled()) continue;
+    BenchResult row(label + "/" + LinkOpName(op));
+    row.FailedOps(result.failed_ops)
+        .Param("op", LinkOpName(op))
+        .Param("write_barriers", barriers)
+        .Param("double_write", dwb)
+        .Param("page_size", static_cast<uint64_t>(page_size))
+        .Throughput(result.tps, "txn/s")
+        .LatencyNs(latency);
+    g_json->Add(std::move(row));
+  }
+}
 
 double RunConfig(const char* label, bool barriers, bool dwb,
                  uint32_t page_size, uint64_t nodes, uint64_t requests) {
@@ -78,9 +118,10 @@ double RunConfig(const char* label, bool barriers, bool dwb,
             result->latencies[LinkOp::kUpdateNode].Mean() / 1e6,
             result->latencies[LinkOp::kAddLink].Mean() / 1e6);
   }
+  const std::string run =
+      std::string(label) + "/page=" + std::to_string(page_size / kKiB) + "KB";
   if (g_json->enabled()) {
-    BenchResult row(std::string(label) + "/page=" +
-                    std::to_string(page_size / kKiB) + "KB");
+    BenchResult row(run);
     row.FailedOps(result->failed_ops)
         .Param("write_barriers", barriers)
         .Param("double_write", dwb)
@@ -91,6 +132,7 @@ double RunConfig(const char* label, bool barriers, bool dwb,
         .Device(*rig.data_dev);
     g_json->Add(std::move(row));
   }
+  AddTable3Rows(run, barriers, dwb, page_size, *result);
   return result->tps;
 }
 
@@ -106,6 +148,8 @@ void RunFigure(uint64_t nodes, uint64_t requests) {
     }
     printf("\n");
   }
+  printf("\nTable 3: LinkBench latency distribution (ms)\n%s",
+         g_table3.c_str());
 }
 
 }  // namespace

@@ -7,10 +7,11 @@
 #            everything into BENCH_results.json, with each bench's wall
 #            seconds and the suite total under "suite_wall"
 #
-# The benches other than micro_ops build their own simulation stacks and
-# share nothing, so they run $(nproc) at a time; each one's output is
-# captured and printed whole, in the order listed below. micro_ops times
-# wall clock, so it runs alone afterwards.
+# The benches are the ones bench/CMakeLists.txt builds. Those other than
+# micro_ops build their own simulation stacks and share nothing, so they
+# run $(nproc) at a time; each one's output is captured and printed whole,
+# in the CMake file's order. micro_ops times wall clock, so it runs alone
+# afterwards.
 #
 # Prints each bench's wall-clock seconds and the suite total at the end.
 # Exits nonzero if any bench fails.
@@ -35,12 +36,8 @@ if [ "$JSON" = 1 ]; then
   mkdir -p "$JSON_DIR"
 fi
 
-BENCHES="table1_fsync_iops table2_page_size fig5_linkbench fig6_buffer_sweep
-         table3_latency table4_tpcc table5_couchbase ablation_cache_size
-         ablation_parallelism ablation_gc ablation_dump_area
-         ablation_endurance ablation_flush_semantics ablation_queue_depth
-         ablation_durability_mode ablation_destage_mode
-         ablation_tiered_cache"
+BENCHES="$(sed -n 's/^durassd_add_bench(\([a-z0-9_]*\))$/\1/p' \
+  bench/CMakeLists.txt | grep -vx micro_ops)"
 
 FAILED=""
 WALL_TABLE=""

@@ -21,16 +21,10 @@ class ResourceTimeline {
     SimTime done;
   };
 
-  explicit ResourceTimeline(uint32_t capacity = 1) { Reset(capacity); }
-
-  void Reset(uint32_t capacity) {
+  explicit ResourceTimeline(uint32_t capacity = 1) {
     assert(capacity > 0);
-    capacity_ = capacity;
-    slots_ = std::priority_queue<SimTime, std::vector<SimTime>,
-                                 std::greater<SimTime>>();
     for (uint32_t i = 0; i < capacity; ++i) slots_.push(0);
   }
-  void Reset() { Reset(capacity_); }
 
   /// Reserves one slot for `duration` starting no earlier than `t`.
   Grant Acquire(SimTime t, SimTime duration) {
@@ -55,7 +49,6 @@ class ResourceTimeline {
   }
 
  private:
-  uint32_t capacity_ = 1;
   std::priority_queue<SimTime, std::vector<SimTime>, std::greater<SimTime>>
       slots_;
 };

@@ -11,14 +11,11 @@ FlashArray::FlashArray(Options options)
     : opts_(std::move(options)),
       store_(opts_.sector_size),
       slots_per_page_(opts_.geometry.page_size / opts_.sector_size),
+      session_(opts_.geometry),
       faults_(opts_.faults) {
   const FlashGeometry& g = opts_.geometry;
   assert(g.page_size % opts_.sector_size == 0);
-  planes_.resize(g.total_planes());
-  for (auto& plane : planes_) {
-    plane.blocks.resize(g.blocks_per_plane);
-  }
-  channel_busy_.assign(g.channels, 0);
+  blocks_.assign(g.total_planes(), std::vector<Block>(g.blocks_per_plane));
   states_.assign(g.total_pages(), PageState::kFree);
   torn_.assign(g.total_pages(), false);
   frames_.reset(static_cast<Frame*>(
@@ -27,22 +24,22 @@ FlashArray::FlashArray(Options options)
 }
 
 SimTime FlashArray::ReserveChannel(uint32_t channel, SimTime t) {
-  const SimTime start = std::max(t, channel_busy_[channel]);
-  channel_busy_[channel] = start + opts_.geometry.channel_transfer_time();
-  return channel_busy_[channel];
+  SimTime& busy = session_.channel_busy[channel];
+  busy = std::max(t, busy) + opts_.geometry.channel_transfer_time();
+  return busy;
 }
 
 SimTime FlashArray::ReadPage(SimTime now, Ppn ppn, std::string* out,
                              uint32_t* raw_bit_errors) {
   const FlashGeometry& g = opts_.geometry;
-  max_seen_time_ = std::max(max_seen_time_, now);
+  session_.max_seen_time = std::max(session_.max_seen_time, now);
   stats_.reads++;
 
-  Plane& plane = planes_[g.PlaneOf(ppn)];
+  SimTime& plane_busy = session_.plane_busy[g.PlaneOf(ppn)];
   // Cell-array sense, then transfer the page register over the channel.
-  const SimTime sense_start = std::max(now, plane.busy_until);
+  const SimTime sense_start = std::max(now, plane_busy);
   const SimTime sense_done = sense_start + g.read_latency;
-  plane.busy_until = sense_done;
+  plane_busy = sense_done;
   const SimTime done = ReserveChannel(g.ChannelOf(ppn), sense_done);
 
   if (out != nullptr) CopyPage(ppn, out);
@@ -148,7 +145,7 @@ bool FlashArray::CommitProgram(Ppn ppn, std::span<const Frame> frames,
     store_.Ref(frames[s]);
     slots[s] = frames[s];
   }
-  inflight_programs_.push_back({ppn, prog_start, prog_done});
+  session_.inflight_programs.push_back({ppn, prog_start, prog_done});
   return true;
 }
 
@@ -156,17 +153,17 @@ Status FlashArray::ProgramPage(SimTime now, Ppn ppn,
                                std::span<const Frame> frames, SimTime* done,
                                SimTime* start) {
   const FlashGeometry& g = opts_.geometry;
-  max_seen_time_ = std::max(max_seen_time_, now);
+  session_.max_seen_time = std::max(session_.max_seen_time, now);
   PruneInFlight(now);
   DURASSD_RETURN_IF_ERROR(CheckProgrammable(ppn, frames));
 
   stats_.programs++;
-  Plane& plane = planes_[g.PlaneOf(ppn)];
+  SimTime& plane_busy = session_.plane_busy[g.PlaneOf(ppn)];
   // Transfer host->page-register over the channel, then program the cells.
   const SimTime xfer_done = ReserveChannel(g.ChannelOf(ppn), now);
-  const SimTime prog_start = std::max(xfer_done, plane.busy_until);
+  const SimTime prog_start = std::max(xfer_done, plane_busy);
   const SimTime prog_done = prog_start + g.program_latency;
-  plane.busy_until = prog_done;
+  plane_busy = prog_done;
   if (start != nullptr) *start = prog_start;
   *done = prog_done;
 
@@ -182,7 +179,7 @@ Status FlashArray::ProgramPagesMultiPlane(SimTime now, Ppn ppn0, Ppn ppn1,
                                           SimTime* done, SimTime* start,
                                           bool failed[2]) {
   const FlashGeometry& g = opts_.geometry;
-  max_seen_time_ = std::max(max_seen_time_, now);
+  session_.max_seen_time = std::max(session_.max_seen_time, now);
   PruneInFlight(now);
   failed[0] = failed[1] = false;
 
@@ -203,11 +200,12 @@ Status FlashArray::ProgramPagesMultiPlane(SimTime now, Ppn ppn0, Ppn ppn1,
   const uint32_t channel = g.ChannelOf(ppn0);
   const SimTime xfer0 = ReserveChannel(channel, now);
   const SimTime xfer1 = ReserveChannel(channel, xfer0);
-  const SimTime prog_start = std::max(
-      xfer1, std::max(planes_[p0].busy_until, planes_[p1].busy_until));
+  std::vector<SimTime>& plane_busy = session_.plane_busy;
+  const SimTime prog_start =
+      std::max(xfer1, std::max(plane_busy[p0], plane_busy[p1]));
   const SimTime prog_done = prog_start + g.program_latency;
-  planes_[p0].busy_until = prog_done;
-  planes_[p1].busy_until = prog_done;
+  plane_busy[p0] = prog_done;
+  plane_busy[p1] = prog_done;
   if (start != nullptr) *start = prog_start;
   *done = prog_done;
 
@@ -229,15 +227,16 @@ uint32_t FlashArray::ChannelOfPlane(uint32_t plane) const {
 }
 
 SimTime FlashArray::plane_ready_time(uint32_t plane) const {
-  return std::max(planes_[plane].busy_until,
-                  channel_busy_[ChannelOfPlane(plane)]);
+  return std::max(session_.plane_busy[plane],
+                  session_.channel_busy[ChannelOfPlane(plane)]);
 }
 
 uint32_t FlashArray::NextIdlePlane(SimTime now, uint32_t group) {
-  const uint32_t n = static_cast<uint32_t>(planes_.size());
+  const std::vector<SimTime>& plane_busy = session_.plane_busy;
+  const uint32_t n = static_cast<uint32_t>(plane_busy.size());
   if (group == 0 || group > n) group = 1;
   const uint32_t slots = n / group;
-  const uint32_t first = (alloc_cursor_ / group) % slots;
+  const uint32_t first = (session_.alloc_cursor / group) % slots;
   uint32_t best_slot = first;
   SimTime best_ready = std::numeric_limits<SimTime>::max();
   for (uint32_t i = 0; i < slots; ++i) {
@@ -245,7 +244,7 @@ uint32_t FlashArray::NextIdlePlane(SimTime now, uint32_t group) {
     SimTime cell_busy = 0;
     SimTime ready = 0;
     for (uint32_t j = 0; j < group; ++j) {
-      cell_busy = std::max(cell_busy, planes_[slot * group + j].busy_until);
+      cell_busy = std::max(cell_busy, plane_busy[slot * group + j]);
       ready = std::max(ready, plane_ready_time(slot * group + j));
     }
     if (cell_busy <= now) {
@@ -267,26 +266,26 @@ uint32_t FlashArray::NextIdlePlane(SimTime now, uint32_t group) {
       best_ready = ready;
     }
   }
-  alloc_cursor_ = ((best_slot + 1) * group) % n;
+  session_.alloc_cursor = ((best_slot + 1) * group) % n;
   return best_slot * group;
 }
 
 Status FlashArray::EraseBlock(SimTime now, uint32_t plane_idx,
                               uint32_t block_idx, SimTime* done_out) {
   const FlashGeometry& g = opts_.geometry;
-  max_seen_time_ = std::max(max_seen_time_, now);
+  session_.max_seen_time = std::max(session_.max_seen_time, now);
   PruneInFlight(now);
 
-  Plane& plane = planes_[plane_idx];
-  Block& block = plane.blocks[block_idx];
+  Block& block = BlockAt(plane_idx, block_idx);
   if (block.bad) {
     if (done_out != nullptr) *done_out = now;
     return Status::IoError("erase of bad block");
   }
   stats_.erases++;
-  const SimTime start = std::max(now, plane.busy_until);
+  SimTime& plane_busy = session_.plane_busy[plane_idx];
+  const SimTime start = std::max(now, plane_busy);
   const SimTime done = start + g.erase_latency;
-  plane.busy_until = done;
+  plane_busy = done;
   if (done_out != nullptr) *done_out = done;
 
   if (faults_.enabled() && faults_.OnErase(plane_idx, block_idx)) {
@@ -307,7 +306,7 @@ Status FlashArray::EraseBlock(SimTime now, uint32_t plane_idx,
   block.erase_count++;
   block.next_page = 0;
   block.valid_count = 0;
-  inflight_erases_.push_back({plane_idx, block_idx, start, done});
+  session_.inflight_erases.push_back({plane_idx, block_idx, start, done});
   return Status::OK();
 }
 
@@ -371,23 +370,22 @@ uint32_t FlashArray::next_program_page(uint32_t plane, uint32_t block) const {
 
 void FlashArray::PruneInFlight(SimTime now) {
   // Keep the in-flight lists short: entries whose completion precedes every
-  // possible future power-cut instant (<= max_seen_time_) can never be torn.
-  if (inflight_programs_.size() > 4096) {
-    std::erase_if(inflight_programs_, [this](const InFlightProgram& p) {
-      return p.done <= max_seen_time_;
-    });
+  // possible future power-cut instant (<= max_seen_time) can never be torn.
+  const SimTime seen = session_.max_seen_time;
+  if (session_.inflight_programs.size() > 4096) {
+    std::erase_if(session_.inflight_programs,
+                  [seen](const InFlightProgram& p) { return p.done <= seen; });
   }
-  if (inflight_erases_.size() > 1024) {
-    std::erase_if(inflight_erases_, [this](const InFlightErase& e) {
-      return e.done <= max_seen_time_;
-    });
+  if (session_.inflight_erases.size() > 1024) {
+    std::erase_if(session_.inflight_erases,
+                  [seen](const InFlightErase& e) { return e.done <= seen; });
   }
   (void)now;
 }
 
 void FlashArray::PowerCut(SimTime t) {
   const FlashGeometry& g = opts_.geometry;
-  for (const InFlightProgram& p : inflight_programs_) {
+  for (const InFlightProgram& p : session_.inflight_programs) {
     if (p.done <= t) continue;  // Finished before the cut.
     Block& block = BlockAt(g.PlaneOf(p.ppn), g.BlockOf(p.ppn));
     if (!ProgramStarted(p.start, t)) {
@@ -408,9 +406,8 @@ void FlashArray::PowerCut(SimTime t) {
       TearPage(p.ppn);
     }
   }
-  inflight_programs_.clear();
 
-  for (const InFlightErase& e : inflight_erases_) {
+  for (const InFlightErase& e : session_.inflight_erases) {
     if (e.done <= t) continue;
     // An interrupted erase leaves the block with indeterminate contents;
     // mark every page invalid (and torn) so nothing trusts it until a clean
@@ -425,15 +422,7 @@ void FlashArray::PowerCut(SimTime t) {
     block.valid_count = 0;
     block.next_page = g.pages_per_block;  // Unusable until erased again.
   }
-  inflight_erases_.clear();
-  ResetReservations();
-}
-
-void FlashArray::ResetReservations() {
-  for (auto& plane : planes_) plane.busy_until = 0;
-  std::fill(channel_busy_.begin(), channel_busy_.end(), 0);
-  alloc_cursor_ = 0;
-  max_seen_time_ = 0;
+  session_ = Session(g);
 }
 
 }  // namespace durassd

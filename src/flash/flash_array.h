@@ -177,24 +177,23 @@ class FlashArray {
   /// share: a program that would start exactly at the cut never began.
   static bool ProgramStarted(SimTime start, SimTime t) { return start < t; }
 
-  /// Cuts power at time `t`. Any program still in flight at `t` leaves its
-  /// page torn (only the first quarter of the new bytes survive, in fresh
+  /// Cuts power at time `t` and ends the power session: the array starts
+  /// the next one idle. Any program still in flight at `t` leaves its page
+  /// torn (only the first quarter of the new bytes survive, in fresh
   /// frames: a tear never writes into a frame another holder references);
   /// any program not yet begun (ProgramStarted) is rolled back to kFree.
   /// In-flight erases leave the block in an unusable state until re-erased.
+  /// An SSD that runs work on capacitor power (the dump) cuts the array
+  /// after it, so that work does not carry into the next session either.
   void PowerCut(SimTime t);
-  /// Collapses plane and channel reservations: after power is restored the
-  /// array starts idle. PowerCut ends with it; the SSD calls it again when
-  /// it ends a power session, clean or cut, so NAND operations issued after
-  /// the cut (the capacitor dump) do not carry into the next session.
-  void ResetReservations();
 
-  /// Declares all in-flight operations safely completed. Used when recovery
-  /// runs under capacitor protection (Sec. 3.4.2: capacitors are recharged
-  /// before recovery so a nested power failure cannot shear the replay).
+  /// Declares all in-flight operations safely completed: the capacitor
+  /// runs them to completion (Sec. 3.4.1), or recovery ran under its
+  /// protection (Sec. 3.4.2: capacitors are recharged before recovery so a
+  /// nested power failure cannot shear the replay).
   void QuiesceInFlight() {
-    inflight_programs_.clear();
-    inflight_erases_.clear();
+    session_.inflight_programs.clear();
+    session_.inflight_erases.clear();
   }
 
   struct Stats {
@@ -216,10 +215,6 @@ class FlashArray {
     uint32_t valid_count = 0;
     bool bad = false;         ///< Grown bad block; permanently out of service.
   };
-  struct Plane {
-    SimTime busy_until = 0;
-    std::vector<Block> blocks;
-  };
   struct InFlightProgram {
     Ppn ppn;
     SimTime start;
@@ -232,11 +227,25 @@ class FlashArray {
     SimTime done;
   };
 
+  /// Everything a power cycle discards: the NAND operations in flight and
+  /// the reservations of the dies and channels. PowerCut replaces it whole.
+  struct Session {
+    explicit Session(const FlashGeometry& g)
+        : plane_busy(g.total_planes(), 0), channel_busy(g.channels, 0) {}
+    std::vector<SimTime> plane_busy;    ///< Per plane: cells busy until.
+    std::vector<SimTime> channel_busy;  ///< Per channel: busy until.
+    std::vector<InFlightProgram> inflight_programs;
+    std::vector<InFlightErase> inflight_erases;
+    /// Round-robin tie-break cursor for NextIdlePlane.
+    uint32_t alloc_cursor = 0;
+    SimTime max_seen_time = 0;
+  };
+
   Block& BlockAt(uint32_t plane, uint32_t block) {
-    return planes_[plane].blocks[block];
+    return blocks_[plane][block];
   }
   const Block& BlockAt(uint32_t plane, uint32_t block) const {
-    return planes_[plane].blocks[block];
+    return blocks_[plane][block];
   }
   /// Reserves the channel for one page transfer starting no earlier than t.
   SimTime ReserveChannel(uint32_t channel, SimTime t);
@@ -259,24 +268,23 @@ class FlashArray {
   /// and takes the block out of service.
   void MarkBad(uint32_t plane, uint32_t block);
 
+  // Every member but session_ crosses a power cut: the config, what is on
+  // NAND, or a statistic.
   Options opts_;
-  std::vector<Plane> planes_;
-  std::vector<SimTime> channel_busy_;
-  std::vector<PageState> states_;
+  /// Block table, per plane: wear, program cursors and bad marks (on NAND).
+  std::vector<std::vector<Block>> blocks_;
+  std::vector<PageState> states_;  ///< On NAND, as is torn_.
   std::vector<bool> torn_;
-  SectorStore store_;
-  uint32_t slots_per_page_;
-  /// Frame of every (page, slot), flat-indexed as ppn * slots_per_page_ +
-  /// slot: calloc'd, so slots never programmed cost no resident memory.
+  SectorStore store_;  ///< The pages' bytes (on NAND), the cache's too.
+  uint32_t slots_per_page_;  ///< Derived from the config.
+  /// Frame of every (page, slot), on NAND, flat-indexed as ppn *
+  /// slots_per_page_ + slot: calloc'd, so slots never programmed cost no
+  /// resident memory.
   std::unique_ptr<Frame[], decltype(&std::free)> frames_{nullptr,
                                                           &std::free};
-  std::vector<InFlightProgram> inflight_programs_;
-  std::vector<InFlightErase> inflight_erases_;
-  /// Round-robin tie-break cursor for NextIdlePlane.
-  uint32_t alloc_cursor_ = 0;
-  SimTime max_seen_time_ = 0;
+  Session session_;
   Stats stats_;
-  FaultInjector faults_;
+  FaultInjector faults_;  ///< Its rolls follow the media, not the power.
 };
 
 }  // namespace durassd

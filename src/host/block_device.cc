@@ -74,8 +74,7 @@ bool BlockDevice::CutBeforeCompletion(SimTime done) {
 bool BlockDevice::CutPower(SimTime t) {
   cut_armed_ = false;
   if (!powered_) return false;
-  powered_ = false;
-  AbortInFlight(t);
+  ShutOff(t);
   return true;
 }
 

@@ -189,8 +189,8 @@ class BlockDevice {
   /// never with a BARRIER unless supports_barrier().
   virtual Result Execute(SimTime t, const Command& cmd) = 0;
 
-  /// Clears the in-flight window: power loss at `t` kills the queue, and
-  /// the device clock restarts at zero on PowerOn.
+  /// Ends the front end's power session, its in-flight window: the queue
+  /// dies with the power at `t`, and the clock restarts at zero on PowerOn.
   void AbortInFlight(SimTime /*t*/) { inflight_done_ = {}; }
 
   /// The start of every PowerCut override: disarms a scheduled cut and,
@@ -201,11 +201,11 @@ class BlockDevice {
   /// The start of every PowerOn override: returns false when the device
   /// already has power (PowerOn then returns 0), else turns it on.
   bool RestorePower();
-  /// Clean shutdown: turns the device off and, as a cut does, empties the
-  /// in-flight window, since the clock restarts at zero on PowerOn.
-  void ShutOff() {
+  /// Turns the device off at `t` and ends its power session, cut or clean
+  /// (a clean shutdown calls it once its drain is done).
+  void ShutOff(SimTime t) {
     powered_ = false;
-    inflight_done_ = {};
+    AbortInFlight(t);
   }
 
   /// Mid-command causality guard, for a device that must stop before
@@ -226,18 +226,20 @@ class BlockDevice {
   /// Fires the armed cut: disarms it, counts it and runs PowerCut.
   void TripScheduledCut();
 
-  bool powered_ = true;
+  // Everything but the in-flight window crosses a power cycle.
+  bool powered_ = true;  ///< The power state itself.
+  /// The harness's armed cut and its instant; firing or a cut disarms it.
   bool cut_armed_ = false;
   SimTime scheduled_cut_ = 0;
-  uint64_t scheduled_cuts_tripped_ = 0;
-  uint32_t qd_limit_ = 0;  ///< 0 = unlimited.
-  /// Completion times of in-flight commands: the queue-depth window, and
-  /// the only per-command state the front end keeps.
+  uint64_t scheduled_cuts_tripped_ = 0;  ///< A statistic.
+  uint32_t qd_limit_ = 0;  ///< The host's setting; 0 = unlimited.
+  /// The power session: completion times of in-flight commands, the
+  /// queue-depth window and the only per-command state the front end keeps.
   std::priority_queue<SimTime, std::vector<SimTime>, std::greater<SimTime>>
       inflight_done_;
-  uint64_t submit_stalls_ = 0;
+  uint64_t submit_stalls_ = 0;  ///< A statistic, as is the next.
   SimTime submit_stall_time_ = 0;
-  Histogram* h_qd_ = nullptr;
+  Histogram* h_qd_ = nullptr;  ///< A statistic's sink.
 };
 
 }  // namespace durassd

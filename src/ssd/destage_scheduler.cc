@@ -13,11 +13,6 @@ bool DestageScheduler::Add(Lpn lpn, SimTime now) {
   return true;
 }
 
-void DestageScheduler::Clear() {
-  fifo_.clear();
-  pending_.clear();
-}
-
 void DestageScheduler::CompactFifo() {
   if (fifo_.size() <= 2 * pending_.size() + 64) return;
   std::deque<Lpn> live;

@@ -31,7 +31,8 @@ namespace durassd {
 ///     DrainAll when nothing is in flight),
 ///   - FLUSH CACHE / clean shutdown (DrainAll),
 ///   - idle threshold: the device exploits its own idle time (DrainAll),
-///   - power cut: the dump covers pending sectors; Clear() drops them.
+///   - power cut: the dump covers pending sectors, and the scheduler goes
+///     with the owner's power session.
 class DestageScheduler {
  public:
   /// Owner-side destage executors. The scheduler decides *what* to issue
@@ -59,8 +60,9 @@ class DestageScheduler {
   DestageScheduler(Sink* sink, Options options)
       : sink_(sink), opts_(options) {}
 
-  DestageScheduler(const DestageScheduler&) = delete;
-  DestageScheduler& operator=(const DestageScheduler&) = delete;
+  /// Movable, so a power session holding one can be replaced whole.
+  DestageScheduler(DestageScheduler&&) = default;
+  DestageScheduler& operator=(DestageScheduler&&) = default;
 
   /// Queues a dirty sector for destage. Returns false when the sector is
   /// already pending — the rewrite was absorbed in place (the caller
@@ -70,8 +72,6 @@ class DestageScheduler {
   bool IsPending(Lpn lpn) const { return pending_.count(lpn) != 0; }
   /// Drops one sector (a rejected command's rollback, or entry removal).
   void Remove(Lpn lpn) { pending_.erase(lpn); }
-  /// Drops everything (power cut: the capacitor dump already saved it).
-  void Clear();
 
   size_t pending_sectors() const { return pending_.size(); }
   /// Full pages currently formable from pending sectors.

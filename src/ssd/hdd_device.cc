@@ -21,8 +21,7 @@ constexpr SimTime kBusCmdOverhead = 3 * kMicrosecond;
 constexpr uint32_t kWriteCacheSectors = 4096;
 }  // namespace
 
-HddDevice::HddDevice(Config config)
-    : cfg_(std::move(config)), bus_(1), arm_(1) {}
+HddDevice::HddDevice(Config config) : cfg_(std::move(config)) {}
 
 SimTime HddDevice::ServiceTime(uint32_t nsec, bool is_write,
                                uint32_t q) const {
@@ -39,10 +38,10 @@ SimTime HddDevice::ServiceTime(uint32_t nsec, bool is_write,
 }
 
 uint32_t HddDevice::QueueDepth(SimTime t) {
-  while (!outstanding_.empty() && outstanding_.top() <= t) {
-    outstanding_.pop();
+  while (!session_.outstanding.empty() && session_.outstanding.top() <= t) {
+    session_.outstanding.pop();
   }
-  return static_cast<uint32_t>(outstanding_.size()) + 1;
+  return static_cast<uint32_t>(session_.outstanding.size()) + 1;
 }
 
 void HddDevice::CommitToMedia(Lpn lpn, Slice data) {
@@ -59,12 +58,12 @@ SimTime HddDevice::DestageToMedia(SimTime t, Lpn lpn, Slice data) {
   const uint32_t nsec =
       std::max<uint32_t>(1, static_cast<uint32_t>(data.size() / cfg_.sector_size));
   const SimTime service = ServiceTime(nsec, /*is_write=*/true, QueueDepth(t));
-  const ResourceTimeline::Grant g = arm_.Acquire(t, service);
-  outstanding_.push(g.done);
-  inflight_.push_back({lpn, nsec, g.done});
-  if (inflight_.size() > 2048) {
-    std::erase_if(inflight_, [this](const InFlight& w) {
-      return w.done <= max_time_seen_;
+  const ResourceTimeline::Grant g = session_.arm.Acquire(t, service);
+  session_.outstanding.push(g.done);
+  session_.inflight.push_back({lpn, nsec, g.done});
+  if (session_.inflight.size() > 2048) {
+    std::erase_if(session_.inflight, [this](const InFlight& w) {
+      return w.done <= session_.max_time_seen;
     });
   }
   CommitToMedia(lpn, data);
@@ -84,15 +83,15 @@ BlockDevice::Result HddDevice::Execute(SimTime t, const Command& cmd) {
 
 BlockDevice::Result HddDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
   const uint32_t nsec = static_cast<uint32_t>(data.size() / cfg_.sector_size);
-  max_time_seen_ = std::max(max_time_seen_, now);
+  session_.max_time_seen = std::max(session_.max_time_seen, now);
 
   const SimTime bus_time =
       static_cast<SimTime>(data.size() / kBusBytesPerNs) + kBusCmdOverhead;
-  const ResourceTimeline::Grant bus = bus_.Acquire(now, bus_time);
+  const ResourceTimeline::Grant bus = session_.bus.Acquire(now, bus_time);
 
   if (!cfg_.cache_enabled) {
     const SimTime done = DestageToMedia(bus.done, lpn, data);
-    max_time_seen_ = std::max(max_time_seen_, done);
+    session_.max_time_seen = std::max(session_.max_time_seen, done);
     return {Status::OK(), done};
   }
 
@@ -100,32 +99,34 @@ BlockDevice::Result HddDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
   // cache holds kWriteCacheSectors: a write that would overflow it waits
   // until enough earlier destages have reached media.
   SimTime t = bus.done;
-  while (!dirty_.empty() && (dirty_.top().first <= t ||
-                             dirty_sectors_ + nsec > kWriteCacheSectors)) {
-    t = std::max(t, dirty_.top().first);
-    dirty_sectors_ -= dirty_.top().second;
-    dirty_.pop();
+  auto& dirty = session_.dirty;
+  uint32_t& dirty_sectors = session_.dirty_sectors;
+  while (!dirty.empty() && (dirty.top().first <= t ||
+                            dirty_sectors + nsec > kWriteCacheSectors)) {
+    t = std::max(t, dirty.top().first);
+    dirty_sectors -= dirty.top().second;
+    dirty.pop();
   }
   const SimTime ack = t;
-  dirty_.emplace(DestageToMedia(ack, lpn, data), nsec);
-  dirty_sectors_ += nsec;
-  max_time_seen_ = std::max(max_time_seen_, ack);
+  dirty.emplace(DestageToMedia(ack, lpn, data), nsec);
+  dirty_sectors += nsec;
+  session_.max_time_seen = std::max(session_.max_time_seen, ack);
   return {Status::OK(), ack};
 }
 
 BlockDevice::Result HddDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
                                       std::string* out) {
-  max_time_seen_ = std::max(max_time_seen_, now);
+  session_.max_time_seen = std::max(session_.max_time_seen, now);
 
   const SimTime service = ServiceTime(nsec, /*is_write=*/false,
                                       QueueDepth(now));
-  const ResourceTimeline::Grant g = arm_.Acquire(now, service);
-  outstanding_.push(g.done);
+  const ResourceTimeline::Grant g = session_.arm.Acquire(now, service);
+  session_.outstanding.push(g.done);
   const SimTime bus_time =
       static_cast<SimTime>(static_cast<double>(nsec) * cfg_.sector_size /
                            kBusBytesPerNs) +
       kBusCmdOverhead;
-  const ResourceTimeline::Grant bus = bus_.Acquire(g.done, bus_time);
+  const ResourceTimeline::Grant bus = session_.bus.Acquire(g.done, bus_time);
 
   if (out != nullptr) {
     out->clear();
@@ -138,26 +139,26 @@ BlockDevice::Result HddDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
       }
     }
   }
-  max_time_seen_ = std::max(max_time_seen_, bus.done);
+  session_.max_time_seen = std::max(session_.max_time_seen, bus.done);
   return {Status::OK(), bus.done};
 }
 
 BlockDevice::Result HddDevice::DoFlush(SimTime now) {
-  max_time_seen_ = std::max(max_time_seen_, now);
+  session_.max_time_seen = std::max(session_.max_time_seen, now);
   // Flushes serialize in the drive's firmware.
-  const SimTime start = std::max(now, last_flush_done_);
+  const SimTime start = std::max(now, session_.last_flush_done);
   SimTime done = start + kBusCmdOverhead;
-  while (!outstanding_.empty()) {
-    done = std::max(done, outstanding_.top());
-    outstanding_.pop();
+  while (!session_.outstanding.empty()) {
+    done = std::max(done, session_.outstanding.top());
+    session_.outstanding.pop();
   }
-  dirty_ = {};  // Every destage is on media by `done`.
-  dirty_sectors_ = 0;
-  last_flush_done_ = done;
+  session_.dirty = {};  // Every destage is on media by `done`.
+  session_.dirty_sectors = 0;
+  session_.last_flush_done = done;
   if (done > start) {
-    (void)bus_.Acquire(start, done - start);  // Flush stalls the link.
+    (void)session_.bus.Acquire(start, done - start);  // Flush stalls the link.
   }
-  max_time_seen_ = std::max(max_time_seen_, done);
+  session_.max_time_seen = std::max(session_.max_time_seen, done);
   return {Status::OK(), done};
 }
 
@@ -165,7 +166,7 @@ void HddDevice::PowerCut(SimTime t) {
   if (!CutPower(t)) return;
 
   // Writes whose media pass had not finished: roll back or shear.
-  for (const InFlight& w : inflight_) {
+  for (const InFlight& w : session_.inflight) {
     if (w.done <= t) continue;
     if (!cfg_.store_data) continue;
     // The media pass had not finished: the command is sheared. First half
@@ -187,17 +188,11 @@ void HddDevice::PowerCut(SimTime t) {
       }
     }
   }
-  inflight_.clear();
 
-  // Unflushed cache contents are gone: a write whose media pass had not
-  // finished was handled above.
-  while (!outstanding_.empty()) outstanding_.pop();
-  dirty_ = {};
-  dirty_sectors_ = 0;
-  bus_.Reset();
-  arm_.Reset();
-  max_time_seen_ = 0;
-  last_flush_done_ = 0;  // The clock restarts at zero after PowerOn.
+  // Unflushed cache contents are gone with the session (a write whose media
+  // pass had not finished was handled above), and the clock restarts at
+  // zero after PowerOn.
+  session_ = Session{};
 }
 
 SimTime HddDevice::PowerOn() {

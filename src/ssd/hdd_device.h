@@ -65,22 +65,29 @@ class HddDevice : public BlockDevice {
   void CommitToMedia(Lpn lpn, Slice data);
   SimTime DestageToMedia(SimTime t, Lpn lpn, Slice data);
 
-  Config cfg_;
-  ResourceTimeline bus_;
-  ResourceTimeline arm_;  ///< The single actuator.
-  std::unordered_map<Lpn, std::string> media_;
-  std::priority_queue<SimTime, std::vector<SimTime>, std::greater<SimTime>>
-      outstanding_;
-  /// Track-cache destages still headed for media, as (media completion,
-  /// sectors), earliest first, and the sectors they hold in the cache.
-  std::priority_queue<std::pair<SimTime, uint32_t>,
-                      std::vector<std::pair<SimTime, uint32_t>>,
-                      std::greater<>>
-      dirty_;
-  uint32_t dirty_sectors_ = 0;
-  std::vector<InFlight> inflight_;
-  SimTime max_time_seen_ = 0;
-  SimTime last_flush_done_ = 0;
+  /// Everything a power cycle discards: the link and the arm, the commands
+  /// in flight and the track cache. PowerCut replaces it whole once it has
+  /// sheared the media writes still in flight.
+  struct Session {
+    ResourceTimeline bus{1};
+    ResourceTimeline arm{1};  ///< The single actuator.
+    std::priority_queue<SimTime, std::vector<SimTime>, std::greater<SimTime>>
+        outstanding;
+    /// Track-cache destages still headed for media, as (media completion,
+    /// sectors), earliest first, and the sectors they hold in the cache.
+    std::priority_queue<std::pair<SimTime, uint32_t>,
+                        std::vector<std::pair<SimTime, uint32_t>>,
+                        std::greater<>>
+        dirty;
+    uint32_t dirty_sectors = 0;
+    std::vector<InFlight> inflight;
+    SimTime max_time_seen = 0;
+    SimTime last_flush_done = 0;
+  };
+
+  Config cfg_;  ///< The config.
+  std::unordered_map<Lpn, std::string> media_;  ///< The platters' bytes.
+  Session session_;
 };
 
 }  // namespace durassd

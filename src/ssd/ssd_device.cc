@@ -90,6 +90,16 @@ SsdConfig SsdDevice::SizeDumpArea(SsdConfig cfg) {
   return cfg;
 }
 
+SsdDevice::Session::Session(const SsdConfig& cfg,
+                            DestageScheduler::Sink* sink)
+    : bus(1),
+      fw(cfg.fw_parallelism),
+      ncq(kNcqDepth),
+      scheduler(sink, DestageScheduler::Options{
+                          cfg.geometry.page_size / cfg.sector_size,
+                          cfg.destage_batch_pages,
+                          cfg.geometry.planes_per_chip >= 2}) {}
+
 SsdDevice::SsdDevice(SsdConfig config)
     : cfg_(SizeDumpArea(std::move(config))),
       flash_(FlashArray::Options{cfg_.geometry, cfg_.faults,
@@ -100,14 +110,7 @@ SsdDevice::SsdDevice(SsdConfig config)
                         .ecc_correctable_bits = cfg_.ecc_correctable_bits,
                         .metrics = &metrics_,
                         .log_blocks_per_plane = LogBlocksPerPlane(cfg_)}),
-      bus_(1),
-      fw_(cfg_.fw_parallelism),
-      ncq_(kNcqDepth),
-      scheduler_(this,
-                 DestageScheduler::Options{
-                     cfg_.geometry.page_size / cfg_.sector_size,
-                     cfg_.destage_batch_pages,
-                     cfg_.geometry.planes_per_chip >= 2}),
+      session_(cfg_, this),
       h_ncq_wait_ns_(metrics_.GetHistogram("ssd.ncq_wait_ns")),
       h_bus_ns_(metrics_.GetHistogram("ssd.bus_ns")),
       h_fw_ns_(metrics_.GetHistogram("ssd.fw_ns")),
@@ -136,8 +139,8 @@ BlockDevice::Result SsdDevice::Execute(SimTime t, const Command& cmd) {
 
 void SsdDevice::RollbackCommandEntries(Lpn lpn, uint32_t nsec, SimTime ack) {
   for (uint32_t i = 0; i < nsec; ++i) {
-    auto it = cache_.find(lpn + i);
-    if (it == cache_.end() || it->second.ack != ack) continue;
+    auto it = session_.cache.find(lpn + i);
+    if (it == session_.cache.end() || it->second.ack != ack) continue;
     CacheEntry& e = it->second;
     if (e.program_done != kNeverProgrammed) continue;  // Already destaged.
     if (e.has_prev) {
@@ -145,9 +148,9 @@ void SsdDevice::RollbackCommandEntries(Lpn lpn, uint32_t nsec, SimTime ack) {
       // The restored version must reach NAND (again): re-queue it. If the
       // failed overwrite had been absorbed, the pending slot simply keeps
       // pointing at the now-restored bytes.
-      scheduler_.Add(lpn + i, e.ack);
+      session_.scheduler.Add(lpn + i, e.ack);
     } else {
-      scheduler_.Remove(lpn + i);
+      session_.scheduler.Remove(lpn + i);
       EraseCacheEntry(it);
     }
   }
@@ -168,8 +171,8 @@ SimTime SsdDevice::FwTime(uint32_t nsec, bool is_write) const {
 }
 
 void SsdDevice::PopCompletedPrograms(SimTime t) {
-  while (!outstanding_.empty() && outstanding_.top() <= t) {
-    outstanding_.pop();
+  while (!session_.outstanding.empty() && session_.outstanding.top() <= t) {
+    session_.outstanding.pop();
   }
 }
 
@@ -178,19 +181,19 @@ Status SsdDevice::DrainBatch(SimTime t, DrainTrigger trigger,
   stats_.destage_batches++;
   if (tracer_) {
     tracer_->Record(t, TraceEventType::kDestageBatch,
-                    scheduler_.pending_sectors(),
+                    session_.scheduler.pending_sectors(),
                     static_cast<uint64_t>(trigger));
   }
   if (UseLogDestage()) return DrainLogSegments(t, include_partial);
-  return include_partial ? scheduler_.DrainAll(t)
-                         : scheduler_.DrainRound(t, max_pages);
+  return include_partial ? session_.scheduler.DrainAll(t)
+                         : session_.scheduler.DrainRound(t, max_pages);
 }
 
 SimTime SsdDevice::AcquireFrame(SimTime t) {
   PopCompletedPrograms(t);
   // Frames are held by in-flight programs and by pending scheduler sectors
   // (absorbed rewrites re-use their frame and never reach here).
-  if (outstanding_.size() + scheduler_.pending_sectors() >=
+  if (session_.outstanding.size() + session_.scheduler.pending_sectors() >=
       cfg_.write_buffer_sectors) {
     // Frame pressure. Draining moves sectors from pending to outstanding —
     // the sum (and thus the pressure) is unchanged until a program_done
@@ -207,7 +210,7 @@ SimTime SsdDevice::AcquireFrame(SimTime t) {
                        /*include_partial=*/false);
       PopCompletedPrograms(t);
     }
-    if (outstanding_.empty() && !scheduler_.empty()) {
+    if (session_.outstanding.empty() && !session_.scheduler.empty()) {
       // Nothing in flight to wait on and the buffer is all pending partial
       // pages (tiny buffers) or a short log tail: force them out — a short
       // program beats a stall.
@@ -215,9 +218,9 @@ SimTime SsdDevice::AcquireFrame(SimTime t) {
                        /*include_partial=*/true);
       PopCompletedPrograms(t);
     }
-    if (!outstanding_.empty()) {
-      const SimTime freed = outstanding_.top();
-      outstanding_.pop();
+    if (!session_.outstanding.empty()) {
+      const SimTime freed = session_.outstanding.top();
+      session_.outstanding.pop();
       stats_.write_stalls++;
       stats_.write_stall_time += freed - t;
       h_frame_stall_ns_->Record(freed - t);
@@ -243,21 +246,12 @@ std::unordered_map<Lpn, SsdDevice::CacheEntry>::iterator
 SsdDevice::EraseCacheEntry(std::unordered_map<Lpn, CacheEntry>::iterator it) {
   flash_.store().Release(it->second.frame);
   flash_.store().Release(it->second.prev_frame);
-  return cache_.erase(it);
-}
-
-void SsdDevice::ClearCache() {
-  for (const auto& [lpn, e] : cache_) {
-    flash_.store().Release(e.frame);
-    flash_.store().Release(e.prev_frame);
-  }
-  cache_.clear();
-  cache_fifo_.clear();
+  return session_.cache.erase(it);
 }
 
 void SsdDevice::InsertCacheEntry(Lpn lpn, Slice sector, SimTime ack,
                                  uint64_t seq, uint64_t epoch) {
-  const auto [it, inserted] = cache_.try_emplace(lpn);
+  const auto [it, inserted] = session_.cache.try_emplace(lpn);
   CacheEntry& e = it->second;
   if (!inserted) {
     // Coalesce: keep the displaced acknowledged version for the incomplete-
@@ -280,21 +274,21 @@ void SsdDevice::InsertCacheEntry(Lpn lpn, Slice sector, SimTime ack,
   e.program_done = kNeverProgrammed;
   // A resident entry keeps its FIFO slot: pushing again would bloat the
   // FIFO with one stale duplicate per hot-sector rewrite.
-  if (inserted) cache_fifo_.push_back(lpn);
+  if (inserted) session_.cache_fifo.push_back(lpn);
   EvictCleanIfNeeded();
 }
 
 void SsdDevice::EvictCleanIfNeeded() {
-  while (cache_.size() > cfg_.cache_capacity_sectors &&
-         !cache_fifo_.empty()) {
-    const Lpn victim = cache_fifo_.front();
-    cache_fifo_.pop_front();
-    auto it = cache_.find(victim);
-    if (it == cache_.end()) continue;                 // Stale FIFO entry.
+  while (session_.cache.size() > cfg_.cache_capacity_sectors &&
+         !session_.cache_fifo.empty()) {
+    const Lpn victim = session_.cache_fifo.front();
+    session_.cache_fifo.pop_front();
+    auto it = session_.cache.find(victim);
+    if (it == session_.cache.end()) continue;  // Stale FIFO entry.
     if (it->second.program_done == kNeverProgrammed ||
-        it->second.program_done > max_time_seen_) {
+        it->second.program_done > session_.max_time_seen) {
       // Still dirty in flight; re-queue and stop (frames bound this).
-      cache_fifo_.push_back(victim);
+      session_.cache_fifo.push_back(victim);
       break;
     }
     EraseCacheEntry(it);
@@ -304,10 +298,10 @@ void SsdDevice::EvictCleanIfNeeded() {
 void SsdDevice::FinishDestage(const std::vector<Lpn>& group, SimTime issue,
                               SimTime done) {
   for (Lpn lpn : group) {
-    CacheEntry& e = cache_[lpn];
+    CacheEntry& e = session_.cache[lpn];
     e.program_issue = issue;
     e.program_done = done;
-    outstanding_.push(done);
+    session_.outstanding.push(done);
   }
   h_destage_ns_->Record(done - issue);
   if (tracer_) {
@@ -319,8 +313,8 @@ void SsdDevice::CachedSectors(const std::vector<Lpn>& group,
                               std::vector<Ftl::SectorWrite>* out) const {
   out->clear();
   for (Lpn lpn : group) {
-    auto it = cache_.find(lpn);
-    assert(it != cache_.end());
+    auto it = session_.cache.find(lpn);
+    assert(it != session_.cache.end());
     out->push_back({lpn, it->second.frame});
   }
 }
@@ -331,8 +325,8 @@ SimTime SsdDevice::ClampToAcks(SimTime t, const std::vector<Lpn>& group) const {
   // after the capacitor quiesce implies the command was acked before the
   // cut, so a partially issued command can never read back torn).
   for (Lpn lpn : group) {
-    auto it = cache_.find(lpn);
-    if (it != cache_.end()) t = std::max(t, it->second.ack);
+    auto it = session_.cache.find(lpn);
+    if (it != session_.cache.end()) t = std::max(t, it->second.ack);
   }
   return t;
 }
@@ -341,8 +335,9 @@ Status SsdDevice::DestagePage(SimTime t, const std::vector<Lpn>& group) {
   t = ClampToAcks(t, group);
   SimTime start = 0;
   SimTime done = 0;
-  CachedSectors(group, &writes_a_);
-  DURASSD_RETURN_IF_ERROR(ftl_.ProgramSectors(t, writes_a_, &start, &done));
+  CachedSectors(group, &session_.writes_a);
+  DURASSD_RETURN_IF_ERROR(
+      ftl_.ProgramSectors(t, session_.writes_a, &start, &done));
   FinishDestage(group, t, done);
   return Status::OK();
 }
@@ -352,19 +347,19 @@ Status SsdDevice::DestagePagePair(SimTime t, const std::vector<Lpn>& a,
   t = std::max(ClampToAcks(t, a), ClampToAcks(t, b));
   SimTime start = 0;
   SimTime done = 0;
-  CachedSectors(a, &writes_a_);
-  CachedSectors(b, &writes_b_);
-  DURASSD_RETURN_IF_ERROR(
-      ftl_.ProgramSectorsMultiPlane(t, writes_a_, writes_b_, &start, &done));
-  pair_group_.assign(a.begin(), a.end());
-  pair_group_.insert(pair_group_.end(), b.begin(), b.end());
-  FinishDestage(pair_group_, t, done);
+  CachedSectors(a, &session_.writes_a);
+  CachedSectors(b, &session_.writes_b);
+  DURASSD_RETURN_IF_ERROR(ftl_.ProgramSectorsMultiPlane(
+      t, session_.writes_a, session_.writes_b, &start, &done));
+  session_.pair_group.assign(a.begin(), a.end());
+  session_.pair_group.insert(session_.pair_group.end(), b.begin(), b.end());
+  FinishDestage(session_.pair_group, t, done);
   return Status::OK();
 }
 
 void SsdDevice::MaybeIdleDrain(SimTime now) {
-  if (scheduler_.empty()) return;
-  const SimTime deadline = scheduler_.last_add_time() + kDestageIdle;
+  if (session_.scheduler.empty()) return;
+  const SimTime deadline = session_.scheduler.last_add_time() + kDestageIdle;
   if (now < deadline) return;
   // Log mode keeps sub-segment tails coalescing in the durable cache: they
   // are already ack-durable via the capacitor, and draining a short segment
@@ -388,15 +383,16 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
             now};
   }
   const uint32_t nsec = static_cast<uint32_t>(data.size() / cfg_.sector_size);
-  max_time_seen_ = std::max(max_time_seen_, now);
+  session_.max_time_seen = std::max(session_.max_time_seen, now);
   MaybeIdleDrain(now);
   if (tracer_) tracer_->Record(now, TraceEventType::kCmdStart, lpn, nsec);
 
   const SimTime est = BusTime(nsec, true) + FwTime(nsec, true);
-  const ResourceTimeline::Grant slot = ncq_.Acquire(now, est);
+  const ResourceTimeline::Grant slot = session_.ncq.Acquire(now, est);
   const ResourceTimeline::Grant bus =
-      bus_.Acquire(slot.start, BusTime(nsec, true));
-  const ResourceTimeline::Grant fw = fw_.Acquire(bus.done, FwTime(nsec, true));
+      session_.bus.Acquire(slot.start, BusTime(nsec, true));
+  const ResourceTimeline::Grant fw =
+      session_.fw.Acquire(bus.done, FwTime(nsec, true));
   h_ncq_wait_ns_->Record(slot.start - now);
   h_bus_ns_->Record(bus.done - bus.start);
   h_fw_ns_->Record(fw.done - fw.start);
@@ -427,7 +423,7 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
         last_done + MappingPersistCost(ftl_.dirty_mapping_entries());
     if (CutBeforeCompletion(ack)) return {Status::DeviceOffline(), now};
     ftl_.PersistMapping();
-    max_time_seen_ = std::max(max_time_seen_, ack);
+    session_.max_time_seen = std::max(session_.max_time_seen, ack);
     // Counted here, not at entry: a failed program above must not inflate
     // host_written_sectors (it would understate WriteAmplification()).
     stats_.host_writes++;
@@ -443,37 +439,38 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
   // Overwrite absorption: a sector whose destage is still unissued keeps
   // its frame — only genuinely new dirty sectors acquire one.
   for (uint32_t i = 0; i < nsec; ++i) {
-    if (!scheduler_.IsPending(lpn + i)) t = AcquireFrame(t);
+    if (!session_.scheduler.IsPending(lpn + i)) t = AcquireFrame(t);
   }
   SimTime ack = t;
-  if (ordered_writes() && ack < last_ordered_ack_) {
+  if (ordered_writes() && ack < session_.last_ordered_ack) {
     // Ordered NCQ (Sec. 3.3): the firmware acknowledges writes in
     // submission order, so a small write overtaking a large one in the
     // pipeline still acks after it. Destage inherits the clamped time,
     // which is what makes a power cut lose only a suffix of the stream.
-    ack = last_ordered_ack_;
+    ack = session_.last_ordered_ack;
     stats_.ordered_ack_clamps++;
   }
-  if (cur_epoch_ > 0 && ack < epoch_floor_ack_) {
+  if (session_.cur_epoch > 0 && ack < session_.epoch_floor_ack) {
     // Barrier epochs: no write of epoch N+1 may acknowledge before every
     // write of epoch N. Because durable-cache survival at a power cut is
     // exactly ack <= cut, and ClampToAcks keeps program issue >= ack,
     // this single clamp yields both guarantees the barrier contract
     // needs: epoch-prefix recovery, and no epoch-N+1 program before
     // epoch N is durably framed.
-    ack = epoch_floor_ack_;
+    ack = session_.epoch_floor_ack;
     stats_.epoch_ack_clamps++;
   }
-  const uint64_t seq = ++write_seq_;
+  const uint64_t seq = ++session_.write_seq;
 
   for (uint32_t i = 0; i < nsec; ++i) {
-    InsertCacheEntry(lpn + i,
-                     Slice(data.data() + static_cast<size_t>(i) * cfg_.sector_size,
-                           cfg_.sector_size),
-                     ack, seq, cur_epoch_);
+    InsertCacheEntry(
+        lpn + i,
+        Slice(data.data() + static_cast<size_t>(i) * cfg_.sector_size,
+              cfg_.sector_size),
+        ack, seq, session_.cur_epoch);
   }
   for (uint32_t i = 0; i < nsec; ++i) {
-    if (!scheduler_.Add(lpn + i, ack)) {
+    if (!session_.scheduler.Add(lpn + i, ack)) {
       // Rewrite of a sector whose destage had not been issued: the batch
       // was updated in place, saving one NAND program.
       stats_.destage_absorbed++;
@@ -492,7 +489,7 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
     }
   } else {
     const bool batch_ready =
-        scheduler_.pending_full_pages() >= cfg_.destage_batch_pages;
+        session_.scheduler.pending_full_pages() >= cfg_.destage_batch_pages;
     // Idle-media opportunism: while fewer than one page per plane is in
     // flight the media has spare slots, so lazily holding sectors back
     // only lengthens frame residency — drain a round now. Once the media
@@ -500,7 +497,7 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
     // pending sectors accumulate to absorb rewrites instead.
     PopCompletedPrograms(ack);
     const bool media_idle =
-        MediaHasFreeSlot() && scheduler_.pending_full_pages() > 0;
+        MediaHasFreeSlot() && session_.scheduler.pending_full_pages() > 0;
     if (batch_ready || media_idle) {
       drained = DrainBatch(
           ack, batch_ready ? DrainTrigger::kBatch : DrainTrigger::kIdle,
@@ -523,12 +520,12 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
   }
 
   if (CutBeforeCompletion(ack)) return {Status::DeviceOffline(), now};
-  if (ordered_writes()) last_ordered_ack_ = ack;
+  if (ordered_writes()) session_.last_ordered_ack = ack;
   // Epoch bookkeeping is unconditional (pure state, no timing effect) so
   // the first BARRIER correctly seals everything written since boot.
-  epoch_max_ack_ = std::max(epoch_max_ack_, ack);
-  epoch_writes_++;
-  max_time_seen_ = std::max(max_time_seen_, ack);
+  session_.epoch_max_ack = std::max(session_.epoch_max_ack, ack);
+  session_.epoch_writes++;
+  session_.max_time_seen = std::max(session_.max_time_seen, ack);
   stats_.host_writes++;
   stats_.host_written_sectors += nsec;
   if (tracer_) tracer_->Record(ack, TraceEventType::kCmdAck, lpn, nsec);
@@ -537,7 +534,7 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
 
 BlockDevice::Result SsdDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
                                       std::string* out) {
-  max_time_seen_ = std::max(max_time_seen_, now);
+  session_.max_time_seen = std::max(session_.max_time_seen, now);
   MaybeIdleDrain(now);
   stats_.host_reads++;
   stats_.host_read_sectors += nsec;
@@ -547,7 +544,8 @@ BlockDevice::Result SsdDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
   // processed wait for it (writes still land in the cache). This is the
   // read-latency-variability mechanism of Sec. 1/2 — a read blocked behind
   // a flush costs milliseconds instead of tens of microseconds.
-  for (auto it = flush_windows_.rbegin(); it != flush_windows_.rend(); ++it) {
+  for (auto it = session_.flush_windows.rbegin();
+       it != session_.flush_windows.rend(); ++it) {
     if (now >= it->first && now < it->second) {
       now = it->second;
       stats_.reads_stalled_by_flush++;
@@ -557,9 +555,9 @@ BlockDevice::Result SsdDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
   }
 
   const SimTime est = FwTime(nsec, false) + BusTime(nsec, false);
-  const ResourceTimeline::Grant slot = ncq_.Acquire(now, est);
+  const ResourceTimeline::Grant slot = session_.ncq.Acquire(now, est);
   const ResourceTimeline::Grant fw =
-      fw_.Acquire(slot.start, FwTime(nsec, false));
+      session_.fw.Acquire(slot.start, FwTime(nsec, false));
   h_ncq_wait_ns_->Record(slot.start - now);
   h_fw_ns_->Record(fw.done - fw.start);
 
@@ -572,11 +570,11 @@ BlockDevice::Result SsdDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
   uint32_t hit_sectors = 0;
   for (uint32_t i = 0; i < nsec; ++i) {
     const Lpn cur = lpn + i;
-    auto it = cache_.find(cur);
+    auto it = session_.cache.find(cur);
     // Every resident entry serves the read. On a timing-only device its
     // frame is the zero frame, so the sector reads as the zeros the FTL
     // returns for a slot without data.
-    if (it != cache_.end()) {
+    if (it != session_.cache.end()) {
       stats_.cache_read_hits++;
       hit_sectors++;
       if (out != nullptr) flash_.store().AppendSector(it->second.frame, out);
@@ -595,10 +593,10 @@ BlockDevice::Result SsdDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
   }
 
   const ResourceTimeline::Grant bus =
-      bus_.Acquire(media_done, BusTime(nsec, false));
+      session_.bus.Acquire(media_done, BusTime(nsec, false));
   h_bus_ns_->Record(bus.done - bus.start);
   if (CutBeforeCompletion(bus.done)) return {Status::DeviceOffline(), now};
-  max_time_seen_ = std::max(max_time_seen_, bus.done);
+  session_.max_time_seen = std::max(session_.max_time_seen, bus.done);
   if (tracer_) tracer_->Record(bus.done, TraceEventType::kReadDone, lpn, nsec);
   // An uncorrectable sector is still transferred (with its damage) so the
   // host's checksums can diagnose it, but the command reports the error.
@@ -613,7 +611,7 @@ SimTime SsdDevice::MappingPersistCost(size_t entries) const {
 }
 
 BlockDevice::Result SsdDevice::DoFlush(SimTime now) {
-  max_time_seen_ = std::max(max_time_seen_, now);
+  session_.max_time_seen = std::max(session_.max_time_seen, now);
   stats_.flushes++;
 
   if (!cfg_.cache_enabled) {
@@ -634,7 +632,7 @@ BlockDevice::Result SsdDevice::DoFlush(SimTime now) {
   // requires the durable cache, so every acknowledged pending sector is
   // already covered by the capacitor dump, and forcing a partial segment
   // out here would fragment the log for zero durability gain.
-  if (!UseLogDestage() && !scheduler_.empty()) {
+  if (!UseLogDestage() && !session_.scheduler.empty()) {
     // FLUSH CACHE drains the write cache: everything pending is issued
     // before the drain wait below, partial page included.
     Status s = DrainBatch(now, DrainTrigger::kFlush, 0,
@@ -647,20 +645,22 @@ BlockDevice::Result SsdDevice::DoFlush(SimTime now) {
   // an already-queued flush has *started* piggybacks on it — every write
   // acknowledged before that start time is covered by it. This is where
   // group commit materializes at the device level.
-  if (last_flush_start_ >= now) return {Status::OK(), last_flush_done_};
-  const SimTime start = std::max(now, last_flush_done_);
+  if (session_.last_flush_start >= now) {
+    return {Status::OK(), session_.last_flush_done};
+  }
+  const SimTime start = std::max(now, session_.last_flush_done);
 
   SimTime drain = start;
   const bool had_work =
-      !outstanding_.empty() || ftl_.dirty_mapping_entries() > 0;
-  const uint64_t outstanding_destages = outstanding_.size();
+      !session_.outstanding.empty() || ftl_.dirty_mapping_entries() > 0;
+  const uint64_t outstanding_destages = session_.outstanding.size();
   if (tracer_) {
     tracer_->Record(start, TraceEventType::kFlushStart, outstanding_destages,
                     ftl_.dirty_mapping_entries());
   }
-  while (!outstanding_.empty()) {
-    drain = std::max(drain, outstanding_.top());
-    outstanding_.pop();
+  while (!session_.outstanding.empty()) {
+    drain = std::max(drain, session_.outstanding.top());
+    session_.outstanding.pop();
   }
   h_flush_drain_ns_->Record(drain - start);
   const SimTime persist = MappingPersistCost(ftl_.dirty_mapping_entries());
@@ -673,19 +673,19 @@ BlockDevice::Result SsdDevice::DoFlush(SimTime now) {
     tracer_->Record(done, TraceEventType::kFlushDone,
                     static_cast<uint64_t>(done - start), outstanding_destages);
   }
-  last_flush_start_ = start;
-  last_flush_done_ = done;
-  flush_windows_.emplace_back(start, done);
-  if (flush_windows_.size() > 64) flush_windows_.pop_front();
+  session_.last_flush_start = start;
+  session_.last_flush_done = done;
+  session_.flush_windows.emplace_back(start, done);
+  if (session_.flush_windows.size() > 64) session_.flush_windows.pop_front();
   // Submit's causality guard runs after this window bookkeeping, so a cut
   // armed inside this flush sees the flush in progress (torn-write
   // exposure on volatile devices).
-  max_time_seen_ = std::max(max_time_seen_, done);
+  session_.max_time_seen = std::max(session_.max_time_seen, done);
   return {Status::OK(), done};
 }
 
 BlockDevice::Result SsdDevice::DoBarrier(SimTime now) {
-  max_time_seen_ = std::max(max_time_seen_, now);
+  session_.max_time_seen = std::max(session_.max_time_seen, now);
 
   // A BARRIER is an ordering token, not I/O: the firmware snapshots the ack
   // floor of everything received so far and tags later writes with the next
@@ -697,15 +697,17 @@ BlockDevice::Result SsdDevice::DoBarrier(SimTime now) {
   const SimTime done = now + cfg_.bus_cmd_overhead + 2 * kMicrosecond;
   if (CutBeforeCompletion(done)) return {Status::DeviceOffline(), now};
 
-  epoch_floor_ack_ = std::max(epoch_floor_ack_, epoch_max_ack_);
+  session_.epoch_floor_ack =
+      std::max(session_.epoch_floor_ack, session_.epoch_max_ack);
   stats_.barriers++;
-  h_epoch_size_->Record(static_cast<int64_t>(epoch_writes_));
+  h_epoch_size_->Record(static_cast<int64_t>(session_.epoch_writes));
   if (tracer_) {
-    tracer_->Record(done, TraceEventType::kBarrier, cur_epoch_, epoch_writes_);
+    tracer_->Record(done, TraceEventType::kBarrier, session_.cur_epoch,
+                    session_.epoch_writes);
   }
-  cur_epoch_++;
-  epoch_writes_ = 0;
-  max_time_seen_ = std::max(max_time_seen_, done);
+  session_.cur_epoch++;
+  session_.epoch_writes = 0;
+  session_.max_time_seen = std::max(session_.max_time_seen, done);
   return {Status::OK(), done};
 }
 
@@ -714,7 +716,7 @@ void SsdDevice::DumpOnCapacitor(SimTime t) {
   // area on capacitor power (Sec. 3.4.1), together with the dirty mapping
   // entries. Completed programs survive via the dumped mapping delta.
   std::vector<std::pair<Lpn, Frame>> to_dump;
-  for (const auto& [lpn, e] : cache_) {
+  for (const auto& [lpn, e] : session_.cache) {
     if (e.ack > t || e.program_done <= t) continue;
     if (e.program_issue <= t) {
       // The program was issued by the cut: the capacitor quiesce runs it to
@@ -791,17 +793,6 @@ void SsdDevice::PowerCut(SimTime t) {
   }
 
   if (cfg_.durable_cache) {
-    // The capacitor budget covers NAND operations already issued to the
-    // dies (Sec. 3.4.1): programs and erases in flight run to completion,
-    // so nothing shears. This matters beyond host writes — GC and
-    // bad-block retirement move live sectors whose only copy is the
-    // in-flight destination program; shearing those would lose data no
-    // dump replay could restore.
-    flash_.QuiesceInFlight();
-  }
-  flash_.PowerCut(t);
-
-  if (cfg_.durable_cache) {
     // Discard commands whose transfer had not completed (atomic writer,
     // Sec. 3.2), restoring the previously acknowledged version if any.
     // In ordered mode, verify the suffix-loss guarantee while doing so: no
@@ -810,7 +801,7 @@ void SsdDevice::PowerCut(SimTime t) {
     uint64_t max_kept_seq = 0;
     uint64_t min_dropped_epoch = ~0ull;
     uint64_t max_kept_epoch = 0;
-    for (auto it = cache_.begin(); it != cache_.end();) {
+    for (auto it = session_.cache.begin(); it != session_.cache.end();) {
       CacheEntry& e = it->second;
       if (e.ack > t) {
         stats_.dropped_incomplete++;
@@ -841,51 +832,49 @@ void SsdDevice::PowerCut(SimTime t) {
     // losing any write of epoch N while keeping one from epoch M > N is a
     // cross-epoch reordering (intra-epoch reordering is allowed, so equal
     // epochs are fine).
-    if (cur_epoch_ > 0 && min_dropped_epoch < max_kept_epoch) {
+    if (session_.cur_epoch > 0 && min_dropped_epoch < max_kept_epoch) {
       stats_.epoch_ordering_violations++;
     }
     // Programs issued after t belong to discarded commands; their mapping
     // entries roll back. Programs *issued* by t keep their mapping — the
     // capacitor runs every issued NAND operation to completion, so keying
-    // on issue (not cell-program start) matches QuiesceInFlight above.
+    // on issue (not cell-program start) matches the QuiesceInFlight below.
     ftl_.PowerCutRollback(t, Ftl::PowerCutExposure::kIssued);
     DumpOnCapacitor(t);
+    // The capacitor budget covers NAND operations already issued to the dies
+    // (Sec. 3.4.1), the dump's own included: they run to completion, so
+    // nothing shears. This matters beyond host writes — GC and bad-block
+    // retirement move live sectors whose only copy is the in-flight
+    // destination program; shearing those would lose data no dump replay
+    // could restore. The session ends once the dump has programmed, so the
+    // next one starts with idle NAND, not behind the dump's own programs.
+    flash_.QuiesceInFlight();
+    EndSession(t);
   } else {
     // A cut inside a FLUSH can leave a mapping entry pointing at a torn
     // page: the anomaly Zheng et al. (FAST'13) saw on 13 of 15 commodity
     // SSDs.
     const bool flush_in_progress =
-        last_flush_start_ >= 0 && last_flush_start_ <= t &&
-        t < last_flush_done_;
-    ClearCache();
+        session_.last_flush_start >= 0 && session_.last_flush_start <= t &&
+        t < session_.last_flush_done;
+    // The cache and the pending scheduler sectors, acknowledged but never
+    // issued, die with the session.
+    EndSession(t);
     ftl_.PowerCutRollback(t, flush_in_progress
                                  ? Ftl::PowerCutExposure::kStarted
                                  : Ftl::PowerCutExposure::kNone);
   }
-
-  // Pending scheduler sectors were acknowledged but never issued: on a
-  // durable device the dump above saved them (program_done is still
-  // "never"), on a volatile one they are lost with the cache.
-  EndPowerSession();
 }
 
-void SsdDevice::EndPowerSession() {
-  // After a cut this runs once the capacitor dump has programmed: the next
-  // session starts with idle NAND, not behind the dump's own programs.
-  flash_.ResetReservations();
-  bus_.Reset();
-  fw_.Reset();
-  ncq_.Reset();
-  scheduler_.Clear();
-  while (!outstanding_.empty()) outstanding_.pop();
-  last_flush_start_ = last_flush_done_ = -1;
-  flush_windows_.clear();
-  max_time_seen_ = 0;
-  last_ordered_ack_ = 0;  // The device clock restarts at PowerOn.
-  cur_epoch_ = 0;         // Epochs are per-power-session, like the NCQ order.
-  epoch_floor_ack_ = 0;
-  epoch_max_ack_ = 0;
-  epoch_writes_ = 0;
+void SsdDevice::EndSession(SimTime t) {
+  flash_.PowerCut(t);
+  // The cache returns its frames before it goes, in the order an emptied
+  // cache has always returned them.
+  for (const auto& [lpn, e] : session_.cache) {
+    flash_.store().Release(e.frame);
+    flash_.store().Release(e.prev_frame);
+  }
+  session_ = Session(cfg_, this);
 }
 
 SimTime SsdDevice::ReplayDump() {
@@ -987,7 +976,7 @@ SimTime SsdDevice::ReplayDump() {
     const Lpn lpn = entries[i].first;
     InsertCacheEntry(lpn, entries[i].second, /*ack=*/0, /*seq=*/0,
                      /*epoch=*/0);
-    scheduler_.Add(lpn, 0);
+    session_.scheduler.Add(lpn, 0);
   }
   if (tracer_) {
     tracer_->Record(erased, TraceEventType::kReplay, entries.size(),
@@ -997,13 +986,13 @@ SimTime SsdDevice::ReplayDump() {
 }
 
 Status SsdDevice::DrainLogSegments(SimTime t, bool include_partial) {
-  while (scheduler_.pending_sectors() >= SegmentSectors()) {
+  while (session_.scheduler.pending_sectors() >= SegmentSectors()) {
     DURASSD_RETURN_IF_ERROR(
-        AppendLogSegment(t, scheduler_.TakePending(SegmentSectors())));
+        AppendLogSegment(t, session_.scheduler.TakePending(SegmentSectors())));
   }
-  if (include_partial && !scheduler_.empty()) {
+  if (include_partial && !session_.scheduler.empty()) {
     DURASSD_RETURN_IF_ERROR(
-        AppendLogSegment(t, scheduler_.TakePending(SegmentSectors())));
+        AppendLogSegment(t, session_.scheduler.TakePending(SegmentSectors())));
   }
   return Status::OK();
 }
@@ -1023,8 +1012,8 @@ Status SsdDevice::AppendLogSegment(SimTime t, const std::vector<Lpn>& taken) {
   PutFixed32(&header, static_cast<uint32_t>(taken.size()));
   std::string payload;
   for (Lpn lpn : taken) {
-    auto it = cache_.find(lpn);
-    assert(it != cache_.end());
+    auto it = session_.cache.find(lpn);
+    assert(it != session_.cache.end());
     payload.clear();
     AppendPayload(it->second.frame, &payload);
     PutFixed32(&header, Crc32c(payload.data(), payload.size()));
@@ -1036,7 +1025,8 @@ Status SsdDevice::AppendLogSegment(SimTime t, const std::vector<Lpn>& taken) {
   // stay acknowledged in the durable cache, so durability is unaffected
   // and a later drain (or the capacitor dump) picks them up.
   const auto requeue = [this, t](const std::vector<Lpn>& rest, size_t from) {
-    for (size_t i = from; i < rest.size(); ++i) scheduler_.Add(rest[i], t);
+    DestageScheduler& sched = session_.scheduler;
+    for (size_t i = from; i < rest.size(); ++i) sched.Add(rest[i], t);
   };
 
   SimTime hdr_start = 0;
@@ -1058,8 +1048,8 @@ Status SsdDevice::AppendLogSegment(SimTime t, const std::vector<Lpn>& taken) {
     const size_t n = std::min<size_t>(spp, taken.size() - off);
     page.clear();
     for (size_t j = 0; j < n; ++j) {
-      auto it = cache_.find(taken[off + j]);
-      assert(it != cache_.end());
+      auto it = session_.cache.find(taken[off + j]);
+      assert(it != session_.cache.end());
       page.push_back(it->second.frame);
     }
     SimTime ps = 0;
@@ -1197,10 +1187,6 @@ SimTime SsdDevice::RecoverCache() {
 
 SimTime SsdDevice::PowerOn() {
   if (!RestorePower()) return 0;
-  ClearCache();
-  scheduler_.Clear();
-  while (!outstanding_.empty()) outstanding_.pop();
-
   SimTime duration = kCleanBootTime;  // Controller boot + capacitor recharge.
   if (emergency_shutdown_) {
     if (cfg_.durable_cache) {
@@ -1218,7 +1204,6 @@ SimTime SsdDevice::PowerOn() {
   // Recovery (and anything queued before it) completes under capacitor
   // protection; a later power cut cannot shear it.
   flash_.QuiesceInFlight();
-  max_time_seen_ = 0;
   if (tracer_) {
     tracer_->Record(duration, TraceEventType::kPowerOn,
                     static_cast<uint64_t>(duration), 0);
@@ -1230,17 +1215,18 @@ Status SsdDevice::Shutdown(SimTime now) {
   if (!powered()) return Status::OK();
   // A clean shutdown must persist pending scheduler sectors even under
   // flush modes that only assert ordering (kOrderedNoDrain).
-  if (!scheduler_.empty()) {
+  if (!session_.scheduler.empty()) {
     DURASSD_RETURN_IF_ERROR(DrainBatch(now, DrainTrigger::kFlush, 0,
                                        /*include_partial=*/true));
   }
   log_dir_.clear();  // Clean shutdown: every segment is fully destaged.
   const Result r = Flush(now);
   DURASSD_RETURN_IF_ERROR(r.status);
-  ShutOff();
-  emergency_shutdown_ = false;
-  ClearCache();
-  EndPowerSession();
+  ShutOff(now);
+  // The firmware lets every issued NAND operation finish before the power
+  // goes.
+  flash_.QuiesceInFlight();
+  EndSession(now);
   return Status::OK();
 }
 

@@ -225,12 +225,13 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   /// True when a whole drain unit is pending: a full page for in-place
   /// destage, a full segment for log-structured destage.
   bool FullBatchPending() const {
-    return UseLogDestage() ? scheduler_.pending_sectors() >= SegmentSectors()
-                           : scheduler_.pending_full_pages() > 0;
+    const DestageScheduler& sched = session_.scheduler;
+    return UseLogDestage() ? sched.pending_sectors() >= SegmentSectors()
+                           : sched.pending_full_pages() > 0;
   }
   /// True while fewer than one page per plane is in flight.
   bool MediaHasFreeSlot() const {
-    return outstanding_.size() <
+    return session_.outstanding.size() <
            static_cast<size_t>(cfg_.geometry.total_planes() *
                                ftl_.sectors_per_page());
   }
@@ -297,42 +298,68 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   /// Erases one entry and releases its frames.
   std::unordered_map<Lpn, CacheEntry>::iterator EraseCacheEntry(
       std::unordered_map<Lpn, CacheEntry>::iterator it);
-  /// Empties the cache, releasing every frame it holds.
-  void ClearCache();
   /// Mapping-journal persistence cost for `entries` dirty mapping entries.
   SimTime MappingPersistCost(size_t entries) const;
   void DumpOnCapacitor(SimTime t);
-  /// Resets the host-facing timelines and the per-power-session ordering
-  /// state, cut or clean: the device clock restarts at zero on PowerOn.
-  void EndPowerSession();
+  /// Ends the power session at `t`, cut or clean: the array loses power
+  /// (shearing what was not quiesced), the cache returns its frames to the
+  /// store, and the session is replaced whole.
+  void EndSession(SimTime t);
   SimTime ReplayDump();
   /// Removes the cache entries a failed write command inserted (restoring
   /// the one-deep history), so un-destaged data from a rejected command
   /// cannot be dumped or served later.
   void RollbackCommandEntries(Lpn lpn, uint32_t nsec, SimTime ack);
 
-  SsdConfig cfg_;
+  /// Everything a power cycle discards: the host-facing timelines, the
+  /// cache and its destage queue, the programs in flight and the ordering
+  /// state (the device clock restarts at zero on PowerOn). EndSession
+  /// replaces it whole once the capacitor dump or the clean drain is done.
+  struct Session {
+    Session(const SsdConfig& cfg, DestageScheduler::Sink* sink);
+    ResourceTimeline bus;  ///< Half-duplex host link (SATA).
+    ResourceTimeline fw;   ///< Firmware command pipeline.
+    ResourceTimeline ncq;  ///< Command-queue slots.
+    std::unordered_map<Lpn, CacheEntry> cache;
+    std::deque<Lpn> cache_fifo;
+    /// Reused program buffers of DestagePage / DestagePagePair.
+    std::vector<Ftl::SectorWrite> writes_a;
+    std::vector<Ftl::SectorWrite> writes_b;
+    std::vector<Lpn> pair_group;
+    /// Completion times of scheduled destages (frame accounting).
+    std::priority_queue<SimTime, std::vector<SimTime>, std::greater<SimTime>>
+        outstanding;
+    /// Lazy destage scheduler: every cached write drains through it.
+    DestageScheduler scheduler;
+    SimTime max_time_seen = 0;
+    /// Ordered NCQ: acknowledgement time of the last write command, used to
+    /// clamp acks monotone in submission order (see ordered_writes()).
+    SimTime last_ordered_ack = 0;
+    /// Submission sequence number of write commands (ordering invariant).
+    uint64_t write_seq = 0;
+    /// Barrier epochs. Zero until the first BARRIER arrives, so the epoch
+    /// machinery is inert (bit-for-bit identical timing) on hosts that
+    /// never submit barriers. A BARRIER seals epoch N by raising the ack
+    /// floor to the sealed epoch's last ack and bumping cur_epoch; later
+    /// writes clamp their ack to the floor, making acks epoch-monotone.
+    uint64_t cur_epoch = 0;
+    SimTime epoch_floor_ack = 0;  ///< Max ack of all sealed epochs.
+    SimTime epoch_max_ack = 0;    ///< Max ack within the open epoch.
+    uint64_t epoch_writes = 0;    ///< Write commands in the open epoch.
+    SimTime last_flush_start = -1;
+    SimTime last_flush_done = -1;
+    /// Recent FLUSH CACHE service windows (reads arriving inside one wait).
+    std::deque<std::pair<SimTime, SimTime>> flush_windows;
+  };
+
+  // Every member but session_ crosses a power cut; each says why.
+  SsdConfig cfg_;  ///< The config.
   /// Declared before ftl_ (construction order): the FTL registers its own
-  /// histograms into this registry.
+  /// histograms into this registry. Statistics.
   MetricsRegistry metrics_;
-  FlashArray flash_;
-  Ftl ftl_;
-
-  ResourceTimeline bus_;   ///< Half-duplex host link (SATA).
-  ResourceTimeline fw_;    ///< Firmware command pipeline.
-  ResourceTimeline ncq_;   ///< Command-queue slots.
-
-  std::unordered_map<Lpn, CacheEntry> cache_;
-  std::deque<Lpn> cache_fifo_;
-  /// Reused program buffers of DestagePage / DestagePagePair.
-  std::vector<Ftl::SectorWrite> writes_a_;
-  std::vector<Ftl::SectorWrite> writes_b_;
-  std::vector<Lpn> pair_group_;
-  /// Completion times of scheduled destages (frame accounting).
-  std::priority_queue<SimTime, std::vector<SimTime>, std::greater<SimTime>>
-      outstanding_;
-  /// Lazy destage scheduler: every cached write drains through it.
-  DestageScheduler scheduler_;
+  FlashArray flash_;  ///< On NAND; it keeps its own session.
+  Ftl ftl_;           ///< Stands in for the mapping journal on NAND.
+  Session session_;
 
   /// One appended log segment: where its header and data pages landed.
   /// The simulator keeps this directory in controller RAM as the scan
@@ -346,37 +373,21 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   };
   /// Segments not yet known-persistent (cleared by clean shutdown and
   /// after recovery validation), newest at the back. Bounded by one full
-  /// lap of the log region — anything older has been overwritten.
+  /// lap of the log region — anything older has been overwritten. The
+  /// segment-scan stand-in: a physical scan of the log region would find
+  /// the same segments after a cut.
   std::deque<LogSegmentRec> log_dir_;
-  uint64_t log_seq_ = 0;
+  uint64_t log_seq_ = 0;  ///< On NAND: the newest segment header's seq.
   /// Data pages per log segment, sized from the geometry at construction
   /// (read only when UseLogDestage()).
   uint32_t log_segment_pages_ = 0;
 
+  /// How the last session ended, read at boot: in the dump area.
   bool emergency_shutdown_ = false;
-  SimTime max_time_seen_ = 0;
-  /// Ordered NCQ: acknowledgement time of the last write command, used to
-  /// clamp acks monotone in submission order (see ordered_writes()).
-  SimTime last_ordered_ack_ = 0;
-  /// Submission sequence number of write commands (ordering invariant).
-  uint64_t write_seq_ = 0;
-  /// Barrier epochs. Zero until the first BARRIER arrives, so the epoch
-  /// machinery is inert (bit-for-bit identical timing) on hosts that never
-  /// submit barriers. A BARRIER seals epoch N by raising the ack floor to
-  /// the sealed epoch's last ack and bumping cur_epoch_; later writes clamp
-  /// their ack to the floor, making acks epoch-monotone.
-  uint64_t cur_epoch_ = 0;
-  SimTime epoch_floor_ack_ = 0;  ///< Max ack of all sealed epochs.
-  SimTime epoch_max_ack_ = 0;    ///< Max ack within the open epoch.
-  uint64_t epoch_writes_ = 0;    ///< Write commands in the open epoch.
-  SimTime last_flush_start_ = -1;
-  SimTime last_flush_done_ = -1;
-  /// Recent FLUSH CACHE service windows (reads arriving inside one wait).
-  std::deque<std::pair<SimTime, SimTime>> flush_windows_;
 
-  Stats stats_;
+  Stats stats_;  ///< Statistics, as are the histograms below.
 
-  Tracer* tracer_ = nullptr;
+  Tracer* tracer_ = nullptr;  ///< An observer, like the statistics.
   /// Registered per-layer latency histograms (always non-null).
   Histogram* h_ncq_wait_ns_;
   Histogram* h_bus_ns_;

@@ -82,8 +82,7 @@ TieredDevice::TieredDevice(TieredConfig config) : cfg_(std::move(config)) {
   ckpt_interval_ =
       std::max<uint32_t>(4, (map_pages_ - 2 * ckpt_pages_) / 2);
 
-  slots_.assign(static_cast<size_t>(slots), Slot{});
-  RebuildFreeList();
+  session_ = Session(static_cast<size_t>(slots));
 
   // Seed the ring with an empty checkpoint so recovery always finds a
   // complete base, even after a cut on a freshly-deployed device.
@@ -93,10 +92,12 @@ TieredDevice::TieredDevice(TieredConfig config) : cfg_(std::move(config)) {
   assert(st.ok());
 }
 
-void TieredDevice::RebuildFreeList() {
-  free_slots_.clear();
-  for (size_t s = slots_.size(); s-- > 0;) {
-    if (!slots_[s].valid) free_slots_.push_back(static_cast<uint32_t>(s));
+void TieredDevice::Directory::DeriveFromSlots() {
+  free_slots.clear();
+  dirty_count = 0;
+  for (size_t s = slots.size(); s-- > 0;) {
+    if (!slots[s].valid) free_slots.push_back(static_cast<uint32_t>(s));
+    if (slots[s].dirty) ++dirty_count;  // Only a valid slot is dirty.
   }
 }
 
@@ -159,57 +160,58 @@ SimTime TieredDevice::WriteOpenPage(SimTime t, Status* st) {
   MapPage p;
   p.valid = true;
   p.is_checkpoint = false;
-  p.seq = map_seq_;
-  p.deltas = open_deltas_;
-  const Result r = flash_->Write(t, map_ring_pos_, EncodePage(p));
+  p.seq = session_.map_seq;
+  p.deltas = session_.open_deltas;
+  const Result r = flash_->Write(t, session_.map_ring_pos, EncodePage(p));
   if (!r.status.ok()) *st = r.status;
   return r.done;
 }
 
 void TieredDevice::CloseOpenPage(SimTime t, SimTime* done, Status* st) {
-  map_ring_pos_ = (map_ring_pos_ + 1) % map_pages_;
-  ++map_seq_;
-  open_deltas_.clear();
-  ++closed_since_ckpt_;
-  if (closed_since_ckpt_ >= ckpt_interval_) {
+  session_.map_ring_pos = (session_.map_ring_pos + 1) % map_pages_;
+  ++session_.map_seq;
+  session_.open_deltas.clear();
+  ++session_.closed_since_ckpt;
+  if (session_.closed_since_ckpt >= ckpt_interval_) {
     WriteCheckpoint(std::max(t, *done), done, st);
   }
 }
 
 void TieredDevice::WriteCheckpoint(SimTime t, SimTime* done, Status* st) {
+  const Directory& dir = session_.dir;
   std::vector<MapDelta> entries;
-  entries.reserve(dir_.size());
-  for (uint32_t s = 0; s < slots_.size(); ++s) {
-    if (!slots_[s].valid) continue;
-    entries.push_back({slots_[s].dirty ? kOpMapDirty : kOpMapClean, s,
-                       slots_[s].cap_lpn});
+  entries.reserve(dir.map.size());
+  for (uint32_t s = 0; s < dir.slots.size(); ++s) {
+    const Slot& sl = dir.slots[s];
+    if (!sl.valid) continue;
+    entries.push_back({sl.dirty ? kOpMapDirty : kOpMapClean, s, sl.cap_lpn});
   }
   const uint32_t epp = EntriesPerPage();
   const uint32_t of = std::max<uint32_t>(
       1, static_cast<uint32_t>((entries.size() + epp - 1) / epp));
-  const uint64_t group = map_seq_;
+  const uint64_t group = session_.map_seq;
   SimTime when = t;
   for (uint32_t i = 0; i < of; ++i) {
     MapPage p;
     p.valid = true;
     p.is_checkpoint = true;
-    p.seq = map_seq_++;
+    p.seq = session_.map_seq++;
     p.group = group;
     p.idx = i;
     p.of = of;
     const size_t lo = static_cast<size_t>(i) * epp;
     const size_t hi = std::min(entries.size(), lo + epp);
     if (lo < hi) p.deltas.assign(entries.begin() + lo, entries.begin() + hi);
-    const Result r = flash_->Write(when, map_ring_pos_, EncodePage(p));
+    const Result r = flash_->Write(when, session_.map_ring_pos, EncodePage(p));
     if (!r.status.ok()) {
       *st = r.status;
       return;
     }
     *done = std::max(*done, r.done);
-    map_ring_pos_ = (map_ring_pos_ + 1) % map_pages_;
+    session_.map_ring_pos = (session_.map_ring_pos + 1) % map_pages_;
   }
-  open_deltas_.clear();
-  closed_since_ckpt_ = 0;
+  session_.open_deltas.clear();
+  session_.closed_since_ckpt = 0;
   ++stats_.map_checkpoints;
 }
 
@@ -218,6 +220,7 @@ SimTime TieredDevice::AppendMapDeltas(SimTime t,
                                       Status* st) {
   if (deltas.empty()) return t;
   const size_t cap = EntriesPerPage();
+  std::vector<MapDelta>& open = session_.open_deltas;
   SimTime done = t;
   size_t i = 0;
   while (i < deltas.size() && st->ok()) {
@@ -225,15 +228,13 @@ SimTime TieredDevice::AppendMapDeltas(SimTime t,
     // A delta batch that fits one page must land in ONE page write — that
     // write is the command's atomic commit point. Oversized batches chunk
     // (and are atomic per chunk; host commands never get near the limit).
-    if (open_deltas_.size() >= cap ||
-        (i == 0 && remaining <= cap &&
-         open_deltas_.size() + remaining > cap)) {
+    if (open.size() >= cap ||
+        (i == 0 && remaining <= cap && open.size() + remaining > cap)) {
       CloseOpenPage(t, &done, st);
       if (!st->ok()) break;
     }
-    const size_t take = std::min(remaining, cap - open_deltas_.size());
-    open_deltas_.insert(open_deltas_.end(), deltas.begin() + i,
-                        deltas.begin() + i + take);
+    const size_t take = std::min(remaining, cap - open.size());
+    open.insert(open.end(), deltas.begin() + i, deltas.begin() + i + take);
     i += take;
     done = std::max(done, WriteOpenPage(std::max(t, done), st));
   }
@@ -246,32 +247,33 @@ SimTime TieredDevice::AppendMapDeltas(SimTime t,
 
 void TieredDevice::EnsureFreeSlots(SimTime t, size_t want, bool allow_destage,
                                    Status* st) {
-  while (free_slots_.size() < want && st->ok()) {
+  Directory& dir = session_.dir;
+  while (dir.free_slots.size() < want && st->ok()) {
     // Clock sweep (second chance) for a batch of clean victims. Each victim
     // is invalidated as it is picked: the sweep may lap the clock, and a
     // slot picked twice would be freed twice and handed to two LBAs.
     std::vector<MapDelta> deltas;
-    const size_t nslots = slots_.size();
+    const size_t nslots = dir.slots.size();
     for (size_t scanned = 0;
          deltas.size() < kEvictBatch && scanned < 2 * nslots; ++scanned) {
-      const uint32_t s = clock_hand_;
-      clock_hand_ = (clock_hand_ + 1) % static_cast<uint32_t>(nslots);
-      Slot& sl = slots_[s];
+      const uint32_t s = dir.clock_hand;
+      dir.clock_hand = (dir.clock_hand + 1) % static_cast<uint32_t>(nslots);
+      Slot& sl = dir.slots[s];
       if (!sl.valid || sl.dirty) continue;
       if (sl.ref) {
         sl.ref = false;
         continue;
       }
       deltas.push_back({kOpInvalidate, s, sl.cap_lpn});
-      dir_.erase(sl.cap_lpn);
+      dir.map.erase(sl.cap_lpn);
       sl = Slot{};
-      free_slots_.push_back(s);
+      dir.free_slots.push_back(s);
       ++stats_.evictions;
     }
     if (deltas.empty()) {
       // Everything is dirty (or invalid): only a destage round can mint
       // clean victims.
-      if (!allow_destage || dirty_count_ == 0) return;
+      if (!allow_destage || dir.dirty_count == 0) return;
       DestageRound(t, cfg_.destage_batch, st);
       continue;
     }
@@ -284,32 +286,36 @@ void TieredDevice::EnsureFreeSlots(SimTime t, size_t want, bool allow_destage,
 }
 
 bool TieredDevice::AcquireSlot(SimTime t, uint32_t* slot, Status* st) {
-  if (free_slots_.empty()) {
+  std::vector<uint32_t>& free_slots = session_.dir.free_slots;
+  if (free_slots.empty()) {
     EnsureFreeSlots(t, kFreeReserveSlots, /*allow_destage=*/true, st);
-  } else if (free_slots_.size() < kFreeReserveSlots) {
+  } else if (free_slots.size() < kFreeReserveSlots) {
     EnsureFreeSlots(t, kFreeReserveSlots, /*allow_destage=*/false, st);
   }
-  if (!st->ok() || free_slots_.empty()) return false;
-  *slot = free_slots_.back();
-  free_slots_.pop_back();
+  if (!st->ok() || free_slots.empty()) return false;
+  *slot = free_slots.back();
+  free_slots.pop_back();
   return true;
 }
 
 SimTime TieredDevice::DestageRound(SimTime t, uint32_t max_victims,
                                    Status* st) {
-  if (dirty_count_ == 0 || max_victims == 0) return t;
+  Directory& dir = session_.dir;
+  if (dir.dirty_count == 0 || max_victims == 0) return t;
   // Victim selection: an LBA-order sweep from the cursor (elevator-style),
-  // wrapping once. dir_ is a sorted map, so this is a cheap ordered walk.
+  // wrapping once. The map is sorted, so this is a cheap ordered walk.
   std::vector<std::pair<Lpn, uint32_t>> victims;
-  auto it = dir_.lower_bound(destage_cursor_);
+  auto it = dir.map.lower_bound(dir.destage_cursor);
   for (size_t examined = 0;
-       victims.size() < max_victims && examined < dir_.size(); ++examined) {
-    if (it == dir_.end()) it = dir_.begin();
-    if (slots_[it->second].dirty) victims.emplace_back(it->first, it->second);
+       victims.size() < max_victims && examined < dir.map.size(); ++examined) {
+    if (it == dir.map.end()) it = dir.map.begin();
+    if (dir.slots[it->second].dirty) {
+      victims.emplace_back(it->first, it->second);
+    }
     ++it;
   }
   if (victims.empty()) return t;
-  destage_cursor_ = victims.back().first + 1;
+  dir.destage_cursor = victims.back().first + 1;
   std::sort(victims.begin(), victims.end());
 
   // Phase 1: pull victim bytes off the flash tier.
@@ -358,8 +364,8 @@ SimTime TieredDevice::DestageRound(SimTime t, uint32_t max_victims,
   std::vector<MapDelta> deltas;
   deltas.reserve(victims.size());
   for (const auto& [lpn, slot] : victims) {
-    slots_[slot].dirty = false;
-    --dirty_count_;
+    dir.slots[slot].dirty = false;
+    --dir.dirty_count;
     deltas.push_back({kOpMarkClean, slot, lpn});
   }
   const SimTime tj = AppendMapDeltas(f.done, deltas, st);
@@ -371,10 +377,11 @@ SimTime TieredDevice::DestageRound(SimTime t, uint32_t max_victims,
 void TieredDevice::MaybeDestage(SimTime now) {
   // Idle opportunism: the gap that just ended belonged to the devices —
   // issue the round at the idle start so it used quiet capacity time.
-  if (dirty_count_ >= kDestageIdleMin && last_activity_ > 0 &&
-      now > last_activity_ && now - last_activity_ >= kDestageIdle) {
+  const SimTime last = session_.last_activity;
+  if (session_.dir.dirty_count >= kDestageIdleMin && last > 0 && now > last &&
+      now - last >= kDestageIdle) {
     Status st;
-    DestageRound(last_activity_, cfg_.destage_batch, &st);
+    DestageRound(last, cfg_.destage_batch, &st);
   }
 }
 
@@ -400,7 +407,9 @@ BlockDevice::Result TieredDevice::Execute(SimTime t, const Command& cmd) {
       r = DoFlush(t);
       break;
   }
-  if (r.status.ok()) last_activity_ = std::max(last_activity_, r.done);
+  if (r.status.ok()) {
+    session_.last_activity = std::max(session_.last_activity, r.done);
+  }
   return r;
 }
 
@@ -413,6 +422,7 @@ BlockDevice::Result TieredDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
   // Remap-always: every sector goes to a FRESH slot; the old slot (and its
   // bytes) stay untouched until the journal's commit point supersedes
   // them, which is what makes the whole command atomic.
+  Directory& dir = session_.dir;
   Status st;
   std::vector<uint32_t> placed;
   placed.reserve(nsec);
@@ -420,7 +430,7 @@ BlockDevice::Result TieredDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
   for (uint32_t i = 0; i < nsec; ++i) {
     uint32_t slot = 0;
     if (!AcquireSlot(now, &slot, &st)) {
-      for (const uint32_t s : placed) free_slots_.push_back(s);
+      for (const uint32_t s : placed) dir.free_slots.push_back(s);
       return {st.ok() ? Status::ResourceExhausted("no cache slot") : st, now};
     }
     const Slice sector(
@@ -428,8 +438,8 @@ BlockDevice::Result TieredDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
         cfg_.flash.sector_size);
     const Result dr = flash_->Write(now, SlotDataLpn(slot), sector);
     if (!dr.status.ok()) {
-      free_slots_.push_back(slot);
-      for (const uint32_t s : placed) free_slots_.push_back(s);
+      dir.free_slots.push_back(slot);
+      for (const uint32_t s : placed) dir.free_slots.push_back(s);
       return {dr.status, dr.done};
     }
     data_done = std::max(data_done, dr.done);
@@ -444,19 +454,19 @@ BlockDevice::Result TieredDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
   for (uint32_t i = 0; i < nsec; ++i) {
     const Lpn l = lpn + i;
     const uint32_t ns = placed[i];
-    auto it = dir_.find(l);
-    if (it != dir_.end()) {
+    auto it = dir.map.find(l);
+    if (it != dir.map.end()) {
       const uint32_t old = it->second;
       deltas.push_back({kOpInvalidate, old, l});
-      if (slots_[old].dirty) --dirty_count_;
-      slots_[old] = Slot{};
-      free_slots_.push_back(old);
-      dir_.erase(it);
+      if (dir.slots[old].dirty) --dir.dirty_count;
+      dir.slots[old] = Slot{};
+      dir.free_slots.push_back(old);
+      dir.map.erase(it);
     }
     deltas.push_back({kOpMapDirty, ns, l});
-    slots_[ns] = Slot{l, true, true, true};
-    dir_[l] = ns;
-    ++dirty_count_;
+    dir.slots[ns] = Slot{l, true, true, true};
+    dir.map[l] = ns;
+    ++dir.dirty_count;
   }
   const SimTime jdone = AppendMapDeltas(now, deltas, &st);
   if (!st.ok()) return {st, jdone};
@@ -465,7 +475,7 @@ BlockDevice::Result TieredDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
   // Batch-threshold trigger: drain a sorted group once enough is dirty.
   // The round extends member timelines (realistic interference for later
   // commands) but never this command's already-computed ack.
-  if (dirty_count_ >= cfg_.destage_batch) {
+  if (dir.dirty_count >= cfg_.destage_batch) {
     Status dst;
     DestageRound(ack, cfg_.destage_batch, &dst);
   }
@@ -481,9 +491,10 @@ BlockDevice::Result TieredDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
   // look like a backup/table scan stops polluting the cache.
   bool scan = false;
   if (cfg_.admission == TieredConfig::Admission::kBypassSequential) {
-    seq_run_ = (lpn == seq_last_end_) ? seq_run_ + nsec : nsec;
-    seq_last_end_ = lpn + nsec;
-    scan = seq_run_ >= kSeqRunSectors;
+    uint64_t& run = session_.seq_run;
+    run = (lpn == session_.seq_last_end) ? run + nsec : nsec;
+    session_.seq_last_end = lpn + nsec;
+    scan = run >= kSeqRunSectors;
   }
   const bool admit_misses = !scan;
 
@@ -497,22 +508,23 @@ BlockDevice::Result TieredDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
     uint32_t nsec;
     std::string bytes;  ///< Capacity bytes (read or admitted misses).
   };
+  Directory& dir = session_.dir;
   std::vector<MissRun> misses;
   SimTime done = now;
   uint32_t i = 0;
   while (i < nsec) {
     const Lpn l = lpn + i;
-    auto it = dir_.find(l);
-    if (it != dir_.end()) {
+    auto it = dir.map.find(l);
+    if (it != dir.map.end()) {
       // Hit run: extend while the mapping stays slot-contiguous so one
       // flash command covers it.
       const uint32_t start_slot = it->second;
-      slots_[start_slot].ref = true;
+      dir.slots[start_slot].ref = true;
       uint32_t run = 1;
       while (i + run < nsec) {
-        auto jt = dir_.find(l + run);
-        if (jt == dir_.end() || jt->second != start_slot + run) break;
-        slots_[jt->second].ref = true;
+        auto jt = dir.map.find(l + run);
+        if (jt == dir.map.end() || jt->second != start_slot + run) break;
+        dir.slots[jt->second].ref = true;
         ++run;
       }
       std::string tmp;
@@ -525,7 +537,7 @@ BlockDevice::Result TieredDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
       i += run;
     } else {
       uint32_t run = 1;
-      while (i + run < nsec && dir_.find(l + run) == dir_.end()) ++run;
+      while (i + run < nsec && dir.map.find(l + run) == dir.map.end()) ++run;
       MissRun mr{l, run, {}};
       std::string* dst = nullptr;
       if (out != nullptr || admit_misses) dst = &mr.bytes;
@@ -554,29 +566,29 @@ BlockDevice::Result TieredDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
     bool full = false;
     for (const MissRun& mr : misses) {
       for (uint32_t k = 0; k < mr.nsec && !full; ++k) {
-        if (free_slots_.empty()) {
+        if (dir.free_slots.empty()) {
           EnsureFreeSlots(done, kFreeReserveSlots, /*allow_destage=*/false,
                           &st);
-          if (!st.ok() || free_slots_.empty()) {
+          if (!st.ok() || dir.free_slots.empty()) {
             full = true;
             break;
           }
         }
-        const uint32_t slot = free_slots_.back();
-        free_slots_.pop_back();
+        const uint32_t slot = dir.free_slots.back();
+        dir.free_slots.pop_back();
         const Slice sector(
             mr.bytes.data() + static_cast<size_t>(k) * cfg_.flash.sector_size,
             cfg_.flash.sector_size);
         const Result wr = flash_->Write(done, SlotDataLpn(slot), sector);
         if (!wr.status.ok()) {
-          free_slots_.push_back(slot);
+          dir.free_slots.push_back(slot);
           full = true;
           break;
         }
         const Lpn l = mr.lpn + k;
         deltas.push_back({kOpMapClean, slot, l});
-        slots_[slot] = Slot{l, true, false, true};
-        dir_[l] = slot;
+        dir.slots[slot] = Slot{l, true, false, true};
+        dir.map[l] = slot;
         ++stats_.admitted_sectors;
       }
     }
@@ -603,35 +615,36 @@ void TieredDevice::PowerCut(SimTime t) {
 }
 
 void TieredDevice::ApplyDelta(const MapDelta& d) {
-  if (d.slot >= slots_.size()) return;
+  Directory& dir = session_.dir;
+  if (d.slot >= dir.slots.size()) return;
   switch (d.op) {
     case kOpInvalidate: {
-      Slot& sl = slots_[d.slot];
+      Slot& sl = dir.slots[d.slot];
       if (sl.valid) {
-        auto it = dir_.find(sl.cap_lpn);
-        if (it != dir_.end() && it->second == d.slot) dir_.erase(it);
+        auto it = dir.map.find(sl.cap_lpn);
+        if (it != dir.map.end() && it->second == d.slot) dir.map.erase(it);
         sl = Slot{};
       }
       break;
     }
     case kOpMapDirty:
     case kOpMapClean: {
-      Slot& sl = slots_[d.slot];
+      Slot& sl = dir.slots[d.slot];
       if (sl.valid) {
-        auto it = dir_.find(sl.cap_lpn);
-        if (it != dir_.end() && it->second == d.slot) dir_.erase(it);
+        auto it = dir.map.find(sl.cap_lpn);
+        if (it != dir.map.end() && it->second == d.slot) dir.map.erase(it);
       }
-      auto other = dir_.find(d.cap_lpn);
-      if (other != dir_.end() && other->second != d.slot) {
-        slots_[other->second] = Slot{};
-        dir_.erase(other);
+      auto other = dir.map.find(d.cap_lpn);
+      if (other != dir.map.end() && other->second != d.slot) {
+        dir.slots[other->second] = Slot{};
+        dir.map.erase(other);
       }
       sl = Slot{d.cap_lpn, true, d.op == kOpMapDirty, false};
-      dir_[d.cap_lpn] = d.slot;
+      dir.map[d.cap_lpn] = d.slot;
       break;
     }
     case kOpMarkClean: {
-      Slot& sl = slots_[d.slot];
+      Slot& sl = dir.slots[d.slot];
       if (sl.valid && sl.cap_lpn == d.cap_lpn) sl.dirty = false;
       break;
     }
@@ -677,8 +690,7 @@ SimTime TieredDevice::RecoverDirectory(SimTime t) {
     }
   }
 
-  dir_.clear();
-  std::fill(slots_.begin(), slots_.end(), Slot{});
+  // PowerOn handed this scan a fresh session: the journal alone fills it.
   uint64_t base_seq = 0;
   if (best != nullptr) {
     for (const auto& [idx, p] : *best) {
@@ -699,7 +711,7 @@ SimTime TieredDevice::RecoverDirectory(SimTime t) {
     for (const MapDelta& d : p->deltas) ApplyDelta(d);
   }
 
-  // Reset the writer past the newest surviving page.
+  // Place the writer past the newest surviving page.
   uint64_t max_seq = best != nullptr ? base_seq : 0;
   uint32_t max_pos = map_pages_ - 1;  // Fresh device: open page starts at 0.
   for (const auto& [pos, p] : pages) {
@@ -708,21 +720,13 @@ SimTime TieredDevice::RecoverDirectory(SimTime t) {
       max_pos = pos;
     }
   }
-  map_seq_ = max_seq + 1;
-  map_ring_pos_ = (max_pos + 1) % map_pages_;
-  open_deltas_.clear();
-  closed_since_ckpt_ = deltas.size();
+  session_.map_seq = max_seq + 1;
+  session_.map_ring_pos = (max_pos + 1) % map_pages_;
+  session_.closed_since_ckpt = deltas.size();
 
-  dirty_count_ = 0;
-  stats_.recovered_entries = 0;
-  for (const Slot& sl : slots_) {
-    if (!sl.valid) continue;
-    ++stats_.recovered_entries;
-    if (sl.dirty) ++dirty_count_;
-  }
-  RebuildFreeList();
-  clock_hand_ = 0;
-  destage_cursor_ = 0;
+  Directory& dir = session_.dir;
+  dir.DeriveFromSlots();
+  stats_.recovered_entries = dir.slots.size() - dir.free_slots.size();
   return done;
 }
 
@@ -730,15 +734,12 @@ SimTime TieredDevice::DropDirectory(SimTime t, Status* st) {
   // Cold-start conversion: dirty data must still reach the capacity tier
   // (correctness is not optional — only warmth is), then the directory is
   // dropped via a fresh empty checkpoint.
-  while (dirty_count_ > 0 && st->ok()) {
+  while (session_.dir.dirty_count > 0 && st->ok()) {
     t = DestageRound(t, cfg_.destage_batch, st);
   }
   if (!st->ok()) return t;
-  dir_.clear();
-  std::fill(slots_.begin(), slots_.end(), Slot{});
-  dirty_count_ = 0;
-  RebuildFreeList();
-  clock_hand_ = 0;
+  // Only the directory goes: the checkpoint lands at the writer's cursor.
+  session_.dir = Directory(session_.dir.slots.size());
   SimTime done = t;
   WriteCheckpoint(t, &done, st);
   ++stats_.cold_resets;
@@ -748,23 +749,21 @@ SimTime TieredDevice::DropDirectory(SimTime t, Status* st) {
 SimTime TieredDevice::PowerOn() {
   if (!RestorePower()) return 0;
   SimTime dur = std::max(flash_->PowerOn(), capacity_->PowerOn());
+  session_ = Session(session_.dir.slots.size());
   SimTime t = RecoverDirectory(dur);
   if (!cfg_.warm_recovery) {
     Status st;
     t = DropDirectory(t, &st);
   }
-  seq_last_end_ = kInvalidLpn;
-  seq_run_ = 0;
-  last_activity_ = t;
   last_recovery_duration_ = t;
   return t;
 }
 
 Status TieredDevice::Shutdown(SimTime now) {
-  if (!powered()) return Status::DeviceOffline();
+  if (!powered()) return Status::OK();
   Status st;
   SimTime t = now;
-  while (dirty_count_ > 0 && st.ok()) {
+  while (session_.dir.dirty_count > 0 && st.ok()) {
     t = DestageRound(t, cfg_.destage_batch, &st);
   }
   if (!st.ok()) return st;
@@ -774,7 +773,7 @@ Status TieredDevice::Shutdown(SimTime now) {
   const Status fs = flash_->Shutdown(t);
   if (!fs.ok()) return fs;
   capacity_->PowerCut(t);  // Cache flushed, nothing in flight: clean off.
-  ShutOff();
+  ShutOff(t);
   return Status::OK();
 }
 

@@ -152,10 +152,10 @@ class TieredDevice : public BlockDevice {
   const SsdDevice& flash_tier() const { return *flash_; }
   BlockDevice& capacity_tier() { return *capacity_; }
 
-  uint64_t cache_slots() const { return slots_.size(); }
+  uint64_t cache_slots() const { return session_.dir.slots.size(); }
   uint32_t map_ring_pages() const { return map_pages_; }
-  uint64_t dirty_slots() const { return dirty_count_; }
-  uint64_t free_slots() const { return free_slots_.size(); }
+  uint64_t dirty_slots() const { return session_.dir.dirty_count; }
+  uint64_t free_slots() const { return session_.dir.free_slots.size(); }
   /// Virtual duration of the last PowerOn (members + journal scan +
   /// optional cold conversion).
   SimTime last_recovery_duration() const { return last_recovery_duration_; }
@@ -186,6 +186,39 @@ class TieredDevice : public BlockDevice {
   static constexpr uint8_t kOpMapDirty = 1;
   static constexpr uint8_t kOpMarkClean = 2;
   static constexpr uint8_t kOpMapClean = 3;
+
+  /// The directory: every slot's mapping and the policy state over it.
+  /// The journal scan rebuilds it; DropDirectory replaces it whole.
+  struct Directory {
+    explicit Directory(size_t n) : slots(n) { DeriveFromSlots(); }
+    /// Derives the free list (every invalid slot, the lowest handed out
+    /// first) and the dirty count from the slots.
+    void DeriveFromSlots();
+    std::vector<Slot> slots;
+    std::map<Lpn, uint32_t> map;  ///< Capacity LBA -> slot (sorted: the
+                                  ///< destage sweep walks it in LBA order).
+    std::vector<uint32_t> free_slots;
+    uint64_t dirty_count = 0;
+    uint32_t clock_hand = 0;
+    Lpn destage_cursor = 0;  ///< LBA sweep position (elevator-ish).
+  };
+
+  /// Everything a power cycle discards: the directory, the journal
+  /// writer's cursor and open page, the scan detector and the idle clock.
+  /// PowerOn replaces it whole before the journal scan fills it.
+  struct Session {
+    explicit Session(size_t slots) : dir(slots) {}
+    Directory dir;
+    // --- Journal writer ---
+    uint32_t map_ring_pos = 0;  ///< Ring slot of the open page.
+    uint64_t map_seq = 1;       ///< Seq of the open page.
+    uint64_t closed_since_ckpt = 0;
+    std::vector<MapDelta> open_deltas;  ///< Cumulative open-page content.
+    // --- Admission (sequential-scan detection) ---
+    Lpn seq_last_end = kInvalidLpn;
+    uint64_t seq_run = 0;
+    SimTime last_activity = 0;  ///< The idle-destage clock.
+  };
 
   /// A decoded journal page (delta page or checkpoint fragment).
   struct MapPage {
@@ -246,38 +279,20 @@ class TieredDevice : public BlockDevice {
   SimTime DropDirectory(SimTime t, Status* st);
 
   void ApplyDelta(const MapDelta& d);
-  void RebuildFreeList();
 
+  // Every member but session_ crosses a power cut: the config and what is
+  // derived from it, the members (each with its own session), statistics.
   TieredConfig cfg_;
   std::unique_ptr<SsdDevice> flash_;
   std::unique_ptr<HddDevice> capacity_;
   uint64_t capacity_sectors_ = 0;
 
-  // --- Directory ---
-  std::vector<Slot> slots_;
-  std::map<Lpn, uint32_t> dir_;  ///< Capacity LBA -> slot (sorted: the
-                                 ///< destage sweep walks it in LBA order).
-  std::vector<uint32_t> free_slots_;
-  uint64_t dirty_count_ = 0;
-  uint32_t clock_hand_ = 0;
-  Lpn destage_cursor_ = 0;  ///< LBA sweep position (elevator-ish).
-
-  // --- Journal ring ---
+  // --- Journal ring geometry, derived from the config ---
   uint32_t map_pages_ = 0;        ///< Ring size in flash sectors.
   uint32_t ckpt_pages_ = 0;       ///< Worst-case fragments per checkpoint.
   uint32_t ckpt_interval_ = 0;    ///< Delta pages closed between checkpoints.
-  uint32_t map_ring_pos_ = 0;     ///< Ring slot of the open page.
-  uint64_t map_seq_ = 1;          ///< Seq of the open page.
-  uint64_t closed_since_ckpt_ = 0;
-  std::vector<MapDelta> open_deltas_;  ///< Cumulative open-page content.
-
-  // --- Admission (sequential-scan detection) ---
-  Lpn seq_last_end_ = kInvalidLpn;
-  uint64_t seq_run_ = 0;
-
-  SimTime last_activity_ = 0;
-  SimTime last_recovery_duration_ = 0;
-
+  Session session_{0};
+  SimTime last_recovery_duration_ = 0;  ///< A statistic, as is stats_.
   Stats stats_;
 };
 

@@ -4,7 +4,8 @@
 // command fails DeviceOffline at the cut instant, an unpowered device
 // rejects everything until PowerOn, invalid commands are rejected before
 // they touch the device, and BARRIER is FLUSH on devices without epochs.
-// A clean shutdown, like a cut, leaves the device idle.
+// The next power session starts idle, after a cut as after a clean
+// shutdown.
 
 #include <gtest/gtest.h>
 
@@ -273,30 +274,106 @@ TEST_P(PowerContractTest, BarrierWithoutEpochsIsFlush) {
   EXPECT_EQ(out_f, out_b);
 }
 
+// Every model starts its next power session idle. PowerOn restarts the
+// device clock at zero, so completion times or media reservations left over
+// from the previous session would make the first commands after the reboot
+// wait behind work that no longer exists.
+
+/// The old session's burst runs here: far past any reboot instant, so
+/// anything the session left behind would still be pending at boot.
+constexpr SimTime kBurstAt = 1 * kSecond;
+
+/// Ends `dev`'s power session at `t`: by a power cut, or by the model's
+/// clean shutdown (the disk has none: a FLUSH, then the cut). Shutting down
+/// a device that is already off is OK and changes nothing, on every model.
+void EndSession(BlockDevice& dev, SimTime t, bool clean) {
+  if (!clean) {
+    dev.PowerCut(t);
+    return;
+  }
+  const auto shutdown = [&](auto& model) {
+    EXPECT_TRUE(model.Shutdown(t).ok());
+    EXPECT_TRUE(model.Shutdown(t + kSecond).ok());
+  };
+  if (auto* ssd = dynamic_cast<SsdDevice*>(&dev)) {
+    shutdown(*ssd);
+  } else if (auto* tier = dynamic_cast<TieredDevice*>(&dev)) {
+    shutdown(*tier);
+  } else {
+    const BlockDevice::Result f = dev.Flush(t);
+    EXPECT_TRUE(f.status.ok());
+    dev.PowerCut(f.done);
+  }
+  EXPECT_FALSE(dev.powered());
+}
+
+/// Eight one-sector writes issued together at kBurstAt, the session ended
+/// at the last acknowledgement, then PowerOn. Returns the boot instant.
+SimTime BurstThenReboot(BlockDevice& dev, bool clean) {
+  SimTime last = kBurstAt;
+  for (Lpn l = 0; l < 8; ++l) {
+    const BlockDevice::Result r = dev.Write(kBurstAt, l, Sector('s'));
+    EXPECT_TRUE(r.status.ok());
+    last = std::max(last, r.done);
+  }
+  EndSession(dev, last, clean);
+  // Recovery runs on the new clock, so it waits behind nothing the old
+  // session reserved: it is done long before the burst's instant.
+  const SimTime boot = dev.PowerOn();
+  EXPECT_LT(boot, kBurstAt);
+  return boot;
+}
+
+void ExpectNextSessionStartsIdle(
+    const std::function<std::unique_ptr<BlockDevice>()>& make, bool clean) {
+  // On a depth-1 queue the first write after the reboot neither stalls
+  // nor completes later than the same write on a fresh device.
+  auto rebooted = make();
+  rebooted->set_queue_depth_limit(1);
+  const SimTime boot = BurstThenReboot(*rebooted, clean);
+  const uint64_t stalls = rebooted->submit_stalls();
+  const BlockDevice::Result got = rebooted->Write(boot, 9, Sector('r'));
+  ASSERT_TRUE(got.status.ok());
+  auto fresh = make();
+  fresh->set_queue_depth_limit(1);
+  const BlockDevice::Result want = fresh->Write(boot, 9, Sector('r'));
+  ASSERT_TRUE(want.status.ok());
+  EXPECT_EQ(got.done, want.done);
+  EXPECT_EQ(rebooted->submit_stalls(), stalls);
+
+  // Nor do the media still hold reservations from before: reading back a
+  // sector at the boot instant takes as long as it does ten seconds later.
+  auto at_boot = make();
+  const SimTime t1 = BurstThenReboot(*at_boot, clean);
+  auto later = make();
+  const SimTime t2 = BurstThenReboot(*later, clean) + 10 * kSecond;
+  std::string out1, out2;
+  const BlockDevice::Result r1 = at_boot->Read(t1, 2, 1, &out1);
+  const BlockDevice::Result r2 = later->Read(t2, 2, 1, &out2);
+  ASSERT_TRUE(r1.status.ok());
+  ASSERT_TRUE(r2.status.ok());
+  EXPECT_EQ(out1, out2);
+  if (clean) {
+    EXPECT_EQ(out1, Sector('s'));
+  }
+  EXPECT_EQ(r1.done - t1, r2.done - t2);
+}
+
+TEST_P(PowerContractTest, NextSessionStartsIdle) {
+  for (const bool clean : {false, true}) {
+    SCOPED_TRACE(clean ? "clean shutdown" : "power cut");
+    ExpectNextSessionStartsIdle([this] { return Make(); }, clean);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllDevices, PowerContractTest, ::testing::ValuesIn(kCases),
     [](const ::testing::TestParamInfo<DeviceCase>& info) {
       return std::string(info.param.name);
     });
 
-// A clean shutdown ends the power session as a power cut does. PowerOn
-// restarts the device clock at zero, so completion times or media
-// reservations left over from the previous power cycle would make the
-// first commands after the reboot wait behind work that no longer exists.
-
-/// Four one-sector writes at time 0, a clean shutdown at the last
-/// completion, then PowerOn. Returns the instant the reboot completes.
-template <typename Device>
-SimTime FillThenCleanReboot(Device& dev) {
-  SimTime last = 0;
-  for (Lpn l = 0; l < 4; ++l) {
-    const BlockDevice::Result r = dev.Write(0, l, Sector('s'));
-    EXPECT_TRUE(r.status.ok());
-    last = std::max(last, r.done);
-  }
-  EXPECT_TRUE(dev.Shutdown(last).ok());
-  return dev.PowerOn();
-}
+// A clean shutdown on the two models that have one, seen through the
+// flash tier's "ssd.qd" histogram as well.
 
 /// `qd` returns the "ssd.qd" histogram that the device's writes land in;
 /// one host write on an idle device records `expected_qd` there.
@@ -304,47 +381,20 @@ template <typename Device>
 void ExpectCleanRebootStartsIdle(
     const std::function<std::unique_ptr<Device>()>& make,
     const std::function<Histogram*(Device&)>& qd, int64_t expected_qd) {
-  // On a depth-1 queue the first write after the reboot neither stalls
-  // nor completes later than the same write on a fresh device.
-  auto limited = make();
-  limited->set_queue_depth_limit(1);
-  const SimTime boot = FillThenCleanReboot(*limited);
-  const uint64_t stalls = limited->submit_stalls();
-  const BlockDevice::Result got = limited->Write(boot, 9, Sector('r'));
-  ASSERT_TRUE(got.status.ok());
-  auto fresh = make();
-  fresh->set_queue_depth_limit(1);
-  const BlockDevice::Result want = fresh->Write(boot, 9, Sector('r'));
-  ASSERT_TRUE(want.status.ok());
-  EXPECT_EQ(got.done, want.done);
-  EXPECT_EQ(limited->submit_stalls(), stalls);
+  ExpectNextSessionStartsIdle([&] { return make(); }, /*clean=*/true);
 
-  // Without a limit, it finds nothing from before the reboot in flight:
-  // the deepest queue it records is a fresh device's.
+  // Without a queue-depth limit, the first write after the reboot finds
+  // nothing from before it in flight: the deepest queue it records is a
+  // fresh device's.
   auto unlimited = make();
-  const SimTime boot2 = FillThenCleanReboot(*unlimited);
+  const SimTime boot = BurstThenReboot(*unlimited, /*clean=*/true);
   Histogram* h = qd(*unlimited);
   h->Reset();
-  ASSERT_TRUE(unlimited->Write(boot2, 9, Sector('r')).status.ok());
+  ASSERT_TRUE(unlimited->Write(boot, 9, Sector('r')).status.ok());
   EXPECT_EQ(h->max(), expected_qd);
-  auto fresh_unlimited = make();
-  ASSERT_TRUE(fresh_unlimited->Write(boot2, 9, Sector('r')).status.ok());
-  EXPECT_EQ(qd(*fresh_unlimited)->max(), expected_qd);
-
-  // Nor do the media still hold reservations from before the shutdown:
-  // reading back a sector at the boot instant takes as long as it does
-  // ten seconds later.
-  auto at_boot = make();
-  const SimTime t1 = FillThenCleanReboot(*at_boot);
-  auto later = make();
-  const SimTime t2 = FillThenCleanReboot(*later) + 10 * kSecond;
-  std::string out1, out2;
-  const BlockDevice::Result r1 = at_boot->Read(t1, 2, 1, &out1);
-  const BlockDevice::Result r2 = later->Read(t2, 2, 1, &out2);
-  ASSERT_TRUE(r1.status.ok());
-  ASSERT_TRUE(r2.status.ok());
-  EXPECT_EQ(out1, Sector('s'));
-  EXPECT_EQ(r1.done - t1, r2.done - t2);
+  auto fresh = make();
+  ASSERT_TRUE(fresh->Write(boot, 9, Sector('r')).status.ok());
+  EXPECT_EQ(qd(*fresh)->max(), expected_qd);
 }
 
 TEST(CleanShutdown, SsdRebootStartsIdle) {
